@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 
 from foldcheck.catalog import load_manifold, nonorientable_surface
-from foldcheck.characteristic import wu_classes
 
 KLEIN_BOTTLE = {
     "name": "Klein bottle",
@@ -35,7 +34,7 @@ def main() -> None:
     m = load_manifold(json.loads(json.dumps(KLEIN_BOTTLE)))
     print(f"loaded {m.name}: dim {m.dim}, chi = {m.euler}")
     print(f"  inferred w  = {m.w}")
-    print(f"  wu classes  = {wu_classes(m)}")
+    print(f"  wu classes  = {m.wu}")
 
     reference = nonorientable_surface(2)
     print(f"catalog {reference.name}:")

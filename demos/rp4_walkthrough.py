@@ -7,7 +7,7 @@ R^4 verdict for RP4 # RP4.
 from __future__ import annotations
 
 from foldcheck.catalog import atom, connected_sum
-from foldcheck.characteristic import dual_classes, structure_flags, wu_classes
+from foldcheck.characteristic import dual_classes, structure_flags
 from foldcheck.decide import TargetSpec, decide_fold, stable_span_bounds
 
 
@@ -15,7 +15,7 @@ def describe(m) -> None:
     flags = structure_flags(m)
     print(f"M = {m.name}  (dim {m.dim}, chi = {m.euler})")
     print(f"  w    = {m.w}")
-    print(f"  wu   = {wu_classes(m)}")
+    print(f"  wu   = {m.wu}")
     print(f"  wbar = {dual_classes(m)}")
     print(f"  orientable={m.orientable}  spin={flags.spin}  pin={flags.pin}")
 

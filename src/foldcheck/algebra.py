@@ -37,10 +37,8 @@ __all__ = [
     "evaluate_top",
     "invert_total",
     "kunneth",
-    "cross_class",
     "cross_total",
     "connected_sum_algebra",
-    "sum_embed",
 ]
 
 
@@ -95,14 +93,6 @@ class GradedAlgebra:
         if blk is None:
             return np.zeros((self.rank(d), self.rank(d + k)), dtype=np.uint8)
         return blk
-
-    def mult_entry(self, d1: int, i: int, d2: int, j: int) -> np.ndarray:
-        """Coordinate vector of ``basis[d1][i] * basis[d2][j]``."""
-        return self.mult_block(d1, d2)[i, j, :].copy()
-
-    def sq_entry(self, k: int, d: int, i: int) -> np.ndarray:
-        """Coordinate vector of ``Sq^k basis[d][i]``."""
-        return self.sq_block(k, d)[i, :].copy()
 
     # -- element factories ---------------------------------------------------
 
@@ -260,13 +250,35 @@ def build_algebra(
     *,
     unit: Iterable[int] | None = None,
     fundamental: Iterable[int] | None = None,
-    validate: bool = True,
 ) -> GradedAlgebra:
-    """Assemble and (by default) validate a graded algebra.
+    """Assemble and validate a graded algebra from outside data.
 
     ``mult`` maps ``(d1, d2)`` to ``(r1, r2, r_out)`` tables and ``sq`` maps
     ``(k, d)`` to ``(r_d, r_{d+k})`` matrices.  Unit blocks and ``Sq^0`` are
-    filled in automatically when the degree-0 rank is 1.
+    filled in automatically when the degree-0 rank is 1.  The assembled
+    algebra must pass every axiom of :func:`validate_algebra`; a failure
+    raises ``InvariantViolation("algebra-axioms", ...)``.
+    """
+    alg = _assemble_algebra(top_degree, basis, mult, sq, unit=unit, fundamental=fundamental)
+    report = validate_algebra(alg)
+    if not report.ok:
+        raise InvariantViolation("algebra-axioms", "; ".join(report.violations))
+    return alg
+
+
+def _assemble_algebra(
+    top_degree: int,
+    basis: Sequence[Sequence[str]],
+    mult: Mapping[tuple[int, int], np.ndarray] | None = None,
+    sq: Mapping[tuple[int, int], np.ndarray] | None = None,
+    *,
+    unit: Iterable[int] | None = None,
+    fundamental: Iterable[int] | None = None,
+) -> GradedAlgebra:
+    """Shape- and range-checked assembly without the axiom battery.
+
+    For constructions that are algebras by construction: the closed-form
+    catalog atoms, Kunneth products and connected sums of valid algebras.
     """
     if top_degree < 0:
         raise ValueError("top_degree must be >= 0")
@@ -339,7 +351,7 @@ def build_algebra(
                 raise ValueError(f"Steenrod table ({k}, {d}) has shape {blk.shape}")
             sq_t[key] = _frozen(blk)
 
-    alg = GradedAlgebra(
+    return GradedAlgebra(
         top_degree=n,
         basis=basis_t,
         mult=mult_t,
@@ -347,11 +359,6 @@ def build_algebra(
         fundamental=_frozen(fund_v),
         unit=_frozen(unit_v),
     )
-    if validate:
-        report = validate_algebra(alg)
-        if not report.ok:
-            raise InvariantViolation("algebra-axioms", "; ".join(report.violations))
-    return alg
 
 
 def _indicator(length: int, index: int | None) -> np.ndarray:
@@ -581,7 +588,7 @@ def _kunneth_layout(A: GradedAlgebra, B: GradedAlgebra, d: int) -> list[tuple[in
     return out
 
 
-def kunneth(A: GradedAlgebra, B: GradedAlgebra, *, validate: bool = True) -> GradedAlgebra:
+def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     """Tensor-product algebra on pair bases, Steenrod squares via Cartan."""
     n = A.top_degree + B.top_degree
     labels_b = _disambiguate(A.basis, B.basis)
@@ -640,27 +647,14 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra, *, validate: bool = True) -> Gra
                     ).astype(np.uint8)
             sq[(k, d)] = blk
 
-    return build_algebra(
+    return _assemble_algebra(
         n,
         basis,
         mult,
         sq,
         unit=np.kron(A.unit, B.unit),
         fundamental=np.kron(A.fundamental, B.fundamental),
-        validate=validate,
     )
-
-
-def cross_class(P: GradedAlgebra, x: ClassZ2, y: ClassZ2) -> ClassZ2:
-    """Cross product ``x x y`` inside the Kunneth algebra built from (A, B)."""
-    A, B = x.algebra, y.algebra
-    d = x.degree + y.degree
-    coords = np.zeros(P.rank(d), dtype=np.uint8)
-    for i, j, s in _kunneth_layout(A, B, d):
-        if i == x.degree and j == y.degree:
-            piece = np.kron(x.coords, y.coords)
-            coords[s : s + piece.size] = piece
-    return ClassZ2(P, d, coords)
 
 
 def cross_total(P: GradedAlgebra, u: TotalClass, v: TotalClass) -> TotalClass:
@@ -680,9 +674,7 @@ def cross_total(P: GradedAlgebra, u: TotalClass, v: TotalClass) -> TotalClass:
 # ---------------------------------------------------------------------------
 
 
-def connected_sum_algebra(
-    A: GradedAlgebra, B: GradedAlgebra, *, validate: bool = True
-) -> GradedAlgebra:
+def connected_sum_algebra(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     """Cohomology of a connected sum: middle degrees direct-sum, tops glued.
 
     Cross products of positive-degree classes from different summands vanish;
@@ -742,23 +734,4 @@ def connected_sum_algebra(
                 blk[ra:, 0] = (sb @ B.fundamental) % 2
             sq[(k, d)] = blk
 
-    return build_algebra(n, basis, mult, sq, validate=validate)
-
-
-def sum_embed(S: GradedAlgebra, x: ClassZ2, side: int) -> ClassZ2:
-    """Image in the connected-sum algebra of a class from summand 0 or 1.
-
-    Top-degree classes land on the shared top via fundamental evaluation.
-    """
-    A = x.algebra
-    n = S.top_degree
-    d = x.degree
-    coords = np.zeros(S.rank(d), dtype=np.uint8)
-    if d == 0:
-        coords[0] = x.coords[0] if x.coords.size else 0
-    elif d == n:
-        coords[0] = int((x.coords @ A.fundamental) % 2)
-    else:
-        offset = 0 if side == 0 else S.rank(d) - x.coords.size
-        coords[offset : offset + x.coords.size] = x.coords
-    return ClassZ2(S, d, coords)
+    return _assemble_algebra(n, basis, mult, sq)

@@ -1,11 +1,17 @@
 """Manifold records: catalog atoms, connected sums, products, documents.
 
-Every construction path funnels through one assembler that derives the
-Stiefel-Whitney classes via Wu's theorem (cross-checking any stored total
-class), resolves the twisted class W_3, and then validates the finished
-record against the full invariant battery.  Records are immutable and
-compare by identity; value-level comparisons in tests go through the
-stored invariants.
+Every construction path funnels through one assembler that solves the Wu
+classes once, derives the Stiefel-Whitney classes from them via Wu's
+theorem (cross-checking any stored total class), resolves the twisted
+class W_3, and then validates the finished record with
+:func:`validate_manifold`.
+
+The algebra axiom battery (``validate_algebra``) runs where data enters:
+``load_manifold`` builds its algebra with ``build_algebra``.  The catalog
+atoms are closed forms, and connected sums and products of valid records
+are valid by construction, so their algebras are assembled without it.
+Records are immutable and compare by identity; value-level comparisons in
+tests go through the stored invariants.
 """
 from __future__ import annotations
 
@@ -18,6 +24,7 @@ import numpy as np
 from .algebra import (
     GradedAlgebra,
     TotalClass,
+    _assemble_algebra,
     build_algebra,
     connected_sum_algebra,
     cross_total,
@@ -58,6 +65,7 @@ class Manifold:
     signature: int | None
     algebra: GradedAlgebra
     w: TotalClass
+    wu: TotalClass
     p1: P1Data
     w3_twisted: TriState
     stably_parallelizable: bool = False
@@ -90,13 +98,13 @@ def _assemble(
     stably_parallelizable: bool = False,
     torsion_free: bool = False,
 ) -> Manifold:
-    derived = total_sq(wu_total(algebra))
-    total = w if w is not None else derived
-    top_eval = evaluate_top(total.component(dim))
-    if top_eval != euler % 2:
-        raise InvariantViolation(
-            "Euler parity", f"<w_{dim}, [M]> = {top_eval} but chi = {euler}"
-        )
+    """Derive Wu and Stiefel-Whitney classes once, then build and validate.
+
+    A stored ``w`` must match the derivation.  An unknown p_1 of a
+    non-orientable 4-manifold is completed from w_2^2, which decides it.
+    """
+    wu = wu_total(algebra)
+    derived = total_sq(wu)
     if w is not None:
         for d, (ours, theirs) in enumerate(zip(derived.components, w.components)):
             if not np.array_equal(ours, theirs):
@@ -104,6 +112,8 @@ def _assemble(
                     "wu-consistency",
                     f"stored w_{d} disagrees with the Wu-derived Stiefel-Whitney class",
                 )
+    if dim == 4 and not orientable and p1.is_unknown:
+        p1 = _p1_from_w2sq(derived)
     m = Manifold(
         name=name,
         dim=dim,
@@ -111,9 +121,10 @@ def _assemble(
         euler=euler,
         signature=signature,
         algebra=algebra,
-        w=total,
+        w=derived,
+        wu=wu,
         p1=p1,
-        w3_twisted=w3_twisted_status(total, w3_stored),
+        w3_twisted=w3_twisted_status(derived, w3_stored),
         stably_parallelizable=stably_parallelizable,
         torsion_free=torsion_free,
     )
@@ -124,10 +135,11 @@ def _assemble(
 def validate_manifold(m: Manifold) -> None:
     """Check every record-level invariant; raise InvariantViolation if any fails.
 
-    Algebra axioms (ring structure, Cartan, nondegenerate pairing) are
-    enforced earlier, when the algebra itself is built.  This layer checks
-    the manifold-flavored facts: Euler characteristic against ranks and
-    against the top Whitney class, orientability against w_1, signature
+    Algebra axioms (ring structure, Cartan, nondegenerate pairing) are not
+    checked here: ``build_algebra`` enforces them where data enters, and
+    catalog constructions satisfy them by construction.  This layer checks
+    the manifold-flavored facts: Euler characteristic against the top
+    Whitney class and against ranks, orientability against w_1, signature
     presence and parity, the p_1 constraints (kind, reduction mod 2, the
     signature theorem in dimension 4), W_3 consistency, and the structure
     flags.
@@ -135,6 +147,12 @@ def validate_manifold(m: Manifold) -> None:
     A, n = m.algebra, m.dim
     if A.top_degree != n:
         raise InvariantViolation("dimension", f"algebra has top degree {A.top_degree}, not {n}")
+
+    top_eval = evaluate_top(m.w.component(n))
+    if top_eval != m.euler % 2:
+        raise InvariantViolation(
+            "Euler parity", f"<w_{n}, [M]> = {top_eval} but chi = {m.euler}"
+        )
 
     alternating = sum((-1 if d % 2 else 1) * r for d, r in enumerate(A.ranks))
     if alternating != m.euler:
@@ -144,12 +162,6 @@ def validate_manifold(m: Manifold) -> None:
 
     if m.w.component(1).is_zero() != m.orientable:
         raise InvariantViolation("orientability", "w_1 contradicts the orientability flag")
-
-    top_eval = evaluate_top(m.w.component(n))
-    if top_eval != m.euler % 2:
-        raise InvariantViolation(
-            "Euler parity", f"<w_{n}, [M]> = {top_eval} but chi = {m.euler}"
-        )
 
     if m.orientable and n % 4 == 0:
         if m.signature is None:
@@ -235,7 +247,7 @@ def sphere(n: int) -> Manifold:
         table = np.zeros((2, 2, 2), dtype=np.uint8)
         table[0, 0, 0] = 1
         table[1, 1, 1] = 1
-        algebra = build_algebra(
+        algebra = _assemble_algebra(
             0, [["p", "q"]], {(0, 0): table}, unit=[1, 1], fundamental=[1, 1]
         )
         return _assemble(
@@ -243,7 +255,7 @@ def sphere(n: int) -> Manifold:
             w=None, p1=P1Data.zero_class(), stably_parallelizable=True, torsion_free=True,
         )
     basis = [["1"]] + [[] for _ in range(n - 1)] + [["s"]]
-    algebra = build_algebra(n, basis)
+    algebra = _assemble_algebra(n, basis)
     return _assemble(
         f"S{n}", n, True,
         euler=2 if n % 2 == 0 else 0,
@@ -271,7 +283,7 @@ def real_projective(n: int) -> Manifold:
         for d in range(1, n)
         for k in range(1, min(d, n - d) + 1)
     }
-    algebra = build_algebra(n, basis, mult, sq)
+    algebra = _assemble_algebra(n, basis, mult, sq)
     w = TotalClass.from_components(algebra, [[comb(n + 1, d) % 2] for d in range(n + 1)])
     if n <= 3:
         p1 = P1Data.zero_class()
@@ -311,7 +323,7 @@ def complex_projective(n: int) -> Manifold:
         for i in range(1, n)
         for j in range(1, min(i, n - i) + 1)
     }
-    algebra = build_algebra(2 * n, basis, mult, sq)
+    algebra = _assemble_algebra(2 * n, basis, mult, sq)
     comps = []
     for d in range(2 * n + 1):
         comps.append([comb(n + 1, d // 2) % 2] if d % 2 == 0 else [])
@@ -368,7 +380,7 @@ def k3() -> Manifold:
         s = 16 + 2 * i
         q[s : s + 2, s : s + 2] = hyper
     basis = [["1"], [], [f"x{i}" for i in range(1, 23)], [], ["t"]]
-    algebra = build_algebra(4, basis, {(2, 2): q.reshape(22, 22, 1)})
+    algebra = _assemble_algebra(4, basis, {(2, 2): q.reshape(22, 22, 1)})
     return _assemble(
         "K3", 4, True,
         euler=24,
@@ -389,7 +401,7 @@ def orientable_surface(g: int) -> Manifold:
     for i in range(g):
         table[2 * i, 2 * i + 1, 0] = 1
         table[2 * i + 1, 2 * i, 0] = 1
-    algebra = build_algebra(2, [["1"], deg1, ["t"]], {(1, 1): table})
+    algebra = _assemble_algebra(2, [["1"], deg1, ["t"]], {(1, 1): table})
     return _assemble(
         f"Sigma{g}", 2, True,
         euler=2 - 2 * g,
@@ -405,7 +417,7 @@ def nonorientable_surface(k: int) -> Manifold:
     """N(k), k >= 1: connected sum of k copies of RP(2); chi = 2 - k."""
     if k < 1:
         raise ValueError("a non-orientable surface needs k >= 1")
-    algebra = build_algebra(
+    algebra = _assemble_algebra(
         2,
         [["1"], [f"c{i}" for i in range(1, k + 1)], ["t"]],
         {(1, 1): np.eye(k, dtype=np.uint8).reshape(k, k, 1)},
@@ -423,7 +435,7 @@ def nonorientable_surface(k: int) -> Manifold:
 
 def point() -> Manifold:
     """A single point; the unit for products."""
-    algebra = build_algebra(0, [["1"]])
+    algebra = _assemble_algebra(0, [["1"]])
     return _assemble(
         "point", 0, True, 1, 1, algebra,
         w=None, p1=P1Data.zero_class(), stably_parallelizable=True, torsion_free=True,
@@ -493,15 +505,13 @@ def connected_sum(m: Manifold, n: Manifold) -> Manifold:
         signature: int | None = (m.signature or 0) + (n.signature or 0)
     else:
         signature = None
-    w = total_sq(wu_total(algebra))
-
     if dim <= 3:
         p1 = P1Data.zero_class()
     elif dim == 4:
         if orientable:
             p1 = P1Data.integer(3 * signature, "signature additivity")
         else:
-            p1 = _p1_from_w2sq(w)
+            p1 = P1Data.unknown()
     else:
         p1 = p1_add(m.p1, n.p1)
 
@@ -517,7 +527,7 @@ def connected_sum(m: Manifold, n: Manifold) -> Manifold:
 
     return _assemble(
         f"{m.name} # {n.name}", dim, orientable, euler, signature, algebra,
-        w=w,
+        w=None,
         p1=p1,
         w3_stored=w3_stored,
         stably_parallelizable=m.stably_parallelizable and n.stably_parallelizable,
@@ -550,7 +560,7 @@ def product(m: Manifold, n: Manifold) -> Manifold:
         if orientable:
             p1 = P1Data.integer(3 * signature, "signature theorem")
         else:
-            p1 = _p1_from_w2sq(w)
+            p1 = P1Data.unknown()
     elif n.stably_parallelizable:
         p1 = _p1_status(m.p1, "stable tangent bundle pulled back from the first factor")
     elif m.stably_parallelizable:
@@ -646,8 +656,9 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     The document carries the algebra (basis labels per degree, product and
     Steenrod tables as sparse entry lists), the classical invariants, a
     required p_1 status, and optional w / W_3 / flag data.  Multiplication
-    entries may be given in either order; the mirror is filled in.  Every
-    failure names the offending field or invariant.
+    entries may be given in either order; the mirror is filled in.  The
+    algebra goes through ``build_algebra`` and so through the full axiom
+    battery.  Every failure names the offending field or invariant.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("manifold document must be a mapping")
@@ -740,7 +751,6 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
         )
 
     p1 = _parse_p1(doc["p1"])
-    derived_w = w if w is not None else total_sq(wu_total(algebra))
     if dim <= 3:
         if not p1.is_known_nonzero:
             p1 = P1Data.zero_class("H^4 = 0")
@@ -753,16 +763,6 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
                 raise InvariantViolation(
                     "p1-signature", f"document p1 contradicts 3 sigma = {3 * signature}"
                 )
-            p1 = exact
-    elif dim == 4 and not orientable:
-        exact = _p1_from_w2sq(derived_w)
-        if p1.is_unknown:
-            p1 = exact
-        elif p1.kind is not P1Kind.INTEGER and p1.is_known_zero != exact.is_known_zero:
-            raise InvariantViolation(
-                "p1-reduction", "document p1 contradicts the w_2^2 reduction"
-            )
-        elif p1.kind is not P1Kind.INTEGER:
             p1 = exact
 
     w3_raw = doc.get("w3_twisted")

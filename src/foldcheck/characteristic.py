@@ -29,7 +29,6 @@ from .tristate import P1Data, TriState, p1_difference
 
 __all__ = [
     "wu_total",
-    "wu_classes",
     "stiefel_whitney_from_wu",
     "dual_classes",
     "StructureFlags",
@@ -71,28 +70,9 @@ def wu_total(algebra: GradedAlgebra) -> TotalClass:
     return TotalClass(algebra, tuple(comps))
 
 
-def wu_classes(x) -> TotalClass:
-    """Wu classes of a manifold record or of a bare algebra."""
-    return wu_total(getattr(x, "algebra", x))
-
-
-def stiefel_whitney_from_wu(x) -> TotalClass:
-    """Total Stiefel-Whitney class ``w = Sq(v)``.
-
-    When the argument carries a stored ``w`` (manifold records do), the
-    derived class is checked against it and a mismatch is an invariant
-    violation, not a silent preference for either side.
-    """
-    w = total_sq(wu_classes(x))
-    stored = getattr(x, "w", None)
-    if isinstance(stored, TotalClass):
-        for d, (ours, theirs) in enumerate(zip(w.components, stored.components)):
-            if not np.array_equal(ours, theirs):
-                raise InvariantViolation(
-                    "wu-consistency",
-                    f"stored w_{d} disagrees with the Wu-derived Stiefel-Whitney class",
-                )
-    return w
+def stiefel_whitney_from_wu(algebra: GradedAlgebra) -> TotalClass:
+    """Total Stiefel-Whitney class ``w = Sq(v)`` of a Poincare algebra."""
+    return total_sq(wu_total(algebra))
 
 
 def dual_classes(x) -> TotalClass:

@@ -32,7 +32,6 @@ from .characteristic import (
     dual_classes,
     structure_flags,
     tangent_descriptor,
-    wu_classes,
 )
 from .decide import Outcome, TargetSpec, decide_fold, stable_span_bounds, thom_polynomials
 from .errors import FoldcheckError, SchemaError
@@ -212,7 +211,7 @@ def _invariant_summary(m: Manifold, indent: str = "") -> List[str]:
         f"{indent}pin = {str(flags.pin).lower()}",
         f"{indent}stably parallelizable = {str(m.stably_parallelizable).lower()}",
         f"{indent}w = {m.w}",
-        f"{indent}wu = {wu_classes(m)}",
+        f"{indent}wu = {m.wu}",
         f"{indent}wbar = {dual_classes(m)}",
         f"{indent}p1 = {m.p1}",
         f"{indent}W3 = {_tri_word(m.w3_twisted)} ({m.w3_twisted.note})",
@@ -232,7 +231,7 @@ def _run_invariants(m: Manifold, fmt: str) -> str:
             "pin": flags.pin,
             "stably_parallelizable": m.stably_parallelizable,
             "w": _total_json(m.w),
-            "wu": _total_json(wu_classes(m)),
+            "wu": _total_json(m.wu),
             "wbar": _total_json(dual_classes(m)),
             "p1": _p1_json(m.p1),
             "w3_twisted": {"status": _tri_word(m.w3_twisted).lower(), "note": m.w3_twisted.note},

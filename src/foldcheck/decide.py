@@ -46,7 +46,6 @@ __all__ = [
     "ThomEntry",
     "ThomTable",
     "decide_low_codim",
-    "decide_dim4_to_R4",
     "decide_equidim",
     "decide_to_R3",
     "decide_highdim_to_R4",
@@ -228,13 +227,6 @@ def decide_equidim(m: Manifold, target: TargetSpec, tame: bool = False) -> Verdi
         return Verdict(Outcome.NOT_EXISTS, tame, (entry,))
     entry = _entry("equidim-z", "Thm 3.7", "z", f"w_2 = 0; z undetermined ({z.note})")
     return Verdict(Outcome.UNKNOWN, tame, (entry,))
-
-
-def decide_dim4_to_R4(m: Manifold, tame: bool = False) -> Verdict:
-    """Fold maps of a closed connected 4-manifold into R^4 (Cor 3.5)."""
-    if m.dim != 4:
-        raise ValueError(f"decide_dim4_to_R4 expects a 4-manifold, got dimension {m.dim}")
-    return decide_equidim(m, TargetSpec.euclidean(4), tame)
 
 
 # ---------------------------------------------------------------------------

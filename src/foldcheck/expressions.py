@@ -59,10 +59,15 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 class _Parser:
+    # Each "(" costs three stack frames and each "k #" one; this bound keeps
+    # the deepest parse far below the interpreter's recursion limit.
+    MAX_DEPTH = 100
+
     def __init__(self, tokens: List[_Token], length: int):
         self.tokens = tokens
         self.length = length
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         if self.index < len(self.tokens):
@@ -95,6 +100,17 @@ class _Parser:
             result = _combine(product, result, self._factor(), token.pos)
         return result
 
+    def _nested(self, token: _Token, parse):
+        """Run ``parse`` one nesting level below ``token``."""
+        if self.depth == self.MAX_DEPTH:
+            raise ExpressionError(
+                f"expression nests deeper than {self.MAX_DEPTH} levels", token.pos
+            )
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
+
     def _factor(self) -> Manifold:
         token = self.peek()
         if token is None:
@@ -111,7 +127,7 @@ class _Parser:
                     token.pos + len(token.text),
                 )
             self.advance()
-            operand = self._factor()
+            operand = self._nested(token, self._factor)
             result = operand
             for _ in range(count - 1):
                 result = _combine(connected_sum, result, operand, hash_token.pos)
@@ -124,7 +140,7 @@ class _Parser:
                 raise ExpressionError(str(exc), token.pos) from exc
         if token.kind == "lparen":
             self.advance()
-            result = self._sum()
+            result = self._nested(token, self._sum)
             closing = self.peek()
             if closing is None or closing.kind != "rparen":
                 pos = self.length if closing is None else closing.pos

@@ -86,7 +86,3 @@ def gf2_solve(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     for r, col in enumerate(pivots):
         x[col] = aug[r, cols]
     return x
-
-
-def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (to_gf2(a) @ to_gf2(b)) % 2

@@ -1,6 +1,8 @@
 """Catalog atoms, combination rules, and document ingestion."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import sympy
@@ -229,87 +231,32 @@ def test_validate_manifold_passes_on_catalog():
 
 
 def test_validate_rejects_forged_euler():
-    m = real_projective(4)
-    forged = type(m)(
-        name=m.name,
-        dim=m.dim,
-        orientable=m.orientable,
-        euler=3,
-        signature=m.signature,
-        algebra=m.algebra,
-        w=m.w,
-        p1=m.p1,
-        w3_twisted=m.w3_twisted,
-    )
+    forged = replace(real_projective(4), euler=3)
     with pytest.raises(InvariantViolation, match="euler-rank"):
         validate_manifold(forged)
 
 
 def test_validate_rejects_orientability_lie():
-    m = real_projective(4)
-    forged = type(m)(
-        name=m.name,
-        dim=m.dim,
-        orientable=True,
-        euler=m.euler,
-        signature=m.signature,
-        algebra=m.algebra,
-        w=m.w,
-        p1=m.p1,
-        w3_twisted=m.w3_twisted,
-    )
+    forged = replace(real_projective(4), orientable=True)
     with pytest.raises(InvariantViolation, match="orientability"):
         validate_manifold(forged)
 
 
 def test_validate_rejects_bad_signature_parity():
-    m = k3()
-    forged = type(m)(
-        name=m.name,
-        dim=m.dim,
-        orientable=m.orientable,
-        euler=m.euler,
-        signature=-15,
-        algebra=m.algebra,
-        w=m.w,
-        p1=m.p1,
-        w3_twisted=m.w3_twisted,
-    )
+    forged = replace(k3(), signature=-15)
     with pytest.raises(InvariantViolation, match="signature"):
         validate_manifold(forged)
 
 
 def test_validate_rejects_p1_signature_mismatch():
-    m = k3()
-    forged = type(m)(
-        name=m.name,
-        dim=m.dim,
-        orientable=m.orientable,
-        euler=m.euler,
-        signature=m.signature,
-        algebra=m.algebra,
-        w=m.w,
-        p1=P1Data.integer(0),
-        w3_twisted=m.w3_twisted,
-    )
+    forged = replace(k3(), p1=P1Data.integer(0))
     with pytest.raises(InvariantViolation, match="p1-signature"):
         validate_manifold(forged)
 
 
 def test_validate_rejects_sp_with_nonzero_w():
-    m = real_projective(3)  # parallelizable, but force orientable sp check
-    forged = type(m)(
-        name="RP5-forged",
-        dim=5,
-        orientable=True,
-        euler=0,
-        signature=None,
-        algebra=real_projective(5).algebra,
-        w=real_projective(5).w,
-        p1=real_projective(5).p1,
-        w3_twisted=real_projective(5).w3_twisted,
-        stably_parallelizable=True,
-    )
+    # RP5 is orientable, but w_2 != 0 rules out stable parallelizability
+    forged = replace(real_projective(5), name="RP5-forged", stably_parallelizable=True)
     with pytest.raises(InvariantViolation, match="stable-parallelizability"):
         validate_manifold(forged)
 

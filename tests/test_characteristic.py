@@ -16,7 +16,6 @@ from foldcheck.characteristic import (
     virtual_difference,
     w3_shadow,
     w3_twisted_status,
-    wu_classes,
     wu_total,
     z_status,
 )
@@ -50,13 +49,14 @@ def test_stored_w_matches_wu_derivation_on_record():
     from foldcheck.characteristic import stiefel_whitney_from_wu
 
     m = real_projective(5)
-    w = stiefel_whitney_from_wu(m)
-    assert w == m.w
+    assert stiefel_whitney_from_wu(m.algebra) == m.w
+    assert m.wu == wu_total(m.algebra)
 
 
 def test_wu_accepts_bare_algebra():
     m = sphere(3)
-    assert str(wu_classes(m.algebra)) == "1"
+    assert str(wu_total(m.algebra)) == "1"
+    assert str(m.wu) == "1"
 
 
 def test_dual_classes_inverts():

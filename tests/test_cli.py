@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +90,18 @@ def test_expression_error_reports_position(capsys):
     code, out, err = run(capsys, "decide", "RP4 @", "--target", "R3")
     assert code == 2
     assert "at position 4" in err
+
+
+def test_deep_nesting_exits_2_without_traceback():
+    nested = "(" * 3000 + "RP4" + ")" * 3000
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "foldcheck.cli", "decide", nested, "--target", "R4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "(at position 100)" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_invalid_document_is_a_document_error(capsys, tmp_path):

@@ -9,7 +9,7 @@ from foldcheck.decide import (
     Outcome,
     TargetSpec,
     Verdict,
-    decide_dim4_to_R4,
+    decide_equidim,
     decide_fold,
     decide_highdim_to_R4,
     decide_low_codim,
@@ -116,6 +116,10 @@ def test_low_codim_rejects_other_targets():
 # equidimensional targets and pullbacks
 
 
+def decide_dim4_to_R4(m, tame: bool = False) -> Verdict:
+    return decide_equidim(m, TargetSpec.euclidean(4), tame)
+
+
 def test_dim4_oriented_spin_flat_case():
     verdict = decide_dim4_to_R4(parse_expression("S2 x S2"))
     assert verdict.outcome is Outcome.EXISTS
@@ -130,7 +134,7 @@ def test_dim4_pin_obstruction():
 
 
 def test_dim4_requires_dimension_4():
-    with pytest.raises(ValueError, match="4-manifold"):
+    with pytest.raises(ValueError, match="dimension 4, expected 3"):
         decide_dim4_to_R4(atom("S3"))
 
 

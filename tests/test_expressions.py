@@ -80,6 +80,10 @@ def test_repetition_applies_to_the_factor_only():
         ("3 RP4", 1, "expected '#' after a repetition count"),
         ("RP0", 0, "out of range"),
         ("S2 x (S1 # RP2)", 9, "cannot sum dimensions"),
+        pytest.param(
+            "(" * 3000 + "RP4" + ")" * 3000, 100, "nests deeper than 100", id="deep-parens"
+        ),
+        pytest.param("2#" * 3000 + "RP4", 200, "nests deeper than 100", id="deep-repeats"),
     ],
 )
 def test_error_positions(text, position, message):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldcheck.gf2 import gf2_invertible, gf2_matmul, gf2_rank, gf2_solve, to_gf2
+from foldcheck.gf2 import gf2_invertible, gf2_rank, gf2_solve, to_gf2
 
 
 def _enumerate_solutions(matrix: np.ndarray, rhs: np.ndarray) -> list[np.ndarray]:
@@ -93,9 +93,12 @@ def test_invertible_iff_full_rank():
 
 
 def test_matmul_reduces_mod_2():
+    # uint8 products wrap at 256, which keeps parity: reducing afterwards is exact
     a = np.array([[1, 1], [0, 1]], dtype=np.uint8)
     b = np.array([[1, 1], [1, 1]], dtype=np.uint8)
-    assert np.array_equal(gf2_matmul(a, b), np.array([[0, 0], [1, 1]], dtype=np.uint8))
+    assert np.array_equal((to_gf2(a) @ to_gf2(b)) % 2, np.array([[0, 0], [1, 1]], dtype=np.uint8))
+    ones = np.ones((1, 257), dtype=np.uint8)
+    assert int(((ones @ ones.T) % 2)[0, 0]) == 257 % 2
 
 
 def test_to_gf2_wraps_integers():

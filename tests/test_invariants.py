@@ -22,8 +22,18 @@ from foldcheck.algebra import (
     multiply,
     steenrod_square,
     total_sq,
+    validate_algebra,
 )
-from foldcheck.catalog import atom, connected_sum, product, sphere
+from foldcheck.catalog import (
+    atom,
+    complex_projective,
+    connected_sum,
+    nonorientable_surface,
+    orientable_surface,
+    product,
+    real_projective,
+    sphere,
+)
 from foldcheck.characteristic import dual_classes, wu_total
 from foldcheck.decide import Outcome, TargetSpec, decide_fold, stable_span_bounds
 
@@ -110,11 +120,25 @@ def test_wu_oracle_equivalence_over_closure(closure):
                 ), (m.name, k, j)
         # it agrees with the engine, and Sq(v) reproduces the stored w
         assert v == wu_total(m.algebra), m.name
+        assert m.wu == wu_total(m.algebra), m.name
         assert total_sq(v) == m.w, m.name
 
 
 # ---------------------------------------------------------------------------
 # criterion: ring and Steenrod axioms on sampled elements
+
+
+def test_algebra_axioms_over_closure(closure):
+    # catalog constructions skip the axiom battery; it runs on each one here
+    families = (
+        [real_projective(n) for n in range(1, 13)]
+        + [complex_projective(n) for n in range(1, 7)]
+        + [nonorientable_surface(k) for k in range(1, 9)]
+        + [orientable_surface(g) for g in range(0, 5)]
+    )
+    for m in closure + families:
+        report = validate_algebra(m.algebra)
+        assert report.ok, (m.name, str(report))
 
 
 def test_cartan_formula_on_samples(closure):
