@@ -385,15 +385,40 @@ class ValidationReport:
         return "valid" if self.ok else "; ".join(self.violations)
 
 
+# Entries of one chunk of an associativity product (float32, so 1 MB).
+_CHUNK_ELEMENTS = 1 << 18
+
+
+def _parity(a: np.ndarray) -> np.ndarray:
+    """Entrywise parity of a float32 product of 0/1 tables."""
+    bits = a.astype(np.int32)
+    bits &= 1
+    return bits
+
+
 def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     """Check every ring/Steenrod/duality axiom; returns the violation list.
 
     Checks: unit action, commutativity, associativity, Sq^0 = id,
     Sq^(deg x) = squaring, the Cartan formula on all basis pairs, and
     nondegeneracy of the Poincare pairing in every degree.
+
+    The contractions run as 2-D float32 matrix products (BLAS).  They are
+    exact: every product below sums at most one inner rank of 0/1 terms,
+    far below 2^24, and the parity is read off afterwards.
     """
     n = A.top_degree
     bad: list[str] = []
+    mult = {
+        (d1, d2): A.mult_block(d1, d2).astype(np.float32)
+        for d1 in range(n + 1)
+        for d2 in range(n + 1 - d1)
+    }
+    sq = {
+        (k, d): A.sq_block(k, d).astype(np.float32)
+        for d in range(n + 1)
+        for k in range(min(d, n - d) + 1)
+    }
 
     for d in range(n + 1):
         if A.rank(d) == 0:
@@ -408,9 +433,7 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
 
     for d1 in range(n + 1):
         for d2 in range(d1, n + 1 - d1):
-            blk = A.mult_block(d1, d2) % 2
-            flipped = A.mult_block(d2, d1).transpose(1, 0, 2) % 2
-            if not np.array_equal(blk, flipped):
+            if not np.array_equal(A.mult_block(d1, d2), A.mult_block(d2, d1).transpose(1, 0, 2)):
                 bad.append(f"commutativity: degrees ({d1}, {d2})")
 
     for d1 in range(n + 1):
@@ -418,13 +441,7 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
             for d3 in range(n + 1 - d1 - d2):
                 if 0 in (A.rank(d1), A.rank(d2), A.rank(d3)):
                     continue
-                lhs = (
-                    np.einsum("ijp,pko->ijko", A.mult_block(d1, d2), A.mult_block(d1 + d2, d3)) % 2
-                )
-                rhs = (
-                    np.einsum("jkq,iqo->ijko", A.mult_block(d2, d3), A.mult_block(d1, d2 + d3)) % 2
-                )
-                if not np.array_equal(lhs, rhs):
+                if not _associative(mult, A.rank, d1, d2, d3):
                     bad.append(f"associativity: degrees ({d1}, {d2}, {d3})")
 
     for d in range(n + 1):
@@ -434,39 +451,37 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
             bad.append(f"sq0-identity: Sq^0 != id in degree {d}")
         if 2 * d <= n:
             squares = np.einsum("iio->io", A.mult_block(d, d))
-            if not np.array_equal(A.sq_block(d, d) % 2, squares % 2):
+            if not np.array_equal(A.sq_block(d, d), squares):
                 for i, label in enumerate(A.labels(d)):
-                    if not np.array_equal(A.sq_block(d, d)[i] % 2, squares[i] % 2):
+                    if not np.array_equal(A.sq_block(d, d)[i], squares[i]):
                         bad.append(
                             f"sq-top-squaring: Sq^k x = x*x at k = deg x fails for {label}"
                         )
 
     for d1 in range(n + 1):
         for d2 in range(n + 1 - d1):
-            if 0 in (A.rank(d1), A.rank(d2)):
+            r1, r2 = A.rank(d1), A.rank(d2)
+            if 0 in (r1, r2):
                 continue
-            prod = A.mult_block(d1, d2)
+            prod = mult[d1, d2].reshape(r1 * r2, A.rank(d1 + d2))
             for k in range(1, n - d1 - d2 + 1):
                 if k > d1 + d2:
                     break
-                lhs = np.einsum("ijp,po->ijo", prod, A.sq_block(k, d1 + d2)) % 2
-                rhs = np.zeros_like(lhs)
+                ro = A.rank(d1 + d2 + k)
+                lhs = _parity(prod @ sq[k, d1 + d2]).reshape(r1, r2, ro)
+                rhs = np.zeros((r1, r2, ro), dtype=np.int32)
                 for u in range(0, k + 1):
                     v = k - u
                     if u > d1 or v > d2:
                         continue
-                    rhs ^= (
-                        np.einsum(
-                            "ia,jb,abo->ijo",
-                            A.sq_block(u, d1),
-                            A.sq_block(v, d2),
-                            A.mult_block(d1 + u, d2 + v),
-                        )
-                        % 2
-                    ).astype(np.uint8)
-                if not np.array_equal(lhs, rhs % 2):
+                    ra, rb = A.rank(d1 + u), A.rank(d2 + v)
+                    # Sq^u x_i * Sq^v y_j: first over the Sq^u x side, then Sq^v y
+                    x = _parity(sq[u, d1] @ mult[d1 + u, d2 + v].reshape(ra, rb * ro))
+                    rhs ^= _parity(sq[v, d2] @ x.astype(np.float32).reshape(r1, rb, ro))
+                if not np.array_equal(lhs, rhs):
                     bad.append(f"cartan: Sq^{k} on degrees ({d1}, {d2})")
 
+    fundamental = A.fundamental.astype(np.float32)
     for d in range(n + 1):
         r1, r2 = A.rank(d), A.rank(n - d)
         if r1 != r2:
@@ -474,11 +489,34 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
             continue
         if r1 == 0:
             continue
-        pairing = np.einsum("ijo,o->ij", A.mult_block(d, n - d), A.fundamental) % 2
-        if not gf2_invertible(pairing):
+        pairing = _parity(mult[d, n - d].reshape(r1 * r1, A.rank(n)) @ fundamental)
+        if not gf2_invertible(pairing.reshape(r1, r1)):
             bad.append(f"pairing: degenerate in degree {d}")
 
     return ValidationReport(tuple(bad))
+
+
+def _associative(mult, rank, d1: int, d2: int, d3: int) -> bool:
+    """``(xy)z = x(yz)`` on all basis triples of degrees d1, d2, d3.
+
+    Both sides are products ``(r1 r2 x r12) @ (r12 x r3 ro)`` and
+    ``(r2 r3 x r23) @ (r23 x r1 ro)``, taken a chunk of x classes at a time.
+    """
+    r1, r2, r3 = rank(d1), rank(d2), rank(d3)
+    r12, r23, ro = rank(d1 + d2), rank(d2 + d3), rank(d1 + d2 + d3)
+    xy = mult[d1, d2].reshape(r1 * r2, r12)
+    xy_z = mult[d1 + d2, d3].reshape(r12, r3 * ro)
+    yz = mult[d2, d3].reshape(r2 * r3, r23)
+    x_yz = mult[d1, d2 + d3]
+    step = max(1, _CHUNK_ELEMENTS // max(1, r2 * r3 * ro))
+    for lo in range(0, r1, step):
+        hi = min(lo + step, r1)
+        lhs = _parity(xy[lo * r2 : hi * r2] @ xy_z).reshape(hi - lo, r2 * r3, ro)
+        x_chunk = x_yz[lo:hi].transpose(1, 0, 2).reshape(r23, (hi - lo) * ro)
+        rhs = _parity(yz @ x_chunk).reshape(r2 * r3, hi - lo, ro)
+        if not np.array_equal(lhs.transpose(1, 0, 2), rhs):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

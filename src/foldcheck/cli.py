@@ -8,10 +8,10 @@ Subcommands::
     foldcheck span "K3"
     foldcheck catalog
 
-The manifold argument is either a catalog expression or a path to a JSON
-manifold document.  Targets are ``R<p>``, ``sphere:<p>``, ``self`` (the
-manifold's own tangent data, i.e. a map homotopic to the identity), or
-``pullback:<file>`` with a JSON bundle-descriptor document.
+The manifold argument is a catalog expression or, if it is not one, the
+path of a JSON manifold document.  Targets are ``R<p>``, ``sphere:<p>``,
+``self`` (the manifold's own tangent data, i.e. a map homotopic to the
+identity), or ``pullback:<file>`` with a JSON bundle-descriptor document.
 
 Exit codes: 0 on success (Unknown verdicts are successes), 1 on usage
 errors, 2 on expression or document errors (messages include positions
@@ -34,7 +34,7 @@ from .characteristic import (
     tangent_descriptor,
 )
 from .decide import Outcome, TargetSpec, decide_fold, stable_span_bounds, thom_polynomials
-from .errors import FoldcheckError, SchemaError
+from .errors import ExpressionError, FoldcheckError, SchemaError
 from .expressions import parse_expression
 from .tristate import P1Data, TriState
 
@@ -91,9 +91,18 @@ def _load_json(path: str) -> dict:
 
 
 def _resolve_manifold(text: str) -> Manifold:
-    if os.path.exists(text):
-        return load_manifold(_load_json(text))
-    return parse_expression(text)
+    """A catalog expression, else an existing regular file read as a document.
+
+    The expression comes first, so a file or directory in the working
+    directory never shadows a catalog atom (``./K3`` still names a file).
+    When neither applies, the expression error is reported.
+    """
+    try:
+        return parse_expression(text)
+    except ExpressionError:
+        if not os.path.isfile(text):
+            raise
+    return load_manifold(_load_json(text))
 
 
 def _load_descriptor(path: str, algebra: GradedAlgebra) -> BundleDescriptor:

@@ -1,7 +1,9 @@
-"""Dense linear algebra over GF(2) on numpy uint8 arrays.
+"""Dense linear algebra over GF(2).
 
-Parity is preserved under uint8 wrap-around (256 is even), so matrix products
-may be taken in uint8 and reduced mod 2 afterwards.
+Matrices come in as numpy arrays; elimination runs on rows packed into
+Python-int bitsets (bit j of a row is column j), so one XOR adds a whole row,
+as in the word-packed elimination of Albrecht, Bard and Hart, "Efficient
+multiplication of dense matrices over GF(2)", ACM TOMS 37(1), 2010.
 """
 from __future__ import annotations
 
@@ -14,30 +16,40 @@ def to_gf2(a) -> np.ndarray:
     return np.asarray(a, dtype=np.uint8) % 2
 
 
+def _bit_rows(mat: np.ndarray) -> list[int]:
+    """Rows of a 0/1 matrix as bitsets."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(bytes(row), "little") for row in packed.tolist()]
+
+
+def _echelon(rows: list[int], cols: int) -> tuple[dict[int, int], bool]:
+    """Echelon basis of bitset rows, keyed by pivot bit.
+
+    A row's pivot is its lowest bit below ``cols``.  XOR with the basis row
+    of that pivot clears it and sets only higher bits, so each row either
+    gains a new pivot or runs out of bits below ``cols``.  Bits from ``cols``
+    up (an augmented column) are carried along; the flag reports whether a
+    row ended holding only those bits.
+    """
+    mask = (1 << cols) - 1
+    basis: dict[int, int] = {}
+    stray = False
+    for row in rows:
+        while row & mask:
+            low = row & -row
+            if low not in basis:
+                basis[low] = row
+                break
+            row ^= basis[low]
+        else:
+            stray = stray or row != 0
+    return basis, stray
+
+
 def gf2_rank(matrix: np.ndarray) -> int:
     """Rank over GF(2) by Gaussian elimination."""
-    mat = to_gf2(matrix).copy()
-    if mat.size == 0:
-        return 0
-    rows, cols = mat.shape
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if mat[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            mat[[rank, pivot]] = mat[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and mat[r, col]:
-                mat[r, :] ^= mat[rank, :]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    mat = to_gf2(matrix)
+    return len(_echelon(_bit_rows(mat), mat.shape[1])[0])
 
 
 def gf2_invertible(matrix: np.ndarray) -> bool:
@@ -54,35 +66,19 @@ def gf2_solve(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
 
     Returns one solution (free variables set to 0), or None if inconsistent.
     """
-    mat = to_gf2(matrix).copy()
+    mat = to_gf2(matrix)
     vec = to_gf2(rhs).reshape(-1)
     rows, cols = mat.shape
     if vec.shape[0] != rows:
         raise ValueError("rhs length does not match matrix rows")
-    aug = np.concatenate([mat, vec.reshape(-1, 1)], axis=1)
-    pivots: list[int] = []
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if aug[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            aug[[rank, pivot]] = aug[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and aug[r, col]:
-                aug[r, :] ^= aug[rank, :]
-        pivots.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    for r in range(rank, rows):
-        if aug[r, cols]:
-            return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for r, col in enumerate(pivots):
-        x[col] = aug[r, cols]
-    return x
+    aug = [row | bit << cols for row, bit in zip(_bit_rows(mat), vec.tolist())]
+    basis, stray = _echelon(aug, cols)
+    if stray:
+        return None
+    # back substitution from the highest pivot down, free variables 0
+    x_bits = 0
+    for low in sorted(basis, reverse=True):
+        row = basis[low]
+        if ((row >> cols) + ((row ^ low) & x_bits).bit_count()) & 1:
+            x_bits |= low
+    return np.array([(x_bits >> col) & 1 for col in range(cols)], dtype=np.uint8)

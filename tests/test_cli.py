@@ -104,6 +104,40 @@ def test_deep_nesting_exits_2_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def test_working_directory_does_not_shadow_catalog_atoms(tmp_path):
+    # a directory named RP4 and a broken file named K3 sit in the working
+    # directory; the catalog expressions win, and ./K3 still reaches the file
+    (tmp_path / "RP4").mkdir()
+    (tmp_path / "K3").write_text("{")
+    (tmp_path / "doc.json").write_text((DATA / "rp2.json").read_text())
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "foldcheck.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+
+    rp4 = cli("invariants", "RP4")
+    assert (rp4.returncode, rp4.stderr) == (0, "")
+    assert rp4.stdout == (GOLDEN / "invariants_rp4.txt").read_text()
+    k3 = cli("invariants", "K3")
+    assert (k3.returncode, k3.stderr) == (0, "")
+    assert k3.stdout.startswith("M = K3  (dim 4)\n")
+    as_file = cli("invariants", "./K3")
+    assert as_file.returncode == 2
+    assert "invalid JSON document" in as_file.stderr
+    document = cli("invariants", "doc.json")
+    assert (document.returncode, document.stderr) == (0, "")
+    assert document.stdout.startswith("M = RP2  (dim 2)\n")
+    missing = cli("invariants", "missing.json")
+    assert missing.returncode == 2
+    assert "unexpected character 'm' (at position 0)" in missing.stderr
+    directory = cli("invariants", ".")
+    assert directory.returncode == 2
+    assert "unexpected character '.' (at position 0)" in directory.stderr
+
+
 def test_invalid_document_is_a_document_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_invariants import _rank_mod2, _solve_mod2
+from foldcheck.algebra import _parity
 from foldcheck.gf2 import gf2_invertible, gf2_rank, gf2_solve, to_gf2
 
 
@@ -18,6 +20,20 @@ def _enumerate_solutions(matrix: np.ndarray, rhs: np.ndarray) -> list[np.ndarray
         if np.array_equal((matrix @ x) % 2, rhs % 2):
             out.append(x)
     return out
+
+
+def _bit_rows(matrix: np.ndarray) -> list[int]:
+    return [sum(int(v) % 2 << j for j, v in enumerate(row)) for row in matrix]
+
+
+def _reference_rank(matrix: np.ndarray) -> int:
+    return _rank_mod2(_bit_rows(matrix))
+
+
+def _reference_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Column-order Gauss-Jordan with every free variable 0, or None."""
+    x = _solve_mod2(_bit_rows(matrix), [int(b) % 2 for b in rhs], matrix.shape[1])
+    return None if x is None else np.array(x, dtype=np.uint8)
 
 
 def _span_size(matrix: np.ndarray) -> int:
@@ -93,12 +109,19 @@ def test_invertible_iff_full_rank():
 
 
 def test_matmul_reduces_mod_2():
-    # uint8 products wrap at 256, which keeps parity: reducing afterwards is exact
-    a = np.array([[1, 1], [0, 1]], dtype=np.uint8)
-    b = np.array([[1, 1], [1, 1]], dtype=np.uint8)
-    assert np.array_equal((to_gf2(a) @ to_gf2(b)) % 2, np.array([[0, 0], [1, 1]], dtype=np.uint8))
-    ones = np.ones((1, 257), dtype=np.uint8)
-    assert int(((ones @ ones.T) % 2)[0, 0]) == 257 % 2
+    # the axiom battery multiplies 0/1 tables in float32 and reads the parity
+    # off afterwards; sums stay exact integers far below 2^24
+    a = np.array([[1, 1], [0, 1]], dtype=np.float32)
+    b = np.array([[1, 1], [1, 1]], dtype=np.float32)
+    assert np.array_equal(_parity(a @ b), np.array([[0, 0], [1, 1]]))
+    for inner in (257, 486):
+        ones = np.ones((3, inner), dtype=np.float32)
+        assert np.array_equal(_parity(ones @ ones.T), np.full((3, 3), inner % 2))
+    rng = np.random.default_rng(7)
+    x = rng.integers(0, 2, size=(20, 486))
+    y = rng.integers(0, 2, size=(486, 30))
+    exact = (x @ y) % 2
+    assert np.array_equal(_parity(x.astype(np.float32) @ y.astype(np.float32)), exact)
 
 
 def test_to_gf2_wraps_integers():
@@ -107,3 +130,71 @@ def test_to_gf2_wraps_integers():
 
 def test_rank_empty_matrix():
     assert gf2_rank(np.zeros((0, 3), dtype=np.uint8)) == 0
+
+
+# ---------------------------------------------------------------------------
+# shapes at the edges of the bitset packing
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_empty_shapes(shape):
+    mat = np.zeros(shape, dtype=np.uint8)
+    assert gf2_rank(mat) == 0
+    x = gf2_solve(mat, np.zeros(shape[0], dtype=np.uint8))
+    assert x is not None and x.shape == (shape[1],) and not x.any()
+
+
+def test_zero_columns_with_nonzero_rhs_is_inconsistent():
+    assert gf2_solve(np.zeros((2, 0), dtype=np.uint8), np.array([0, 1], dtype=np.uint8)) is None
+
+
+@pytest.mark.parametrize("cols", [3, 7, 8, 63, 64, 65, 130])
+def test_inconsistency_held_only_by_the_augmented_bit(cols):
+    # rows 0..2 are independent; row 3 = row 0 + row 1 reduces to zero on
+    # every column, so with rhs 1 + 0 != 0 only its augmented bit is left
+    rng = np.random.default_rng(cols)
+    top = rng.integers(0, 2, size=(3, cols), dtype=np.uint8)
+    top[:, :3] = np.eye(3, dtype=np.uint8)
+    mat = np.vstack([top, top[0] ^ top[1]])
+    rhs = np.array([1, 0, 1, 0], dtype=np.uint8)
+    assert gf2_solve(mat, rhs) is None
+    assert gf2_solve(np.zeros((1, cols), dtype=np.uint8), np.array([1], dtype=np.uint8)) is None
+    rhs[3] = 1
+    x = gf2_solve(mat, rhs)
+    assert x is not None and np.array_equal((mat.astype(int) @ x) % 2, rhs)
+
+
+@pytest.mark.parametrize("cols", [64, 65, 100, 200])
+def test_rank_and_solve_past_one_machine_word(cols):
+    rng = np.random.default_rng(cols)
+    base = rng.integers(0, 2, size=(5, cols), dtype=np.uint8)
+    mixes = rng.integers(0, 2, size=(4, 5), dtype=np.uint8)
+    mat = np.vstack([base, (mixes.astype(int) @ base) % 2]).astype(np.uint8)
+    assert gf2_rank(mat) == gf2_rank(base) == _reference_rank(base)
+    rhs = (mat.astype(int) @ rng.integers(0, 2, size=cols)) % 2
+    assert np.array_equal(gf2_solve(mat, rhs), _reference_solve(mat, rhs))
+    # a pivot in the highest column only
+    single = np.zeros((2, cols), dtype=np.uint8)
+    single[1, cols - 1] = 1
+    assert gf2_rank(single) == 1
+    x = gf2_solve(single, np.array([0, 1], dtype=np.uint8))
+    assert x is not None and x[cols - 1] == 1 and x.sum() == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_solve_matches_reference_elimination(rows, cols, quarters, seed):
+    # entries are 1 with probability quarters / 4; free variables 0 on both sides
+    rng = np.random.default_rng(seed)
+    mat = (rng.random((rows, cols)) < quarters / 4).astype(np.uint8)
+    if rng.integers(0, 2):
+        rhs = rng.integers(0, 2, size=rows).astype(np.uint8)
+    else:  # consistent by construction
+        rhs = ((mat.astype(int) @ rng.integers(0, 2, size=cols)) % 2).astype(np.uint8)
+    expected = _reference_solve(mat, rhs)
+    got = gf2_solve(mat, rhs)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None and np.array_equal(got, expected)
+    assert gf2_rank(mat) == _reference_rank(mat)

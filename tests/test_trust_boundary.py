@@ -1,0 +1,246 @@
+"""The axiom battery at the trust boundary, against references.
+
+``validate_algebra`` contracts its tables as float32 matrix products.  Here
+it is held to the einsum formulation it replaced (``reference_violations``,
+written out below on uint8 tables with the bitmask pairing rank of
+test_invariants), violation for violation, on closure members with one
+table entry flipped.  A tests-side document writer then sends closure
+members and K3 x K3 through ``load_manifold`` and checks that the record
+comes back unchanged.
+"""
+from __future__ import annotations
+
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_invariants import _rank_mod2
+from foldcheck import algebra
+from foldcheck.algebra import GradedAlgebra, _assemble_algebra, validate_algebra
+from foldcheck.catalog import k3, load_manifold, product
+from foldcheck.expressions import parse_expression
+from foldcheck.tristate import P1Kind
+
+# ---------------------------------------------------------------------------
+# the einsum battery, kept as the reference
+
+
+def reference_violations(A: GradedAlgebra) -> tuple[str, ...]:
+    """Every axiom violation, in the order and wording of the package."""
+    n = A.top_degree
+    bad: list[str] = []
+
+    for d in range(n + 1):
+        if A.rank(d) == 0:
+            continue
+        left = np.einsum("u,ujo->jo", A.unit, A.mult_block(0, d)) % 2
+        right = np.einsum("iuo,u->io", A.mult_block(d, 0), A.unit) % 2
+        eye = np.eye(A.rank(d), dtype=np.uint8)
+        if not np.array_equal(left, eye):
+            bad.append(f"unit: 1*x != x in degree {d}")
+        if not np.array_equal(right, eye):
+            bad.append(f"unit: x*1 != x in degree {d}")
+
+    for d1 in range(n + 1):
+        for d2 in range(d1, n + 1 - d1):
+            blk = A.mult_block(d1, d2) % 2
+            flipped = A.mult_block(d2, d1).transpose(1, 0, 2) % 2
+            if not np.array_equal(blk, flipped):
+                bad.append(f"commutativity: degrees ({d1}, {d2})")
+
+    for d1 in range(n + 1):
+        for d2 in range(n + 1 - d1):
+            for d3 in range(n + 1 - d1 - d2):
+                if 0 in (A.rank(d1), A.rank(d2), A.rank(d3)):
+                    continue
+                lhs = (
+                    np.einsum("ijp,pko->ijko", A.mult_block(d1, d2), A.mult_block(d1 + d2, d3)) % 2
+                )
+                rhs = (
+                    np.einsum("jkq,iqo->ijko", A.mult_block(d2, d3), A.mult_block(d1, d2 + d3)) % 2
+                )
+                if not np.array_equal(lhs, rhs):
+                    bad.append(f"associativity: degrees ({d1}, {d2}, {d3})")
+
+    for d in range(n + 1):
+        if A.rank(d) == 0:
+            continue
+        if not np.array_equal(A.sq_block(0, d), np.eye(A.rank(d), dtype=np.uint8)):
+            bad.append(f"sq0-identity: Sq^0 != id in degree {d}")
+        if 2 * d <= n:
+            squares = np.einsum("iio->io", A.mult_block(d, d))
+            if not np.array_equal(A.sq_block(d, d) % 2, squares % 2):
+                for i, label in enumerate(A.labels(d)):
+                    if not np.array_equal(A.sq_block(d, d)[i] % 2, squares[i] % 2):
+                        bad.append(
+                            f"sq-top-squaring: Sq^k x = x*x at k = deg x fails for {label}"
+                        )
+
+    for d1 in range(n + 1):
+        for d2 in range(n + 1 - d1):
+            if 0 in (A.rank(d1), A.rank(d2)):
+                continue
+            prod = A.mult_block(d1, d2)
+            for k in range(1, n - d1 - d2 + 1):
+                if k > d1 + d2:
+                    break
+                lhs = np.einsum("ijp,po->ijo", prod, A.sq_block(k, d1 + d2)) % 2
+                rhs = np.zeros_like(lhs)
+                for u in range(0, k + 1):
+                    v = k - u
+                    if u > d1 or v > d2:
+                        continue
+                    rhs ^= (
+                        np.einsum(
+                            "ia,jb,abo->ijo",
+                            A.sq_block(u, d1),
+                            A.sq_block(v, d2),
+                            A.mult_block(d1 + u, d2 + v),
+                        )
+                        % 2
+                    ).astype(np.uint8)
+                if not np.array_equal(lhs, rhs % 2):
+                    bad.append(f"cartan: Sq^{k} on degrees ({d1}, {d2})")
+
+    for d in range(n + 1):
+        r1, r2 = A.rank(d), A.rank(n - d)
+        if r1 != r2:
+            bad.append(f"pairing: ranks differ in degrees {d} and {n - d} ({r1} vs {r2})")
+            continue
+        if r1 == 0:
+            continue
+        pairing = np.einsum("ijo,o->ij", A.mult_block(d, n - d), A.fundamental) % 2
+        rows = [int("".join(str(int(b)) for b in row), 2) for row in pairing]
+        if _rank_mod2(rows) != r1:
+            bad.append(f"pairing: degenerate in degree {d}")
+
+    return tuple(bad)
+
+
+# ---------------------------------------------------------------------------
+# one flipped entry, both batteries
+
+# S1 x S3 and S3 x S3 have degrees of rank 0 between nonzero ones (products
+# landing there are empty tables); K3 x RP2 is the largest table set here.
+ORACLE_MEMBERS = [
+    "S1 x S3", "S3 x S3", "K3", "RP4", "CP3", "RP2 x RP3", "N3 x S2",
+    "RP4 # CP2", "Sigma2 x Sigma1", "K3 x RP2", "CP2 x CP2",
+]
+
+
+@pytest.fixture(scope="module")
+def oracle_algebras() -> dict[str, GradedAlgebra]:
+    return {name: parse_expression(name).algebra for name in ORACLE_MEMBERS}
+
+
+def test_unflipped_members_are_valid(oracle_algebras):
+    for name, A in oracle_algebras.items():
+        assert validate_algebra(A).violations == reference_violations(A) == (), name
+
+
+def _flipped(A: GradedAlgebra, table: str, pick: int, entry: int) -> GradedAlgebra:
+    mult = {key: blk.copy() for key, blk in A.mult.items()}
+    sq = {key: blk.copy() for key, blk in A.sq_table.items()}
+    tables = mult if table == "mult" else sq
+    keys = sorted(key for key, blk in tables.items() if blk.size)
+    blk = tables[keys[pick % len(keys)]]
+    blk.flat[entry % blk.size] ^= 1
+    return _assemble_algebra(
+        A.top_degree, A.basis, mult, sq, unit=A.unit, fundamental=A.fundamental
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(ORACLE_MEMBERS),
+    st.sampled_from(["mult", "sq"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**9),
+    st.sampled_from([1, 40, algebra._CHUNK_ELEMENTS]),
+)
+def test_flipped_entry_violations_match_reference(
+    oracle_algebras, name, table, pick, entry, chunk
+):
+    # small chunk budgets split the associativity products of every member
+    A = _flipped(oracle_algebras[name], table, pick, entry)
+    with mock.patch.object(algebra, "_CHUNK_ELEMENTS", chunk):
+        got = validate_algebra(A).violations
+    assert got == reference_violations(A)
+
+
+# ---------------------------------------------------------------------------
+# documents written from records, loaded back
+
+
+def _p1_field(m):
+    kind = m.p1.kind
+    if kind is P1Kind.INTEGER:
+        return {"int": m.p1.number}
+    return {
+        P1Kind.ZERO_CLASS: "zero",
+        P1Kind.NONZERO_CLASS: "nonzero",
+        P1Kind.UNKNOWN: "unknown",
+    }[kind]
+
+
+def manifold_document(m) -> dict:
+    """A JSON-ready document of a connected record, with sparse tables.
+
+    Products are listed once per unordered pair of positive-degree basis
+    classes and squares once per class, nonzero entries only; the loader
+    fills in mirrors, unit blocks and Sq^0.  ``w`` is left out, so the
+    loader derives it from the Wu classes.
+    """
+    A = m.algebra
+    n = A.top_degree
+    mult = []
+    for d1 in range(1, n + 1):
+        for d2 in range(d1, n + 1 - d1):
+            blk = A.mult_block(d1, d2)
+            for i, j in zip(*np.nonzero(blk.any(axis=2))):
+                if d1 < d2 or i <= j:
+                    mult.append([d1, int(i), d2, int(j), blk[i, j].tolist()])
+    sq = []
+    for (k, d), blk in sorted(A.sq_table.items()):
+        if k == 0:
+            continue
+        for i in np.nonzero(blk.any(axis=1))[0]:
+            sq.append([k, d, int(i), blk[i].tolist()])
+    return {
+        "name": m.name,
+        "dim": m.dim,
+        "orientable": m.orientable,
+        "euler": m.euler,
+        "signature": m.signature,
+        "basis": [list(labels) for labels in A.basis],
+        "mult": mult,
+        "sq": sq,
+        "p1": _p1_field(m),
+        "stably_parallelizable": m.stably_parallelizable,
+        "torsion_free": m.torsion_free,
+    }
+
+
+def _assert_round_trip(m) -> None:
+    loaded = load_manifold(json.loads(json.dumps(manifold_document(m))))
+    assert loaded.algebra.ranks == m.algebra.ranks, m.name
+    assert loaded.euler == m.euler, m.name
+    for mine, theirs in ((loaded.w, m.w), (loaded.wu, m.wu)):
+        assert [c.tolist() for c in mine.components] == [
+            c.tolist() for c in theirs.components
+        ], m.name
+
+
+def test_documents_round_trip_over_connected_closure(connected_closure):
+    for m in connected_closure:
+        _assert_round_trip(m)
+
+
+def test_k3_x_k3_document_round_trips():
+    # 2011 basis classes, middle rank 486: the largest algebra in the suite
+    m = product(k3(), k3())
+    _assert_round_trip(m)
