@@ -7,146 +7,5 @@ Stiefel-Whitney and Wu classes from Poincare duality, and decides -- with
 theorem-level citations -- whether (tame) fold maps into Euclidean spaces,
 spheres, or pulled-back tangent targets exist.
 """
-from .errors import (
-    DimensionMismatch,
-    ExpressionError,
-    FoldcheckError,
-    InvariantViolation,
-    SchemaError,
-)
-from .tristate import P1Data, P1Kind, Tri, TriState, p1_add, p1_difference, p1_negate
-from .algebra import (
-    ClassZ2,
-    GradedAlgebra,
-    TotalClass,
-    ValidationReport,
-    build_algebra,
-    connected_sum_algebra,
-    cross_total,
-    evaluate_top,
-    invert_total,
-    kunneth,
-    multiply,
-    steenrod_square,
-    total_sq,
-    validate_algebra,
-)
-from .characteristic import (
-    BundleDescriptor,
-    StructureFlags,
-    dual_classes,
-    stiefel_whitney_from_wu,
-    structure_flags,
-    tangent_descriptor,
-    trivial_descriptor,
-    virtual_difference,
-    w3_shadow,
-    w3_twisted_status,
-    wu_total,
-    z_status,
-)
-from .catalog import (
-    Manifold,
-    atom,
-    complex_projective,
-    connected_sum,
-    cp2_reversed,
-    k3,
-    load_manifold,
-    nonorientable_surface,
-    orientable_surface,
-    point,
-    product,
-    real_projective,
-    sphere,
-    validate_manifold,
-)
-from .expressions import parse_expression
-from .decide import (
-    Outcome,
-    SpanBounds,
-    TargetSpec,
-    ThomEntry,
-    ThomTable,
-    TraceEntry,
-    Verdict,
-    decide_equidim,
-    decide_fold,
-    decide_highdim_to_R4,
-    decide_low_codim,
-    decide_to_R3,
-    stable_span_bounds,
-    thom_polynomials,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BundleDescriptor",
-    "ClassZ2",
-    "DimensionMismatch",
-    "ExpressionError",
-    "FoldcheckError",
-    "GradedAlgebra",
-    "InvariantViolation",
-    "Manifold",
-    "Outcome",
-    "P1Data",
-    "P1Kind",
-    "SchemaError",
-    "SpanBounds",
-    "StructureFlags",
-    "TargetSpec",
-    "ThomEntry",
-    "ThomTable",
-    "TotalClass",
-    "TraceEntry",
-    "Tri",
-    "TriState",
-    "ValidationReport",
-    "Verdict",
-    "atom",
-    "build_algebra",
-    "complex_projective",
-    "connected_sum",
-    "connected_sum_algebra",
-    "cp2_reversed",
-    "cross_total",
-    "decide_equidim",
-    "decide_fold",
-    "decide_highdim_to_R4",
-    "decide_low_codim",
-    "decide_to_R3",
-    "dual_classes",
-    "evaluate_top",
-    "invert_total",
-    "k3",
-    "kunneth",
-    "load_manifold",
-    "multiply",
-    "nonorientable_surface",
-    "orientable_surface",
-    "p1_add",
-    "p1_difference",
-    "p1_negate",
-    "parse_expression",
-    "point",
-    "product",
-    "real_projective",
-    "sphere",
-    "stable_span_bounds",
-    "steenrod_square",
-    "stiefel_whitney_from_wu",
-    "structure_flags",
-    "tangent_descriptor",
-    "thom_polynomials",
-    "total_sq",
-    "trivial_descriptor",
-    "validate_algebra",
-    "validate_manifold",
-    "virtual_difference",
-    "w3_shadow",
-    "w3_twisted_status",
-    "wu_total",
-    "z_status",
-]

@@ -361,6 +361,36 @@ def _assemble_algebra(
     )
 
 
+# Largest dense multiplication plus Steenrod tables one algebra may hold.
+TABLE_BYTES_BUDGET = 1 << 25
+
+
+def _table_bytes(ranks: Sequence[int]) -> int:
+    """Bytes of the dense uint8 tables of an algebra with these ranks.
+
+    ``sum r_d1 r_d2 r_(d1+d2)`` over product blocks plus ``sum r_d r_(d+k)``
+    over the Steenrod blocks ``0 <= k <= min(d, n - d)``.  Computed in
+    float64, which is exact wherever the sum is near the budget.
+    """
+    r = np.asarray(ranks, dtype=np.float64)
+    n = len(r) - 1
+    prefix = np.concatenate(([0.0], np.cumsum(r)))
+    d = np.arange(n + 1)
+    products = r @ np.convolve(r, r)[: n + 1]
+    squares = r @ (prefix[np.minimum(2 * d, n) + 1] - prefix[d])
+    return int(products + squares)
+
+
+def _check_table_budget(ranks: Sequence[int]) -> None:
+    """Refuse, before anything is allocated, tables over the byte budget."""
+    size = _table_bytes(ranks)
+    if size > TABLE_BYTES_BUDGET:
+        raise ValueError(
+            f"the dense tables would take {size} bytes, "
+            f"over the budget of {TABLE_BYTES_BUDGET} bytes"
+        )
+
+
 def _indicator(length: int, index: int | None) -> np.ndarray:
     v = np.zeros(length, dtype=np.uint8)
     if index is not None and length:
@@ -596,13 +626,37 @@ def invert_total(u: TotalClass) -> TotalClass:
 # ---------------------------------------------------------------------------
 
 
-def _disambiguate(base: Sequence[Sequence[str]], other: Sequence[Sequence[str]]):
-    """Prime the positive-degree labels of ``other`` until disjoint from ``base``."""
-    taken = {l for deg in base[1:] for l in deg}
-    labels = [list(deg) for deg in other]
-    while taken & {l for deg in labels[1:] for l in deg}:
-        labels = [labels[0]] + [[l + "'" for l in deg] for deg in labels[1:]]
-    return labels
+def _prime_counts(labels: Iterable[str], into: dict[str, set[int]] | None = None):
+    """Map each label's stem (trailing primes stripped) to its prime counts."""
+    counts = {} if into is None else into
+    for label in labels:
+        stem = label.rstrip("'")
+        counts.setdefault(stem, set()).add(len(label) - len(stem))
+    return counts
+
+
+def _fewest_primes(blocked: set[int]) -> int:
+    p = 0
+    while p in blocked:
+        p += 1
+    return p
+
+
+def _disambiguate(other: Sequence[Sequence[str]], *taken: dict[str, set[int]]):
+    """Prime the positive-degree labels of ``other`` until none is ``taken``.
+
+    Every label gets the same, fewest number of primes.  Stem ``s`` with
+    ``q`` primes collides after ``p`` more exactly when ``q + p`` is among
+    the prime counts of ``s`` in one of the ``taken`` maps (see
+    ``_prime_counts``), so no primed label is built before the count is known.
+    """
+    blocked: set[int] = set()
+    for stem, own in _prime_counts(l for deg in other[1:] for l in deg).items():
+        for counts in taken:
+            for q in own:
+                blocked.update(c - q for c in counts.get(stem, ()) if c >= q)
+    p = _fewest_primes(blocked)
+    return [list(other[0])] + [[l + "'" * p for l in deg] for deg in other[1:]]
 
 
 def _pair_label(la: str, lb: str) -> str:
@@ -629,7 +683,10 @@ def _kunneth_layout(A: GradedAlgebra, B: GradedAlgebra, d: int) -> list[tuple[in
 def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     """Tensor-product algebra on pair bases, Steenrod squares via Cartan."""
     n = A.top_degree + B.top_degree
-    labels_b = _disambiguate(A.basis, B.basis)
+    _check_table_budget(
+        [sum(A.rank(i) * B.rank(d - i) for i in range(d + 1)) for d in range(n + 1)]
+    )
+    labels_b = _disambiguate(B.basis, _prime_counts(l for deg in A.basis[1:] for l in deg))
 
     basis: list[list[str]] = []
     for d in range(n + 1):
@@ -712,64 +769,63 @@ def cross_total(P: GradedAlgebra, u: TotalClass, v: TotalClass) -> TotalClass:
 # ---------------------------------------------------------------------------
 
 
-def connected_sum_algebra(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
+def connected_sum_algebra(*pieces: GradedAlgebra) -> GradedAlgebra:
     """Cohomology of a connected sum: middle degrees direct-sum, tops glued.
 
     Cross products of positive-degree classes from different summands vanish;
-    each summand's top class is identified with the shared top class.
+    each summand's top class is identified with the shared top class.  The
+    labels are those of the left fold ``((A # B) # C) # ...``: each summand
+    is primed against the sum before it, that sum's top label included, and
+    the top label is chosen again after each summand.
     """
-    n = A.top_degree
-    if B.top_degree != n:
-        raise DimensionMismatch(
-            f"connected sum needs equal dimensions, got {n} and {B.top_degree}"
-        )
+    n = pieces[0].top_degree
+    for S in pieces[1:]:
+        if S.top_degree != n:
+            raise DimensionMismatch(
+                f"connected sum needs equal dimensions, got {n} and {S.top_degree}"
+            )
     if n < 1:
         raise ValueError("connected sum needs dimension >= 1")
-    for S in (A, B):
+    for S in pieces:
         if S.rank(0) != 1 or S.rank(n) != 1:
             raise ValueError("connected summands must be connected closed pieces")
+    ranks = [1] + [sum(S.rank(d) for S in pieces) for d in range(1, n)] + [1]
+    _check_table_budget(ranks)
 
-    labels_b = _disambiguate(A.basis, B.basis)
-    basis: list[list[str]] = [["1"]]
-    for d in range(1, n):
-        basis.append(list(A.basis[d]) + list(labels_b[d]))
-    top = "t"
-    while any(top in row for row in basis):
-        top += "'"
+    basis: list[list[str]] = [["1"]] + [list(pieces[0].basis[d]) for d in range(1, n)]
+    middle = _prime_counts(l for row in basis[1:] for l in row)
+    top = pieces[0].basis[n][0]
+    # starts[i][d]: first index of summand i in degree d (0 at the glued top)
+    starts = [[0] * (n + 1)]
+    for S in pieces[1:]:
+        labels = _disambiguate(S.basis, middle, _prime_counts([top]))
+        starts.append([0] + [len(row) for row in basis[1:]] + [0])
+        for d in range(1, n):
+            basis[d].extend(labels[d])
+            _prime_counts(labels[d], into=middle)
+        top = "t" + "'" * _fewest_primes(middle.get("t", set()))
     basis.append([top])
-    ranks = [len(b) for b in basis]
 
-    def a_rank(d: int) -> int:
-        return A.rank(d) if 0 < d < n else 0
+    def place(blk: np.ndarray, S: GradedAlgebra, start: list[int], src: np.ndarray, degrees):
+        """Write summand ``S``'s block ``src``; a top output goes through its fundamental."""
+        if degrees[-1] == n:
+            src = ((src @ S.fundamental) % 2)[..., None]
+        blk[tuple(slice(start[d], start[d] + S.rank(d)) for d in degrees)] = src
 
     mult: dict[tuple[int, int], np.ndarray] = {}
     for d1 in range(1, n):
         for d2 in range(1, n + 1 - d1):
             blk = np.zeros((ranks[d1], ranks[d2], ranks[d1 + d2]), dtype=np.uint8)
-            ra1, ra2 = a_rank(d1), a_rank(d2)
-            blk_a = A.mult_block(d1, d2)
-            blk_b = B.mult_block(d1, d2)
-            if d1 + d2 < n:
-                blk[:ra1, :ra2, : A.rank(d1 + d2)] = blk_a
-                blk[ra1:, ra2:, A.rank(d1 + d2) :] = blk_b
-            else:
-                blk[:ra1, :ra2, 0] = np.einsum("ijo,o->ij", blk_a, A.fundamental) % 2
-                blk[ra1:, ra2:, 0] = np.einsum("ijo,o->ij", blk_b, B.fundamental) % 2
+            for S, start in zip(pieces, starts):
+                place(blk, S, start, S.mult_block(d1, d2), (d1, d2, d1 + d2))
             mult[(d1, d2)] = blk
 
     sq: dict[tuple[int, int], np.ndarray] = {}
     for d in range(1, n):
         for k in range(1, min(d, n - d) + 1):
             blk = np.zeros((ranks[d], ranks[d + k]), dtype=np.uint8)
-            ra = a_rank(d)
-            sa = A.sq_block(k, d)
-            sb = B.sq_block(k, d)
-            if d + k < n:
-                blk[:ra, : A.rank(d + k)] = sa
-                blk[ra:, A.rank(d + k) :] = sb
-            else:
-                blk[:ra, 0] = (sa @ A.fundamental) % 2
-                blk[ra:, 0] = (sb @ B.fundamental) % 2
+            for S, start in zip(pieces, starts):
+                place(blk, S, start, S.sq_block(k, d), (d, d + k))
             sq[(k, d)] = blk
 
     return _assemble_algebra(n, basis, mult, sq)

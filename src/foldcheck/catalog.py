@@ -16,6 +16,7 @@ tests go through the stored invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 from typing import Any, Mapping
 
@@ -25,6 +26,7 @@ from .algebra import (
     GradedAlgebra,
     TotalClass,
     _assemble_algebra,
+    _check_table_budget,
     build_algebra,
     connected_sum_algebra,
     cross_total,
@@ -493,16 +495,17 @@ def _p1_from_w2sq(w: TotalClass) -> P1Data:
     return P1Data.nonzero_class("w_2^2 != 0")
 
 
-def connected_sum(m: Manifold, n: Manifold) -> Manifold:
-    """Connected sum; both records must be closed, connected, equal-dimensional."""
-    if m.dim != n.dim:
-        raise DimensionMismatch(f"cannot sum dimensions {m.dim} and {n.dim}")
-    algebra = connected_sum_algebra(m.algebra, n.algebra)
-    dim = m.dim
-    orientable = m.orientable and n.orientable
-    euler = m.euler + n.euler - (2 if dim % 2 == 0 else 0)
+def connected_sum(*pieces: Manifold) -> Manifold:
+    """Connected sum of closed, connected, equal-dimensional records."""
+    dim = pieces[0].dim
+    for m in pieces[1:]:
+        if m.dim != dim:
+            raise DimensionMismatch(f"cannot sum dimensions {dim} and {m.dim}")
+    algebra = connected_sum_algebra(*(m.algebra for m in pieces))
+    orientable = all(m.orientable for m in pieces)
+    euler = sum(m.euler for m in pieces) - (2 * (len(pieces) - 1) if dim % 2 == 0 else 0)
     if orientable and dim % 4 == 0:
-        signature: int | None = (m.signature or 0) + (n.signature or 0)
+        signature: int | None = sum(m.signature or 0 for m in pieces)
     else:
         signature = None
     if dim <= 3:
@@ -513,25 +516,22 @@ def connected_sum(m: Manifold, n: Manifold) -> Manifold:
         else:
             p1 = P1Data.unknown()
     else:
-        p1 = p1_add(m.p1, n.p1)
+        p1 = reduce(p1_add, (m.p1 for m in pieces))
 
-    if dim >= 4:
-        if m.w3_twisted.is_nonzero or n.w3_twisted.is_nonzero:
-            w3_stored = TriState.nonzero("nonzero in one summand")
-        elif m.w3_twisted.is_zero and n.w3_twisted.is_zero:
-            w3_stored = TriState.zero("zero in both summands")
-        else:
-            w3_stored = None
+    if dim >= 4 and any(m.w3_twisted.is_nonzero for m in pieces):
+        w3_stored = TriState.nonzero("nonzero in one summand")
+    elif dim >= 4 and all(m.w3_twisted.is_zero for m in pieces):
+        w3_stored = TriState.zero("zero in both summands")
     else:
         w3_stored = None
 
     return _assemble(
-        f"{m.name} # {n.name}", dim, orientable, euler, signature, algebra,
+        " # ".join(m.name for m in pieces), dim, orientable, euler, signature, algebra,
         w=None,
         p1=p1,
         w3_stored=w3_stored,
-        stably_parallelizable=m.stably_parallelizable and n.stably_parallelizable,
-        torsion_free=m.torsion_free and n.torsion_free and (orientable or dim > 4),
+        stably_parallelizable=all(m.stably_parallelizable for m in pieces),
+        torsion_free=all(m.torsion_free for m in pieces) and (orientable or dim > 4),
     )
 
 
@@ -693,6 +693,10 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     if len(basis[0]) != 1 or len(basis[dim]) != 1:
         raise SchemaError("degrees 0 and dim must have exactly one basis label")
     ranks = [len(row) for row in basis]
+    try:
+        _check_table_budget(ranks)
+    except ValueError as exc:
+        raise SchemaError(f"basis: {exc}") from exc
 
     mult_tables: dict[tuple[int, int], np.ndarray] = {}
     for pos, entry in enumerate(doc.get("mult", [])):

@@ -21,7 +21,6 @@ from .algebra import (
     evaluate_top,
     invert_total,
     steenrod_square,
-    total_sq,
 )
 from .errors import InvariantViolation
 from .gf2 import gf2_solve
@@ -29,7 +28,6 @@ from .tristate import P1Data, TriState, p1_difference
 
 __all__ = [
     "wu_total",
-    "stiefel_whitney_from_wu",
     "dual_classes",
     "StructureFlags",
     "structure_flags",
@@ -70,19 +68,21 @@ def wu_total(algebra: GradedAlgebra) -> TotalClass:
     return TotalClass(algebra, tuple(comps))
 
 
-def stiefel_whitney_from_wu(algebra: GradedAlgebra) -> TotalClass:
-    """Total Stiefel-Whitney class ``w = Sq(v)`` of a Poincare algebra."""
-    return total_sq(wu_total(algebra))
+def _total_of(x) -> TotalClass:
+    if isinstance(x, TotalClass):
+        return x
+    w = getattr(x, "w", None)
+    if not isinstance(w, TotalClass):
+        raise TypeError("expected a manifold or a total class")
+    return w
 
 
 def dual_classes(x) -> TotalClass:
-    """Dual Stiefel-Whitney classes: the inverse of w in the total ring."""
-    if isinstance(x, TotalClass):
-        return invert_total(x)
-    w = getattr(x, "w", None)
-    if not isinstance(w, TotalClass):
-        w = stiefel_whitney_from_wu(x)
-    return invert_total(w)
+    """Dual Stiefel-Whitney classes of a manifold or of a total class w.
+
+    The dual class is the inverse of w in the total ring.
+    """
+    return invert_total(_total_of(x))
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +97,6 @@ class StructureFlags:
     orientable: bool
     spin: bool
     pin: bool
-
-
-def _total_of(x) -> TotalClass:
-    if isinstance(x, TotalClass):
-        return x
-    w = getattr(x, "w", None)
-    if w is None:
-        w = getattr(x, "w_total", None)
-    if not isinstance(w, TotalClass):
-        raise TypeError("expected a manifold, a bundle descriptor, or a total class")
-    return w
 
 
 def structure_flags(x) -> StructureFlags:

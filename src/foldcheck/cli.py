@@ -26,7 +26,7 @@ import sys
 from typing import List, Optional
 
 from .algebra import GradedAlgebra, TotalClass
-from .catalog import Manifold, load_manifold, _parse_p1
+from .catalog import Manifold, _coords, _parse_p1, load_manifold
 from .characteristic import (
     BundleDescriptor,
     dual_classes,
@@ -130,14 +130,13 @@ def _load_descriptor(path: str, algebra: GradedAlgebra) -> BundleDescriptor:
     dim = algebra.top_degree
     if not isinstance(w_raw, list) or len(w_raw) != dim + 1:
         raise SchemaError(f"descriptor w must list coordinate vectors for degrees 0..{dim}")
-    components = []
-    for degree, vec in enumerate(w_raw):
-        if not isinstance(vec, list) or len(vec) != algebra.rank(degree):
-            raise SchemaError(
-                f"descriptor w[{degree}] must be a coordinate vector of length {algebra.rank(degree)}"
-            )
-        components.append([value % 2 for value in vec])
-    w_total = TotalClass.from_components(algebra, components)
+    w_total = TotalClass(
+        algebra,
+        tuple(
+            _coords(vec, algebra.rank(degree), f"descriptor w[{degree}]")
+            for degree, vec in enumerate(w_raw)
+        ),
+    )
     p1 = _parse_p1(doc["p1"])
     return BundleDescriptor(rank, w_total, p1, orientable)
 

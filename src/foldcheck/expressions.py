@@ -8,7 +8,8 @@ Expressions denote closed manifolds built from atoms with ``#``
     prod   := factor ("x" factor)*
     factor := INT "#" factor | ATOM | "(" expr ")"
 
-``k # T`` abbreviates the k-fold connected sum ``T # ... # T``.  Both
+``k # T`` abbreviates the k-fold connected sum ``T # ... # T`` (1 <= k <=
+1000), built in one pass with the labels of the left fold.  Both
 operators are left associative and ``x`` binds tighter than ``#``, so
 ``RP4 # S2 x S2`` means ``RP4 # (S2 x S2)``.  Whitespace is ignored.
 """
@@ -62,6 +63,10 @@ class _Parser:
     # Each "(" costs three stack frames and each "k #" one; this bound keeps
     # the deepest parse far below the interpreter's recursion limit.
     MAX_DEPTH = 100
+    # ``k # A`` holds k summands at once; this bounds their list and the
+    # time spent on summands with no middle cohomology, where the table
+    # budget does not bite.
+    MAX_COUNT = 1000
 
     def __init__(self, tokens: List[_Token], length: int):
         self.tokens = tokens
@@ -90,14 +95,14 @@ class _Parser:
         result = self._prod()
         while (token := self.peek()) is not None and token.kind == "hash":
             self.advance()
-            result = _combine(connected_sum, result, self._prod(), token.pos)
+            result = _combine(connected_sum, token.pos, result, self._prod())
         return result
 
     def _prod(self) -> Manifold:
         result = self._factor()
         while (token := self.peek()) is not None and token.kind == "cross":
             self.advance()
-            result = _combine(product, result, self._factor(), token.pos)
+            result = _combine(product, token.pos, result, self._factor())
         return result
 
     def _nested(self, token: _Token, parse):
@@ -120,6 +125,10 @@ class _Parser:
             count = int(token.text)
             if count < 1:
                 raise ExpressionError("repetition count must be >= 1", token.pos)
+            if count > self.MAX_COUNT:
+                raise ExpressionError(
+                    f"repetition count must be <= {self.MAX_COUNT}", token.pos
+                )
             hash_token = self.peek()
             if hash_token is None or hash_token.kind != "hash":
                 raise ExpressionError(
@@ -128,10 +137,9 @@ class _Parser:
                 )
             self.advance()
             operand = self._nested(token, self._factor)
-            result = operand
-            for _ in range(count - 1):
-                result = _combine(connected_sum, result, operand, hash_token.pos)
-            return result
+            if count == 1:
+                return operand
+            return _combine(connected_sum, hash_token.pos, *[operand] * count)
         if token.kind == "atom":
             self.advance()
             try:
@@ -152,9 +160,9 @@ class _Parser:
         )
 
 
-def _combine(op, left: Manifold, right: Manifold, pos: int) -> Manifold:
+def _combine(op, pos: int, *operands: Manifold) -> Manifold:
     try:
-        return op(left, right)
+        return op(*operands)
     except (DimensionMismatch, ValueError) as exc:
         raise ExpressionError(str(exc), pos) from exc
 

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import test_invariants as inv
-from foldcheck.algebra import TotalClass, evaluate_top, multiply, steenrod_square
+from foldcheck.algebra import TotalClass, evaluate_top, multiply, steenrod_square, total_sq
 from foldcheck.catalog import atom, real_projective, sphere
-from foldcheck.characteristic import dual_classes, stiefel_whitney_from_wu, wu_total
+from foldcheck.characteristic import dual_classes, wu_total
 from foldcheck.cli import main
 from foldcheck.decide import Outcome, TargetSpec, decide_fold, stable_span_bounds, thom_polynomials
 from foldcheck.expressions import parse_expression
@@ -89,7 +89,7 @@ def test_criterion_3_wu_oracle_equivalence(closure):
     for m in closure:
         v = inv.brute_force_wu(m)
         assert v == wu_total(m.algebra), m.name
-        assert stiefel_whitney_from_wu(m.algebra) == m.w, m.name
+        assert total_sq(wu_total(m.algebra)) == m.w, m.name
     # spot identities: w(RP(n)) = (1+a)^(n+1), and K3 is spin
     for n in range(1, 11):
         m = real_projective(n)

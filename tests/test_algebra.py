@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from foldcheck import algebra
 from foldcheck.algebra import (
     ClassZ2,
     TotalClass,
@@ -18,6 +19,7 @@ from foldcheck.algebra import (
     total_sq,
     validate_algebra,
 )
+from foldcheck.algebra import _table_bytes
 from foldcheck.errors import DimensionMismatch, InvariantViolation
 
 
@@ -338,6 +340,39 @@ def test_connected_sum_algebra_top_label_avoids_collision():
     S = connected_sum_algebra(A, rp_algebra(2))
     assert S.labels(1) == ("t", "a")
     assert S.labels(2) == ("t'",)
+
+
+def test_connected_sum_algebra_of_three_pieces():
+    S = connected_sum_algebra(rp_algebra(2), rp_algebra(2), rp_algebra(2))
+    assert S.labels(1) == ("a", "a'", "a''")
+    assert S.labels(2) == ("t",)
+    classes = [S.basis_element(1, i) for i in range(3)]
+    assert [str(x * x) for x in classes] == ["t"] * 3
+    assert (classes[0] * classes[2]).is_zero()
+    assert validate_algebra(S).ok
+
+
+def test_table_bytes_counts_every_dense_table(closure):
+    for m in closure:
+        tables = [*m.algebra.mult.values(), *m.algebra.sq_table.values()]
+        assert _table_bytes(m.algebra.ranks) == sum(t.nbytes for t in tables), m.name
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: connected_sum_algebra(rp_algebra(4), rp_algebra(4), rp_algebra(4)),
+        lambda: kunneth(rp_algebra(3), rp_algebra(4)),
+    ],
+    ids=["connected-sum", "kunneth"],
+)
+def test_table_budget_bounds_the_built_tables(monkeypatch, build):
+    size = _table_bytes(build().ranks)
+    monkeypatch.setattr(algebra, "TABLE_BYTES_BUDGET", size)
+    assert build().ranks
+    monkeypatch.setattr(algebra, "TABLE_BYTES_BUDGET", size - 1)
+    with pytest.raises(ValueError, match=f"would take {size} bytes, over the budget"):
+        build()
 
 
 def test_connected_sum_algebra_dimension_mismatch():

@@ -388,6 +388,11 @@ def test_load_manifold_rp4_document():
         (lambda d: d.update(p1={"int": 3, "note": ""}), SchemaError, "p1 must be"),
         (lambda d: d.update(w3_twisted="sometimes"), SchemaError, "w3_twisted"),
         (lambda d: d.update(w=[[1], [0], [1]]), InvariantViolation, "wu-consistency"),
+        (
+            lambda d: d.update(dim=4, basis=[["1"]] + [[f"c{i}" for i in range(300)]] * 3 + [["t"]]),
+            SchemaError,
+            "basis: the dense tables would take 82260605 bytes, over the budget",
+        ),
     ],
 )
 def test_load_manifold_rejections(mutate, error, match):

@@ -104,6 +104,22 @@ def test_deep_nesting_exits_2_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "expression,position",
+    [("2#" * 40 + "RP4", 65), ("K3 x K3 x K3", 8), ("1000#RP4", 4)],
+    ids=["nested-repeats", "K3-cubed", "1000-RP4"],
+)
+def test_table_budget_exits_2_without_traceback(expression, position):
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "foldcheck.cli", "invariants", expression],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert f"over the budget of 33554432 bytes (at position {position})" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_working_directory_does_not_shadow_catalog_atoms(tmp_path):
     # a directory named RP4 and a broken file named K3 sit in the working
     # directory; the catalog expressions win, and ./K3 still reaches the file
@@ -178,6 +194,32 @@ def test_descriptor_with_missing_fields_is_rejected(capsys, tmp_path):
     code, out, err = run(capsys, "decide", "CP2", "--target", f"pullback:{doc}")
     assert code == 2
     assert "missing fields ['orientable']" in err
+
+
+@pytest.mark.parametrize("value", ["x", 2, 1.5])
+def test_descriptor_coordinates_must_be_0_or_1(tmp_path, value):
+    descriptor = json.loads((DATA / "cp2_tangent.json").read_text())
+    descriptor["w"][2] = [value]
+    doc = tmp_path / "desc.json"
+    doc.write_text(json.dumps(descriptor))
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "foldcheck.cli", "decide", "CP2", "--target", f"pullback:{doc}"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "descriptor w[2]: coordinates must be 0 or 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_document_over_the_table_budget_is_a_document_error(capsys, tmp_path):
+    doc = json.loads((DATA / "rp2.json").read_text())
+    doc["basis"][1] = [f"a{i}" for i in range(5000)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "invariants", str(path))
+    assert code == 2
+    assert "basis: the dense tables would take" in err
 
 
 # ---------------------------------------------------------------------------

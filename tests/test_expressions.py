@@ -1,8 +1,11 @@
 """Expression grammar: parsing, precedence, and positioned errors."""
 from __future__ import annotations
 
+from functools import reduce
+
 import pytest
 
+from foldcheck import catalog
 from foldcheck.catalog import atom, connected_sum, product
 from foldcheck.errors import ExpressionError
 from foldcheck.expressions import parse_expression
@@ -19,6 +22,20 @@ def same_record(m, n) -> bool:
         and m.algebra.ranks == n.algebra.ranks
         and [str(m.w.component(d)) for d in range(m.dim + 1)]
         == [str(n.w.component(d)) for d in range(n.dim + 1)]
+    )
+
+
+def construction(m):
+    """Everything a record holds: labels, every table and every invariant."""
+    A = m.algebra
+    return (
+        m.name, m.dim, m.orientable, m.euler, m.signature,
+        m.stably_parallelizable, m.torsion_free, A.basis,
+        [(key, A.mult[key].tobytes()) for key in sorted(A.mult)],
+        [(key, A.sq_table[key].tobytes()) for key in sorted(A.sq_table)],
+        A.fundamental.tobytes(), A.unit.tobytes(),
+        [c.tobytes() for c in m.w.components], [c.tobytes() for c in m.wu.components],
+        m.p1, m.w3_twisted,
     )
 
 
@@ -49,13 +66,36 @@ def test_parentheses_override():
     assert same_record(got, expected)
 
 
-def test_repetition_shorthand():
-    assert same_record(parse_expression("3#RP4"),
-                       connected_sum(connected_sum(atom("RP4"), atom("RP4")), atom("RP4")))
-    assert same_record(parse_expression("1#K3"), atom("K3"))
-    assert same_record(parse_expression("2 # (S2 x S2)"),
-                       connected_sum(product(atom("S2"), atom("S2")),
-                                     product(atom("S2"), atom("S2"))))
+REPEATED = ["S3", "RP4", "RP5", "CP2~", "CP3", "K3", "Sigma2", "N5", "(S2 x S2)", "(RP4 # CP2)"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("operand", REPEATED)
+def test_repetition_shorthand(operand, k):
+    # k # A is the left fold of two-piece sums, down to every label and note
+    piece = parse_expression(operand)
+    fold = reduce(connected_sum, [piece] * k)
+    assert construction(parse_expression(f"{k} # {operand}")) == construction(fold)
+
+
+def test_three_piece_sum_matches_the_fold():
+    pieces = [atom("K3"), parse_expression("RP4 # CP2"), atom("K3")]
+    assert construction(connected_sum(*pieces)) == construction(
+        connected_sum(connected_sum(pieces[0], pieces[1]), pieces[2])
+    )
+
+
+def test_repetition_builds_one_connected_sum(monkeypatch):
+    calls = []
+    build = catalog.connected_sum_algebra
+
+    def counting(*pieces):
+        calls.append(len(pieces))
+        return build(*pieces)
+
+    monkeypatch.setattr(catalog, "connected_sum_algebra", counting)
+    assert parse_expression("30#RP4").algebra.ranks == (1, 30, 30, 30, 1)
+    assert calls == [30]
 
 
 def test_repetition_applies_to_the_factor_only():
@@ -84,6 +124,10 @@ def test_repetition_applies_to_the_factor_only():
             "(" * 3000 + "RP4" + ")" * 3000, 100, "nests deeper than 100", id="deep-parens"
         ),
         pytest.param("2#" * 3000 + "RP4", 200, "nests deeper than 100", id="deep-repeats"),
+        ("1001#S4", 0, "repetition count must be <= 1000"),
+        ("1000#RP4", 4, "over the budget of 33554432 bytes"),
+        ("K3 x K3 x K3", 8, "over the budget of 33554432 bytes"),
+        pytest.param("2#" * 40 + "RP4", 65, "over the budget", id="nested-repeats-budget"),
     ],
 )
 def test_error_positions(text, position, message):
