@@ -318,6 +318,8 @@ def _assemble_algebra(
         if (k > d or d + k > n) and to_gf2(blk).any():
             raise ValueError(f"nonzero Sq^{k} table on degree {d} is out of range")
 
+    # Each block below is a fresh 0/1 array (to_gf2 copies), so freezing it
+    # in place is safe.
     mult_t: dict[tuple[int, int], np.ndarray] = {}
     for d1 in range(n + 1):
         for d2 in range(n + 1 - d1):
@@ -335,7 +337,8 @@ def _assemble_algebra(
                 blk = np.zeros((ranks[d1], ranks[d2], ranks[d1 + d2]), dtype=np.uint8)
             if blk.shape != (ranks[d1], ranks[d2], ranks[d1 + d2]):
                 raise ValueError(f"product table ({d1}, {d2}) has shape {blk.shape}")
-            mult_t[key] = _frozen(blk)
+            blk.setflags(write=False)
+            mult_t[key] = blk
 
     sq_t: dict[tuple[int, int], np.ndarray] = {}
     for d in range(n + 1):
@@ -349,7 +352,8 @@ def _assemble_algebra(
                 blk = np.zeros((ranks[d], ranks[d + k]), dtype=np.uint8)
             if blk.shape != (ranks[d], ranks[d + k]):
                 raise ValueError(f"Steenrod table ({k}, {d}) has shape {blk.shape}")
-            sq_t[key] = _frozen(blk)
+            blk.setflags(write=False)
+            sq_t[key] = blk
 
     return GradedAlgebra(
         top_degree=n,
@@ -687,11 +691,13 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
         [sum(A.rank(i) * B.rank(d - i) for i in range(d + 1)) for d in range(n + 1)]
     )
     labels_b = _disambiguate(B.basis, _prime_counts(l for deg in A.basis[1:] for l in deg))
+    layouts = [_kunneth_layout(A, B, d) for d in range(n + 1)]
+    outs = [{(i, j): s for i, j, s in layout} for layout in layouts]
 
     basis: list[list[str]] = []
     for d in range(n + 1):
         row: list[str] = []
-        for i, j, _ in _kunneth_layout(A, B, d):
+        for i, j, _ in layouts[d]:
             for la in A.basis[i]:
                 for lb in labels_b[j]:
                     row.append(_pair_label(la, lb))
@@ -702,13 +708,11 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     for d1 in range(n + 1):
         for d2 in range(n + 1 - d1):
             blk = np.zeros((ranks[d1], ranks[d2], ranks[d1 + d2]), dtype=np.uint8)
-            rows = _kunneth_layout(A, B, d1)
-            cols = _kunneth_layout(A, B, d2)
-            outs = {(i, j): s for i, j, s in _kunneth_layout(A, B, d1 + d2)}
-            for i1, j1, s1 in rows:
-                for i2, j2, s2 in cols:
+            out = outs[d1 + d2]
+            for i1, j1, s1 in layouts[d1]:
+                for i2, j2, s2 in layouts[d2]:
                     key = (i1 + i2, j1 + j2)
-                    if key not in outs:
+                    if key not in out:
                         continue
                     ma = A.mult_block(i1, i2)
                     mb = B.mult_block(j1, j2)
@@ -717,7 +721,7 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
                         ma.shape[1] * mb.shape[1],
                         ma.shape[2] * mb.shape[2],
                     )
-                    so = outs[key]
+                    so = out[key]
                     blk[
                         s1 : s1 + piece.shape[0],
                         s2 : s2 + piece.shape[1],
@@ -729,14 +733,14 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     for d in range(n + 1):
         for k in range(1, min(d, n - d) + 1):
             blk = np.zeros((ranks[d], ranks[d + k]), dtype=np.uint8)
-            outs = {(i, j): s for i, j, s in _kunneth_layout(A, B, d + k)}
-            for i, j, s in _kunneth_layout(A, B, d):
+            out = outs[d + k]
+            for i, j, s in layouts[d]:
                 for u in range(0, k + 1):
                     v = k - u
-                    if u > i or v > j or (i + u, j + v) not in outs:
+                    if u > i or v > j or (i + u, j + v) not in out:
                         continue
                     piece = np.kron(A.sq_block(u, i), B.sq_block(v, j))
-                    so = outs[(i + u, j + v)]
+                    so = out[(i + u, j + v)]
                     blk[s : s + piece.shape[0], so : so + piece.shape[1]] ^= (
                         piece % 2
                     ).astype(np.uint8)

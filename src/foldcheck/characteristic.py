@@ -34,7 +34,6 @@ __all__ = [
     "w3_shadow",
     "w3_twisted_status",
     "BundleDescriptor",
-    "trivial_descriptor",
     "tangent_descriptor",
     "virtual_difference",
     "z_status",
@@ -168,16 +167,6 @@ class BundleDescriptor:
             raise InvariantViolation(
                 "bundle-descriptor", "orientability flag contradicts w_1"
             )
-
-
-def trivial_descriptor(algebra: GradedAlgebra, rank: int) -> BundleDescriptor:
-    """The trivial rank-``rank`` bundle: w = 1 and p_1 = 0."""
-    return BundleDescriptor(
-        rank=rank,
-        w_total=TotalClass.unit_total(algebra),
-        p1=P1Data.integer(0, "trivial bundle"),
-        orientable=True,
-    )
 
 
 def tangent_descriptor(m) -> BundleDescriptor:

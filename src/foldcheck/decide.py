@@ -27,13 +27,12 @@ parallelizability, then stable-span bounds via the equivalence
 from __future__ import annotations
 
 import enum
-import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .algebra import ClassZ2, TotalClass, invert_total
 from .catalog import Manifold
-from .characteristic import BundleDescriptor, trivial_descriptor, virtual_difference, z_status
+from .characteristic import BundleDescriptor, virtual_difference, z_status
 from .errors import InvariantViolation
 from .tristate import P1Data, TriState, p1_negate
 
@@ -75,7 +74,6 @@ class TraceEntry:
 @dataclass(frozen=True)
 class Verdict:
     outcome: Outcome
-    tame: bool
     trace: Tuple[TraceEntry, ...]
 
     def __post_init__(self):
@@ -133,28 +131,24 @@ class SpanBounds:
             raise InvariantViolation("span-bounds", f"invalid interval [{self.lower}, {self.upper}]")
 
 
-def _entry(rule: str, citation: str, obstruction: str, value: str) -> TraceEntry:
-    return TraceEntry(rule, citation, obstruction, value)
-
-
 # ---------------------------------------------------------------------------
 # low codimension: p = 1 and p = 2
 
 
-def decide_low_codim(m: Manifold, p: int, tame: bool = False) -> Verdict:
+def decide_low_codim(m: Manifold, p: int) -> Verdict:
     """Fold maps to the line (Morse functions) and to the plane (Thom--Levine)."""
     if p == 1:
-        entry = _entry(
+        entry = TraceEntry(
             "morse-function", "Morse", "none", "every closed manifold admits a Morse function"
         )
-        return Verdict(Outcome.EXISTS, tame, (entry,))
+        return Verdict(Outcome.EXISTS, (entry,))
     if p != 2:
         raise ValueError("decide_low_codim handles p = 1 and p = 2 only")
     if m.euler % 2 == 0:
-        entry = _entry("thom-levine", "Thom-Levine", "none", f"chi = {m.euler} is even")
-        return Verdict(Outcome.EXISTS, tame, (entry,))
-    entry = _entry("thom-levine", "Thom-Levine", "chi", f"chi = {m.euler} is odd")
-    return Verdict(Outcome.NOT_EXISTS, tame, (entry,))
+        entry = TraceEntry("thom-levine", "Thom-Levine", "none", f"chi = {m.euler} is even")
+        return Verdict(Outcome.EXISTS, (entry,))
+    entry = TraceEntry("thom-levine", "Thom-Levine", "chi", f"chi = {m.euler} is odd")
+    return Verdict(Outcome.NOT_EXISTS, (entry,))
 
 
 # ---------------------------------------------------------------------------
@@ -162,24 +156,25 @@ def decide_low_codim(m: Manifold, p: int, tame: bool = False) -> Verdict:
 
 
 def _difference_for(m: Manifold, target: TargetSpec) -> Tuple[TotalClass, P1Data]:
+    """w and p_1 of TM - g*TN; for R^p and S^p, TN is stably trivial."""
     if target.kind == "pullback":
         return virtual_difference(m, target.descriptor)
-    return virtual_difference(m, trivial_descriptor(m.algebra, m.dim))
+    return m.w, m.p1
 
 
-def decide_equidim(m: Manifold, target: TargetSpec, tame: bool = False) -> Verdict:
+def decide_equidim(m: Manifold, target: TargetSpec) -> Verdict:
     """Equidimensional targets (p = n) via the pin and z-class obstructions."""
     n = m.dim
     if target.dim != n:
         raise ValueError(f"equidimensional target has dimension {target.dim}, expected {n}")
     if n < 4 or n > 7:
-        entry = _entry(
+        entry = TraceEntry(
             "equidim-range",
             "Thm 3.7",
             "none",
             f"dimension {n} outside the decidable range 4 <= n <= 7",
         )
-        return Verdict(Outcome.UNKNOWN, tame, (entry,))
+        return Verdict(Outcome.UNKNOWN, (entry,))
 
     w_diff, p1_diff = _difference_for(m, target)
     w1 = w_diff.component(1)
@@ -191,42 +186,42 @@ def decide_equidim(m: Manifold, target: TargetSpec, tame: bool = False) -> Verdi
             "Cor 3.5(i)" if oriented_data else "Cor 3.5(ii)"
         )
         if not w2.is_zero():
-            entry = _entry("dim4-pin", citation, "w_2", f"w_2 = {w2} != 0")
-            return Verdict(Outcome.NOT_EXISTS, tame, (entry,))
+            entry = TraceEntry("dim4-pin", citation, "w_2", f"w_2 = {w2} != 0")
+            return Verdict(Outcome.NOT_EXISTS, (entry,))
         if oriented_data:
             if p1_diff.is_known_zero:
-                entry = _entry("dim4-oriented", citation, "none", "w_2 = 0; p_1 = 0")
-                return Verdict(Outcome.EXISTS, tame, (entry,))
+                entry = TraceEntry("dim4-oriented", citation, "none", "w_2 = 0; p_1 = 0")
+                return Verdict(Outcome.EXISTS, (entry,))
             if p1_diff.kind.name == "INTEGER":
-                entry = _entry(
+                entry = TraceEntry(
                     "dim4-oriented", citation, "p_1", f"w_2 = 0; p_1 = {p1_diff.number} != 0"
                 )
-                return Verdict(Outcome.NOT_EXISTS, tame, (entry,))
+                return Verdict(Outcome.NOT_EXISTS, (entry,))
             if p1_diff.is_known_nonzero:
-                entry = _entry("dim4-oriented", citation, "p_1", "w_2 = 0; p_1 != 0")
-                return Verdict(Outcome.NOT_EXISTS, tame, (entry,))
-            entry = _entry("dim4-oriented", citation, "p_1", "w_2 = 0; p_1 undetermined")
-            return Verdict(Outcome.UNKNOWN, tame, (entry,))
+                entry = TraceEntry("dim4-oriented", citation, "p_1", "w_2 = 0; p_1 != 0")
+                return Verdict(Outcome.NOT_EXISTS, (entry,))
+            entry = TraceEntry("dim4-oriented", citation, "p_1", "w_2 = 0; p_1 undetermined")
+            return Verdict(Outcome.UNKNOWN, (entry,))
         w4 = w_diff.component(4)
         if w4.is_zero():
-            entry = _entry("dim4-nonorientable", citation, "none", "w_2 = 0; w_4 = 0")
-            return Verdict(Outcome.EXISTS, tame, (entry,))
-        entry = _entry("dim4-nonorientable", citation, "w_4", f"w_2 = 0; w_4 = {w4} != 0")
-        return Verdict(Outcome.NOT_EXISTS, tame, (entry,))
+            entry = TraceEntry("dim4-nonorientable", citation, "none", "w_2 = 0; w_4 = 0")
+            return Verdict(Outcome.EXISTS, (entry,))
+        entry = TraceEntry("dim4-nonorientable", citation, "w_4", f"w_2 = 0; w_4 = {w4} != 0")
+        return Verdict(Outcome.NOT_EXISTS, (entry,))
 
     # 5 <= n <= 7
     if not w2.is_zero():
-        entry = _entry("equidim-pin", "Thm 3.7", "w_2", f"w_2 = {w2} != 0")
-        return Verdict(Outcome.NOT_EXISTS, tame, (entry,))
+        entry = TraceEntry("equidim-pin", "Thm 3.7", "w_2", f"w_2 = {w2} != 0")
+        return Verdict(Outcome.NOT_EXISTS, (entry,))
     z = z_status(n, oriented_data, w_diff, p1_diff, torsion_free=m.torsion_free)
     if z.is_zero:
-        entry = _entry("equidim-z", "Thm 3.7", "none", f"w_2 = 0; z = 0 ({z.note})")
-        return Verdict(Outcome.EXISTS, tame, (entry,))
+        entry = TraceEntry("equidim-z", "Thm 3.7", "none", f"w_2 = 0; z = 0 ({z.note})")
+        return Verdict(Outcome.EXISTS, (entry,))
     if z.is_nonzero:
-        entry = _entry("equidim-z", "Thm 3.7", "z", f"w_2 = 0; z != 0 ({z.note})")
-        return Verdict(Outcome.NOT_EXISTS, tame, (entry,))
-    entry = _entry("equidim-z", "Thm 3.7", "z", f"w_2 = 0; z undetermined ({z.note})")
-    return Verdict(Outcome.UNKNOWN, tame, (entry,))
+        entry = TraceEntry("equidim-z", "Thm 3.7", "z", f"w_2 = 0; z != 0 ({z.note})")
+        return Verdict(Outcome.NOT_EXISTS, (entry,))
+    entry = TraceEntry("equidim-z", "Thm 3.7", "z", f"w_2 = 0; z undetermined ({z.note})")
+    return Verdict(Outcome.UNKNOWN, (entry,))
 
 
 # ---------------------------------------------------------------------------
@@ -241,171 +236,155 @@ def decide_to_R3(m: Manifold, tame: bool = False) -> Verdict:
 
     if n == 4:
         if m.orientable:
-            entry = _entry(
+            entry = TraceEntry(
                 "dim4-oriented-R3",
                 "Sadykov-Saeki",
                 "none",
                 "criterion for closed orientable 4-manifolds is stated in external works",
             )
-            return Verdict(Outcome.UNKNOWN, tame, (entry,))
+            return Verdict(Outcome.UNKNOWN, (entry,))
         w4 = m.w.component(4)
         w3_status = m.w3_twisted
         if w3_status.is_nonzero:
-            tame_verdict = Verdict(
-                Outcome.NOT_EXISTS,
-                True,
-                (_entry("dim4-tame-R3", "Thm 5.1", "W_3", f"W_3 != 0 ({w3_status.note})"),),
-            )
+            outcome, obstruction, value = Outcome.NOT_EXISTS, "W_3", f"W_3 != 0 ({w3_status.note})"
         elif not w4.is_zero():
-            tame_verdict = Verdict(
-                Outcome.NOT_EXISTS,
-                True,
-                (_entry("dim4-tame-R3", "Thm 5.1", "w_4", f"w_4 = {w4} != 0"),),
-            )
+            outcome, obstruction, value = Outcome.NOT_EXISTS, "w_4", f"w_4 = {w4} != 0"
         elif w3_status.is_zero:
-            tame_verdict = Verdict(
-                Outcome.EXISTS,
-                True,
-                (_entry("dim4-tame-R3", "Thm 5.1", "none", "W_3 = 0; w_4 = 0"),),
-            )
+            outcome, obstruction, value = Outcome.EXISTS, "none", "W_3 = 0; w_4 = 0"
         else:
-            tame_verdict = Verdict(
+            outcome, obstruction, value = (
                 Outcome.UNKNOWN,
-                True,
-                (_entry("dim4-tame-R3", "Thm 5.1", "W_3", f"w_4 = 0; W_3 undetermined ({w3_status.note})"),),
+                "W_3",
+                f"w_4 = 0; W_3 undetermined ({w3_status.note})",
             )
-        if tame:
-            return tame_verdict
-        if tame_verdict.outcome is Outcome.EXISTS:
-            return Verdict(Outcome.EXISTS, False, tame_verdict.trace)
-        entries = list(tame_verdict.trace)
-        entries.append(
-            _entry(
-                "dim4-nontame-R3",
-                "Rem 5.6",
-                "none",
-                "the tame criterion fails, but it does not obstruct non-tame fold maps",
-            )
+        entry = TraceEntry("dim4-tame-R3", "Thm 5.1", obstruction, value)
+        if tame or outcome is Outcome.EXISTS:
+            return Verdict(outcome, (entry,))
+        nontame = TraceEntry(
+            "dim4-nontame-R3",
+            "Rem 5.6",
+            "none",
+            "the tame criterion fails, but it does not obstruct non-tame fold maps",
         )
-        return Verdict(Outcome.UNKNOWN, False, tuple(entries))
+        return Verdict(Outcome.UNKNOWN, (entry, nontame))
 
     if n % 2 == 1:
         # codimension n - 3 is even, so tame and non-tame verdicts coincide
         wtop = m.w.component(n - 1)
         entries: List[TraceEntry] = []
         if wtop.is_zero():
-            entries.append(_entry("odd-dim-R3", "Rem 5.10", "none", f"w_{n - 1} = 0"))
+            entries.append(TraceEntry("odd-dim-R3", "Rem 5.10", "none", f"w_{n - 1} = 0"))
             outcome = Outcome.EXISTS
         else:
             entries.append(
-                _entry("odd-dim-R3", "Rem 5.10", f"w_{n - 1}", f"w_{n - 1} = {wtop} != 0")
+                TraceEntry("odd-dim-R3", "Rem 5.10", f"w_{n - 1}", f"w_{n - 1} = {wtop} != 0")
             )
             outcome = Outcome.NOT_EXISTS
         if tame:
             entries.append(
-                _entry(
+                TraceEntry(
                     "tame-fold-identification",
                     "Sec 2",
                     "none",
                     f"dim M - 3 = {n - 3} is even: every fold map is tame",
                 )
             )
-        return Verdict(outcome, tame, tuple(entries))
+        return Verdict(outcome, tuple(entries))
 
     if n == 6:
         if m.orientable:
-            entry = _entry(
+            entry = TraceEntry(
                 "dim6-R3",
                 "Thm 5.8",
                 "none",
                 "orientable 6-manifold: a tame fold map always exists",
             )
-            return Verdict(Outcome.EXISTS, tame, (entry,))
+            return Verdict(Outcome.EXISTS, (entry,))
         w4 = m.w.component(4)
         if w4.is_zero():
-            entry = _entry(
+            entry = TraceEntry(
                 "dim6-R3",
                 "Thm 5.8",
                 "none",
                 "W_5 = 0 (W_5 is the twisted Bockstein of w_4, and w_4 = 0)",
             )
-            return Verdict(Outcome.EXISTS, tame, (entry,))
-        entry = _entry(
+            return Verdict(Outcome.EXISTS, (entry,))
+        entry = TraceEntry(
             "dim6-R3",
             "Thm 5.8",
             "none",
             f"W_5 undetermined (w_4 = {w4} != 0 gives no information); the theorem is sufficiency-only",
         )
-        return Verdict(Outcome.UNKNOWN, tame, (entry,))
+        return Verdict(Outcome.UNKNOWN, (entry,))
 
     # n even, n >= 8
     if m.orientable:
         if not tame:
-            entry = _entry(
+            entry = TraceEntry(
                 "even-dim-R3",
                 "Rem 5.10",
                 "none",
                 f"orientable even-dimensional manifold, dim = {n} >= 8",
             )
-            return Verdict(Outcome.EXISTS, False, (entry,))
-        entry = _entry(
+            return Verdict(Outcome.EXISTS, (entry,))
+        entry = TraceEntry(
             "even-dim-R3",
             "Rem 5.10",
             "none",
             "the even-dimensional statement concerns fold maps; tameness is not addressed",
         )
-        return Verdict(Outcome.UNKNOWN, True, (entry,))
-    entry = _entry(
+        return Verdict(Outcome.UNKNOWN, (entry,))
+    entry = TraceEntry(
         "even-dim-R3",
         "Rem 5.10",
         "none",
         f"no criterion for non-orientable manifolds of even dimension {n} >= 8",
     )
-    return Verdict(Outcome.UNKNOWN, tame, (entry,))
+    return Verdict(Outcome.UNKNOWN, (entry,))
 
 
 # ---------------------------------------------------------------------------
 # target R^4, dim M even >= 6
 
 
-def decide_highdim_to_R4(m: Manifold, tame: bool = False) -> Verdict:
+def decide_highdim_to_R4(m: Manifold) -> Verdict:
     """Fold maps of an even-dimensional manifold (dim >= 6) into R^4."""
     n = m.dim
     if n < 6 or n % 2 != 0:
         raise ValueError("decide_highdim_to_R4 expects an even dimension >= 6")
     # codimension n - 4 is even throughout, so tame and fold verdicts coincide
     if n == 6:
-        entry = _entry("dim6-R4", "Rem 4.7", "none", "dimension 6 excluded")
-        return Verdict(Outcome.UNKNOWN, tame, (entry,))
+        entry = TraceEntry("dim6-R4", "Rem 4.7", "none", "dimension 6 excluded")
+        return Verdict(Outcome.UNKNOWN, (entry,))
     if n == 8:
-        entry = _entry("dim8-R4", "Rem 4.4", "none", "dimension 8 excluded")
-        return Verdict(Outcome.UNKNOWN, tame, (entry,))
+        entry = TraceEntry("dim8-R4", "Rem 4.4", "none", "dimension 8 excluded")
+        return Verdict(Outcome.UNKNOWN, (entry,))
     wlow = m.w.component(n - 2)
     if n % 4 == 0:
         if not m.orientable:
-            entry = _entry(
+            entry = TraceEntry(
                 "4k-R4", "Thm 4.3", "none", "the 4k-dimensional criterion requires orientability"
             )
-            return Verdict(Outcome.UNKNOWN, tame, (entry,))
+            return Verdict(Outcome.UNKNOWN, (entry,))
         sigma = m.signature
         if not wlow.is_zero():
-            entry = _entry("4k-R4", "Thm 4.3", f"w_{n - 2}", f"w_{n - 2} = {wlow} != 0")
-            return Verdict(Outcome.NOT_EXISTS, tame, (entry,))
+            entry = TraceEntry("4k-R4", "Thm 4.3", f"w_{n - 2}", f"w_{n - 2} = {wlow} != 0")
+            return Verdict(Outcome.NOT_EXISTS, (entry,))
         if sigma % 8 != 0:
-            entry = _entry(
+            entry = TraceEntry(
                 "4k-R4", "Thm 4.3", "sigma", f"w_{n - 2} = 0; sigma = {sigma} not divisible by 8"
             )
-            return Verdict(Outcome.NOT_EXISTS, tame, (entry,))
-        entry = _entry(
+            return Verdict(Outcome.NOT_EXISTS, (entry,))
+        entry = TraceEntry(
             "4k-R4", "Thm 4.3", "none", f"w_{n - 2} = 0; sigma = {sigma} divisible by 8"
         )
-        return Verdict(Outcome.EXISTS, tame, (entry,))
+        return Verdict(Outcome.EXISTS, (entry,))
     # n = 4k + 2, k > 1 here since n >= 10
     if wlow.is_zero():
-        entry = _entry("4k+2-R4", "Thm 4.6", "none", f"w_{n - 2} = 0")
-        return Verdict(Outcome.EXISTS, tame, (entry,))
-    entry = _entry("4k+2-R4", "Thm 4.6", f"w_{n - 2}", f"w_{n - 2} = {wlow} != 0")
-    return Verdict(Outcome.NOT_EXISTS, tame, (entry,))
+        entry = TraceEntry("4k+2-R4", "Thm 4.6", "none", f"w_{n - 2} = 0")
+        return Verdict(Outcome.EXISTS, (entry,))
+    entry = TraceEntry("4k+2-R4", "Thm 4.6", f"w_{n - 2}", f"w_{n - 2} = {wlow} != 0")
+    return Verdict(Outcome.NOT_EXISTS, (entry,))
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +394,17 @@ def decide_highdim_to_R4(m: Manifold, tame: bool = False) -> Verdict:
 def _route(m: Manifold, p: int, tame: bool) -> Verdict:
     n = m.dim
     if p <= 2:
-        return decide_low_codim(m, p, tame)
+        return decide_low_codim(m, p)
     if p == n:
-        return decide_equidim(m, TargetSpec.euclidean(p), tame)
+        return decide_equidim(m, TargetSpec.euclidean(p))
     if p == 3 and n >= 4:
         return decide_to_R3(m, tame)
     if p == 4 and n >= 6 and n % 2 == 0:
-        return decide_highdim_to_R4(m, tame)
-    entry = _entry(
+        return decide_highdim_to_R4(m)
+    entry = TraceEntry(
         "no-rule", "none", "none", f"no criterion covers maps of a {n}-manifold into R^{p}"
     )
-    return Verdict(Outcome.UNKNOWN, tame, (entry,))
+    return Verdict(Outcome.UNKNOWN, (entry,))
 
 
 def _sufficiency_chain(m: Manifold, p: int, tame: bool, verdict: Verdict) -> Verdict:
@@ -433,7 +412,7 @@ def _sufficiency_chain(m: Manifold, p: int, tame: bool, verdict: Verdict) -> Ver
     if m.stably_parallelizable:
         if tame:
             entries.append(
-                _entry(
+                TraceEntry(
                     "stably-parallelizable",
                     "Cor 2.4",
                     "none",
@@ -442,54 +421,44 @@ def _sufficiency_chain(m: Manifold, p: int, tame: bool, verdict: Verdict) -> Ver
             )
         else:
             entries.append(
-                _entry(
+                TraceEntry(
                     "stably-parallelizable",
                     "Eliashberg",
                     "none",
                     "M is stably parallelizable: every map to R^p is homotopic to a fold map",
                 )
             )
-        return Verdict(Outcome.EXISTS, tame, tuple(entries))
+        return Verdict(Outcome.EXISTS, tuple(entries))
     bounds = stable_span_bounds(m)
     if bounds.lower >= p - 1:
         entries.append(
-            _entry(
+            TraceEntry(
                 "span-lower",
                 "Cor 2.4",
                 "none",
                 f"stable span >= {bounds.lower} >= p - 1 = {p - 1}: a tame fold map exists",
             )
         )
-        return Verdict(Outcome.EXISTS, tame, tuple(entries))
-    if bounds.upper < p - 1:
-        if tame:
-            entries.append(
-                _entry(
-                    "span-upper",
-                    "Cor 2.4",
-                    "span^0",
-                    f"stable span <= {bounds.upper} < p - 1 = {p - 1}",
-                )
+        return Verdict(Outcome.EXISTS, tuple(entries))
+    if bounds.upper < p - 1 and (tame or (m.dim - p) % 2 == 0):
+        entries.append(
+            TraceEntry(
+                "span-upper",
+                "Cor 2.4",
+                "span^0",
+                f"stable span <= {bounds.upper} < p - 1 = {p - 1}",
             )
-            return Verdict(Outcome.NOT_EXISTS, True, tuple(entries))
-        if (m.dim - p) % 2 == 0:
+        )
+        if not tame:
             entries.append(
-                _entry(
-                    "span-upper",
-                    "Cor 2.4",
-                    "span^0",
-                    f"stable span <= {bounds.upper} < p - 1 = {p - 1}",
-                )
-            )
-            entries.append(
-                _entry(
+                TraceEntry(
                     "tame-fold-identification",
                     "Sec 2",
                     "none",
                     f"dim M - p = {m.dim - p} is even: every fold map is tame",
                 )
             )
-            return Verdict(Outcome.NOT_EXISTS, False, tuple(entries))
+        return Verdict(Outcome.NOT_EXISTS, tuple(entries))
     return verdict
 
 
@@ -509,7 +478,7 @@ def decide_fold(m: Manifold, target: TargetSpec, tame: bool = False) -> Verdict:
             raise ValueError(
                 f"pullback target has dimension {p}, expected dim M = {m.dim}"
             )
-        return decide_equidim(m, target, tame)
+        return decide_equidim(m, target)
     if p > m.dim:
         raise ValueError(f"target dimension {p} exceeds dim M = {m.dim}")
     verdict = _route(m, p, tame)
@@ -520,9 +489,6 @@ def decide_fold(m: Manifold, target: TargetSpec, tame: bool = False) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # stable-span bounds
-
-
-_SPAN_CACHE: "weakref.WeakKeyDictionary[Manifold, SpanBounds]" = weakref.WeakKeyDictionary()
 
 
 def stable_span_bounds(m: Manifold) -> SpanBounds:
@@ -537,16 +503,13 @@ def stable_span_bounds(m: Manifold) -> SpanBounds:
     """
     if not m.connected:
         raise ValueError(f"span bounds require a connected manifold; {m.name} is not connected")
-    cached = _SPAN_CACHE.get(m)
-    if cached is not None:
-        return cached
     n = m.dim
     lower, upper = 0, n
     entries: List[TraceEntry] = []
     if m.stably_parallelizable:
         lower = n
         entries.append(
-            _entry(
+            TraceEntry(
                 "stably-parallelizable",
                 "Rem 2.5",
                 "none",
@@ -558,7 +521,7 @@ def stable_span_bounds(m: Manifold) -> SpanBounds:
         if core.outcome is Outcome.EXISTS and p - 1 > lower:
             lower = p - 1
             entries.append(
-                _entry(
+                TraceEntry(
                     f"scan-R^{p}",
                     "Cor 2.4",
                     "none",
@@ -568,7 +531,7 @@ def stable_span_bounds(m: Manifold) -> SpanBounds:
         elif core.outcome is Outcome.NOT_EXISTS and p - 2 < upper:
             upper = p - 2
             entries.append(
-                _entry(
+                TraceEntry(
                     f"scan-R^{p}",
                     "Cor 2.4",
                     "none",
@@ -588,24 +551,22 @@ def stable_span_bounds(m: Manifold) -> SpanBounds:
             if ok and lower < 3:
                 lower = 3
                 entries.append(
-                    _entry("3-frame", citation, "none", "chi = 0 and the 3-frame criterion holds => span >= 3")
+                    TraceEntry("3-frame", citation, "none", "chi = 0 and the 3-frame criterion holds => span >= 3")
                 )
             elif not ok and upper > 2:
                 upper = 2
                 entries.append(
-                    _entry("3-frame", citation, "none", "chi = 0 and the 3-frame criterion fails => span <= 2")
+                    TraceEntry("3-frame", citation, "none", "chi = 0 and the 3-frame criterion fails => span <= 2")
                 )
                 entries.append(
-                    _entry(
+                    TraceEntry(
                         "span-stabilization",
                         "Thm 4.1",
                         "none",
                         "chi = 0 and dim even: span = span^0, so span^0 <= 2",
                     )
                 )
-    bounds = SpanBounds(lower, upper, tuple(entries))
-    _SPAN_CACHE[m] = bounds
-    return bounds
+    return SpanBounds(lower, upper, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +587,7 @@ class ThomTable:
     entries: Tuple[ThomEntry, ...]
 
 
-def _class_entry(name: str, degree: int, cls: ClassZ2) -> ThomEntry:
+def _classTraceEntry(name: str, degree: int, cls: ClassZ2) -> ThomEntry:
     return ThomEntry(name, degree, str(cls), cls.is_zero())
 
 
@@ -640,7 +601,7 @@ def _beta_w3_status(w_total: TotalClass) -> TriState:
     return TriState.unknown("w_3 != 0 but w_1 w_3 = 0")
 
 
-def _integral_entry(p1: P1Data, beta: Optional[TriState]) -> ThomEntry:
+def _integralTraceEntry(p1: P1Data, beta: Optional[TriState]) -> ThomEntry:
     neg = p1_negate(p1)
     if beta is None or beta.is_zero:
         value = str(neg)
@@ -699,7 +660,7 @@ def thom_polynomials(m: Manifold, difference: Optional[BundleDescriptor] = None)
             raise InvariantViolation(
                 "thom-identity", f"{name}: dual-class form {dual_form} != simplified form {w_form}"
             )
-        entries.append(_class_entry(name, degree, w_form))
+        entries.append(_classTraceEntry(name, degree, w_form))
     beta = None if n == 4 else _beta_w3_status(w_total)
-    entries.append(_integral_entry(p1, beta))
+    entries.append(_integralTraceEntry(p1, beta))
     return ThomTable(n, tuple(entries))

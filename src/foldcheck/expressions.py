@@ -122,7 +122,13 @@ class _Parser:
             raise ExpressionError("unexpected end of expression", self.length)
         if token.kind == "int":
             self.advance()
-            count = int(token.text)
+            # Too many digits is over the bound whatever they are; checking
+            # the length first keeps int() off strings it refuses to convert.
+            digits = token.text.lstrip("0")
+            if len(digits) > len(str(self.MAX_COUNT)):
+                count = self.MAX_COUNT + 1
+            else:
+                count = int(digits or "0")
             if count < 1:
                 raise ExpressionError("repetition count must be >= 1", token.pos)
             if count > self.MAX_COUNT:

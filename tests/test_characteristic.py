@@ -12,7 +12,6 @@ from foldcheck.characteristic import (
     dual_classes,
     structure_flags,
     tangent_descriptor,
-    trivial_descriptor,
     virtual_difference,
     w3_shadow,
     w3_twisted_status,
@@ -123,6 +122,16 @@ def test_w3_status_passthrough_when_undecided():
 
 # ---------------------------------------------------------------------------
 # bundle descriptors and virtual differences
+
+
+def trivial_descriptor(algebra, rank: int) -> BundleDescriptor:
+    """The trivial rank-``rank`` bundle: w = 1 and p_1 = 0."""
+    return BundleDescriptor(
+        rank=rank,
+        w_total=TotalClass.unit_total(algebra),
+        p1=P1Data.integer(0, "trivial bundle"),
+        orientable=True,
+    )
 
 
 def test_trivial_descriptor_shape():

@@ -1,13 +1,18 @@
 """End-to-end CLI tests: golden outputs, exit codes, and format stability."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from foldcheck.cli import main
 
@@ -29,6 +34,9 @@ def run(capsys, *argv):
 GOLDEN_CASES = [
     ("decide_rp4_r4.json", ["decide", "RP4", "--target", "R4", "--format", "json"]),
     ("decide_3rp4_r3_tame.txt", ["decide", "3#RP4", "--target", "R3", "--tame"]),
+    ("decide_cp2_self.json", ["decide", "CP2", "--target", "self", "--format", "json"]),
+    ("decide_s2xs3_r5_explain.txt", ["decide", "S2 x S3", "--target", "R5", "--explain"]),
+    ("decide_rp6_r5_tame.txt", ["decide", "RP6", "--target", "R5", "--tame"]),
     ("thom_rp4_x_s1.txt", ["thom", "RP4 x S1"]),
     ("invariants_rp4.txt", ["invariants", "RP4"]),
     ("span_k3.txt", ["span", "K3"]),
@@ -289,3 +297,31 @@ def test_thom_against_own_tangent_vanishes(capsys):
     code, out, err = run(capsys, "thom", "CP2", "--target", "self")
     assert code == 0
     assert "nonzero" not in out
+
+
+# ---------------------------------------------------------------------------
+# grammar fuzz
+
+
+_FUZZ_TOKENS = st.one_of(
+    st.sampled_from(
+        ["K3", "CP2~"] + [f"{f}{i}" for f in ("S", "RP", "CP", "Sigma", "N") for i in range(10)]
+    ),
+    st.sampled_from(["0", "1", "2", "3", "1001", "9" * 5000]),
+    st.sampled_from(["#", "x", "(", ")"]),
+)
+
+
+# Tokens are joined with spaces so that neighbours never lex as one token
+# (``RP3`` then ``1001`` would otherwise read as the atom ``RP31001``).
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_FUZZ_TOKENS, max_size=7))
+@example(["9" * 5000, "#", "RP4"])
+def test_invariants_on_grammar_tokens_exits_0_or_2_with_a_position(tokens):
+    expr = " ".join(tokens)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["invariants", expr])
+    assert code in (0, 2), (expr, err.getvalue())
+    if code == 2:
+        assert re.search(r"\(at position \d+\)\n$", err.getvalue()), (expr, err.getvalue())

@@ -4,7 +4,8 @@ from __future__ import annotations
 import pytest
 
 from foldcheck.catalog import atom, connected_sum, product, sphere
-from foldcheck.characteristic import tangent_descriptor, trivial_descriptor
+from foldcheck import decide
+from foldcheck.characteristic import tangent_descriptor
 from foldcheck.decide import (
     Outcome,
     TargetSpec,
@@ -20,6 +21,7 @@ from foldcheck.decide import (
 from foldcheck.errors import InvariantViolation
 from foldcheck.expressions import parse_expression
 from foldcheck.tristate import TriState
+from test_characteristic import trivial_descriptor
 
 
 def verdict_of(expr: str, p: int, tame: bool = False) -> Verdict:
@@ -116,8 +118,8 @@ def test_low_codim_rejects_other_targets():
 # equidimensional targets and pullbacks
 
 
-def decide_dim4_to_R4(m, tame: bool = False) -> Verdict:
-    return decide_equidim(m, TargetSpec.euclidean(4), tame)
+def decide_dim4_to_R4(m) -> Verdict:
+    return decide_equidim(m, TargetSpec.euclidean(4))
 
 
 def test_dim4_oriented_spin_flat_case():
@@ -155,6 +157,48 @@ def test_pullback_must_be_equidimensional():
     s3 = atom("S3")
     with pytest.raises(ValueError, match="expected dim M"):
         decide_fold(s3, bad)
+
+
+def test_euclidean_target_matches_the_trivial_pullback(connected_closure):
+    # R^n reads w and p_1 off the record; the pullback of the trivial
+    # bundle goes through the virtual difference.  Only the n = 4
+    # citation tells them apart (Cor 3.5 against Thm 3.4).
+    checked = 0
+    for m in connected_closure:
+        n = m.dim
+        if not 4 <= n <= 7:
+            continue
+        trivial = TargetSpec.pullback(n, trivial_descriptor(m.algebra, n))
+        for tame in (False, True):
+            euclid = decide_fold(m, TargetSpec.euclidean(n), tame)
+            pulled = decide_fold(m, trivial, tame)
+            assert euclid.outcome is pulled.outcome, m.name
+            assert [(e.rule, e.obstruction, e.value) for e in euclid.trace] == [
+                (e.rule, e.obstruction, e.value) for e in pulled.trace
+            ], m.name
+            for e, t in zip(euclid.trace, pulled.trace):
+                if e.citation != t.citation:
+                    assert n == 4, m.name
+                    assert e.citation in ("Cor 3.5(i)", "Cor 3.5(ii)")
+                    assert t.citation == "Thm 3.4"
+            checked += 1
+    assert checked > 0
+
+
+def test_record_targets_skip_the_virtual_difference(monkeypatch, connected_closure):
+    def refuse(*args, **kwargs):
+        raise AssertionError("R^p and S^p targets must read w and p_1 from the record")
+
+    monkeypatch.setattr(decide, "virtual_difference", refuse)
+    monkeypatch.setattr(decide, "invert_total", refuse)
+    for m in connected_closure:
+        n = m.dim
+        if not 4 <= n <= 7:
+            continue
+        for tame in (False, True):
+            decide_fold(m, TargetSpec.euclidean(n), tame)
+            decide_fold(m, TargetSpec.sphere(n), tame)
+        stable_span_bounds(m)
 
 
 def test_equidim_mid_dimensions():
@@ -314,11 +358,11 @@ def test_target_labels():
 
 def test_verdict_invariants():
     with pytest.raises(InvariantViolation, match="verdict-trace"):
-        Verdict(Outcome.EXISTS, False, ())
+        Verdict(Outcome.EXISTS, ())
     from foldcheck.decide import TraceEntry
 
     with pytest.raises(InvariantViolation, match="obstruction"):
-        Verdict(Outcome.NOT_EXISTS, False, (TraceEntry("r", "c", "none", "v"),))
+        Verdict(Outcome.NOT_EXISTS, (TraceEntry("r", "c", "none", "v"),))
 
 
 def test_outcome_rendering():

@@ -98,6 +98,11 @@ def test_repetition_builds_one_connected_sum(monkeypatch):
     assert calls == [30]
 
 
+def test_repetition_count_with_leading_zeros():
+    assert same_record(parse_expression("0001#RP4"), atom("RP4"))
+    assert same_record(parse_expression("0" * 5000 + "2#RP4"), parse_expression("2#RP4"))
+
+
 def test_repetition_applies_to_the_factor_only():
     # 2#RP4 # S4 means (RP4 # RP4) # S4
     got = parse_expression("2#RP4 # S4")
@@ -125,6 +130,12 @@ def test_repetition_applies_to_the_factor_only():
         ),
         pytest.param("2#" * 3000 + "RP4", 200, "nests deeper than 100", id="deep-repeats"),
         ("1001#S4", 0, "repetition count must be <= 1000"),
+        pytest.param(
+            "9" * 5000 + "#RP4", 0, "repetition count must be <= 1000", id="5000-digit-count"
+        ),
+        pytest.param(
+            "0" * 5000 + "#RP4", 0, "repetition count must be >= 1", id="5000-zero-count"
+        ),
         ("1000#RP4", 4, "over the budget of 33554432 bytes"),
         ("K3 x K3 x K3", 8, "over the budget of 33554432 bytes"),
         pytest.param("2#" * 40 + "RP4", 65, "over the budget", id="nested-repeats-budget"),
