@@ -42,10 +42,35 @@ __all__ = [
 ]
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a) -> np.ndarray:
+    """Outside data reduced mod 2 into a fresh, read-only uint8 array."""
     a = to_gf2(a)
     a.setflags(write=False)
     return a
+
+
+def _class(A: "GradedAlgebra", d: int, coords: np.ndarray) -> "ClassZ2":
+    """A class on a 0/1 uint8 array the package just built or already froze.
+
+    The array is frozen in place, not copied or reduced again; the public
+    constructor does both, for coordinates from outside.
+    """
+    coords.setflags(write=False)
+    x = object.__new__(ClassZ2)
+    object.__setattr__(x, "algebra", A)
+    object.__setattr__(x, "degree", d)
+    object.__setattr__(x, "coords", coords)
+    return x
+
+
+def _total(A: "GradedAlgebra", comps: Sequence[np.ndarray]) -> "TotalClass":
+    """A total class on 0/1 uint8 components the package built; see ``_class``."""
+    for c in comps:
+        c.setflags(write=False)
+    x = object.__new__(TotalClass)
+    object.__setattr__(x, "algebra", A)
+    object.__setattr__(x, "components", tuple(comps))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +125,7 @@ class GradedAlgebra:
         return ClassZ2(self, d, np.zeros(self.rank(d), dtype=np.uint8))
 
     def one(self) -> "ClassZ2":
-        return ClassZ2(self, 0, self.unit)
+        return _class(self, 0, self.unit)
 
     def element(self, d: int, coords: Iterable[int]) -> "ClassZ2":
         return ClassZ2(self, d, np.asarray(list(coords), dtype=np.uint8))
@@ -108,7 +133,7 @@ class GradedAlgebra:
     def basis_element(self, d: int, i: int) -> "ClassZ2":
         coords = np.zeros(self.rank(d), dtype=np.uint8)
         coords[i] = 1
-        return ClassZ2(self, d, coords)
+        return _class(self, d, coords)
 
     def __repr__(self) -> str:
         return f"GradedAlgebra(top_degree={self.top_degree}, ranks={list(self.ranks)})"
@@ -140,7 +165,7 @@ class ClassZ2:
         _check_same_algebra(self, other)
         if self.degree != other.degree:
             raise ValueError("cannot add classes of different degrees")
-        return ClassZ2(self.algebra, self.degree, (self.coords ^ other.coords))
+        return _class(self.algebra, self.degree, self.coords ^ other.coords)
 
     def __mul__(self, other: "ClassZ2") -> "ClassZ2":
         return multiply(self, other)
@@ -189,12 +214,12 @@ class TotalClass:
     @staticmethod
     def unit_total(algebra: GradedAlgebra) -> "TotalClass":
         comps = [np.zeros(algebra.rank(d), dtype=np.uint8) for d in range(algebra.top_degree + 1)]
-        comps[0] = algebra.unit.copy()
-        return TotalClass(algebra, tuple(comps))
+        comps[0] = algebra.unit
+        return _total(algebra, comps)
 
     def component(self, d: int) -> ClassZ2:
         if 0 <= d <= self.algebra.top_degree:
-            return ClassZ2(self.algebra, d, self.components[d])
+            return _class(self.algebra, d, self.components[d])
         return self.algebra.zero(d)
 
     def __mul__(self, other: "TotalClass") -> "TotalClass":
@@ -212,7 +237,7 @@ class TotalClass:
                 out[d1 + d2] ^= (
                     np.einsum("i,j,ijo->o", self.components[d1], other.components[d2], blk) % 2
                 ).astype(np.uint8)
-        return TotalClass(A, tuple(out))
+        return _total(A, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TotalClass):
@@ -257,9 +282,17 @@ def build_algebra(
     ``(k, d)`` to ``(r_d, r_{d+k})`` matrices.  Unit blocks and ``Sq^0`` are
     filled in automatically when the degree-0 rank is 1.  The assembled
     algebra must pass every axiom of :func:`validate_algebra`; a failure
-    raises ``InvariantViolation("algebra-axioms", ...)``.
+    raises ``InvariantViolation("algebra-axioms", ...)``.  Every table and
+    vector is read mod 2.
     """
-    alg = _assemble_algebra(top_degree, basis, mult, sq, unit=unit, fundamental=fundamental)
+    alg = _assemble_algebra(
+        top_degree,
+        basis,
+        {key: to_gf2(blk) for key, blk in (mult or {}).items()},
+        {key: to_gf2(blk) for key, blk in (sq or {}).items()},
+        unit=None if unit is None else to_gf2(list(unit)),
+        fundamental=None if fundamental is None else to_gf2(list(fundamental)),
+    )
     report = validate_algebra(alg)
     if not report.ok:
         raise InvariantViolation("algebra-axioms", "; ".join(report.violations))
@@ -279,6 +312,8 @@ def _assemble_algebra(
 
     For constructions that are algebras by construction: the closed-form
     catalog atoms, Kunneth products and connected sums of valid algebras.
+    Tables come as 0/1 uint8 arrays that the caller hands over: they are
+    frozen in place, not copied or reduced.
     """
     if top_degree < 0:
         raise ValueError("top_degree must be >= 0")
@@ -292,12 +327,12 @@ def _assemble_algebra(
     n = top_degree
 
     unit_v = (
-        np.asarray(list(unit), dtype=np.uint8)
+        np.asarray(unit, dtype=np.uint8)
         if unit is not None
         else _indicator(ranks[0], 0 if ranks[0] else None)
     )
     fund_v = (
-        np.asarray(list(fundamental), dtype=np.uint8)
+        np.asarray(fundamental, dtype=np.uint8)
         if fundamental is not None
         else _indicator(ranks[n], 0 if ranks[n] else None)
     )
@@ -310,22 +345,20 @@ def _assemble_algebra(
     sq_in = dict(sq or {})
     for (d1, d2), blk in mult_in.items():
         if d1 < 0 or d2 < 0 or d1 + d2 > n:
-            if to_gf2(blk).any():
+            if blk.any():
                 raise ValueError(f"nonzero product table outside the grading: ({d1}, {d2})")
     for (k, d), blk in sq_in.items():
         if k < 0 or d < 0 or d > n:
             raise ValueError(f"Steenrod table key out of range: ({k}, {d})")
-        if (k > d or d + k > n) and to_gf2(blk).any():
+        if (k > d or d + k > n) and blk.any():
             raise ValueError(f"nonzero Sq^{k} table on degree {d} is out of range")
 
-    # Each block below is a fresh 0/1 array (to_gf2 copies), so freezing it
-    # in place is safe.
     mult_t: dict[tuple[int, int], np.ndarray] = {}
     for d1 in range(n + 1):
         for d2 in range(n + 1 - d1):
             key = (d1, d2)
             if key in mult_in:
-                blk = to_gf2(mult_in[key])
+                blk = mult_in[key]
             elif (d1 == 0 or d2 == 0) and ranks[0] == 1 and unit_v[0] == 1:
                 if d1 == 0 and d2 == 0:
                     blk = np.ones((1, 1, 1), dtype=np.uint8)
@@ -345,7 +378,7 @@ def _assemble_algebra(
         for k in range(0, min(d, n - d) + 1):
             key = (k, d)
             if key in sq_in:
-                blk = to_gf2(sq_in[key])
+                blk = sq_in[key]
             elif k == 0:
                 blk = np.eye(ranks[d], dtype=np.uint8)
             else:
@@ -355,13 +388,15 @@ def _assemble_algebra(
             blk.setflags(write=False)
             sq_t[key] = blk
 
+    unit_v.setflags(write=False)
+    fund_v.setflags(write=False)
     return GradedAlgebra(
         top_degree=n,
         basis=basis_t,
         mult=mult_t,
         sq_table=sq_t,
-        fundamental=_frozen(fund_v),
-        unit=_frozen(unit_v),
+        fundamental=fund_v,
+        unit=unit_v,
     )
 
 
@@ -566,8 +601,7 @@ def multiply(x: ClassZ2, y: ClassZ2) -> ClassZ2:
     if d > A.top_degree:
         return A.zero(d)
     blk = A.mult_block(x.degree, y.degree)
-    coords = np.einsum("i,j,ijo->o", x.coords, y.coords, blk) % 2
-    return ClassZ2(A, d, coords.astype(np.uint8))
+    return _class(A, d, np.einsum("i,j,ijo->o", x.coords, y.coords, blk) % 2)
 
 
 def steenrod_square(k: int, x: ClassZ2) -> ClassZ2:
@@ -578,8 +612,7 @@ def steenrod_square(k: int, x: ClassZ2) -> ClassZ2:
     d = x.degree
     if k > d or d + k > A.top_degree:
         return A.zero(d + k)
-    coords = (x.coords @ A.sq_block(k, d)) % 2
-    return ClassZ2(A, d + k, coords.astype(np.uint8))
+    return _class(A, d + k, (x.coords @ A.sq_block(k, d)) % 2)
 
 
 def total_sq(v: TotalClass) -> TotalClass:
@@ -593,7 +626,7 @@ def total_sq(v: TotalClass) -> TotalClass:
             continue
         for k in range(0, min(j, n - j) + 1):
             out[j + k] ^= ((comp @ A.sq_block(k, j)) % 2).astype(np.uint8)
-    return TotalClass(A, tuple(out))
+    return _total(A, out)
 
 
 def evaluate_top(x: ClassZ2) -> int:
@@ -611,7 +644,7 @@ def invert_total(u: TotalClass) -> TotalClass:
     if not np.array_equal(u.components[0], A.unit):
         raise ValueError("invert_total needs a unital degree-0 component")
     inv = [np.zeros(A.rank(t), dtype=np.uint8) for t in range(n + 1)]
-    inv[0] = A.unit.copy()
+    inv[0] = A.unit
     for d in range(1, n + 1):
         acc = np.zeros(A.rank(d), dtype=np.uint8)
         for i in range(1, d + 1):
@@ -622,7 +655,7 @@ def invert_total(u: TotalClass) -> TotalClass:
                 np.uint8
             )
         inv[d] = acc
-    return TotalClass(A, tuple(inv))
+    return _total(A, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -684,15 +717,43 @@ def _kunneth_layout(A: GradedAlgebra, B: GradedAlgebra, d: int) -> list[tuple[in
     return out
 
 
+def _spread(a: np.ndarray, side: int) -> np.ndarray:
+    """``a`` with a unit axis after (side 0) or before (side 1) each axis.
+
+    ``_spread(a, 0) & _spread(b, 1)`` is the outer product of two 0/1 arrays
+    of equal rank with their axes interleaved; merging each pair of axes
+    gives the Kronecker product, entry ``(a_0 r_b0 + b_0, ...)`` being
+    ``a[a_0, ...] & b[b_0, ...]``.
+    """
+    return a.reshape([x for r in a.shape for x in ((r, 1) if side == 0 else (1, r))])
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two 0/1 arrays of equal rank."""
+    return (_spread(a, 0) & _spread(b, 1)).reshape([x * y for x, y in zip(a.shape, b.shape)])
+
+
+def _spread_nonzero(tables: Mapping[tuple[int, int], np.ndarray], side: int) -> list:
+    """``(key, shape, spread block)`` for each table with a nonzero entry."""
+    return [(key, blk.shape, _spread(blk, side)) for key, blk in tables.items() if blk.any()]
+
+
 def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
-    """Tensor-product algebra on pair bases, Steenrod squares via Cartan."""
+    """Tensor-product algebra on pair bases, Steenrod squares via Cartan.
+
+    A's product block ``(i1, i2)`` times B's block ``(j1, j2)`` fills its own
+    slice of block ``(i1 + j1, i2 + j2)``, and each entry there is a product
+    of two bits: the piece is written once, as an outer product.  So is each
+    Cartan piece ``Sq^u (x) Sq^v`` of ``Sq^(u+v)``.  Zero blocks add nothing.
+    """
     n = A.top_degree + B.top_degree
     _check_table_budget(
         [sum(A.rank(i) * B.rank(d - i) for i in range(d + 1)) for d in range(n + 1)]
     )
     labels_b = _disambiguate(B.basis, _prime_counts(l for deg in A.basis[1:] for l in deg))
     layouts = [_kunneth_layout(A, B, d) for d in range(n + 1)]
-    outs = [{(i, j): s for i, j, s in layout} for layout in layouts]
+    # start[d][i]: first index of the (i, d - i) basis pairs in degree d
+    start = [{i: s for i, _, s in layout} for layout in layouts]
 
     basis: list[list[str]] = []
     for d in range(n + 1):
@@ -704,68 +765,58 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
         basis.append(row)
     ranks = [len(b) for b in basis]
 
-    mult: dict[tuple[int, int], np.ndarray] = {}
-    for d1 in range(n + 1):
-        for d2 in range(n + 1 - d1):
-            blk = np.zeros((ranks[d1], ranks[d2], ranks[d1 + d2]), dtype=np.uint8)
-            out = outs[d1 + d2]
-            for i1, j1, s1 in layouts[d1]:
-                for i2, j2, s2 in layouts[d2]:
-                    key = (i1 + i2, j1 + j2)
-                    if key not in out:
-                        continue
-                    ma = A.mult_block(i1, i2)
-                    mb = B.mult_block(j1, j2)
-                    piece = np.einsum("ACO,BDP->ABCDOP", ma, mb).reshape(
-                        ma.shape[0] * mb.shape[0],
-                        ma.shape[1] * mb.shape[1],
-                        ma.shape[2] * mb.shape[2],
-                    )
-                    so = out[key]
-                    blk[
-                        s1 : s1 + piece.shape[0],
-                        s2 : s2 + piece.shape[1],
-                        so : so + piece.shape[2],
-                    ] ^= (piece % 2).astype(np.uint8)
-            mult[(d1, d2)] = blk
+    mult = {
+        (d1, d2): np.zeros((ranks[d1], ranks[d2], ranks[d1 + d2]), dtype=np.uint8)
+        for d1 in range(n + 1)
+        for d2 in range(n + 1 - d1)
+    }
+    mult_b = _spread_nonzero(B.mult, 1)
+    for (i1, i2), (ra1, ra2, rao), ma in _spread_nonzero(A.mult, 0):
+        for (j1, j2), (rb1, rb2, rbo), mb in mult_b:
+            d1, d2 = i1 + j1, i2 + j2
+            s1, s2, so = start[d1][i1], start[d2][i2], start[d1 + d2][i1 + i2]
+            r1, r2, ro = ra1 * rb1, ra2 * rb2, rao * rbo
+            mult[(d1, d2)][s1 : s1 + r1, s2 : s2 + r2, so : so + ro] = (ma & mb).reshape(r1, r2, ro)
 
-    sq: dict[tuple[int, int], np.ndarray] = {}
-    for d in range(n + 1):
-        for k in range(1, min(d, n - d) + 1):
-            blk = np.zeros((ranks[d], ranks[d + k]), dtype=np.uint8)
-            out = outs[d + k]
-            for i, j, s in layouts[d]:
-                for u in range(0, k + 1):
-                    v = k - u
-                    if u > i or v > j or (i + u, j + v) not in out:
-                        continue
-                    piece = np.kron(A.sq_block(u, i), B.sq_block(v, j))
-                    so = out[(i + u, j + v)]
-                    blk[s : s + piece.shape[0], so : so + piece.shape[1]] ^= (
-                        piece % 2
-                    ).astype(np.uint8)
-            sq[(k, d)] = blk
+    sq = {
+        (k, d): np.zeros((ranks[d], ranks[d + k]), dtype=np.uint8)
+        for d in range(n + 1)
+        for k in range(1, min(d, n - d) + 1)
+    }
+    sq_b = _spread_nonzero(B.sq_table, 1)
+    for (u, i), (ra, rao), sa in _spread_nonzero(A.sq_table, 0):
+        for (v, j), (rb, rbo), sb in sq_b:
+            if u + v == 0:
+                continue  # Sq^0 is the identity, which the assembler fills in
+            s, so = start[i + j][i], start[i + j + u + v][i + u]
+            r, ro = ra * rb, rao * rbo
+            sq[(u + v, i + j)][s : s + r, so : so + ro] = (sa & sb).reshape(r, ro)
 
     return _assemble_algebra(
         n,
         basis,
         mult,
         sq,
-        unit=np.kron(A.unit, B.unit),
-        fundamental=np.kron(A.fundamental, B.fundamental),
+        unit=_outer(A.unit, B.unit),
+        fundamental=_outer(A.fundamental, B.fundamental),
     )
 
 
 def cross_total(P: GradedAlgebra, u: TotalClass, v: TotalClass) -> TotalClass:
     """Cross product of total classes (degreewise Kunneth placement)."""
-    A, B = u.algebra, v.algebra
-    n = P.top_degree
-    out = [np.zeros(P.rank(t), dtype=np.uint8) for t in range(n + 1)]
-    for t in range(n + 1):
-        for i, j, s in _kunneth_layout(A, B, t):
-            piece = np.kron(u.components[i], v.components[j])
-            out[t][s : s + piece.size] ^= piece
-    return TotalClass(P, tuple(out))
+    na, nb = u.algebra.top_degree, v.algebra.top_degree
+    out = [
+        np.concatenate(
+            [
+                _outer(u.components[i], v.components[t - i])
+                for i in range(max(0, t - nb), min(t, na) + 1)
+            ]
+        )
+        for t in range(na + nb + 1)
+    ]
+    if tuple(len(c) for c in out) != P.ranks:
+        raise ValueError("cross_total needs the Kunneth product of the two algebras")
+    return _total(P, out)
 
 
 # ---------------------------------------------------------------------------

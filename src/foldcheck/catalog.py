@@ -16,7 +16,7 @@ tests go through the stored invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import comb
 from typing import Any, Mapping
 
@@ -76,6 +76,16 @@ class Manifold:
     @property
     def connected(self) -> bool:
         return self.algebra.rank(0) == 1
+
+    @cached_property
+    def _verdicts(self) -> dict:
+        """What ``decide`` derived for this record, filled there on first use.
+
+        Keys are ``(p, tame)`` for the core verdict into R^p and ``"span"``
+        for the stable-span bounds.  The table lives in the instance dict,
+        so ``dataclasses.replace`` starts the new record with an empty one.
+        """
+        return {}
 
     def __repr__(self) -> str:
         return f"Manifold({self.name!r}, dim={self.dim})"
@@ -628,6 +638,13 @@ def _require_bool(doc: Mapping[str, Any], key: str, default: bool | None = None)
     return value
 
 
+def _require_list(doc: Mapping[str, Any], key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError(f"field {key!r} must be a list of entries")
+    return value
+
+
 def _coords(entry: Any, length: int, where: str) -> np.ndarray:
     if not isinstance(entry, (list, tuple)) or len(entry) != length:
         raise SchemaError(f"{where}: expected a 0/1 vector of length {length}")
@@ -699,7 +716,7 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
         raise SchemaError(f"basis: {exc}") from exc
 
     mult_tables: dict[tuple[int, int], np.ndarray] = {}
-    for pos, entry in enumerate(doc.get("mult", [])):
+    for pos, entry in enumerate(_require_list(doc, "mult")):
         where = f"mult entry {pos}"
         if not isinstance(entry, (list, tuple)) or len(entry) != 5:
             raise SchemaError(f"{where}: expected [deg1, idx1, deg2, idx2, coords]")
@@ -721,7 +738,7 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
             block[a, b] = coords
 
     sq_tables: dict[tuple[int, int], np.ndarray] = {}
-    for pos, entry in enumerate(doc.get("sq", [])):
+    for pos, entry in enumerate(_require_list(doc, "sq")):
         where = f"sq entry {pos}"
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
             raise SchemaError(f"{where}: expected [k, deg, idx, coords]")
@@ -772,7 +789,7 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     w3_raw = doc.get("w3_twisted")
     if w3_raw is None:
         w3_stored = None
-    elif w3_raw in _TRISTATE_WORDS:
+    elif isinstance(w3_raw, str) and w3_raw in _TRISTATE_WORDS:
         w3_stored = _TRISTATE_WORDS[w3_raw]("document")
     else:
         raise SchemaError('w3_twisted must be one of "zero"/"nonzero"/"unknown"')

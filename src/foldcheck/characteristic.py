@@ -18,6 +18,7 @@ from .algebra import (
     ClassZ2,
     GradedAlgebra,
     TotalClass,
+    _total,
     evaluate_top,
     invert_total,
     steenrod_square,
@@ -54,7 +55,7 @@ def wu_total(algebra: GradedAlgebra) -> TotalClass:
     """
     n = algebra.top_degree
     comps = [np.zeros(algebra.rank(d), dtype=np.uint8) for d in range(n + 1)]
-    comps[0] = algebra.unit.copy()
+    comps[0] = algebra.unit
     for k in range(1, n // 2 + 1):
         pairing = (
             np.einsum("ijo,o->ij", algebra.mult_block(k, n - k), algebra.fundamental) % 2
@@ -64,7 +65,7 @@ def wu_total(algebra: GradedAlgebra) -> TotalClass:
         if v is None:
             raise InvariantViolation("wu-solve", f"no class v_{k} satisfies the Wu relations")
         comps[k] = v
-    return TotalClass(algebra, tuple(comps))
+    return _total(algebra, comps)
 
 
 def _total_of(x) -> TotalClass:

@@ -87,7 +87,10 @@ def _build_parser() -> _ArgumentParser:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise SchemaError("document nests too deeply") from None
 
 
 def _resolve_manifold(text: str) -> Manifold:

@@ -407,6 +407,15 @@ def _route(m: Manifold, p: int, tame: bool) -> Verdict:
     return Verdict(Outcome.UNKNOWN, (entry,))
 
 
+def _core(m: Manifold, p: int, tame: bool) -> Verdict:
+    """``_route(m, p, tame)``, derived at most once per record."""
+    table = m._verdicts
+    key = (p, tame)
+    if key not in table:
+        table[key] = _route(m, p, tame)
+    return table[key]
+
+
 def _sufficiency_chain(m: Manifold, p: int, tame: bool, verdict: Verdict) -> Verdict:
     entries = list(verdict.trace)
     if m.stably_parallelizable:
@@ -481,7 +490,7 @@ def decide_fold(m: Manifold, target: TargetSpec, tame: bool = False) -> Verdict:
         return decide_equidim(m, target)
     if p > m.dim:
         raise ValueError(f"target dimension {p} exceeds dim M = {m.dim}")
-    verdict = _route(m, p, tame)
+    verdict = _core(m, p, tame)
     if verdict.outcome is not Outcome.UNKNOWN:
         return verdict
     return _sufficiency_chain(m, p, tame, verdict)
@@ -499,10 +508,18 @@ def stable_span_bounds(m: Manifold) -> SpanBounds:
     parallelizability pins the lower bound at dim M, and the Atiyah--Dupont
     / Koschorke 3-frame criteria (Thm 4.2, Thm 4.5; they require chi = 0)
     decide span0 >= 3 or <= 2 exactly, using span = span0 for
-    even-dimensional manifolds with chi = 0 (Thm 4.1).
+    even-dimensional manifolds with chi = 0 (Thm 4.1).  The bounds are
+    derived once per record.
     """
     if not m.connected:
         raise ValueError(f"span bounds require a connected manifold; {m.name} is not connected")
+    table = m._verdicts
+    if "span" not in table:
+        table["span"] = _span_scan(m)
+    return table["span"]
+
+
+def _span_scan(m: Manifold) -> SpanBounds:
     n = m.dim
     lower, upper = 0, n
     entries: List[TraceEntry] = []
@@ -517,7 +534,7 @@ def stable_span_bounds(m: Manifold) -> SpanBounds:
             )
         )
     for p in range(2, n + 1):
-        core = _route(m, p, True)
+        core = _core(m, p, True)
         if core.outcome is Outcome.EXISTS and p - 1 > lower:
             lower = p - 1
             entries.append(
@@ -587,7 +604,7 @@ class ThomTable:
     entries: Tuple[ThomEntry, ...]
 
 
-def _classTraceEntry(name: str, degree: int, cls: ClassZ2) -> ThomEntry:
+def _class_entry(name: str, degree: int, cls: ClassZ2) -> ThomEntry:
     return ThomEntry(name, degree, str(cls), cls.is_zero())
 
 
@@ -601,7 +618,7 @@ def _beta_w3_status(w_total: TotalClass) -> TriState:
     return TriState.unknown("w_3 != 0 but w_1 w_3 = 0")
 
 
-def _integralTraceEntry(p1: P1Data, beta: Optional[TriState]) -> ThomEntry:
+def _integral_entry(p1: P1Data, beta: Optional[TriState]) -> ThomEntry:
     neg = p1_negate(p1)
     if beta is None or beta.is_zero:
         value = str(neg)
@@ -660,7 +677,7 @@ def thom_polynomials(m: Manifold, difference: Optional[BundleDescriptor] = None)
             raise InvariantViolation(
                 "thom-identity", f"{name}: dual-class form {dual_form} != simplified form {w_form}"
             )
-        entries.append(_classTraceEntry(name, degree, w_form))
+        entries.append(_class_entry(name, degree, w_form))
     beta = None if n == 4 else _beta_w3_status(w_total)
-    entries.append(_integralTraceEntry(p1, beta))
+    entries.append(_integral_entry(p1, beta))
     return ThomTable(n, tuple(entries))

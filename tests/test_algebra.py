@@ -153,6 +153,23 @@ def test_rank_mismatch_is_a_pairing_violation():
         build_algebra(3, [["1"], ["a", "b"], ["c"], ["t"]])
 
 
+def test_build_reads_outside_tables_mod_2():
+    # RP2 with a*a = 3 a^2 and Sq^1 a = 3 a^2, unit 3 and fundamental 5
+    A = build_algebra(
+        2,
+        [["1"], ["a"], ["a^2"]],
+        {(1, 1): np.full((1, 1, 1), 3, dtype=np.uint8)},
+        {(1, 1): np.full((1, 1), 3, dtype=np.uint8)},
+        unit=[3],
+        fundamental=[5],
+    )
+    assert A.mult_block(1, 1).tolist() == [[[1]]]
+    assert A.sq_block(1, 1).tolist() == [[1]]
+    assert (A.unit.tolist(), A.fundamental.tolist()) == ([1], [1])
+    a = A.basis_element(1, 0)
+    assert str(a * a) == "a^2"
+
+
 # ---------------------------------------------------------------------------
 # element arithmetic
 
@@ -165,6 +182,22 @@ def test_class_addition_is_xor():
     assert str(x + y) == "x + y"
     assert (x + x).is_zero()
     assert str(A.zero(1)) == "0"
+
+
+def test_public_constructors_reduce_coordinates_mod_2():
+    A = rp_algebra(2)
+    raw = np.array([3, 2], dtype=np.uint8)
+    S = build_algebra(2, [["1"], ["x", "y"], ["t"]],
+                      {(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)})
+    x = ClassZ2(S, 1, raw)
+    assert x.coords.tolist() == [1, 0]
+    assert raw.tolist() == [3, 2] and raw.flags.writeable
+    assert not x.coords.flags.writeable
+    total = TotalClass(A, (np.array([3]), np.array([2]), np.array([5])))
+    assert [c.tolist() for c in total.components] == [[1], [0], [1]]
+    assert TotalClass.from_components(A, [[1], [7], [4]]) == TotalClass(
+        A, (np.array([1]), np.array([1]), np.array([0]))
+    )
 
 
 def test_class_addition_rejects_mixed_degrees():

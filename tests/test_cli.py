@@ -113,6 +113,23 @@ def test_deep_nesting_exits_2_without_traceback():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["invariants", "{path}"], ["decide", "CP2", "--target", "pullback:{path}"]],
+    ids=["document", "descriptor"],
+)
+def test_deeply_nested_json_exits_2_without_traceback(tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "foldcheck.cli", *(a.format(path=path) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "foldcheck: error: document nests too deeply\n"
+
+
+@pytest.mark.parametrize(
     "expression,position",
     [("2#" * 40 + "RP4", 65), ("K3 x K3 x K3", 8), ("1000#RP4", 4)],
     ids=["nested-repeats", "K3-cubed", "1000-RP4"],
@@ -302,6 +319,11 @@ def test_thom_against_own_tangent_vanishes(capsys):
 # ---------------------------------------------------------------------------
 # grammar fuzz
 
+# Per-example time bound of both fuzz tests.  Their examples take a few
+# milliseconds and the slowest well under 0.1 s, so the bound trips on a
+# runaway input, not on a loaded host.
+FUZZ_DEADLINE_MS = 5000
+
 
 _FUZZ_TOKENS = st.one_of(
     st.sampled_from(
@@ -314,7 +336,7 @@ _FUZZ_TOKENS = st.one_of(
 
 # Tokens are joined with spaces so that neighbours never lex as one token
 # (``RP3`` then ``1001`` would otherwise read as the atom ``RP31001``).
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=FUZZ_DEADLINE_MS)
 @given(st.lists(_FUZZ_TOKENS, max_size=7))
 @example(["9" * 5000, "#", "RP4"])
 def test_invariants_on_grammar_tokens_exits_0_or_2_with_a_position(tokens):
@@ -325,3 +347,93 @@ def test_invariants_on_grammar_tokens_exits_0_or_2_with_a_position(tokens):
     assert code in (0, 2), (expr, err.getvalue())
     if code == 2:
         assert re.search(r"\(at position \d+\)\n$", err.getvalue()), (expr, err.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# document fuzz
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+_DOCUMENT_FIELDS = [
+    "name", "dim", "orientable", "euler", "signature", "basis", "mult", "sq", "w", "p1",
+    "w3_twisted", "stably_parallelizable", "torsion_free",
+]
+# small valid documents: RP2 with products, squares and w; the torus with
+# two degree-1 classes and every optional flag
+_SEED_DOCUMENTS = [
+    json.loads((DATA / "rp2.json").read_text()),
+    {
+        "name": "T2", "dim": 2, "orientable": True, "euler": 0,
+        "basis": [["1"], ["a", "b"], ["t"]], "mult": [[1, 0, 1, 1, [1]]],
+        "w3_twisted": "zero", "stably_parallelizable": True, "torsion_free": True, "p1": "zero",
+    },
+]
+
+
+def _nodes(value, path=()):
+    """Every (path, node) of a JSON tree, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _nodes(child, path + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from _nodes(child, path + (index,))
+
+
+def _mutate(doc, mutations):
+    """Apply (pick, action, value) edits: replace a node, drop it, or add a sibling."""
+    doc = json.loads(json.dumps(doc))
+    for pick, action, value in mutations:
+        paths = [path for path, _ in _nodes(doc)]
+        path = paths[pick % len(paths)]
+        if not path:
+            if action == "replace":
+                doc = value
+            continue
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if action == "replace":
+            parent[path[-1]] = value
+        elif action == "drop":
+            del parent[path[-1]]
+        elif isinstance(parent, list):
+            parent.insert(path[-1], value)
+        else:
+            parent[_DOCUMENT_FIELDS[pick % len(_DOCUMENT_FIELDS)] if pick % 2 else "extra"] = value
+    return doc
+
+
+_MUTATION = st.tuples(
+    st.integers(0, 10**6),
+    st.sampled_from(["replace", "drop", "add"]),
+    _JSON_VALUES | st.integers(-(10**6), 10**6) | st.lists(st.integers(0, 1), max_size=5),
+)
+_MUTATED_DOCUMENTS = st.builds(
+    lambda doc, mutations: json.dumps(_mutate(doc, mutations)),
+    st.sampled_from(_SEED_DOCUMENTS),
+    st.lists(_MUTATION, min_size=1, max_size=3),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("document-fuzz")
+
+
+@settings(max_examples=200, deadline=FUZZ_DEADLINE_MS)
+@given(_MUTATED_DOCUMENTS)
+@example("[" * 100_000 + "]" * 100_000)
+@example(json.dumps(dict(_SEED_DOCUMENTS[0], mult=5)))
+@example(json.dumps(dict(_SEED_DOCUMENTS[0], w3_twisted=[])))
+def test_invariants_on_mutated_documents_exits_0_or_2(fuzz_dir, text):
+    path = fuzz_dir / "doc.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["invariants", str(path)])
+    assert code in (0, 2), (text, err.getvalue())

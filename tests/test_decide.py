@@ -1,6 +1,8 @@
 """Fold-map existence verdicts, span bounds, and Thom tables."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from foldcheck.catalog import atom, connected_sum, product, sphere
@@ -412,6 +414,53 @@ def test_span_bounds_validate_interval():
 
     with pytest.raises(InvariantViolation, match="span-bounds"):
         SpanBounds(3, 2, ())
+
+
+# ---------------------------------------------------------------------------
+# one verdict table per record
+
+
+def _full_sweep(m) -> list:
+    """Every R^p / S^p verdict, tame or not, then the span bounds twice."""
+    out = []
+    for p in range(1, m.dim + 1):
+        for tame in (False, True):
+            out.append(decide_fold(m, TargetSpec.euclidean(p), tame))
+            out.append(decide_fold(m, TargetSpec.sphere(p), tame))
+    out.append(stable_span_bounds(m))
+    out.append(stable_span_bounds(m))
+    return out
+
+
+def test_full_sweep_routes_each_record_at_most_2n_times(connected_closure, monkeypatch):
+    route = decide._route
+    calls = []
+
+    def counting_route(m, p, tame):
+        calls.append((p, tame))
+        return route(m, p, tame)
+
+    monkeypatch.setattr(decide, "_route", counting_route)
+    for m in connected_closure:
+        fresh = replace(m)  # a record whose table is still empty
+        calls.clear()
+        _full_sweep(fresh)
+        assert len(calls) <= 2 * fresh.dim, (fresh.name, len(calls))
+        assert len(set(calls)) == len(calls), fresh.name
+        calls.clear()
+        _full_sweep(fresh)
+        assert calls == [], fresh.name
+
+
+def test_replaced_record_does_not_inherit_the_verdict_table():
+    rp4 = atom("RP4")  # chi = 1: no fold map into the plane, so span^0 = 0
+    before = _full_sweep(rp4)
+    assert before[4].outcome is Outcome.NOT_EXISTS  # R^2, not tame
+    even = replace(rp4, name="RP4-even-chi", euler=2)
+    after = _full_sweep(even)
+    assert after[4].outcome is Outcome.EXISTS
+    assert (before[-1].lower, after[-1].lower) == (0, 1)
+    assert _full_sweep(rp4) == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,189 @@
+"""Kunneth products against the kron/einsum formulation they replaced.
+
+``kunneth`` writes each product and Cartan piece as a broadcast outer
+product, and ``cross_total`` concatenates outer products degree by degree.
+``reference_kunneth`` and ``reference_cross_total`` below are the earlier
+``np.einsum`` / ``np.kron`` code, which accumulated every piece with
+``^=`` after a ``% 2``.  Both must give the same labels, every table, unit,
+fundamental class and cross product, entry for entry.
+"""
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+
+from conftest import ATOM_TOKENS
+from foldcheck import catalog
+from foldcheck.algebra import (
+    GradedAlgebra,
+    TotalClass,
+    _assemble_algebra,
+    _check_table_budget,
+    _disambiguate,
+    _kunneth_layout,
+    _pair_label,
+    _prime_counts,
+    cross_total,
+    kunneth,
+)
+
+# ---------------------------------------------------------------------------
+# the kron/einsum Kunneth product, kept as the reference
+
+
+def reference_kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
+    n = A.top_degree + B.top_degree
+    _check_table_budget(
+        [sum(A.rank(i) * B.rank(d - i) for i in range(d + 1)) for d in range(n + 1)]
+    )
+    labels_b = _disambiguate(B.basis, _prime_counts(l for deg in A.basis[1:] for l in deg))
+    layouts = [_kunneth_layout(A, B, d) for d in range(n + 1)]
+    outs = [{(i, j): s for i, j, s in layout} for layout in layouts]
+
+    basis: list[list[str]] = []
+    for d in range(n + 1):
+        row: list[str] = []
+        for i, j, _ in layouts[d]:
+            for la in A.basis[i]:
+                for lb in labels_b[j]:
+                    row.append(_pair_label(la, lb))
+        basis.append(row)
+    ranks = [len(b) for b in basis]
+
+    mult: dict[tuple[int, int], np.ndarray] = {}
+    for d1 in range(n + 1):
+        for d2 in range(n + 1 - d1):
+            blk = np.zeros((ranks[d1], ranks[d2], ranks[d1 + d2]), dtype=np.uint8)
+            out = outs[d1 + d2]
+            for i1, j1, s1 in layouts[d1]:
+                for i2, j2, s2 in layouts[d2]:
+                    key = (i1 + i2, j1 + j2)
+                    if key not in out:
+                        continue
+                    ma = A.mult_block(i1, i2)
+                    mb = B.mult_block(j1, j2)
+                    piece = np.einsum("ACO,BDP->ABCDOP", ma, mb).reshape(
+                        ma.shape[0] * mb.shape[0],
+                        ma.shape[1] * mb.shape[1],
+                        ma.shape[2] * mb.shape[2],
+                    )
+                    so = out[key]
+                    blk[
+                        s1 : s1 + piece.shape[0],
+                        s2 : s2 + piece.shape[1],
+                        so : so + piece.shape[2],
+                    ] ^= (piece % 2).astype(np.uint8)
+            mult[(d1, d2)] = blk
+
+    sq: dict[tuple[int, int], np.ndarray] = {}
+    for d in range(n + 1):
+        for k in range(1, min(d, n - d) + 1):
+            blk = np.zeros((ranks[d], ranks[d + k]), dtype=np.uint8)
+            out = outs[d + k]
+            for i, j, s in layouts[d]:
+                for u in range(0, k + 1):
+                    v = k - u
+                    if u > i or v > j or (i + u, j + v) not in out:
+                        continue
+                    piece = np.kron(A.sq_block(u, i), B.sq_block(v, j))
+                    so = out[(i + u, j + v)]
+                    blk[s : s + piece.shape[0], so : so + piece.shape[1]] ^= (
+                        piece % 2
+                    ).astype(np.uint8)
+            sq[(k, d)] = blk
+
+    return _assemble_algebra(
+        n,
+        basis,
+        mult,
+        sq,
+        unit=np.kron(A.unit, B.unit),
+        fundamental=np.kron(A.fundamental, B.fundamental),
+    )
+
+
+def reference_cross_total(P: GradedAlgebra, u: TotalClass, v: TotalClass) -> TotalClass:
+    A, B = u.algebra, v.algebra
+    n = P.top_degree
+    out = [np.zeros(P.rank(t), dtype=np.uint8) for t in range(n + 1)]
+    for t in range(n + 1):
+        for i, j, s in _kunneth_layout(A, B, t):
+            piece = np.kron(u.components[i], v.components[j])
+            out[t][s : s + piece.size] ^= piece
+    return TotalClass(P, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# exact equality
+
+
+def assert_same_algebra(got: GradedAlgebra, want: GradedAlgebra, where: str) -> None:
+    assert got.top_degree == want.top_degree, where
+    assert got.basis == want.basis, where
+    assert sorted(got.mult) == sorted(want.mult), where
+    for key, blk in want.mult.items():
+        assert got.mult[key].dtype == blk.dtype, (where, "mult", key)
+        assert np.array_equal(got.mult[key], blk), (where, "mult", key)
+    assert sorted(got.sq_table) == sorted(want.sq_table), where
+    for key, blk in want.sq_table.items():
+        assert got.sq_table[key].dtype == blk.dtype, (where, "sq", key)
+        assert np.array_equal(got.sq_table[key], blk), (where, "sq", key)
+    for name in ("unit", "fundamental"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (where, name)
+
+
+def assert_same_cross(P: GradedAlgebra, m, n, where: str) -> None:
+    for u, v in ((m.w, n.w), (m.wu, n.wu), (m.w, n.wu)):
+        got = cross_total(P, u, v)
+        want = reference_cross_total(P, u, v)
+        assert got.algebra is want.algebra is P, where
+        for d, (a, b) in enumerate(zip(got.components, want.components)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (where, d)
+
+
+def depth2_product_pairs() -> list[tuple[str, str]]:
+    dims = {t: catalog.atom(t).dim for t in ATOM_TOKENS}
+    return [
+        (a, b)
+        for a, b in itertools.combinations_with_replacement(ATOM_TOKENS, 2)
+        if dims[a] + dims[b] <= 8 and not a == b == "K3"
+    ]
+
+
+def test_every_depth2_closure_product_matches_the_reference(atoms):
+    pairs = depth2_product_pairs()
+    assert len(pairs) == 237
+    for a, b in pairs:
+        m, n = atoms[a], atoms[b]
+        P = kunneth(m.algebra, n.algebra)
+        assert_same_algebra(P, reference_kunneth(m.algebra, n.algebra), f"{a} x {b}")
+        assert_same_cross(P, m, n, f"{a} x {b}")
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [
+        ("RP4", "RP4", "RP4"),
+        ("Sigma2", "Sigma2", "Sigma2"),
+        ("S1", "S3"),  # degree 2 has rank 0 between nonzero degrees
+        ("S0", "RP2"),  # a disconnected factor: rank 2 in degree 0
+        ("RP2", "S0"),
+    ],
+    ids=lambda tokens: " x ".join(tokens),
+)
+def test_products_match_the_reference(tokens):
+    where = " x ".join(tokens)
+    factors = [catalog.atom(t) for t in tokens]
+    record = factors[0]
+    want = record.algebra
+    for f in factors[1:]:
+        P = kunneth(record.algebra, f.algebra)
+        assert_same_algebra(P, reference_kunneth(record.algebra, f.algebra), where)
+        assert_same_cross(P, record, f, where)
+        want = reference_kunneth(want, f.algebra)
+        record = catalog.product(record, f)
+    # the chain built by the reference alone gives the same algebra
+    assert_same_algebra(record.algebra, want, where)
