@@ -81,8 +81,8 @@ class Manifold:
     def _verdicts(self) -> dict:
         """What ``decide`` derived for this record, filled there on first use.
 
-        Keys are ``(p, tame)`` for the core verdict into R^p and ``"span"``
-        for the stable-span bounds.  The table lives in the instance dict,
+        Keys are ``(p, tame and p == 3)`` for the core verdict into R^p
+        and ``"span"`` for the stable-span bounds.  The table lives in the instance dict,
         so ``dataclasses.replace`` starts the new record with an empty one.
         """
         return {}

@@ -408,9 +408,12 @@ def _route(m: Manifold, p: int, tame: bool) -> Verdict:
 
 
 def _core(m: Manifold, p: int, tame: bool) -> Verdict:
-    """``_route(m, p, tame)``, derived at most once per record."""
+    """``_route(m, p, tame)``, derived at most once per record.
+
+    Only ``decide_to_R3`` reads ``tame``, so other targets share one entry.
+    """
     table = m._verdicts
-    key = (p, tame)
+    key = (p, tame and p == 3)
     if key not in table:
         table[key] = _route(m, p, tame)
     return table[key]
