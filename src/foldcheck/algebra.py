@@ -1,14 +1,16 @@
 """Finite graded-commutative GF(2) algebras with Steenrod squares.
 
-A degree-n Poincare algebra is stored densely: an ordered label basis per
-degree, multiplication tables per degree pair as ``(r1, r2, r_out)`` uint8
-arrays, Steenrod tables per ``(k, degree)`` as ``(r_d, r_{d+k})`` matrices,
-a fundamental-evaluation functional on the top degree, and the coordinates
-of the unit.  All arithmetic is mod 2; uint8 accumulation is safe because
-wrap-around happens mod 256, which preserves parity.
+A degree-n Poincare algebra is stored as an ordered label basis per degree,
+multiplication tables per degree pair as ``(r1, r2, r_out)`` uint8 arrays,
+Steenrod tables per ``(k, degree)`` as ``(r_d, r_{d+k})`` matrices, a
+fundamental-evaluation functional on the top degree, and the coordinates of
+the unit.  Only the blocks holding a nonzero entry are stored.  All
+arithmetic is mod 2; uint8 accumulation is safe because wrap-around happens
+mod 256, which preserves parity.
 
 Conventions:
-  * entries absent from the tables are zero maps,
+  * blocks absent from the tables are zero maps (``mult_block`` and
+    ``sq_block`` return them as zeros), so an algebra has one stored form,
   * ``Sq^0`` is the identity and ``Sq^k x = 0`` for ``k > deg x``,
   * products and squares landing above the top degree are zero,
   * algebras compare and hash by identity; classes compare by value but only
@@ -313,7 +315,9 @@ def _assemble_algebra(
     For constructions that are algebras by construction: the closed-form
     catalog atoms, Kunneth products and connected sums of valid algebras.
     Tables come as 0/1 uint8 arrays that the caller hands over: they are
-    frozen in place, not copied or reduced.
+    shape-checked, and those with a nonzero entry are kept, frozen in place,
+    not copied or reduced.  Unit blocks and ``Sq^0`` are added where the
+    caller gave none.
     """
     if top_degree < 0:
         raise ValueError("top_degree must be >= 0")
@@ -353,40 +357,33 @@ def _assemble_algebra(
         if (k > d or d + k > n) and blk.any():
             raise ValueError(f"nonzero Sq^{k} table on degree {d} is out of range")
 
+    if ranks[0] == 1 and unit_v[0] == 1:
+        for d in range(n + 1):
+            eye = np.eye(ranks[d], dtype=np.uint8)
+            mult_in.setdefault((0, d), eye.reshape(1, ranks[d], ranks[d]))
+            mult_in.setdefault((d, 0), eye.reshape(ranks[d], 1, ranks[d]))
+    for d in range(n + 1):
+        sq_in.setdefault((0, d), np.eye(ranks[d], dtype=np.uint8))
+
     mult_t: dict[tuple[int, int], np.ndarray] = {}
-    for d1 in range(n + 1):
-        for d2 in range(n + 1 - d1):
-            key = (d1, d2)
-            if key in mult_in:
-                blk = mult_in[key]
-            elif (d1 == 0 or d2 == 0) and ranks[0] == 1 and unit_v[0] == 1:
-                if d1 == 0 and d2 == 0:
-                    blk = np.ones((1, 1, 1), dtype=np.uint8)
-                elif d1 == 0:
-                    blk = np.eye(ranks[d2], dtype=np.uint8).reshape(1, ranks[d2], ranks[d2])
-                else:
-                    blk = np.eye(ranks[d1], dtype=np.uint8).reshape(ranks[d1], 1, ranks[d1])
-            else:
-                blk = np.zeros((ranks[d1], ranks[d2], ranks[d1 + d2]), dtype=np.uint8)
-            if blk.shape != (ranks[d1], ranks[d2], ranks[d1 + d2]):
-                raise ValueError(f"product table ({d1}, {d2}) has shape {blk.shape}")
+    for (d1, d2), blk in sorted(mult_in.items()):
+        if d1 < 0 or d2 < 0 or d1 + d2 > n:
+            continue
+        if blk.shape != (ranks[d1], ranks[d2], ranks[d1 + d2]):
+            raise ValueError(f"product table ({d1}, {d2}) has shape {blk.shape}")
+        if np.count_nonzero(blk):
             blk.setflags(write=False)
-            mult_t[key] = blk
+            mult_t[(d1, d2)] = blk
 
     sq_t: dict[tuple[int, int], np.ndarray] = {}
-    for d in range(n + 1):
-        for k in range(0, min(d, n - d) + 1):
-            key = (k, d)
-            if key in sq_in:
-                blk = sq_in[key]
-            elif k == 0:
-                blk = np.eye(ranks[d], dtype=np.uint8)
-            else:
-                blk = np.zeros((ranks[d], ranks[d + k]), dtype=np.uint8)
-            if blk.shape != (ranks[d], ranks[d + k]):
-                raise ValueError(f"Steenrod table ({k}, {d}) has shape {blk.shape}")
+    for (k, d), blk in sorted(sq_in.items(), key=lambda item: item[0][::-1]):
+        if k > d or d + k > n:
+            continue
+        if blk.shape != (ranks[d], ranks[d + k]):
+            raise ValueError(f"Steenrod table ({k}, {d}) has shape {blk.shape}")
+        if np.count_nonzero(blk):
             blk.setflags(write=False)
-            sq_t[key] = blk
+            sq_t[(k, d)] = blk
 
     unit_v.setflags(write=False)
     fund_v.setflags(write=False)
@@ -400,12 +397,13 @@ def _assemble_algebra(
     )
 
 
-# Largest dense multiplication plus Steenrod tables one algebra may hold.
+# Largest dense size of the multiplication plus Steenrod tables of one
+# algebra, every in-range block counted, stored or zero.
 TABLE_BYTES_BUDGET = 1 << 25
 
 
 def _table_bytes(ranks: Sequence[int]) -> int:
-    """Bytes of the dense uint8 tables of an algebra with these ranks.
+    """Bytes of the uint8 tables of an algebra with these ranks, all blocks dense.
 
     ``sum r_d1 r_d2 r_(d1+d2)`` over product blocks plus ``sum r_d r_(d+k)``
     over the Steenrod blocks ``0 <= k <= min(d, n - d)``.  Computed in
@@ -643,18 +641,20 @@ def invert_total(u: TotalClass) -> TotalClass:
     n = A.top_degree
     if not np.array_equal(u.components[0], A.unit):
         raise ValueError("invert_total needs a unital degree-0 component")
-    inv = [np.zeros(A.rank(t), dtype=np.uint8) for t in range(n + 1)]
-    inv[0] = A.unit
+    support = [i for i in range(1, n + 1) if u.components[i].any()]
+    inv = [A.unit]
     for d in range(1, n + 1):
         acc = np.zeros(A.rank(d), dtype=np.uint8)
-        for i in range(1, d + 1):
-            if not u.components[i].any() or not inv[d - i].any():
+        for i in support:
+            if i > d:
+                break
+            if not inv[d - i].any():
                 continue
             blk = A.mult_block(i, d - i)
             acc ^= (np.einsum("i,j,ijo->o", u.components[i], inv[d - i], blk) % 2).astype(
                 np.uint8
             )
-        inv[d] = acc
+        inv.append(acc)
     return _total(A, inv)
 
 
@@ -733,9 +733,17 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (_spread(a, 0) & _spread(b, 1)).reshape([x * y for x, y in zip(a.shape, b.shape)])
 
 
-def _spread_nonzero(tables: Mapping[tuple[int, int], np.ndarray], side: int) -> list:
-    """``(key, shape, spread block)`` for each table with a nonzero entry."""
-    return [(key, blk.shape, _spread(blk, side)) for key, blk in tables.items() if blk.any()]
+def _spread_all(tables: Mapping[tuple[int, int], np.ndarray], side: int) -> list:
+    """``(key, shape, spread block)`` for each stored table."""
+    return [(key, blk.shape, _spread(blk, side)) for key, blk in tables.items()]
+
+
+def _block_at(tables: dict, key: tuple[int, int], shape: tuple[int, ...]) -> np.ndarray:
+    """The block of ``tables`` at ``key``, allocated as zeros on first use."""
+    blk = tables.get(key)
+    if blk is None:
+        blk = tables[key] = np.zeros(shape, dtype=np.uint8)
+    return blk
 
 
 def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
@@ -744,7 +752,9 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     A's product block ``(i1, i2)`` times B's block ``(j1, j2)`` fills its own
     slice of block ``(i1 + j1, i2 + j2)``, and each entry there is a product
     of two bits: the piece is written once, as an outer product.  So is each
-    Cartan piece ``Sq^u (x) Sq^v`` of ``Sq^(u+v)``.  Zero blocks add nothing.
+    Cartan piece ``Sq^u (x) Sq^v`` of ``Sq^(u+v)``.  Only stored (nonzero)
+    blocks make pieces, and an output block is allocated when its first
+    piece lands in it.
     """
     n = A.top_degree + B.top_degree
     _check_table_budget(
@@ -765,32 +775,27 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
         basis.append(row)
     ranks = [len(b) for b in basis]
 
-    mult = {
-        (d1, d2): np.zeros((ranks[d1], ranks[d2], ranks[d1 + d2]), dtype=np.uint8)
-        for d1 in range(n + 1)
-        for d2 in range(n + 1 - d1)
-    }
-    mult_b = _spread_nonzero(B.mult, 1)
-    for (i1, i2), (ra1, ra2, rao), ma in _spread_nonzero(A.mult, 0):
+    mult: dict[tuple[int, int], np.ndarray] = {}
+    mult_b = _spread_all(B.mult, 1)
+    for (i1, i2), (ra1, ra2, rao), ma in _spread_all(A.mult, 0):
         for (j1, j2), (rb1, rb2, rbo), mb in mult_b:
             d1, d2 = i1 + j1, i2 + j2
             s1, s2, so = start[d1][i1], start[d2][i2], start[d1 + d2][i1 + i2]
             r1, r2, ro = ra1 * rb1, ra2 * rb2, rao * rbo
-            mult[(d1, d2)][s1 : s1 + r1, s2 : s2 + r2, so : so + ro] = (ma & mb).reshape(r1, r2, ro)
+            blk = _block_at(mult, (d1, d2), (ranks[d1], ranks[d2], ranks[d1 + d2]))
+            blk[s1 : s1 + r1, s2 : s2 + r2, so : so + ro] = (ma & mb).reshape(r1, r2, ro)
 
-    sq = {
-        (k, d): np.zeros((ranks[d], ranks[d + k]), dtype=np.uint8)
-        for d in range(n + 1)
-        for k in range(1, min(d, n - d) + 1)
-    }
-    sq_b = _spread_nonzero(B.sq_table, 1)
-    for (u, i), (ra, rao), sa in _spread_nonzero(A.sq_table, 0):
+    sq: dict[tuple[int, int], np.ndarray] = {}
+    sq_b = _spread_all(B.sq_table, 1)
+    for (u, i), (ra, rao), sa in _spread_all(A.sq_table, 0):
         for (v, j), (rb, rbo), sb in sq_b:
             if u + v == 0:
                 continue  # Sq^0 is the identity, which the assembler fills in
-            s, so = start[i + j][i], start[i + j + u + v][i + u]
+            k, d = u + v, i + j
+            s, so = start[d][i], start[d + k][i + u]
             r, ro = ra * rb, rao * rbo
-            sq[(u + v, i + j)][s : s + r, so : so + ro] = (sa & sb).reshape(r, ro)
+            blk = _block_at(sq, (k, d), (ranks[d], ranks[d + k]))
+            blk[s : s + r, so : so + ro] = (sa & sb).reshape(r, ro)
 
     return _assemble_algebra(
         n,
@@ -861,26 +866,22 @@ def connected_sum_algebra(*pieces: GradedAlgebra) -> GradedAlgebra:
         top = "t" + "'" * _fewest_primes(middle.get("t", set()))
     basis.append([top])
 
-    def place(blk: np.ndarray, S: GradedAlgebra, start: list[int], src: np.ndarray, degrees):
+    def place(tables: dict, key, S: GradedAlgebra, start: list[int], src: np.ndarray, degrees):
         """Write summand ``S``'s block ``src``; a top output goes through its fundamental."""
         if degrees[-1] == n:
             src = ((src @ S.fundamental) % 2)[..., None]
+        blk = _block_at(tables, key, tuple(ranks[d] for d in degrees))
         blk[tuple(slice(start[d], start[d] + S.rank(d)) for d in degrees)] = src
 
+    # each summand's stored blocks; the unit blocks and Sq^0 are the assembler's
     mult: dict[tuple[int, int], np.ndarray] = {}
-    for d1 in range(1, n):
-        for d2 in range(1, n + 1 - d1):
-            blk = np.zeros((ranks[d1], ranks[d2], ranks[d1 + d2]), dtype=np.uint8)
-            for S, start in zip(pieces, starts):
-                place(blk, S, start, S.mult_block(d1, d2), (d1, d2, d1 + d2))
-            mult[(d1, d2)] = blk
-
     sq: dict[tuple[int, int], np.ndarray] = {}
-    for d in range(1, n):
-        for k in range(1, min(d, n - d) + 1):
-            blk = np.zeros((ranks[d], ranks[d + k]), dtype=np.uint8)
-            for S, start in zip(pieces, starts):
-                place(blk, S, start, S.sq_block(k, d), (d, d + k))
-            sq[(k, d)] = blk
+    for S, start in zip(pieces, starts):
+        for (d1, d2), src in S.mult.items():
+            if d1 and d2:
+                place(mult, (d1, d2), S, start, src, (d1, d2, d1 + d2))
+        for (k, d), src in S.sq_table.items():
+            if k:
+                place(sq, (k, d), S, start, src, (d, d + k))
 
     return _assemble_algebra(n, basis, mult, sq)

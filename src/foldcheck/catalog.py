@@ -1,10 +1,10 @@
 """Manifold records: catalog atoms, connected sums, products, documents.
 
-Every construction path funnels through one assembler that solves the Wu
-classes once, derives the Stiefel-Whitney classes from them via Wu's
-theorem (cross-checking any stored total class), resolves the twisted
-class W_3, and then validates the finished record with
-:func:`validate_manifold`.
+Every construction path funnels through one assembler that completes p_1
+where the dimension decides it, solves the Wu classes once, derives the
+Stiefel-Whitney classes from them via Wu's theorem (cross-checking any
+stored total class), resolves the twisted class W_3, and then validates
+the finished record with :func:`validate_manifold`.
 
 The algebra axiom battery (``validate_algebra``) runs where data enters:
 ``load_manifold`` builds its algebra with ``build_algebra``.  The catalog
@@ -34,7 +34,7 @@ from .algebra import (
     kunneth,
     total_sq,
 )
-from .characteristic import w3_twisted_status, wu_total
+from .characteristic import BundleDescriptor, w3_twisted_status, wu_total
 from .errors import DimensionMismatch, InvariantViolation, SchemaError
 from .tristate import P1Data, P1Kind, TriState, p1_add
 
@@ -52,6 +52,7 @@ __all__ = [
     "connected_sum",
     "product",
     "load_manifold",
+    "load_descriptor",
     "validate_manifold",
 ]
 
@@ -105,16 +106,29 @@ def _assemble(
     algebra: GradedAlgebra,
     *,
     w: TotalClass | None,
-    p1: P1Data,
+    p1: P1Data = P1Data.unknown(),
     w3_stored: TriState | None = None,
     stably_parallelizable: bool = False,
     torsion_free: bool = False,
 ) -> Manifold:
-    """Derive Wu and Stiefel-Whitney classes once, then build and validate.
+    """Complete p_1, derive Wu and Stiefel-Whitney classes once, then build and validate.
 
-    A stored ``w`` must match the derivation.  An unknown p_1 of a
-    non-orientable 4-manifold is completed from w_2^2, which decides it.
+    p_1 is zero below dimension 4 (a nonzero status is left for
+    ``validate_manifold`` to refuse) and ``3 sigma`` on an oriented
+    4-manifold, where a class status must agree with it.  An unknown p_1 of
+    a non-orientable 4-manifold is completed from w_2^2: the mod-2
+    reduction is injective on the degree-4 integral group there.  A stored
+    ``w`` must match the derivation.
     """
+    if dim <= 3 and not p1.is_known_nonzero:
+        p1 = P1Data.zero_class("H^4 = 0")
+    elif dim == 4 and orientable and signature is not None and p1.kind is not P1Kind.INTEGER:
+        exact = P1Data.integer(3 * signature, "signature theorem")
+        if not p1.is_unknown and p1.is_known_zero != exact.is_known_zero:
+            raise InvariantViolation(
+                "p1-signature", f"document p1 contradicts 3 sigma = {3 * signature}"
+            )
+        p1 = exact
     wu = wu_total(algebra)
     derived = total_sq(wu)
     if w is not None:
@@ -125,7 +139,11 @@ def _assemble(
                     f"stored w_{d} disagrees with the Wu-derived Stiefel-Whitney class",
                 )
     if dim == 4 and not orientable and p1.is_unknown:
-        p1 = _p1_from_w2sq(derived)
+        w2 = derived.component(2)
+        if (w2 * w2).is_zero():
+            p1 = P1Data.zero_class("w_2^2 = 0")
+        else:
+            p1 = P1Data.nonzero_class("w_2^2 != 0")
     m = Manifold(
         name=name,
         dim=dim,
@@ -263,8 +281,7 @@ def sphere(n: int) -> Manifold:
             0, [["p", "q"]], {(0, 0): table}, unit=[1, 1], fundamental=[1, 1]
         )
         return _assemble(
-            "S0", 0, True, 2, 0, algebra,
-            w=None, p1=P1Data.zero_class(), stably_parallelizable=True, torsion_free=True,
+            "S0", 0, True, 2, 0, algebra, w=None, stably_parallelizable=True, torsion_free=True
         )
     basis = [["1"]] + [[] for _ in range(n - 1)] + [["s"]]
     algebra = _assemble_algebra(n, basis)
@@ -274,7 +291,7 @@ def sphere(n: int) -> Manifold:
         signature=0 if n % 4 == 0 else None,
         algebra=algebra,
         w=None,
-        p1=P1Data.integer(0) if n == 4 else P1Data.zero_class(),
+        p1=P1Data.zero_class(),
         stably_parallelizable=True,
         torsion_free=True,
     )
@@ -340,19 +357,13 @@ def complex_projective(n: int) -> Manifold:
     for d in range(2 * n + 1):
         comps.append([comb(n + 1, d // 2) % 2] if d % 2 == 0 else [])
     w = TotalClass.from_components(algebra, comps)
-    if n == 1:
-        p1 = P1Data.zero_class()
-    elif n == 2:
-        p1 = P1Data.integer(3)
-    else:
-        p1 = P1Data.nonzero_class(f"p_1 = {n + 1} h^2")
     return _assemble(
         f"CP{n}", 2 * n, True,
         euler=n + 1,
         signature=1 if n % 2 == 0 else None,
         algebra=algebra,
         w=w,
-        p1=p1,
+        p1=P1Data.nonzero_class(f"p_1 = {n + 1} h^2") if n >= 3 else P1Data.unknown(),
         w3_stored=TriState.zero("H^3 = 0"),
         torsion_free=True,
     )
@@ -367,7 +378,6 @@ def cp2_reversed() -> Manifold:
         signature=-1,
         algebra=template.algebra,
         w=template.w,
-        p1=P1Data.integer(-3),
         w3_stored=TriState.zero("H^3 = 0"),
         torsion_free=True,
     )
@@ -399,7 +409,6 @@ def k3() -> Manifold:
         signature=-16,
         algebra=algebra,
         w=None,
-        p1=P1Data.integer(-48),
         torsion_free=True,
     )
 
@@ -420,7 +429,6 @@ def orientable_surface(g: int) -> Manifold:
         signature=None,
         algebra=algebra,
         w=None,
-        p1=P1Data.zero_class(),
         torsion_free=True,
     )
 
@@ -441,7 +449,6 @@ def nonorientable_surface(k: int) -> Manifold:
         signature=None,
         algebra=algebra,
         w=None,
-        p1=P1Data.zero_class(),
     )
 
 
@@ -449,8 +456,7 @@ def point() -> Manifold:
     """A single point; the unit for products."""
     algebra = _assemble_algebra(0, [["1"]])
     return _assemble(
-        "point", 0, True, 1, 1, algebra,
-        w=None, p1=P1Data.zero_class(), stably_parallelizable=True, torsion_free=True,
+        "point", 0, True, 1, 1, algebra, w=None, stably_parallelizable=True, torsion_free=True
     )
 
 
@@ -493,18 +499,6 @@ def _p1_status(p: P1Data, note: str) -> P1Data:
     return P1Data.unknown(note)
 
 
-def _p1_from_w2sq(w: TotalClass) -> P1Data:
-    """Exact p_1 status of a non-orientable 4-manifold: p_1 reduces to w_2^2.
-
-    The mod-2 reduction is injective on the degree-4 integral group there,
-    so the reduction decides the class.
-    """
-    w2 = w.component(2)
-    if (w2 * w2).is_zero():
-        return P1Data.zero_class("w_2^2 = 0")
-    return P1Data.nonzero_class("w_2^2 != 0")
-
-
 def connected_sum(*pieces: Manifold) -> Manifold:
     """Connected sum of closed, connected, equal-dimensional records."""
     dim = pieces[0].dim
@@ -518,15 +512,8 @@ def connected_sum(*pieces: Manifold) -> Manifold:
         signature: int | None = sum(m.signature or 0 for m in pieces)
     else:
         signature = None
-    if dim <= 3:
-        p1 = P1Data.zero_class()
-    elif dim == 4:
-        if orientable:
-            p1 = P1Data.integer(3 * signature, "signature additivity")
-        else:
-            p1 = P1Data.unknown()
-    else:
-        p1 = reduce(p1_add, (m.p1 for m in pieces))
+    # in dimension 4 both classes share one group, so p1_add does not apply
+    p1 = reduce(p1_add, (m.p1 for m in pieces)) if dim >= 5 else P1Data.unknown()
 
     if dim >= 4 and any(m.w3_twisted.is_nonzero for m in pieces):
         w3_stored = TriState.nonzero("nonzero in one summand")
@@ -564,13 +551,8 @@ def product(m: Manifold, n: Manifold) -> Manifold:
         signature = None
     w = cross_total(algebra, m.w, n.w)
 
-    if dim <= 3:
-        p1 = P1Data.zero_class()
-    elif dim == 4:
-        if orientable:
-            p1 = P1Data.integer(3 * signature, "signature theorem")
-        else:
-            p1 = P1Data.unknown()
+    if dim <= 4:
+        p1 = P1Data.unknown()  # decided by _assemble
     elif n.stably_parallelizable:
         p1 = _p1_status(m.p1, "stable tangent bundle pulled back from the first factor")
     elif m.stably_parallelizable:
@@ -651,6 +633,17 @@ def _coords(entry: Any, length: int, where: str) -> np.ndarray:
     if any(c not in (0, 1) for c in entry):
         raise SchemaError(f"{where}: coordinates must be 0 or 1")
     return np.asarray(entry, dtype=np.uint8)
+
+
+def _total_field(raw: Any, algebra: GradedAlgebra, where: str) -> TotalClass:
+    """A total class listed as one 0/1 vector per degree 0..dim."""
+    dim = algebra.top_degree
+    if not isinstance(raw, (list, tuple)) or len(raw) != dim + 1:
+        raise SchemaError(f"{where} must list one coordinate vector per degree 0..{dim}")
+    return TotalClass(
+        algebra,
+        tuple(_coords(row, algebra.rank(d), f"{where}[{d}]") for d, row in enumerate(raw)),
+    )
 
 
 def _parse_p1(raw: Any) -> P1Data:
@@ -761,31 +754,8 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
 
     algebra = build_algebra(dim, [list(row) for row in basis], mult_tables, sq_tables)
 
-    w_raw = doc.get("w")
-    w = None
-    if w_raw is not None:
-        if not isinstance(w_raw, (list, tuple)) or len(w_raw) != dim + 1:
-            raise SchemaError("w must list one coordinate vector per degree 0..dim")
-        w = TotalClass(
-            algebra,
-            tuple(_coords(row, ranks[d], f"w[{d}]") for d, row in enumerate(w_raw)),
-        )
-
+    w = None if doc.get("w") is None else _total_field(doc["w"], algebra, "w")
     p1 = _parse_p1(doc["p1"])
-    if dim <= 3:
-        if not p1.is_known_nonzero:
-            p1 = P1Data.zero_class("H^4 = 0")
-    elif dim == 4 and orientable and signature is not None:
-        exact = P1Data.integer(3 * signature, "signature theorem")
-        if p1.is_unknown:
-            p1 = exact
-        elif p1.kind is not P1Kind.INTEGER:
-            if p1.is_known_zero != exact.is_known_zero:
-                raise InvariantViolation(
-                    "p1-signature", f"document p1 contradicts 3 sigma = {3 * signature}"
-                )
-            p1 = exact
-
     w3_raw = doc.get("w3_twisted")
     if w3_raw is None:
         w3_stored = None
@@ -807,3 +777,31 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
         stably_parallelizable=_require_bool(doc, "stably_parallelizable", False),
         torsion_free=_require_bool(doc, "torsion_free", False),
     )
+
+
+_DESCRIPTOR_FIELDS = {"rank", "w", "p1", "orientable"}
+
+
+def load_descriptor(doc: Any, algebra: GradedAlgebra) -> BundleDescriptor:
+    """Build a bundle descriptor over ``algebra`` from a document.
+
+    The document has exactly the fields ``rank``, ``w`` (one 0/1 vector per
+    degree), ``p1`` (as in a manifold document) and ``orientable``.
+    """
+    if not isinstance(doc, Mapping):
+        raise SchemaError("descriptor document must be a JSON object")
+    missing = sorted(_DESCRIPTOR_FIELDS - set(doc))
+    extra = sorted(set(doc) - _DESCRIPTOR_FIELDS)
+    parts = []
+    if missing:
+        parts.append(f"missing fields {missing}")
+    if extra:
+        parts.append(f"unexpected fields {extra}")
+    if parts:
+        raise SchemaError("descriptor document: " + "; ".join(parts))
+    rank = doc["rank"]
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
+        raise SchemaError("descriptor rank must be a nonnegative integer")
+    orientable = _require_bool(doc, "orientable")
+    w = _total_field(doc["w"], algebra, "descriptor w")
+    return BundleDescriptor(rank, w, _parse_p1(doc["p1"]), orientable)

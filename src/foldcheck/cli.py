@@ -25,18 +25,13 @@ import os
 import sys
 from typing import List, Optional
 
-from .algebra import GradedAlgebra, TotalClass
-from .catalog import Manifold, _coords, _parse_p1, load_manifold
-from .characteristic import (
-    BundleDescriptor,
-    dual_classes,
-    structure_flags,
-    tangent_descriptor,
-)
+from .algebra import TotalClass
+from .catalog import Manifold, load_descriptor, load_manifold
+from .characteristic import dual_classes, structure_flags, tangent_descriptor
 from .decide import Outcome, TargetSpec, decide_fold, stable_span_bounds, thom_polynomials
 from .errors import ExpressionError, FoldcheckError, SchemaError
 from .expressions import parse_expression
-from .tristate import P1Data, TriState
+from .tristate import P1Data
 
 __all__ = ["main"]
 
@@ -108,48 +103,11 @@ def _resolve_manifold(text: str) -> Manifold:
     return load_manifold(_load_json(text))
 
 
-def _load_descriptor(path: str, algebra: GradedAlgebra) -> BundleDescriptor:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise SchemaError("descriptor document must be a JSON object")
-    required = {"rank", "w", "p1", "orientable"}
-    keys = set(doc)
-    if keys != required:
-        missing = sorted(required - keys)
-        extra = sorted(keys - required)
-        parts = []
-        if missing:
-            parts.append(f"missing fields {missing}")
-        if extra:
-            parts.append(f"unexpected fields {extra}")
-        raise SchemaError("descriptor document: " + "; ".join(parts))
-    rank = doc["rank"]
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
-        raise SchemaError("descriptor rank must be a nonnegative integer")
-    orientable = doc["orientable"]
-    if not isinstance(orientable, bool):
-        raise SchemaError("descriptor orientable must be a boolean")
-    w_raw = doc["w"]
-    dim = algebra.top_degree
-    if not isinstance(w_raw, list) or len(w_raw) != dim + 1:
-        raise SchemaError(f"descriptor w must list coordinate vectors for degrees 0..{dim}")
-    w_total = TotalClass(
-        algebra,
-        tuple(
-            _coords(vec, algebra.rank(degree), f"descriptor w[{degree}]")
-            for degree, vec in enumerate(w_raw)
-        ),
-    )
-    p1 = _parse_p1(doc["p1"])
-    return BundleDescriptor(rank, w_total, p1, orientable)
-
-
 def _parse_target(text: str, m: Manifold, parser: _ArgumentParser) -> TargetSpec:
     if text == "self":
         return TargetSpec.pullback(m.dim, tangent_descriptor(m))
     if text.startswith("pullback:"):
-        path = text[len("pullback:"):]
-        descriptor = _load_descriptor(path, m.algebra)
+        descriptor = load_descriptor(_load_json(text[len("pullback:"):]), m.algebra)
         return TargetSpec.pullback(m.dim, descriptor)
     if text.startswith("sphere:"):
         raw = text[len("sphere:"):]
@@ -170,14 +128,6 @@ def _parse_target(text: str, m: Manifold, parser: _ArgumentParser) -> TargetSpec
 
 # ---------------------------------------------------------------------------
 # rendering
-
-
-def _tri_word(status: TriState) -> str:
-    if status.is_zero:
-        return "Zero"
-    if status.is_nonzero:
-        return "Nonzero"
-    return "Unknown"
 
 
 def _p1_json(p1: P1Data):
@@ -225,7 +175,7 @@ def _invariant_summary(m: Manifold, indent: str = "") -> List[str]:
         f"{indent}wu = {m.wu}",
         f"{indent}wbar = {dual_classes(m)}",
         f"{indent}p1 = {m.p1}",
-        f"{indent}W3 = {_tri_word(m.w3_twisted)} ({m.w3_twisted.note})",
+        f"{indent}W3 = {str(m.w3_twisted).capitalize()} ({m.w3_twisted.note})",
     ]
 
 
@@ -245,7 +195,7 @@ def _run_invariants(m: Manifold, fmt: str) -> str:
             "wu": _total_json(m.wu),
             "wbar": _total_json(dual_classes(m)),
             "p1": _p1_json(m.p1),
-            "w3_twisted": {"status": _tri_word(m.w3_twisted).lower(), "note": m.w3_twisted.note},
+            "w3_twisted": {"status": str(m.w3_twisted), "note": m.w3_twisted.note},
         }
         return json.dumps(payload, indent=2) + "\n"
     lines = [f"M = {m.name}  (dim {m.dim})"]

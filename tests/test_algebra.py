@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from foldcheck import algebra
+from foldcheck import algebra, catalog
 from foldcheck.algebra import (
     ClassZ2,
     TotalClass,
@@ -21,6 +21,7 @@ from foldcheck.algebra import (
 )
 from foldcheck.algebra import _table_bytes
 from foldcheck.errors import DimensionMismatch, InvariantViolation
+from foldcheck.expressions import parse_expression
 
 
 def rp_algebra(n: int):
@@ -386,9 +387,30 @@ def test_connected_sum_algebra_of_three_pieces():
 
 
 def test_table_bytes_counts_every_dense_table(closure):
+    # the budget counts every in-range block, stored or zero; the store holds fewer
     for m in closure:
-        tables = [*m.algebra.mult.values(), *m.algebra.sq_table.values()]
-        assert _table_bytes(m.algebra.ranks) == sum(t.nbytes for t in tables), m.name
+        A, n = m.algebra, m.dim
+        dense = [A.mult_block(d1, d2) for d1 in range(n + 1) for d2 in range(n + 1 - d1)]
+        dense += [A.sq_block(k, d) for d in range(n + 1) for k in range(min(d, n - d) + 1)]
+        assert _table_bytes(A.ranks) == sum(t.nbytes for t in dense), m.name
+        stored = [*A.mult.values(), *A.sq_table.values()]
+        assert sum(t.nbytes for t in stored) <= _table_bytes(A.ranks), m.name
+
+
+def test_closure_stores_only_nonzero_blocks(closure):
+    for m in closure:
+        for key, blk in [*m.algebra.mult.items(), *m.algebra.sq_table.items()]:
+            assert blk.any(), (m.name, key)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: catalog.sphere(4000).algebra, lambda: parse_expression("1000 # S100").algebra],
+    ids=["S4000", "1000 # S100"],
+)
+def test_sparse_algebras_store_linearly_many_blocks(build):
+    A = build()
+    assert len(A.mult) + len(A.sq_table) <= 4 * (A.top_degree + 1)
 
 
 @pytest.mark.parametrize(

@@ -319,8 +319,9 @@ def test_thom_against_own_tangent_vanishes(capsys):
 # ---------------------------------------------------------------------------
 # grammar fuzz
 
-# Per-example time bound of both fuzz tests.  Their examples take a few
-# milliseconds and the slowest well under 0.1 s, so the bound trips on a
+# Per-example time bound of both fuzz tests.  Their sampled examples take a
+# few milliseconds, and the large explicit ones (S2000, 1000 # S100,
+# S1 x S1000) at most about 0.3 s on a 2-CPU host, so the bound trips on a
 # runaway input, not on a loaded host.
 FUZZ_DEADLINE_MS = 5000
 
@@ -339,6 +340,9 @@ _FUZZ_TOKENS = st.one_of(
 @settings(max_examples=120, deadline=FUZZ_DEADLINE_MS)
 @given(st.lists(_FUZZ_TOKENS, max_size=7))
 @example(["9" * 5000, "#", "RP4"])
+@example(["S2000"])
+@example(["1000", "#", "S100"])
+@example(["S1", "x", "S1000"])
 def test_invariants_on_grammar_tokens_exits_0_or_2_with_a_position(tokens):
     expr = " ".join(tokens)
     out, err = io.StringIO(), io.StringIO()

@@ -143,11 +143,19 @@ def test_unflipped_members_are_valid(oracle_algebras):
 
 
 def _flipped(A: GradedAlgebra, table: str, pick: int, entry: int) -> GradedAlgebra:
+    # every in-range block of nonzero size can be hit, stored or all-zero
+    n = A.top_degree
     mult = {key: blk.copy() for key, blk in A.mult.items()}
     sq = {key: blk.copy() for key, blk in A.sq_table.items()}
-    tables = mult if table == "mult" else sq
-    keys = sorted(key for key, blk in tables.items() if blk.size)
-    blk = tables[keys[pick % len(keys)]]
+    if table == "mult":
+        tables, read = mult, A.mult_block
+        keys = [(d1, d2) for d1 in range(n + 1) for d2 in range(n + 1 - d1)]
+    else:
+        tables, read = sq, A.sq_block
+        keys = [(k, d) for d in range(n + 1) for k in range(min(d, n - d) + 1)]
+    keys = sorted(key for key in keys if read(*key).size)
+    key = keys[pick % len(keys)]
+    blk = tables[key] = read(*key).copy()
     blk.flat[entry % blk.size] ^= 1
     return _assemble_algebra(
         A.top_degree, A.basis, mult, sq, unit=A.unit, fundamental=A.fundamental
