@@ -8,6 +8,10 @@ the unit.  Only the blocks holding a nonzero entry are stored.  All
 arithmetic is mod 2; uint8 accumulation is safe because wrap-around happens
 mod 256, which preserves parity.
 
+Every routine walks the degrees that carry a basis class (``degrees``) or
+the blocks the algebra stores, never all degree pairs or triples up to the
+top degree: a sphere of dimension n costs a handful of blocks, not n^2.
+
 Conventions:
   * blocks absent from the tables are zero maps (``mult_block`` and
     ``sq_block`` return them as zeros), so an algebra has one stored form,
@@ -19,6 +23,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -106,6 +111,11 @@ class GradedAlgebra:
     def ranks(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.basis)
 
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """The degrees that carry a basis class, ascending."""
+        return tuple(d for d, labels in enumerate(self.basis) if labels)
+
     def labels(self, d: int) -> tuple[str, ...]:
         return self.basis[d] if 0 <= d <= self.top_degree else ()
 
@@ -125,17 +135,6 @@ class GradedAlgebra:
 
     def zero(self, d: int) -> "ClassZ2":
         return ClassZ2(self, d, np.zeros(self.rank(d), dtype=np.uint8))
-
-    def one(self) -> "ClassZ2":
-        return _class(self, 0, self.unit)
-
-    def element(self, d: int, coords: Iterable[int]) -> "ClassZ2":
-        return ClassZ2(self, d, np.asarray(list(coords), dtype=np.uint8))
-
-    def basis_element(self, d: int, i: int) -> "ClassZ2":
-        coords = np.zeros(self.rank(d), dtype=np.uint8)
-        coords[i] = 1
-        return _class(self, d, coords)
 
     def __repr__(self) -> str:
         return f"GradedAlgebra(top_degree={self.top_degree}, ranks={list(self.ranks)})"
@@ -213,12 +212,6 @@ class TotalClass:
     def from_components(algebra: GradedAlgebra, comps: Sequence[Iterable[int]]) -> "TotalClass":
         return TotalClass(algebra, tuple(np.asarray(list(c), dtype=np.uint8) for c in comps))
 
-    @staticmethod
-    def unit_total(algebra: GradedAlgebra) -> "TotalClass":
-        comps = [np.zeros(algebra.rank(d), dtype=np.uint8) for d in range(algebra.top_degree + 1)]
-        comps[0] = algebra.unit
-        return _total(algebra, comps)
-
     def component(self, d: int) -> ClassZ2:
         if 0 <= d <= self.algebra.top_degree:
             return _class(self.algebra, d, self.components[d])
@@ -229,16 +222,18 @@ class TotalClass:
         A = self.algebra
         n = A.top_degree
         out = [np.zeros(A.rank(t), dtype=np.uint8) for t in range(n + 1)]
-        for d1 in range(n + 1):
-            if not self.components[d1].any():
+        # look up blocks between the two supports: RP(n) stores about n^2/2 blocks
+        # while its w has few nonzero components
+        right = [d for d, y in enumerate(other.components) if y.any()]
+        for d1, x in enumerate(self.components):
+            if not x.any():
                 continue
-            for d2 in range(n + 1 - d1):
-                if not other.components[d2].any():
-                    continue
-                blk = A.mult_block(d1, d2)
-                out[d1 + d2] ^= (
-                    np.einsum("i,j,ijo->o", self.components[d1], other.components[d2], blk) % 2
-                ).astype(np.uint8)
+            for d2 in right:
+                blk = A.mult.get((d1, d2))
+                if blk is not None:
+                    out[d1 + d2] ^= (
+                        np.einsum("i,j,ijo->o", x, other.components[d2], blk) % 2
+                    ).astype(np.uint8)
         return _total(A, out)
 
     def __eq__(self, other: object) -> bool:
@@ -357,12 +352,13 @@ def _assemble_algebra(
         if (k > d or d + k > n) and blk.any():
             raise ValueError(f"nonzero Sq^{k} table on degree {d} is out of range")
 
+    degrees = [d for d in range(n + 1) if ranks[d]]
     if ranks[0] == 1 and unit_v[0] == 1:
-        for d in range(n + 1):
+        for d in degrees:
             eye = np.eye(ranks[d], dtype=np.uint8)
             mult_in.setdefault((0, d), eye.reshape(1, ranks[d], ranks[d]))
             mult_in.setdefault((d, 0), eye.reshape(ranks[d], 1, ranks[d]))
-    for d in range(n + 1):
+    for d in degrees:
         sq_in.setdefault((0, d), np.eye(ranks[d], dtype=np.uint8))
 
     mult_t: dict[tuple[int, int], np.ndarray] = {}
@@ -472,24 +468,18 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
 
     The contractions run as 2-D float32 matrix products (BLAS).  They are
     exact: every product below sums at most one inner rank of 0/1 terms,
-    far below 2^24, and the parity is read off afterwards.
+    far below 2^24, and the parity is read off afterwards.  The loops walk
+    the degrees that carry a class; the other axioms hold trivially on zero
+    ranks.  A block is copied to float32 when a check first reads it.
     """
     n = A.top_degree
+    degrees = A.degrees
+    pairs = [(d1, d2) for d1 in degrees for d2 in degrees if d1 + d2 <= n]
     bad: list[str] = []
-    mult = {
-        (d1, d2): A.mult_block(d1, d2).astype(np.float32)
-        for d1 in range(n + 1)
-        for d2 in range(n + 1 - d1)
-    }
-    sq = {
-        (k, d): A.sq_block(k, d).astype(np.float32)
-        for d in range(n + 1)
-        for k in range(min(d, n - d) + 1)
-    }
+    mult = cache(lambda d1, d2: A.mult_block(d1, d2).astype(np.float32))
+    sq = cache(lambda k, d: A.sq_block(k, d).astype(np.float32))
 
-    for d in range(n + 1):
-        if A.rank(d) == 0:
-            continue
+    for d in degrees:
         left = np.einsum("u,ujo->jo", A.unit, A.mult_block(0, d)) % 2
         right = np.einsum("iuo,u->io", A.mult_block(d, 0), A.unit) % 2
         eye = np.eye(A.rank(d), dtype=np.uint8)
@@ -498,22 +488,20 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
         if not np.array_equal(right, eye):
             bad.append(f"unit: x*1 != x in degree {d}")
 
-    for d1 in range(n + 1):
-        for d2 in range(d1, n + 1 - d1):
-            if not np.array_equal(A.mult_block(d1, d2), A.mult_block(d2, d1).transpose(1, 0, 2)):
-                bad.append(f"commutativity: degrees ({d1}, {d2})")
+    for d1, d2 in pairs:
+        if d1 <= d2 and not np.array_equal(
+            A.mult_block(d1, d2), A.mult_block(d2, d1).transpose(1, 0, 2)
+        ):
+            bad.append(f"commutativity: degrees ({d1}, {d2})")
 
-    for d1 in range(n + 1):
-        for d2 in range(n + 1 - d1):
-            for d3 in range(n + 1 - d1 - d2):
-                if 0 in (A.rank(d1), A.rank(d2), A.rank(d3)):
-                    continue
-                if not _associative(mult, A.rank, d1, d2, d3):
-                    bad.append(f"associativity: degrees ({d1}, {d2}, {d3})")
+    for d1, d2 in pairs:
+        for d3 in degrees:
+            if d1 + d2 + d3 > n:
+                break
+            if not _associative(mult, A.rank, d1, d2, d3):
+                bad.append(f"associativity: degrees ({d1}, {d2}, {d3})")
 
-    for d in range(n + 1):
-        if A.rank(d) == 0:
-            continue
+    for d in degrees:
         if not np.array_equal(A.sq_block(0, d), np.eye(A.rank(d), dtype=np.uint8)):
             bad.append(f"sq0-identity: Sq^0 != id in degree {d}")
         if 2 * d <= n:
@@ -525,38 +513,35 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
                             f"sq-top-squaring: Sq^k x = x*x at k = deg x fails for {label}"
                         )
 
-    for d1 in range(n + 1):
-        for d2 in range(n + 1 - d1):
-            r1, r2 = A.rank(d1), A.rank(d2)
-            if 0 in (r1, r2):
+    for d1, d2 in pairs:
+        r1, r2 = A.rank(d1), A.rank(d2)
+        prod = mult(d1, d2).reshape(r1 * r2, A.rank(d1 + d2))
+        # Sq^k of a degree d1 + d2 product, for each degree t = d1 + d2 + k above it
+        for t in degrees:
+            k = t - d1 - d2
+            if k < 1:
                 continue
-            prod = mult[d1, d2].reshape(r1 * r2, A.rank(d1 + d2))
-            for k in range(1, n - d1 - d2 + 1):
-                if k > d1 + d2:
-                    break
-                ro = A.rank(d1 + d2 + k)
-                lhs = _parity(prod @ sq[k, d1 + d2]).reshape(r1, r2, ro)
-                rhs = np.zeros((r1, r2, ro), dtype=np.int32)
-                for u in range(0, k + 1):
-                    v = k - u
-                    if u > d1 or v > d2:
-                        continue
-                    ra, rb = A.rank(d1 + u), A.rank(d2 + v)
-                    # Sq^u x_i * Sq^v y_j: first over the Sq^u x side, then Sq^v y
-                    x = _parity(sq[u, d1] @ mult[d1 + u, d2 + v].reshape(ra, rb * ro))
-                    rhs ^= _parity(sq[v, d2] @ x.astype(np.float32).reshape(r1, rb, ro))
-                if not np.array_equal(lhs, rhs):
-                    bad.append(f"cartan: Sq^{k} on degrees ({d1}, {d2})")
+            if k > d1 + d2:
+                break
+            ro = A.rank(t)
+            lhs = _parity(prod @ sq(k, d1 + d2)).reshape(r1, r2, ro)
+            rhs = np.zeros((r1, r2, ro), dtype=np.int32)
+            for u in range(max(0, k - d2), min(k, d1) + 1):
+                v = k - u
+                ra, rb = A.rank(d1 + u), A.rank(d2 + v)
+                # Sq^u x_i * Sq^v y_j: first over the Sq^u x side, then Sq^v y
+                x = _parity(sq(u, d1) @ mult(d1 + u, d2 + v).reshape(ra, rb * ro))
+                rhs ^= _parity(sq(v, d2) @ x.astype(np.float32).reshape(r1, rb, ro))
+            if not np.array_equal(lhs, rhs):
+                bad.append(f"cartan: Sq^{k} on degrees ({d1}, {d2})")
 
     fundamental = A.fundamental.astype(np.float32)
-    for d in range(n + 1):
+    for d in sorted({*degrees, *(n - d for d in degrees)}):
         r1, r2 = A.rank(d), A.rank(n - d)
         if r1 != r2:
             bad.append(f"pairing: ranks differ in degrees {d} and {n - d} ({r1} vs {r2})")
             continue
-        if r1 == 0:
-            continue
-        pairing = _parity(mult[d, n - d].reshape(r1 * r1, A.rank(n)) @ fundamental)
+        pairing = _parity(mult(d, n - d).reshape(r1 * r1, A.rank(n)) @ fundamental)
         if not gf2_invertible(pairing.reshape(r1, r1)):
             bad.append(f"pairing: degenerate in degree {d}")
 
@@ -571,10 +556,10 @@ def _associative(mult, rank, d1: int, d2: int, d3: int) -> bool:
     """
     r1, r2, r3 = rank(d1), rank(d2), rank(d3)
     r12, r23, ro = rank(d1 + d2), rank(d2 + d3), rank(d1 + d2 + d3)
-    xy = mult[d1, d2].reshape(r1 * r2, r12)
-    xy_z = mult[d1 + d2, d3].reshape(r12, r3 * ro)
-    yz = mult[d2, d3].reshape(r2 * r3, r23)
-    x_yz = mult[d1, d2 + d3]
+    xy = mult(d1, d2).reshape(r1 * r2, r12)
+    xy_z = mult(d1 + d2, d3).reshape(r12, r3 * ro)
+    yz = mult(d2, d3).reshape(r2 * r3, r23)
+    x_yz = mult(d1, d2 + d3)
     step = max(1, _CHUNK_ELEMENTS // max(1, r2 * r3 * ro))
     for lo in range(0, r1, step):
         hi = min(lo + step, r1)
@@ -618,12 +603,8 @@ def total_sq(v: TotalClass) -> TotalClass:
     A = v.algebra
     n = A.top_degree
     out = [np.zeros(A.rank(t), dtype=np.uint8) for t in range(n + 1)]
-    for j in range(n + 1):
-        comp = v.components[j]
-        if not comp.any():
-            continue
-        for k in range(0, min(j, n - j) + 1):
-            out[j + k] ^= ((comp @ A.sq_block(k, j)) % 2).astype(np.uint8)
+    for (k, j), blk in A.sq_table.items():
+        out[j + k] ^= ((v.components[j] @ blk) % 2).astype(np.uint8)
     return _total(A, out)
 
 
@@ -704,17 +685,13 @@ def _pair_label(la: str, lb: str) -> str:
     return f"{la}*{lb}"
 
 
-def _kunneth_layout(A: GradedAlgebra, B: GradedAlgebra, d: int) -> list[tuple[int, int, int]]:
-    """Blocks ``(i, j, start)`` of degree-d basis pairs, A-degree ascending."""
-    out = []
-    start = 0
-    for i in range(d + 1):
-        j = d - i
-        size = A.rank(i) * B.rank(j)
-        if size:
-            out.append((i, j, start))
-        start += size
-    return out
+def _degree_pairs(A: GradedAlgebra, B: GradedAlgebra) -> list[list[tuple[int, int]]]:
+    """For each degree of ``A (x) B``, the ``(i, j)`` carrying classes in A and B, i ascending."""
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(A.top_degree + B.top_degree + 1)]
+    for i in A.degrees:
+        for j in B.degrees:
+            pairs[i + j].append((i, j))
+    return pairs
 
 
 def _spread(a: np.ndarray, side: int) -> np.ndarray:
@@ -757,23 +734,23 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     piece lands in it.
     """
     n = A.top_degree + B.top_degree
-    _check_table_budget(
-        [sum(A.rank(i) * B.rank(d - i) for i in range(d + 1)) for d in range(n + 1)]
-    )
-    labels_b = _disambiguate(B.basis, _prime_counts(l for deg in A.basis[1:] for l in deg))
-    layouts = [_kunneth_layout(A, B, d) for d in range(n + 1)]
+    pairs = _degree_pairs(A, B)
     # start[d][i]: first index of the (i, d - i) basis pairs in degree d
-    start = [{i: s for i, _, s in layout} for layout in layouts]
-
-    basis: list[list[str]] = []
-    for d in range(n + 1):
-        row: list[str] = []
-        for i, j, _ in layouts[d]:
-            for la in A.basis[i]:
-                for lb in labels_b[j]:
-                    row.append(_pair_label(la, lb))
-        basis.append(row)
-    ranks = [len(b) for b in basis]
+    start: list[dict[int, int]] = []
+    ranks: list[int] = []
+    for row in pairs:
+        start.append({})
+        size = 0
+        for i, j in row:
+            start[-1][i] = size
+            size += A.rank(i) * B.rank(j)
+        ranks.append(size)
+    _check_table_budget(ranks)
+    labels_b = _disambiguate(B.basis, _prime_counts(l for deg in A.basis[1:] for l in deg))
+    basis = [
+        [_pair_label(la, lb) for i, j in row for la in A.basis[i] for lb in labels_b[j]]
+        for row in pairs
+    ]
 
     mult: dict[tuple[int, int], np.ndarray] = {}
     mult_b = _spread_all(B.mult, 1)
@@ -809,15 +786,13 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
 
 def cross_total(P: GradedAlgebra, u: TotalClass, v: TotalClass) -> TotalClass:
     """Cross product of total classes (degreewise Kunneth placement)."""
-    na, nb = u.algebra.top_degree, v.algebra.top_degree
+    # the empty leading piece makes a degree without classes an empty uint8 vector
     out = [
         np.concatenate(
-            [
-                _outer(u.components[i], v.components[t - i])
-                for i in range(max(0, t - nb), min(t, na) + 1)
-            ]
+            [np.zeros(0, dtype=np.uint8)]
+            + [_outer(u.components[i], v.components[j]) for i, j in row]
         )
-        for t in range(na + nb + 1)
+        for row in _degree_pairs(u.algebra, v.algebra)
     ]
     if tuple(len(c) for c in out) != P.ranks:
         raise ValueError("cross_total needs the Kunneth product of the two algebras")

@@ -31,6 +31,7 @@ from .algebra import (
     connected_sum_algebra,
     cross_total,
     evaluate_top,
+    invert_total,
     kunneth,
     total_sq,
 )
@@ -87,6 +88,11 @@ class Manifold:
         so ``dataclasses.replace`` starts the new record with an empty one.
         """
         return {}
+
+    @cached_property
+    def wbar(self) -> TotalClass:
+        """The dual Stiefel-Whitney classes, the inverse of w, derived on first use."""
+        return invert_total(self.w)
 
     def __repr__(self) -> str:
         return f"Manifold({self.name!r}, dim={self.dim})"
@@ -606,9 +612,14 @@ _DOCUMENT_FIELDS = {
 _TRISTATE_WORDS = {"zero": TriState.zero, "nonzero": TriState.nonzero, "unknown": TriState.unknown}
 
 
+def _ints(*values: Any) -> bool:
+    """Whether every value is a JSON integer: ``true`` and ``1.0`` are not."""
+    return {int}.issuperset(map(type, values))
+
+
 def _require_int(doc: Mapping[str, Any], key: str) -> int:
     value = doc.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _ints(value):
         raise SchemaError(f"field {key!r} must be an integer")
     return value
 
@@ -630,7 +641,7 @@ def _require_list(doc: Mapping[str, Any], key: str) -> list:
 def _coords(entry: Any, length: int, where: str) -> np.ndarray:
     if not isinstance(entry, (list, tuple)) or len(entry) != length:
         raise SchemaError(f"{where}: expected a 0/1 vector of length {length}")
-    if any(c not in (0, 1) for c in entry):
+    if not _ints(*entry) or not {0, 1}.issuperset(entry):
         raise SchemaError(f"{where}: coordinates must be 0 or 1")
     return np.asarray(entry, dtype=np.uint8)
 
@@ -648,7 +659,7 @@ def _total_field(raw: Any, algebra: GradedAlgebra, where: str) -> TotalClass:
 
 def _parse_p1(raw: Any) -> P1Data:
     if isinstance(raw, Mapping):
-        if set(raw) != {"int"} or isinstance(raw["int"], bool) or not isinstance(raw["int"], int):
+        if set(raw) != {"int"} or not _ints(raw["int"]):
             raise SchemaError('p1 must be {"int": k} or one of "zero"/"nonzero"/"unknown"')
         return P1Data.integer(raw["int"], "document")
     if raw == "zero":
@@ -685,7 +696,7 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     orientable = _require_bool(doc, "orientable")
     euler = _require_int(doc, "euler")
     signature = doc.get("signature")
-    if signature is not None and (isinstance(signature, bool) or not isinstance(signature, int)):
+    if signature is not None and not _ints(signature):
         raise SchemaError("field 'signature' must be an integer")
     if signature == 0 and not (orientable and dim % 4 == 0):
         signature = None  # a vanishing signature is redundant off the 4k lattice
@@ -714,10 +725,12 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
         if not isinstance(entry, (list, tuple)) or len(entry) != 5:
             raise SchemaError(f"{where}: expected [deg1, idx1, deg2, idx2, coords]")
         d1, i, d2, j, raw = entry
+        if not _ints(d1, i, d2, j):
+            raise SchemaError(f"{where}: degrees and indices must be integers")
         for label, deg, idx in (("first", d1, i), ("second", d2, j)):
-            if not isinstance(deg, int) or not 0 <= deg <= dim:
+            if not 0 <= deg <= dim:
                 raise SchemaError(f"{where}: {label} degree out of range")
-            if not isinstance(idx, int) or not 0 <= idx < ranks[deg]:
+            if not 0 <= idx < ranks[deg]:
                 raise SchemaError(f"{where}: {label} index out of range")
         if d1 + d2 > dim:
             raise SchemaError(f"{where}: product degree {d1 + d2} exceeds dim")
@@ -736,15 +749,18 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
             raise SchemaError(f"{where}: expected [k, deg, idx, coords]")
         k, d, i, raw = entry
-        if not isinstance(k, int) or not isinstance(d, int) or not 0 <= d <= dim or k < 0:
+        if not _ints(k, d, i):
+            raise SchemaError(f"{where}: k, degree and index must be integers")
+        if not 0 <= d <= dim or k < 0:
             raise SchemaError(f"{where}: degree data out of range")
-        if not isinstance(i, int) or not 0 <= i < ranks[d]:
+        if not 0 <= i < ranks[d]:
             raise SchemaError(f"{where}: index out of range")
         if not isinstance(raw, (list, tuple)):
             raise SchemaError(f"{where}: expected [k, deg, idx, coords]")
         if k > d or d + k > dim:
             if any(raw):
                 raise SchemaError(f"{where}: Sq^{k} vanishes on degree {d} here")
+            _coords(raw, len(raw), where)  # the zeros must still be integers
             continue
         coords = _coords(raw, ranks[d + k], where)
         block = sq_tables.setdefault(
@@ -800,7 +816,7 @@ def load_descriptor(doc: Any, algebra: GradedAlgebra) -> BundleDescriptor:
     if parts:
         raise SchemaError("descriptor document: " + "; ".join(parts))
     rank = doc["rank"]
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
+    if not _ints(rank) or rank < 0:
         raise SchemaError("descriptor rank must be a nonnegative integer")
     orientable = _require_bool(doc, "orientable")
     w = _total_field(doc["w"], algebra, "descriptor w")

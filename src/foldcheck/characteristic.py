@@ -56,7 +56,7 @@ def wu_total(algebra: GradedAlgebra) -> TotalClass:
     n = algebra.top_degree
     comps = [np.zeros(algebra.rank(d), dtype=np.uint8) for d in range(n + 1)]
     comps[0] = algebra.unit
-    for k in range(1, n // 2 + 1):
+    for k in (d for d in algebra.degrees if 0 < 2 * d <= n):
         pairing = (
             np.einsum("ijo,o->ij", algebra.mult_block(k, n - k), algebra.fundamental) % 2
         )
@@ -80,9 +80,15 @@ def _total_of(x) -> TotalClass:
 def dual_classes(x) -> TotalClass:
     """Dual Stiefel-Whitney classes of a manifold or of a total class w.
 
-    The dual class is the inverse of w in the total ring.
+    The dual class is the inverse of w in the total ring; a manifold record
+    holds it as ``wbar``.
     """
-    return invert_total(_total_of(x))
+    if isinstance(x, TotalClass):
+        return invert_total(x)
+    wbar = getattr(x, "wbar", None)
+    if not isinstance(wbar, TotalClass):
+        raise TypeError("expected a manifold or a total class")
+    return wbar
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import List, Optional
 
 from .algebra import TotalClass
 from .catalog import Manifold, load_descriptor, load_manifold
-from .characteristic import dual_classes, structure_flags, tangent_descriptor
+from .characteristic import structure_flags, tangent_descriptor
 from .decide import Outcome, TargetSpec, decide_fold, stable_span_bounds, thom_polynomials
 from .errors import ExpressionError, FoldcheckError, SchemaError
 from .expressions import parse_expression
@@ -173,7 +173,7 @@ def _invariant_summary(m: Manifold, indent: str = "") -> List[str]:
         f"{indent}stably parallelizable = {str(m.stably_parallelizable).lower()}",
         f"{indent}w = {m.w}",
         f"{indent}wu = {m.wu}",
-        f"{indent}wbar = {dual_classes(m)}",
+        f"{indent}wbar = {m.wbar}",
         f"{indent}p1 = {m.p1}",
         f"{indent}W3 = {str(m.w3_twisted).capitalize()} ({m.w3_twisted.note})",
     ]
@@ -193,7 +193,7 @@ def _run_invariants(m: Manifold, fmt: str) -> str:
             "stably_parallelizable": m.stably_parallelizable,
             "w": _total_json(m.w),
             "wu": _total_json(m.wu),
-            "wbar": _total_json(dual_classes(m)),
+            "wbar": _total_json(m.wbar),
             "p1": _p1_json(m.p1),
             "w3_twisted": {"status": str(m.w3_twisted), "note": m.w3_twisted.note},
         }

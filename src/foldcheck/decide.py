@@ -660,10 +660,10 @@ def thom_polynomials(m: Manifold, difference: Optional[BundleDescriptor] = None)
     if n < 4 or n > 7:
         raise ValueError(f"the Thom polynomial table supports dimensions 4 through 7, got {n}")
     if difference is None:
-        w_total, p1 = m.w, m.p1
+        w_total, p1, wbar = m.w, m.p1, m.wbar
     else:
         w_total, p1 = virtual_difference(m, difference)
-    wbar = invert_total(w_total)
+        wbar = invert_total(w_total)
     w1, w2, w3 = (w_total.component(d) for d in (1, 2, 3))
     b1, b2, b3 = (wbar.component(d) for d in (1, 2, 3))
 

@@ -1,0 +1,33 @@
+"""Classes the tests build by hand: the unit, basis classes, coordinate vectors.
+
+The package builds its classes from tables; these constructors exist for
+the tests alone, so they live here and go through the public, checking
+constructors of ``ClassZ2`` and ``TotalClass``.
+"""
+from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
+
+from foldcheck.algebra import ClassZ2, GradedAlgebra, TotalClass
+
+
+def one(A: GradedAlgebra) -> ClassZ2:
+    return ClassZ2(A, 0, A.unit)
+
+
+def element(A: GradedAlgebra, d: int, coords: Iterable[int]) -> ClassZ2:
+    return ClassZ2(A, d, np.asarray(list(coords), dtype=np.uint8))
+
+
+def basis_element(A: GradedAlgebra, d: int, i: int) -> ClassZ2:
+    coords = np.zeros(A.rank(d), dtype=np.uint8)
+    coords[i] = 1
+    return ClassZ2(A, d, coords)
+
+
+def unit_total(A: GradedAlgebra) -> TotalClass:
+    comps = [np.zeros(A.rank(d), dtype=np.uint8) for d in range(A.top_degree + 1)]
+    comps[0] = A.unit
+    return TotalClass(A, tuple(comps))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from classes import basis_element, one, unit_total
 from foldcheck import algebra, catalog
 from foldcheck.algebra import (
     ClassZ2,
@@ -83,9 +84,9 @@ def sum_embed(S, x: ClassZ2, side: int) -> ClassZ2:
 def test_build_fills_unit_blocks_and_sq0():
     A = rp_algebra(4)
     assert A.ranks == (1, 1, 1, 1, 1)
-    one = A.one()
-    a = A.basis_element(1, 0)
-    assert one * a == a
+    unit = one(A)
+    a = basis_element(A, 1, 0)
+    assert unit * a == a
     assert steenrod_square(0, a) == a
 
 
@@ -167,7 +168,7 @@ def test_build_reads_outside_tables_mod_2():
     assert A.mult_block(1, 1).tolist() == [[[1]]]
     assert A.sq_block(1, 1).tolist() == [[1]]
     assert (A.unit.tolist(), A.fundamental.tolist()) == ([1], [1])
-    a = A.basis_element(1, 0)
+    a = basis_element(A, 1, 0)
     assert str(a * a) == "a^2"
 
 
@@ -178,8 +179,8 @@ def test_build_reads_outside_tables_mod_2():
 def test_class_addition_is_xor():
     A = build_algebra(2, [["1"], ["x", "y"], ["t"]],
                       {(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)})
-    x = A.basis_element(1, 0)
-    y = A.basis_element(1, 1)
+    x = basis_element(A, 1, 0)
+    y = basis_element(A, 1, 1)
     assert str(x + y) == "x + y"
     assert (x + x).is_zero()
     assert str(A.zero(1)) == "0"
@@ -204,19 +205,19 @@ def test_public_constructors_reduce_coordinates_mod_2():
 def test_class_addition_rejects_mixed_degrees():
     A = rp_algebra(3)
     with pytest.raises(ValueError, match="degrees"):
-        A.basis_element(1, 0) + A.basis_element(2, 0)
+        basis_element(A, 1, 0) + basis_element(A, 2, 0)
 
 
 def test_classes_from_different_algebras_do_not_mix():
     A, B = rp_algebra(2), rp_algebra(2)
     with pytest.raises(ValueError, match="different algebras"):
-        multiply(A.basis_element(1, 0), B.basis_element(1, 0))
-    assert A.basis_element(1, 0) != B.basis_element(1, 0)
+        multiply(basis_element(A, 1, 0), basis_element(B, 1, 0))
+    assert basis_element(A, 1, 0) != basis_element(B, 1, 0)
 
 
 def test_multiplication_truncates_above_top():
     A = rp_algebra(3)
-    a = A.basis_element(1, 0)
+    a = basis_element(A, 1, 0)
     cube = a * a * a
     assert cube.degree == 3 and not cube.is_zero()
     assert (cube * a).is_zero()
@@ -226,7 +227,7 @@ def test_multiplication_truncates_above_top():
 def test_steenrod_square_binomial_pattern():
     A = rp_algebra(6)
     for d in range(1, 6):
-        x = A.basis_element(d, 0)
+        x = basis_element(A, d, 0)
         for k in range(0, 6 - d + 1):
             got = steenrod_square(k, x)
             from math import comb
@@ -237,23 +238,23 @@ def test_steenrod_square_binomial_pattern():
 
 def test_steenrod_square_rejects_negative_index():
     with pytest.raises(ValueError):
-        steenrod_square(-1, rp_algebra(2).one())
+        steenrod_square(-1, one(rp_algebra(2)))
 
 
 def test_evaluate_top_requires_top_degree():
     A = rp_algebra(2)
-    assert evaluate_top(A.basis_element(2, 0)) == 1
+    assert evaluate_top(basis_element(A, 2, 0)) == 1
     with pytest.raises(ValueError, match="degree"):
-        evaluate_top(A.basis_element(1, 0))
+        evaluate_top(basis_element(A, 1, 0))
 
 
 def test_total_class_componentwise():
     A = rp_algebra(4)
     u = TotalClass.from_components(A, [[1], [1], [0], [0], [1]])
     assert str(u) == "1 + a + a^4"
-    assert u.component(1) == A.basis_element(1, 0)
+    assert u.component(1) == basis_element(A, 1, 0)
     assert u.component(9).is_zero()  # out-of-range degrees read as zero
-    assert TotalClass.unit_total(A).component(0) == A.one()
+    assert unit_total(A).component(0) == one(A)
 
 
 def test_total_multiplication_is_graded_convolution():
@@ -321,8 +322,8 @@ def test_kunneth_primes_colliding_labels():
 def test_cross_class_multiplies_coordinatewise():
     A, B = rp_algebra(2), rp_algebra(2)
     P = kunneth(A, B)
-    x = cross_class(P, A.basis_element(1, 0), B.one())
-    y = cross_class(P, A.one(), B.basis_element(1, 0))
+    x = cross_class(P, basis_element(A, 1, 0), one(B))
+    y = cross_class(P, one(A), basis_element(B, 1, 0))
     assert str(x) == "a" and str(y) == "a'"
     assert str(x * y) == "a*a'"
     assert evaluate_top((x * x) * (y * y)) == 1
@@ -334,9 +335,7 @@ def test_cross_total_respects_multiplication():
     u = TotalClass.from_components(A, [[1], [1], [1]])
     v = TotalClass.from_components(B, [[1], [0], [1]])
     lhs = cross_total(P, u, v)
-    rhs = cross_total(P, u, TotalClass.unit_total(B)) * cross_total(
-        P, TotalClass.unit_total(A), v
-    )
+    rhs = cross_total(P, u, unit_total(B)) * cross_total(P, unit_total(A), v)
     assert lhs == rhs
 
 
@@ -344,10 +343,10 @@ def test_kunneth_cartan_squares_survive():
     # Sq^1(a x a') = a^2 x a' + a x a'^2 via the product tables
     A, B = rp_algebra(2), rp_algebra(2)
     P = kunneth(A, B)
-    xy = cross_class(P, A.basis_element(1, 0), B.basis_element(1, 0))
+    xy = cross_class(P, basis_element(A, 1, 0), basis_element(B, 1, 0))
     got = steenrod_square(1, xy)
-    x = cross_class(P, A.basis_element(1, 0), B.one())
-    y = cross_class(P, A.one(), B.basis_element(1, 0))
+    x = cross_class(P, basis_element(A, 1, 0), one(B))
+    y = cross_class(P, one(A), basis_element(B, 1, 0))
     assert got == x * x * y + x * (y * y)
 
 
@@ -359,8 +358,8 @@ def test_connected_sum_algebra_glues_tops():
     S = connected_sum_algebra(rp_algebra(2), rp_algebra(2))
     assert S.ranks == (1, 2, 1)
     assert S.labels(2) == ("t",)
-    a0 = S.basis_element(1, 0)
-    a1 = S.basis_element(1, 1)
+    a0 = basis_element(S, 1, 0)
+    a1 = basis_element(S, 1, 1)
     assert str(a0 * a0) == "t"
     assert str(a1 * a1) == "t"
     assert (a0 * a1).is_zero()  # cross terms vanish in a connected sum
@@ -380,7 +379,7 @@ def test_connected_sum_algebra_of_three_pieces():
     S = connected_sum_algebra(rp_algebra(2), rp_algebra(2), rp_algebra(2))
     assert S.labels(1) == ("a", "a'", "a''")
     assert S.labels(2) == ("t",)
-    classes = [S.basis_element(1, i) for i in range(3)]
+    classes = [basis_element(S, 1, i) for i in range(3)]
     assert [str(x * x) for x in classes] == ["t"] * 3
     assert (classes[0] * classes[2]).is_zero()
     assert validate_algebra(S).ok
@@ -411,6 +410,21 @@ def test_closure_stores_only_nonzero_blocks(closure):
 def test_sparse_algebras_store_linearly_many_blocks(build):
     A = build()
     assert len(A.mult) + len(A.sq_table) <= 4 * (A.top_degree + 1)
+
+
+def test_kunneth_of_two_spheres_walks_only_the_degrees_with_classes(monkeypatch):
+    # four (i, j) degree pairs carry classes; every split of degree up to 2000 once did
+    outer = algebra._outer
+    calls = []
+
+    def counting(a, b):
+        calls.append((a.shape, b.shape))
+        return outer(a, b)
+
+    monkeypatch.setattr(algebra, "_outer", counting)
+    m = parse_expression("S1000 x S1000")
+    assert len(calls) <= 24
+    assert m.algebra.degrees == (0, 1000, 2000)
 
 
 @pytest.mark.parametrize(
@@ -449,12 +463,12 @@ def test_connected_sum_algebra_rejects_disconnected_pieces():
 def test_sum_embed_sides_and_top():
     A, B = rp_algebra(2), rp_algebra(2)
     S = connected_sum_algebra(A, B)
-    left = sum_embed(S, A.basis_element(1, 0), 0)
-    right = sum_embed(S, B.basis_element(1, 0), 1)
+    left = sum_embed(S, basis_element(A, 1, 0), 0)
+    right = sum_embed(S, basis_element(B, 1, 0), 1)
     assert str(left) == "a" and str(right) == "a'"
-    top_a = sum_embed(S, A.basis_element(2, 0), 0)
-    top_b = sum_embed(S, B.basis_element(2, 0), 1)
+    top_a = sum_embed(S, basis_element(A, 2, 0), 0)
+    top_b = sum_embed(S, basis_element(B, 2, 0), 1)
     assert top_a == top_b  # both summand tops map to the shared class
     assert str(top_a) == "t"
-    unit = sum_embed(S, A.one(), 0)
-    assert unit == S.one()
+    unit = sum_embed(S, one(A), 0)
+    assert unit == one(S)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from classes import unit_total
 from foldcheck.algebra import TotalClass, total_sq
 from foldcheck.catalog import atom, k3, product, real_projective, sphere
 from foldcheck.characteristic import (
@@ -128,7 +129,7 @@ def trivial_descriptor(algebra, rank: int) -> BundleDescriptor:
     """The trivial rank-``rank`` bundle: w = 1 and p_1 = 0."""
     return BundleDescriptor(
         rank=rank,
-        w_total=TotalClass.unit_total(algebra),
+        w_total=unit_total(algebra),
         p1=P1Data.integer(0, "trivial bundle"),
         orientable=True,
     )

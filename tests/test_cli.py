@@ -8,12 +8,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from foldcheck import algebra, catalog, characteristic, cli, decide
 from foldcheck.cli import main
 
 HERE = Path(__file__).parent
@@ -237,6 +239,30 @@ def test_descriptor_coordinates_must_be_0_or_1(tmp_path, value):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("sq", [[True, 1, 0, [1]]], "sq entry 0: k, degree and index must be integers"),
+        ("w", [[True], [1], [1]], "w[0]: coordinates must be 0 or 1"),
+        ("mult", [[1, 0, 1, 0, [1.0]]], "mult entry 0: coordinates must be 0 or 1"),
+        ("mult", [[1, 0, 1.0, 0, [1]]], "mult entry 0: degrees and indices must be integers"),
+        ("sq", [[1, 1, False, [1]]], "sq entry 0: k, degree and index must be integers"),
+        ("sq", [[2, 1, 0, [False]]], "sq entry 0: coordinates must be 0 or 1"),
+    ],
+    ids=["sq-k-true", "w-true", "mult-float-coordinate", "mult-float-degree",
+         "sq-index-false", "sq-vanishing-false"],
+)
+def test_document_booleans_and_floats_are_not_integers(capsys, tmp_path, field, value, message):
+    # each reads as RP2 when a boolean or float is taken for the integer it equals
+    doc = json.loads((DATA / "rp2.json").read_text())
+    doc[field] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "invariants", str(path))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_document_over_the_table_budget_is_a_document_error(capsys, tmp_path):
     doc = json.loads((DATA / "rp2.json").read_text())
     doc["basis"][1] = [f"a{i}" for i in range(5000)]
@@ -245,6 +271,29 @@ def test_document_over_the_table_budget_is_a_document_error(capsys, tmp_path):
     code, out, err = run(capsys, "invariants", str(path))
     assert code == 2
     assert "basis: the dense tables would take" in err
+
+
+def test_each_reader_of_wbar_shares_one_inversion_per_record(capsys, monkeypatch):
+    real = algebra.invert_total
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return real(u)
+
+    for module in (algebra, catalog, characteristic, cli, decide):
+        if getattr(module, "invert_total", None) is real:
+            monkeypatch.setattr(module, "invert_total", counting)
+    fresh = replace(catalog.atom("RP4"))  # a record that has inverted nothing yet
+    monkeypatch.setattr(cli, "_resolve_manifold", lambda text: fresh)
+    for argv in (
+        ["invariants", "RP4"],
+        ["invariants", "RP4", "--format", "json"],
+        ["thom", "RP4"],
+        ["decide", "RP4", "--target", "R3", "--explain"],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert [u.algebra for u in calls] == [fresh.algebra]
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +370,8 @@ def test_thom_against_own_tangent_vanishes(capsys):
 
 # Per-example time bound of both fuzz tests.  Their sampled examples take a
 # few milliseconds, and the large explicit ones (S2000, 1000 # S100,
-# S1 x S1000) at most about 0.3 s on a 2-CPU host, so the bound trips on a
-# runaway input, not on a loaded host.
+# S1 x S1000, S1000 x S1000) at most about 0.3 s on a 2-CPU host, so the
+# bound trips on a runaway input, not on a loaded host.
 FUZZ_DEADLINE_MS = 5000
 
 
@@ -343,6 +392,7 @@ _FUZZ_TOKENS = st.one_of(
 @example(["S2000"])
 @example(["1000", "#", "S100"])
 @example(["S1", "x", "S1000"])
+@example(["S1000", "x", "S1000"])
 def test_invariants_on_grammar_tokens_exits_0_or_2_with_a_position(tokens):
     expr = " ".join(tokens)
     out, err = io.StringIO(), io.StringIO()

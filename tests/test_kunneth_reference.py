@@ -4,7 +4,9 @@
 product, and ``cross_total`` concatenates outer products degree by degree.
 ``reference_kunneth`` and ``reference_cross_total`` below are the earlier
 ``np.einsum`` / ``np.kron`` code, which accumulated every piece with
-``^=`` after a ``% 2``.  Both must give the same labels, every table, unit,
+``^=`` after a ``% 2``, on the earlier degree walk ``_kunneth_layout``
+(every split ``i + j = d``), so they share no iteration helper with the
+package.  Both must give the same labels, every table, unit,
 fundamental class and cross product, entry for entry.
 """
 from __future__ import annotations
@@ -22,7 +24,6 @@ from foldcheck.algebra import (
     _assemble_algebra,
     _check_table_budget,
     _disambiguate,
-    _kunneth_layout,
     _pair_label,
     _prime_counts,
     cross_total,
@@ -31,6 +32,19 @@ from foldcheck.algebra import (
 
 # ---------------------------------------------------------------------------
 # the kron/einsum Kunneth product, kept as the reference
+
+
+def _kunneth_layout(A: GradedAlgebra, B: GradedAlgebra, d: int) -> list[tuple[int, int, int]]:
+    """Blocks ``(i, j, start)`` of degree-d basis pairs, A-degree ascending."""
+    out = []
+    start = 0
+    for i in range(d + 1):
+        j = d - i
+        size = A.rank(i) * B.rank(j)
+        if size:
+            out.append((i, j, start))
+        start += size
+    return out
 
 
 def reference_kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:

@@ -248,6 +248,32 @@ def test_documents_round_trip_over_connected_closure(connected_closure):
         _assert_round_trip(m)
 
 
+def test_sphere_document_battery_reads_the_blocks_of_its_degrees(monkeypatch):
+    n = 400
+    doc = {
+        "name": f"S{n}",
+        "dim": n,
+        "orientable": True,
+        "euler": 2,
+        "signature": 0,
+        "basis": [["1"]] + [[] for _ in range(n - 1)] + [["s"]],
+        "p1": "zero",
+    }
+    calls = []
+    for name in ("mult_block", "sq_block"):
+        read = getattr(GradedAlgebra, name)
+
+        def counting(self, *key, read=read):
+            calls.append(key)
+            return read(self, *key)
+
+        monkeypatch.setattr(GradedAlgebra, name, counting)
+    m = load_manifold(doc)
+    # a few reads per pair of the two degrees with classes, not one per pair below n
+    assert len(calls) <= 16 * 2**2
+    assert m.algebra.degrees == (0, n)
+
+
 def test_k3_x_k3_document_round_trips():
     # 2011 basis classes, middle rank 486: the largest algebra in the suite
     m = product(k3(), k3())
