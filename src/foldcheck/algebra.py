@@ -816,9 +816,7 @@ def connected_sum_algebra(*pieces: GradedAlgebra) -> GradedAlgebra:
     n = pieces[0].top_degree
     for S in pieces[1:]:
         if S.top_degree != n:
-            raise DimensionMismatch(
-                f"connected sum needs equal dimensions, got {n} and {S.top_degree}"
-            )
+            raise DimensionMismatch(f"cannot sum dimensions {n} and {S.top_degree}")
     if n < 1:
         raise ValueError("connected sum needs dimension >= 1")
     for S in pieces:

@@ -10,8 +10,11 @@ The algebra axiom battery (``validate_algebra``) runs where data enters:
 ``load_manifold`` builds its algebra with ``build_algebra``.  The catalog
 atoms are closed forms, and connected sums and products of valid records
 are valid by construction, so their algebras are assembled without it.
-Records are immutable and compare by identity; value-level comparisons in
-tests go through the stored invariants.
+The ``RP``, ``CP`` and surface atoms, like ``kunneth``,
+``connected_sum_algebra`` and ``load_manifold``, check their ranks against
+the table byte budget before they allocate a table.  Records are immutable
+and compare by identity; value-level comparisons in tests go through the
+stored invariants.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from .algebra import (
     total_sq,
 )
 from .characteristic import BundleDescriptor, w3_twisted_status, wu_total
-from .errors import DimensionMismatch, InvariantViolation, SchemaError
+from .errors import InvariantViolation, SchemaError
 from .tristate import P1Data, P1Kind, TriState, p1_add
 
 __all__ = [
@@ -48,7 +51,6 @@ __all__ = [
     "k3",
     "orientable_surface",
     "nonorientable_surface",
-    "point",
     "atom",
     "connected_sum",
     "product",
@@ -307,6 +309,7 @@ def real_projective(n: int) -> Manifold:
     """RP(n), n >= 1: truncated polynomial algebra on a degree-1 class a."""
     if n < 1:
         raise ValueError("real projective space needs n >= 1")
+    _check_table_budget([1] * (n + 1))
     basis = [[_pow_label("a", d)] for d in range(n + 1)]
     mult = {
         (d1, d2): np.ones((1, 1, 1), dtype=np.uint8)
@@ -345,6 +348,7 @@ def complex_projective(n: int) -> Manifold:
     """CP(n), n >= 1: truncated polynomial algebra on a degree-2 class h."""
     if n < 1:
         raise ValueError("complex projective space needs n >= 1")
+    _check_table_budget([1 - d % 2 for d in range(2 * n + 1)])
     basis: list[list[str]] = []
     for d in range(2 * n + 1):
         basis.append([_pow_label("h", d // 2)] if d % 2 == 0 else [])
@@ -423,6 +427,7 @@ def orientable_surface(g: int) -> Manifold:
     """Sigma(g), g >= 0: closed orientable surface of genus g."""
     if g < 0:
         raise ValueError("genus must be >= 0")
+    _check_table_budget([1, 2 * g, 1])
     deg1 = [l for i in range(1, g + 1) for l in (f"a{i}", f"b{i}")]
     table = np.zeros((2 * g, 2 * g, 1), dtype=np.uint8)
     for i in range(g):
@@ -443,6 +448,7 @@ def nonorientable_surface(k: int) -> Manifold:
     """N(k), k >= 1: connected sum of k copies of RP(2); chi = 2 - k."""
     if k < 1:
         raise ValueError("a non-orientable surface needs k >= 1")
+    _check_table_budget([1, k, 1])
     algebra = _assemble_algebra(
         2,
         [["1"], [f"c{i}" for i in range(1, k + 1)], ["t"]],
@@ -455,14 +461,6 @@ def nonorientable_surface(k: int) -> Manifold:
         signature=None,
         algebra=algebra,
         w=None,
-    )
-
-
-def point() -> Manifold:
-    """A single point; the unit for products."""
-    algebra = _assemble_algebra(0, [["1"]])
-    return _assemble(
-        "point", 0, True, 1, 1, algebra, w=None, stably_parallelizable=True, torsion_free=True
     )
 
 
@@ -506,12 +504,12 @@ def _p1_status(p: P1Data, note: str) -> P1Data:
 
 
 def connected_sum(*pieces: Manifold) -> Manifold:
-    """Connected sum of closed, connected, equal-dimensional records."""
-    dim = pieces[0].dim
-    for m in pieces[1:]:
-        if m.dim != dim:
-            raise DimensionMismatch(f"cannot sum dimensions {dim} and {m.dim}")
+    """Connected sum of closed, connected, equal-dimensional records.
+
+    ``connected_sum_algebra`` refuses summands of unequal dimension.
+    """
     algebra = connected_sum_algebra(*(m.algebra for m in pieces))
+    dim = algebra.top_degree
     orientable = all(m.orientable for m in pieces)
     euler = sum(m.euler for m in pieces) - (2 * (len(pieces) - 1) if dim % 2 == 0 else 0)
     if orientable and dim % 4 == 0:

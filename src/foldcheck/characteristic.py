@@ -68,27 +68,9 @@ def wu_total(algebra: GradedAlgebra) -> TotalClass:
     return _total(algebra, comps)
 
 
-def _total_of(x) -> TotalClass:
-    if isinstance(x, TotalClass):
-        return x
-    w = getattr(x, "w", None)
-    if not isinstance(w, TotalClass):
-        raise TypeError("expected a manifold or a total class")
-    return w
-
-
-def dual_classes(x) -> TotalClass:
-    """Dual Stiefel-Whitney classes of a manifold or of a total class w.
-
-    The dual class is the inverse of w in the total ring; a manifold record
-    holds it as ``wbar``.
-    """
-    if isinstance(x, TotalClass):
-        return invert_total(x)
-    wbar = getattr(x, "wbar", None)
-    if not isinstance(wbar, TotalClass):
-        raise TypeError("expected a manifold or a total class")
-    return wbar
+def dual_classes(m) -> TotalClass:
+    """Dual Stiefel-Whitney classes of a manifold record: the inverse of w, ``m.wbar``."""
+    return m.wbar
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +87,10 @@ class StructureFlags:
     pin: bool
 
 
-def structure_flags(x) -> StructureFlags:
+def structure_flags(m) -> StructureFlags:
     """Orientable iff w_1 = 0; pin iff w_2 = 0; spin iff both vanish."""
-    w = _total_of(x)
-    w1_zero = w.component(1).is_zero()
-    w2_zero = w.component(2).is_zero()
+    w1_zero = m.w.component(1).is_zero()
+    w2_zero = m.w.component(2).is_zero()
     return StructureFlags(orientable=w1_zero, spin=w1_zero and w2_zero, pin=w2_zero)
 
 

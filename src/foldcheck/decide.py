@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .algebra import ClassZ2, TotalClass, invert_total
+from .algebra import ClassZ2, TotalClass
 from .catalog import Manifold
 from .characteristic import BundleDescriptor, virtual_difference, z_status
 from .errors import InvariantViolation
@@ -611,12 +611,10 @@ def _class_entry(name: str, degree: int, cls: ClassZ2) -> ThomEntry:
     return ThomEntry(name, degree, str(cls), cls.is_zero())
 
 
-def _beta_w3_status(w_total: TotalClass) -> TriState:
-    w1 = w_total.component(1)
-    w3 = w_total.component(3)
+def _beta_w3_status(w3: ClassZ2, w1w3: ClassZ2) -> TriState:
     if w3.is_zero():
         return TriState.zero("w_3 = 0")
-    if not (w1 * w3).is_zero():
+    if not w1w3.is_zero():
         return TriState.nonzero("mod-2 reduction w_1 w_3 != 0")
     return TriState.unknown("w_3 != 0 but w_1 w_3 = 0")
 
@@ -642,9 +640,10 @@ def thom_polynomials(m: Manifold, difference: Optional[BundleDescriptor] = None)
     """Thom polynomials of the fold, cusp, A3, A4 and Sigma^{2,0} strata.
 
     Entries are evaluated for the virtual difference TM - xi (xi defaults
-    to the trivial bundle, i.e. maps into Euclidean space).  Each mod-2
-    entry is computed both from the dual classes and from the simplified
-    Stiefel--Whitney form, and the two are asserted equal:
+    to the trivial bundle, i.e. maps into Euclidean space).  The mod-2
+    entries are stated in the dual classes wbar = w^{-1}.  Expanding
+    w wbar = 1 degree by degree turns each into a short form in w, which
+    holds in every commutative GF(2)-algebra and is what is evaluated:
 
         fold:            wbar_1            = w_1
         cusp (A2):       wbar_1^2 + wbar_2 = w_2
@@ -660,27 +659,18 @@ def thom_polynomials(m: Manifold, difference: Optional[BundleDescriptor] = None)
     if n < 4 or n > 7:
         raise ValueError(f"the Thom polynomial table supports dimensions 4 through 7, got {n}")
     if difference is None:
-        w_total, p1, wbar = m.w, m.p1, m.wbar
+        w_total, p1 = m.w, m.p1
     else:
         w_total, p1 = virtual_difference(m, difference)
-        wbar = invert_total(w_total)
     w1, w2, w3 = (w_total.component(d) for d in (1, 2, 3))
-    b1, b2, b3 = (wbar.component(d) for d in (1, 2, 3))
-
-    pairs = [
-        ("fold", 1, b1, w1),
-        ("cusp", 2, b1 * b1 + b2, w2),
-        ("A3", 3, b1 * b1 * b1 + b1 * b2, w1 * w2),
-        ("A4", 4, b1 * b1 * b1 * b1 + b1 * b3, w1 * w3),
-        ("Sigma^{2,0} mod 2", 4, b2 * b2 + b1 * b3, w2 * w2 + w1 * w3),
+    w1w3 = w1 * w3
+    entries = [
+        _class_entry("fold", 1, w1),
+        _class_entry("cusp", 2, w2),
+        _class_entry("A3", 3, w1 * w2),
+        _class_entry("A4", 4, w1w3),
+        _class_entry("Sigma^{2,0} mod 2", 4, w2 * w2 + w1w3),
     ]
-    entries = []
-    for name, degree, dual_form, w_form in pairs:
-        if dual_form != w_form:
-            raise InvariantViolation(
-                "thom-identity", f"{name}: dual-class form {dual_form} != simplified form {w_form}"
-            )
-        entries.append(_class_entry(name, degree, w_form))
-    beta = None if n == 4 else _beta_w3_status(w_total)
+    beta = None if n == 4 else _beta_w3_status(w3, w1w3)
     entries.append(_integral_entry(p1, beta))
     return ThomTable(n, tuple(entries))

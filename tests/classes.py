@@ -2,7 +2,8 @@
 
 The package builds its classes from tables; these constructors exist for
 the tests alone, so they live here and go through the public, checking
-constructors of ``ClassZ2`` and ``TotalClass``.
+constructors of ``ClassZ2`` and ``TotalClass``.  So does the point record,
+which the expression grammar cannot name: it is loaded as a document.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from typing import Iterable
 import numpy as np
 
 from foldcheck.algebra import ClassZ2, GradedAlgebra, TotalClass
+from foldcheck.catalog import Manifold, load_manifold
 
 
 def one(A: GradedAlgebra) -> ClassZ2:
@@ -31,3 +33,20 @@ def unit_total(A: GradedAlgebra) -> TotalClass:
     comps = [np.zeros(A.rank(d), dtype=np.uint8) for d in range(A.top_degree + 1)]
     comps[0] = A.unit
     return TotalClass(A, tuple(comps))
+
+
+def point() -> Manifold:
+    """A single point, the unit for products; the expression grammar has no point atom."""
+    return load_manifold(
+        {
+            "name": "point",
+            "dim": 0,
+            "orientable": True,
+            "euler": 1,
+            "signature": 1,
+            "basis": [["1"]],
+            "p1": "zero",
+            "stably_parallelizable": True,
+            "torsion_free": True,
+        }
+    )

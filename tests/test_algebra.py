@@ -432,8 +432,12 @@ def test_kunneth_of_two_spheres_walks_only_the_degrees_with_classes(monkeypatch)
     [
         lambda: connected_sum_algebra(rp_algebra(4), rp_algebra(4), rp_algebra(4)),
         lambda: kunneth(rp_algebra(3), rp_algebra(4)),
+        lambda: catalog.real_projective(5).algebra,
+        lambda: catalog.complex_projective(3).algebra,
+        lambda: catalog.orientable_surface(2).algebra,
+        lambda: catalog.nonorientable_surface(3).algebra,
     ],
-    ids=["connected-sum", "kunneth"],
+    ids=["connected-sum", "kunneth", "RP5", "CP3", "Sigma2", "N3"],
 )
 def test_table_budget_bounds_the_built_tables(monkeypatch, build):
     size = _table_bytes(build().ranks)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy
 
+from classes import point
 from foldcheck.catalog import (
     atom,
     connected_sum,
@@ -15,7 +16,6 @@ from foldcheck.catalog import (
     load_manifold,
     nonorientable_surface,
     orientable_surface,
-    point,
     product,
     real_projective,
     sphere,

@@ -7,7 +7,8 @@ import pytest
 
 from foldcheck.catalog import atom, connected_sum, product, sphere
 from foldcheck import decide
-from foldcheck.characteristic import tangent_descriptor
+from foldcheck.algebra import invert_total
+from foldcheck.characteristic import tangent_descriptor, virtual_difference
 from foldcheck.decide import (
     Outcome,
     TargetSpec,
@@ -192,7 +193,6 @@ def test_record_targets_skip_the_virtual_difference(monkeypatch, connected_closu
         raise AssertionError("R^p and S^p targets must read w and p_1 from the record")
 
     monkeypatch.setattr(decide, "virtual_difference", refuse)
-    monkeypatch.setattr(decide, "invert_total", refuse)
     for m in connected_closure:
         n = m.dim
         if not 4 <= n <= 7:
@@ -505,6 +505,33 @@ def test_thom_table_against_difference():
     table = thom_polynomials(m, tangent_descriptor(m))
     for entry in table.entries:
         assert entry.vanishes is True, entry
+
+
+def _dual_class_forms(w):
+    """The five mod-2 Thom polynomials as stated, in the dual classes w^{-1}."""
+    b1, b2, b3 = (invert_total(w).component(d) for d in (1, 2, 3))
+    return [
+        b1,
+        b1 * b1 + b2,
+        b1 * b1 * b1 + b1 * b2,
+        b1 * b1 * b1 * b1 + b1 * b3,
+        b2 * b2 + b1 * b3,
+    ]
+
+
+def test_thom_table_w_forms_equal_the_dual_class_forms(closure):
+    checked = 0
+    for m in closure:
+        if not 4 <= m.dim <= 7:
+            continue
+        for xi in (None, tangent_descriptor(m), trivial_descriptor(m.algebra, m.dim)):
+            w = m.w if xi is None else virtual_difference(m, xi)[0]
+            entries = thom_polynomials(m, xi).entries[:5]
+            forms = _dual_class_forms(w)
+            assert [e.value for e in entries] == [str(c) for c in forms], m.name
+            assert [e.vanishes for e in entries] == [c.is_zero() for c in forms], m.name
+            checked += 1
+    assert checked > 300
 
 
 def test_thom_table_dimension_range():

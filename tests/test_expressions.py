@@ -137,6 +137,8 @@ def test_repetition_applies_to_the_factor_only():
             "0" * 5000 + "#RP4", 0, "repetition count must be >= 1", id="5000-zero-count"
         ),
         ("1000#RP4", 4, "over the budget of 33554432 bytes"),
+        ("N3000", 0, "over the budget"),
+        ("S2 x Sigma3000", 5, "over the budget"),
         ("K3 x K3 x K3", 8, "over the budget of 33554432 bytes"),
         pytest.param("2#" * 40 + "RP4", 65, "over the budget", id="nested-repeats-budget"),
     ],
