@@ -636,12 +636,31 @@ def _require_list(doc: Mapping[str, Any], key: str) -> list:
     return value
 
 
-def _coords(entry: Any, length: int, where: str) -> np.ndarray:
+def _row(slots: dict, index: Any, entry: Any, length: int, where: str) -> tuple:
+    """Check a 0/1 vector of ``length`` and keep it as ``slots[index]``.
+
+    A row conflicts with an earlier nonzero row in the same slot that differs
+    from it; an all-zero earlier row gives way.
+    """
     if not isinstance(entry, (list, tuple)) or len(entry) != length:
         raise SchemaError(f"{where}: expected a 0/1 vector of length {length}")
     if not _ints(*entry) or not {0, 1}.issuperset(entry):
         raise SchemaError(f"{where}: coordinates must be 0 or 1")
-    return np.asarray(entry, dtype=np.uint8)
+    row = tuple(entry)
+    earlier = slots.get(index)
+    if earlier is not None and earlier != row and any(earlier):
+        raise SchemaError(f"{where}: conflicts with an earlier entry")
+    slots[index] = row
+    return row
+
+
+def _blocks(rows: dict[tuple[int, int], dict], shape) -> dict[tuple[int, int], np.ndarray]:
+    """One zero block of ``shape(key)`` per key, its rows written in one indexed write."""
+    tables = {}
+    for key, slots in rows.items():
+        block = tables[key] = np.zeros(shape(*key), dtype=np.uint8)
+        block[tuple(zip(*slots))] = list(slots.values())
+    return tables
 
 
 def _total_field(raw: Any, algebra: GradedAlgebra, where: str) -> TotalClass:
@@ -651,7 +670,10 @@ def _total_field(raw: Any, algebra: GradedAlgebra, where: str) -> TotalClass:
         raise SchemaError(f"{where} must list one coordinate vector per degree 0..{dim}")
     return TotalClass(
         algebra,
-        tuple(_coords(row, algebra.rank(d), f"{where}[{d}]") for d, row in enumerate(raw)),
+        tuple(
+            np.array(_row({}, d, row, algebra.rank(d), f"{where}[{d}]"), dtype=np.uint8)
+            for d, row in enumerate(raw)
+        ),
     )
 
 
@@ -675,9 +697,12 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     The document carries the algebra (basis labels per degree, product and
     Steenrod tables as sparse entry lists), the classical invariants, a
     required p_1 status, and optional w / W_3 / flag data.  Multiplication
-    entries may be given in either order; the mirror is filled in.  The
-    algebra goes through ``build_algebra`` and so through the full axiom
-    battery.  Every failure names the offending field or invariant.
+    entries may be given in either order; the mirror is filled in.  In both
+    tables an entry whose row differs from an earlier nonzero row in the same
+    slot (for products, the mirror slot too) is refused.  Rows are checked
+    first and each block is then written once.  The algebra goes through
+    ``build_algebra`` and so through the full axiom battery.  Every failure
+    names the offending field or invariant.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("manifold document must be a mapping")
@@ -717,7 +742,9 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     except ValueError as exc:
         raise SchemaError(f"basis: {exc}") from exc
 
-    mult_tables: dict[tuple[int, int], np.ndarray] = {}
+    # rows by block and slot; every mult entry fills its slot and the mirror
+    # slot with one row, so checking its own slot also checks the mirror
+    mult_rows: dict[tuple[int, int], dict] = {}
     for pos, entry in enumerate(_require_list(doc, "mult")):
         where = f"mult entry {pos}"
         if not isinstance(entry, (list, tuple)) or len(entry) != 5:
@@ -732,16 +759,10 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
                 raise SchemaError(f"{where}: {label} index out of range")
         if d1 + d2 > dim:
             raise SchemaError(f"{where}: product degree {d1 + d2} exceeds dim")
-        coords = _coords(raw, ranks[d1 + d2], where)
-        for key, a, b in (((d1, d2), i, j), ((d2, d1), j, i)):
-            block = mult_tables.setdefault(
-                key, np.zeros((ranks[key[0]], ranks[key[1]], ranks[d1 + d2]), dtype=np.uint8)
-            )
-            if block[a, b].any() and not np.array_equal(block[a, b], coords):
-                raise SchemaError(f"{where}: conflicts with an earlier entry")
-            block[a, b] = coords
+        row = _row(mult_rows.setdefault((d1, d2), {}), (i, j), raw, ranks[d1 + d2], where)
+        mult_rows.setdefault((d2, d1), {})[j, i] = row
 
-    sq_tables: dict[tuple[int, int], np.ndarray] = {}
+    sq_rows: dict[tuple[int, int], dict] = {}
     for pos, entry in enumerate(_require_list(doc, "sq")):
         where = f"sq entry {pos}"
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
@@ -758,14 +779,12 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
         if k > d or d + k > dim:
             if any(raw):
                 raise SchemaError(f"{where}: Sq^{k} vanishes on degree {d} here")
-            _coords(raw, len(raw), where)  # the zeros must still be integers
+            _row({}, i, raw, len(raw), where)  # the zeros must still be integers
             continue
-        coords = _coords(raw, ranks[d + k], where)
-        block = sq_tables.setdefault(
-            (k, d), np.zeros((ranks[d], ranks[d + k]), dtype=np.uint8)
-        )
-        block[i] = coords
+        _row(sq_rows.setdefault((k, d), {}), (i,), raw, ranks[d + k], where)
 
+    mult_tables = _blocks(mult_rows, lambda d1, d2: (ranks[d1], ranks[d2], ranks[d1 + d2]))
+    sq_tables = _blocks(sq_rows, lambda k, d: (ranks[d], ranks[d + k]))
     algebra = build_algebra(dim, [list(row) for row in basis], mult_tables, sq_tables)
 
     w = None if doc.get("w") is None else _total_field(doc["w"], algebra, "w")

@@ -165,12 +165,13 @@ def tangent_descriptor(m) -> BundleDescriptor:
 def virtual_difference(m, xi: BundleDescriptor) -> tuple[TotalClass, P1Data]:
     """w and p_1 data of the formal difference ``TM - xi``.
 
-    The Whitney-class part is exact: ``w(TM - xi) = w(TM) * w(xi)^{-1}``.
+    The Whitney-class part is exact: ``w(TM - xi) = w(TM) * w(xi)^{-1}``;
+    where ``w(xi)`` is the record's w, its inverse is the record's ``wbar``.
     The Pontrjagin part follows the tri-valued difference rules.
     """
     if xi.w_total.algebra is not m.algebra:
         raise ValueError("bundle descriptor does not live over this manifold's cohomology")
-    w_diff = m.w * invert_total(xi.w_total)
+    w_diff = m.w * (m.wbar if xi.w_total == m.w else invert_total(xi.w_total))
     return w_diff, p1_difference(m.p1, xi.p1)
 
 

@@ -409,6 +409,71 @@ def test_load_manifold_rejects_conflicting_mult_entries():
         load_manifold(doc)
 
 
+def test_load_manifold_accepts_an_explicit_mirror_with_the_same_row():
+    doc = rp4_document()
+    assert doc["mult"][1] == [1, 0, 2, 0, [1]] and doc["mult"][3] == [2, 0, 1, 0, [1]]
+    m = load_manifold(doc)
+    assert m.algebra.mult_block(1, 2)[0, 0, 0] == m.algebra.mult_block(2, 1)[0, 0, 0] == 1
+
+
+def test_load_manifold_rejects_a_mirror_contradicting_an_earlier_row():
+    doc = rp4_document()
+    doc["mult"][3] = [2, 0, 1, 0, [0]]  # the mirror of entry 1, which holds [1]
+    with pytest.raises(SchemaError, match=r"^mult entry 3: conflicts with an earlier entry$"):
+        load_manifold(doc)
+
+
+@pytest.mark.parametrize("table", ["mult", "sq"])
+def test_load_manifold_lets_a_nonzero_row_follow_a_zero_one(table):
+    doc = rp2_document()
+    if table == "mult":
+        doc["mult"] = [[1, 0, 1, 0, [0]], [1, 0, 1, 0, [1]]]  # the diagonal is its own mirror
+    else:
+        doc["sq"] = [[1, 1, 0, [0]], [1, 1, 0, [1]]]
+    m = load_manifold(doc)
+    assert m.algebra.mult_block(1, 1)[0, 0, 0] == m.algebra.sq_block(1, 1)[0, 0] == 1
+
+
+def test_load_manifold_accepts_a_diagonal_entry_and_its_repeat():
+    doc = rp2_document()
+    doc["mult"] = [[1, 0, 1, 0, [1]], [1, 0, 1, 0, [1]]]
+    m = load_manifold(doc)
+    assert m.algebra.mult_block(1, 1).tolist() == [[[1]]]
+
+
+@pytest.mark.parametrize(
+    "field,entries,message",
+    [
+        (
+            "mult",
+            [[1, 0, 1, 0, [1]], [1, 0, 1, 0, [0]], [1, 0, 1, 0, [1, 1]]],
+            "mult entry 1: conflicts with an earlier entry",
+        ),
+        (
+            "mult",
+            [[1, 0, 1, 0, [1]], [1, 0, 1, 0, [1, 1]], [1, 0, 1, 0, [0]]],
+            "mult entry 1: expected a 0/1 vector of length 1",
+        ),
+        (
+            "sq",
+            [[1, 1, 0, [1]], [1, 1, 0, [0]], [1, 1, 0, [2]]],
+            "sq entry 1: conflicts with an earlier entry",
+        ),
+        (
+            "sq",
+            [[1, 1, 0, [1]], [2, 1, 0, [1]], [1, 1, 0, [0]]],
+            "sq entry 1: Sq^2 vanishes on degree 1 here",
+        ),
+    ],
+)
+def test_load_manifold_reports_the_first_bad_entry(field, entries, message):
+    doc = rp2_document()
+    doc[field] = entries
+    with pytest.raises(SchemaError) as info:
+        load_manifold(doc)
+    assert str(info.value) == message
+
+
 def test_load_manifold_rejects_degenerate_pairing():
     doc = rp2_document()
     doc["mult"] = []

@@ -147,6 +147,16 @@ def test_table_budget_exits_2_without_traceback(expression, position):
     assert "Traceback" not in proc.stderr
 
 
+def test_contradictory_sq_rows_exit_2(capsys, tmp_path):
+    doc = json.loads((DATA / "rp2.json").read_text())
+    doc["sq"] = [[1, 1, 0, [1]], [1, 1, 0, [0]], [1, 1, 0, [1]]]
+    path = tmp_path / "rp2.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "invariants", str(path))
+    assert (code, out) == (2, "")
+    assert err == "foldcheck: error: sq entry 1: conflicts with an earlier entry\n"
+
+
 def test_working_directory_does_not_shadow_catalog_atoms(tmp_path):
     # a directory named RP4 and a broken file named K3 sit in the working
     # directory; the catalog expressions win, and ./K3 still reaches the file
@@ -291,6 +301,29 @@ def test_each_reader_of_wbar_shares_one_inversion_per_record(capsys, monkeypatch
         ["invariants", "RP4", "--format", "json"],
         ["thom", "RP4"],
         ["decide", "RP4", "--target", "R3", "--explain"],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert [u.algebra for u in calls] == [fresh.algebra]
+
+
+def test_tangent_differences_reuse_the_record_inverse(capsys, monkeypatch):
+    # the tangent descriptor, and a pullback document equal to it, carry w(M)
+    real = algebra.invert_total
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return real(u)
+
+    for module in (algebra, catalog, characteristic, cli, decide):
+        if getattr(module, "invert_total", None) is real:
+            monkeypatch.setattr(module, "invert_total", counting)
+    fresh = replace(catalog.atom("CP2"))
+    monkeypatch.setattr(cli, "_resolve_manifold", lambda text: fresh)
+    for argv in (
+        ["thom", "CP2", "--target", "self"],
+        ["decide", "CP2", "--target", "self"],
+        ["decide", "CP2", "--target", f"pullback:{DATA / 'cp2_tangent.json'}"],
     ):
         assert run(capsys, *argv)[0] == 0, argv
     assert [u.algebra for u in calls] == [fresh.algebra]

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_invariants import _rank_mod2
@@ -170,6 +170,10 @@ def _flipped(A: GradedAlgebra, table: str, pick: int, entry: int) -> GradedAlgeb
     st.integers(0, 10**9),
     st.sampled_from([1, 40, algebra._CHUNK_ELEMENTS]),
 )
+# commutative: a Sq^1 flip whose Cartan failures on (1, 2), (2, 3) repeat on (2, 1), (3, 2)
+@example(name="K3 x RP2", table="sq", pick=8, entry=0, chunk=algebra._CHUNK_ELEMENTS)
+# not commutative: a (1, 2) product flip, failing associativity on (1, 1, 2) but not (2, 1, 1)
+@example(name="RP2 x RP3", table="mult", pick=8, entry=0, chunk=1)
 def test_flipped_entry_violations_match_reference(
     oracle_algebras, name, table, pick, entry, chunk
 ):
@@ -178,6 +182,45 @@ def test_flipped_entry_violations_match_reference(
     with mock.patch.object(algebra, "_CHUNK_ELEMENTS", chunk):
         got = validate_algebra(A).violations
     assert got == reference_violations(A)
+
+
+def _triples(A: GradedAlgebra) -> list[tuple[int, int, int]]:
+    degrees, n = A.degrees, A.top_degree
+    return [
+        (d1, d2, d3)
+        for d1 in degrees
+        for d2 in degrees
+        for d3 in degrees
+        if d1 + d2 + d3 <= n
+    ]
+
+
+def _associative_calls(monkeypatch, A: GradedAlgebra) -> list[tuple[int, int, int]]:
+    real = algebra._associative
+    calls = []
+
+    def counting(mult, rank, *triple):
+        calls.append(triple)
+        return real(mult, rank, *triple)
+
+    monkeypatch.setattr(algebra, "_associative", counting)
+    validate_algebra(A)
+    return calls
+
+
+@pytest.mark.parametrize("name,count", [("RP8", 95), ("CP3 x RP3", 125)])
+def test_commutative_battery_checks_one_triple_of_each_mirror_pair(monkeypatch, name, count):
+    # of 165 and 220 triples, those with d1 <= d3
+    A = parse_expression(name).algebra
+    calls = _associative_calls(monkeypatch, A)
+    assert calls == [t for t in _triples(A) if t[0] <= t[2]]
+    assert len(calls) == count
+
+
+def test_noncommutative_battery_checks_every_triple(monkeypatch, oracle_algebras):
+    A = _flipped(oracle_algebras["RP2 x RP3"], "mult", 8, 0)
+    assert "commutativity: degrees (1, 2)" in validate_algebra(A).violations
+    assert _associative_calls(monkeypatch, A) == _triples(A)
 
 
 # ---------------------------------------------------------------------------
