@@ -32,7 +32,6 @@ __all__ = [
     "dual_classes",
     "StructureFlags",
     "structure_flags",
-    "w3_shadow",
     "w3_twisted_status",
     "BundleDescriptor",
     "tangent_descriptor",

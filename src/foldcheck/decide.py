@@ -7,28 +7,23 @@ definite answer.  The deciders never overclaim: sufficiency-only results
 (Eliashberg's h-principle, the 6-manifold theorem) can produce Exists but
 never NotExists.
 
-The rule inventory, by target dimension p and source dimension n:
+The rule inventory is the ordered table ``_RULES``.  When no row
+decides, a sufficiency chain runs: stable parallelizability, then
+stable-span bounds via the equivalence "a tame fold map into R^p
+exists iff span0(M) >= p - 1" (Cor 2.4).
 
-* p = 1: Morse functions always exist.
-* p = 2: Thom--Levine — a fold map exists iff chi(M) is even.
-* p = n, 4 <= n <= 7: pin + z-class obstructions for the virtual
-  difference TM - g*TN (Thm 3.4 / Cor 3.5 for n = 4, Thm 3.7 for
-  5 <= n <= 7).
-* p = 3, n >= 4: the twisted-Whitney-class criterion for non-orientable
-  4-manifolds (Thm 5.1), the 6-manifold sufficiency theorem (Thm 5.8),
-  and the odd/even high-dimensional criteria (Rem 5.10).
-* p = 4, n even >= 6: the signature and w_{n-2} criteria (Thm 4.3,
-  Thm 4.6) with dimensions 6 and 8 explicitly excluded (Rem 4.7, Rem 4.4).
-
-When no specialized rule decides, a sufficiency chain runs: stable
-parallelizability, then stable-span bounds via the equivalence
-"a tame fold map into R^p exists iff span0(M) >= p - 1" (Cor 2.4).
+A sphere target reads the table's sphere column.  EXISTS carries over
+through the open inclusion R^p in S^p.  NOT EXISTS stands only for a
+row marked ``sphere``: the equidimensional obstructions are read off
+the stable class of TM - f*TN, and TS^p is stably trivial.  Every
+other criterion is stated for R^p only, so its NOT EXISTS becomes
+UNKNOWN for S^p.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .algebra import ClassZ2, TotalClass
 from .catalog import Manifold
@@ -44,10 +39,6 @@ __all__ = [
     "SpanBounds",
     "ThomEntry",
     "ThomTable",
-    "decide_low_codim",
-    "decide_equidim",
-    "decide_to_R3",
-    "decide_highdim_to_R4",
     "decide_fold",
     "stable_span_bounds",
     "thom_polynomials",
@@ -132,18 +123,16 @@ class SpanBounds:
 
 
 # ---------------------------------------------------------------------------
-# low codimension: p = 1 and p = 2
+# low codimension
 
 
-def decide_low_codim(m: Manifold, p: int) -> Verdict:
+def _decide_low_codim(m: Manifold, p: int) -> Verdict:
     """Fold maps to the line (Morse functions) and to the plane (Thom--Levine)."""
     if p == 1:
         entry = TraceEntry(
             "morse-function", "Morse", "none", "every closed manifold admits a Morse function"
         )
         return Verdict(Outcome.EXISTS, (entry,))
-    if p != 2:
-        raise ValueError("decide_low_codim handles p = 1 and p = 2 only")
     if m.euler % 2 == 0:
         entry = TraceEntry("thom-levine", "Thom-Levine", "none", f"chi = {m.euler} is even")
         return Verdict(Outcome.EXISTS, (entry,))
@@ -162,11 +151,9 @@ def _difference_for(m: Manifold, target: TargetSpec) -> Tuple[TotalClass, P1Data
     return m.w, m.p1
 
 
-def decide_equidim(m: Manifold, target: TargetSpec) -> Verdict:
+def _decide_equidim(m: Manifold, target: TargetSpec) -> Verdict:
     """Equidimensional targets (p = n) via the pin and z-class obstructions."""
     n = m.dim
-    if target.dim != n:
-        raise ValueError(f"equidimensional target has dimension {target.dim}, expected {n}")
     if n < 4 or n > 7:
         entry = TraceEntry(
             "equidim-range",
@@ -228,12 +215,9 @@ def decide_equidim(m: Manifold, target: TargetSpec) -> Verdict:
 # target R^3
 
 
-def decide_to_R3(m: Manifold, tame: bool = False) -> Verdict:
-    """Fold maps into R^3 for dim M >= 4."""
+def _decide_to_R3(m: Manifold, tame: bool) -> Verdict:
+    """Fold maps into R^3: Thm 5.1, Thm 5.8 and Rem 5.10."""
     n = m.dim
-    if n < 4:
-        raise ValueError("decide_to_R3 expects dim M >= 4")
-
     if n == 4:
         if m.orientable:
             entry = TraceEntry(
@@ -344,14 +328,12 @@ def decide_to_R3(m: Manifold, tame: bool = False) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# target R^4, dim M even >= 6
+# target R^4 from even dimensions
 
 
-def decide_highdim_to_R4(m: Manifold) -> Verdict:
-    """Fold maps of an even-dimensional manifold (dim >= 6) into R^4."""
+def _decide_highdim_to_R4(m: Manifold) -> Verdict:
+    """Fold maps of an even-dimensional manifold into R^4: Thm 4.3 and Thm 4.6."""
     n = m.dim
-    if n < 6 or n % 2 != 0:
-        raise ValueError("decide_highdim_to_R4 expects an even dimension >= 6")
     # codimension n - 4 is even throughout, so tame and fold verdicts coincide
     if n == 6:
         entry = TraceEntry("dim6-R4", "Rem 4.7", "none", "dimension 6 excluded")
@@ -388,19 +370,41 @@ def decide_highdim_to_R4(m: Manifold) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# dispatcher and sufficiency chain
+# the rule table, the dispatcher and the sufficiency chain
+
+
+@dataclass(frozen=True)
+class _Rule:
+    domain: Callable[[int, int], bool]  # (dim M, p)
+    decide: Callable[[Manifold, int, bool], Verdict]  # (M, p, tame)
+    reads_tame: bool = False
+    sphere: bool = False  # its NOT EXISTS also holds for the target S^p
+
+
+# Tried in order; the first row whose domain holds decides, so a row
+# leaves out what the rows above it already take.
+_RULES = (
+    _Rule(lambda n, p: p <= 2, lambda m, p, tame: _decide_low_codim(m, p)),
+    _Rule(
+        lambda n, p: p == n, lambda m, p, tame: _decide_equidim(m, TargetSpec.euclidean(p)), sphere=True
+    ),
+    _Rule(lambda n, p: p == 3, lambda m, p, tame: _decide_to_R3(m, tame), reads_tame=True),
+    _Rule(lambda n, p: p == 4 and n % 2 == 0, lambda m, p, tame: _decide_highdim_to_R4(m)),
+)
+
+
+def _rule(n: int, p: int) -> Optional[_Rule]:
+    for row in _RULES:
+        if row.domain(n, p):
+            return row
+    return None
 
 
 def _route(m: Manifold, p: int, tame: bool) -> Verdict:
     n = m.dim
-    if p <= 2:
-        return decide_low_codim(m, p)
-    if p == n:
-        return decide_equidim(m, TargetSpec.euclidean(p))
-    if p == 3 and n >= 4:
-        return decide_to_R3(m, tame)
-    if p == 4 and n >= 6 and n % 2 == 0:
-        return decide_highdim_to_R4(m)
+    row = _rule(n, p)
+    if row is not None:
+        return row.decide(m, p, tame)
     entry = TraceEntry(
         "no-rule", "none", "none", f"no criterion covers maps of a {n}-manifold into R^{p}"
     )
@@ -410,10 +414,11 @@ def _route(m: Manifold, p: int, tame: bool) -> Verdict:
 def _core(m: Manifold, p: int, tame: bool) -> Verdict:
     """``_route(m, p, tame)``, derived at most once per record.
 
-    Only ``decide_to_R3`` reads ``tame``, so other targets share one entry.
+    Rows that do not read ``tame`` share one entry for both modes.
     """
     table = m._verdicts
-    key = (p, tame and p == 3)
+    row = _rule(m.dim, p)
+    key = (p, tame and row is not None and row.reads_tame)
     if key not in table:
         table[key] = _route(m, p, tame)
     return table[key]
@@ -474,13 +479,37 @@ def _sufficiency_chain(m: Manifold, p: int, tame: bool, verdict: Verdict) -> Ver
     return verdict
 
 
+def _on_sphere(m: Manifold, p: int, core: Verdict, verdict: Verdict) -> Verdict:
+    """The verdict into R^p, read for S^p through the sphere column of ``_RULES``."""
+    if verdict.outcome is Outcome.EXISTS:
+        entry = TraceEntry(
+            "sphere-inclusion",
+            "R^p in S^p",
+            "none",
+            f"R^{p} is open in S^{p}: a fold map into R^{p} is one into S^{p}",
+        )
+        return Verdict(Outcome.EXISTS, verdict.trace + (entry,))
+    if verdict.outcome is Outcome.UNKNOWN or (
+        core.outcome is Outcome.NOT_EXISTS and _rule(m.dim, p).sphere  # only a row gives a NOT EXISTS core
+    ):
+        return verdict
+    cited = [e.citation for e in verdict.trace if e.obstruction != "none"][-1]
+    entry = TraceEntry(
+        "sphere-target",
+        cited,
+        "none",
+        f"stated for R^{p} only: it does not obstruct fold maps into S^{p}",
+    )
+    return Verdict(Outcome.UNKNOWN, verdict.trace + (entry,))
+
+
 def decide_fold(m: Manifold, target: TargetSpec, tame: bool = False) -> Verdict:
     """Decide existence of a (tame) fold map of M into the given target.
 
-    Sphere targets are treated as Euclidean ones of the same dimension
-    (the tangent bundle of S^p is stably trivial).  Raises ValueError
-    for disconnected manifolds and for targets of dimension exceeding
-    dim M.
+    A sphere target takes the verdict into R^p and keeps a NOT EXISTS
+    only where the deciding row of ``_RULES`` holds for S^p.  Raises
+    ValueError for disconnected manifolds and for targets of dimension
+    exceeding dim M.
     """
     if not m.connected:
         raise ValueError(f"fold-map decisions require a connected manifold; {m.name} is not connected")
@@ -490,13 +519,14 @@ def decide_fold(m: Manifold, target: TargetSpec, tame: bool = False) -> Verdict:
             raise ValueError(
                 f"pullback target has dimension {p}, expected dim M = {m.dim}"
             )
-        return decide_equidim(m, target)
+        return _decide_equidim(m, target)
     if p > m.dim:
         raise ValueError(f"target dimension {p} exceeds dim M = {m.dim}")
-    verdict = _core(m, p, tame)
-    if verdict.outcome is not Outcome.UNKNOWN:
-        return verdict
-    return _sufficiency_chain(m, p, tame, verdict)
+    core = _core(m, p, tame)
+    verdict = core if core.outcome is not Outcome.UNKNOWN else _sufficiency_chain(m, p, tame, core)
+    if target.kind == "sphere":
+        return _on_sphere(m, p, core, verdict)
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,12 @@ def test_criterion_6_dimension_gates(connected_closure):
                 blockers = [e for e in verdict.trace if e.obstruction != "none"]
                 assert blockers, (m.name, p, tame)
                 assert all(e.citation in inv.NECESSITY_CITATIONS for e in blockers)
+        # into S^p, EXISTS carries over and NOT EXISTS rests on the equidimensional rules only
+        for p, tame, euclid, sph in inv._sphere_sweep(m):
+            if euclid.outcome is Outcome.EXISTS:
+                assert sph.outcome is Outcome.EXISTS, (m.name, p, tame)
+            if sph.outcome is Outcome.NOT_EXISTS:
+                assert all(e.citation in inv.SPHERE_CITATIONS for e in sph.trace), (m.name, p, tame)
         if m.dim == 8:
             verdict = decide_fold(m, TargetSpec.euclidean(4))
             assert verdict.trace[0].citation == "Rem 4.4", m.name
@@ -201,7 +207,7 @@ def test_criterion_6_dimension_gates(connected_closure):
             if verdict.outcome is Outcome.EXISTS:
                 text = " ".join(e.citation + " " + e.value for e in verdict.trace)
                 assert "Thm 5.8" in text, m.name
-    print("ACCEPTANCE 6: PASS — gates honoured; no NotExists from sufficiency")
+    print("ACCEPTANCE 6: PASS — gates honoured; no NotExists from sufficiency, nor into S^p from R^p rules")
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ GOLDEN_CASES = [
     ("decide_cp2_self.json", ["decide", "CP2", "--target", "self", "--format", "json"]),
     ("decide_s2xs3_r5_explain.txt", ["decide", "S2 x S3", "--target", "R5", "--explain"]),
     ("decide_rp6_r5_tame.txt", ["decide", "RP6", "--target", "R5", "--tame"]),
+    ("decide_cp2_sphere2.txt", ["decide", "CP2", "--target", "sphere:2"]),
+    ("decide_k3_sphere4.json", ["decide", "K3", "--target", "sphere:4", "--format", "json"]),
     ("thom_rp4_x_s1.txt", ["thom", "RP4 x S1"]),
     ("invariants_rp4.txt", ["invariants", "RP4"]),
     ("span_k3.txt", ["span", "K3"]),

@@ -13,11 +13,7 @@ from foldcheck.decide import (
     Outcome,
     TargetSpec,
     Verdict,
-    decide_equidim,
     decide_fold,
-    decide_highdim_to_R4,
-    decide_low_codim,
-    decide_to_R3,
     stable_span_bounds,
     thom_polynomials,
 )
@@ -100,21 +96,23 @@ def test_three_rp4_cites_w4_not_w3():
 
 
 def test_morse_functions_always_exist():
-    verdict = decide_low_codim(atom("RP4"), 1)
+    verdict = verdict_of("RP4", 1)
     assert verdict.outcome is Outcome.EXISTS
     assert verdict.trace[0].citation == "Morse"
 
 
 def test_thom_levine_parity():
-    even = decide_low_codim(atom("K3"), 2)
+    even = verdict_of("K3", 2)
     assert even.outcome is Outcome.EXISTS and "chi = 24 is even" in even.trace[0].value
-    odd = decide_low_codim(atom("RP4"), 2)
+    odd = verdict_of("RP4", 2)
     assert odd.outcome is Outcome.NOT_EXISTS and odd.trace[0].obstruction == "chi"
 
 
 def test_low_codim_rejects_other_targets():
-    with pytest.raises(ValueError):
-        decide_low_codim(atom("RP4"), 3)
+    # R^3 goes to the R^3 row, not to Morse or Thom-Levine
+    verdict = decide._route(atom("RP4"), 3, True)
+    assert verdict.trace[0].rule == "dim4-tame-R3"
+    assert verdict.trace[0].citation == "Thm 5.1"
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +120,7 @@ def test_low_codim_rejects_other_targets():
 
 
 def decide_dim4_to_R4(m) -> Verdict:
-    return decide_equidim(m, TargetSpec.euclidean(4))
+    return decide_fold(m, TargetSpec.euclidean(4))
 
 
 def test_dim4_oriented_spin_flat_case():
@@ -139,8 +137,11 @@ def test_dim4_pin_obstruction():
 
 
 def test_dim4_requires_dimension_4():
-    with pytest.raises(ValueError, match="dimension 4, expected 3"):
+    # R^4 from a 3-manifold: decide_fold refuses it, and no row of the table takes it
+    with pytest.raises(ValueError, match="target dimension 4 exceeds dim M = 3"):
         decide_dim4_to_R4(atom("S3"))
+    (entry,) = decide._route(atom("S3"), 4, False).trace
+    assert entry.rule == "no-rule"
 
 
 def test_pullback_of_own_tangent_bundle():
@@ -234,43 +235,38 @@ def test_equidim_above_range_falls_to_sufficiency():
 
 
 def test_r3_oriented_dim4_is_referred_out():
-    verdict = decide_to_R3(atom("K3"))
+    verdict = verdict_of("K3", 3)
     assert verdict.outcome is Outcome.UNKNOWN
     assert verdict.trace[0].citation == "Sadykov-Saeki"
 
 
 def test_r3_nonorientable_dim4_w3_obstruction():
-    m = parse_expression("RP2 x RP2")
-    verdict = decide_to_R3(m, tame=True)
+    verdict = verdict_of("RP2 x RP2", 3, tame=True)
     assert verdict.outcome is Outcome.NOT_EXISTS
     assert verdict.trace[0].obstruction == "W_3"
     assert "W_3 != 0" in verdict.trace[0].value
 
 
 def test_r3_nonorientable_dim4_nontame_softens():
-    m = parse_expression("RP2 x RP2")
-    verdict = decide_to_R3(m, tame=False)
+    verdict = verdict_of("RP2 x RP2", 3, tame=False)
     assert verdict.outcome is Outcome.UNKNOWN
     assert verdict.trace[-1].citation == "Rem 5.6"
 
 
 def test_r3_odd_dimensions():
-    rp5 = atom("RP5")
-    verdict = decide_to_R3(rp5)
+    verdict = verdict_of("RP5", 3)
     assert verdict.outcome is Outcome.NOT_EXISTS
     assert verdict.trace[0].citation == "Rem 5.10"
     assert verdict.trace[0].value == "w_4 = a^4 != 0"
 
-    rp7 = atom("RP7")  # parallelizable: w = 1
-    verdict = decide_to_R3(rp7, tame=True)
+    verdict = verdict_of("RP7", 3, tame=True)  # parallelizable: w = 1
     assert verdict.outcome is Outcome.EXISTS
     assert verdict.trace[-1].citation == "Sec 2"  # codim even: fold = tame
 
 
 def test_r3_dim6_sufficiency():
-    assert decide_to_R3(atom("CP3")).outcome is Outcome.EXISTS
-    nonor = parse_expression("RP3 x RP3")
-    verdict = decide_to_R3(nonor)
+    assert verdict_of("CP3", 3).outcome is Outcome.EXISTS
+    verdict = verdict_of("RP3 x RP3", 3)
     assert verdict.outcome is Outcome.EXISTS  # w_4 = 0 so W_5 = 0
     assert verdict.trace[0].citation == "Thm 5.8"
     hard = parse_expression("RP2 x RP2 x RP2")
@@ -280,15 +276,16 @@ def test_r3_dim6_sufficiency():
 
 
 def test_r3_even_dim_8_and_up():
-    m = parse_expression("S4 x S6")
-    verdict = decide_to_R3(m)  # fold mode: orientable even-dimensional
+    verdict = verdict_of("S4 x S6", 3)  # fold mode: orientable even-dimensional
     assert verdict.outcome is Outcome.EXISTS
     assert verdict.trace[0].citation == "Rem 5.10"
 
 
 def test_r3_requires_dim_at_least_4():
-    with pytest.raises(ValueError):
-        decide_to_R3(atom("S3"))
+    # a 3-manifold into R^3 is equidimensional, and that row comes first
+    (entry,) = decide._route(atom("S3"), 3, True).trace
+    assert entry.rule == "equidim-range"
+    assert verdict_of("S3", 3).trace[0].rule == "equidim-range"
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +293,12 @@ def test_r3_requires_dim_at_least_4():
 
 
 def test_r4_dimension_gates():
-    six = decide_highdim_to_R4(atom("CP3"))
+    six = verdict_of("CP3", 4)
     assert six.outcome is Outcome.UNKNOWN and six.trace[0].citation == "Rem 4.7"
-    eight = decide_highdim_to_R4(parse_expression("S3 x S5"))
-    assert eight.outcome is Outcome.UNKNOWN and eight.trace[0].citation == "Rem 4.4"
+    eight = verdict_of("S3 x S5", 4)
+    assert eight.trace[0].citation == "Rem 4.4"
+    # stably parallelizable, so the sufficiency chain decides after the gate
+    assert eight.outcome is Outcome.EXISTS and eight.trace[-1].citation == "Eliashberg"
 
 
 def test_r4_4k_signature_criterion():
@@ -323,10 +322,11 @@ def test_r4_4k_plus_2_criterion():
 
 
 def test_r4_rejects_bad_dimensions():
-    with pytest.raises(ValueError):
-        decide_highdim_to_R4(atom("RP5"))
-    with pytest.raises(ValueError):
-        decide_highdim_to_R4(atom("S4"))
+    # an odd dimension has no R^4 row; a 4-manifold goes to the equidimensional one
+    (entry,) = decide._route(atom("RP5"), 4, False).trace
+    assert entry.rule == "no-rule"
+    (entry,) = decide._route(atom("S4"), 4, False).trace
+    assert entry.rule == "dim4-oriented" and entry.citation == "Cor 3.5(i)"
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +348,16 @@ def test_sphere_targets_reuse_euclidean_rules():
     sph = decide_fold(atom("RP4"), TargetSpec.sphere(4))
     assert euclid.outcome is sph.outcome
     assert euclid.trace == sph.trace
+
+
+def test_sphere_span_upper_becomes_unknown():
+    # CP2 has no tame fold map into R^3 by the span bound of Cor 2.4
+    euclid = verdict_of("CP2", 3, tame=True)
+    assert euclid.outcome is Outcome.NOT_EXISTS and euclid.trace[-1].rule == "span-upper"
+    sph = decide_fold(atom("CP2"), TargetSpec.sphere(3), tame=True)
+    assert sph.outcome is Outcome.UNKNOWN
+    assert sph.trace[:-1] == euclid.trace
+    assert (sph.trace[-1].rule, sph.trace[-1].citation) == ("sphere-target", "Cor 2.4")
 
 
 def test_target_labels():
@@ -372,6 +382,87 @@ def test_outcome_rendering():
     assert Outcome.EXISTS.render() == "EXISTS"
     assert Outcome.NOT_EXISTS.render() == "NOT EXISTS"
     assert Outcome.UNKNOWN.render() == "UNKNOWN"
+
+
+# ---------------------------------------------------------------------------
+# the rule table
+
+
+# dimension 10 and 12 records: Thm 4.3 and Thm 4.6 need dim M >= 10
+EXTRA_LAYER = ("CP5", "CP6", "S2 x CP4", "K3 x CP3", "CP3 x CP3")
+
+# every (rule, citation) pair the sweep below must produce, kept here and
+# not read from the package; "scan-R^p" stands for each scan-R^<p> entry
+RULE_CITATIONS = {
+    ("morse-function", "Morse"),
+    ("thom-levine", "Thom-Levine"),
+    ("dim4-pin", "Cor 3.5(i)"),
+    ("dim4-pin", "Cor 3.5(ii)"),
+    ("dim4-oriented", "Cor 3.5(i)"),
+    ("dim4-oriented", "Thm 3.4"),
+    ("dim4-nonorientable", "Cor 3.5(ii)"),
+    ("equidim-pin", "Thm 3.7"),
+    ("equidim-z", "Thm 3.7"),
+    ("equidim-range", "Thm 3.7"),
+    ("dim4-oriented-R3", "Sadykov-Saeki"),
+    ("dim4-tame-R3", "Thm 5.1"),
+    ("dim4-nontame-R3", "Rem 5.6"),
+    ("odd-dim-R3", "Rem 5.10"),
+    ("dim6-R3", "Thm 5.8"),
+    ("even-dim-R3", "Rem 5.10"),
+    ("dim6-R4", "Rem 4.7"),
+    ("dim8-R4", "Rem 4.4"),
+    ("4k-R4", "Thm 4.3"),
+    ("4k+2-R4", "Thm 4.6"),
+    ("no-rule", "none"),
+    ("tame-fold-identification", "Sec 2"),
+    ("stably-parallelizable", "Eliashberg"),
+    ("stably-parallelizable", "Cor 2.4"),
+    ("span-lower", "Cor 2.4"),
+    ("span-upper", "Cor 2.4"),
+    ("stably-parallelizable", "Rem 2.5"),
+    ("scan-R^p", "Cor 2.4"),
+    ("3-frame", "Thm 4.2"),
+    ("3-frame", "Thm 4.5"),
+    ("span-stabilization", "Thm 4.1"),
+    ("sphere-inclusion", "R^p in S^p"),
+    ("sphere-target", "Thom-Levine"),
+    ("sphere-target", "Thm 5.1"),
+    ("sphere-target", "Rem 5.10"),
+    ("sphere-target", "Thm 4.3"),
+    ("sphere-target", "Thm 4.6"),
+    ("sphere-target", "Cor 2.4"),
+}
+
+
+def test_every_rule_fires(connected_closure, monkeypatch):
+    fired = [0] * len(decide._RULES)
+
+    def counting(index, row):
+        def run(m, p, tame):
+            fired[index] += 1
+            return row.decide(m, p, tame)
+
+        return replace(row, decide=run)
+
+    monkeypatch.setattr(decide, "_RULES", tuple(counting(i, row) for i, row in enumerate(decide._RULES)))
+    records = [replace(m) for m in connected_closure]  # empty verdict tables
+    records += [replace(parse_expression(text)) for text in EXTRA_LAYER]
+    pairs = set()
+    for m in records:
+        traces = [
+            decide_fold(m, target(p), tame).trace
+            for p in range(1, m.dim + 1)
+            for tame in (False, True)
+            for target in (TargetSpec.euclidean, TargetSpec.sphere)
+        ]
+        traces.append(decide_fold(m, TargetSpec.pullback(m.dim, tangent_descriptor(m))).trace)
+        traces.append(stable_span_bounds(m).trace)
+        for trace in traces:
+            for e in trace:
+                pairs.add(("scan-R^p" if e.rule.startswith("scan-R^") else e.rule, e.citation))
+    assert all(fired), fired
+    assert pairs == RULE_CITATIONS
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,40 @@ def test_not_exists_always_cites_a_necessity_theorem(connected_closure):
                     assert entry.rule == "span-upper", (m.name, p, tame, entry)
 
 
+# A NOT EXISTS into S^p may cite only the equidimensional obstructions:
+# they are read off the stable class of TM - f*TN, and TS^p is stably
+# trivial.  Every other criterion is stated for R^p.
+SPHERE_CITATIONS = {"Cor 3.5(i)", "Cor 3.5(ii)", "Thm 3.7"}
+
+
+def _sphere_sweep(m):
+    for p in range(1, m.dim + 1):
+        for tame in (False, True):
+            euclid = decide_fold(m, TargetSpec.euclidean(p), tame)
+            yield p, tame, euclid, decide_fold(m, TargetSpec.sphere(p), tame)
+
+
+def test_sphere_not_exists_cites_only_equidimensional_results(connected_closure):
+    kept = 0
+    for m in connected_closure:
+        for p, tame, euclid, sph in _sphere_sweep(m):
+            assert sph.trace[: len(euclid.trace)] == euclid.trace, (m.name, p, tame)
+            if sph.outcome is Outcome.NOT_EXISTS:
+                assert p == m.dim, (m.name, p, tame)
+                for entry in sph.trace:
+                    assert entry.citation in SPHERE_CITATIONS, (m.name, p, tame, entry)
+                kept += 1
+    assert kept > 0
+
+
+def test_every_euclidean_exists_is_a_sphere_exists(connected_closure):
+    for m in connected_closure:
+        for p, tame, euclid, sph in _sphere_sweep(m):
+            if euclid.outcome is Outcome.EXISTS:
+                assert sph.outcome is Outcome.EXISTS, (m.name, p, tame)
+                assert sph.trace[-1].rule == "sphere-inclusion", (m.name, p, tame)
+
+
 def test_dim8_to_r4_gate(connected_closure):
     for m in connected_closure:
         if m.dim != 8:
