@@ -1,19 +1,29 @@
 """Finite graded-commutative GF(2) algebras with Steenrod squares.
 
-A degree-n Poincare algebra is stored as an ordered label basis per degree,
-multiplication tables per degree pair as ``(r1, r2, r_out)`` uint8 arrays,
-Steenrod tables per ``(k, degree)`` as ``(r_d, r_{d+k})`` matrices, a
-fundamental-evaluation functional on the top degree, and the coordinates of
-the unit.  Only the blocks holding a nonzero entry are stored.  All
-arithmetic is mod 2; uint8 accumulation is safe because wrap-around happens
-mod 256, which preserves parity.
+A degree-n Poincare algebra is stored as an ordered label basis per degree
+and structure constants packed into Python ints, like the rows of
+``gf2``: a class of degree d is an int whose bit i is its coordinate on
+basis class i.  The product table of a degree pair ``(d1, d2)`` holds one
+int per basis pair, entry ``i * r_d2 + j`` being the product of classes i
+and j; the table of ``Sq^k`` on degree d holds one int per basis class.
+The unit and the fundamental-evaluation functional on the top degree are
+ints too.  Only the tables holding a nonzero entry are stored.  Every
+operation a catalog expression needs runs on shifts, ORs, XORs and
+``int.bit_count``; ints are immutable, so nothing needs freezing.
+
+numpy is imported only where arrays come in or go out: ``build_algebra``
+reads outside tables, ``validate_algebra`` contracts the tables as float32
+matrix products, and the array views (``mult_block``, ``sq_block``,
+``mult``, ``sq_table``, ``unit``, ``fundamental``, ``ClassZ2.coords``,
+``TotalClass.components``) are read-only uint8 arrays built from the
+packed ints on first read and cached.
 
 Every routine walks the degrees that carry a basis class (``degrees``) or
-the blocks the algebra stores, never all degree pairs or triples up to the
-top degree: a sphere of dimension n costs a handful of blocks, not n^2.
+the tables the algebra stores, never all degree pairs or triples up to the
+top degree: a sphere of dimension n costs a handful of tables, not n^2.
 
 Conventions:
-  * blocks absent from the tables are zero maps (``mult_block`` and
+  * tables absent from the store are zero maps (``mult_block`` and
     ``sq_block`` return them as zeros), so an algebra has one stored form,
   * ``Sq^0`` is the identity and ``Sq^k x = 0`` for ``k > deg x``,
   * products and squares landing above the top degree are zero,
@@ -22,14 +32,14 @@ Conventions:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import accumulate, compress
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import DimensionMismatch, InvariantViolation
-from .gf2 import gf2_invertible, to_gf2
+from .gf2 import _bit_rows, gf2_invertible, to_gf2
 
 __all__ = [
     "GradedAlgebra",
@@ -49,35 +59,137 @@ __all__ = [
 ]
 
 
-def _frozen(a) -> np.ndarray:
-    """Outside data reduced mod 2 into a fresh, read-only uint8 array."""
-    a = to_gf2(a)
-    a.setflags(write=False)
-    return a
+# ---------------------------------------------------------------------------
+# packed bits
+# ---------------------------------------------------------------------------
 
 
-def _class(A: "GradedAlgebra", d: int, coords: np.ndarray) -> "ClassZ2":
-    """A class on a 0/1 uint8 array the package just built or already froze.
+def _indices(x: int) -> list[int]:
+    """The set bits of ``x``, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
-    The array is frozen in place, not copied or reduced again; the public
-    constructor does both, for coordinates from outside.
+
+# byte value -> 1 if nonzero
+_NONZERO_BYTES = bytes([0] + [1] * 255)
+
+
+def _nonzero(table: Sequence[int]) -> list[int]:
+    """Positions of the nonzero entries of a packed table.
+
+    Entries below 256 (every table into a degree of rank at most 8, such as
+    the top degree) are scanned as bytes, with ``bytes.find``.
     """
-    coords.setflags(write=False)
+    try:
+        data = bytes(table).translate(_NONZERO_BYTES)
+    except ValueError:
+        return list(compress(range(len(table)), table))
+    out = []
+    i = data.find(1)
+    while i >= 0:
+        out.append(i)
+        i = data.find(1, i + 1)
+    return out
+
+
+def _pack(coords: Iterable[int], length: int, what: str) -> int:
+    """Coordinates from outside, read mod 2, as bits."""
+    values = [int(c) & 1 for c in coords]
+    if len(values) != length:
+        raise ValueError(f"{what} needs {length} coordinates, got {len(values)}")
+    return sum(v << i for i, v in enumerate(values))
+
+
+def _table(rows: Iterable[int]) -> Sequence[int]:
+    """A packed table as stored: bytes when every entry fits in a byte, else a tuple.
+
+    Tables into a degree of rank at most 8, such as the top degree, take
+    one byte per entry and are scanned in C (see ``_nonzero``).
+    """
+    rows = list(rows)
+    try:
+        return bytes(rows)
+    except ValueError:
+        return tuple(rows)
+
+
+def _unpack(rows: Sequence[int], width: int):
+    """Packed rows as a read-only ``(len(rows), width)`` uint8 array."""
+    import numpy as np
+
+    if isinstance(rows, bytes):
+        raw = np.frombuffer(rows, dtype=np.uint8).reshape(len(rows), 1)
+    elif width <= 64:
+        raw = np.array(rows, dtype="<u8").view(np.uint8).reshape(len(rows), 8)
+    else:
+        size = (width + 7) // 8
+        raw = np.frombuffer(b"".join(row.to_bytes(size, "little") for row in rows), dtype=np.uint8)
+        raw = raw.reshape(len(rows), size)
+    bits = np.unpackbits(raw, axis=1, count=width, bitorder="little")
+    bits.setflags(write=False)
+    return bits
+
+
+def _class(A: "GradedAlgebra", d: int, bits: int) -> "ClassZ2":
+    """A class on bits the package computed; the public constructor reads coordinates."""
     x = object.__new__(ClassZ2)
-    object.__setattr__(x, "algebra", A)
-    object.__setattr__(x, "degree", d)
-    object.__setattr__(x, "coords", coords)
+    vars(x).update(algebra=A, degree=d, bits=bits)
     return x
 
 
-def _total(A: "GradedAlgebra", comps: Sequence[np.ndarray]) -> "TotalClass":
-    """A total class on 0/1 uint8 components the package built; see ``_class``."""
-    for c in comps:
-        c.setflags(write=False)
+def _total(A: "GradedAlgebra", parts: Sequence[int]) -> "TotalClass":
+    """A total class on one int per degree that the package computed; see ``_class``."""
     x = object.__new__(TotalClass)
-    object.__setattr__(x, "algebra", A)
-    object.__setattr__(x, "components", tuple(comps))
+    vars(x).update(algebra=A, parts=tuple(parts))
     return x
+
+
+def _packed(a) -> Sequence[int]:
+    """A checked 0/1 array's rows (its last axis) as a stored table (see ``_table``)."""
+    import numpy as np
+
+    width = a.shape[-1]
+    rows = a.reshape(math.prod(a.shape[:-1]), width)
+    if width == 1:  # each 0/1 entry is its own packed row
+        return rows.tobytes()
+    if width <= 8:  # a row padded to eight bits is one byte
+        return np.packbits(np.pad(rows, ((0, 0), (0, 8 - width))), bitorder="little").tobytes()
+    return _table(_bit_rows(rows))
+
+
+class _Tables(Mapping):
+    """Stored tables by key, each a sequence of packed ints (see ``_table``).
+
+    A table may be handed over as a checked, read-only 0/1 array instead
+    (outside data, whose arrays the axiom battery reads); it is packed on
+    first read.  A document needs few packed tables (the Wu relations, the
+    total squares), so most of its tables are never packed.
+    """
+
+    def __init__(self, tables: dict):
+        self._tables = tables
+
+    def __getitem__(self, key):
+        table = self._tables[key]
+        if not isinstance(table, (bytes, tuple)):
+            table = self._tables[key] = _packed(table)
+        return table
+
+    def get(self, key, default=None):
+        table = self._tables.get(key)
+        if table is None:
+            return default
+        return table if isinstance(table, (bytes, tuple)) else self[key]
+
+    def __iter__(self):
+        return iter(self._tables)
+
+    def __len__(self):
+        return len(self._tables)
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +203,18 @@ class GradedAlgebra:
 
     Instances are immutable after construction and identified by identity:
     classes belonging to different instances never interoperate.
+    ``products`` and ``squares`` map a key to the packed table described in
+    the module docstring (see ``_Tables``); ``unit_bits`` and
+    ``fundamental_bits`` are the unit in degree 0 and the evaluation
+    functional on the top degree.
     """
 
     top_degree: int
     basis: tuple[tuple[str, ...], ...]
-    mult: Mapping[tuple[int, int], np.ndarray]
-    sq_table: Mapping[tuple[int, int], np.ndarray]
-    fundamental: np.ndarray
-    unit: np.ndarray
+    products: Mapping[tuple[int, int], tuple[int, ...]]
+    squares: Mapping[tuple[int, int], tuple[int, ...]]
+    unit_bits: int
+    fundamental_bits: int
 
     # -- structure ---------------------------------------------------------
 
@@ -119,54 +235,86 @@ class GradedAlgebra:
     def labels(self, d: int) -> tuple[str, ...]:
         return self.basis[d] if 0 <= d <= self.top_degree else ()
 
-    def mult_block(self, d1: int, d2: int) -> np.ndarray:
-        blk = self.mult.get((d1, d2))
-        if blk is None:
-            return np.zeros((self.rank(d1), self.rank(d2), self.rank(d1 + d2)), dtype=np.uint8)
-        return blk
+    # -- array views, built on first read ------------------------------------
 
-    def sq_block(self, k: int, d: int) -> np.ndarray:
-        blk = self.sq_table.get((k, d))
-        if blk is None:
-            return np.zeros((self.rank(d), self.rank(d + k)), dtype=np.uint8)
-        return blk
+    @cached_property
+    def _views(self) -> dict:
+        return {}
+
+    def mult_block(self, d1: int, d2: int):
+        """The ``(r_d1, r_d2, r_(d1+d2))`` product table as a read-only uint8 array."""
+        key = ("mult", d1, d2)
+        view = self._views.get(key)
+        if view is None:
+            r1, r2, ro = self.rank(d1), self.rank(d2), self.rank(d1 + d2)
+            rows = self.products.get((d1, d2), (0,) * (r1 * r2))
+            view = self._views[key] = _unpack(rows, ro).reshape(r1, r2, ro)
+        return view
+
+    def sq_block(self, k: int, d: int):
+        """The ``(r_d, r_(d+k))`` table of ``Sq^k`` as a read-only uint8 array."""
+        key = ("sq", k, d)
+        view = self._views.get(key)
+        if view is None:
+            rows = self.squares.get((k, d), (0,) * self.rank(d))
+            view = self._views[key] = _unpack(rows, self.rank(d + k))
+        return view
+
+    @cached_property
+    def mult(self) -> dict:
+        """The stored product tables as arrays, keyed ``(d1, d2)``."""
+        return {key: self.mult_block(*key) for key in self.products}
+
+    @cached_property
+    def sq_table(self) -> dict:
+        """The stored Steenrod tables as arrays, keyed ``(k, d)``."""
+        return {key: self.sq_block(*key) for key in self.squares}
+
+    @cached_property
+    def unit(self):
+        return _unpack([self.unit_bits], self.rank(0))[0]
+
+    @cached_property
+    def fundamental(self):
+        return _unpack([self.fundamental_bits], self.rank(self.top_degree))[0]
 
     # -- element factories ---------------------------------------------------
 
     def zero(self, d: int) -> "ClassZ2":
-        return ClassZ2(self, d, np.zeros(self.rank(d), dtype=np.uint8))
+        return _class(self, d, 0)
 
     def __repr__(self) -> str:
         return f"GradedAlgebra(top_degree={self.top_degree}, ranks={list(self.ranks)})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class ClassZ2:
-    """Homogeneous cohomology class: a degree plus dense GF(2) coordinates."""
+    """Homogeneous cohomology class: a degree plus GF(2) coordinates as bits."""
 
     algebra: GradedAlgebra
     degree: int
-    coords: np.ndarray
+    bits: int
 
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"negative degree {self.degree}")
-        coords = _frozen(self.coords)
-        expected = self.algebra.rank(self.degree)
-        if coords.shape != (expected,):
-            raise ValueError(
-                f"degree-{self.degree} class needs {expected} coordinates, got {coords.shape}"
-            )
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, algebra: GradedAlgebra, degree: int, coords: Iterable[int]):
+        """A class from outside coordinates, read mod 2."""
+        if degree < 0:
+            raise ValueError(f"negative degree {degree}")
+        bits = _pack(coords, algebra.rank(degree), f"degree-{degree} class")
+        vars(self).update(algebra=algebra, degree=degree, bits=bits)
+
+    @cached_property
+    def coords(self):
+        """The coordinates as a read-only uint8 array."""
+        return _unpack([self.bits], self.algebra.rank(self.degree))[0]
 
     def is_zero(self) -> bool:
-        return not self.coords.any()
+        return not self.bits
 
     def __add__(self, other: "ClassZ2") -> "ClassZ2":
         _check_same_algebra(self, other)
         if self.degree != other.degree:
             raise ValueError("cannot add classes of different degrees")
-        return _class(self.algebra, self.degree, self.coords ^ other.coords)
+        return _class(self.algebra, self.degree, self.bits ^ other.bits)
 
     def __mul__(self, other: "ClassZ2") -> "ClassZ2":
         return multiply(self, other)
@@ -177,77 +325,78 @@ class ClassZ2:
         return (
             self.algebra is other.algebra
             and self.degree == other.degree
-            and bool(np.array_equal(self.coords, other.coords))
+            and self.bits == other.bits
         )
 
     def __str__(self) -> str:
         labels = self.algebra.labels(self.degree)
-        terms = [labels[i] for i in range(len(labels)) if self.coords[i]]
+        terms = [labels[i] for i in _indices(self.bits)]
         return " + ".join(terms) if terms else "0"
 
     def __repr__(self) -> str:
         return f"ClassZ2(degree={self.degree}, {self!s})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class TotalClass:
-    """Inhomogeneous class with one component in every degree 0..n."""
+    """Inhomogeneous class with one component in every degree 0..n, as bits."""
 
     algebra: GradedAlgebra
-    components: tuple[np.ndarray, ...]
+    parts: tuple[int, ...]
 
-    def __post_init__(self):
-        n = self.algebra.top_degree
-        if len(self.components) != n + 1:
-            raise ValueError(f"need {n + 1} components, got {len(self.components)}")
-        comps = []
-        for d, c in enumerate(self.components):
-            c = _frozen(c)
-            if c.shape != (self.algebra.rank(d),):
-                raise ValueError(f"component {d} has wrong length")
-            comps.append(c)
-        object.__setattr__(self, "components", tuple(comps))
+    def __init__(self, algebra: GradedAlgebra, components: Sequence[Iterable[int]]):
+        """A total class from outside coordinates, one vector per degree, read mod 2."""
+        n = algebra.top_degree
+        if len(components) != n + 1:
+            raise ValueError(f"need {n + 1} components, got {len(components)}")
+        parts = tuple(
+            _pack(c, algebra.rank(d), f"component {d}") for d, c in enumerate(components)
+        )
+        vars(self).update(algebra=algebra, parts=parts)
 
     @staticmethod
     def from_components(algebra: GradedAlgebra, comps: Sequence[Iterable[int]]) -> "TotalClass":
-        return TotalClass(algebra, tuple(np.asarray(list(c), dtype=np.uint8) for c in comps))
+        return TotalClass(algebra, comps)
+
+    @cached_property
+    def components(self) -> tuple:
+        """The components as read-only uint8 arrays."""
+        return tuple(
+            _unpack([bits], self.algebra.rank(d))[0] for d, bits in enumerate(self.parts)
+        )
 
     def component(self, d: int) -> ClassZ2:
         if 0 <= d <= self.algebra.top_degree:
-            return _class(self.algebra, d, self.components[d])
+            return _class(self.algebra, d, self.parts[d])
         return self.algebra.zero(d)
 
     def __mul__(self, other: "TotalClass") -> "TotalClass":
         _check_same_algebra(self, other)
         A = self.algebra
         n = A.top_degree
-        out = [np.zeros(A.rank(t), dtype=np.uint8) for t in range(n + 1)]
-        # look up blocks between the two supports: RP(n) stores about n^2/2 blocks
-        # while its w has few nonzero components
-        right = [d for d, y in enumerate(other.components) if y.any()]
-        for d1, x in enumerate(self.components):
-            if not x.any():
+        out = [0] * (n + 1)
+        # pair the two supports: RP(n) stores about n^2/2 tables while its w
+        # has few nonzero components
+        right = [(d, y) for d, y in enumerate(other.parts) if y]
+        for d1, x in enumerate(self.parts):
+            if not x:
                 continue
-            for d2 in right:
-                blk = A.mult.get((d1, d2))
-                if blk is not None:
-                    out[d1 + d2] ^= (
-                        np.einsum("i,j,ijo->o", x, other.components[d2], blk) % 2
-                    ).astype(np.uint8)
+            for d2, y in right:
+                if d1 + d2 > n:
+                    break
+                out[d1 + d2] ^= _product(A, d1, x, d2, y)
         return _total(A, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TotalClass):
             return NotImplemented
-        return self.algebra is other.algebra and all(
-            np.array_equal(a, b) for a, b in zip(self.components, other.components)
-        )
+        return self.algebra is other.algebra and self.parts == other.parts
 
     def __str__(self) -> str:
         terms: list[str] = []
-        for d in range(self.algebra.top_degree + 1):
-            labels = self.algebra.labels(d)
-            terms.extend(labels[i] for i in range(len(labels)) if self.components[d][i])
+        for d, bits in enumerate(self.parts):
+            labels = self.algebra.basis[d]
+            terms.extend(labels[i] for i in _indices(bits))
         return " + ".join(terms) if terms else "0"
 
     def __repr__(self) -> str:
@@ -267,130 +416,181 @@ def _check_same_algebra(x, y) -> None:
 def build_algebra(
     top_degree: int,
     basis: Sequence[Sequence[str]],
-    mult: Mapping[tuple[int, int], np.ndarray] | None = None,
-    sq: Mapping[tuple[int, int], np.ndarray] | None = None,
+    mult: Mapping[tuple[int, int], object] | None = None,
+    sq: Mapping[tuple[int, int], object] | None = None,
     *,
     unit: Iterable[int] | None = None,
     fundamental: Iterable[int] | None = None,
 ) -> GradedAlgebra:
     """Assemble and validate a graded algebra from outside data.
 
-    ``mult`` maps ``(d1, d2)`` to ``(r1, r2, r_out)`` tables and ``sq`` maps
-    ``(k, d)`` to ``(r_d, r_{d+k})`` matrices.  Unit blocks and ``Sq^0`` are
-    filled in automatically when the degree-0 rank is 1.  The assembled
-    algebra must pass every axiom of :func:`validate_algebra`; a failure
-    raises ``InvariantViolation("algebra-axioms", ...)``.  Every table and
-    vector is read mod 2.
+    ``mult`` maps ``(d1, d2)`` to a ``(r1, r2, r_out)`` table and ``sq`` maps
+    ``(k, d)`` to a ``(r_d, r_{d+k})`` table.  A table is an array of that
+    shape, or a mapping from index tuples ``(i, j)`` / ``(i,)`` to output
+    rows, the sparse form documents list; absent rows are zero.  Unit
+    tables and ``Sq^0`` are filled in automatically when the degree-0 rank
+    is 1.  The assembled algebra must pass every axiom of
+    :func:`validate_algebra`; a failure raises
+    ``InvariantViolation("algebra-axioms", ...)``.  Every table and vector
+    is read mod 2.
     """
-    alg = _assemble_algebra(
-        top_degree,
-        basis,
-        {key: to_gf2(blk) for key, blk in (mult or {}).items()},
-        {key: to_gf2(blk) for key, blk in (sq or {}).items()},
-        unit=None if unit is None else to_gf2(list(unit)),
-        fundamental=None if fundamental is None else to_gf2(list(fundamental)),
-    )
+    alg = _assemble_algebra(top_degree, basis, mult, sq, unit=unit, fundamental=fundamental)
     report = validate_algebra(alg)
     if not report.ok:
         raise InvariantViolation("algebra-axioms", "; ".join(report.violations))
     return alg
 
 
-def _assemble_algebra(
-    top_degree: int,
-    basis: Sequence[Sequence[str]],
-    mult: Mapping[tuple[int, int], np.ndarray] | None = None,
-    sq: Mapping[tuple[int, int], np.ndarray] | None = None,
-    *,
-    unit: Iterable[int] | None = None,
-    fundamental: Iterable[int] | None = None,
-) -> GradedAlgebra:
-    """Shape- and range-checked assembly without the axiom battery.
-
-    For constructions that are algebras by construction: the closed-form
-    catalog atoms, Kunneth products and connected sums of valid algebras.
-    Tables come as 0/1 uint8 arrays that the caller hands over: they are
-    shape-checked, and those with a nonzero entry are kept, frozen in place,
-    not copied or reduced.  Unit blocks and ``Sq^0`` are added where the
-    caller gave none.
-    """
+def _ranks(top_degree: int, basis: Sequence[Sequence[str]]) -> list[int]:
     if top_degree < 0:
         raise ValueError("top_degree must be >= 0")
     if len(basis) != top_degree + 1:
         raise ValueError(f"need {top_degree + 1} basis lists, got {len(basis)}")
-    basis_t = tuple(tuple(str(l) for l in deg) for deg in basis)
+    return [len(labels) for labels in basis]
+
+
+def _outside_table(table, shape: tuple[int, ...], where: str):
+    """An outside table as a fresh 0/1 uint8 array of ``shape``.
+
+    ``table`` is an array, read mod 2, or sparse rows: a mapping from basis
+    index tuples to output rows, absent rows zero, whose indices are
+    checked before one indexed assignment writes them.
+    """
+    import numpy as np
+
+    if isinstance(table, Mapping):
+        a = np.zeros(shape, dtype=np.uint8)
+        if table:
+            columns = list(zip(*table))
+            if len(columns) != len(shape) - 1 or sum(map(len, table)) != len(table) * len(columns):
+                raise ValueError(f"{where}: an index does not name a basis tuple")
+            for c, r in zip(columns, shape):
+                if min(c) < 0 or max(c) >= r:
+                    raise ValueError(f"{where}: index out of range")
+            a[tuple(columns)] = list(table.values())
+            a &= 1
+    else:
+        a = to_gf2(table)
+        if a.shape != shape:
+            raise ValueError(f"{where} has shape {a.shape}")
+    return a
+
+
+def _any_entry(table) -> bool:
+    """Whether an outside table, in either form, has an odd entry."""
+    if isinstance(table, Mapping):
+        return any(int(v) & 1 for row in table.values() for v in row)
+    return bool(to_gf2(table).any())
+
+
+def _assemble_algebra(
+    top_degree: int,
+    basis: Sequence[Sequence[str]],
+    mult: Mapping[tuple[int, int], object] | None = None,
+    sq: Mapping[tuple[int, int], object] | None = None,
+    *,
+    unit: Iterable[int] | None = None,
+    fundamental: Iterable[int] | None = None,
+) -> GradedAlgebra:
+    """An algebra on outside tables (see ``build_algebra``), shape- and range-checked.
+
+    The axiom battery is not run here.  Tables outside the grading must be
+    zero and are dropped.  The checked arrays are kept as the algebra's
+    array views, so the battery reads them as they are, and each is packed
+    into ints when the packed path first reads it.
+    """
+    import numpy as np
+
+    ranks = _ranks(top_degree, basis)
+    n = top_degree
+    views = {}
+    for (d1, d2), table in (mult or {}).items():
+        if d1 < 0 or d2 < 0 or d1 + d2 > n:
+            if _any_entry(table):
+                raise ValueError(f"nonzero product table outside the grading: ({d1}, {d2})")
+            continue
+        shape = (ranks[d1], ranks[d2], ranks[d1 + d2])
+        views["mult", d1, d2] = _outside_table(table, shape, f"product table ({d1}, {d2})")
+    for (k, d), table in (sq or {}).items():
+        if k < 0 or d < 0 or d > n:
+            raise ValueError(f"Steenrod table key out of range: ({k}, {d})")
+        if k > d or d + k > n:
+            if _any_entry(table):
+                raise ValueError(f"nonzero Sq^{k} table on degree {d} is out of range")
+            continue
+        shape = (ranks[d], ranks[d + k])
+        views["sq", k, d] = _outside_table(table, shape, f"Steenrod table ({k}, {d})")
+    for a in views.values():
+        a.setflags(write=False)
+    alg = _packed_algebra(
+        n,
+        basis,
+        {key[1:]: a for key, a in views.items() if key[0] == "mult" and a.any()},
+        {key[1:]: a for key, a in views.items() if key[0] == "sq" and a.any()},
+        unit=None if unit is None else _pack(unit, ranks[0], "unit vector"),
+        fundamental=None if fundamental is None else _pack(fundamental, ranks[n], "fundamental functional"),
+    )
+    for d in alg.degrees:
+        eye = np.eye(ranks[d], dtype=np.uint8)
+        eye.setflags(write=False)
+        # a unit table or Sq^0 the assembler added, not given here, is the identity
+        for key, view in ((("sq", 0, d), eye), (("mult", 0, d), eye[None]), (("mult", d, 0), eye[:, None])):
+            if key not in views and key[1:] in (alg.squares if key[0] == "sq" else alg.products):
+                views[key] = view
+    alg._views.update(views)
+    return alg
+
+
+def _packed_algebra(
+    top_degree: int,
+    basis: Sequence[Sequence[str]],
+    products: Mapping[tuple[int, int], Sequence[int]] | None = None,
+    squares: Mapping[tuple[int, int], Sequence[int]] | None = None,
+    *,
+    unit: int | None = None,
+    fundamental: int | None = None,
+) -> GradedAlgebra:
+    """An algebra on the given stored tables, without the axiom battery.
+
+    For constructions that are algebras by construction (the closed-form
+    catalog atoms, Kunneth products and connected sums of valid algebras)
+    and for outside tables ``_assemble_algebra`` has checked, which it
+    hands over as 0/1 arrays to be packed on first read (see ``_Tables``).
+    Every table given must have a nonzero entry.  The unit tables and
+    ``Sq^0`` are added where the caller gave none.  The unit and the
+    fundamental functional default to the first class of degree 0 and of
+    the top degree.
+    """
+    ranks = _ranks(top_degree, basis)
+    n = top_degree
+    basis_t = tuple(tuple(str(l) for l in labels) for labels in basis)
     for d, labels in enumerate(basis_t):
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate basis labels in degree {d}")
-    ranks = [len(b) for b in basis_t]
-    n = top_degree
+    unit = (1 if ranks[0] else 0) if unit is None else unit
+    fundamental = (1 if ranks[n] else 0) if fundamental is None else fundamental
 
-    unit_v = (
-        np.asarray(unit, dtype=np.uint8)
-        if unit is not None
-        else _indicator(ranks[0], 0 if ranks[0] else None)
-    )
-    fund_v = (
-        np.asarray(fundamental, dtype=np.uint8)
-        if fundamental is not None
-        else _indicator(ranks[n], 0 if ranks[n] else None)
-    )
-    if unit_v.shape != (ranks[0],):
-        raise ValueError("unit vector has wrong length")
-    if fund_v.shape != (ranks[n],):
-        raise ValueError("fundamental functional has wrong length")
-
-    mult_in = dict(mult or {})
-    sq_in = dict(sq or {})
-    for (d1, d2), blk in mult_in.items():
-        if d1 < 0 or d2 < 0 or d1 + d2 > n:
-            if blk.any():
-                raise ValueError(f"nonzero product table outside the grading: ({d1}, {d2})")
-    for (k, d), blk in sq_in.items():
-        if k < 0 or d < 0 or d > n:
-            raise ValueError(f"Steenrod table key out of range: ({k}, {d})")
-        if (k > d or d + k > n) and blk.any():
-            raise ValueError(f"nonzero Sq^{k} table on degree {d} is out of range")
-
-    degrees = [d for d in range(n + 1) if ranks[d]]
-    if ranks[0] == 1 and unit_v[0] == 1:
-        for d in degrees:
-            eye = np.eye(ranks[d], dtype=np.uint8)
-            mult_in.setdefault((0, d), eye.reshape(1, ranks[d], ranks[d]))
-            mult_in.setdefault((d, 0), eye.reshape(ranks[d], 1, ranks[d]))
-    for d in degrees:
-        sq_in.setdefault((0, d), np.eye(ranks[d], dtype=np.uint8))
-
-    mult_t: dict[tuple[int, int], np.ndarray] = {}
-    for (d1, d2), blk in sorted(mult_in.items()):
-        if d1 < 0 or d2 < 0 or d1 + d2 > n:
-            continue
-        if blk.shape != (ranks[d1], ranks[d2], ranks[d1 + d2]):
-            raise ValueError(f"product table ({d1}, {d2}) has shape {blk.shape}")
-        if np.count_nonzero(blk):
-            blk.setflags(write=False)
-            mult_t[(d1, d2)] = blk
-
-    sq_t: dict[tuple[int, int], np.ndarray] = {}
-    for (k, d), blk in sorted(sq_in.items(), key=lambda item: item[0][::-1]):
-        if k > d or d + k > n:
-            continue
-        if blk.shape != (ranks[d], ranks[d + k]):
-            raise ValueError(f"Steenrod table ({k}, {d}) has shape {blk.shape}")
-        if np.count_nonzero(blk):
-            blk.setflags(write=False)
-            sq_t[(k, d)] = blk
-
-    unit_v.setflags(write=False)
-    fund_v.setflags(write=False)
+    products_t, squares_t = {}, {}
+    for d in (d for d in range(n + 1) if ranks[d]):
+        identity = _table(1 << i for i in range(ranks[d]))
+        if ranks[0] == 1 and unit == 1:
+            products_t[0, d] = products_t[d, 0] = identity
+        squares_t[0, d] = identity
+    products_t.update(products or {})
+    squares_t.update(squares or {})
     return GradedAlgebra(
         top_degree=n,
         basis=basis_t,
-        mult=mult_t,
-        sq_table=sq_t,
-        fundamental=fund_v,
-        unit=unit_v,
+        products=_Tables(products_t),
+        squares=_Tables(squares_t),
+        unit_bits=unit,
+        fundamental_bits=fundamental,
     )
+
+
+def _stored(tables: Mapping[tuple[int, int], Sequence[int]]) -> dict:
+    """The tables with a nonzero entry, as stored (see ``_table``)."""
+    return {key: _table(rows) for key, rows in tables.items() if any(rows)}
 
 
 # Largest dense size of the multiplication plus Steenrod tables of one
@@ -402,21 +602,34 @@ def _table_bytes(ranks: Sequence[int]) -> int:
     """Bytes of the uint8 tables of an algebra with these ranks, all blocks dense.
 
     ``sum r_d1 r_d2 r_(d1+d2)`` over product blocks plus ``sum r_d r_(d+k)``
-    over the Steenrod blocks ``0 <= k <= min(d, n - d)``.  Computed in
-    float64, which is exact wherever the sum is near the budget.
+    over the Steenrod blocks ``0 <= k <= min(d, n - d)``, summed over the
+    degrees that carry classes.
     """
-    r = np.asarray(ranks, dtype=np.float64)
-    n = len(r) - 1
-    prefix = np.concatenate(([0.0], np.cumsum(r)))
-    d = np.arange(n + 1)
-    products = r @ np.convolve(r, r)[: n + 1]
-    squares = r @ (prefix[np.minimum(2 * d, n) + 1] - prefix[d])
-    return int(products + squares)
+    n = len(ranks) - 1
+    degrees = [d for d, r in enumerate(ranks) if r]
+    prefix = list(accumulate(ranks, initial=0))
+    size = 0
+    for d1 in degrees:
+        r1 = ranks[d1]
+        size += r1 * (prefix[min(2 * d1, n) + 1] - prefix[d1])
+        for d2 in degrees:
+            if d1 + d2 > n:
+                break
+            size += r1 * ranks[d2] * ranks[d1 + d2]
+    return size
 
 
-def _check_table_budget(ranks: Sequence[int]) -> None:
+def _monogenic_table_bytes(n: int) -> int:
+    """``_table_bytes`` of RP(n) (every rank 1) and of CP(n) (rank 1 in even degrees).
+
+    Both have (n + 1)(n + 2)/2 product blocks and n + 1 + floor(n^2 / 4)
+    Steenrod blocks of one byte; the empty odd degrees of CP(n) add none.
+    """
+    return (n + 1) * (n + 2) // 2 + n + 1 + n * n // 4
+
+
+def _check_table_size(size: int) -> None:
     """Refuse, before anything is allocated, tables over the byte budget."""
-    size = _table_bytes(ranks)
     if size > TABLE_BYTES_BUDGET:
         raise ValueError(
             f"the dense tables would take {size} bytes, "
@@ -424,11 +637,8 @@ def _check_table_budget(ranks: Sequence[int]) -> None:
         )
 
 
-def _indicator(length: int, index: int | None) -> np.ndarray:
-    v = np.zeros(length, dtype=np.uint8)
-    if index is not None and length:
-        v[index] = 1
-    return v
+def _check_table_budget(ranks: Sequence[int]) -> None:
+    _check_table_size(_table_bytes(ranks))
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +662,9 @@ class ValidationReport:
 _CHUNK_ELEMENTS = 1 << 18
 
 
-def _parity(a: np.ndarray) -> np.ndarray:
+def _parity(a):
     """Entrywise parity of a float32 product of 0/1 tables."""
-    bits = a.astype(np.int32)
+    bits = a.astype("int32")
     bits &= 1
     return bits
 
@@ -479,6 +689,8 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     triples with d1 <= d3 and pairs with d1 <= d2 are computed, and each
     mirror repeats their verdict at its own place in the violation list.
     """
+    import numpy as np
+
     n = A.top_degree
     degrees = A.degrees
     pairs = [(d1, d2) for d1 in degrees for d2 in degrees if d1 + d2 <= n]
@@ -575,6 +787,8 @@ def _associative(mult, rank, d1: int, d2: int, d3: int) -> bool:
     Both sides are products ``(r1 r2 x r12) @ (r12 x r3 ro)`` and
     ``(r2 r3 x r23) @ (r23 x r1 ro)``, taken a chunk of x classes at a time.
     """
+    import numpy as np
+
     r1, r2, r3 = rank(d1), rank(d2), rank(d3)
     r12, r23, ro = rank(d1 + d2), rank(d2 + d3), rank(d1 + d2 + d3)
     xy = mult(d1, d2).reshape(r1 * r2, r12)
@@ -597,6 +811,30 @@ def _associative(mult, rank, d1: int, d2: int, d3: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _product(A: GradedAlgebra, d1: int, x: int, d2: int, y: int) -> int:
+    """Bits of the product of the degree-d1 class ``x`` and the degree-d2 class ``y``."""
+    table = A.products.get((d1, d2))
+    if table is None:
+        return 0
+    r2 = len(A.basis[d2])
+    ys = _indices(y)
+    out = 0
+    for i in _indices(x):
+        row = i * r2
+        for j in ys:
+            out ^= table[row + j]
+    return out
+
+
+def _image(table: Sequence[int] | None, x: int) -> int:
+    """Bits of the image of ``x`` under a packed Steenrod table (None is zero)."""
+    out = 0
+    if table is not None:
+        for i in _indices(x):
+            out ^= table[i]
+    return out
+
+
 def multiply(x: ClassZ2, y: ClassZ2) -> ClassZ2:
     """Cup product; zero when the result degree exceeds the top degree."""
     _check_same_algebra(x, y)
@@ -604,8 +842,7 @@ def multiply(x: ClassZ2, y: ClassZ2) -> ClassZ2:
     d = x.degree + y.degree
     if d > A.top_degree:
         return A.zero(d)
-    blk = A.mult_block(x.degree, y.degree)
-    return _class(A, d, np.einsum("i,j,ijo->o", x.coords, y.coords, blk) % 2)
+    return _class(A, d, _product(A, x.degree, x.bits, y.degree, y.bits))
 
 
 def steenrod_square(k: int, x: ClassZ2) -> ClassZ2:
@@ -616,16 +853,16 @@ def steenrod_square(k: int, x: ClassZ2) -> ClassZ2:
     d = x.degree
     if k > d or d + k > A.top_degree:
         return A.zero(d + k)
-    return _class(A, d + k, (x.coords @ A.sq_block(k, d)) % 2)
+    return _class(A, d + k, _image(A.squares.get((k, d)), x.bits))
 
 
 def total_sq(v: TotalClass) -> TotalClass:
     """Total Steenrod square ``Sq(v) = sum_k Sq^k(v_j)`` by target degree."""
     A = v.algebra
-    n = A.top_degree
-    out = [np.zeros(A.rank(t), dtype=np.uint8) for t in range(n + 1)]
-    for (k, j), blk in A.sq_table.items():
-        out[j + k] ^= ((v.components[j] @ blk) % 2).astype(np.uint8)
+    out = [0] * (A.top_degree + 1)
+    for (k, j), table in A.squares.items():
+        if v.parts[j]:
+            out[j + k] ^= _image(table, v.parts[j])
     return _total(A, out)
 
 
@@ -634,28 +871,24 @@ def evaluate_top(x: ClassZ2) -> int:
     A = x.algebra
     if x.degree != A.top_degree:
         raise ValueError(f"evaluate_top needs degree {A.top_degree}, got {x.degree}")
-    return int((x.coords @ A.fundamental) % 2)
+    return (x.bits & A.fundamental_bits).bit_count() & 1
 
 
 def invert_total(u: TotalClass) -> TotalClass:
     """Formal inverse of a unital total class (so ``u * invert_total(u) = 1``)."""
     A = u.algebra
     n = A.top_degree
-    if not np.array_equal(u.components[0], A.unit):
+    if u.parts[0] != A.unit_bits:
         raise ValueError("invert_total needs a unital degree-0 component")
-    support = [i for i in range(1, n + 1) if u.components[i].any()]
-    inv = [A.unit]
+    support = [(i, x) for i, x in enumerate(u.parts) if i and x]
+    inv = [A.unit_bits]
     for d in range(1, n + 1):
-        acc = np.zeros(A.rank(d), dtype=np.uint8)
-        for i in support:
+        acc = 0
+        for i, x in support:
             if i > d:
                 break
-            if not inv[d - i].any():
-                continue
-            blk = A.mult_block(i, d - i)
-            acc ^= (np.einsum("i,j,ijo->o", u.components[i], inv[d - i], blk) % 2).astype(
-                np.uint8
-            )
+            if inv[d - i]:
+                acc ^= _product(A, i, x, d - i, inv[d - i])
         inv.append(acc)
     return _total(A, inv)
 
@@ -715,44 +948,37 @@ def _degree_pairs(A: GradedAlgebra, B: GradedAlgebra) -> list[list[tuple[int, in
     return pairs
 
 
-def _spread(a: np.ndarray, side: int) -> np.ndarray:
-    """``a`` with a unit axis after (side 0) or before (side 1) each axis.
+def _cross(u: int, v: int, width: int) -> int:
+    """Bits of the cross product of u and v, where v has ``width`` coordinates.
 
-    ``_spread(a, 0) & _spread(b, 1)`` is the outer product of two 0/1 arrays
-    of equal rank with their axes interleaved; merging each pair of axes
-    gives the Kronecker product, entry ``(a_0 r_b0 + b_0, ...)`` being
-    ``a[a_0, ...] & b[b_0, ...]``.
+    Pair ``(a, b)`` sits at ``a * width + b``, so the product is the OR of
+    ``v << a * width`` over the set bits a of u.
     """
-    return a.reshape([x for r in a.shape for x in ((r, 1) if side == 0 else (1, r))])
+    if not u & (u - 1):  # one basis class, or none
+        return v << (u.bit_length() - 1) * width if u else 0
+    out = 0
+    for a in _indices(u):
+        out |= v << a * width
+    return out
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 0/1 arrays of equal rank."""
-    return (_spread(a, 0) & _spread(b, 1)).reshape([x * y for x, y in zip(a.shape, b.shape)])
-
-
-def _spread_all(tables: Mapping[tuple[int, int], np.ndarray], side: int) -> list:
-    """``(key, shape, spread block)`` for each stored table."""
-    return [(key, blk.shape, _spread(blk, side)) for key, blk in tables.items()]
-
-
-def _block_at(tables: dict, key: tuple[int, int], shape: tuple[int, ...]) -> np.ndarray:
-    """The block of ``tables`` at ``key``, allocated as zeros on first use."""
-    blk = tables.get(key)
-    if blk is None:
-        blk = tables[key] = np.zeros(shape, dtype=np.uint8)
-    return blk
+def _entries(table: Sequence[int], columns: int) -> list[tuple[int, int, int]]:
+    """``(row, column, value)`` of each nonzero entry of a packed product table."""
+    if len(table) == 1:  # the rank-1 tables of RP(n) and CP(n)
+        return [(0, 0, table[0])] if table[0] else []
+    return [(*divmod(index, columns), table[index]) for index in _nonzero(table)]
 
 
 def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     """Tensor-product algebra on pair bases, Steenrod squares via Cartan.
 
-    A's product block ``(i1, i2)`` times B's block ``(j1, j2)`` fills its own
-    slice of block ``(i1 + j1, i2 + j2)``, and each entry there is a product
-    of two bits: the piece is written once, as an outer product.  So is each
-    Cartan piece ``Sq^u (x) Sq^v`` of ``Sq^(u+v)``.  Only stored (nonzero)
-    blocks make pieces, and an output block is allocated when its first
-    piece lands in it.
+    Degree d lists the basis pairs of each degree pair ``(i, d - i)`` with
+    classes on both sides, A-degree ascending and A-index major.  The
+    product of the pairs ``(a1, b1)`` and ``(a2, b2)`` is the cross product
+    of ``a1 a2`` and ``b1 b2``, shifted to the offset of its degree pair in
+    the output degree; so is each Cartan piece ``Sq^u a (x) Sq^v b`` of
+    ``Sq^(u+v)``.  Only nonzero stored entries make pieces, and an output
+    table is allocated when its first piece lands in it.
     """
     n = A.top_degree + B.top_degree
     pairs = _degree_pairs(A, B)
@@ -773,51 +999,69 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
         for row in pairs
     ]
 
-    mult: dict[tuple[int, int], np.ndarray] = {}
-    mult_b = _spread_all(B.mult, 1)
-    for (i1, i2), (ra1, ra2, rao), ma in _spread_all(A.mult, 0):
-        for (j1, j2), (rb1, rb2, rbo), mb in mult_b:
+    ra, rb = A.ranks, B.ranks
+    products: dict[tuple[int, int], list[int]] = {}
+    side_b = [
+        (j1, j2, rb[j1], rb[j2], rb[j1 + j2], _entries(table, rb[j2]))
+        for (j1, j2), table in B.products.items()
+    ]
+    for (i1, i2), table in A.products.items():
+        entries_a = _entries(table, ra[i2])
+        for j1, j2, rb1, rb2, rbo, entries in side_b:
             d1, d2 = i1 + j1, i2 + j2
+            r2 = ranks[d2]
             s1, s2, so = start[d1][i1], start[d2][i2], start[d1 + d2][i1 + i2]
-            r1, r2, ro = ra1 * rb1, ra2 * rb2, rao * rbo
-            blk = _block_at(mult, (d1, d2), (ranks[d1], ranks[d2], ranks[d1 + d2]))
-            blk[s1 : s1 + r1, s2 : s2 + r2, so : so + ro] = (ma & mb).reshape(r1, r2, ro)
+            out = products.get((d1, d2))
+            if out is None:
+                out = products[d1, d2] = [0] * (ranks[d1] * r2)
+            for a1, a2, x in entries_a:
+                corner = (s1 + a1 * rb1) * r2 + s2 + a2 * rb2
+                for b1, b2, y in entries:
+                    out[corner + b1 * r2 + b2] |= _cross(x, y, rbo) << so
 
-    sq: dict[tuple[int, int], np.ndarray] = {}
-    sq_b = _spread_all(B.sq_table, 1)
-    for (u, i), (ra, rao), sa in _spread_all(A.sq_table, 0):
-        for (v, j), (rb, rbo), sb in sq_b:
+    squares: dict[tuple[int, int], list[int]] = {}
+    side_b = [
+        (v, j, rb[j], rb[j + v], [(b, table[b]) for b in _nonzero(table)])
+        for (v, j), table in B.squares.items()
+    ]
+    for (u, i), table in A.squares.items():
+        rows_a = [(a, table[a]) for a in _nonzero(table)]
+        for v, j, rbj, rbo, rows_b in side_b:
             if u + v == 0:
                 continue  # Sq^0 is the identity, which the assembler fills in
             k, d = u + v, i + j
             s, so = start[d][i], start[d + k][i + u]
-            r, ro = ra * rb, rao * rbo
-            blk = _block_at(sq, (k, d), (ranks[d], ranks[d + k]))
-            blk[s : s + r, so : so + ro] = (sa & sb).reshape(r, ro)
+            out = squares.get((k, d))
+            if out is None:
+                out = squares[k, d] = [0] * ranks[d]
+            for a, x in rows_a:
+                for b, y in rows_b:
+                    out[s + a * rbj + b] |= _cross(x, y, rbo) << so
 
-    return _assemble_algebra(
+    return _packed_algebra(
         n,
         basis,
-        mult,
-        sq,
-        unit=_outer(A.unit, B.unit),
-        fundamental=_outer(A.fundamental, B.fundamental),
+        _stored(products),
+        _stored(squares),
+        unit=_cross(A.unit_bits, B.unit_bits, B.rank(0)),
+        fundamental=_cross(A.fundamental_bits, B.fundamental_bits, B.rank(B.top_degree)),
     )
 
 
 def cross_total(P: GradedAlgebra, u: TotalClass, v: TotalClass) -> TotalClass:
     """Cross product of total classes (degreewise Kunneth placement)."""
-    # the empty leading piece makes a degree without classes an empty uint8 vector
-    out = [
-        np.concatenate(
-            [np.zeros(0, dtype=np.uint8)]
-            + [_outer(u.components[i], v.components[j]) for i, j in row]
-        )
-        for row in _degree_pairs(u.algebra, v.algebra)
-    ]
-    if tuple(len(c) for c in out) != P.ranks:
+    A, B = u.algebra, v.algebra
+    parts, ranks = [], []
+    for row in _degree_pairs(A, B):
+        bits = offset = 0
+        for i, j in row:
+            bits |= _cross(u.parts[i], v.parts[j], B.rank(j)) << offset
+            offset += A.rank(i) * B.rank(j)
+        parts.append(bits)
+        ranks.append(offset)
+    if tuple(ranks) != P.ranks:
         raise ValueError("cross_total needs the Kunneth product of the two algebras")
-    return _total(P, out)
+    return _total(P, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +1076,9 @@ def connected_sum_algebra(*pieces: GradedAlgebra) -> GradedAlgebra:
     each summand's top class is identified with the shared top class.  The
     labels are those of the left fold ``((A # B) # C) # ...``: each summand
     is primed against the sum before it, that sum's top label included, and
-    the top label is chosen again after each summand.
+    the top label is chosen again after each summand.  A summand's entries
+    are shifted to its offset in each degree; an entry landing in the top
+    degree is its evaluation on the summand's fundamental class.
     """
     n = pieces[0].top_degree
     for S in pieces[1:]:
@@ -860,22 +1106,31 @@ def connected_sum_algebra(*pieces: GradedAlgebra) -> GradedAlgebra:
         top = "t" + "'" * _fewest_primes(middle.get("t", set()))
     basis.append([top])
 
-    def place(tables: dict, key, S: GradedAlgebra, start: list[int], src: np.ndarray, degrees):
-        """Write summand ``S``'s block ``src``; a top output goes through its fundamental."""
-        if degrees[-1] == n:
-            src = ((src @ S.fundamental) % 2)[..., None]
-        blk = _block_at(tables, key, tuple(ranks[d] for d in degrees))
-        blk[tuple(slice(start[d], start[d] + S.rank(d)) for d in degrees)] = src
-
-    # each summand's stored blocks; the unit blocks and Sq^0 are the assembler's
-    mult: dict[tuple[int, int], np.ndarray] = {}
-    sq: dict[tuple[int, int], np.ndarray] = {}
+    # each summand's stored tables; the unit tables and Sq^0 are the assembler's
+    products: dict[tuple[int, int], list[int]] = {}
+    squares: dict[tuple[int, int], list[int]] = {}
     for S, start in zip(pieces, starts):
-        for (d1, d2), src in S.mult.items():
-            if d1 and d2:
-                place(mult, (d1, d2), S, start, src, (d1, d2, d1 + d2))
-        for (k, d), src in S.sq_table.items():
-            if k:
-                place(sq, (k, d), S, start, src, (d, d + k))
 
-    return _assemble_algebra(n, basis, mult, sq)
+        def moved(x: int, d: int, start=start, fundamental=S.fundamental_bits) -> int:
+            """Summand class x of degree d in the sum: evaluated at the top, else shifted."""
+            return (x & fundamental).bit_count() & 1 if d == n else x << start[d]
+
+        for (d1, d2), table in S.products.items():
+            if not (d1 and d2):
+                continue
+            out = products.get((d1, d2))
+            if out is None:
+                out = products[d1, d2] = [0] * (ranks[d1] * ranks[d2])
+            r2 = ranks[d2]
+            for i, j, x in _entries(table, S.rank(d2)):
+                out[(start[d1] + i) * r2 + start[d2] + j] = moved(x, d1 + d2)
+        for (k, d), table in S.squares.items():
+            if not k:
+                continue
+            out = squares.get((k, d))
+            if out is None:
+                out = squares[k, d] = [0] * ranks[d]
+            for i in _nonzero(table):
+                out[start[d] + i] = moved(table[i], d + k)
+
+    return _packed_algebra(n, basis, _stored(products), _stored(squares))

@@ -10,9 +10,12 @@ The algebra axiom battery (``validate_algebra``) runs where data enters:
 ``load_manifold`` builds its algebra with ``build_algebra``.  The catalog
 atoms are closed forms, and connected sums and products of valid records
 are valid by construction, so their algebras are assembled without it.
-The ``RP``, ``CP`` and surface atoms, like ``kunneth``,
-``connected_sum_algebra`` and ``load_manifold``, check their ranks against
-the table byte budget before they allocate a table.  Records are immutable
+The ``RP`` and ``CP`` atoms check the closed-form size of their tables
+against the table byte budget before they build any list; the surface
+atoms, ``kunneth``, ``connected_sum_algebra`` and ``load_manifold`` check
+their ranks before they allocate a table.  Atoms write their structure
+constants as packed ints (see ``algebra``), reading binomial parities by
+Lucas's theorem: ``C(n, k)`` is odd iff ``k & n == k``.  Records are immutable
 and compare by identity; value-level comparisons in tests go through the
 stored invariants.
 """
@@ -20,16 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import comb
 from typing import Any, Mapping
-
-import numpy as np
 
 from .algebra import (
     GradedAlgebra,
     TotalClass,
-    _assemble_algebra,
     _check_table_budget,
+    _check_table_size,
+    _monogenic_table_bytes,
+    _packed_algebra,
+    _total,
     build_algebra,
     connected_sum_algebra,
     cross_total,
@@ -139,8 +142,8 @@ def _assemble(
     wu = wu_total(algebra)
     derived = total_sq(wu)
     if w is not None:
-        for d, (ours, theirs) in enumerate(zip(derived.components, w.components)):
-            if not np.array_equal(ours, theirs):
+        for d, (ours, theirs) in enumerate(zip(derived.parts, w.parts)):
+            if ours != theirs:
                 raise InvariantViolation(
                     "wu-consistency",
                     f"stored w_{d} disagrees with the Wu-derived Stiefel-Whitney class",
@@ -281,17 +284,13 @@ def sphere(n: int) -> Manifold:
     if n < 0:
         raise ValueError("sphere dimension must be >= 0")
     if n == 0:
-        table = np.zeros((2, 2, 2), dtype=np.uint8)
-        table[0, 0, 0] = 1
-        table[1, 1, 1] = 1
-        algebra = _assemble_algebra(
-            0, [["p", "q"]], {(0, 0): table}, unit=[1, 1], fundamental=[1, 1]
-        )
+        # p * p = p and q * q = q: entries (0, 0) and (1, 1) of the pair table
+        algebra = _packed_algebra(0, [["p", "q"]], {(0, 0): bytes((1, 0, 0, 2))}, unit=3, fundamental=3)
         return _assemble(
             "S0", 0, True, 2, 0, algebra, w=None, stably_parallelizable=True, torsion_free=True
         )
     basis = [["1"]] + [[] for _ in range(n - 1)] + [["s"]]
-    algebra = _assemble_algebra(n, basis)
+    algebra = _packed_algebra(n, basis)
     return _assemble(
         f"S{n}", n, True,
         euler=2 if n % 2 == 0 else 0,
@@ -304,27 +303,36 @@ def sphere(n: int) -> Manifold:
     )
 
 
+_ONE = b"\x01"  # a one-entry table: the product or square is its degree's one class
+
+
+def _odd_binomial(n: int, k: int) -> bool:
+    """Whether ``C(n, k)`` is odd, by Lucas's theorem."""
+    return k & n == k
+
+
 def real_projective(n: int) -> Manifold:
-    """RP(n), n >= 1: truncated polynomial algebra on a degree-1 class a."""
+    """RP(n), n >= 1: truncated polynomial algebra on a degree-1 class a.
+
+    ``a^i a^j = a^(i+j)``, ``Sq^k a^d = C(d, k) a^(d+k)`` and
+    ``w = (1 + a)^(n+1)``.
+    """
     if n < 1:
         raise ValueError("real projective space needs n >= 1")
-    _check_table_budget([1] * (n + 1))
+    _check_table_size(_monogenic_table_bytes(n))
     basis = [[_pow_label("a", d)] for d in range(n + 1)]
-    mult = {
-        (d1, d2): np.ones((1, 1, 1), dtype=np.uint8)
-        for d1 in range(1, n)
-        for d2 in range(1, n + 1 - d1)
-    }
-    sq = {
-        (k, d): np.array([[comb(d, k) % 2]], dtype=np.uint8)
+    products = {(d1, d2): _ONE for d1 in range(1, n) for d2 in range(1, n + 1 - d1)}
+    squares = {
+        (k, d): _ONE
         for d in range(1, n)
         for k in range(1, min(d, n - d) + 1)
+        if _odd_binomial(d, k)
     }
-    algebra = _assemble_algebra(n, basis, mult, sq)
-    w = TotalClass.from_components(algebra, [[comb(n + 1, d) % 2] for d in range(n + 1)])
+    algebra = _packed_algebra(n, basis, products, squares)
+    w = _total(algebra, [int(_odd_binomial(n + 1, d)) for d in range(n + 1)])
     if n <= 3:
         p1 = P1Data.zero_class()
-    elif comb(n + 1, 2) % 2:
+    elif _odd_binomial(n + 1, 2):
         p1 = P1Data.nonzero_class(f"p_1 = C({n + 1},2) a^4")
     else:
         p1 = P1Data.zero_class(f"p_1 = C({n + 1},2) a^4")
@@ -344,28 +352,26 @@ def real_projective(n: int) -> Manifold:
 
 
 def complex_projective(n: int) -> Manifold:
-    """CP(n), n >= 1: truncated polynomial algebra on a degree-2 class h."""
+    """CP(n), n >= 1: truncated polynomial algebra on a degree-2 class h.
+
+    ``h^i h^j = h^(i+j)``, ``Sq^(2j) h^i = C(i, j) h^(i+j)`` and
+    ``w = (1 + h)^(n+1)``.
+    """
     if n < 1:
         raise ValueError("complex projective space needs n >= 1")
-    _check_table_budget([1 - d % 2 for d in range(2 * n + 1)])
-    basis: list[list[str]] = []
-    for d in range(2 * n + 1):
-        basis.append([_pow_label("h", d // 2)] if d % 2 == 0 else [])
-    mult = {
-        (2 * i, 2 * j): np.ones((1, 1, 1), dtype=np.uint8)
-        for i in range(1, n)
-        for j in range(1, n + 1 - i)
-    }
-    sq = {
-        (2 * j, 2 * i): np.array([[comb(i, j) % 2]], dtype=np.uint8)
+    _check_table_size(_monogenic_table_bytes(n))
+    basis = [[_pow_label("h", d // 2)] if d % 2 == 0 else [] for d in range(2 * n + 1)]
+    products = {(2 * i, 2 * j): _ONE for i in range(1, n) for j in range(1, n + 1 - i)}
+    squares = {
+        (2 * j, 2 * i): _ONE
         for i in range(1, n)
         for j in range(1, min(i, n - i) + 1)
+        if _odd_binomial(i, j)
     }
-    algebra = _assemble_algebra(2 * n, basis, mult, sq)
-    comps = []
-    for d in range(2 * n + 1):
-        comps.append([comb(n + 1, d // 2) % 2] if d % 2 == 0 else [])
-    w = TotalClass.from_components(algebra, comps)
+    algebra = _packed_algebra(2 * n, basis, products, squares)
+    w = _total(
+        algebra, [int(d % 2 == 0 and _odd_binomial(n + 1, d // 2)) for d in range(2 * n + 1)]
+    )
     return _assemble(
         f"CP{n}", 2 * n, True,
         euler=n + 1,
@@ -392,26 +398,24 @@ def cp2_reversed() -> Manifold:
     )
 
 
-def _e8_mod2() -> np.ndarray:
-    """E8 intersection form mod 2: the Dynkin-diagram adjacency matrix."""
-    edges = [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]
-    q = np.zeros((8, 8), dtype=np.uint8)
+# E8 intersection form mod 2: the edges of the Dynkin diagram, numbered from 1
+_E8_EDGES = [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]
+
+
+def _form_table(rank: int, edges) -> bytes:
+    """The product table of a symmetric 0/1 form with these 0-based edges, into rank 1."""
+    table = bytearray(rank * rank)
     for a, b in edges:
-        q[a - 1, b - 1] = q[b - 1, a - 1] = 1
-    return q
+        table[a * rank + b] = table[b * rank + a] = 1
+    return bytes(table)
 
 
 def k3() -> Manifold:
     """The K3 surface: even intersection form E8 + E8 + 3H, sigma = -16."""
-    hyper = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-    q = np.zeros((22, 22), dtype=np.uint8)
-    q[0:8, 0:8] = _e8_mod2()
-    q[8:16, 8:16] = _e8_mod2()
-    for i in range(3):
-        s = 16 + 2 * i
-        q[s : s + 2, s : s + 2] = hyper
+    edges = [(s + a - 1, s + b - 1) for s in (0, 8) for a, b in _E8_EDGES]
+    edges += [(s, s + 1) for s in (16, 18, 20)]  # the hyperbolic planes
     basis = [["1"], [], [f"x{i}" for i in range(1, 23)], [], ["t"]]
-    algebra = _assemble_algebra(4, basis, {(2, 2): q.reshape(22, 22, 1)})
+    algebra = _packed_algebra(4, basis, {(2, 2): _form_table(22, edges)})
     return _assemble(
         "K3", 4, True,
         euler=24,
@@ -428,11 +432,8 @@ def orientable_surface(g: int) -> Manifold:
         raise ValueError("genus must be >= 0")
     _check_table_budget([1, 2 * g, 1])
     deg1 = [l for i in range(1, g + 1) for l in (f"a{i}", f"b{i}")]
-    table = np.zeros((2 * g, 2 * g, 1), dtype=np.uint8)
-    for i in range(g):
-        table[2 * i, 2 * i + 1, 0] = 1
-        table[2 * i + 1, 2 * i, 0] = 1
-    algebra = _assemble_algebra(2, [["1"], deg1, ["t"]], {(1, 1): table})
+    table = _form_table(2 * g, [(2 * i, 2 * i + 1) for i in range(g)])
+    algebra = _packed_algebra(2, [["1"], deg1, ["t"]], {(1, 1): table} if g else {})
     return _assemble(
         f"Sigma{g}", 2, True,
         euler=2 - 2 * g,
@@ -448,11 +449,11 @@ def nonorientable_surface(k: int) -> Manifold:
     if k < 1:
         raise ValueError("a non-orientable surface needs k >= 1")
     _check_table_budget([1, k, 1])
-    algebra = _assemble_algebra(
+    algebra = _packed_algebra(
         2,
         [["1"], [f"c{i}" for i in range(1, k + 1)], ["t"]],
-        {(1, 1): np.eye(k, dtype=np.uint8).reshape(k, k, 1)},
-        {(1, 1): np.ones((k, 1), dtype=np.uint8)},
+        {(1, 1): _form_table(k, [(i, i) for i in range(k)])},
+        {(1, 1): _ONE * k},  # Sq^1 c_i = c_i^2 = t
     )
     return _assemble(
         f"N{k}", 2, False,
@@ -653,26 +654,13 @@ def _row(slots: dict, index: Any, entry: Any, length: int, where: str) -> tuple:
     return row
 
 
-def _blocks(rows: dict[tuple[int, int], dict], shape) -> dict[tuple[int, int], np.ndarray]:
-    """One zero block of ``shape(key)`` per key, its rows written in one indexed write."""
-    tables = {}
-    for key, slots in rows.items():
-        block = tables[key] = np.zeros(shape(*key), dtype=np.uint8)
-        block[tuple(zip(*slots))] = list(slots.values())
-    return tables
-
-
 def _total_field(raw: Any, algebra: GradedAlgebra, where: str) -> TotalClass:
     """A total class listed as one 0/1 vector per degree 0..dim."""
     dim = algebra.top_degree
     if not isinstance(raw, (list, tuple)) or len(raw) != dim + 1:
         raise SchemaError(f"{where} must list one coordinate vector per degree 0..{dim}")
     return TotalClass(
-        algebra,
-        tuple(
-            np.array(_row({}, d, row, algebra.rank(d), f"{where}[{d}]"), dtype=np.uint8)
-            for d, row in enumerate(raw)
-        ),
+        algebra, [_row({}, d, row, algebra.rank(d), f"{where}[{d}]") for d, row in enumerate(raw)]
     )
 
 
@@ -699,8 +687,8 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     entries may be given in either order; the mirror is filled in.  In both
     tables an entry whose row differs from an earlier nonzero row in the same
     slot (for products, the mirror slot too) is refused.  Rows are checked
-    first and each block is then written once.  The algebra goes through
-    ``build_algebra`` and so through the full axiom battery.  Every failure
+    first and handed to ``build_algebra`` as sparse tables, which writes
+    each table once and runs the full axiom battery.  Every failure
     names the offending field or invariant.
     """
     if not isinstance(doc, Mapping):
@@ -782,9 +770,7 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
             continue
         _row(sq_rows.setdefault((k, d), {}), (i,), raw, ranks[d + k], where)
 
-    mult_tables = _blocks(mult_rows, lambda d1, d2: (ranks[d1], ranks[d2], ranks[d1 + d2]))
-    sq_tables = _blocks(sq_rows, lambda k, d: (ranks[d], ranks[d + k]))
-    algebra = build_algebra(dim, [list(row) for row in basis], mult_tables, sq_tables)
+    algebra = build_algebra(dim, [list(row) for row in basis], mult_rows, sq_rows)
 
     w = None if doc.get("w") is None else _total_field(doc["w"], algebra, "w")
     p1 = _parse_p1(doc["p1"])

@@ -12,19 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import (
     ClassZ2,
     GradedAlgebra,
     TotalClass,
+    _nonzero,
     _total,
     evaluate_top,
     invert_total,
     steenrod_square,
 )
 from .errors import InvariantViolation
-from .gf2 import gf2_solve
+from .gf2 import _solve_bits
 from .tristate import P1Data, TriState, p1_difference
 
 __all__ = [
@@ -50,21 +49,30 @@ def wu_total(algebra: GradedAlgebra) -> TotalClass:
 
     For each k the relation is a linear system over the nondegenerate
     Poincare pairing, so v_k is unique; v_k = 0 above the middle degree
-    because Sq^k kills classes of degree below k.
+    because Sq^k kills classes of degree below k.  Row j of the system
+    holds the pairings of the degree-k basis with the j-th class y of
+    degree n - k, and ``<Sq^k y, [M]>`` at bit ``r_k``.
     """
     n = algebra.top_degree
-    comps = [np.zeros(algebra.rank(d), dtype=np.uint8) for d in range(n + 1)]
-    comps[0] = algebra.unit
+    fundamental = algebra.fundamental_bits
+    parts = [0] * (n + 1)
+    parts[0] = algebra.unit_bits
     for k in (d for d in algebra.degrees if 0 < 2 * d <= n):
-        pairing = (
-            np.einsum("ijo,o->ij", algebra.mult_block(k, n - k), algebra.fundamental) % 2
-        )
-        rhs = (algebra.sq_block(k, n - k) @ algebra.fundamental) % 2
-        v = gf2_solve(pairing.T, rhs)
+        r, dual = algebra.rank(k), algebra.rank(n - k)
+        rows = [0] * dual
+        products = algebra.products.get((k, n - k), ())
+        for index in _nonzero(products):
+            if (products[index] & fundamental).bit_count() & 1:
+                i, j = divmod(index, dual)
+                rows[j] |= 1 << i
+        for j, y in enumerate(algebra.squares.get((k, n - k), ())):
+            if (y & fundamental).bit_count() & 1:
+                rows[j] |= 1 << r
+        v = _solve_bits(rows, r)
         if v is None:
             raise InvariantViolation("wu-solve", f"no class v_{k} satisfies the Wu relations")
-        comps[k] = v
-    return _total(algebra, comps)
+        parts[k] = v
+    return _total(algebra, parts)
 
 
 def dual_classes(m) -> TotalClass:
@@ -148,7 +156,7 @@ class BundleDescriptor:
     def __post_init__(self):
         if self.rank < 0:
             raise InvariantViolation("bundle-descriptor", "negative rank")
-        if not np.array_equal(self.w_total.components[0], self.w_total.algebra.unit):
+        if self.w_total.parts[0] != self.w_total.algebra.unit_bits:
             raise InvariantViolation("bundle-descriptor", "w_0 must be the unit")
         if self.orientable != self.w_total.component(1).is_zero():
             raise InvariantViolation(

@@ -25,7 +25,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .algebra import TotalClass
+from .algebra import ClassZ2, TotalClass
 from .catalog import Manifold, load_descriptor, load_manifold
 from .characteristic import structure_flags, tangent_descriptor
 from .decide import Outcome, TargetSpec, decide_fold, stable_span_bounds, thom_polynomials
@@ -140,10 +140,14 @@ def _p1_json(p1: P1Data):
     return "unknown"
 
 
+def _coords(x: ClassZ2) -> List[int]:
+    return [x.bits >> i & 1 for i in range(x.algebra.rank(x.degree))]
+
+
 def _total_json(total: TotalClass) -> dict:
     return {
         "rendered": str(total),
-        "components": [[int(v) for v in total.component(d).coords] for d in range(total.algebra.top_degree + 1)],
+        "components": [_coords(total.component(d)) for d in range(total.algebra.top_degree + 1)],
     }
 
 
@@ -202,8 +206,7 @@ def _run_invariants(m: Manifold, fmt: str) -> str:
     lines.extend(_invariant_summary(m))
     lines.append("w components:")
     for d in range(m.dim + 1):
-        vec = [int(v) for v in m.w.component(d).coords]
-        lines.append(f"  w_{d} = {vec}")
+        lines.append(f"  w_{d} = {_coords(m.w.component(d))}")
     return "\n".join(lines) + "\n"
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, List, Optional, Tuple
 
 from .algebra import ClassZ2, TotalClass
@@ -414,14 +415,19 @@ def _route(m: Manifold, p: int, tame: bool) -> Verdict:
 def _core(m: Manifold, p: int, tame: bool) -> Verdict:
     """``_route(m, p, tame)``, derived at most once per record.
 
-    Rows that do not read ``tame`` share one entry for both modes.
+    A verdict whose row does not read ``tame`` is stored for both modes,
+    so only a miss looks the row up.
     """
     table = m._verdicts
-    row = _rule(m.dim, p)
-    key = (p, tame and row is not None and row.reads_tame)
-    if key not in table:
-        table[key] = _route(m, p, tame)
-    return table[key]
+    verdict = table.get((p, tame))
+    if verdict is None:
+        verdict = _route(m, p, tame)
+        row = _rule(m.dim, p)
+        if row is not None and row.reads_tame:
+            table[p, tame] = verdict
+        else:
+            table[p, False] = table[p, True] = verdict
+    return verdict
 
 
 def _sufficiency_chain(m: Manifold, p: int, tame: bool, verdict: Verdict) -> Verdict:
@@ -479,16 +485,20 @@ def _sufficiency_chain(m: Manifold, p: int, tame: bool, verdict: Verdict) -> Ver
     return verdict
 
 
+@cache
+def _sphere_inclusion(p: int) -> TraceEntry:
+    return TraceEntry(
+        "sphere-inclusion",
+        "R^p in S^p",
+        "none",
+        f"R^{p} is open in S^{p}: a fold map into R^{p} is one into S^{p}",
+    )
+
+
 def _on_sphere(m: Manifold, p: int, core: Verdict, verdict: Verdict) -> Verdict:
     """The verdict into R^p, read for S^p through the sphere column of ``_RULES``."""
     if verdict.outcome is Outcome.EXISTS:
-        entry = TraceEntry(
-            "sphere-inclusion",
-            "R^p in S^p",
-            "none",
-            f"R^{p} is open in S^{p}: a fold map into R^{p} is one into S^{p}",
-        )
-        return Verdict(Outcome.EXISTS, verdict.trace + (entry,))
+        return Verdict(Outcome.EXISTS, verdict.trace + (_sphere_inclusion(p),))
     if verdict.outcome is Outcome.UNKNOWN or (
         core.outcome is Outcome.NOT_EXISTS and _rule(m.dim, p).sphere  # only a row gives a NOT EXISTS core
     ):

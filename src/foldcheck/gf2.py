@@ -1,25 +1,33 @@
 """Dense linear algebra over GF(2).
 
-Matrices come in as numpy arrays; elimination runs on rows packed into
-Python-int bitsets (bit j of a row is column j), so one XOR adds a whole row,
-as in the word-packed elimination of Albrecht, Bard and Hart, "Efficient
-multiplication of dense matrices over GF(2)", ACM TOMS 37(1), 2010.
+Elimination runs on rows packed into Python-int bitsets (bit j of a row is
+column j), so one XOR adds a whole row, as in the word-packed elimination
+of Albrecht, Bard and Hart, "Efficient multiplication of dense matrices
+over GF(2)", ACM TOMS 37(1), 2010.  The algebra layer hands its packed rows
+to ``_echelon`` and ``_solve_bits`` directly; the public functions take
+numpy arrays and import numpy when they are called.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
 
+def to_gf2(a):
+    import numpy as np
 
-def to_gf2(a) -> np.ndarray:
     return np.asarray(a, dtype=np.uint8) % 2
 
 
-def _bit_rows(mat: np.ndarray) -> list[int]:
-    """Rows of a 0/1 matrix as bitsets."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return [int.from_bytes(bytes(row), "little") for row in packed.tolist()]
+def _bit_rows(mat) -> list[int]:
+    """Rows of a 0/1 matrix as bitsets; zero rows are skipped."""
+    import numpy as np
+
+    rows = [0] * mat.shape[0]
+    nonzero = np.flatnonzero(mat.any(axis=1))
+    packed = np.packbits(mat[nonzero], axis=1, bitorder="little")
+    for i, row in zip(nonzero.tolist(), packed.tolist()):
+        rows[i] = int.from_bytes(bytes(row), "little")
+    return rows
 
 
 def _echelon(rows: list[int], cols: int) -> tuple[dict[int, int], bool]:
@@ -46,33 +54,12 @@ def _echelon(rows: list[int], cols: int) -> tuple[dict[int, int], bool]:
     return basis, stray
 
 
-def gf2_rank(matrix: np.ndarray) -> int:
-    """Rank over GF(2) by Gaussian elimination."""
-    mat = to_gf2(matrix)
-    return len(_echelon(_bit_rows(mat), mat.shape[1])[0])
+def _solve_bits(rows: list[int], cols: int) -> Optional[int]:
+    """Solve on augmented bitset rows (bit ``cols`` is the right-hand side).
 
-
-def gf2_invertible(matrix: np.ndarray) -> bool:
-    mat = to_gf2(matrix)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        return False
-    if mat.shape[0] == 0:
-        return True
-    return gf2_rank(mat) == mat.shape[0]
-
-
-def gf2_solve(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """Solve ``matrix @ x = rhs`` over GF(2).
-
-    Returns one solution (free variables set to 0), or None if inconsistent.
+    Returns one solution as bits (free variables 0), or None if inconsistent.
     """
-    mat = to_gf2(matrix)
-    vec = to_gf2(rhs).reshape(-1)
-    rows, cols = mat.shape
-    if vec.shape[0] != rows:
-        raise ValueError("rhs length does not match matrix rows")
-    aug = [row | bit << cols for row, bit in zip(_bit_rows(mat), vec.tolist())]
-    basis, stray = _echelon(aug, cols)
+    basis, stray = _echelon(rows, cols)
     if stray:
         return None
     # back substitution from the highest pivot down, free variables 0
@@ -81,4 +68,39 @@ def gf2_solve(matrix: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
         row = basis[low]
         if ((row >> cols) + ((row ^ low) & x_bits).bit_count()) & 1:
             x_bits |= low
+    return x_bits
+
+
+def gf2_rank(matrix) -> int:
+    """Rank over GF(2) by Gaussian elimination."""
+    mat = to_gf2(matrix)
+    return len(_echelon(_bit_rows(mat), mat.shape[1])[0])
+
+
+def gf2_invertible(matrix) -> bool:
+    mat = to_gf2(matrix)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        return False
+    if mat.shape[0] == 0:
+        return True
+    return gf2_rank(mat) == mat.shape[0]
+
+
+def gf2_solve(matrix, rhs):
+    """Solve ``matrix @ x = rhs`` over GF(2).
+
+    Returns one solution as a uint8 array (free variables set to 0), or None
+    if inconsistent.
+    """
+    import numpy as np
+
+    mat = to_gf2(matrix)
+    vec = to_gf2(rhs).reshape(-1)
+    rows, cols = mat.shape
+    if vec.shape[0] != rows:
+        raise ValueError("rhs length does not match matrix rows")
+    aug = [row | bit << cols for row, bit in zip(_bit_rows(mat), vec.tolist())]
+    x_bits = _solve_bits(aug, cols)
+    if x_bits is None:
+        return None
     return np.array([(x_bits >> col) & 1 for col in range(cols)], dtype=np.uint8)

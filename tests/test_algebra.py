@@ -20,7 +20,7 @@ from foldcheck.algebra import (
     total_sq,
     validate_algebra,
 )
-from foldcheck.algebra import _table_bytes
+from foldcheck.algebra import _monogenic_table_bytes, _table_bytes
 from foldcheck.errors import DimensionMismatch, InvariantViolation
 from foldcheck.expressions import parse_expression
 
@@ -170,6 +170,33 @@ def test_build_reads_outside_tables_mod_2():
     assert (A.unit.tolist(), A.fundamental.tolist()) == ([1], [1])
     a = basis_element(A, 1, 0)
     assert str(a * a) == "a^2"
+
+
+def test_build_reads_sparse_rows_like_arrays():
+    # RP2 with its tables as rows keyed by basis index, read mod 2
+    basis = [["1"], ["a"], ["a^2"]]
+    A = build_algebra(2, basis, {(1, 1): {(0, 0): [3]}}, {(1, 1): {(0,): [1]}})
+    B = rp_algebra(2)
+    assert sorted(A.mult) == sorted(B.mult) and sorted(A.sq_table) == sorted(B.sq_table)
+    for key in B.mult:
+        assert A.mult_block(*key).tolist() == B.mult_block(*key).tolist(), key
+    for key in B.sq_table:
+        assert A.sq_block(*key).tolist() == B.sq_block(*key).tolist(), key
+    with pytest.raises(ValueError, match="index out of range"):
+        build_algebra(2, basis, {(1, 1): {(0, 1): [1]}})
+    with pytest.raises(ValueError, match="index out of range"):
+        build_algebra(2, basis, {(1, 1): {(-1, 0): [1]}})
+    with pytest.raises(ValueError, match="basis tuple"):
+        build_algebra(2, basis, {(1, 1): {(0,): [1]}})
+
+
+def test_packed_tables_read_their_arrays_row_by_row():
+    # one byte per row up to eight columns, ints beyond
+    rng = np.random.default_rng(5)
+    for width in range(70):
+        a = (rng.random((7, 3, width)) < 0.3).astype(np.uint8)
+        rows = [sum(int(v) << j for j, v in enumerate(row)) for row in a.reshape(21, width)]
+        assert list(algebra._packed(a)) == rows, width
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +423,14 @@ def test_table_bytes_counts_every_dense_table(closure):
         assert sum(t.nbytes for t in stored) <= _table_bytes(A.ranks), m.name
 
 
+def test_projective_table_bytes_closed_form():
+    # RP(n): every rank 1; CP(n): rank 1 in the even degrees up to 2n
+    for n in range(1, 201):
+        size = _monogenic_table_bytes(n)
+        assert size == _table_bytes([1] * (n + 1)), n
+        assert size == _table_bytes([1 - d % 2 for d in range(2 * n + 1)]), n
+
+
 def test_closure_stores_only_nonzero_blocks(closure):
     for m in closure:
         for key, blk in [*m.algebra.mult.items(), *m.algebra.sq_table.items()]:
@@ -414,14 +449,14 @@ def test_sparse_algebras_store_linearly_many_blocks(build):
 
 def test_kunneth_of_two_spheres_walks_only_the_degrees_with_classes(monkeypatch):
     # four (i, j) degree pairs carry classes; every split of degree up to 2000 once did
-    outer = algebra._outer
+    cross = algebra._cross
     calls = []
 
-    def counting(a, b):
-        calls.append((a.shape, b.shape))
-        return outer(a, b)
+    def counting(u, v, width):
+        calls.append(width)
+        return cross(u, v, width)
 
-    monkeypatch.setattr(algebra, "_outer", counting)
+    monkeypatch.setattr(algebra, "_cross", counting)
     m = parse_expression("S1000 x S1000")
     assert len(calls) <= 24
     assert m.algebra.degrees == (0, 1000, 2000)

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
 import sympy
 
 from classes import point
+from foldcheck.catalog import _odd_binomial
 from foldcheck.catalog import (
     atom,
     connected_sum,
@@ -103,6 +105,53 @@ def test_cp_whitney_class_oracle(n):
     for d in range(2 * n + 1):
         expected = int(poly.coeff_monomial(h ** (d // 2))) % 2 if d % 2 == 0 else 0
         assert int(m.w.component(d).coords.sum()) % 2 == expected, d
+
+
+def _monogenic_reference(n: int, step: int):
+    """Dense tables and w of the truncated polynomial algebra on a class of degree ``step``.
+
+    Degree ``step * i`` holds the power ``x^i`` (i <= n); ``x^i x^j = x^(i+j)``,
+    ``Sq^(step j) x^i = C(i, j) x^(i+j)`` and ``w = (1 + x)^(n+1)``.
+    """
+    top = step * n
+    ranks = [1 if d % step == 0 else 0 for d in range(top + 1)]
+    mult = {
+        (d1, d2): np.ones((ranks[d1], ranks[d2], ranks[d1 + d2]), dtype=np.uint8)
+        for d1 in range(top + 1)
+        for d2 in range(top + 1 - d1)
+    }
+    sq = {}
+    for d in range(top + 1):
+        for k in range(min(d, top - d) + 1):
+            blk = np.zeros((ranks[d], ranks[d + k]), dtype=np.uint8)
+            if blk.size:
+                blk[0, 0] = comb(d // step, k // step) % 2
+            sq[k, d] = blk
+    w = [[comb(n + 1, d // step) % 2] if ranks[d] else [] for d in range(top + 1)]
+    return mult, sq, w
+
+
+@pytest.mark.parametrize("family,step", [("RP", 1), ("CP", 2)], ids=["RP", "CP"])
+def test_projective_atoms_match_dense_references(family, step):
+    for n in range(1, 25):
+        m = atom(f"{family}{n}")
+        mult, sq, w = _monogenic_reference(n, step)
+        A = m.algebra
+        for (d1, d2), blk in mult.items():
+            got = A.mult_block(d1, d2)
+            assert got.dtype == blk.dtype and np.array_equal(got, blk), (m.name, d1, d2)
+        for (k, d), blk in sq.items():
+            got = A.sq_block(k, d)
+            assert got.dtype == blk.dtype and np.array_equal(got, blk), (m.name, k, d)
+        assert [c.tolist() for c in m.w.components] == w, m.name
+        assert {key for key, blk in mult.items() if blk.any()} == set(A.mult), m.name
+        assert {key for key, blk in sq.items() if blk.any()} == set(A.sq_table), m.name
+
+
+def test_lucas_parity_matches_the_binomial_coefficient():
+    for n in range(256):
+        for k in range(256):
+            assert _odd_binomial(n, k) == (comb(n, k) % 2 == 1), (n, k)
 
 
 def test_k3_record():

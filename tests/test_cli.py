@@ -133,6 +133,40 @@ def test_deeply_nested_json_exits_2_without_traceback(tmp_path, argv):
     assert proc.stderr == "foldcheck: error: document nests too deeply\n"
 
 
+# Runs each command through cli.main in one fresh interpreter and prints,
+# after each, its exit code and whether numpy has been imported by then.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from foldcheck import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(code, "numpy" in sys.modules)
+"""
+
+
+def test_catalog_expressions_never_import_numpy():
+    # the expression path runs on packed ints; numpy is for documents and array views
+    expression_commands = [
+        ["decide", "RP4", "--target", "R4"],
+        ["decide", "K3", "--target", "sphere:4", "--format", "json"],
+        ["invariants", "S2 x RP3", "--format", "json"],
+        ["span", "K3"],
+        ["thom", "RP4 x S1"],
+        ["decide", "CP2", "--target", f"pullback:{DATA / 'cp2_tangent.json'}"],
+        ["decide", "CP2", "--target", "self", "--explain"],
+    ]
+    document = ["invariants", str(DATA / "rp2.json"), "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(expression_commands + [document])],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines == ["0 False"] * len(expression_commands) + ["0 True"]
+
+
 @pytest.mark.parametrize(
     "expression,position",
     [("2#" * 40 + "RP4", 65), ("K3 x K3 x K3", 8), ("1000#RP4", 4)],

@@ -1,7 +1,7 @@
 """Kunneth products against the kron/einsum formulation they replaced.
 
-``kunneth`` writes each product and Cartan piece as a broadcast outer
-product, and ``cross_total`` concatenates outer products degree by degree.
+``kunneth`` writes each product and Cartan piece as a cross product of
+packed ints, and ``cross_total`` places cross products degree by degree.
 ``reference_kunneth`` and ``reference_cross_total`` below are the earlier
 ``np.einsum`` / ``np.kron`` code, which accumulated every piece with
 ``^=`` after a ``% 2``, on the earlier degree walk ``_kunneth_layout``
@@ -147,6 +147,16 @@ def assert_same_algebra(got: GradedAlgebra, want: GradedAlgebra, where: str) -> 
     for name in ("unit", "fundamental"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), (where, name)
+    # every in-range block, stored or zero, read through the array views
+    n = want.top_degree
+    for d1 in range(n + 1):
+        for d2 in range(n + 1 - d1):
+            a, b = got.mult_block(d1, d2), want.mult_block(d1, d2)
+            assert not a.flags.writeable and np.array_equal(a, b), (where, "mult", d1, d2)
+    for d in range(n + 1):
+        for k in range(min(d, n - d) + 1):
+            a, b = got.sq_block(k, d), want.sq_block(k, d)
+            assert not a.flags.writeable and np.array_equal(a, b), (where, "sq", k, d)
 
 
 def assert_same_cross(P: GradedAlgebra, m, n, where: str) -> None:

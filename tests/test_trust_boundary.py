@@ -279,6 +279,12 @@ def manifold_document(m) -> dict:
 def _assert_round_trip(m) -> None:
     loaded = load_manifold(json.loads(json.dumps(manifold_document(m))))
     assert loaded.algebra.ranks == m.algebra.ranks, m.name
+    A, B = loaded.algebra, m.algebra
+    assert sorted(A.mult) == sorted(B.mult) and sorted(A.sq_table) == sorted(B.sq_table), m.name
+    for key in B.mult:
+        assert np.array_equal(A.mult_block(*key), B.mult_block(*key)), (m.name, key)
+    for key in B.sq_table:
+        assert np.array_equal(A.sq_block(*key), B.sq_block(*key)), (m.name, key)
     assert loaded.euler == m.euler, m.name
     for mine, theirs in ((loaded.w, m.w), (loaded.wu, m.wu)):
         assert [c.tolist() for c in mine.components] == [
