@@ -33,6 +33,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, compress
@@ -78,16 +79,26 @@ def _indices(x: int) -> list[int]:
 _NONZERO_BYTES = bytes([0] + [1] * 255)
 
 
-def _nonzero(table: Sequence[int]) -> list[int]:
-    """Positions of the nonzero entries of a packed table.
+def _table(rows: Iterable[int]) -> Sequence[int]:
+    """A packed table as stored: bytes when every entry fits in a byte, else a tuple.
 
-    Entries below 256 (every table into a degree of rank at most 8, such as
-    the top degree) are scanned as bytes, with ``bytes.find``.
+    Every table into a degree of rank at most 8, such as the top degree,
+    takes one byte per entry, so ``_nonzero`` finds its entries with
+    ``bytes.find`` rather than one interpreter step per entry; a document's
+    wide pairing table into the top degree is mostly zeros.
     """
+    rows = list(rows)
     try:
-        data = bytes(table).translate(_NONZERO_BYTES)
+        return bytes(rows)
     except ValueError:
+        return tuple(rows)
+
+
+def _nonzero(table: Sequence[int]) -> list[int]:
+    """Positions of the nonzero entries of a stored table (see ``_table``)."""
+    if not isinstance(table, bytes):
         return list(compress(range(len(table)), table))
+    data = table.translate(_NONZERO_BYTES)
     out = []
     i = data.find(1)
     while i >= 0:
@@ -97,39 +108,25 @@ def _nonzero(table: Sequence[int]) -> list[int]:
 
 
 def _pack(coords: Iterable[int], length: int, what: str) -> int:
-    """Coordinates from outside, read mod 2, as bits."""
-    values = [int(c) & 1 for c in coords]
+    """Coordinates from outside, nonnegative integers read mod 2, as bits."""
+    try:
+        values = [operator.index(c) for c in coords]
+    except TypeError:
+        raise ValueError(f"{what} needs integer coordinates") from None
     if len(values) != length:
         raise ValueError(f"{what} needs {length} coordinates, got {len(values)}")
-    return sum(v << i for i, v in enumerate(values))
-
-
-def _table(rows: Iterable[int]) -> Sequence[int]:
-    """A packed table as stored: bytes when every entry fits in a byte, else a tuple.
-
-    Tables into a degree of rank at most 8, such as the top degree, take
-    one byte per entry and are scanned in C (see ``_nonzero``).
-    """
-    rows = list(rows)
-    try:
-        return bytes(rows)
-    except ValueError:
-        return tuple(rows)
+    if values and min(values) < 0:
+        raise ValueError(f"{what} has a negative coordinate")
+    return sum((v & 1) << i for i, v in enumerate(values))
 
 
 def _unpack(rows: Sequence[int], width: int):
     """Packed rows as a read-only ``(len(rows), width)`` uint8 array."""
     import numpy as np
 
-    if isinstance(rows, bytes):
-        raw = np.frombuffer(rows, dtype=np.uint8).reshape(len(rows), 1)
-    elif width <= 64:
-        raw = np.array(rows, dtype="<u8").view(np.uint8).reshape(len(rows), 8)
-    else:
-        size = (width + 7) // 8
-        raw = np.frombuffer(b"".join(row.to_bytes(size, "little") for row in rows), dtype=np.uint8)
-        raw = raw.reshape(len(rows), size)
-    bits = np.unpackbits(raw, axis=1, count=width, bitorder="little")
+    size = (width + 7) // 8
+    raw = np.frombuffer(b"".join(row.to_bytes(size, "little") for row in rows), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(rows), size), axis=1, count=width, bitorder="little")
     bits.setflags(write=False)
     return bits
 
@@ -150,14 +147,9 @@ def _total(A: "GradedAlgebra", parts: Sequence[int]) -> "TotalClass":
 
 def _packed(a) -> Sequence[int]:
     """A checked 0/1 array's rows (its last axis) as a stored table (see ``_table``)."""
-    import numpy as np
-
-    width = a.shape[-1]
-    rows = a.reshape(math.prod(a.shape[:-1]), width)
-    if width == 1:  # each 0/1 entry is its own packed row
+    rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+    if rows.shape[1] == 1:  # each 0/1 entry is its own packed row
         return rows.tobytes()
-    if width <= 8:  # a row padded to eight bits is one byte
-        return np.packbits(np.pad(rows, ((0, 0), (0, 8 - width))), bitorder="little").tobytes()
     return _table(_bit_rows(rows))
 
 
@@ -178,12 +170,6 @@ class _Tables(Mapping):
         if not isinstance(table, (bytes, tuple)):
             table = self._tables[key] = _packed(table)
         return table
-
-    def get(self, key, default=None):
-        table = self._tables.get(key)
-        if table is None:
-            return default
-        return table if isinstance(table, (bytes, tuple)) else self[key]
 
     def __iter__(self):
         return iter(self._tables)
@@ -211,8 +197,8 @@ class GradedAlgebra:
 
     top_degree: int
     basis: tuple[tuple[str, ...], ...]
-    products: Mapping[tuple[int, int], tuple[int, ...]]
-    squares: Mapping[tuple[int, int], tuple[int, ...]]
+    products: Mapping[tuple[int, int], Sequence[int]]
+    squares: Mapping[tuple[int, int], Sequence[int]]
     unit_bits: int
     fundamental_bits: int
 
@@ -296,7 +282,7 @@ class ClassZ2:
     bits: int
 
     def __init__(self, algebra: GradedAlgebra, degree: int, coords: Iterable[int]):
-        """A class from outside coordinates, read mod 2."""
+        """A class from outside coordinates: nonnegative integers, read mod 2."""
         if degree < 0:
             raise ValueError(f"negative degree {degree}")
         bits = _pack(coords, algebra.rank(degree), f"degree-{degree} class")
@@ -345,7 +331,7 @@ class TotalClass:
     parts: tuple[int, ...]
 
     def __init__(self, algebra: GradedAlgebra, components: Sequence[Iterable[int]]):
-        """A total class from outside coordinates, one vector per degree, read mod 2."""
+        """A total class from outside coordinates, one vector per degree, read as in ``ClassZ2``."""
         n = algebra.top_degree
         if len(components) != n + 1:
             raise ValueError(f"need {n + 1} components, got {len(components)}")
@@ -426,8 +412,11 @@ def build_algebra(
 
     ``mult`` maps ``(d1, d2)`` to a ``(r1, r2, r_out)`` table and ``sq`` maps
     ``(k, d)`` to a ``(r_d, r_{d+k})`` table.  A table is an array of that
-    shape, or a mapping from index tuples ``(i, j)`` / ``(i,)`` to output
-    rows, the sparse form documents list; absent rows are zero.  Unit
+    shape, or sparse rows: a mapping from index tuples ``(i, j)`` / ``(i,)``
+    to output rows, absent rows zero.  Both forms are public.  The sparse
+    one is how documents list their tables, so ``load_manifold`` passes its
+    checked rows as they are and each table is written once, with no
+    array built first and copied by the mod-2 reduction.  Unit
     tables and ``Sq^0`` are filled in automatically when the degree-0 rank
     is 1.  The assembled algebra must pass every axiom of
     :func:`validate_algebra`; a failure raises
@@ -499,8 +488,6 @@ def _assemble_algebra(
     array views, so the battery reads them as they are, and each is packed
     into ints when the packed path first reads it.
     """
-    import numpy as np
-
     ranks = _ranks(top_degree, basis)
     n = top_degree
     views = {}
@@ -530,13 +517,6 @@ def _assemble_algebra(
         unit=None if unit is None else _pack(unit, ranks[0], "unit vector"),
         fundamental=None if fundamental is None else _pack(fundamental, ranks[n], "fundamental functional"),
     )
-    for d in alg.degrees:
-        eye = np.eye(ranks[d], dtype=np.uint8)
-        eye.setflags(write=False)
-        # a unit table or Sq^0 the assembler added, not given here, is the identity
-        for key, view in ((("sq", 0, d), eye), (("mult", 0, d), eye[None]), (("mult", d, 0), eye[:, None])):
-            if key not in views and key[1:] in (alg.squares if key[0] == "sq" else alg.products):
-                views[key] = view
     alg._views.update(views)
     return alg
 
@@ -635,10 +615,6 @@ def _check_table_size(size: int) -> None:
             f"the dense tables would take {size} bytes, "
             f"over the budget of {TABLE_BYTES_BUDGET} bytes"
         )
-
-
-def _check_table_budget(ranks: Sequence[int]) -> None:
-    _check_table_size(_table_bytes(ranks))
 
 
 # ---------------------------------------------------------------------------
@@ -954,18 +930,16 @@ def _cross(u: int, v: int, width: int) -> int:
     Pair ``(a, b)`` sits at ``a * width + b``, so the product is the OR of
     ``v << a * width`` over the set bits a of u.
     """
-    if not u & (u - 1):  # one basis class, or none
-        return v << (u.bit_length() - 1) * width if u else 0
     out = 0
-    for a in _indices(u):
-        out |= v << a * width
+    while u:
+        low = u & -u
+        out |= v << (low.bit_length() - 1) * width
+        u ^= low
     return out
 
 
 def _entries(table: Sequence[int], columns: int) -> list[tuple[int, int, int]]:
     """``(row, column, value)`` of each nonzero entry of a packed product table."""
-    if len(table) == 1:  # the rank-1 tables of RP(n) and CP(n)
-        return [(0, 0, table[0])] if table[0] else []
     return [(*divmod(index, columns), table[index]) for index in _nonzero(table)]
 
 
@@ -992,7 +966,7 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
             start[-1][i] = size
             size += A.rank(i) * B.rank(j)
         ranks.append(size)
-    _check_table_budget(ranks)
+    _check_table_size(_table_bytes(ranks))
     labels_b = _disambiguate(B.basis, _prime_counts(l for deg in A.basis[1:] for l in deg))
     basis = [
         [_pair_label(la, lb) for i, j in row for la in A.basis[i] for lb in labels_b[j]]
@@ -1090,7 +1064,7 @@ def connected_sum_algebra(*pieces: GradedAlgebra) -> GradedAlgebra:
         if S.rank(0) != 1 or S.rank(n) != 1:
             raise ValueError("connected summands must be connected closed pieces")
     ranks = [1] + [sum(S.rank(d) for S in pieces) for d in range(1, n)] + [1]
-    _check_table_budget(ranks)
+    _check_table_size(_table_bytes(ranks))
 
     basis: list[list[str]] = [["1"]] + [list(pieces[0].basis[d]) for d in range(1, n)]
     middle = _prime_counts(l for row in basis[1:] for l in row)

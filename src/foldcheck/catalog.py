@@ -28,10 +28,10 @@ from typing import Any, Mapping
 from .algebra import (
     GradedAlgebra,
     TotalClass,
-    _check_table_budget,
     _check_table_size,
     _monogenic_table_bytes,
     _packed_algebra,
+    _table_bytes,
     _total,
     build_algebra,
     connected_sum_algebra,
@@ -430,7 +430,7 @@ def orientable_surface(g: int) -> Manifold:
     """Sigma(g), g >= 0: closed orientable surface of genus g."""
     if g < 0:
         raise ValueError("genus must be >= 0")
-    _check_table_budget([1, 2 * g, 1])
+    _check_table_size(_table_bytes([1, 2 * g, 1]))
     deg1 = [l for i in range(1, g + 1) for l in (f"a{i}", f"b{i}")]
     table = _form_table(2 * g, [(2 * i, 2 * i + 1) for i in range(g)])
     algebra = _packed_algebra(2, [["1"], deg1, ["t"]], {(1, 1): table} if g else {})
@@ -448,7 +448,7 @@ def nonorientable_surface(k: int) -> Manifold:
     """N(k), k >= 1: connected sum of k copies of RP(2); chi = 2 - k."""
     if k < 1:
         raise ValueError("a non-orientable surface needs k >= 1")
-    _check_table_budget([1, k, 1])
+    _check_table_size(_table_bytes([1, k, 1]))
     algebra = _packed_algebra(
         2,
         [["1"], [f"c{i}" for i in range(1, k + 1)], ["t"]],
@@ -725,7 +725,7 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
         raise SchemaError("degrees 0 and dim must have exactly one basis label")
     ranks = [len(row) for row in basis]
     try:
-        _check_table_budget(ranks)
+        _check_table_size(_table_bytes(ranks))
     except ValueError as exc:
         raise SchemaError(f"basis: {exc}") from exc
 

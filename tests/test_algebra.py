@@ -191,7 +191,7 @@ def test_build_reads_sparse_rows_like_arrays():
 
 
 def test_packed_tables_read_their_arrays_row_by_row():
-    # one byte per row up to eight columns, ints beyond
+    # one int per row, at every width up to 69 columns
     rng = np.random.default_rng(5)
     for width in range(70):
         a = (rng.random((7, 3, width)) < 0.3).astype(np.uint8)
@@ -227,6 +227,28 @@ def test_public_constructors_reduce_coordinates_mod_2():
     assert TotalClass.from_components(A, [[1], [7], [4]]) == TotalClass(
         A, (np.array([1]), np.array([1]), np.array([0]))
     )
+
+
+def test_public_constructors_refuse_misshaped_or_negative_coordinates():
+    A = rp_algebra(2)
+    S = build_algebra(2, [["1"], ["x", "y"], ["t"]],
+                      {(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)})
+    # an (r, 1) column is not r coordinates, nor is a nested list
+    with pytest.raises(ValueError, match="integer coordinates"):
+        ClassZ2(S, 1, np.array([[1], [0]], dtype=np.uint8))
+    with pytest.raises(ValueError, match="integer coordinates"):
+        ClassZ2(S, 1, [[1], [0]])
+    with pytest.raises(ValueError, match="integer coordinates"):
+        ClassZ2(S, 1, [1.0, 0.0])
+    with pytest.raises(ValueError, match="negative"):
+        ClassZ2(S, 1, [-1, 0])
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        ClassZ2(S, 1, np.array([1], dtype=np.uint8))
+    with pytest.raises(ValueError, match="integer coordinates"):
+        TotalClass(A, (np.array([[1]]), np.array([0]), np.array([0])))
+    with pytest.raises(ValueError, match="negative"):
+        TotalClass(A, ([1], [-3], [0]))
+    assert ClassZ2(S, 1, [np.uint8(3), True]).bits == 0b11
 
 
 def test_class_addition_rejects_mixed_degrees():

@@ -22,10 +22,11 @@ from foldcheck.algebra import (
     GradedAlgebra,
     TotalClass,
     _assemble_algebra,
-    _check_table_budget,
+    _check_table_size,
     _disambiguate,
     _pair_label,
     _prime_counts,
+    _table_bytes,
     cross_total,
     kunneth,
 )
@@ -49,9 +50,9 @@ def _kunneth_layout(A: GradedAlgebra, B: GradedAlgebra, d: int) -> list[tuple[in
 
 def reference_kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     n = A.top_degree + B.top_degree
-    _check_table_budget(
+    _check_table_size(_table_bytes(
         [sum(A.rank(i) * B.rank(d - i) for i in range(d + 1)) for d in range(n + 1)]
-    )
+    ))
     labels_b = _disambiguate(B.basis, _prime_counts(l for deg in A.basis[1:] for l in deg))
     layouts = [_kunneth_layout(A, B, d) for d in range(n + 1)]
     outs = [{(i, j): s for i, j, s in layout} for layout in layouts]
