@@ -7,16 +7,19 @@ basis class i.  The product table of a degree pair ``(d1, d2)`` holds one
 int per basis pair, entry ``i * r_d2 + j`` being the product of classes i
 and j; the table of ``Sq^k`` on degree d holds one int per basis class.
 The unit and the fundamental-evaluation functional on the top degree are
-ints too.  Only the tables holding a nonzero entry are stored.  Every
-operation a catalog expression needs runs on shifts, ORs, XORs and
+ints too.  Only the tables holding a nonzero entry are stored, and every
+algebra holds its tables in this one form from the moment it is built.
+Every operation a catalog expression needs runs on shifts, ORs, XORs and
 ``int.bit_count``; ints are immutable, so nothing needs freezing.
 
-numpy is imported only where arrays come in or go out: ``build_algebra``
-reads outside tables, ``validate_algebra`` contracts the tables as float32
-matrix products, and the array views (``mult_block``, ``sq_block``,
-``mult``, ``sq_table``, ``unit``, ``fundamental``, ``ClassZ2.coords``,
-``TotalClass.components``) are read-only uint8 arrays built from the
-packed ints on first read and cached.
+numpy is imported only where arrays go out: ``build_algebra`` writes the
+sparse rows it reads into the arrays the axiom battery contracts as
+float32 matrix products, and the array views (``mult_block``,
+``sq_block``, ``mult``, ``sq_table``, ``unit``, ``fundamental``,
+``ClassZ2.coords``, ``TotalClass.components``) are read-only uint8 arrays
+built from the packed ints on first read and cached.  The Poincare pairing
+is read in one place, ``_pairing_rows``, by the battery and by the Wu
+class alike.
 
 Every routine walks the degrees that carry a basis class (``degrees``) or
 the tables the algebra stores, never all degree pairs or triples up to the
@@ -37,10 +40,11 @@ import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, compress
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation
-from .gf2 import _bit_rows, gf2_invertible, to_gf2
+from .gf2 import _bit_rows, _echelon
 
 __all__ = [
     "GradedAlgebra",
@@ -153,31 +157,6 @@ def _packed(a) -> Sequence[int]:
     return _table(_bit_rows(rows))
 
 
-class _Tables(Mapping):
-    """Stored tables by key, each a sequence of packed ints (see ``_table``).
-
-    A table may be handed over as a checked, read-only 0/1 array instead
-    (outside data, whose arrays the axiom battery reads); it is packed on
-    first read.  A document needs few packed tables (the Wu relations, the
-    total squares), so most of its tables are never packed.
-    """
-
-    def __init__(self, tables: dict):
-        self._tables = tables
-
-    def __getitem__(self, key):
-        table = self._tables[key]
-        if not isinstance(table, (bytes, tuple)):
-            table = self._tables[key] = _packed(table)
-        return table
-
-    def __iter__(self):
-        return iter(self._tables)
-
-    def __len__(self):
-        return len(self._tables)
-
-
 # ---------------------------------------------------------------------------
 # core containers
 # ---------------------------------------------------------------------------
@@ -189,10 +168,10 @@ class GradedAlgebra:
 
     Instances are immutable after construction and identified by identity:
     classes belonging to different instances never interoperate.
-    ``products`` and ``squares`` map a key to the packed table described in
-    the module docstring (see ``_Tables``); ``unit_bits`` and
-    ``fundamental_bits`` are the unit in degree 0 and the evaluation
-    functional on the top degree.
+    ``products`` and ``squares`` are read-only maps from a key to the packed
+    table described in the module docstring (see ``_table``), holding the
+    tables with a nonzero entry; ``unit_bits`` and ``fundamental_bits`` are
+    the unit in degree 0 and the evaluation functional on the top degree.
     """
 
     top_degree: int
@@ -340,10 +319,6 @@ class TotalClass:
         )
         vars(self).update(algebra=algebra, parts=parts)
 
-    @staticmethod
-    def from_components(algebra: GradedAlgebra, comps: Sequence[Iterable[int]]) -> "TotalClass":
-        return TotalClass(algebra, comps)
-
     @cached_property
     def components(self) -> tuple:
         """The components as read-only uint8 arrays."""
@@ -402,23 +377,23 @@ def _check_same_algebra(x, y) -> None:
 def build_algebra(
     top_degree: int,
     basis: Sequence[Sequence[str]],
-    mult: Mapping[tuple[int, int], object] | None = None,
-    sq: Mapping[tuple[int, int], object] | None = None,
+    mult: Mapping[tuple[int, int], Mapping[tuple[int, ...], Sequence[int]]] | None = None,
+    sq: Mapping[tuple[int, int], Mapping[tuple[int, ...], Sequence[int]]] | None = None,
     *,
     unit: Iterable[int] | None = None,
     fundamental: Iterable[int] | None = None,
 ) -> GradedAlgebra:
     """Assemble and validate a graded algebra from outside data.
 
-    ``mult`` maps ``(d1, d2)`` to a ``(r1, r2, r_out)`` table and ``sq`` maps
-    ``(k, d)`` to a ``(r_d, r_{d+k})`` table.  A table is an array of that
-    shape, or sparse rows: a mapping from index tuples ``(i, j)`` / ``(i,)``
-    to output rows, absent rows zero.  Both forms are public.  The sparse
-    one is how documents list their tables, so ``load_manifold`` passes its
-    checked rows as they are and each table is written once, with no
-    array built first and copied by the mod-2 reduction.  Unit
-    tables and ``Sq^0`` are filled in automatically when the degree-0 rank
-    is 1.  The assembled algebra must pass every axiom of
+    ``mult`` maps ``(d1, d2)`` to the sparse rows of the ``(r1, r2, r_out)``
+    product table and ``sq`` maps ``(k, d)`` to those of the
+    ``(r_d, r_{d+k})`` table of ``Sq^k``: a mapping from basis index tuples
+    ``(i, j)`` / ``(i,)`` to output rows, absent rows zero.  This is how
+    documents list their tables, so ``load_manifold`` passes its checked
+    rows as they are.  Unit tables and ``Sq^0`` are filled in where no table
+    is given and the degree-0 rank is 1; a given table is kept as given.
+    The tables must fit the byte budget, checked before anything is
+    allocated, and the assembled algebra must pass every axiom of
     :func:`validate_algebra`; a failure raises
     ``InvariantViolation("algebra-axioms", ...)``.  Every table and vector
     is read mod 2.
@@ -438,66 +413,64 @@ def _ranks(top_degree: int, basis: Sequence[Sequence[str]]) -> list[int]:
     return [len(labels) for labels in basis]
 
 
-def _outside_table(table, shape: tuple[int, ...], where: str):
-    """An outside table as a fresh 0/1 uint8 array of ``shape``.
+def _outside_table(table: Mapping, shape: tuple[int, ...], where: str):
+    """Sparse rows from outside as a fresh, read-only 0/1 uint8 array of ``shape``.
 
-    ``table`` is an array, read mod 2, or sparse rows: a mapping from basis
-    index tuples to output rows, absent rows zero, whose indices are
-    checked before one indexed assignment writes them.
+    The indices are checked before one indexed assignment writes the rows.
     """
     import numpy as np
 
-    if isinstance(table, Mapping):
-        a = np.zeros(shape, dtype=np.uint8)
-        if table:
-            columns = list(zip(*table))
-            if len(columns) != len(shape) - 1 or sum(map(len, table)) != len(table) * len(columns):
-                raise ValueError(f"{where}: an index does not name a basis tuple")
-            for c, r in zip(columns, shape):
-                if min(c) < 0 or max(c) >= r:
-                    raise ValueError(f"{where}: index out of range")
-            a[tuple(columns)] = list(table.values())
-            a &= 1
-    else:
-        a = to_gf2(table)
-        if a.shape != shape:
-            raise ValueError(f"{where} has shape {a.shape}")
+    a = np.zeros(shape, dtype=np.uint8)
+    if table:
+        columns = list(zip(*table))
+        if len(columns) != len(shape) - 1 or sum(map(len, table)) != len(table) * len(columns):
+            raise ValueError(f"{where}: an index does not name a basis tuple")
+        for c, r in zip(columns, shape):
+            if min(c) < 0 or max(c) >= r:
+                raise ValueError(f"{where}: index out of range")
+        a[tuple(columns)] = list(table.values())
+        a &= 1
+    a.setflags(write=False)
     return a
 
 
-def _any_entry(table) -> bool:
-    """Whether an outside table, in either form, has an odd entry."""
-    if isinstance(table, Mapping):
-        return any(int(v) & 1 for row in table.values() for v in row)
-    return bool(to_gf2(table).any())
+def _any_entry(table: Mapping) -> bool:
+    """Whether sparse rows from outside have an odd entry."""
+    return any(int(v) & 1 for row in table.values() for v in row)
 
 
 def _assemble_algebra(
     top_degree: int,
     basis: Sequence[Sequence[str]],
-    mult: Mapping[tuple[int, int], object] | None = None,
-    sq: Mapping[tuple[int, int], object] | None = None,
+    mult: Mapping[tuple[int, int], Mapping[tuple[int, ...], Sequence[int]]] | None = None,
+    sq: Mapping[tuple[int, int], Mapping[tuple[int, ...], Sequence[int]]] | None = None,
     *,
     unit: Iterable[int] | None = None,
     fundamental: Iterable[int] | None = None,
 ) -> GradedAlgebra:
-    """An algebra on outside tables (see ``build_algebra``), shape- and range-checked.
+    """An algebra on outside tables (see ``build_algebra``), size-, shape- and range-checked.
 
     The axiom battery is not run here.  Tables outside the grading must be
-    zero and are dropped.  The checked arrays are kept as the algebra's
-    array views, so the battery reads them as they are, and each is packed
-    into ints when the packed path first reads it.
+    zero and are dropped.  Each checked table is written once into an
+    array, which becomes the algebra's array view, and packed once into
+    the stored form.
     """
     ranks = _ranks(top_degree, basis)
+    _check_table_size(_table_bytes(ranks))
     n = top_degree
-    views = {}
+    for what, tables in (("product", mult), ("Steenrod", sq)):
+        for key, table in (tables or {}).items():
+            if not isinstance(table, Mapping):
+                raise ValueError(f"{what} table {key} must map basis index tuples to rows")
+    views, products, squares = {}, {}, {}
     for (d1, d2), table in (mult or {}).items():
         if d1 < 0 or d2 < 0 or d1 + d2 > n:
             if _any_entry(table):
                 raise ValueError(f"nonzero product table outside the grading: ({d1}, {d2})")
             continue
         shape = (ranks[d1], ranks[d2], ranks[d1 + d2])
-        views["mult", d1, d2] = _outside_table(table, shape, f"product table ({d1}, {d2})")
+        a = views["mult", d1, d2] = _outside_table(table, shape, f"product table ({d1}, {d2})")
+        products[d1, d2] = _packed(a)
     for (k, d), table in (sq or {}).items():
         if k < 0 or d < 0 or d > n:
             raise ValueError(f"Steenrod table key out of range: ({k}, {d})")
@@ -506,14 +479,13 @@ def _assemble_algebra(
                 raise ValueError(f"nonzero Sq^{k} table on degree {d} is out of range")
             continue
         shape = (ranks[d], ranks[d + k])
-        views["sq", k, d] = _outside_table(table, shape, f"Steenrod table ({k}, {d})")
-    for a in views.values():
-        a.setflags(write=False)
+        a = views["sq", k, d] = _outside_table(table, shape, f"Steenrod table ({k}, {d})")
+        squares[k, d] = _packed(a)
     alg = _packed_algebra(
         n,
         basis,
-        {key[1:]: a for key, a in views.items() if key[0] == "mult" and a.any()},
-        {key[1:]: a for key, a in views.items() if key[0] == "sq" and a.any()},
+        products,
+        squares,
         unit=None if unit is None else _pack(unit, ranks[0], "unit vector"),
         fundamental=None if fundamental is None else _pack(fundamental, ranks[n], "fundamental functional"),
     )
@@ -530,14 +502,15 @@ def _packed_algebra(
     unit: int | None = None,
     fundamental: int | None = None,
 ) -> GradedAlgebra:
-    """An algebra on the given stored tables, without the axiom battery.
+    """An algebra on the given tables of packed ints, without the axiom battery.
 
     For constructions that are algebras by construction (the closed-form
     catalog atoms, Kunneth products and connected sums of valid algebras)
-    and for outside tables ``_assemble_algebra`` has checked, which it
-    hands over as 0/1 arrays to be packed on first read (see ``_Tables``).
-    Every table given must have a nonzero entry.  The unit tables and
-    ``Sq^0`` are added where the caller gave none.  The unit and the
+    and for the outside tables ``_assemble_algebra`` has checked and packed.
+    Each table is given as ``_table`` makes it; a table with no nonzero
+    entry is a zero map and is not stored.  The unit tables and ``Sq^0``
+    are added where the caller gave no table; a given table is kept, zero
+    or not, so the store says what the caller said.  The unit and the
     fundamental functional default to the first class of degree 0 and of
     the top degree.
     """
@@ -550,27 +523,34 @@ def _packed_algebra(
     unit = (1 if ranks[0] else 0) if unit is None else unit
     fundamental = (1 if ranks[n] else 0) if fundamental is None else fundamental
 
-    products_t, squares_t = {}, {}
+    products_t, squares_t = dict(products or {}), dict(squares or {})
     for d in (d for d in range(n + 1) if ranks[d]):
         identity = _table(1 << i for i in range(ranks[d]))
         if ranks[0] == 1 and unit == 1:
-            products_t[0, d] = products_t[d, 0] = identity
-        squares_t[0, d] = identity
-    products_t.update(products or {})
-    squares_t.update(squares or {})
+            products_t.setdefault((0, d), identity)
+            products_t.setdefault((d, 0), identity)
+        squares_t.setdefault((0, d), identity)
     return GradedAlgebra(
         top_degree=n,
         basis=basis_t,
-        products=_Tables(products_t),
-        squares=_Tables(squares_t),
+        products=_read_only(products_t),
+        squares=_read_only(squares_t),
         unit_bits=unit,
         fundamental_bits=fundamental,
     )
 
 
 def _stored(tables: Mapping[tuple[int, int], Sequence[int]]) -> dict:
-    """The tables with a nonzero entry, as stored (see ``_table``)."""
-    return {key: _table(rows) for key, rows in tables.items() if any(rows)}
+    """The tables as stored (see ``_table``)."""
+    return {key: _table(rows) for key, rows in tables.items()}
+
+
+def _read_only(tables: dict) -> Mapping:
+    """The tables with a nonzero entry, in a read-only map."""
+    # map(any) scans at C speed; only a given zero table costs the rebuild
+    if not all(map(any, tables.values())):
+        tables = {key: rows for key, rows in tables.items() if any(rows)}
+    return MappingProxyType(tables)
 
 
 # Largest dense size of the multiplication plus Steenrod tables of one
@@ -650,9 +630,10 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
 
     Checks: unit action, commutativity, associativity, Sq^0 = id,
     Sq^(deg x) = squaring, the Cartan formula on all basis pairs, and
-    nondegeneracy of the Poincare pairing in every degree.
+    nondegeneracy of the Poincare pairing in every degree, whose rows
+    ``_pairing_rows`` reads from the stored tables.
 
-    The contractions run as 2-D float32 matrix products (BLAS).  They are
+    The other contractions run as 2-D float32 matrix products (BLAS).  They are
     exact: every product below sums at most one inner rank of 0/1 terms,
     far below 2^24, and the parity is read off afterwards.  The loops walk
     the degrees that carry a class; the other axioms hold trivially on zero
@@ -744,17 +725,33 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
                 failed.append(k)
         bad.extend(f"cartan: Sq^{k} on degrees ({d1}, {d2})" for k in failed)
 
-    fundamental = A.fundamental.astype(np.float32)
     for d in sorted({*degrees, *(n - d for d in degrees)}):
         r1, r2 = A.rank(d), A.rank(n - d)
         if r1 != r2:
             bad.append(f"pairing: ranks differ in degrees {d} and {n - d} ({r1} vs {r2})")
-            continue
-        pairing = _parity(mult(d, n - d).reshape(r1 * r1, A.rank(n)) @ fundamental)
-        if not gf2_invertible(pairing.reshape(r1, r1)):
+        elif len(_echelon(_pairing_rows(A, d), r1)[0]) != r1:
             bad.append(f"pairing: degenerate in degree {d}")
 
     return ValidationReport(tuple(bad))
+
+
+def _pairing_rows(A: GradedAlgebra, d: int) -> list[int]:
+    """The Poincare pairing of degree d with degree n - d as packed rows.
+
+    Row j holds ``<x_i y_j, [M]>`` at bit i, for the classes x_i of degree d
+    and y_j of degree n - d, read from the stored product table and the
+    fundamental functional.  The pairing is nondegenerate in degree d
+    exactly when these rows have rank ``r_d = r_(n-d)``.
+    """
+    n = A.top_degree
+    dual = A.rank(n - d)
+    rows = [0] * dual
+    table = A.products.get((d, n - d), ())
+    for index in _nonzero(table):
+        if (table[index] & A.fundamental_bits).bit_count() & 1:
+            i, j = divmod(index, dual)
+            rows[j] |= 1 << i
+    return rows
 
 
 def _associative(mult, rank, d1: int, d2: int, d3: int) -> bool:

@@ -16,7 +16,7 @@ from .algebra import (
     ClassZ2,
     GradedAlgebra,
     TotalClass,
-    _nonzero,
+    _pairing_rows,
     _total,
     evaluate_top,
     invert_total,
@@ -51,20 +51,16 @@ def wu_total(algebra: GradedAlgebra) -> TotalClass:
     Poincare pairing, so v_k is unique; v_k = 0 above the middle degree
     because Sq^k kills classes of degree below k.  Row j of the system
     holds the pairings of the degree-k basis with the j-th class y of
-    degree n - k, and ``<Sq^k y, [M]>`` at bit ``r_k``.
+    degree n - k (``_pairing_rows``, as the axiom battery reads them), and
+    ``<Sq^k y, [M]>`` at bit ``r_k``.
     """
     n = algebra.top_degree
     fundamental = algebra.fundamental_bits
     parts = [0] * (n + 1)
     parts[0] = algebra.unit_bits
     for k in (d for d in algebra.degrees if 0 < 2 * d <= n):
-        r, dual = algebra.rank(k), algebra.rank(n - k)
-        rows = [0] * dual
-        products = algebra.products.get((k, n - k), ())
-        for index in _nonzero(products):
-            if (products[index] & fundamental).bit_count() & 1:
-                i, j = divmod(index, dual)
-                rows[j] |= 1 << i
+        r = algebra.rank(k)
+        rows = _pairing_rows(algebra, k)
         for j, y in enumerate(algebra.squares.get((k, n - k), ())):
             if (y & fundamental).bit_count() & 1:
                 rows[j] |= 1 << r

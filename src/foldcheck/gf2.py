@@ -3,9 +3,10 @@
 Elimination runs on rows packed into Python-int bitsets (bit j of a row is
 column j), so one XOR adds a whole row, as in the word-packed elimination
 of Albrecht, Bard and Hart, "Efficient multiplication of dense matrices
-over GF(2)", ACM TOMS 37(1), 2010.  The algebra layer hands its packed rows
-to ``_echelon`` and ``_solve_bits`` directly; the public functions take
-numpy arrays and import numpy when they are called.
+over GF(2)", ACM TOMS 37(1), 2010.  The package itself hands over packed
+rows (the pairing rows to ``_echelon``, the Wu relations to ``_solve_bits``);
+the public functions wrap the same kernels for numpy arrays, for callers
+outside the package, and import numpy when they are called.
 """
 from __future__ import annotations
 

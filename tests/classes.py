@@ -1,9 +1,11 @@
-"""Classes the tests build by hand: the unit, basis classes, coordinate vectors.
+"""Classes and tables the tests build by hand.
 
 The package builds its classes from tables; these constructors exist for
 the tests alone, so they live here and go through the public, checking
 constructors of ``ClassZ2`` and ``TotalClass``.  So does the point record,
 which the expression grammar cannot name: it is loaded as a document.
+``sparse`` turns the dense numpy tables the tests write as references into
+the sparse rows ``build_algebra`` reads.
 """
 from __future__ import annotations
 
@@ -33,6 +35,17 @@ def unit_total(A: GradedAlgebra) -> TotalClass:
     comps = [np.zeros(A.rank(d), dtype=np.uint8) for d in range(A.top_degree + 1)]
     comps[0] = A.unit
     return TotalClass(A, tuple(comps))
+
+
+def sparse(tables: dict) -> dict:
+    """Each dense table as sparse rows: its rows with a nonzero entry, by index tuple."""
+    out = {}
+    for key, table in tables.items():
+        a = np.asarray(table)
+        out[key] = {
+            index: a[index].tolist() for index in np.ndindex(a.shape[:-1]) if a[index].any()
+        }
+    return out
 
 
 def point() -> Manifold:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from classes import basis_element, one, unit_total
+from classes import basis_element, one, sparse, unit_total
 from foldcheck import algebra, catalog
 from foldcheck.algebra import (
     ClassZ2,
@@ -40,7 +40,7 @@ def rp_algebra(n: int):
         for d in range(1, n)
         for k in range(1, min(d, n - d) + 1)
     }
-    return build_algebra(n, basis, mult, sq)
+    return build_algebra(n, basis, sparse(mult), sparse(sq))
 
 
 def sphere_algebra(n: int):
@@ -105,7 +105,7 @@ def test_build_rejects_out_of_grading_tables():
         build_algebra(
             1,
             [["1"], ["a"]],
-            {(1, 1): np.ones((1, 1, 1), dtype=np.uint8)},
+            sparse({(1, 1): np.ones((1, 1, 1), dtype=np.uint8)}),
         )
 
 
@@ -114,8 +114,8 @@ def test_build_rejects_out_of_range_sq():
         build_algebra(
             2,
             [["1"], ["a"], ["b"]],
-            {(1, 1): np.ones((1, 1, 1), dtype=np.uint8)},
-            {(2, 1): np.ones((1, 1), dtype=np.uint8)},
+            sparse({(1, 1): np.ones((1, 1, 1), dtype=np.uint8)}),
+            sparse({(2, 1): np.ones((1, 1), dtype=np.uint8)}),
         )
 
 
@@ -123,14 +123,14 @@ def test_validation_catches_broken_commutativity():
     # x*y = t but y*x = 0: not commutative
     mult = {(1, 1): np.array([[[0], [1]], [[0], [0]]], dtype=np.uint8)}
     with pytest.raises(InvariantViolation, match="commutativity"):
-        build_algebra(2, [["1"], ["x", "y"], ["t"]], mult)
+        build_algebra(2, [["1"], ["x", "y"], ["t"]], sparse(mult))
 
 
 def test_validation_catches_degenerate_pairing():
     # a*a = 0 in a would-be 2-manifold: the degree-1 pairing is degenerate
     mult = {(1, 1): np.zeros((1, 1, 1), dtype=np.uint8)}
     with pytest.raises(InvariantViolation, match="pairing"):
-        build_algebra(2, [["1"], ["a"], ["t"]], mult)
+        build_algebra(2, [["1"], ["a"], ["t"]], sparse(mult))
 
 
 def test_validation_catches_bad_top_squaring():
@@ -141,7 +141,9 @@ def test_validation_catches_bad_top_squaring():
         for d2 in range(1, 3 - d1)
     }
     with pytest.raises(InvariantViolation, match="squaring|cartan"):
-        build_algebra(2, [["1"], ["a"], ["a^2"]], mult, {(1, 1): np.zeros((1, 1), dtype=np.uint8)})
+        build_algebra(
+            2, [["1"], ["a"], ["a^2"]], sparse(mult), sparse({(1, 1): np.zeros((1, 1), dtype=np.uint8)})
+        )
 
 
 def test_validate_report_on_good_algebra():
@@ -160,8 +162,8 @@ def test_build_reads_outside_tables_mod_2():
     A = build_algebra(
         2,
         [["1"], ["a"], ["a^2"]],
-        {(1, 1): np.full((1, 1, 1), 3, dtype=np.uint8)},
-        {(1, 1): np.full((1, 1), 3, dtype=np.uint8)},
+        sparse({(1, 1): np.full((1, 1, 1), 3, dtype=np.uint8)}),
+        sparse({(1, 1): np.full((1, 1), 3, dtype=np.uint8)}),
         unit=[3],
         fundamental=[5],
     )
@@ -188,6 +190,8 @@ def test_build_reads_sparse_rows_like_arrays():
         build_algebra(2, basis, {(1, 1): {(-1, 0): [1]}})
     with pytest.raises(ValueError, match="basis tuple"):
         build_algebra(2, basis, {(1, 1): {(0,): [1]}})
+    with pytest.raises(ValueError, match="must map basis index tuples to rows"):
+        build_algebra(2, basis, {(1, 1): np.ones((1, 1, 1), dtype=np.uint8)})
 
 
 def test_packed_tables_read_their_arrays_row_by_row():
@@ -205,7 +209,7 @@ def test_packed_tables_read_their_arrays_row_by_row():
 
 def test_class_addition_is_xor():
     A = build_algebra(2, [["1"], ["x", "y"], ["t"]],
-                      {(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)})
+                      sparse({(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)}))
     x = basis_element(A, 1, 0)
     y = basis_element(A, 1, 1)
     assert str(x + y) == "x + y"
@@ -217,14 +221,14 @@ def test_public_constructors_reduce_coordinates_mod_2():
     A = rp_algebra(2)
     raw = np.array([3, 2], dtype=np.uint8)
     S = build_algebra(2, [["1"], ["x", "y"], ["t"]],
-                      {(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)})
+                      sparse({(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)}))
     x = ClassZ2(S, 1, raw)
     assert x.coords.tolist() == [1, 0]
     assert raw.tolist() == [3, 2] and raw.flags.writeable
     assert not x.coords.flags.writeable
     total = TotalClass(A, (np.array([3]), np.array([2]), np.array([5])))
     assert [c.tolist() for c in total.components] == [[1], [0], [1]]
-    assert TotalClass.from_components(A, [[1], [7], [4]]) == TotalClass(
+    assert TotalClass(A, [[1], [7], [4]]) == TotalClass(
         A, (np.array([1]), np.array([1]), np.array([0]))
     )
 
@@ -232,7 +236,7 @@ def test_public_constructors_reduce_coordinates_mod_2():
 def test_public_constructors_refuse_misshaped_or_negative_coordinates():
     A = rp_algebra(2)
     S = build_algebra(2, [["1"], ["x", "y"], ["t"]],
-                      {(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)})
+                      sparse({(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)}))
     # an (r, 1) column is not r coordinates, nor is a nested list
     with pytest.raises(ValueError, match="integer coordinates"):
         ClassZ2(S, 1, np.array([[1], [0]], dtype=np.uint8))
@@ -299,7 +303,7 @@ def test_evaluate_top_requires_top_degree():
 
 def test_total_class_componentwise():
     A = rp_algebra(4)
-    u = TotalClass.from_components(A, [[1], [1], [0], [0], [1]])
+    u = TotalClass(A, [[1], [1], [0], [0], [1]])
     assert str(u) == "1 + a + a^4"
     assert u.component(1) == basis_element(A, 1, 0)
     assert u.component(9).is_zero()  # out-of-range degrees read as zero
@@ -308,7 +312,7 @@ def test_total_class_componentwise():
 
 def test_total_multiplication_is_graded_convolution():
     A = rp_algebra(4)
-    u = TotalClass.from_components(A, [[1], [1], [0], [0], [0]])  # 1 + a
+    u = TotalClass(A, [[1], [1], [0], [0], [0]])  # 1 + a
     sq = u * u  # (1+a)^2 = 1 + a^2 over GF(2)
     assert str(sq) == "1 + a^2"
     quad = sq * sq
@@ -318,7 +322,7 @@ def test_total_multiplication_is_graded_convolution():
 def test_invert_total_oracle_rp4():
     # (1 + a + a^4)^{-1} = 1 + a + a^2 + a^3 in the RP4 ring: frozen oracle
     A = rp_algebra(4)
-    w = TotalClass.from_components(A, [[1], [1], [0], [0], [1]])
+    w = TotalClass(A, [[1], [1], [0], [0], [1]])
     wbar = invert_total(w)
     assert str(wbar) == "1 + a + a^2 + a^3"
     assert str(w * wbar) == "1"
@@ -326,7 +330,7 @@ def test_invert_total_oracle_rp4():
 
 def test_invert_total_requires_unital_input():
     A = rp_algebra(2)
-    broken = TotalClass.from_components(A, [[0], [1], [0]])
+    broken = TotalClass(A, [[0], [1], [0]])
     with pytest.raises(ValueError, match="unital"):
         invert_total(broken)
 
@@ -334,7 +338,7 @@ def test_invert_total_requires_unital_input():
 def test_total_sq_on_wu_style_class():
     # Sq(1 + a) in RP4: 1 + a + Sq^1 a = 1 + a + a^2
     A = rp_algebra(4)
-    v = TotalClass.from_components(A, [[1], [1], [0], [0], [0]])
+    v = TotalClass(A, [[1], [1], [0], [0], [0]])
     assert str(total_sq(v)) == "1 + a + a^2"
 
 
@@ -381,8 +385,8 @@ def test_cross_class_multiplies_coordinatewise():
 def test_cross_total_respects_multiplication():
     A, B = rp_algebra(2), rp_algebra(2)
     P = kunneth(A, B)
-    u = TotalClass.from_components(A, [[1], [1], [1]])
-    v = TotalClass.from_components(B, [[1], [0], [1]])
+    u = TotalClass(A, [[1], [1], [1]])
+    v = TotalClass(B, [[1], [0], [1]])
     lhs = cross_total(P, u, v)
     rhs = cross_total(P, u, unit_total(B)) * cross_total(P, unit_total(A), v)
     assert lhs == rhs
@@ -418,7 +422,7 @@ def test_connected_sum_algebra_top_label_avoids_collision():
     # a summand already using "t" forces a primed top label
     mult = {(1, 1): np.ones((1, 1, 1), dtype=np.uint8)}
     sq = {(1, 1): np.ones((1, 1), dtype=np.uint8)}
-    A = build_algebra(2, [["1"], ["t"], ["t^2"]], mult, sq)
+    A = build_algebra(2, [["1"], ["t"], ["t^2"]], sparse(mult), sparse(sq))
     S = connected_sum_algebra(A, rp_algebra(2))
     assert S.labels(1) == ("t", "a")
     assert S.labels(2) == ("t'",)
@@ -493,8 +497,9 @@ def test_kunneth_of_two_spheres_walks_only_the_degrees_with_classes(monkeypatch)
         lambda: catalog.complex_projective(3).algebra,
         lambda: catalog.orientable_surface(2).algebra,
         lambda: catalog.nonorientable_surface(3).algebra,
+        lambda: rp_algebra(4),
     ],
-    ids=["connected-sum", "kunneth", "RP5", "CP3", "Sigma2", "N3"],
+    ids=["connected-sum", "kunneth", "RP5", "CP3", "Sigma2", "N3", "build_algebra"],
 )
 def test_table_budget_bounds_the_built_tables(monkeypatch, build):
     size = _table_bytes(build().ranks)
@@ -514,7 +519,7 @@ def test_connected_sum_algebra_rejects_disconnected_pieces():
     table = np.zeros((2, 2, 2), dtype=np.uint8)
     table[0, 0, 0] = 1
     table[1, 1, 1] = 1
-    s0 = build_algebra(0, [["p", "q"]], {(0, 0): table}, unit=[1, 1], fundamental=[1, 1])
+    s0 = build_algebra(0, [["p", "q"]], sparse({(0, 0): table}), unit=[1, 1], fundamental=[1, 1])
     with pytest.raises(ValueError, match="dimension >= 1"):
         connected_sum_algebra(s0, s0)
     with pytest.raises(ValueError, match="connected"):

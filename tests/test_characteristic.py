@@ -153,7 +153,7 @@ def test_descriptor_rejects_negative_rank_and_bad_unit():
     m = sphere(2)
     with pytest.raises(InvariantViolation, match="rank"):
         BundleDescriptor(rank=-1, w_total=m.w, p1=P1Data.unknown(), orientable=True)
-    broken = TotalClass.from_components(m.algebra, [[0], [], [0]])
+    broken = TotalClass(m.algebra, [[0], [], [0]])
     with pytest.raises(InvariantViolation, match="unit"):
         BundleDescriptor(rank=2, w_total=broken, p1=P1Data.unknown(), orientable=True)
 

@@ -16,6 +16,7 @@ import itertools
 import numpy as np
 import pytest
 
+from classes import sparse
 from conftest import ATOM_TOKENS
 from foldcheck import catalog
 from foldcheck.algebra import (
@@ -112,8 +113,8 @@ def reference_kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     return _assemble_algebra(
         n,
         basis,
-        mult,
-        sq,
+        sparse(mult),
+        sparse(sq),
         unit=np.kron(A.unit, B.unit),
         fundamental=np.kron(A.fundamental, B.fundamental),
     )

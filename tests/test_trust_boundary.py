@@ -11,6 +11,7 @@ comes back unchanged.
 from __future__ import annotations
 
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from classes import sparse
 from test_invariants import _rank_mod2
 from foldcheck import algebra
 from foldcheck.algebra import GradedAlgebra, _assemble_algebra, validate_algebra
@@ -145,8 +147,7 @@ def test_unflipped_members_are_valid(oracle_algebras):
 def _flipped(A: GradedAlgebra, table: str, pick: int, entry: int) -> GradedAlgebra:
     # every in-range block of nonzero size can be hit, stored or all-zero
     n = A.top_degree
-    mult = {key: blk.copy() for key, blk in A.mult.items()}
-    sq = {key: blk.copy() for key, blk in A.sq_table.items()}
+    mult, sq = dict(A.mult), dict(A.sq_table)
     if table == "mult":
         tables, read = mult, A.mult_block
         keys = [(d1, d2) for d1 in range(n + 1) for d2 in range(n + 1 - d1)]
@@ -158,8 +159,27 @@ def _flipped(A: GradedAlgebra, table: str, pick: int, entry: int) -> GradedAlgeb
     blk = tables[key] = read(*key).copy()
     blk.flat[entry % blk.size] ^= 1
     return _assemble_algebra(
-        A.top_degree, A.basis, mult, sq, unit=A.unit, fundamental=A.fundamental
+        A.top_degree, A.basis, sparse(mult), sparse(sq), unit=A.unit, fundamental=A.fundamental
     )
+
+
+def _store_rows(block) -> list[int]:
+    """An array view's rows (its last axis) as the packed ints a stored table holds."""
+    rows = block.reshape(math.prod(block.shape[:-1]), block.shape[-1])
+    return [sum(int(v) << o for o, v in enumerate(row)) for row in rows]
+
+
+def _assert_store_matches_views(A: GradedAlgebra) -> None:
+    # every in-range table of the packed store, zero when absent, is its array view
+    n = A.top_degree
+    for d1 in range(n + 1):
+        for d2 in range(n + 1 - d1):
+            want = _store_rows(A.mult_block(d1, d2))
+            assert list(A.products.get((d1, d2), [0] * len(want))) == want, ("mult", d1, d2)
+    for d in range(n + 1):
+        for k in range(min(d, n - d) + 1):
+            want = _store_rows(A.sq_block(k, d))
+            assert list(A.squares.get((k, d), [0] * len(want))) == want, ("sq", k, d)
 
 
 @settings(max_examples=150, deadline=None)
@@ -174,11 +194,14 @@ def _flipped(A: GradedAlgebra, table: str, pick: int, entry: int) -> GradedAlgeb
 @example(name="K3 x RP2", table="sq", pick=8, entry=0, chunk=algebra._CHUNK_ELEMENTS)
 # not commutative: a (1, 2) product flip, failing associativity on (1, 1, 2) but not (2, 1, 1)
 @example(name="RP2 x RP3", table="mult", pick=8, entry=0, chunk=1)
+# a zeroed unit table (0, 4): it stays zero in the store, so the degree-0 pairing degenerates
+@example(name="S1 x S3", table="mult", pick=3, entry=0, chunk=algebra._CHUNK_ELEMENTS)
 def test_flipped_entry_violations_match_reference(
     oracle_algebras, name, table, pick, entry, chunk
 ):
     # small chunk budgets split the associativity products of every member
     A = _flipped(oracle_algebras[name], table, pick, entry)
+    _assert_store_matches_views(A)
     with mock.patch.object(algebra, "_CHUNK_ELEMENTS", chunk):
         got = validate_algebra(A).violations
     assert got == reference_violations(A)
