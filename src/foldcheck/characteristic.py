@@ -18,13 +18,12 @@ from .algebra import (
     TotalClass,
     _pairing_rows,
     _total,
-    evaluate_top,
     invert_total,
     steenrod_square,
 )
 from .errors import InvariantViolation
 from .gf2 import _solve_bits
-from .tristate import P1Data, TriState, p1_difference
+from .tristate import P1Data, P1Kind, TriState, p1_difference
 
 __all__ = [
     "wu_total",
@@ -187,35 +186,36 @@ def z_status(
 ) -> TriState:
     """Vanishing status of the secondary obstruction z (2z = p_1, z = w_4 mod 2).
 
-    Only defined for bundles admitting a pin structure, i.e. with w_2 = 0.
-    On a 4-manifold z reduces to p_1 (orientable) or w_4 (non-orientable);
+    Defined in dimensions 4-7 (ValueError outside) for bundles admitting a
+    pin structure, i.e. with w_2 = 0.  On a 4-manifold z reduces to p_1
+    (orientable) or w_4 (non-orientable), and the note names that class;
     in dimensions 5-7 a nonzero w_4 certifies z != 0, a known nonzero p_1
     certifies z != 0, and z = 0 needs w_4 = 0, p_1 = 0 and a torsion-free
     degree-4 integral group.
     """
+    if not 4 <= dim <= 7:
+        raise ValueError(f"z is decided in dimensions 4 through 7, got {dim}")
     if not w_diff.component(2).is_zero():
         raise InvariantViolation(
             "pin structure required", "w_2 of the virtual bundle does not vanish"
         )
-    if dim <= 3:
-        return TriState.zero("H^4 = 0")
     w4 = w_diff.component(4)
     if dim == 4:
-        if orientable:
-            if p1.is_known_zero:
-                return TriState.zero(f"p_1 = {p1}")
-            if p1.is_known_nonzero:
-                return TriState.nonzero(f"p_1 = {p1} != 0")
-            return TriState.unknown("p_1 undetermined")
-        if evaluate_top(w4):
-            return TriState.nonzero("w_4 != 0")
-        return TriState.zero("w_4 = 0")
-    if 5 <= dim <= 7:
-        if not w4.is_zero():
-            return TriState.nonzero("z = w_4 mod 2 and w_4 != 0")
+        if not orientable:
+            if w4.is_zero():
+                return TriState.zero("w_4 = 0")
+            return TriState.nonzero(f"w_4 = {w4} != 0")
+        if p1.is_known_zero:
+            return TriState.zero("p_1 = 0")
+        if p1.kind is P1Kind.INTEGER:
+            return TriState.nonzero(f"p_1 = {p1.number} != 0")
         if p1.is_known_nonzero:
-            return TriState.nonzero("2z = p_1 != 0")
-        if p1.is_known_zero and torsion_free:
-            return TriState.zero("w_4 = 0, p_1 = 0, degree-4 torsion-free")
-        return TriState.unknown("w_4 = 0 but the torsion part of z is undetermined")
-    return TriState.unknown(f"secondary obstruction undetermined in dimension {dim}")
+            return TriState.nonzero("p_1 != 0")
+        return TriState.unknown("p_1 undetermined")
+    if not w4.is_zero():
+        return TriState.nonzero("z = w_4 mod 2 and w_4 != 0")
+    if p1.is_known_nonzero:
+        return TriState.nonzero("2z = p_1 != 0")
+    if p1.is_known_zero and torsion_free:
+        return TriState.zero("w_4 = 0, p_1 = 0, degree-4 torsion-free")
+    return TriState.unknown("w_4 = 0 but the torsion part of z is undetermined")

@@ -31,7 +31,7 @@ from .characteristic import structure_flags, tangent_descriptor
 from .decide import Outcome, TargetSpec, decide_fold, stable_span_bounds, thom_polynomials
 from .errors import ExpressionError, FoldcheckError, SchemaError
 from .expressions import parse_expression
-from .tristate import P1Data
+from .tristate import P1Data, P1Kind
 
 __all__ = ["main"]
 
@@ -131,11 +131,11 @@ def _parse_target(text: str, m: Manifold, parser: _ArgumentParser) -> TargetSpec
 
 
 def _p1_json(p1: P1Data):
-    if p1.kind.name == "INTEGER":
+    if p1.kind is P1Kind.INTEGER:
         return {"int": p1.number}
-    if p1.kind.name == "ZERO_CLASS":
+    if p1.kind is P1Kind.ZERO_CLASS:
         return "zero"
-    if p1.kind.name == "NONZERO_CLASS":
+    if p1.kind is P1Kind.NONZERO_CLASS:
         return "nonzero"
     return "unknown"
 

@@ -153,7 +153,12 @@ def _difference_for(m: Manifold, target: TargetSpec) -> Tuple[TotalClass, P1Data
 
 
 def _decide_equidim(m: Manifold, target: TargetSpec) -> Verdict:
-    """Equidimensional targets (p = n) via the pin and z-class obstructions."""
+    """Equidimensional targets (p = n): w_2 of TM - g*TN, then ``z_status``.
+
+    One path for every 4 <= n <= 7 and every target; only the rule ids,
+    the citation and the wording are chosen by dimension (Cor 3.5 /
+    Thm 3.4 for n = 4, Thm 3.7 for 5 <= n <= 7).
+    """
     n = m.dim
     if n < 4 or n > 7:
         entry = TraceEntry(
@@ -165,51 +170,31 @@ def _decide_equidim(m: Manifold, target: TargetSpec) -> Verdict:
         return Verdict(Outcome.UNKNOWN, (entry,))
 
     w_diff, p1_diff = _difference_for(m, target)
-    w1 = w_diff.component(1)
-    w2 = w_diff.component(2)
-    oriented_data = w1.is_zero()
-
+    oriented_data = w_diff.component(1).is_zero()
     if n == 4:
         citation = "Thm 3.4" if target.kind == "pullback" else (
             "Cor 3.5(i)" if oriented_data else "Cor 3.5(ii)"
         )
-        if not w2.is_zero():
-            entry = TraceEntry("dim4-pin", citation, "w_2", f"w_2 = {w2} != 0")
-            return Verdict(Outcome.NOT_EXISTS, (entry,))
-        if oriented_data:
-            if p1_diff.is_known_zero:
-                entry = TraceEntry("dim4-oriented", citation, "none", "w_2 = 0; p_1 = 0")
-                return Verdict(Outcome.EXISTS, (entry,))
-            if p1_diff.kind.name == "INTEGER":
-                entry = TraceEntry(
-                    "dim4-oriented", citation, "p_1", f"w_2 = 0; p_1 = {p1_diff.number} != 0"
-                )
-                return Verdict(Outcome.NOT_EXISTS, (entry,))
-            if p1_diff.is_known_nonzero:
-                entry = TraceEntry("dim4-oriented", citation, "p_1", "w_2 = 0; p_1 != 0")
-                return Verdict(Outcome.NOT_EXISTS, (entry,))
-            entry = TraceEntry("dim4-oriented", citation, "p_1", "w_2 = 0; p_1 undetermined")
-            return Verdict(Outcome.UNKNOWN, (entry,))
-        w4 = w_diff.component(4)
-        if w4.is_zero():
-            entry = TraceEntry("dim4-nonorientable", citation, "none", "w_2 = 0; w_4 = 0")
-            return Verdict(Outcome.EXISTS, (entry,))
-        entry = TraceEntry("dim4-nonorientable", citation, "w_4", f"w_2 = 0; w_4 = {w4} != 0")
-        return Verdict(Outcome.NOT_EXISTS, (entry,))
+        pin_rule = "dim4-pin"
+        z_rule, z_name = ("dim4-oriented", "p_1") if oriented_data else ("dim4-nonorientable", "w_4")
+    else:
+        citation, pin_rule, z_rule, z_name = "Thm 3.7", "equidim-pin", "equidim-z", "z"
 
-    # 5 <= n <= 7
+    w2 = w_diff.component(2)
     if not w2.is_zero():
-        entry = TraceEntry("equidim-pin", "Thm 3.7", "w_2", f"w_2 = {w2} != 0")
+        entry = TraceEntry(pin_rule, citation, "w_2", f"w_2 = {w2} != 0")
         return Verdict(Outcome.NOT_EXISTS, (entry,))
     z = z_status(n, oriented_data, w_diff, p1_diff, torsion_free=m.torsion_free)
     if z.is_zero:
-        entry = TraceEntry("equidim-z", "Thm 3.7", "none", f"w_2 = 0; z = 0 ({z.note})")
-        return Verdict(Outcome.EXISTS, (entry,))
-    if z.is_nonzero:
-        entry = TraceEntry("equidim-z", "Thm 3.7", "z", f"w_2 = 0; z != 0 ({z.note})")
-        return Verdict(Outcome.NOT_EXISTS, (entry,))
-    entry = TraceEntry("equidim-z", "Thm 3.7", "z", f"w_2 = 0; z undetermined ({z.note})")
-    return Verdict(Outcome.UNKNOWN, (entry,))
+        outcome, obstruction, reading = Outcome.EXISTS, "none", "z = 0"
+    elif z.is_nonzero:
+        outcome, obstruction, reading = Outcome.NOT_EXISTS, z_name, "z != 0"
+    else:
+        outcome, obstruction, reading = Outcome.UNKNOWN, z_name, "z undetermined"
+    # in dimension 4 the note names z itself: p_1 or w_4
+    value = z.note if n == 4 else f"{reading} ({z.note})"
+    entry = TraceEntry(z_rule, citation, obstruction, f"w_2 = 0; {value}")
+    return Verdict(outcome, (entry,))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from classes import point
 from foldcheck.catalog import _odd_binomial
 from foldcheck.catalog import (
     atom,
+    complex_projective,
     connected_sum,
     cp2_reversed,
     k3,
+    load_descriptor,
     load_manifold,
     nonorientable_surface,
     orientable_surface,
@@ -310,6 +312,48 @@ def test_validate_rejects_sp_with_nonzero_w():
         validate_manifold(forged)
 
 
+# every refusal of validate_manifold that the catalog and document tests
+# above do not reach, each on a catalog record with one field forged
+@pytest.mark.parametrize(
+    "forge,name,match",
+    [
+        (lambda: replace(real_projective(4), dim=5), "dimension", "top degree 4, not 5"),
+        (lambda: replace(k3(), signature=None), "signature", "needs a signature"),
+        (lambda: replace(sphere(4), signature=2), "signature", "exceeds the middle rank"),
+        (lambda: replace(real_projective(4), signature=1), "signature", "where none is defined"),
+        (lambda: replace(real_projective(4), p1=P1Data.integer(0)), "p1-kind", "reserved"),
+        (lambda: replace(k3(), p1=P1Data.nonzero_class()), "p1-kind", "as an integer"),
+        (lambda: replace(sphere(3), p1=P1Data.unknown()), "p1-range", r"H\^4 = 0 forces"),
+        (lambda: replace(k3(), p1=P1Data.integer(-47)), "p1-reduction", "p_1 = -47 but"),
+        (
+            lambda: replace(complex_projective(4), p1=P1Data.zero_class()),
+            "p1-reduction",
+            r"w_2\^2 != 0 forces",
+        ),
+        (
+            lambda: replace(real_projective(4), stably_parallelizable=True),
+            "stable-parallelizability",
+            "non-orientable",
+        ),
+        (
+            lambda: replace(sphere(5), p1=P1Data.nonzero_class()),
+            "stable-parallelizability",
+            "p_1 != 0",
+        ),
+        (lambda: replace(real_projective(4), torsion_free=True), "torsion-flag", "torsion"),
+    ],
+    ids=[
+        "dimension", "signature-missing", "signature-range", "signature-undefined",
+        "p1-kind-integer", "p1-kind-class", "p1-range", "p1-reduction-dim4",
+        "p1-reduction-dim8", "sp-nonorientable", "sp-p1", "torsion-flag",
+    ],
+)
+def test_validate_manifold_refusals(forge, name, match):
+    with pytest.raises(InvariantViolation, match=match) as info:
+        validate_manifold(forge())
+    assert info.value.name == name
+
+
 # ---------------------------------------------------------------------------
 # documents
 
@@ -387,6 +431,48 @@ def test_load_manifold_rejects_p1_reduction_conflict():
     doc["p1"] = "nonzero"
     with pytest.raises(InvariantViolation, match="p1-reduction"):
         load_manifold(doc)
+
+
+def test_load_manifold_rejects_a_class_p1_against_the_signature():
+    # a class-kind p_1 must vanish exactly when 3 sigma does
+    doc = {
+        "name": "S4",
+        "dim": 4,
+        "orientable": True,
+        "euler": 2,
+        "signature": 0,
+        "basis": [["1"], [], [], [], ["s"]],
+        "p1": "nonzero",
+    }
+    with pytest.raises(InvariantViolation, match="document p1 contradicts 3 sigma = 0") as info:
+        load_manifold(doc)
+    assert info.value.name == "p1-signature"
+
+
+def _descriptor_document() -> dict:
+    return {"rank": 4, "orientable": True, "w": [[1], [], [], [], [0]], "p1": "zero"}
+
+
+@pytest.mark.parametrize(
+    "doc,match",
+    [
+        ([_descriptor_document()], "must be a JSON object"),
+        ({**_descriptor_document(), "name": "xi"}, r"unexpected fields \['name'\]"),
+        ({**_descriptor_document(), "rank": -1}, "rank must be a nonnegative integer"),
+        ({**_descriptor_document(), "rank": 4.0}, "rank must be a nonnegative integer"),
+        ({**_descriptor_document(), "rank": True}, "rank must be a nonnegative integer"),
+    ],
+    ids=["not-an-object", "unexpected-field", "negative-rank", "float-rank", "bool-rank"],
+)
+def test_load_descriptor_refusals(doc, match):
+    with pytest.raises(SchemaError, match=match):
+        load_descriptor(doc, sphere(4).algebra)
+
+
+def test_load_descriptor_accepts_the_trivial_document():
+    xi = load_descriptor(_descriptor_document(), sphere(4).algebra)
+    assert (xi.rank, xi.orientable, str(xi.w_total)) == (4, True, "1")
+    assert xi.p1.is_known_zero
 
 
 def rp4_document() -> dict:

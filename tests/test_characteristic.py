@@ -200,9 +200,11 @@ def test_z_status_dim4_oriented_reads_p1():
 
 def test_z_status_dim4_nonorientable_reads_w4():
     m = real_projective(4)
-    assert z_status(4, False, m.w, m.p1).is_nonzero
+    status = z_status(4, False, m.w, m.p1)
+    assert status.is_nonzero and status.note == "w_4 = a^4 != 0"
     flat = product(atom("N2"), atom("Sigma1"))
-    assert z_status(4, False, flat.w, flat.p1).is_zero
+    status = z_status(4, False, flat.w, flat.p1)
+    assert status.is_zero and status.note == "w_4 = 0"
 
 
 def test_z_status_mid_dimensions():
@@ -224,8 +226,28 @@ def test_z_status_mid_dimensions():
     assert status.is_unknown
 
 
+@pytest.mark.parametrize(
+    "p1,value,note",
+    [
+        (P1Data.zero_class(), "zero", "p_1 = 0"),
+        (P1Data.integer(0), "zero", "p_1 = 0"),
+        (P1Data.integer(-48), "nonzero", "p_1 = -48 != 0"),
+        (P1Data.nonzero_class(), "nonzero", "p_1 != 0"),
+        (P1Data.unknown(), "unknown", "p_1 undetermined"),
+    ],
+)
+def test_z_status_dim4_oriented_notes(p1, value, note):
+    # the note is the text of the dim4-oriented trace entry after "w_2 = 0; "
+    status = z_status(4, True, sphere(4).w, p1)
+    assert (str(status), status.note) == (value, note)
+
+
 def test_z_status_low_and_high_dimensions():
+    # the equidimensional criterion is decided in dimensions 4-7 only, so
+    # z has no rule outside them
     s3 = sphere(3)
-    assert z_status(3, True, s3.w, s3.p1).is_zero
+    with pytest.raises(ValueError, match="dimensions 4 through 7, got 3"):
+        z_status(3, True, s3.w, s3.p1)
     s8 = product(sphere(4), sphere(4))
-    assert z_status(8, True, s8.w, s8.p1).is_unknown
+    with pytest.raises(ValueError, match="dimensions 4 through 7, got 8"):
+        z_status(8, True, s8.w, s8.p1)

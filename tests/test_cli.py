@@ -404,6 +404,17 @@ def test_invariants_json_parses(capsys):
     assert payload["p1"] == "zero"
 
 
+# the "zero" form is read in test_invariants_json_parses
+@pytest.mark.parametrize(
+    "expr,p1",
+    [("K3", {"int": -48}), ("CP3", "nonzero"), ("RP2 x RP3", "unknown")],
+)
+def test_invariants_json_p1_forms(capsys, expr, p1):
+    code, out, err = run(capsys, "invariants", expr, "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["p1"] == p1
+
+
 def test_span_json_parses(capsys):
     code, out, err = run(capsys, "span", "S7", "--format", "json")
     payload = json.loads(out)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from foldcheck.catalog import atom, connected_sum, product, sphere
+from foldcheck.catalog import atom, connected_sum, load_descriptor, product, sphere
 from foldcheck import decide
 from foldcheck.algebra import invert_total
 from foldcheck.characteristic import tangent_descriptor, virtual_difference
@@ -151,6 +151,24 @@ def test_pullback_of_own_tangent_bundle():
     assert verdict.outcome is Outcome.EXISTS
     assert verdict.trace[0].citation == "Thm 3.4"
     assert verdict.trace[0].value == "w_2 = 0; p_1 = 0"
+
+
+@pytest.mark.parametrize("expr", ["S4", "S2 x S2"])
+def test_pullback_with_a_nonzero_p1_class(expr):
+    # p_1(TM) vanishes and the descriptor's p_1 is a nonzero class, so
+    # p_1(TM - xi) is the nonzero class "second term nonzero, first zero"
+    m = parse_expression(expr)
+    doc = {
+        "rank": 4,
+        "orientable": True,
+        "w": [[1]] + [[0] * m.algebra.rank(d) for d in range(1, 5)],
+        "p1": "nonzero",
+    }
+    verdict = decide_fold(m, TargetSpec.pullback(4, load_descriptor(doc, m.algebra)))
+    assert verdict.outcome is Outcome.NOT_EXISTS
+    assert [(e.rule, e.citation, e.obstruction, e.value) for e in verdict.trace] == [
+        ("dim4-oriented", "Thm 3.4", "p_1", "w_2 = 0; p_1 != 0")
+    ]
 
 
 def test_pullback_must_be_equidimensional():

@@ -24,6 +24,7 @@ from test_invariants import _rank_mod2
 from foldcheck import algebra
 from foldcheck.algebra import GradedAlgebra, _assemble_algebra, validate_algebra
 from foldcheck.catalog import k3, load_manifold, product
+from foldcheck.errors import InvariantViolation
 from foldcheck.expressions import parse_expression
 from foldcheck.tristate import P1Kind
 
@@ -350,3 +351,101 @@ def test_k3_x_k3_document_round_trips():
     # 2011 basis classes, middle rank 486: the largest algebra in the suite
     m = product(k3(), k3())
     _assert_round_trip(m)
+
+
+# ---------------------------------------------------------------------------
+# documents in a non-monomial basis
+#
+# Catalog documents list their tables in a monomial basis, where the
+# product of two basis classes is one basis class or zero.  Rewriting a
+# record through a random invertible change of basis in each middle degree
+# makes products and squares land on sums of basis classes.
+
+
+def _gf2_inverse(P: np.ndarray) -> np.ndarray | None:
+    """The inverse of a square 0/1 matrix over GF(2), or None if it is singular."""
+    r = len(P)
+    aug = np.concatenate([P, np.eye(r, dtype=np.uint8)], axis=1)
+    for c in range(r):
+        pivots = np.nonzero(aug[c:, c])[0]
+        if not len(pivots):
+            return None
+        aug[[c, c + pivots[0]]] = aug[[c + pivots[0], c]]
+        for row in np.nonzero(aug[:, c])[0]:
+            if row != c:
+                aug[row] ^= aug[c]
+    return aug[:, r:]
+
+
+def rebased_document(m, rng) -> tuple[dict, list[np.ndarray]]:
+    """``manifold_document(m)`` in the basis ``e'_i = sum_j P[i, j] e_j``.
+
+    P is random and invertible in every middle degree and the identity in
+    degrees 0 and dim.  A class with coordinates x in the old basis has
+    coordinates ``x P^-1`` in the new one; the inverses are returned by degree.
+    """
+    A = m.algebra
+    n = A.top_degree
+    change, inverse = [], []
+    for d in range(n + 1):
+        r = A.rank(d)
+        P = P_inv = np.eye(r, dtype=np.uint8)
+        if 0 < d < n:
+            P_inv = None
+            while P_inv is None:
+                P = rng.integers(0, 2, size=(r, r), dtype=np.uint8)
+                P_inv = _gf2_inverse(P)
+        change.append(P.astype(np.int64))
+        inverse.append(P_inv.astype(np.int64))
+    mult = []
+    for d1 in range(1, n + 1):
+        for d2 in range(d1, n + 1 - d1):
+            old = A.mult_block(d1, d2).astype(np.int64)
+            blk = np.einsum("ij,kl,jlo,op->ikp", change[d1], change[d2], old, inverse[d1 + d2]) % 2
+            for i, j in zip(*np.nonzero(blk.any(axis=2))):
+                if d1 < d2 or i <= j:
+                    mult.append([d1, int(i), d2, int(j), blk[i, j].tolist()])
+    sq = []
+    for k, d in sorted(A.sq_table):
+        if k == 0:
+            continue
+        blk = change[d] @ A.sq_block(k, d).astype(np.int64) @ inverse[d + k] % 2
+        for i in np.nonzero(blk.any(axis=1))[0]:
+            sq.append([k, d, int(i), blk[i].tolist()])
+    doc = manifold_document(m)
+    doc.update(mult=mult, sq=sq)
+    return doc, inverse
+
+
+def _rebased(total, inverse) -> list[list[int]]:
+    return [(c.astype(np.int64) @ inverse[d] % 2).tolist() for d, c in enumerate(total.components)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("expr", ["RP2 x RP3", "S1 x S1 x S1 x S1 x S1"])
+def test_document_in_a_non_monomial_basis(expr, seed):
+    m = parse_expression(expr)
+    doc, inverse = rebased_document(m, np.random.default_rng(seed))
+    assert any(sum(row) > 1 for *_, row in doc["mult"])  # the basis is not monomial
+    loaded = load_manifold(json.loads(json.dumps(doc)))
+    assert loaded.algebra.ranks == m.algebra.ranks
+    assert loaded.euler == m.euler
+    for mine, theirs in ((loaded.w, m.w), (loaded.wu, m.wu)):
+        assert [c.tolist() for c in mine.components] == _rebased(theirs, inverse), expr
+    # the rewritten w is accepted as a stored w
+    load_manifold({**doc, "w": _rebased(m.w, inverse)})
+
+
+@pytest.mark.parametrize("expr", ["RP2 x RP3", "S1 x S1 x S1 x S1 x S1"])
+def test_non_monomial_document_with_a_flipped_square_is_refused(expr):
+    # flip the first coordinate of x_0 * x_0 in degree 1
+    m = parse_expression(expr)
+    doc, _ = rebased_document(m, np.random.default_rng(0))
+    entry = next((e for e in doc["mult"] if e[:4] == [1, 0, 1, 0]), None)
+    if entry is None:
+        entry = [1, 0, 1, 0, [0] * m.algebra.rank(2)]
+        doc["mult"].append(entry)
+    entry[4][0] ^= 1
+    with pytest.raises(InvariantViolation, match="sq-top-squaring") as info:
+        load_manifold(doc)
+    assert info.value.name == "algebra-axioms"
