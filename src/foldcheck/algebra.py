@@ -17,9 +17,12 @@ sparse rows it reads into the arrays the axiom battery contracts as
 float32 matrix products, and the array views (``mult_block``,
 ``sq_block``, ``mult``, ``sq_table``, ``unit``, ``fundamental``,
 ``ClassZ2.coords``, ``TotalClass.components``) are read-only uint8 arrays
-built from the packed ints on first read and cached.  The Poincare pairing
-is read in one place, ``_pairing_rows``, by the battery and by the Wu
-class alike.
+built from the packed ints on first read and cached.  Associativity runs
+on the packed tables instead where they are sparse, by a rule that reads
+their counts (``_packed_wins``), and axioms with a degree-0 factor are
+left to the unit checks; ``validate_algebra`` states both rules.  The
+Poincare pairing is read in one place, ``_pairing_rows``, by the battery
+and by the Wu class alike.
 
 Every routine walks the degrees that carry a basis class (``degrees``) or
 the tables the algebra stores, never all degree pairs or triples up to the
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import accumulate, compress
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -633,11 +636,29 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     nondegeneracy of the Poincare pairing in every degree, whose rows
     ``_pairing_rows`` reads from the stored tables.
 
-    The other contractions run as 2-D float32 matrix products (BLAS).  They are
-    exact: every product below sums at most one inner rank of 0/1 terms,
-    far below 2^24, and the parity is read off afterwards.  The loops walk
-    the degrees that carry a class; the other axioms hold trivially on zero
-    ranks.  A block is copied to float32 when a check first reads it.
+    The unit checks settle every axiom with a degree-0 factor when degree
+    0 has rank 1, no unit check fails and Sq^0 fixes the unit: then
+    (1y)z = yz = 1(yz), and Sq^k(1y) = Sq^k y = Sq^0(1) Sq^k(y).  So those
+    triples and pairs are not computed; otherwise they are, as all others.
+
+    The Cartan products and the dense associativity kernel run as 2-D
+    float32 matrix products (BLAS).  They are exact: every product sums at
+    most one inner rank of 0/1 terms, far below 2^24, and the parity is
+    read off afterwards.  A block is copied to float32 when a check first
+    reads it.  A sparse associativity triple, such as the (1, 1, 1) triple
+    of a connected sum of many RP4, runs on the stored nonzero entries
+    instead (``_associative_packed``) when
+    ``6 (e_12 + b_23) r1 r3 ro <= r1 r2 r12 r3 ro + 1000``, with e_12 the
+    nonzero entries of table (d1, d2) and b_23 the set bits of table
+    (d2, d3) (``_packed_wins``).  Timing both kernels on every triple of
+    the doc-ingest documents, rebased T^5 and T^8 documents and catalog
+    products (2-CPU host, best of 3, two runs), the kernels this rule
+    picks took 1.02 times the faster kernel's total; the worst algebra,
+    K3 x RP2, took 1.2-1.3 times (0.6 against 0.5 ms).  The 1000 is the
+    dense kernel's fixed cost (about 16 us against 8 us for a packed
+    triple of rank-1 degrees).  The loops walk
+    the degrees that carry a class; the other axioms hold trivially on
+    zero ranks.
 
     Once the commutativity loop finds nothing, each mirror pair is computed
     once.  Over GF(2) with xy = yx, the associator (zy)x + z(yx) of (z, y, x)
@@ -649,13 +670,13 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     import numpy as np
 
     n = A.top_degree
-    degrees = A.degrees
-    pairs = [(d1, d2) for d1 in degrees for d2 in degrees if d1 + d2 <= n]
     bad: list[str] = []
     mult = cache(lambda d1, d2: A.mult_block(d1, d2).astype(np.float32))
     sq = cache(lambda k, d: A.sq_block(k, d).astype(np.float32))
+    lines = cache(partial(_lines, A))
+    weight = cache(lambda d1, d2: _weight(A.products.get((d1, d2), b"")))
 
-    for d in degrees:
+    for d in A.degrees:
         left = np.einsum("u,ujo->jo", A.unit, A.mult_block(0, d)) % 2
         right = np.einsum("iuo,u->io", A.mult_block(d, 0), A.unit) % 2
         eye = np.eye(A.rank(d), dtype=np.uint8)
@@ -663,6 +684,10 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
             bad.append(f"unit: 1*x != x in degree {d}")
         if not np.array_equal(right, eye):
             bad.append(f"unit: x*1 != x in degree {d}")
+    # the unit checks decide every degree-0 factor (see above)
+    unital = not bad and A.rank(0) == 1 and list(A.squares.get((0, 0), ())) == [1]
+    degrees = [d for d in A.degrees if d or not unital]
+    pairs = [(d1, d2) for d1 in degrees for d2 in degrees if d1 + d2 <= n]
 
     before = len(bad)
     for d1, d2 in pairs:
@@ -680,11 +705,15 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
             if commutative and d3 < d1:
                 ok = associative[d3, d2, d1]
             else:
-                ok = associative[d1, d2, d3] = _associative(mult, A.rank, d1, d2, d3)
+                ok = associative[d1, d2, d3] = (
+                    _associative_packed(A, lines, d1, d2, d3)
+                    if _packed_wins(A, weight, d1, d2, d3)
+                    else _associative(mult, A.rank, d1, d2, d3)
+                )
             if not ok:
                 bad.append(f"associativity: degrees ({d1}, {d2}, {d3})")
 
-    for d in degrees:
+    for d in A.degrees:
         if not np.array_equal(A.sq_block(0, d), np.eye(A.rank(d), dtype=np.uint8)):
             bad.append(f"sq0-identity: Sq^0 != id in degree {d}")
         if 2 * d <= n:
@@ -725,7 +754,7 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
                 failed.append(k)
         bad.extend(f"cartan: Sq^{k} on degrees ({d1}, {d2})" for k in failed)
 
-    for d in sorted({*degrees, *(n - d for d in degrees)}):
+    for d in sorted({*A.degrees, *(n - d for d in A.degrees)}):
         r1, r2 = A.rank(d), A.rank(n - d)
         if r1 != r2:
             bad.append(f"pairing: ranks differ in degrees {d} and {n - d} ({r1} vs {r2})")
@@ -779,6 +808,72 @@ def _associative(mult, rank, d1: int, d2: int, d3: int) -> bool:
     return True
 
 
+# The rule of _packed_wins; validate_algebra gives the measurement.
+_PACKED_COST = 6
+_DENSE_FLOOR = 1000
+
+
+def _packed_wins(A: GradedAlgebra, weight, d1: int, d2: int, d3: int) -> bool:
+    """Whether ``_associative_packed`` is the cheaper kernel for a degree triple.
+
+    It shifts one int of ``r1 r3 ro`` bits per nonzero ``x_i y_j`` and per
+    set bit of a ``y_j z_k`` (``weight`` of a table gives both counts); the
+    dense kernel multiplies ``r1 r2 r12 r3 ro`` entries at a fixed cost per call.
+    """
+    rank = A.rank
+    r1, r2, r3, r12, ro = rank(d1), rank(d2), rank(d3), rank(d1 + d2), rank(d1 + d2 + d3)
+    work = weight(d1, d2)[0] + weight(d2, d3)[1]
+    return _PACKED_COST * work * r1 * r3 * ro <= r1 * r2 * r12 * r3 * ro + _DENSE_FLOOR
+
+
+def _weight(table: Sequence[int]) -> tuple[int, int]:
+    """Nonzero entries of a stored table and their set bits."""
+    return len(table) - table.count(0), sum(map(int.bit_count, table))
+
+
+def _lines(A: GradedAlgebra, d1: int, d2: int, by_column: bool, step: int) -> list[int]:
+    """The rows (or columns) of the ``(d1, d2)`` product table, each packed into one int.
+
+    Row i ORs ``x_i y_j << j * step`` over the classes y_j of degree d2;
+    column j ORs ``x_i y_j << i * step`` over the classes x_i of degree d1.
+    """
+    table = A.products.get((d1, d2), ())
+    columns = A.rank(d2)
+    out = [0] * (columns if by_column else A.rank(d1))
+    for index in _nonzero(table):
+        i, j = divmod(index, columns)
+        if by_column:
+            out[j] |= table[index] << i * step
+        else:
+            out[i] |= table[index] << j * step
+    return out
+
+
+def _associative_packed(A: GradedAlgebra, lines, d1: int, d2: int, d3: int) -> bool:
+    """``(xy)z = x(yz)`` on all basis triples, summed over the stored nonzero products.
+
+    For each class y_j of degree d2 both sides are packed into one int with
+    the o-th coordinate of the product of x_i, y_j and z_k at bit
+    ``(i r3 + k) ro + o``.  On the left, ``x_i y_j = sum_a e_a`` adds the rows
+    a of table ``(d1 + d2, d3)``, packed over (k, o), at ``i r3 ro``; on the
+    right, ``y_j z_k = sum_b e_b`` adds the columns b of table
+    ``(d1, d2 + d3)``, packed over (i, o), at ``k ro``.
+    """
+    r2, r3, ro = A.rank(d2), A.rank(d3), A.rank(d1 + d2 + d3)
+    by_class = lines(d1 + d2, d3, False, ro)
+    by_pair = lines(d1, d2 + d3, True, r3 * ro)
+    lhs, rhs = [0] * r2, [0] * r2
+    table = A.products.get((d1, d2), ())
+    for index in _nonzero(table):
+        i, j = divmod(index, r2)
+        lhs[j] ^= _image(by_class, table[index]) << i * r3 * ro
+    table = A.products.get((d2, d3), ())
+    for index in _nonzero(table):
+        j, k = divmod(index, r3)
+        rhs[j] ^= _image(by_pair, table[index]) << k * ro
+    return lhs == rhs
+
+
 # ---------------------------------------------------------------------------
 # elementary operations
 # ---------------------------------------------------------------------------
@@ -800,7 +895,10 @@ def _product(A: GradedAlgebra, d1: int, x: int, d2: int, y: int) -> int:
 
 
 def _image(table: Sequence[int] | None, x: int) -> int:
-    """Bits of the image of ``x`` under a packed Steenrod table (None is zero)."""
+    """XOR of the rows of a packed table at the set bits of ``x`` (None is zero).
+
+    For a Steenrod table this is the image of x.
+    """
     out = 0
     if table is not None:
         for i in _indices(x):

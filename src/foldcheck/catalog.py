@@ -804,7 +804,8 @@ def load_descriptor(doc: Any, algebra: GradedAlgebra) -> BundleDescriptor:
     """Build a bundle descriptor over ``algebra`` from a document.
 
     The document has exactly the fields ``rank``, ``w`` (one 0/1 vector per
-    degree), ``p1`` (as in a manifold document) and ``orientable``.
+    degree), ``p1`` (as in a manifold document) and ``orientable``; whether
+    they fit together is checked by ``BundleDescriptor``.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("descriptor document must be a JSON object")

@@ -18,6 +18,7 @@ from .algebra import (
     TotalClass,
     _pairing_rows,
     _total,
+    evaluate_top,
     invert_total,
     steenrod_square,
 )
@@ -149,14 +150,44 @@ class BundleDescriptor:
     orientable: bool
 
     def __post_init__(self):
+        """Refuse data no bundle has.
+
+        An integer p_1 is ``<p_1, [M]>`` and needs an oriented 4-dimensional
+        base, whose w_1 = v_1 vanishes; p_1 reduces to w_2^2 mod 2; and
+        H^4 = 0 below dimension 4.
+        """
+        A = self.w_total.algebra
+        n, p1 = A.top_degree, self.p1
         if self.rank < 0:
             raise InvariantViolation("bundle-descriptor", "negative rank")
-        if self.w_total.parts[0] != self.w_total.algebra.unit_bits:
+        if self.w_total.parts[0] != A.unit_bits:
             raise InvariantViolation("bundle-descriptor", "w_0 must be the unit")
         if self.orientable != self.w_total.component(1).is_zero():
             raise InvariantViolation(
                 "bundle-descriptor", "orientability flag contradicts w_1"
             )
+        w2 = self.w_total.component(2)
+        w2sq = w2 * w2
+        if p1.kind is P1Kind.INTEGER:
+            if not (n == 4 and _oriented(A)):
+                raise InvariantViolation(
+                    "bundle-descriptor", "integer p_1 needs an oriented 4-dimensional base"
+                )
+            if p1.number % 2 != evaluate_top(w2sq):
+                raise InvariantViolation(
+                    "bundle-descriptor",
+                    f"p_1 = {p1.number} but <w_2^2, [M]> = {evaluate_top(w2sq)}",
+                )
+        if n < 4 and p1.is_known_nonzero:
+            raise InvariantViolation("bundle-descriptor", "H^4 = 0 forces p_1 = 0")
+        if p1.is_known_zero and not w2sq.is_zero():
+            raise InvariantViolation("bundle-descriptor", "w_2^2 != 0 forces p_1 != 0")
+
+
+def _oriented(A: GradedAlgebra) -> bool:
+    """Whether w_1 = v_1 vanishes: ``<v_1 x, [M]> = <Sq^1 x, [M]>`` is 0 on degree n - 1."""
+    rows = A.squares.get((1, A.top_degree - 1), ())
+    return not any((row & A.fundamental_bits).bit_count() & 1 for row in rows)
 
 
 def tangent_descriptor(m) -> BundleDescriptor:
@@ -177,22 +208,20 @@ def virtual_difference(m, xi: BundleDescriptor) -> tuple[TotalClass, P1Data]:
     return w_diff, p1_difference(m.p1, xi.p1)
 
 
-def z_status(
-    dim: int,
-    orientable: bool,
-    w_diff: TotalClass,
-    p1: P1Data,
-    torsion_free: bool = False,
-) -> TriState:
+def z_status(w_diff: TotalClass, p1: P1Data, torsion_free: bool = False) -> TriState:
     """Vanishing status of the secondary obstruction z (2z = p_1, z = w_4 mod 2).
 
     Defined in dimensions 4-7 (ValueError outside) for bundles admitting a
-    pin structure, i.e. with w_2 = 0.  On a 4-manifold z reduces to p_1
-    (orientable) or w_4 (non-orientable), and the note names that class;
+    pin structure, i.e. with w_2 = 0.  Both inputs that pick the rule are
+    read off ``w_diff``: the dimension is the top degree of its algebra,
+    and the bundle is orientable when its w_1 vanishes.  On a 4-manifold
+    z reduces to p_1 (orientable) or w_4 (non-orientable), and the note
+    names that class;
     in dimensions 5-7 a nonzero w_4 certifies z != 0, a known nonzero p_1
     certifies z != 0, and z = 0 needs w_4 = 0, p_1 = 0 and a torsion-free
     degree-4 integral group.
     """
+    dim = w_diff.algebra.top_degree
     if not 4 <= dim <= 7:
         raise ValueError(f"z is decided in dimensions 4 through 7, got {dim}")
     if not w_diff.component(2).is_zero():
@@ -201,7 +230,7 @@ def z_status(
         )
     w4 = w_diff.component(4)
     if dim == 4:
-        if not orientable:
+        if not w_diff.component(1).is_zero():
             if w4.is_zero():
                 return TriState.zero("w_4 = 0")
             return TriState.nonzero(f"w_4 = {w4} != 0")

@@ -184,7 +184,7 @@ def _decide_equidim(m: Manifold, target: TargetSpec) -> Verdict:
     if not w2.is_zero():
         entry = TraceEntry(pin_rule, citation, "w_2", f"w_2 = {w2} != 0")
         return Verdict(Outcome.NOT_EXISTS, (entry,))
-    z = z_status(n, oriented_data, w_diff, p1_diff, torsion_free=m.torsion_free)
+    z = z_status(w_diff, p1_diff, torsion_free=m.torsion_free)
     if z.is_zero:
         outcome, obstruction, reading = Outcome.EXISTS, "none", "z = 0"
     elif z.is_nonzero:

@@ -26,6 +26,7 @@ from foldcheck.catalog import (
     validate_manifold,
 )
 from foldcheck.errors import DimensionMismatch, InvariantViolation, SchemaError
+from foldcheck.expressions import parse_expression
 from foldcheck.tristate import P1Data
 
 
@@ -473,6 +474,56 @@ def test_load_descriptor_accepts_the_trivial_document():
     xi = load_descriptor(_descriptor_document(), sphere(4).algebra)
     assert (xi.rank, xi.orientable, str(xi.w_total)) == (4, True, "1")
     assert xi.p1.is_known_zero
+
+
+# (expression, descriptor w: "one" or the tangent w, p1 field, refusal)
+CONTRADICTING_P1 = [
+    # <p_1, [M]> is an integer only over an oriented 4-manifold
+    ("RP4", "one", {"int": 0}, "integer p_1 needs an oriented 4-dimensional base"),
+    ("CP3", "one", {"int": 4}, "integer p_1 needs an oriented 4-dimensional base"),
+    ("S3", "one", {"int": 0}, "integer p_1 needs an oriented 4-dimensional base"),
+    # p_1 reduces to w_2^2 mod 2
+    ("S2 x S2", "one", {"int": 5}, r"p_1 = 5 but <w_2\^2, \[M\]> = 0"),
+    ("CP2", "tangent", {"int": 2}, r"p_1 = 2 but <w_2\^2, \[M\]> = 1"),
+    ("CP2", "tangent", "zero", r"w_2\^2 != 0 forces p_1 != 0"),
+    ("CP2 x S2", "tangent", "zero", r"w_2\^2 != 0 forces p_1 != 0"),
+    # H^4 = 0 below dimension 4
+    ("S3", "one", "nonzero", r"H\^4 = 0 forces p_1 = 0"),
+    ("RP3", "one", "nonzero", r"H\^4 = 0 forces p_1 = 0"),
+]
+
+
+def _bundle_document(m, w: str, p1) -> dict:
+    total = [[1]] + [[0] * m.algebra.rank(d) for d in range(1, m.dim + 1)]
+    if w == "tangent":
+        total = [c.tolist() for c in m.w.components]
+    return {"rank": m.dim, "orientable": w == "one" or m.orientable, "w": total, "p1": p1}
+
+
+@pytest.mark.parametrize("expr,w,p1,match", CONTRADICTING_P1)
+def test_load_descriptor_refuses_a_contradicting_p1(expr, w, p1, match):
+    m = parse_expression(expr)
+    with pytest.raises(InvariantViolation, match=match) as info:
+        load_descriptor(_bundle_document(m, w, p1), m.algebra)
+    assert info.value.name == "bundle-descriptor"
+
+
+@pytest.mark.parametrize(
+    "expr,w,p1",
+    # every base and w above, with p_1 unknown and with a p_1 that fits
+    [(expr, w, "unknown") for expr, w, *_ in CONTRADICTING_P1]
+    + [
+        ("S2 x S2", "one", {"int": 4}),
+        ("CP2", "tangent", {"int": 3}),
+        ("CP2 x S2", "tangent", "nonzero"),
+        ("RP4", "one", "zero"),
+        ("S3", "one", "zero"),
+    ],
+)
+def test_load_descriptor_accepts_a_consistent_p1(expr, w, p1):
+    m = parse_expression(expr)
+    xi = load_descriptor(_bundle_document(m, w, p1), m.algebra)
+    assert xi.rank == m.dim
 
 
 def rp4_document() -> dict:

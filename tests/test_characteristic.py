@@ -126,11 +126,16 @@ def test_w3_status_passthrough_when_undecided():
 
 
 def trivial_descriptor(algebra, rank: int) -> BundleDescriptor:
-    """The trivial rank-``rank`` bundle: w = 1 and p_1 = 0."""
+    """The trivial rank-``rank`` bundle: w = 1 and p_1 = 0.
+
+    p_1 is the integer 0 over an oriented 4-manifold, the zero class elsewhere.
+    """
+    oriented4 = algebra.top_degree == 4 and wu_total(algebra).component(1).is_zero()
+    p1 = P1Data.integer(0, "trivial bundle") if oriented4 else P1Data.zero_class("trivial bundle")
     return BundleDescriptor(
         rank=rank,
         w_total=unit_total(algebra),
-        p1=P1Data.integer(0, "trivial bundle"),
+        p1=p1,
         orientable=True,
     )
 
@@ -186,43 +191,43 @@ def test_virtual_difference_rejects_foreign_algebra():
 def test_z_status_requires_pin():
     m = atom("CP2")  # w_2 = h != 0
     with pytest.raises(InvariantViolation, match="pin structure required"):
-        z_status(4, True, m.w, m.p1)
+        z_status(m.w, m.p1)
 
 
 def test_z_status_dim4_oriented_reads_p1():
     m = k3()
     w_diff, p1_diff = virtual_difference(m, trivial_descriptor(m.algebra, 4))
-    status = z_status(4, True, w_diff, p1_diff)
+    status = z_status(w_diff, p1_diff)
     assert status.is_nonzero and "p_1" in status.note
     s = sphere(4)
-    assert z_status(4, True, s.w, s.p1).is_zero
+    assert z_status(s.w, s.p1).is_zero
 
 
 def test_z_status_dim4_nonorientable_reads_w4():
     m = real_projective(4)
-    status = z_status(4, False, m.w, m.p1)
+    status = z_status(m.w, m.p1)
     assert status.is_nonzero and status.note == "w_4 = a^4 != 0"
     flat = product(atom("N2"), atom("Sigma1"))
-    status = z_status(4, False, flat.w, flat.p1)
+    status = z_status(flat.w, flat.p1)
     assert status.is_zero and status.note == "w_4 = 0"
 
 
 def test_z_status_mid_dimensions():
     m5 = product(real_projective(4), sphere(1))
-    status = z_status(5, False, m5.w, m5.p1)
+    status = z_status(m5.w, m5.p1)
     assert status.is_nonzero and status.note == "z = w_4 mod 2 and w_4 != 0"
 
     cp3 = atom("CP3")
     w_diff, p1_diff = virtual_difference(cp3, trivial_descriptor(cp3.algebra, 6))
-    status = z_status(6, True, w_diff, p1_diff, torsion_free=cp3.torsion_free)
+    status = z_status(w_diff, p1_diff, torsion_free=cp3.torsion_free)
     assert status.is_nonzero and status.note == "2z = p_1 != 0"
 
     s6 = product(sphere(3), sphere(3))
-    status = z_status(6, True, s6.w, s6.p1, torsion_free=s6.torsion_free)
+    status = z_status(s6.w, s6.p1, torsion_free=s6.torsion_free)
     assert status.is_zero
 
     # w_4 = 0 and p_1 = 0 but possible torsion: undetermined
-    status = z_status(6, True, s6.w, s6.p1, torsion_free=False)
+    status = z_status(s6.w, s6.p1, torsion_free=False)
     assert status.is_unknown
 
 
@@ -238,7 +243,7 @@ def test_z_status_mid_dimensions():
 )
 def test_z_status_dim4_oriented_notes(p1, value, note):
     # the note is the text of the dim4-oriented trace entry after "w_2 = 0; "
-    status = z_status(4, True, sphere(4).w, p1)
+    status = z_status(sphere(4).w, p1)
     assert (str(status), status.note) == (value, note)
 
 
@@ -247,7 +252,7 @@ def test_z_status_low_and_high_dimensions():
     # z has no rule outside them
     s3 = sphere(3)
     with pytest.raises(ValueError, match="dimensions 4 through 7, got 3"):
-        z_status(3, True, s3.w, s3.p1)
+        z_status(s3.w, s3.p1)
     s8 = product(sphere(4), sphere(4))
     with pytest.raises(ValueError, match="dimensions 4 through 7, got 8"):
-        z_status(8, True, s8.w, s8.p1)
+        z_status(s8.w, s8.p1)

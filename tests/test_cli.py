@@ -269,6 +269,17 @@ def test_descriptor_with_missing_fields_is_rejected(capsys, tmp_path):
     assert "missing fields ['orientable']" in err
 
 
+def test_descriptor_with_an_odd_p1_over_a_spin_base_is_rejected(capsys, tmp_path):
+    # p_1 = w_2^2 = 0 mod 2 over S4, so no bundle has p_1 = 5
+    doc = tmp_path / "desc.json"
+    doc.write_text(json.dumps(
+        {"rank": 4, "orientable": True, "w": [[1], [], [], [], [0]], "p1": {"int": 5}}
+    ))
+    code, out, err = run(capsys, "decide", "S4", "--target", f"pullback:{doc}")
+    assert (code, out) == (2, "")
+    assert "bundle-descriptor: p_1 = 5 but <w_2^2, [M]> = 0" in err
+
+
 @pytest.mark.parametrize("value", ["x", 2, 1.5])
 def test_descriptor_coordinates_must_be_0_or_1(tmp_path, value):
     descriptor = json.loads((DATA / "cp2_tangent.json").read_text())

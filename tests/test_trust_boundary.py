@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from classes import sparse
 from test_invariants import _rank_mod2
 from foldcheck import algebra
-from foldcheck.algebra import GradedAlgebra, _assemble_algebra, validate_algebra
+from foldcheck.algebra import GradedAlgebra, _assemble_algebra, build_algebra, validate_algebra
 from foldcheck.catalog import k3, load_manifold, product
 from foldcheck.errors import InvariantViolation
 from foldcheck.expressions import parse_expression
@@ -128,10 +128,11 @@ def reference_violations(A: GradedAlgebra) -> tuple[str, ...]:
 # one flipped entry, both batteries
 
 # S1 x S3 and S3 x S3 have degrees of rank 0 between nonzero ones (products
-# landing there are empty tables); K3 x RP2 is the largest table set here.
+# landing there are empty tables); K3 x RP2 is the largest table set here;
+# the (1, 1, 1) triple of RP4 # RP4 # RP4 runs on the packed kernel.
 ORACLE_MEMBERS = [
     "S1 x S3", "S3 x S3", "K3", "RP4", "CP3", "RP2 x RP3", "N3 x S2",
-    "RP4 # CP2", "Sigma2 x Sigma1", "K3 x RP2", "CP2 x CP2",
+    "RP4 # CP2", "Sigma2 x Sigma1", "K3 x RP2", "CP2 x CP2", "RP4 # RP4 # RP4",
 ]
 
 
@@ -197,6 +198,8 @@ def _assert_store_matches_views(A: GradedAlgebra) -> None:
 @example(name="RP2 x RP3", table="mult", pick=8, entry=0, chunk=1)
 # a zeroed unit table (0, 4): it stays zero in the store, so the degree-0 pairing degenerates
 @example(name="S1 x S3", table="mult", pick=3, entry=0, chunk=algebra._CHUNK_ELEMENTS)
+# Sq^0 of the unit flipped to zero: the unit checks pass, yet Cartan fails on (0, 1), (1, 0), ...
+@example(name="RP4", table="sq", pick=0, entry=0, chunk=algebra._CHUNK_ELEMENTS)
 def test_flipped_entry_violations_match_reference(
     oracle_algebras, name, table, pick, entry, chunk
 ):
@@ -219,32 +222,101 @@ def _triples(A: GradedAlgebra) -> list[tuple[int, int, int]]:
     ]
 
 
-def _associative_calls(monkeypatch, A: GradedAlgebra) -> list[tuple[int, int, int]]:
-    real = algebra._associative
-    calls = []
+def _associative_calls(monkeypatch, A: GradedAlgebra) -> dict[str, list[tuple[int, int, int]]]:
+    """The degree triples each associativity kernel checks, in battery order."""
+    calls: dict[str, list[tuple[int, int, int]]] = {"all": []}
+    for name in ("_associative", "_associative_packed"):
+        real = getattr(algebra, name)
+        calls[name] = []
 
-    def counting(mult, rank, *triple):
-        calls.append(triple)
-        return real(mult, rank, *triple)
+        def counting(*args, real=real, name=name):
+            calls[name].append(args[-3:])
+            calls["all"].append(args[-3:])
+            return real(*args)
 
-    monkeypatch.setattr(algebra, "_associative", counting)
+        monkeypatch.setattr(algebra, name, counting)
     validate_algebra(A)
     return calls
 
 
-@pytest.mark.parametrize("name,count", [("RP8", 95), ("CP3 x RP3", 125)])
+def _positive(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    return [t for t in triples if 0 not in t]
+
+
+@pytest.mark.parametrize("name,count", [("RP8", 34), ("CP3 x RP3", 50)])
 def test_commutative_battery_checks_one_triple_of_each_mirror_pair(monkeypatch, name, count):
-    # of 165 and 220 triples, those with d1 <= d3
+    # of 165 and 220 triples, the unit checks settle those with a degree-0
+    # factor, and of the rest those with d1 <= d3 are computed
     A = parse_expression(name).algebra
-    calls = _associative_calls(monkeypatch, A)
-    assert calls == [t for t in _triples(A) if t[0] <= t[2]]
+    calls = _associative_calls(monkeypatch, A)["all"]
+    assert calls == [t for t in _positive(_triples(A)) if t[0] <= t[2]]
     assert len(calls) == count
 
 
 def test_noncommutative_battery_checks_every_triple(monkeypatch, oracle_algebras):
     A = _flipped(oracle_algebras["RP2 x RP3"], "mult", 8, 0)
     assert "commutativity: degrees (1, 2)" in validate_algebra(A).violations
-    assert _associative_calls(monkeypatch, A) == _triples(A)
+    assert _associative_calls(monkeypatch, A)["all"] == _positive(_triples(A))
+
+
+@pytest.mark.parametrize(
+    "table,pick,violation",
+    [
+        # the zeroed unit table (0, 4) of the flipped-entry examples
+        ("mult", 3, "unit: 1*x != x in degree 4"),
+        # Sq^0 of the unit flipped to zero
+        ("sq", 0, "sq0-identity: Sq^0 != id in degree 0"),
+    ],
+)
+def test_battery_checks_degree_0_triples_unless_the_unit_checks_pass(
+    monkeypatch, oracle_algebras, table, pick, violation
+):
+    A = _flipped(oracle_algebras["S1 x S3"], table, pick, 0)
+    violations = validate_algebra(A).violations
+    assert violation in violations
+    commutative = not any(v.startswith("commutativity") for v in violations)
+    calls = _associative_calls(monkeypatch, A)["all"]
+    assert calls == [t for t in _triples(A) if t[0] <= t[2] or not commutative]
+    assert any(0 in t for t in calls)
+
+
+def _two_spheres() -> GradedAlgebra:
+    """S2 + S2, two components: degree 0 has rank 2 and the unit is (1, 1)."""
+    eye = {(0, 0): [1, 0], (1, 1): [0, 1]}
+    return build_algebra(
+        2,
+        [["1a", "1b"], [], ["sa", "sb"]],
+        {(0, 0): eye, (0, 2): eye, (2, 0): eye},
+        unit=[1, 1],
+        fundamental=[1, 1],
+    )
+
+
+@pytest.mark.parametrize(
+    "table,pick,entry",
+    # every entry of the (0, 0), (0, 2) and (2, 0) products and of Sq^0 on degree 0
+    [("mult", pick, entry) for pick in range(3) for entry in range(8)]
+    + [("sq", 0, entry) for entry in range(4)],
+)
+def test_rank_two_degree_0_flips_match_reference(table, pick, entry):
+    A = _flipped(_two_spheres(), table, pick, entry)
+    got = validate_algebra(A).violations
+    assert got and got == reference_violations(A)
+
+
+@pytest.mark.parametrize("pick", range(0, 40, 3))
+def test_flipped_product_on_a_rebased_document_matches_reference(monkeypatch, pick):
+    # a non-monomial basis makes the tables dense, so the BLAS kernel runs
+    m = parse_expression("S1 x S1 x S1 x S1 x S1")
+    doc, _ = rebased_document(m, np.random.default_rng(0))
+    A = _flipped(load_manifold(json.loads(json.dumps(doc))).algebra, "mult", pick, 7 * pick)
+    assert _associative_calls(monkeypatch, A)["_associative"]
+    assert validate_algebra(A).violations == reference_violations(A)
+
+
+def test_sparse_member_runs_the_packed_kernel(monkeypatch, oracle_algebras):
+    calls = _associative_calls(monkeypatch, oracle_algebras["RP4 # RP4 # RP4"])
+    assert (1, 1, 1) in calls["_associative_packed"]
 
 
 # ---------------------------------------------------------------------------
