@@ -12,17 +12,16 @@ algebra holds its tables in this one form from the moment it is built.
 Every operation a catalog expression needs runs on shifts, ORs, XORs and
 ``int.bit_count``; ints are immutable, so nothing needs freezing.
 
-numpy is imported only where arrays go out: ``build_algebra`` writes the
-sparse rows it reads into the arrays the axiom battery contracts as
-float32 matrix products, and the array views (``mult_block``,
+Every outside vector and table row is checked and packed by ``_pack``
+straight into its int.  numpy is imported only for the dense float32
+kernels of the axiom battery and for the array views (``mult_block``,
 ``sq_block``, ``mult``, ``sq_table``, ``unit``, ``fundamental``,
-``ClassZ2.coords``, ``TotalClass.components``) are read-only uint8 arrays
-built from the packed ints on first read and cached.  Associativity runs
-on the packed tables instead where they are sparse, by a rule that reads
-their counts (``_packed_wins``), and axioms with a degree-0 factor are
-left to the unit checks; ``validate_algebra`` states both rules.  The
-Poincare pairing is read in one place, ``_pairing_rows``, by the battery
-and by the Wu class alike.
+``ClassZ2.coords``, ``TotalClass.components``), a read-only surface for
+outside readers built from the ints on first read and cached.
+Associativity runs on the packed tables where they are sparse
+(``_packed_wins``), and the unit checks decide degree-0 factors;
+``validate_algebra`` states both rules.  The Poincare pairing is read in
+one place, ``_pairing_rows``, by the battery and by the Wu class alike.
 
 Every routine walks the degrees that carry a basis class (``degrees``) or
 the tables the algebra stores, never all degree pairs or triples up to the
@@ -41,13 +40,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
 from itertools import accumulate, compress
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation
-from .gf2 import _bit_rows, _echelon
+from .gf2 import _echelon
 
 __all__ = [
     "GradedAlgebra",
@@ -114,17 +113,26 @@ def _nonzero(table: Sequence[int]) -> list[int]:
     return out
 
 
-def _pack(coords: Iterable[int], length: int, what: str) -> int:
-    """Coordinates from outside, nonnegative integers read mod 2, as bits."""
+# byte value -> the ASCII digit of its parity
+_PARITY_DIGITS = bytes(48 + (v & 1) for v in range(256))
+
+
+def _pack(coords: Iterable[int], length: int | None, what: str) -> int:
+    """Coordinates from outside, nonnegative integers read mod 2, as bits (None: any length)."""
     try:
-        values = [operator.index(c) for c in coords]
+        values = list(coords)
+        try:
+            data = bytes(values)
+        except ValueError:  # a coordinate outside 0..255
+            if min(map(operator.index, values)) < 0:
+                raise ValueError(f"{what} has a negative coordinate") from None
+            data = bytes(operator.index(v) & 1 for v in values)
     except TypeError:
         raise ValueError(f"{what} needs integer coordinates") from None
-    if len(values) != length:
-        raise ValueError(f"{what} needs {length} coordinates, got {len(values)}")
-    if values and min(values) < 0:
-        raise ValueError(f"{what} has a negative coordinate")
-    return sum((v & 1) << i for i, v in enumerate(values))
+    if length is not None and len(data) != length:
+        raise ValueError(f"{what} needs {length} coordinates, got {len(data)}")
+    # coordinate i is bit i: the parity digits, last coordinate first
+    return int(data[::-1].translate(_PARITY_DIGITS) or b"0", 2)
 
 
 def _unpack(rows: Sequence[int], width: int):
@@ -132,7 +140,10 @@ def _unpack(rows: Sequence[int], width: int):
     import numpy as np
 
     size = (width + 7) // 8
-    raw = np.frombuffer(b"".join(row.to_bytes(size, "little") for row in rows), dtype=np.uint8)
+    data = rows  # a bytes table of rows up to 8 bits wide is its own row bytes
+    if not (size == 1 and isinstance(rows, bytes)):
+        data = b"".join(row.to_bytes(size, "little") for row in rows)
+    raw = np.frombuffer(data, dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(len(rows), size), axis=1, count=width, bitorder="little")
     bits.setflags(write=False)
     return bits
@@ -150,14 +161,6 @@ def _total(A: "GradedAlgebra", parts: Sequence[int]) -> "TotalClass":
     x = object.__new__(TotalClass)
     vars(x).update(algebra=A, parts=tuple(parts))
     return x
-
-
-def _packed(a) -> Sequence[int]:
-    """A checked 0/1 array's rows (its last axis) as a stored table (see ``_table``)."""
-    rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
-    if rows.shape[1] == 1:  # each 0/1 entry is its own packed row
-        return rows.tobytes()
-    return _table(_bit_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +218,7 @@ class GradedAlgebra:
         view = self._views.get(key)
         if view is None:
             r1, r2, ro = self.rank(d1), self.rank(d2), self.rank(d1 + d2)
-            rows = self.products.get((d1, d2), (0,) * (r1 * r2))
+            rows = self.products.get((d1, d2), bytes(r1 * r2))
             view = self._views[key] = _unpack(rows, ro).reshape(r1, r2, ro)
         return view
 
@@ -224,7 +227,7 @@ class GradedAlgebra:
         key = ("sq", k, d)
         view = self._views.get(key)
         if view is None:
-            rows = self.squares.get((k, d), (0,) * self.rank(d))
+            rows = self.squares.get((k, d), bytes(self.rank(d)))
             view = self._views[key] = _unpack(rows, self.rank(d + k))
         return view
 
@@ -416,30 +419,29 @@ def _ranks(top_degree: int, basis: Sequence[Sequence[str]]) -> list[int]:
     return [len(labels) for labels in basis]
 
 
-def _outside_table(table: Mapping, shape: tuple[int, ...], where: str):
-    """Sparse rows from outside as a fresh, read-only 0/1 uint8 array of ``shape``.
-
-    The indices are checked before one indexed assignment writes the rows.
-    """
-    import numpy as np
-
-    a = np.zeros(shape, dtype=np.uint8)
-    if table:
-        columns = list(zip(*table))
-        if len(columns) != len(shape) - 1 or sum(map(len, table)) != len(table) * len(columns):
+def _outside_table(table: Mapping, shape: tuple[int, ...], where: str) -> Sequence[int]:
+    """Sparse rows from outside, indices checked and rows packed by ``_pack``, as a stored table."""
+    *sizes, width = shape
+    out = bytearray(math.prod(sizes)) if width <= 8 else [0] * math.prod(sizes)
+    what = f"a row of {where}"
+    for index, row in table.items():
+        if not isinstance(index, tuple) or len(index) != len(sizes):
             raise ValueError(f"{where}: an index does not name a basis tuple")
-        for c, r in zip(columns, shape):
-            if min(c) < 0 or max(c) >= r:
-                raise ValueError(f"{where}: index out of range")
-        a[tuple(columns)] = list(table.values())
-        a &= 1
-    a.setflags(write=False)
-    return a
+        try:
+            position = 0
+            for i, size in zip(index, sizes):
+                if not 0 <= i < size:
+                    raise ValueError(f"{where}: index out of range")
+                position = position * size + operator.index(i)
+        except TypeError:  # an index entry that is not an integer
+            raise ValueError(f"{where}: an index does not name a basis tuple") from None
+        out[position] = _pack(row, width, what)
+    return bytes(out) if width <= 8 else _table(out)
 
 
-def _any_entry(table: Mapping) -> bool:
-    """Whether sparse rows from outside have an odd entry."""
-    return any(int(v) & 1 for row in table.values() for v in row)
+def _any_entry(table: Mapping, where: str) -> bool:
+    """Whether sparse rows from outside, of any length, have an odd entry."""
+    return any(_pack(row, None, f"a row of {where}") for row in table.values())
 
 
 def _assemble_algebra(
@@ -454,9 +456,7 @@ def _assemble_algebra(
     """An algebra on outside tables (see ``build_algebra``), size-, shape- and range-checked.
 
     The axiom battery is not run here.  Tables outside the grading must be
-    zero and are dropped.  Each checked table is written once into an
-    array, which becomes the algebra's array view, and packed once into
-    the stored form.
+    zero and are dropped; every other row is packed into its stored table.
     """
     ranks = _ranks(top_degree, basis)
     _check_table_size(_table_bytes(ranks))
@@ -465,26 +465,24 @@ def _assemble_algebra(
         for key, table in (tables or {}).items():
             if not isinstance(table, Mapping):
                 raise ValueError(f"{what} table {key} must map basis index tuples to rows")
-    views, products, squares = {}, {}, {}
+    products, squares = {}, {}
     for (d1, d2), table in (mult or {}).items():
+        where = f"product table ({d1}, {d2})"
         if d1 < 0 or d2 < 0 or d1 + d2 > n:
-            if _any_entry(table):
+            if _any_entry(table, where):
                 raise ValueError(f"nonzero product table outside the grading: ({d1}, {d2})")
             continue
-        shape = (ranks[d1], ranks[d2], ranks[d1 + d2])
-        a = views["mult", d1, d2] = _outside_table(table, shape, f"product table ({d1}, {d2})")
-        products[d1, d2] = _packed(a)
+        products[d1, d2] = _outside_table(table, (ranks[d1], ranks[d2], ranks[d1 + d2]), where)
     for (k, d), table in (sq or {}).items():
+        where = f"Steenrod table ({k}, {d})"
         if k < 0 or d < 0 or d > n:
             raise ValueError(f"Steenrod table key out of range: ({k}, {d})")
         if k > d or d + k > n:
-            if _any_entry(table):
+            if _any_entry(table, where):
                 raise ValueError(f"nonzero Sq^{k} table on degree {d} is out of range")
             continue
-        shape = (ranks[d], ranks[d + k])
-        a = views["sq", k, d] = _outside_table(table, shape, f"Steenrod table ({k}, {d})")
-        squares[k, d] = _packed(a)
-    alg = _packed_algebra(
+        squares[k, d] = _outside_table(table, (ranks[d], ranks[d + k]), where)
+    return _packed_algebra(
         n,
         basis,
         products,
@@ -492,8 +490,6 @@ def _assemble_algebra(
         unit=None if unit is None else _pack(unit, ranks[0], "unit vector"),
         fundamental=None if fundamental is None else _pack(fundamental, ranks[n], "fundamental functional"),
     )
-    alg._views.update(views)
-    return alg
 
 
 def _packed_algebra(
@@ -641,13 +637,14 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     (1y)z = yz = 1(yz), and Sq^k(1y) = Sq^k y = Sq^0(1) Sq^k(y).  So those
     triples and pairs are not computed; otherwise they are, as all others.
 
-    The Cartan products and the dense associativity kernel run as 2-D
-    float32 matrix products (BLAS).  They are exact: every product sums at
-    most one inner rank of 0/1 terms, far below 2^24, and the parity is
-    read off afterwards.  A block is copied to float32 when a check first
-    reads it.  A sparse associativity triple, such as the (1, 1, 1) triple
-    of a connected sum of many RP4, runs on the stored nonzero entries
-    instead (``_associative_packed``) when
+    The unit, commutativity, Sq^0 and squaring checks read the stored
+    packed tables.  The Cartan products and the dense associativity kernel
+    run as 2-D float32 matrix products (BLAS) on blocks unpacked when first
+    read.  They are exact: every product sums at most one inner rank of 0/1
+    terms, far below 2^24, and the parity is read off afterwards.  A sparse
+    associativity triple, such as the (1, 1, 1) triple of a connected sum
+    of many RP4, runs on the stored nonzero entries instead
+    (``_associative_packed``) when
     ``6 (e_12 + b_23) r1 r3 ro <= r1 r2 r12 r3 ro + 1000``, with e_12 the
     nonzero entries of table (d1, d2) and b_23 the set bits of table
     (d2, d3) (``_packed_wins``).  Timing both kernels on every triple of
@@ -676,25 +673,29 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     lines = cache(partial(_lines, A))
     weight = cache(lambda d1, d2: _weight(A.products.get((d1, d2), b"")))
 
+    r0, units = A.rank(0), _indices(A.unit_bits)
     for d in A.degrees:
-        left = np.einsum("u,ujo->jo", A.unit, A.mult_block(0, d)) % 2
-        right = np.einsum("iuo,u->io", A.mult_block(d, 0), A.unit) % 2
-        eye = np.eye(A.rank(d), dtype=np.uint8)
-        if not np.array_equal(left, eye):
+        r = A.rank(d)
+        eye = [1 << i for i in range(r)]
+        # 1*x XORs the rows u of table (0, d), x*1 the columns u of table (d, 0)
+        left, right = A.products.get((0, d), b""), A.products.get((d, 0), b"")
+        if _xor_rows([left[u * r : u * r + r] for u in units], r) != eye:
             bad.append(f"unit: 1*x != x in degree {d}")
-        if not np.array_equal(right, eye):
+        if _xor_rows([right[u::r0] for u in units], r) != eye:
             bad.append(f"unit: x*1 != x in degree {d}")
     # the unit checks decide every degree-0 factor (see above)
-    unital = not bad and A.rank(0) == 1 and list(A.squares.get((0, 0), ())) == [1]
+    unital = not bad and r0 == 1 and list(A.squares.get((0, 0), ())) == [1]
     degrees = [d for d in A.degrees if d or not unital]
     pairs = [(d1, d2) for d1 in degrees for d2 in degrees if d1 + d2 <= n]
 
     before = len(bad)
     for d1, d2 in pairs:
-        if d1 <= d2 and not np.array_equal(
-            A.mult_block(d1, d2), A.mult_block(d2, d1).transpose(1, 0, 2)
-        ):
-            bad.append(f"commutativity: degrees ({d1}, {d2})")
+        if d1 <= d2:
+            r1, r2 = A.rank(d1), A.rank(d2)
+            table, mirror = A.products.get((d1, d2), b""), A.products.get((d2, d1), b"")
+            # row i of the transpose of the mirror is its column i
+            if any(table[i * r2 : i * r2 + r2] != mirror[i::r1] for i in range(r1)):
+                bad.append(f"commutativity: degrees ({d1}, {d2})")
     commutative = len(bad) == before
 
     associative: dict[tuple[int, int, int], bool] = {}
@@ -714,16 +715,15 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
                 bad.append(f"associativity: degrees ({d1}, {d2}, {d3})")
 
     for d in A.degrees:
-        if not np.array_equal(A.sq_block(0, d), np.eye(A.rank(d), dtype=np.uint8)):
+        r = A.rank(d)
+        if list(A.squares.get((0, d), ())) != [1 << i for i in range(r)]:
             bad.append(f"sq0-identity: Sq^0 != id in degree {d}")
         if 2 * d <= n:
-            squares = np.einsum("iio->io", A.mult_block(d, d))
-            if not np.array_equal(A.sq_block(d, d), squares):
-                for i, label in enumerate(A.labels(d)):
-                    if not np.array_equal(A.sq_block(d, d)[i], squares[i]):
-                        bad.append(
-                            f"sq-top-squaring: Sq^k x = x*x at k = deg x fails for {label}"
-                        )
+            # x_i * x_i is the diagonal of table (d, d)
+            squares = A.products.get((d, d), bytes(r * r))[:: r + 1]
+            for label, x, x_x in zip(A.labels(d), A.squares.get((d, d), bytes(r)), squares):
+                if x != x_x:
+                    bad.append(f"sq-top-squaring: Sq^k x = x*x at k = deg x fails for {label}")
 
     cartan_failures: dict[tuple[int, int], list[int]] = {}
     for d1, d2 in pairs:
@@ -762,6 +762,11 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
             bad.append(f"pairing: degenerate in degree {d}")
 
     return ValidationReport(tuple(bad))
+
+
+def _xor_rows(rows: Iterable[Sequence[int]], width: int) -> list[int]:
+    """The entrywise XOR of packed rows of ``width`` entries; an empty row cuts it short."""
+    return list(reduce(partial(map, operator.xor), rows, [0] * width))
 
 
 def _pairing_rows(A: GradedAlgebra, d: int) -> list[int]:

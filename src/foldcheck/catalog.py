@@ -687,9 +687,10 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     entries may be given in either order; the mirror is filled in.  In both
     tables an entry whose row differs from an earlier nonzero row in the same
     slot (for products, the mirror slot too) is refused.  Rows are checked
-    first and handed to ``build_algebra`` as sparse tables, which writes
-    each table once and runs the full axiom battery.  Every failure
-    names the offending field or invariant.
+    first and handed to ``build_algebra`` as sparse tables, which packs
+    each row once into its stored table and runs the full axiom battery
+    on the packed store.  Every failure names the offending field or
+    invariant.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("manifold document must be a mapping")

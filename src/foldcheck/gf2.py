@@ -20,15 +20,11 @@ def to_gf2(a):
 
 
 def _bit_rows(mat) -> list[int]:
-    """Rows of a 0/1 matrix as bitsets; zero rows are skipped."""
+    """Rows of a 0/1 matrix as bitsets."""
     import numpy as np
 
-    rows = [0] * mat.shape[0]
-    nonzero = np.flatnonzero(mat.any(axis=1))
-    packed = np.packbits(mat[nonzero], axis=1, bitorder="little")
-    for i, row in zip(nonzero.tolist(), packed.tolist()):
-        rows[i] = int.from_bytes(bytes(row), "little")
-    return rows
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _echelon(rows: list[int], cols: int) -> tuple[dict[int, int], bool]:
@@ -82,8 +78,6 @@ def gf2_invertible(matrix) -> bool:
     mat = to_gf2(matrix)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return False
-    if mat.shape[0] == 0:
-        return True
     return gf2_rank(mat) == mat.shape[0]
 
 

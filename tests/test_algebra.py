@@ -172,6 +172,14 @@ def test_build_reads_outside_tables_mod_2():
     assert (A.unit.tolist(), A.fundamental.tolist()) == ([1], [1])
     a = basis_element(A, 1, 0)
     assert str(a * a) == "a^2"
+    # coordinates from 256 up are read mod 2 as well
+    B = build_algebra(
+        2, A.basis, {(1, 1): {(0, 0): [259]}}, {(1, 1): {(0,): [2**70 + 1]}}, unit=[513], fundamental=[257]
+    )
+    assert (B.products, B.squares, B.unit_bits, B.fundamental_bits) == (
+        A.products, A.squares, A.unit_bits, A.fundamental_bits
+    )
+    assert ClassZ2(A, 1, [256]).is_zero()
 
 
 def test_build_reads_sparse_rows_like_arrays():
@@ -192,15 +200,39 @@ def test_build_reads_sparse_rows_like_arrays():
         build_algebra(2, basis, {(1, 1): {(0,): [1]}})
     with pytest.raises(ValueError, match="must map basis index tuples to rows"):
         build_algebra(2, basis, {(1, 1): np.ones((1, 1, 1), dtype=np.uint8)})
+    # every malformed row is refused by name, beside tables that make RP2 otherwise
+    square, a_a = {(1, 1): {(0,): [1]}}, {(1, 1): {(0, 0): [1]}}
+    malformed = [
+        ({(1, 1): {(0, 0): 1}}, square, r"a row of product table \(1, 1\) needs integer"),
+        ({(1, 1): {(0, 0): "1"}}, square, "needs integer coordinates"),
+        ({(1, 1): {(0, 0): ["1"]}}, square, "needs integer coordinates"),
+        ({(1, 1): {(0, 0): [1.0]}}, square, "needs integer coordinates"),
+        ({(1, 1): {(0, 0): [1.5]}}, square, "needs integer coordinates"),
+        ({(1, 1): {(0, 0): [-1]}}, square, r"product table \(1, 1\) has a negative"),
+        ({(1, 1): {(0, 0): [1, 0]}}, square, "needs 1 coordinates, got 2"),
+        ({(1, 1): {0: [1]}}, square, r"product table \(1, 1\): an index does not name"),
+        ({(1, 1): {("0", 0): [1]}}, square, "an index does not name a basis tuple"),
+        ({(1, 1): {(0, 0): [1]}, (2, 1): {(0, 0): 1}}, square, r"product table \(2, 1\)"),
+        (a_a, {(1, 1): {(0,): 1}}, r"a row of Steenrod table \(1, 1\) needs integer"),
+        (a_a, {(1, 1): {(0,): [1], (0, 0): [1]}}, "an index does not name a basis tuple"),
+        (a_a, {(1, 1): {(0,): [1]}, (2, 1): {(0,): [0.5]}}, r"Steenrod table \(2, 1\)"),
+    ]
+    for mult, sq, message in malformed:
+        with pytest.raises(ValueError, match=message):
+            build_algebra(2, basis, mult, sq)
 
 
 def test_packed_tables_read_their_arrays_row_by_row():
-    # one int per row, at every width up to 69 columns
+    # one int per row, at every width up to 69 columns; a table is bytes
+    # exactly when every entry fits in a byte
     rng = np.random.default_rng(5)
     for width in range(70):
         a = (rng.random((7, 3, width)) < 0.3).astype(np.uint8)
         rows = [sum(int(v) << j for j, v in enumerate(row)) for row in a.reshape(21, width)]
-        assert list(algebra._packed(a)) == rows, width
+        basis = [["1"], [f"x{i}" for i in range(7)], ["y0", "y1", "y2"], [f"z{o}" for o in range(width)]]
+        table = algebra._assemble_algebra(3, basis, sparse({(1, 2): a})).products.get((1, 2))
+        assert list(table or [0] * 21) == rows, width
+        assert table is None or isinstance(table, bytes) == (max(rows) < 256), width
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Package surface: every name a module exports resolves."""
+"""Package surface: every name a module exports resolves, and numpy stays confined."""
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -33,3 +34,43 @@ def test_every_bench_span_is_exported():
         short, function = name.split(".")
         module = importlib.import_module(f"foldcheck.{short}")
         assert function in module.__all__, name
+
+
+# the functions that may import numpy: the dense kernels of the battery, the
+# unpacking behind the array views, and the array-facing gf2 wrappers
+NUMPY_IMPORTERS = [
+    "algebra._unpack",
+    "algebra._associative",
+    "algebra.validate_algebra",
+    "gf2._bit_rows",
+    "gf2.gf2_solve",
+    "gf2.to_gf2",
+]
+
+
+def _numpy_importers(path: Path) -> list[str]:
+    """``module.function`` for each import of numpy in a source file, by enclosing function."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_numpy_is_imported_only_where_arrays_are_read():
+    source = Path(foldcheck.__file__).parent
+    found = sorted(name for path in sorted(source.glob("*.py")) for name in _numpy_importers(path))
+    assert found == sorted(NUMPY_IMPORTERS)

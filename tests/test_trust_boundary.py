@@ -1,15 +1,18 @@
 """The axiom battery at the trust boundary, against references.
 
-``validate_algebra`` contracts its tables as float32 matrix products.  Here
-it is held to the einsum formulation it replaced (``reference_violations``,
-written out below on uint8 tables with the bitmask pairing rank of
-test_invariants), violation for violation, on closure members with one
-table entry flipped.  A tests-side document writer then sends closure
-members and K3 x K3 through ``load_manifold`` and checks that the record
-comes back unchanged.
+``validate_algebra`` checks the unit, commutativity, Sq^0 and squaring on
+the packed tables it stores, and contracts the rest as float32 matrix
+products or packed sums.  Here it is held to the einsum formulation it
+replaced (``reference_violations``, written out below on the uint8 array
+views with the bitmask pairing rank of test_invariants), violation for
+violation, on closure members and rebased tori with one table entry
+flipped.  A tests-side document writer then sends closure members and
+K3 x K3 through ``load_manifold`` and checks that the record comes back
+unchanged.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from unittest import mock
@@ -304,14 +307,52 @@ def test_rank_two_degree_0_flips_match_reference(table, pick, entry):
     assert got and got == reference_violations(A)
 
 
+def test_unit_in_a_rebased_degree_0_basis_matches_reference():
+    # S2 + S2 in the degree-0 basis 1 = 1a + 1b, 1b: the unit is (1, 0), so x*1
+    # reads column 0 of table (2, 0) and 1*x row 0 of table (0, 2), which differ
+    one, b = [1, 0], [0, 1]
+    degree_0 = {(0, 0): one, (0, 1): b, (1, 0): b, (1, 1): b}
+    A = build_algebra(
+        2,
+        [["1", "1b"], [], ["sa", "sb"]],
+        {(0, 0): degree_0, (0, 2): {(0, 0): one, (0, 1): b, (1, 1): b},
+         (2, 0): {(0, 0): one, (1, 0): b, (1, 1): b}},
+        unit=[1, 0],
+        fundamental=[1, 1],
+    )
+    flips = [("mult", pick, entry) for pick in range(3) for entry in range(8)]
+    for table, pick, entry in flips + [("sq", 0, entry) for entry in range(4)]:
+        B = _flipped(A, table, pick, entry)
+        assert validate_algebra(B).violations == reference_violations(B), (table, pick, entry)
+
+
+@functools.cache
+def _rebased_torus(factors: int) -> GradedAlgebra:
+    """The algebra of the rebased document of ``S1 x ... x S1``, loaded."""
+    m = parse_expression(" x ".join(["S1"] * factors))
+    doc, _ = rebased_document(m, np.random.default_rng(0))
+    return load_manifold(json.loads(json.dumps(doc))).algebra
+
+
 @pytest.mark.parametrize("pick", range(0, 40, 3))
 def test_flipped_product_on_a_rebased_document_matches_reference(monkeypatch, pick):
     # a non-monomial basis makes the tables dense, so the BLAS kernel runs
-    m = parse_expression("S1 x S1 x S1 x S1 x S1")
-    doc, _ = rebased_document(m, np.random.default_rng(0))
-    A = _flipped(load_manifold(json.loads(json.dumps(doc))).algebra, "mult", pick, 7 * pick)
+    A = _flipped(_rebased_torus(5), "mult", pick, 7 * pick)
     assert _associative_calls(monkeypatch, A)["_associative"]
     assert validate_algebra(A).violations == reference_violations(A)
+
+
+@pytest.mark.parametrize(
+    "table,pick",
+    # failing unit and commutativity, commutativity, Sq^0, squaring and Cartan, Cartan
+    [("mult", 5), ("mult", 17), ("sq", 4), ("sq", 8), ("sq", 11)],
+)
+def test_flipped_entry_on_a_rebased_seven_torus_matches_reference(monkeypatch, table, pick):
+    # T^7 has ranks up to 35, the largest dense blocks the reference affords
+    A = _flipped(_rebased_torus(7), table, pick, 7 * pick)
+    assert _associative_calls(monkeypatch, A)["_associative"]
+    got = validate_algebra(A).violations
+    assert got and got == reference_violations(A)
 
 
 def test_sparse_member_runs_the_packed_kernel(monkeypatch, oracle_algebras):
@@ -473,7 +514,9 @@ def rebased_document(m, rng) -> tuple[dict, list[np.ndarray]]:
     for d1 in range(1, n + 1):
         for d2 in range(d1, n + 1 - d1):
             old = A.mult_block(d1, d2).astype(np.int64)
-            blk = np.einsum("ij,kl,jlo,op->ikp", change[d1], change[d2], old, inverse[d1 + d2]) % 2
+            blk = np.einsum(
+                "ij,kl,jlo,op->ikp", change[d1], change[d2], old, inverse[d1 + d2], optimize=True
+            ) % 2
             for i, j in zip(*np.nonzero(blk.any(axis=2))):
                 if d1 < d2 or i <= j:
                     mult.append([d1, int(i), d2, int(j), blk[i, j].tolist()])
