@@ -12,16 +12,18 @@ algebra holds its tables in this one form from the moment it is built.
 Every operation a catalog expression needs runs on shifts, ORs, XORs and
 ``int.bit_count``; ints are immutable, so nothing needs freezing.
 
-Every outside vector and table row is checked and packed by ``_pack``
-straight into its int.  numpy is imported only for the dense float32
-kernels of the axiom battery and for the array views (``mult_block``,
+Every outside vector and table row is checked and packed once by
+``_pack``, straight into its int, and every outside algebra passes the
+axiom battery in ``_validated``.  numpy is imported only for the dense
+float32 kernels of the battery and for the array views (``mult_block``,
 ``sq_block``, ``mult``, ``sq_table``, ``unit``, ``fundamental``,
 ``ClassZ2.coords``, ``TotalClass.components``), a read-only surface for
 outside readers built from the ints on first read and cached.
 Associativity runs on the packed tables where they are sparse
-(``_packed_wins``), and the unit checks decide degree-0 factors;
-``validate_algebra`` states both rules.  The Poincare pairing is read in
-one place, ``_pairing_rows``, by the battery and by the Wu class alike.
+(``_packed_wins``), Cartan on BLAS products with one parity per block, and
+the unit checks decide degree-0 factors; ``validate_algebra`` states these
+rules.  The Poincare pairing is read in one place, ``_pairing_rows``, by
+the battery and by the Wu class alike.
 
 Every routine walks the degrees that carry a basis class (``degrees``) or
 the tables the algebra stores, never all degree pairs or triples up to the
@@ -93,7 +95,7 @@ def _table(rows: Iterable[int]) -> Sequence[int]:
     ``bytes.find`` rather than one interpreter step per entry; a document's
     wide pairing table into the top degree is mostly zeros.
     """
-    rows = list(rows)
+    rows = rows if isinstance(rows, bytearray) else list(rows)  # a byte table needs no list
     try:
         return bytes(rows)
     except ValueError:
@@ -394,9 +396,9 @@ def build_algebra(
     ``mult`` maps ``(d1, d2)`` to the sparse rows of the ``(r1, r2, r_out)``
     product table and ``sq`` maps ``(k, d)`` to those of the
     ``(r_d, r_{d+k})`` table of ``Sq^k``: a mapping from basis index tuples
-    ``(i, j)`` / ``(i,)`` to output rows, absent rows zero.  This is how
-    documents list their tables, so ``load_manifold`` passes its checked
-    rows as they are.  Unit tables and ``Sq^0`` are filled in where no table
+    ``(i, j)`` / ``(i,)`` to output rows, absent rows zero, as documents
+    list them (``load_manifold`` packs its rows itself and shares the
+    battery, ``_validated``).  Unit tables and ``Sq^0`` are filled in where no table
     is given and the degree-0 rank is 1; a given table is kept as given.
     The tables must fit the byte budget, checked before anything is
     allocated, and the assembled algebra must pass every axiom of
@@ -405,10 +407,15 @@ def build_algebra(
     is read mod 2.
     """
     alg = _assemble_algebra(top_degree, basis, mult, sq, unit=unit, fundamental=fundamental)
-    report = validate_algebra(alg)
+    return _validated(alg)
+
+
+def _validated(A: GradedAlgebra) -> GradedAlgebra:
+    """``A`` once it passes :func:`validate_algebra`; else ``InvariantViolation("algebra-axioms", ...)``."""
+    report = validate_algebra(A)
     if not report.ok:
         raise InvariantViolation("algebra-axioms", "; ".join(report.violations))
-    return alg
+    return A
 
 
 def _ranks(top_degree: int, basis: Sequence[Sequence[str]]) -> list[int]:
@@ -436,7 +443,7 @@ def _outside_table(table: Mapping, shape: tuple[int, ...], where: str) -> Sequen
         except TypeError:  # an index entry that is not an integer
             raise ValueError(f"{where}: an index does not name a basis tuple") from None
         out[position] = _pack(row, width, what)
-    return bytes(out) if width <= 8 else _table(out)
+    return _table(out)
 
 
 def _any_entry(table: Mapping, where: str) -> bool:
@@ -505,7 +512,7 @@ def _packed_algebra(
 
     For constructions that are algebras by construction (the closed-form
     catalog atoms, Kunneth products and connected sums of valid algebras)
-    and for the outside tables ``_assemble_algebra`` has checked and packed.
+    and for outside tables checked and packed (``_assemble_algebra``, ``load_manifold``).
     Each table is given as ``_table`` makes it; a table with no nonzero
     entry is a zero map and is not stored.  The unit tables and ``Sq^0``
     are added where the caller gave no table; a given table is kept, zero
@@ -638,11 +645,25 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     triples and pairs are not computed; otherwise they are, as all others.
 
     The unit, commutativity, Sq^0 and squaring checks read the stored
-    packed tables.  The Cartan products and the dense associativity kernel
-    run as 2-D float32 matrix products (BLAS) on blocks unpacked when first
-    read.  They are exact: every product sums at most one inner rank of 0/1
-    terms, far below 2^24, and the parity is read off afterwards.  A sparse
-    associativity triple, such as the (1, 1, 1) triple of a connected sum
+    packed tables.  The Cartan formula, and associativity on dense triples,
+    run as float32 matrix products (BLAS) on blocks unpacked when first
+    read; an associativity chunk takes its parity as it goes.  A Cartan
+    block (d1, d2, k) is one integer sum, ``prod @ Sq^k`` minus
+    ``sum_u Sq^v(d2) @ (Sq^u(d1) @ mult(d1 + u, d2 + v))``, all linear over
+    Z, so one ``fmod(diff, 2)`` decides it.  On the doc-ingest ring
+    documents (ranks up to 16; 1 CPU, best of 15, three runs) that took
+    Cartan from 8.0-8.3 to 5.4-5.8 ms and from 6.1-6.4 to 4.2-4.4 ms; one
+    parity per associativity triple was slower (7.1 against 6.0 ms).
+
+    The sums are exact in float32: ``|diff| <= max(r_(d1+d2), C)`` with
+    ``C = sum_u r_(d1+u) r_(d2+v)``, and ``_table_bytes`` is at least 2C,
+    as the product blocks (d1 + u, d2 + v) hold C bytes and the Sq^0 blocks
+    ``sum_d r_d^2 >= C`` (each ``r_a r_b <= (r_a^2 + r_b^2) / 2``, the a
+    distinct and the b distinct).  So within ``TABLE_BYTES_BUDGET = 2^25``
+    no sum passes 2^24; an algebra past it, which only a hand-built
+    ``GradedAlgebra`` can be, runs in float64.
+
+    A sparse associativity triple, such as the (1, 1, 1) triple of a connected sum
     of many RP4, runs on the stored nonzero entries instead
     (``_associative_packed``) when
     ``6 (e_12 + b_23) r1 r3 ro <= r1 r2 r12 r3 ro + 1000``, with e_12 the
@@ -668,8 +689,9 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
 
     n = A.top_degree
     bad: list[str] = []
-    mult = cache(lambda d1, d2: A.mult_block(d1, d2).astype(np.float32))
-    sq = cache(lambda k, d: A.sq_block(k, d).astype(np.float32))
+    exact = np.float32 if _table_bytes(A.ranks) <= TABLE_BYTES_BUDGET else np.float64
+    mult = cache(lambda d1, d2: A.mult_block(d1, d2).astype(exact))
+    sq = cache(lambda k, d: A.sq_block(k, d).astype(exact))
     lines = cache(partial(_lines, A))
     weight = cache(lambda d1, d2: _weight(A.products.get((d1, d2), b"")))
 
@@ -742,15 +764,15 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
             if k > d1 + d2:
                 break
             ro = A.rank(t)
-            lhs = _parity(prod @ sq(k, d1 + d2)).reshape(r1, r2, ro)
-            rhs = np.zeros((r1, r2, ro), dtype=np.int32)
+            # both sides as integer sums; their difference is even exactly when they agree
+            diff = (prod @ sq(k, d1 + d2)).reshape(r1, r2, ro)
             for u in range(max(0, k - d2), min(k, d1) + 1):
                 v = k - u
                 ra, rb = A.rank(d1 + u), A.rank(d2 + v)
                 # Sq^u x_i * Sq^v y_j: first over the Sq^u x side, then Sq^v y
-                x = _parity(sq(u, d1) @ mult(d1 + u, d2 + v).reshape(ra, rb * ro))
-                rhs ^= _parity(sq(v, d2) @ x.astype(np.float32).reshape(r1, rb, ro))
-            if not np.array_equal(lhs, rhs):
+                x = sq(u, d1) @ mult(d1 + u, d2 + v).reshape(ra, rb * ro)
+                diff -= sq(v, d2) @ x.reshape(r1, rb, ro)
+            if np.fmod(diff, 2).any():
                 failed.append(k)
         bad.extend(f"cartan: Sq^{k} on degrees ({d1}, {d2})" for k in failed)
 

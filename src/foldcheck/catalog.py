@@ -7,7 +7,8 @@ stored total class), resolves the twisted class W_3, and then validates
 the finished record with :func:`validate_manifold`.
 
 The algebra axiom battery (``validate_algebra``) runs where data enters:
-``load_manifold`` builds its algebra with ``build_algebra``.  The catalog
+``load_manifold`` packs each document row once into its stored table and
+runs the battery on the packed algebra, as ``build_algebra`` does.  The catalog
 atoms are closed forms, and connected sums and products of valid records
 are valid by construction, so their algebras are assembled without it.
 The ``RP`` and ``CP`` atoms check the closed-form size of their tables
@@ -30,10 +31,12 @@ from .algebra import (
     TotalClass,
     _check_table_size,
     _monogenic_table_bytes,
+    _pack,
     _packed_algebra,
+    _stored,
     _table_bytes,
     _total,
-    build_algebra,
+    _validated,
     connected_sum_algebra,
     cross_total,
     evaluate_top,
@@ -176,7 +179,7 @@ def validate_manifold(m: Manifold) -> None:
     """Check every record-level invariant; raise InvariantViolation if any fails.
 
     Algebra axioms (ring structure, Cartan, nondegenerate pairing) are not
-    checked here: ``build_algebra`` enforces them where data enters, and
+    checked here: the battery enforces them where data enters, and
     catalog constructions satisfy them by construction.  This layer checks
     the manifold-flavored facts: Euler characteristic against the top
     Whitney class and against ranks, orientability against w_1, signature
@@ -636,22 +639,27 @@ def _require_list(doc: Mapping[str, Any], key: str) -> list:
     return value
 
 
-def _row(slots: dict, index: Any, entry: Any, length: int, where: str) -> tuple:
-    """Check a 0/1 vector of ``length`` and keep it as ``slots[index]``.
-
-    A row conflicts with an earlier nonzero row in the same slot that differs
-    from it; an all-zero earlier row gives way.
-    """
+def _row(entry: Any, length: int, where: str) -> int:
+    """A 0/1 vector of ``length``, checked and packed into one int by ``_pack``."""
     if not isinstance(entry, (list, tuple)) or len(entry) != length:
         raise SchemaError(f"{where}: expected a 0/1 vector of length {length}")
     if not _ints(*entry) or not {0, 1}.issuperset(entry):
         raise SchemaError(f"{where}: coordinates must be 0 or 1")
-    row = tuple(entry)
-    earlier = slots.get(index)
-    if earlier is not None and earlier != row and any(earlier):
+    return _pack(entry, length, where)
+
+
+def _put(tables: dict, key: tuple, size: int, width: int, slot: int, row: int, where: str = "") -> None:
+    """Write a packed row into a slot of the table of block ``key``, made on first use.
+
+    Given ``where``, an earlier nonzero row that differs conflicts; an
+    all-zero earlier row gives way.
+    """
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = bytearray(size) if width <= 8 else [0] * size
+    if where and table[slot] and table[slot] != row:
         raise SchemaError(f"{where}: conflicts with an earlier entry")
-    slots[index] = row
-    return row
+    table[slot] = row
 
 
 def _total_field(raw: Any, algebra: GradedAlgebra, where: str) -> TotalClass:
@@ -659,9 +667,7 @@ def _total_field(raw: Any, algebra: GradedAlgebra, where: str) -> TotalClass:
     dim = algebra.top_degree
     if not isinstance(raw, (list, tuple)) or len(raw) != dim + 1:
         raise SchemaError(f"{where} must list one coordinate vector per degree 0..{dim}")
-    return TotalClass(
-        algebra, [_row({}, d, row, algebra.rank(d), f"{where}[{d}]") for d, row in enumerate(raw)]
-    )
+    return _total(algebra, [_row(row, algebra.rank(d), f"{where}[{d}]") for d, row in enumerate(raw)])
 
 
 def _parse_p1(raw: Any) -> P1Data:
@@ -686,11 +692,11 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     required p_1 status, and optional w / W_3 / flag data.  Multiplication
     entries may be given in either order; the mirror is filled in.  In both
     tables an entry whose row differs from an earlier nonzero row in the same
-    slot (for products, the mirror slot too) is refused.  Rows are checked
-    first and handed to ``build_algebra`` as sparse tables, which packs
-    each row once into its stored table and runs the full axiom battery
-    on the packed store.  Every failure names the offending field or
-    invariant.
+    slot (for products, the mirror slot too) is refused.  Each row is
+    checked and packed once, straight into its stored table (the mirror
+    slot gets the same int), and the full axiom battery runs on the packed
+    store as in ``build_algebra``.  Every failure names the offending field
+    or invariant.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("manifold document must be a mapping")
@@ -730,9 +736,9 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     except ValueError as exc:
         raise SchemaError(f"basis: {exc}") from exc
 
-    # rows by block and slot; every mult entry fills its slot and the mirror
-    # slot with one row, so checking its own slot also checks the mirror
-    mult_rows: dict[tuple[int, int], dict] = {}
+    # each row is packed once into its block's table; a mult entry fills its
+    # slot and the mirror slot with one row, so its own slot speaks for both
+    products: dict[tuple[int, int], Any] = {}
     for pos, entry in enumerate(_require_list(doc, "mult")):
         where = f"mult entry {pos}"
         if not isinstance(entry, (list, tuple)) or len(entry) != 5:
@@ -747,10 +753,12 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
                 raise SchemaError(f"{where}: {label} index out of range")
         if d1 + d2 > dim:
             raise SchemaError(f"{where}: product degree {d1 + d2} exceeds dim")
-        row = _row(mult_rows.setdefault((d1, d2), {}), (i, j), raw, ranks[d1 + d2], where)
-        mult_rows.setdefault((d2, d1), {})[j, i] = row
+        r1, r2, ro = ranks[d1], ranks[d2], ranks[d1 + d2]
+        row = _row(raw, ro, where)
+        _put(products, (d1, d2), r1 * r2, ro, i * r2 + j, row, where)
+        _put(products, (d2, d1), r1 * r2, ro, j * r1 + i, row)
 
-    sq_rows: dict[tuple[int, int], dict] = {}
+    squares: dict[tuple[int, int], Any] = {}
     for pos, entry in enumerate(_require_list(doc, "sq")):
         where = f"sq entry {pos}"
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
@@ -767,11 +775,11 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
         if k > d or d + k > dim:
             if any(raw):
                 raise SchemaError(f"{where}: Sq^{k} vanishes on degree {d} here")
-            _row({}, i, raw, len(raw), where)  # the zeros must still be integers
+            _row(raw, len(raw), where)  # the zeros must still be integers
             continue
-        _row(sq_rows.setdefault((k, d), {}), (i,), raw, ranks[d + k], where)
+        _put(squares, (k, d), ranks[d], ranks[d + k], i, _row(raw, ranks[d + k], where), where)
 
-    algebra = build_algebra(dim, [list(row) for row in basis], mult_rows, sq_rows)
+    algebra = _validated(_packed_algebra(dim, basis, _stored(products), _stored(squares)))
 
     w = None if doc.get("w") is None else _total_field(doc["w"], algebra, "w")
     p1 = _parse_p1(doc["p1"])

@@ -9,6 +9,7 @@ import pytest
 import sympy
 
 from classes import point
+from test_trust_boundary import RINGS, ring_document
 from foldcheck.catalog import _odd_binomial
 from foldcheck.catalog import (
     atom,
@@ -625,6 +626,64 @@ def test_load_manifold_accepts_a_diagonal_entry_and_its_repeat():
     doc["mult"] = [[1, 0, 1, 0, [1]], [1, 0, 1, 0, [1]]]
     m = load_manifold(doc)
     assert m.algebra.mult_block(1, 1).tolist() == [[[1]]]
+
+
+def _ring_entry(doc: dict, key: list[int]) -> int:
+    return next(pos for pos, entry in enumerate(doc["mult"]) if entry[:4] == key)
+
+
+def _ring_products(doc: dict) -> dict:
+    return dict(load_manifold(doc).algebra.products)
+
+
+# in F2[a,b]/(a^4,b^3) with deg b = 2, degrees 2 and 3 have rank 2, so two
+# different rows can both be nonzero: a * b = ab and a * a = a^2
+@pytest.mark.parametrize("mirror_first", [False, True])
+def test_load_manifold_refuses_a_mirror_with_another_nonzero_row_at_the_later_entry(mirror_first):
+    doc = ring_document(RINGS["F2[a,b]/(a^4,b^3)"])
+    pos = _ring_entry(doc, [1, 0, 2, 0])
+    row = doc["mult"][pos][4]
+    mirror = [2, 0, 1, 0, [1, 1]]
+    assert row != mirror[4] and any(row)
+    if mirror_first:
+        doc["mult"].insert(0, mirror)
+        later = pos + 1
+    else:
+        doc["mult"].append(mirror)
+        later = len(doc["mult"]) - 1
+    with pytest.raises(SchemaError) as info:
+        load_manifold(doc)
+    assert str(info.value) == f"mult entry {later}: conflicts with an earlier entry"
+
+
+def test_load_manifold_lets_a_zero_row_give_way_to_its_mirror():
+    doc = ring_document(RINGS["F2[a,b]/(a^4,b^3)"])
+    want = _ring_products(doc)
+    pos = _ring_entry(doc, [1, 0, 2, 0])
+    row = doc["mult"][pos][4]
+    doc["mult"][pos] = [1, 0, 2, 0, [0, 0]]
+    doc["mult"].append([2, 0, 1, 0, row])
+    assert _ring_products(doc) == want
+
+
+@pytest.mark.parametrize(
+    "first,second,conflict",
+    [("row", "row", False), ("zero", "row", False), ("row", "other", True), ("row", "zero", True)],
+)
+def test_load_manifold_reads_a_diagonal_entry_given_twice(first, second, conflict):
+    doc = ring_document(RINGS["F2[a,b]/(a^4,b^3)"])
+    want = _ring_products(doc)
+    pos = _ring_entry(doc, [1, 0, 1, 0])
+    rows = {"row": doc["mult"][pos][4], "zero": [0, 0], "other": [1, 1]}
+    assert rows["row"] not in (rows["zero"], rows["other"])
+    doc["mult"][pos] = [1, 0, 1, 0, rows[first]]
+    doc["mult"].append([1, 0, 1, 0, rows[second]])
+    if conflict:
+        with pytest.raises(SchemaError) as info:
+            load_manifold(doc)
+        assert str(info.value) == f"mult entry {len(doc['mult']) - 1}: conflicts with an earlier entry"
+    else:
+        assert _ring_products(doc) == want
 
 
 @pytest.mark.parametrize(

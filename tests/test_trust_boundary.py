@@ -8,13 +8,16 @@ views with the bitmask pairing rank of test_invariants), violation for
 violation, on closure members and rebased tori with one table entry
 flipped.  A tests-side document writer then sends closure members and
 K3 x K3 through ``load_manifold`` and checks that the record comes back
-unchanged.
+unchanged; a truncated-ring writer sends dense documents, whole or with
+one row flipped, through the loader and both batteries.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import operator
 from unittest import mock
 
 import numpy as np
@@ -564,3 +567,179 @@ def test_non_monomial_document_with_a_flipped_square_is_refused(expr):
     with pytest.raises(InvariantViolation, match="sq-top-squaring") as info:
         load_manifold(doc)
     assert info.value.name == "algebra-axioms"
+
+
+# ---------------------------------------------------------------------------
+# truncated-ring documents
+#
+# In a truncated polynomial ring every product of two monomials is a
+# monomial or zero and nearly every block holds a nonzero entry, so the
+# document lists whole dense tables; rebased, every row is a sum.
+
+
+def ring_document(gens: list[tuple[str, int, int]]) -> dict:
+    """``F2[x_1, ...]/(x_i^(h_i + 1))`` as a document, each generator ``(symbol, 1 or 2, h_i)``.
+
+    The basis of a degree is its monomials, exponents ascending.  Every
+    generator has ``Sq(x) = x + x^2``, so ``Sq^k`` of a monomial sums the
+    monomials ``x^(e + s)`` over ``deg s = k`` with ``prod C(e_i, s_i)`` odd
+    (Cartan), and ``w = prod (1 + x_i)^(h_i + 1)`` is listed for the loader
+    to check against its Wu classes.
+    """
+
+    def degree(e) -> int:
+        return sum(deg * x for (_, deg, _), x in zip(gens, e))
+
+    monomials = sorted(
+        itertools.product(*[range(h + 1) for *_, h in gens]), key=lambda e: (degree(e), e)
+    )
+    dim = degree(monomials[-1])
+    basis: list[list[str]] = [[] for _ in range(dim + 1)]
+    index = {}
+    for e in monomials:
+        index[e] = len(basis[degree(e)])
+        label = "".join(s if x == 1 else f"{s}^{x}" for (s, _, _), x in zip(gens, e) if x)
+        basis[degree(e)].append(label or "1")
+
+    def row(d: int, terms) -> list[int]:
+        out = [0] * len(basis[d])
+        for e in terms:
+            if all(x <= h for x, (*_, h) in zip(e, gens)):
+                out[index[e]] ^= 1
+        return out
+
+    mult = []
+    for e1, e2 in itertools.combinations_with_replacement(monomials, 2):
+        d1, d2 = degree(e1), degree(e2)
+        if d1 and d2 and d1 + d2 <= dim:
+            product_row = row(d1 + d2, [tuple(map(operator.add, e1, e2))])
+            if any(product_row):
+                mult.append([d1, index[e1], d2, index[e2], product_row])
+    sq = []
+    for e in monomials:
+        d = degree(e)
+        terms: dict[int, list] = {}
+        for s in itertools.product(*[range(x + 1) for x in e]):
+            if math.prod(math.comb(x, y) for x, y in zip(e, s)) % 2:
+                terms.setdefault(degree(s), []).append(tuple(map(operator.add, e, s)))
+        for k, summands in sorted(terms.items()):
+            if 0 < k and d + k <= dim and any(square := row(d + k, summands)):
+                sq.append([k, d, index[e], square])
+    w = [[0] * len(labels) for labels in basis]
+    for e in monomials:
+        if all(math.comb(h + 1, x) % 2 for x, (*_, h) in zip(e, gens)):
+            w[degree(e)][index[e]] = 1
+    return {
+        "name": "F2[" + ",".join(s for s, _, _ in gens) + "]",
+        "dim": dim,
+        "orientable": all(h % 2 for _, deg, h in gens if deg == 1),
+        "euler": sum((-1) ** d * len(labels) for d, labels in enumerate(basis)),
+        "basis": basis,
+        "mult": mult,
+        "sq": sq,
+        "w": w,
+        "p1": "unknown",
+    }
+
+
+# dimensions 7 and 9: neither needs a signature
+RINGS = {
+    "F2[a,b]/(a^4,b^3)": [("a", 1, 3), ("b", 2, 2)],
+    "F2[a,b,c]/(a^4,b^3,c^3)": [("a", 1, 3), ("b", 2, 2), ("c", 1, 2)],
+}
+
+
+@functools.cache
+def _ring(name: str, rebased: bool) -> str:
+    """The ring document as JSON text, in the monomial basis or a random one."""
+    doc = ring_document(RINGS[name])
+    if rebased:
+        doc, _ = rebased_document(load_manifold(doc), np.random.default_rng(3))
+    return json.dumps(doc)
+
+
+def _sparse_rows(doc: dict) -> tuple[dict, dict]:
+    """A document's tables as the sparse rows ``build_algebra`` reads, every mult entry mirrored."""
+    mult: dict = {}
+    sq: dict = {}
+    for d1, i, d2, j, row in doc["mult"]:
+        mult.setdefault((d1, d2), {})[i, j] = row
+        mult.setdefault((d2, d1), {})[j, i] = row
+    for k, d, i, row in doc["sq"]:
+        sq.setdefault((k, d), {})[i,] = row
+    return mult, sq
+
+
+@pytest.mark.parametrize("rebased", [False, True], ids=["monomial", "rebased"])
+@pytest.mark.parametrize("name", RINGS)
+def test_ring_document_stores_the_tables_of_its_sparse_rows(name, rebased):
+    doc = json.loads(_ring(name, rebased))
+    if rebased:
+        assert any(sum(row) > 1 for *_, row in doc["mult"])  # the basis is not monomial
+    A = load_manifold(doc).algebra
+    B = _assemble_algebra(doc["dim"], doc["basis"], *_sparse_rows(doc))
+    # equal values of equal types: bytes tables stay bytes, wide tables tuples
+    assert dict(A.products) == dict(B.products) and dict(A.squares) == dict(B.squares)
+    assert (A.unit_bits, A.fundamental_bits) == (B.unit_bits, B.fundamental_bits)
+
+
+@pytest.mark.parametrize(
+    "table,pick", [("mult", p) for p in range(0, 90, 11)] + [("sq", p) for p in range(0, 40, 5)]
+)
+@pytest.mark.parametrize("rebased", [False, True], ids=["monomial", "rebased"])
+@pytest.mark.parametrize("name", RINGS)
+def test_flipped_ring_document_matches_reference(name, rebased, table, pick):
+    # a flipped document row: the loader mirrors a product row, so the flip
+    # keeps commutativity and reaches the Cartan blocks of both orders
+    doc = json.loads(_ring(name, rebased))
+    row = doc[table][pick % len(doc[table])][-1]
+    row[pick % len(row)] ^= 1
+    B = _assemble_algebra(doc["dim"], doc["basis"], *_sparse_rows(doc))
+    got = validate_algebra(B).violations
+    assert got and got == reference_violations(B)
+    with pytest.raises(InvariantViolation) as info:
+        load_manifold(doc)
+    assert str(info.value) == "algebra-axioms: " + "; ".join(got)
+
+
+@pytest.mark.parametrize("table,pick", [("mult", p) for p in range(0, 40, 9)] + [("sq", 3), ("sq", 9)])
+def test_flipped_ring_block_matches_reference_in_float64(monkeypatch, table, pick):
+    # one block entry flipped, its mirror kept: not commutative, so every
+    # Cartan block runs; a zero budget sends the battery down its float64 path
+    A = load_manifold(json.loads(_ring("F2[a,b,c]/(a^4,b^3,c^3)", True))).algebra
+    B = _flipped(A, table, pick, 5 * pick + 1)
+    want = reference_violations(B)
+    assert validate_algebra(B).violations == want
+    monkeypatch.setattr(algebra, "TABLE_BYTES_BUDGET", 0)
+    assert validate_algebra(B).violations == want
+
+
+def _largest_cartan_sum(ranks: list[int]) -> int:
+    """The largest ``sum_u r_(d1+u) r_(d2+v)`` of a Cartan block (d1, d2, k) on these ranks."""
+    n = len(ranks) - 1
+    sums = [
+        sum(ranks[d1 + u] * ranks[d2 + k - u] for u in range(max(0, k - d2), min(k, d1) + 1))
+        for d1 in range(n + 1)
+        for d2 in range(n + 1 - d1)
+        for k in range(1, min(d1 + d2, n - d1 - d2) + 1)
+        if ranks[d1] and ranks[d2] and ranks[d1 + d2 + k]
+    ]
+    return max(sums, default=0)
+
+
+def test_cartan_sums_within_the_budget_are_exact_in_float32():
+    # validate_algebra: the dense table bytes are at least twice every Cartan sum
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        n = int(rng.integers(1, 13))
+        ranks = [int(r) for r in rng.choice([0, 1, 2, 7, 40, 300], size=n + 1)]
+        assert 2 * _largest_cartan_sum(ranks) <= algebra._table_bytes(ranks), ranks
+    # a wide degree under a rank-1 top, where r_a r_b alone would reach 2^25:
+    # the widest such algebra the budget admits still sums below 2^24
+    def ranks(r: int) -> list[int]:
+        return [1, 1, r, 0, 1]
+
+    r = 1
+    while algebra._table_bytes(ranks(r + 1)) <= algebra.TABLE_BYTES_BUDGET:
+        r += 1
+    assert _largest_cartan_sum(ranks(r)) == r * r <= algebra.TABLE_BYTES_BUDGET // 2 == 1 << 24
