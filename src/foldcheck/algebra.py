@@ -12,13 +12,16 @@ algebra holds its tables in this one form from the moment it is built.
 Every operation a catalog expression needs runs on shifts, ORs, XORs and
 ``int.bit_count``; ints are immutable, so nothing needs freezing.
 
-Every outside vector and table row is checked and packed once by
-``_pack``, straight into its int, and every outside algebra passes the
-axiom battery in ``_validated``.  numpy is imported only for the dense
-float32 kernels of the battery and for the array views (``mult_block``,
-``sq_block``, ``mult``, ``sq_table``, ``unit``, ``fundamental``,
-``ClassZ2.coords``, ``TotalClass.components``), a read-only surface for
-outside readers built from the ints on first read and cached.
+Outside tables enter through one reader, ``build_algebra``: it takes
+them as JSON documents list them, entry lists of strict 0/1 rows, packs
+each row once by ``_pack`` straight into its stored table, and runs the
+axiom battery, ``validate_algebra``.  Only the public ``ClassZ2`` and
+``TotalClass`` constructors read outside coordinates mod 2.  numpy is
+imported only for the dense float32 kernels of the battery, which unpack
+their own blocks, and for the array views (``mult_block``, ``sq_block``,
+``mult``, ``sq_table``, ``unit``, ``fundamental``, ``ClassZ2.coords``,
+``TotalClass.components``), a read-only surface for outside readers
+built from the ints on first read and cached; the package reads none.
 Associativity runs on the packed tables where they are sparse
 (``_packed_wins``), Cartan on BLAS products with one parity per block, and
 the unit checks decide degree-0 factors; ``validate_algebra`` states these
@@ -39,15 +42,14 @@ Conventions:
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
 from itertools import accumulate, compress
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch, InvariantViolation
+from .errors import DimensionMismatch, InvariantViolation, SchemaError
 from .gf2 import _echelon
 
 __all__ = [
@@ -119,8 +121,8 @@ def _nonzero(table: Sequence[int]) -> list[int]:
 _PARITY_DIGITS = bytes(48 + (v & 1) for v in range(256))
 
 
-def _pack(coords: Iterable[int], length: int | None, what: str) -> int:
-    """Coordinates from outside, nonnegative integers read mod 2, as bits (None: any length)."""
+def _pack(coords: Iterable[int], length: int, what: str) -> int:
+    """Coordinates from outside, nonnegative integers read mod 2, as bits."""
     try:
         values = list(coords)
         try:
@@ -131,7 +133,7 @@ def _pack(coords: Iterable[int], length: int | None, what: str) -> int:
             data = bytes(operator.index(v) & 1 for v in values)
     except TypeError:
         raise ValueError(f"{what} needs integer coordinates") from None
-    if length is not None and len(data) != length:
+    if len(data) != length:
         raise ValueError(f"{what} needs {length} coordinates, got {len(data)}")
     # coordinate i is bit i: the parity digits, last coordinate first
     return int(data[::-1].translate(_PARITY_DIGITS) or b"0", 2)
@@ -149,6 +151,17 @@ def _unpack(rows: Sequence[int], width: int):
     bits = np.unpackbits(raw.reshape(len(rows), size), axis=1, count=width, bitorder="little")
     bits.setflags(write=False)
     return bits
+
+
+def _dense_product(A: "GradedAlgebra", d1: int, d2: int):
+    """The stored ``(d1, d2)`` product table unpacked (see ``_unpack``), zeros when absent."""
+    r1, r2, ro = A.rank(d1), A.rank(d2), A.rank(d1 + d2)
+    return _unpack(A.products.get((d1, d2), bytes(r1 * r2)), ro).reshape(r1, r2, ro)
+
+
+def _dense_square(A: "GradedAlgebra", k: int, d: int):
+    """The stored table of ``Sq^k`` on degree d unpacked (see ``_unpack``), zeros when absent."""
+    return _unpack(A.squares.get((k, d), bytes(A.rank(d))), A.rank(d + k))
 
 
 def _class(A: "GradedAlgebra", d: int, bits: int) -> "ClassZ2":
@@ -219,9 +232,7 @@ class GradedAlgebra:
         key = ("mult", d1, d2)
         view = self._views.get(key)
         if view is None:
-            r1, r2, ro = self.rank(d1), self.rank(d2), self.rank(d1 + d2)
-            rows = self.products.get((d1, d2), bytes(r1 * r2))
-            view = self._views[key] = _unpack(rows, ro).reshape(r1, r2, ro)
+            view = self._views[key] = _dense_product(self, d1, d2)
         return view
 
     def sq_block(self, k: int, d: int):
@@ -229,8 +240,7 @@ class GradedAlgebra:
         key = ("sq", k, d)
         view = self._views.get(key)
         if view is None:
-            rows = self.squares.get((k, d), bytes(self.rank(d)))
-            view = self._views[key] = _unpack(rows, self.rank(d + k))
+            view = self._views[key] = _dense_square(self, k, d)
         return view
 
     @cached_property
@@ -382,36 +392,117 @@ def _check_same_algebra(x, y) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _ints(*values: Any) -> bool:
+    """Whether every value is a JSON integer: ``true`` and ``1.0`` are not."""
+    return {int}.issuperset(map(type, values))
+
+
+def _row(entry: Any, length: int, where: str) -> int:
+    """A 0/1 vector of ``length``, checked and packed into one int by ``_pack``."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != length:
+        raise SchemaError(f"{where}: expected a 0/1 vector of length {length}")
+    if not _ints(*entry) or not {0, 1}.issuperset(entry):
+        raise SchemaError(f"{where}: coordinates must be 0 or 1")
+    return _pack(entry, length, where)
+
+
+def _listed(entries: Any, field: str) -> Sequence:
+    if not isinstance(entries, (list, tuple)):
+        raise SchemaError(f"field {field!r} must be a list of entries")
+    return entries
+
+
+def _put(tables: dict, key: tuple, size: int, width: int, slot: int, row: int, where: str = "") -> None:
+    """Write a packed row into a slot of the table of block ``key``, made on first use.
+
+    Given ``where``, an earlier nonzero row that differs conflicts; an
+    all-zero earlier row gives way.
+    """
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = bytearray(size) if width <= 8 else [0] * size
+    if where and table[slot] and table[slot] != row:
+        raise SchemaError(f"{where}: conflicts with an earlier entry")
+    table[slot] = row
+
+
 def build_algebra(
     top_degree: int,
     basis: Sequence[Sequence[str]],
-    mult: Mapping[tuple[int, int], Mapping[tuple[int, ...], Sequence[int]]] | None = None,
-    sq: Mapping[tuple[int, int], Mapping[tuple[int, ...], Sequence[int]]] | None = None,
-    *,
-    unit: Iterable[int] | None = None,
-    fundamental: Iterable[int] | None = None,
+    mult: Sequence = (),
+    sq: Sequence = (),
 ) -> GradedAlgebra:
-    """Assemble and validate a graded algebra from outside data.
+    """Read, assemble and validate an algebra from outside tables, listed as documents list them.
 
-    ``mult`` maps ``(d1, d2)`` to the sparse rows of the ``(r1, r2, r_out)``
-    product table and ``sq`` maps ``(k, d)`` to those of the
-    ``(r_d, r_{d+k})`` table of ``Sq^k``: a mapping from basis index tuples
-    ``(i, j)`` / ``(i,)`` to output rows, absent rows zero, as documents
-    list them (``load_manifold`` packs its rows itself and shares the
-    battery, ``_validated``).  Unit tables and ``Sq^0`` are filled in where no table
-    is given and the degree-0 rank is 1; a given table is kept as given.
-    The tables must fit the byte budget, checked before anything is
-    allocated, and the assembled algebra must pass every axiom of
-    :func:`validate_algebra`; a failure raises
-    ``InvariantViolation("algebra-axioms", ...)``.  Every table and vector
-    is read mod 2.
+    ``mult`` lists entries ``[d1, i, d2, j, row]``: the product of class i
+    of degree d1 and class j of degree d2 as a 0/1 row over the basis of
+    degree d1 + d2, given in either order, as the mirror slot is filled in.
+    ``sq`` lists entries ``[k, d, i, row]``: ``Sq^k`` of class i of degree
+    d; an entry with k > d or d + k above the top degree must be zero and
+    is dropped.  Absent rows are zero; the unit tables and ``Sq^0`` are
+    filled in, as ``_packed_algebra`` fills them, where no entry gives them.
+
+    Every row is read strictly, JSON integers 0 or 1 of the length of its
+    degree, and packed once by ``_pack`` straight into its block's stored
+    table (a mult row into its slot and the mirror slot).  In both tables an
+    entry whose row differs from an earlier nonzero row in the same slot
+    (for products, the mirror slot too) is refused; an all-zero earlier row
+    gives way.  A malformed entry raises ``SchemaError`` naming its
+    position, and tables over the byte budget raise ``SchemaError`` naming
+    the basis before anything is allocated.  The assembled algebra must
+    pass every axiom of :func:`validate_algebra`; a failure raises
+    ``InvariantViolation("algebra-axioms", ...)``.
     """
-    alg = _assemble_algebra(top_degree, basis, mult, sq, unit=unit, fundamental=fundamental)
-    return _validated(alg)
+    ranks = _ranks(top_degree, basis)
+    n = top_degree
+    try:
+        _check_table_size(_table_bytes(ranks))
+    except ValueError as exc:
+        raise SchemaError(f"basis: {exc}") from exc
 
+    products: dict = {}
+    for pos, entry in enumerate(_listed(mult, "mult")):
+        where = f"mult entry {pos}"
+        if not isinstance(entry, (list, tuple)) or len(entry) != 5:
+            raise SchemaError(f"{where}: expected [deg1, idx1, deg2, idx2, coords]")
+        d1, i, d2, j, raw = entry
+        if not _ints(d1, i, d2, j):
+            raise SchemaError(f"{where}: degrees and indices must be integers")
+        for label, deg, idx in (("first", d1, i), ("second", d2, j)):
+            if not 0 <= deg <= n:
+                raise SchemaError(f"{where}: {label} degree out of range")
+            if not 0 <= idx < ranks[deg]:
+                raise SchemaError(f"{where}: {label} index out of range")
+        if d1 + d2 > n:
+            raise SchemaError(f"{where}: product degree {d1 + d2} exceeds dim")
+        r1, r2, ro = ranks[d1], ranks[d2], ranks[d1 + d2]
+        row = _row(raw, ro, where)
+        # the entry's own slot speaks for its mirror, which gets the same row
+        _put(products, (d1, d2), r1 * r2, ro, i * r2 + j, row, where)
+        _put(products, (d2, d1), r1 * r2, ro, j * r1 + i, row)
 
-def _validated(A: GradedAlgebra) -> GradedAlgebra:
-    """``A`` once it passes :func:`validate_algebra`; else ``InvariantViolation("algebra-axioms", ...)``."""
+    squares: dict = {}
+    for pos, entry in enumerate(_listed(sq, "sq")):
+        where = f"sq entry {pos}"
+        if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+            raise SchemaError(f"{where}: expected [k, deg, idx, coords]")
+        k, d, i, raw = entry
+        if not _ints(k, d, i):
+            raise SchemaError(f"{where}: k, degree and index must be integers")
+        if not 0 <= d <= n or k < 0:
+            raise SchemaError(f"{where}: degree data out of range")
+        if not 0 <= i < ranks[d]:
+            raise SchemaError(f"{where}: index out of range")
+        if not isinstance(raw, (list, tuple)):
+            raise SchemaError(f"{where}: expected [k, deg, idx, coords]")
+        if k > d or d + k > n:
+            if any(raw):
+                raise SchemaError(f"{where}: Sq^{k} vanishes on degree {d} here")
+            _row(raw, len(raw), where)  # the zeros must still be integers
+            continue
+        _put(squares, (k, d), ranks[d], ranks[d + k], i, _row(raw, ranks[d + k], where), where)
+
+    A = _packed_algebra(n, basis, _stored(products), _stored(squares))
     report = validate_algebra(A)
     if not report.ok:
         raise InvariantViolation("algebra-axioms", "; ".join(report.violations))
@@ -424,79 +515,6 @@ def _ranks(top_degree: int, basis: Sequence[Sequence[str]]) -> list[int]:
     if len(basis) != top_degree + 1:
         raise ValueError(f"need {top_degree + 1} basis lists, got {len(basis)}")
     return [len(labels) for labels in basis]
-
-
-def _outside_table(table: Mapping, shape: tuple[int, ...], where: str) -> Sequence[int]:
-    """Sparse rows from outside, indices checked and rows packed by ``_pack``, as a stored table."""
-    *sizes, width = shape
-    out = bytearray(math.prod(sizes)) if width <= 8 else [0] * math.prod(sizes)
-    what = f"a row of {where}"
-    for index, row in table.items():
-        if not isinstance(index, tuple) or len(index) != len(sizes):
-            raise ValueError(f"{where}: an index does not name a basis tuple")
-        try:
-            position = 0
-            for i, size in zip(index, sizes):
-                if not 0 <= i < size:
-                    raise ValueError(f"{where}: index out of range")
-                position = position * size + operator.index(i)
-        except TypeError:  # an index entry that is not an integer
-            raise ValueError(f"{where}: an index does not name a basis tuple") from None
-        out[position] = _pack(row, width, what)
-    return _table(out)
-
-
-def _any_entry(table: Mapping, where: str) -> bool:
-    """Whether sparse rows from outside, of any length, have an odd entry."""
-    return any(_pack(row, None, f"a row of {where}") for row in table.values())
-
-
-def _assemble_algebra(
-    top_degree: int,
-    basis: Sequence[Sequence[str]],
-    mult: Mapping[tuple[int, int], Mapping[tuple[int, ...], Sequence[int]]] | None = None,
-    sq: Mapping[tuple[int, int], Mapping[tuple[int, ...], Sequence[int]]] | None = None,
-    *,
-    unit: Iterable[int] | None = None,
-    fundamental: Iterable[int] | None = None,
-) -> GradedAlgebra:
-    """An algebra on outside tables (see ``build_algebra``), size-, shape- and range-checked.
-
-    The axiom battery is not run here.  Tables outside the grading must be
-    zero and are dropped; every other row is packed into its stored table.
-    """
-    ranks = _ranks(top_degree, basis)
-    _check_table_size(_table_bytes(ranks))
-    n = top_degree
-    for what, tables in (("product", mult), ("Steenrod", sq)):
-        for key, table in (tables or {}).items():
-            if not isinstance(table, Mapping):
-                raise ValueError(f"{what} table {key} must map basis index tuples to rows")
-    products, squares = {}, {}
-    for (d1, d2), table in (mult or {}).items():
-        where = f"product table ({d1}, {d2})"
-        if d1 < 0 or d2 < 0 or d1 + d2 > n:
-            if _any_entry(table, where):
-                raise ValueError(f"nonzero product table outside the grading: ({d1}, {d2})")
-            continue
-        products[d1, d2] = _outside_table(table, (ranks[d1], ranks[d2], ranks[d1 + d2]), where)
-    for (k, d), table in (sq or {}).items():
-        where = f"Steenrod table ({k}, {d})"
-        if k < 0 or d < 0 or d > n:
-            raise ValueError(f"Steenrod table key out of range: ({k}, {d})")
-        if k > d or d + k > n:
-            if _any_entry(table, where):
-                raise ValueError(f"nonzero Sq^{k} table on degree {d} is out of range")
-            continue
-        squares[k, d] = _outside_table(table, (ranks[d], ranks[d + k]), where)
-    return _packed_algebra(
-        n,
-        basis,
-        products,
-        squares,
-        unit=None if unit is None else _pack(unit, ranks[0], "unit vector"),
-        fundamental=None if fundamental is None else _pack(fundamental, ranks[n], "fundamental functional"),
-    )
 
 
 def _packed_algebra(
@@ -512,7 +530,7 @@ def _packed_algebra(
 
     For constructions that are algebras by construction (the closed-form
     catalog atoms, Kunneth products and connected sums of valid algebras)
-    and for outside tables checked and packed (``_assemble_algebra``, ``load_manifold``).
+    and for the tables ``build_algebra`` has read and packed.
     Each table is given as ``_table`` makes it; a table with no nonzero
     entry is a zero map and is not stored.  The unit tables and ``Sq^0``
     are added where the caller gave no table; a given table is kept, zero
@@ -646,8 +664,9 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
 
     The unit, commutativity, Sq^0 and squaring checks read the stored
     packed tables.  The Cartan formula, and associativity on dense triples,
-    run as float32 matrix products (BLAS) on blocks unpacked when first
-    read; an associativity chunk takes its parity as it goes.  A Cartan
+    run as float32 matrix products (BLAS) on blocks unpacked from the
+    stored tables when first read, without building the array views; an
+    associativity chunk takes its parity as it goes.  A Cartan
     block (d1, d2, k) is one integer sum, ``prod @ Sq^k`` minus
     ``sum_u Sq^v(d2) @ (Sq^u(d1) @ mult(d1 + u, d2 + v))``, all linear over
     Z, so one ``fmod(diff, 2)`` decides it.  On the doc-ingest ring
@@ -690,8 +709,8 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     n = A.top_degree
     bad: list[str] = []
     exact = np.float32 if _table_bytes(A.ranks) <= TABLE_BYTES_BUDGET else np.float64
-    mult = cache(lambda d1, d2: A.mult_block(d1, d2).astype(exact))
-    sq = cache(lambda k, d: A.sq_block(k, d).astype(exact))
+    mult = cache(lambda d1, d2: _dense_product(A, d1, d2).astype(exact))
+    sq = cache(lambda k, d: _dense_square(A, k, d).astype(exact))
     lines = cache(partial(_lines, A))
     weight = cache(lambda d1, d2: _weight(A.products.get((d1, d2), b"")))
 

@@ -7,14 +7,16 @@ stored total class), resolves the twisted class W_3, and then validates
 the finished record with :func:`validate_manifold`.
 
 The algebra axiom battery (``validate_algebra``) runs where data enters:
-``load_manifold`` packs each document row once into its stored table and
-runs the battery on the packed algebra, as ``build_algebra`` does.  The catalog
-atoms are closed forms, and connected sums and products of valid records
-are valid by construction, so their algebras are assembled without it.
-The ``RP`` and ``CP`` atoms check the closed-form size of their tables
-against the table byte budget before they build any list; the surface
-atoms, ``kunneth``, ``connected_sum_algebra`` and ``load_manifold`` check
-their ranks before they allocate a table.  Atoms write their structure
+``load_manifold`` checks a document's fields and basis and reads its
+``mult`` and ``sq`` entry lists through one ``build_algebra`` call, the
+one reader of outside tables, which packs each row once and runs the
+battery.  The catalog atoms are closed forms, and connected sums and
+products of valid records are valid by construction, so their algebras
+are assembled without it.  The ``RP`` and ``CP`` atoms check the
+closed-form size of their tables against the table byte budget before
+they build any list; the surface atoms, ``kunneth``,
+``connected_sum_algebra`` and ``build_algebra`` check their ranks before
+they allocate a table.  Atoms write their structure
 constants as packed ints (see ``algebra``), reading binomial parities by
 Lucas's theorem: ``C(n, k)`` is odd iff ``k & n == k``.  Records are immutable
 and compare by identity; value-level comparisons in tests go through the
@@ -30,13 +32,13 @@ from .algebra import (
     GradedAlgebra,
     TotalClass,
     _check_table_size,
+    _ints,
     _monogenic_table_bytes,
-    _pack,
     _packed_algebra,
-    _stored,
+    _row,
     _table_bytes,
     _total,
-    _validated,
+    build_algebra,
     connected_sum_algebra,
     cross_total,
     evaluate_top,
@@ -613,11 +615,6 @@ _DOCUMENT_FIELDS = {
 _TRISTATE_WORDS = {"zero": TriState.zero, "nonzero": TriState.nonzero, "unknown": TriState.unknown}
 
 
-def _ints(*values: Any) -> bool:
-    """Whether every value is a JSON integer: ``true`` and ``1.0`` are not."""
-    return {int}.issuperset(map(type, values))
-
-
 def _require_int(doc: Mapping[str, Any], key: str) -> int:
     value = doc.get(key)
     if not _ints(value):
@@ -630,36 +627,6 @@ def _require_bool(doc: Mapping[str, Any], key: str, default: bool | None = None)
     if not isinstance(value, bool):
         raise SchemaError(f"field {key!r} must be a boolean")
     return value
-
-
-def _require_list(doc: Mapping[str, Any], key: str) -> list:
-    value = doc.get(key, [])
-    if not isinstance(value, list):
-        raise SchemaError(f"field {key!r} must be a list of entries")
-    return value
-
-
-def _row(entry: Any, length: int, where: str) -> int:
-    """A 0/1 vector of ``length``, checked and packed into one int by ``_pack``."""
-    if not isinstance(entry, (list, tuple)) or len(entry) != length:
-        raise SchemaError(f"{where}: expected a 0/1 vector of length {length}")
-    if not _ints(*entry) or not {0, 1}.issuperset(entry):
-        raise SchemaError(f"{where}: coordinates must be 0 or 1")
-    return _pack(entry, length, where)
-
-
-def _put(tables: dict, key: tuple, size: int, width: int, slot: int, row: int, where: str = "") -> None:
-    """Write a packed row into a slot of the table of block ``key``, made on first use.
-
-    Given ``where``, an earlier nonzero row that differs conflicts; an
-    all-zero earlier row gives way.
-    """
-    table = tables.get(key)
-    if table is None:
-        table = tables[key] = bytearray(size) if width <= 8 else [0] * size
-    if where and table[slot] and table[slot] != row:
-        raise SchemaError(f"{where}: conflicts with an earlier entry")
-    table[slot] = row
 
 
 def _total_field(raw: Any, algebra: GradedAlgebra, where: str) -> TotalClass:
@@ -688,15 +655,13 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     """Build a validated manifold record from a document.
 
     The document carries the algebra (basis labels per degree, product and
-    Steenrod tables as sparse entry lists), the classical invariants, a
-    required p_1 status, and optional w / W_3 / flag data.  Multiplication
-    entries may be given in either order; the mirror is filled in.  In both
-    tables an entry whose row differs from an earlier nonzero row in the same
-    slot (for products, the mirror slot too) is refused.  Each row is
-    checked and packed once, straight into its stored table (the mirror
-    slot gets the same int), and the full axiom battery runs on the packed
-    store as in ``build_algebra``.  Every failure names the offending field
-    or invariant.
+    Steenrod tables as entry lists), the classical invariants, a required
+    p_1 status, and optional w / W_3 / flag data.  The loader checks the
+    fields and the basis, then hands the entry lists to ``build_algebra``,
+    the one reader of outside tables, which checks and packs each row once,
+    fills in product mirrors and runs the axiom battery.  An absent ``mult``
+    or ``sq`` is an empty list.  Every failure names the offending field,
+    entry or invariant.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("manifold document must be a mapping")
@@ -730,56 +695,7 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
         raise SchemaError("basis must list the labels for every degree 0..dim")
     if len(basis[0]) != 1 or len(basis[dim]) != 1:
         raise SchemaError("degrees 0 and dim must have exactly one basis label")
-    ranks = [len(row) for row in basis]
-    try:
-        _check_table_size(_table_bytes(ranks))
-    except ValueError as exc:
-        raise SchemaError(f"basis: {exc}") from exc
-
-    # each row is packed once into its block's table; a mult entry fills its
-    # slot and the mirror slot with one row, so its own slot speaks for both
-    products: dict[tuple[int, int], Any] = {}
-    for pos, entry in enumerate(_require_list(doc, "mult")):
-        where = f"mult entry {pos}"
-        if not isinstance(entry, (list, tuple)) or len(entry) != 5:
-            raise SchemaError(f"{where}: expected [deg1, idx1, deg2, idx2, coords]")
-        d1, i, d2, j, raw = entry
-        if not _ints(d1, i, d2, j):
-            raise SchemaError(f"{where}: degrees and indices must be integers")
-        for label, deg, idx in (("first", d1, i), ("second", d2, j)):
-            if not 0 <= deg <= dim:
-                raise SchemaError(f"{where}: {label} degree out of range")
-            if not 0 <= idx < ranks[deg]:
-                raise SchemaError(f"{where}: {label} index out of range")
-        if d1 + d2 > dim:
-            raise SchemaError(f"{where}: product degree {d1 + d2} exceeds dim")
-        r1, r2, ro = ranks[d1], ranks[d2], ranks[d1 + d2]
-        row = _row(raw, ro, where)
-        _put(products, (d1, d2), r1 * r2, ro, i * r2 + j, row, where)
-        _put(products, (d2, d1), r1 * r2, ro, j * r1 + i, row)
-
-    squares: dict[tuple[int, int], Any] = {}
-    for pos, entry in enumerate(_require_list(doc, "sq")):
-        where = f"sq entry {pos}"
-        if not isinstance(entry, (list, tuple)) or len(entry) != 4:
-            raise SchemaError(f"{where}: expected [k, deg, idx, coords]")
-        k, d, i, raw = entry
-        if not _ints(k, d, i):
-            raise SchemaError(f"{where}: k, degree and index must be integers")
-        if not 0 <= d <= dim or k < 0:
-            raise SchemaError(f"{where}: degree data out of range")
-        if not 0 <= i < ranks[d]:
-            raise SchemaError(f"{where}: index out of range")
-        if not isinstance(raw, (list, tuple)):
-            raise SchemaError(f"{where}: expected [k, deg, idx, coords]")
-        if k > d or d + k > dim:
-            if any(raw):
-                raise SchemaError(f"{where}: Sq^{k} vanishes on degree {d} here")
-            _row(raw, len(raw), where)  # the zeros must still be integers
-            continue
-        _put(squares, (k, d), ranks[d], ranks[d + k], i, _row(raw, ranks[d + k], where), where)
-
-    algebra = _validated(_packed_algebra(dim, basis, _stored(products), _stored(squares)))
+    algebra = build_algebra(dim, basis, doc.get("mult", []), doc.get("sq", []))
 
     w = None if doc.get("w") is None else _total_field(doc["w"], algebra, "w")
     p1 = _parse_p1(doc["p1"])

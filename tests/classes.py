@@ -4,16 +4,20 @@ The package builds its classes from tables; these constructors exist for
 the tests alone, so they live here and go through the public, checking
 constructors of ``ClassZ2`` and ``TotalClass``.  So does the point record,
 which the expression grammar cannot name: it is loaded as a document.
-``sparse`` turns the dense numpy tables the tests write as references into
-the sparse rows ``build_algebra`` reads.
+``entries`` writes the dense numpy tables the tests write as references as
+the entry lists of a document, which ``build_algebra`` reads; ``packed``
+writes them as the packed tables of the store, for tables no document can
+express (not commutative, not valid), which tests hand to
+``_packed_algebra`` and check with ``validate_algebra``.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
 
-from foldcheck.algebra import ClassZ2, GradedAlgebra, TotalClass
+from foldcheck.algebra import ClassZ2, GradedAlgebra, TotalClass, _table
 from foldcheck.catalog import Manifold, load_manifold
 
 
@@ -37,15 +41,38 @@ def unit_total(A: GradedAlgebra) -> TotalClass:
     return TotalClass(A, tuple(comps))
 
 
-def sparse(tables: dict) -> dict:
-    """Each dense table as sparse rows: its rows with a nonzero entry, by index tuple."""
-    out = {}
-    for key, table in tables.items():
-        a = np.asarray(table)
-        out[key] = {
-            index: a[index].tolist() for index in np.ndindex(a.shape[:-1]) if a[index].any()
-        }
-    return out
+def _nonzero_rows(table) -> list[tuple[tuple[int, ...], list[int]]]:
+    """``(index, row)`` of each row of a dense table (its last axis) with a nonzero entry."""
+    a = np.asarray(table)
+    return [(index, a[index].tolist()) for index in np.ndindex(a.shape[:-1]) if a[index].any()]
+
+
+def entries(mult: dict, sq: dict | None = None) -> tuple[list, list]:
+    """Dense tables, keyed ``(d1, d2)`` and ``(k, d)``, as document entry lists.
+
+    A product row is listed as ``[d1, i, d2, j, row]`` and a square row as
+    ``[k, d, i, row]``, nonzero rows only.
+    """
+    return (
+        [[d1, i, d2, j, row] for (d1, d2), t in mult.items() for (i, j), row in _nonzero_rows(t)],
+        [[k, d, i, row] for (k, d), t in (sq or {}).items() for (i,), row in _nonzero_rows(t)],
+    )
+
+
+def bits(coords: Iterable[int]) -> int:
+    """A 0/1 vector as the int that packs it: coordinate i is bit i."""
+    return sum(int(v) << i for i, v in enumerate(coords))
+
+
+def rows(table) -> list[int]:
+    """A dense table's rows (its last axis) as the packed ints a stored table holds."""
+    a = np.asarray(table)
+    return [bits(row) for row in a.reshape(math.prod(a.shape[:-1]), a.shape[-1])]
+
+
+def packed(tables: dict) -> dict:
+    """Dense tables as the packed tables of the store, which ``_packed_algebra`` takes."""
+    return {key: _table(rows(table)) for key, table in tables.items()}
 
 
 def point() -> Manifold:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import test_invariants as inv
-from classes import basis_element, unit_total
+from classes import bits, unit_total
 from foldcheck.algebra import evaluate_top, multiply, steenrod_square, total_sq
 from foldcheck.catalog import atom, real_projective, sphere
 from foldcheck.characteristic import dual_classes, wu_total
@@ -130,14 +130,7 @@ def test_criterion_4_invariant_suites(closure):
             r = A.rank(d)
             if r == 0:
                 continue
-            rows = []
-            for i in range(r):
-                row = 0
-                for j in range(r):
-                    if evaluate_top(multiply(basis_element(A, d, i), basis_element(A, n - d, j))):
-                        row |= 1 << j
-                rows.append(row)
-            assert inv._rank_mod2(rows) == r, (m.name, d)
+            assert inv._rank_mod2([bits(row) for row in inv._pairing(A, d)]) == r, (m.name, d)
         # Whitney identities
         assert m.w * dual_classes(m) == unit_total(A), m.name
         assert evaluate_top(m.w.component(n)) == m.euler % 2, m.name

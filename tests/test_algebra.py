@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from classes import basis_element, one, sparse, unit_total
+from classes import basis_element, entries, one, packed, unit_total
 from foldcheck import algebra, catalog
 from foldcheck.algebra import (
     ClassZ2,
@@ -20,8 +20,8 @@ from foldcheck.algebra import (
     total_sq,
     validate_algebra,
 )
-from foldcheck.algebra import _monogenic_table_bytes, _table_bytes
-from foldcheck.errors import DimensionMismatch, InvariantViolation
+from foldcheck.algebra import _monogenic_table_bytes, _packed_algebra, _table_bytes
+from foldcheck.errors import DimensionMismatch, InvariantViolation, SchemaError
 from foldcheck.expressions import parse_expression
 
 
@@ -40,7 +40,7 @@ def rp_algebra(n: int):
         for d in range(1, n)
         for k in range(1, min(d, n - d) + 1)
     }
-    return build_algebra(n, basis, sparse(mult), sparse(sq))
+    return build_algebra(n, basis, *entries(mult, sq))
 
 
 def sphere_algebra(n: int):
@@ -101,36 +101,35 @@ def test_build_rejects_duplicate_labels():
 
 
 def test_build_rejects_out_of_grading_tables():
-    with pytest.raises(ValueError, match="outside the grading"):
-        build_algebra(
-            1,
-            [["1"], ["a"]],
-            sparse({(1, 1): np.ones((1, 1, 1), dtype=np.uint8)}),
-        )
+    with pytest.raises(SchemaError, match="^mult entry 0: product degree 2 exceeds dim$"):
+        build_algebra(1, [["1"], ["a"]], *entries({(1, 1): np.ones((1, 1, 1), dtype=np.uint8)}))
 
 
 def test_build_rejects_out_of_range_sq():
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(SchemaError, match="^sq entry 0: Sq\\^2 vanishes on degree 1 here$"):
         build_algebra(
             2,
             [["1"], ["a"], ["b"]],
-            sparse({(1, 1): np.ones((1, 1, 1), dtype=np.uint8)}),
-            sparse({(2, 1): np.ones((1, 1), dtype=np.uint8)}),
+            *entries(
+                {(1, 1): np.ones((1, 1, 1), dtype=np.uint8)},
+                {(2, 1): np.ones((1, 1), dtype=np.uint8)},
+            ),
         )
 
 
 def test_validation_catches_broken_commutativity():
-    # x*y = t but y*x = 0: not commutative
+    # x*y = t but y*x = 0: not commutative, which no document can say (the
+    # intake fills in the mirror), so the tables are given packed
     mult = {(1, 1): np.array([[[0], [1]], [[0], [0]]], dtype=np.uint8)}
-    with pytest.raises(InvariantViolation, match="commutativity"):
-        build_algebra(2, [["1"], ["x", "y"], ["t"]], sparse(mult))
+    A = _packed_algebra(2, [["1"], ["x", "y"], ["t"]], packed(mult))
+    assert "commutativity: degrees (1, 1)" in validate_algebra(A).violations
 
 
 def test_validation_catches_degenerate_pairing():
     # a*a = 0 in a would-be 2-manifold: the degree-1 pairing is degenerate
     mult = {(1, 1): np.zeros((1, 1, 1), dtype=np.uint8)}
     with pytest.raises(InvariantViolation, match="pairing"):
-        build_algebra(2, [["1"], ["a"], ["t"]], sparse(mult))
+        build_algebra(2, [["1"], ["a"], ["t"]], *entries(mult))
 
 
 def test_validation_catches_bad_top_squaring():
@@ -142,7 +141,7 @@ def test_validation_catches_bad_top_squaring():
     }
     with pytest.raises(InvariantViolation, match="squaring|cartan"):
         build_algebra(
-            2, [["1"], ["a"], ["a^2"]], sparse(mult), sparse({(1, 1): np.zeros((1, 1), dtype=np.uint8)})
+            2, [["1"], ["a"], ["a^2"]], *entries(mult, {(1, 1): np.zeros((1, 1), dtype=np.uint8)})
         )
 
 
@@ -157,80 +156,39 @@ def test_rank_mismatch_is_a_pairing_violation():
         build_algebra(3, [["1"], ["a", "b"], ["c"], ["t"]])
 
 
-def test_build_reads_outside_tables_mod_2():
-    # RP2 with a*a = 3 a^2 and Sq^1 a = 3 a^2, unit 3 and fundamental 5
-    A = build_algebra(
-        2,
-        [["1"], ["a"], ["a^2"]],
-        sparse({(1, 1): np.full((1, 1, 1), 3, dtype=np.uint8)}),
-        sparse({(1, 1): np.full((1, 1), 3, dtype=np.uint8)}),
-        unit=[3],
-        fundamental=[5],
-    )
-    assert A.mult_block(1, 1).tolist() == [[[1]]]
-    assert A.sq_block(1, 1).tolist() == [[1]]
-    assert (A.unit.tolist(), A.fundamental.tolist()) == ([1], [1])
-    a = basis_element(A, 1, 0)
-    assert str(a * a) == "a^2"
-    # coordinates from 256 up are read mod 2 as well
-    B = build_algebra(
-        2, A.basis, {(1, 1): {(0, 0): [259]}}, {(1, 1): {(0,): [2**70 + 1]}}, unit=[513], fundamental=[257]
-    )
-    assert (B.products, B.squares, B.unit_bits, B.fundamental_bits) == (
-        A.products, A.squares, A.unit_bits, A.fundamental_bits
-    )
+def test_build_reads_rows_of_0_and_1_while_classes_read_mod_2():
+    # build_algebra reads a row as a document gives it: JSON integers 0 or 1
+    basis, square = [["1"], ["a"], ["a^2"]], [[1, 1, 0, [1]]]
+    for row in ([3], [259], [2**70 + 1], [-1], [True], [1.0]):
+        with pytest.raises(SchemaError, match="^mult entry 0: coordinates must be 0 or 1$"):
+            build_algebra(2, basis, [[1, 0, 1, 0, row]], square)
+    # only the public class constructors read outside coordinates mod 2
+    A = build_algebra(2, basis, [[1, 0, 1, 0, [1]]], square)
+    assert ClassZ2(A, 1, [3]) == ClassZ2(A, 1, [2**70 + 1]) == basis_element(A, 1, 0)
     assert ClassZ2(A, 1, [256]).is_zero()
+    assert TotalClass(A, [[513], [257], [2]]) == TotalClass(A, [[1], [1], [0]])
 
 
-def test_build_reads_sparse_rows_like_arrays():
-    # RP2 with its tables as rows keyed by basis index, read mod 2
-    basis = [["1"], ["a"], ["a^2"]]
-    A = build_algebra(2, basis, {(1, 1): {(0, 0): [3]}}, {(1, 1): {(0,): [1]}})
-    B = rp_algebra(2)
-    assert sorted(A.mult) == sorted(B.mult) and sorted(A.sq_table) == sorted(B.sq_table)
-    for key in B.mult:
-        assert A.mult_block(*key).tolist() == B.mult_block(*key).tolist(), key
-    for key in B.sq_table:
-        assert A.sq_block(*key).tolist() == B.sq_block(*key).tolist(), key
-    with pytest.raises(ValueError, match="index out of range"):
-        build_algebra(2, basis, {(1, 1): {(0, 1): [1]}})
-    with pytest.raises(ValueError, match="index out of range"):
-        build_algebra(2, basis, {(1, 1): {(-1, 0): [1]}})
-    with pytest.raises(ValueError, match="basis tuple"):
-        build_algebra(2, basis, {(1, 1): {(0,): [1]}})
-    with pytest.raises(ValueError, match="must map basis index tuples to rows"):
-        build_algebra(2, basis, {(1, 1): np.ones((1, 1, 1), dtype=np.uint8)})
-    # every malformed row is refused by name, beside tables that make RP2 otherwise
-    square, a_a = {(1, 1): {(0,): [1]}}, {(1, 1): {(0, 0): [1]}}
-    malformed = [
-        ({(1, 1): {(0, 0): 1}}, square, r"a row of product table \(1, 1\) needs integer"),
-        ({(1, 1): {(0, 0): "1"}}, square, "needs integer coordinates"),
-        ({(1, 1): {(0, 0): ["1"]}}, square, "needs integer coordinates"),
-        ({(1, 1): {(0, 0): [1.0]}}, square, "needs integer coordinates"),
-        ({(1, 1): {(0, 0): [1.5]}}, square, "needs integer coordinates"),
-        ({(1, 1): {(0, 0): [-1]}}, square, r"product table \(1, 1\) has a negative"),
-        ({(1, 1): {(0, 0): [1, 0]}}, square, "needs 1 coordinates, got 2"),
-        ({(1, 1): {0: [1]}}, square, r"product table \(1, 1\): an index does not name"),
-        ({(1, 1): {("0", 0): [1]}}, square, "an index does not name a basis tuple"),
-        ({(1, 1): {(0, 0): [1]}, (2, 1): {(0, 0): 1}}, square, r"product table \(2, 1\)"),
-        (a_a, {(1, 1): {(0,): 1}}, r"a row of Steenrod table \(1, 1\) needs integer"),
-        (a_a, {(1, 1): {(0,): [1], (0, 0): [1]}}, "an index does not name a basis tuple"),
-        (a_a, {(1, 1): {(0,): [1]}, (2, 1): {(0,): [0.5]}}, r"Steenrod table \(2, 1\)"),
-    ]
-    for mult, sq, message in malformed:
-        with pytest.raises(ValueError, match=message):
-            build_algebra(2, basis, mult, sq)
+def test_build_reads_entry_lists_like_the_catalog():
+    # RP2 as a document lists it, against the closed-form atom
+    A = build_algebra(2, [["1"], ["a"], ["a^2"]], [[1, 0, 1, 0, [1]]], [[1, 1, 0, [1]]])
+    B = catalog.real_projective(2).algebra
+    assert (dict(A.products), dict(A.squares), A.unit_bits, A.fundamental_bits) == (
+        dict(B.products), dict(B.squares), B.unit_bits, B.fundamental_bits
+    )
 
 
-def test_packed_tables_read_their_arrays_row_by_row():
+def test_packed_tables_read_their_arrays_row_by_row(monkeypatch):
     # one int per row, at every width up to 69 columns; a table is bytes
-    # exactly when every entry fits in a byte
+    # exactly when every entry fits in a byte.  The random tables are no
+    # algebra, so the battery is switched off: only the intake runs.
+    monkeypatch.setattr(algebra, "validate_algebra", lambda A: algebra.ValidationReport(()))
     rng = np.random.default_rng(5)
     for width in range(70):
         a = (rng.random((7, 3, width)) < 0.3).astype(np.uint8)
         rows = [sum(int(v) << j for j, v in enumerate(row)) for row in a.reshape(21, width)]
         basis = [["1"], [f"x{i}" for i in range(7)], ["y0", "y1", "y2"], [f"z{o}" for o in range(width)]]
-        table = algebra._assemble_algebra(3, basis, sparse({(1, 2): a})).products.get((1, 2))
+        table = build_algebra(3, basis, *entries({(1, 2): a})).products.get((1, 2))
         assert list(table or [0] * 21) == rows, width
         assert table is None or isinstance(table, bytes) == (max(rows) < 256), width
 
@@ -241,7 +199,7 @@ def test_packed_tables_read_their_arrays_row_by_row():
 
 def test_class_addition_is_xor():
     A = build_algebra(2, [["1"], ["x", "y"], ["t"]],
-                      sparse({(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)}))
+                      *entries({(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)}))
     x = basis_element(A, 1, 0)
     y = basis_element(A, 1, 1)
     assert str(x + y) == "x + y"
@@ -253,7 +211,7 @@ def test_public_constructors_reduce_coordinates_mod_2():
     A = rp_algebra(2)
     raw = np.array([3, 2], dtype=np.uint8)
     S = build_algebra(2, [["1"], ["x", "y"], ["t"]],
-                      sparse({(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)}))
+                      *entries({(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)}))
     x = ClassZ2(S, 1, raw)
     assert x.coords.tolist() == [1, 0]
     assert raw.tolist() == [3, 2] and raw.flags.writeable
@@ -268,7 +226,7 @@ def test_public_constructors_reduce_coordinates_mod_2():
 def test_public_constructors_refuse_misshaped_or_negative_coordinates():
     A = rp_algebra(2)
     S = build_algebra(2, [["1"], ["x", "y"], ["t"]],
-                      sparse({(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)}))
+                      *entries({(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)}))
     # an (r, 1) column is not r coordinates, nor is a nested list
     with pytest.raises(ValueError, match="integer coordinates"):
         ClassZ2(S, 1, np.array([[1], [0]], dtype=np.uint8))
@@ -454,7 +412,7 @@ def test_connected_sum_algebra_top_label_avoids_collision():
     # a summand already using "t" forces a primed top label
     mult = {(1, 1): np.ones((1, 1, 1), dtype=np.uint8)}
     sq = {(1, 1): np.ones((1, 1), dtype=np.uint8)}
-    A = build_algebra(2, [["1"], ["t"], ["t^2"]], sparse(mult), sparse(sq))
+    A = build_algebra(2, [["1"], ["t"], ["t^2"]], *entries(mult, sq))
     S = connected_sum_algebra(A, rp_algebra(2))
     assert S.labels(1) == ("t", "a")
     assert S.labels(2) == ("t'",)
@@ -521,24 +479,25 @@ def test_kunneth_of_two_spheres_walks_only_the_degrees_with_classes(monkeypatch)
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build,refusal",
     [
-        lambda: connected_sum_algebra(rp_algebra(4), rp_algebra(4), rp_algebra(4)),
-        lambda: kunneth(rp_algebra(3), rp_algebra(4)),
-        lambda: catalog.real_projective(5).algebra,
-        lambda: catalog.complex_projective(3).algebra,
-        lambda: catalog.orientable_surface(2).algebra,
-        lambda: catalog.nonorientable_surface(3).algebra,
-        lambda: rp_algebra(4),
+        (lambda: connected_sum_algebra(rp_algebra(4), rp_algebra(4), rp_algebra(4)), ValueError),
+        (lambda: kunneth(rp_algebra(3), rp_algebra(4)), ValueError),
+        (lambda: catalog.real_projective(5).algebra, ValueError),
+        (lambda: catalog.complex_projective(3).algebra, ValueError),
+        (lambda: catalog.orientable_surface(2).algebra, ValueError),
+        (lambda: catalog.nonorientable_surface(3).algebra, ValueError),
+        # the intake of outside tables refuses them as a document field
+        (lambda: rp_algebra(4), SchemaError),
     ],
     ids=["connected-sum", "kunneth", "RP5", "CP3", "Sigma2", "N3", "build_algebra"],
 )
-def test_table_budget_bounds_the_built_tables(monkeypatch, build):
+def test_table_budget_bounds_the_built_tables(monkeypatch, build, refusal):
     size = _table_bytes(build().ranks)
     monkeypatch.setattr(algebra, "TABLE_BYTES_BUDGET", size)
     assert build().ranks
     monkeypatch.setattr(algebra, "TABLE_BYTES_BUDGET", size - 1)
-    with pytest.raises(ValueError, match=f"would take {size} bytes, over the budget"):
+    with pytest.raises(refusal, match=f"would take {size} bytes, over the budget"):
         build()
 
 
@@ -548,10 +507,7 @@ def test_connected_sum_algebra_dimension_mismatch():
 
 
 def test_connected_sum_algebra_rejects_disconnected_pieces():
-    table = np.zeros((2, 2, 2), dtype=np.uint8)
-    table[0, 0, 0] = 1
-    table[1, 1, 1] = 1
-    s0 = build_algebra(0, [["p", "q"]], sparse({(0, 0): table}), unit=[1, 1], fundamental=[1, 1])
+    s0 = catalog.sphere(0).algebra
     with pytest.raises(ValueError, match="dimension >= 1"):
         connected_sum_algebra(s0, s0)
     with pytest.raises(ValueError, match="connected"):

@@ -10,6 +10,8 @@ import sympy
 
 from classes import point
 from test_trust_boundary import RINGS, ring_document
+from foldcheck import catalog
+from foldcheck.algebra import build_algebra
 from foldcheck.catalog import _odd_binomial
 from foldcheck.catalog import (
     atom,
@@ -570,6 +572,8 @@ def test_load_manifold_rp4_document():
         (lambda d: d.update(mult=[[1, 0, 2, 0, [1]]]), SchemaError, "exceeds dim"),
         (lambda d: d.update(sq=[[1, 1, 0, [2]]]), SchemaError, "0 or 1"),
         (lambda d: d.update(sq=[[2, 1, 0, [1]]]), SchemaError, "vanishes"),
+        (lambda d: d.update(mult=None), SchemaError, "^field 'mult' must be a list of entries$"),
+        (lambda d: d.update(sq={}), SchemaError, "^field 'sq' must be a list of entries$"),
         (lambda d: d.update(w=[[1], [1]]), SchemaError, "per degree"),
         (lambda d: d.update(p1="maybe"), SchemaError, "p1 must be"),
         (lambda d: d.update(p1={"int": 3, "note": ""}), SchemaError, "p1 must be"),
@@ -585,15 +589,43 @@ def test_load_manifold_rp4_document():
 def test_load_manifold_rejections(mutate, error, match):
     doc = rp2_document()
     mutate(doc)
-    with pytest.raises(error, match=match):
+    with pytest.raises(error, match=match) as info:
         load_manifold(doc)
+    if str(info.value).startswith(("mult", "sq", "field 'mult'", "field 'sq'", "basis: ")):
+        _built_alike(doc, info.value)
+
+
+def _built_alike(doc: dict, refusal: Exception) -> None:
+    """``build_algebra`` on the document's tables refuses them word for word as the loader did."""
+    with pytest.raises(type(refusal)) as info:
+        build_algebra(doc["dim"], doc["basis"], doc.get("mult", []), doc.get("sq", []))
+    assert str(info.value) == str(refusal)
+
+
+def test_load_manifold_reads_its_tables_through_build_algebra_once(monkeypatch):
+    # the one intake of outside tables, called through the module-level name
+    # that bench/spans.py rebinds to time it
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return build_algebra(*args)
+
+    monkeypatch.setattr(catalog, "build_algebra", spy)
+    s2 = {"dim": 2, "orientable": True, "euler": 2, "basis": [["1"], [], ["s"]], "p1": "zero"}
+    docs = [s2, rp2_document(), rp4_document(), ring_document(RINGS["F2[a,b]/(a^4,b^3)"])]
+    for count, doc in enumerate(docs, 1):
+        load_manifold(doc)
+        assert len(calls) == count
+        assert calls[-1] == (doc["dim"], doc["basis"], doc.get("mult", []), doc.get("sq", []))
 
 
 def test_load_manifold_rejects_conflicting_mult_entries():
     doc = rp2_document()
     doc["mult"] = [[1, 0, 1, 0, [1]], [1, 0, 1, 0, [0]]]
-    with pytest.raises(SchemaError, match="conflicts"):
+    with pytest.raises(SchemaError, match="conflicts") as info:
         load_manifold(doc)
+    _built_alike(doc, info.value)
 
 
 def test_load_manifold_accepts_an_explicit_mirror_with_the_same_row():
@@ -606,8 +638,9 @@ def test_load_manifold_accepts_an_explicit_mirror_with_the_same_row():
 def test_load_manifold_rejects_a_mirror_contradicting_an_earlier_row():
     doc = rp4_document()
     doc["mult"][3] = [2, 0, 1, 0, [0]]  # the mirror of entry 1, which holds [1]
-    with pytest.raises(SchemaError, match=r"^mult entry 3: conflicts with an earlier entry$"):
+    with pytest.raises(SchemaError, match=r"^mult entry 3: conflicts with an earlier entry$") as info:
         load_manifold(doc)
+    _built_alike(doc, info.value)
 
 
 @pytest.mark.parametrize("table", ["mult", "sq"])
@@ -654,6 +687,7 @@ def test_load_manifold_refuses_a_mirror_with_another_nonzero_row_at_the_later_en
     with pytest.raises(SchemaError) as info:
         load_manifold(doc)
     assert str(info.value) == f"mult entry {later}: conflicts with an earlier entry"
+    _built_alike(doc, info.value)
 
 
 def test_load_manifold_lets_a_zero_row_give_way_to_its_mirror():
@@ -682,6 +716,7 @@ def test_load_manifold_reads_a_diagonal_entry_given_twice(first, second, conflic
         with pytest.raises(SchemaError) as info:
             load_manifold(doc)
         assert str(info.value) == f"mult entry {len(doc['mult']) - 1}: conflicts with an earlier entry"
+        _built_alike(doc, info.value)
     else:
         assert _ring_products(doc) == want
 
@@ -717,6 +752,7 @@ def test_load_manifold_reports_the_first_bad_entry(field, entries, message):
     with pytest.raises(SchemaError) as info:
         load_manifold(doc)
     assert str(info.value) == message
+    _built_alike(doc, info.value)
 
 
 def test_load_manifold_rejects_degenerate_pairing():
@@ -726,8 +762,9 @@ def test_load_manifold_rejects_degenerate_pairing():
     doc["w"] = None
     doc.pop("w")
     doc["euler"] = 1
-    with pytest.raises(InvariantViolation, match="pairing"):
+    with pytest.raises(InvariantViolation, match="pairing") as info:
         load_manifold(doc)
+    _built_alike(doc, info.value)
 
 
 def test_load_manifold_rejects_non_mapping():

@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from classes import basis_element, element, unit_total
+from classes import bits, element, unit_total
 from foldcheck.algebra import (
     ClassZ2,
     TotalClass,
@@ -75,6 +75,21 @@ def _rank_mod2(rows: list[int]) -> int:
     return len(basis)
 
 
+def _pairing(A, d: int) -> np.ndarray:
+    """``<x_i y_j, [M]>`` at (i, j), for the classes x_i of degree d and y_j of degree n - d.
+
+    Read off the array views in one product, not through ``multiply``.
+    """
+    n = A.top_degree
+    return A.mult_block(d, n - d).astype(np.int64) @ A.fundamental.astype(np.int64) % 2
+
+
+def _top_squares(A, k: int) -> np.ndarray:
+    """``<Sq^k y_j, [M]>`` for the classes y_j of degree n - k, off the array views."""
+    n = A.top_degree
+    return A.sq_block(k, n - k).astype(np.int64) @ A.fundamental.astype(np.int64) % 2
+
+
 def brute_force_wu(m) -> TotalClass:
     """Wu classes by assembling and solving the pairing systems directly."""
     A = m.algebra
@@ -82,17 +97,9 @@ def brute_force_wu(m) -> TotalClass:
     comps = [np.zeros(A.rank(d), dtype=np.uint8) for d in range(n + 1)]
     comps[0] = A.unit.copy()
     for k in range(1, n // 2 + 1):
-        r = A.rank(k)
-        rows, rhs = [], []
-        for j in range(A.rank(n - k)):
-            x = basis_element(A, n - k, j)
-            row = 0
-            for i in range(r):
-                if evaluate_top(multiply(basis_element(A, k, i), x)):
-                    row |= 1 << i
-            rows.append(row)
-            rhs.append(evaluate_top(steenrod_square(k, x)))
-        solution = _solve_mod2(rows, rhs, r)
+        # equation j: sum_i v_i <x_i y_j, [M]> = <Sq^k y_j, [M]>
+        rows = [bits(column) for column in _pairing(A, k).T]
+        solution = _solve_mod2(rows, _top_squares(A, k).tolist(), A.rank(k))
         assert solution is not None, f"{m.name}: Wu system for k={k} is inconsistent"
         comps[k] = np.asarray(solution, dtype=np.uint8)
     return TotalClass(A, tuple(comps))
@@ -113,12 +120,8 @@ def test_wu_oracle_equivalence_over_closure(closure):
         # the defining Wu property holds for the brute-force solution
         n = m.dim
         for k in range(1, n // 2 + 1):
-            vk = v.component(k)
-            for j in range(m.algebra.rank(n - k)):
-                x = basis_element(m.algebra, n - k, j)
-                assert evaluate_top(multiply(vk, x)) == evaluate_top(
-                    steenrod_square(k, x)
-                ), (m.name, k, j)
+            pairs = v.components[k].astype(np.int64) @ _pairing(m.algebra, k) % 2
+            assert np.array_equal(pairs, _top_squares(m.algebra, k)), (m.name, k)
         # it agrees with the engine, and Sq(v) reproduces the stored w
         assert v == wu_total(m.algebra), m.name
         assert m.wu == wu_total(m.algebra), m.name
@@ -184,15 +187,7 @@ def test_pairing_nondegenerate_over_closure(closure):
             assert r == A.rank(n - d), (m.name, d)
             if r == 0:
                 continue
-            rows = []
-            for i in range(r):
-                row = 0
-                for j in range(r):
-                    pair = multiply(basis_element(A, d, i), basis_element(A, n - d, j))
-                    if evaluate_top(pair):
-                        row |= 1 << j
-                rows.append(row)
-            assert _rank_mod2(rows) == r, (m.name, d)
+            assert _rank_mod2([bits(row) for row in _pairing(A, d)]) == r, (m.name, d)
 
 
 # ---------------------------------------------------------------------------

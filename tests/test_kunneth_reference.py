@@ -16,15 +16,15 @@ import itertools
 import numpy as np
 import pytest
 
-from classes import sparse
+from classes import bits, packed
 from conftest import ATOM_TOKENS
 from foldcheck import catalog
 from foldcheck.algebra import (
     GradedAlgebra,
     TotalClass,
-    _assemble_algebra,
     _check_table_size,
     _disambiguate,
+    _packed_algebra,
     _pair_label,
     _prime_counts,
     _table_bytes,
@@ -110,13 +110,13 @@ def reference_kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
                     ).astype(np.uint8)
             sq[(k, d)] = blk
 
-    return _assemble_algebra(
+    return _packed_algebra(
         n,
         basis,
-        sparse(mult),
-        sparse(sq),
-        unit=np.kron(A.unit, B.unit),
-        fundamental=np.kron(A.fundamental, B.fundamental),
+        packed(mult),
+        packed(sq),
+        unit=bits(np.kron(A.unit, B.unit)),
+        fundamental=bits(np.kron(A.fundamental, B.fundamental)),
     )
 
 

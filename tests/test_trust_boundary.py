@@ -25,10 +25,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from classes import sparse
+from classes import bits, packed, rows
 from test_invariants import _rank_mod2
 from foldcheck import algebra
-from foldcheck.algebra import GradedAlgebra, _assemble_algebra, build_algebra, validate_algebra
+from foldcheck.algebra import GradedAlgebra, _packed_algebra, _stored, validate_algebra
 from foldcheck.catalog import k3, load_manifold, product
 from foldcheck.errors import InvariantViolation
 from foldcheck.expressions import parse_expression
@@ -166,15 +166,9 @@ def _flipped(A: GradedAlgebra, table: str, pick: int, entry: int) -> GradedAlgeb
     key = keys[pick % len(keys)]
     blk = tables[key] = read(*key).copy()
     blk.flat[entry % blk.size] ^= 1
-    return _assemble_algebra(
-        A.top_degree, A.basis, sparse(mult), sparse(sq), unit=A.unit, fundamental=A.fundamental
+    return _packed_algebra(
+        A.top_degree, A.basis, packed(mult), packed(sq), unit=A.unit_bits, fundamental=A.fundamental_bits
     )
-
-
-def _store_rows(block) -> list[int]:
-    """An array view's rows (its last axis) as the packed ints a stored table holds."""
-    rows = block.reshape(math.prod(block.shape[:-1]), block.shape[-1])
-    return [sum(int(v) << o for o, v in enumerate(row)) for row in rows]
 
 
 def _assert_store_matches_views(A: GradedAlgebra) -> None:
@@ -182,11 +176,11 @@ def _assert_store_matches_views(A: GradedAlgebra) -> None:
     n = A.top_degree
     for d1 in range(n + 1):
         for d2 in range(n + 1 - d1):
-            want = _store_rows(A.mult_block(d1, d2))
+            want = rows(A.mult_block(d1, d2))
             assert list(A.products.get((d1, d2), [0] * len(want))) == want, ("mult", d1, d2)
     for d in range(n + 1):
         for k in range(min(d, n - d) + 1):
-            want = _store_rows(A.sq_block(k, d))
+            want = rows(A.sq_block(k, d))
             assert list(A.squares.get((k, d), [0] * len(want))) == want, ("sq", k, d)
 
 
@@ -287,15 +281,18 @@ def test_battery_checks_degree_0_triples_unless_the_unit_checks_pass(
 
 
 def _two_spheres() -> GradedAlgebra:
-    """S2 + S2, two components: degree 0 has rank 2 and the unit is (1, 1)."""
-    eye = {(0, 0): [1, 0], (1, 1): [0, 1]}
-    return build_algebra(
-        2,
-        [["1a", "1b"], [], ["sa", "sb"]],
-        {(0, 0): eye, (0, 2): eye, (2, 0): eye},
-        unit=[1, 1],
-        fundamental=[1, 1],
+    """S2 + S2, two components: degree 0 has rank 2 and the unit is (1, 1).
+
+    The unit is no basis class, which a document cannot say, so the tables
+    are given packed: ``1a * 1a = 1a`` (bit 0) and ``1b * 1b = 1b`` (bit 1),
+    and so on the spheres.
+    """
+    eye = bytes((1, 0, 0, 2))
+    A = _packed_algebra(
+        2, [["1a", "1b"], [], ["sa", "sb"]], {(0, 0): eye, (0, 2): eye, (2, 0): eye}, unit=3, fundamental=3
     )
+    assert validate_algebra(A).ok
+    return A
 
 
 @pytest.mark.parametrize(
@@ -313,16 +310,15 @@ def test_rank_two_degree_0_flips_match_reference(table, pick, entry):
 def test_unit_in_a_rebased_degree_0_basis_matches_reference():
     # S2 + S2 in the degree-0 basis 1 = 1a + 1b, 1b: the unit is (1, 0), so x*1
     # reads column 0 of table (2, 0) and 1*x row 0 of table (0, 2), which differ
-    one, b = [1, 0], [0, 1]
-    degree_0 = {(0, 0): one, (0, 1): b, (1, 0): b, (1, 1): b}
-    A = build_algebra(
+    one, b = 1, 2  # the packed rows (1, 0) and (0, 1)
+    A = _packed_algebra(
         2,
         [["1", "1b"], [], ["sa", "sb"]],
-        {(0, 0): degree_0, (0, 2): {(0, 0): one, (0, 1): b, (1, 1): b},
-         (2, 0): {(0, 0): one, (1, 0): b, (1, 1): b}},
-        unit=[1, 0],
-        fundamental=[1, 1],
+        {(0, 0): bytes((one, b, b, b)), (0, 2): bytes((one, b, 0, b)), (2, 0): bytes((one, 0, b, b))},
+        unit=one,
+        fundamental=3,
     )
+    assert validate_algebra(A).ok
     flips = [("mult", pick, entry) for pick in range(3) for entry in range(8)]
     for table, pick, entry in flips + [("sq", 0, entry) for entry in range(4)]:
         B = _flipped(A, table, pick, entry)
@@ -449,16 +445,15 @@ def test_sphere_document_battery_reads_the_blocks_of_its_degrees(monkeypatch):
         "p1": "zero",
     }
     calls = []
-    for name in ("mult_block", "sq_block"):
-        read = getattr(GradedAlgebra, name)
+    unpack = algebra._unpack
 
-        def counting(self, *key, read=read):
-            calls.append(key)
-            return read(self, *key)
+    def counting(rows, width):
+        calls.append(width)
+        return unpack(rows, width)
 
-        monkeypatch.setattr(GradedAlgebra, name, counting)
+    monkeypatch.setattr(algebra, "_unpack", counting)
     m = load_manifold(doc)
-    # a few reads per pair of the two degrees with classes, not one per pair below n
+    # a few dense blocks per pair of the two degrees with classes, not one per pair below n
     assert len(calls) <= 16 * 2**2
     assert m.algebra.degrees == (0, n)
 
@@ -658,29 +653,37 @@ def _ring(name: str, rebased: bool) -> str:
     return json.dumps(doc)
 
 
-def _sparse_rows(doc: dict) -> tuple[dict, dict]:
-    """A document's tables as the sparse rows ``build_algebra`` reads, every mult entry mirrored."""
+def _document_algebra(doc: dict) -> GradedAlgebra:
+    """A document's tables packed apart from the loader, every mult entry mirrored, unvalidated."""
+    ranks = [len(labels) for labels in doc["basis"]]
     mult: dict = {}
     sq: dict = {}
     for d1, i, d2, j, row in doc["mult"]:
-        mult.setdefault((d1, d2), {})[i, j] = row
-        mult.setdefault((d2, d1), {})[j, i] = row
+        for (a, x), (b, y) in (((d1, i), (d2, j)), ((d2, j), (d1, i))):
+            mult.setdefault((a, b), [0] * (ranks[a] * ranks[b]))[x * ranks[b] + y] = bits(row)
     for k, d, i, row in doc["sq"]:
-        sq.setdefault((k, d), {})[i,] = row
-    return mult, sq
+        sq.setdefault((k, d), [0] * ranks[d])[i] = bits(row)
+    return _packed_algebra(doc["dim"], doc["basis"], _stored(mult), _stored(sq))
 
 
 @pytest.mark.parametrize("rebased", [False, True], ids=["monomial", "rebased"])
 @pytest.mark.parametrize("name", RINGS)
-def test_ring_document_stores_the_tables_of_its_sparse_rows(name, rebased):
+def test_ring_document_stores_the_tables_of_its_entries(name, rebased):
     doc = json.loads(_ring(name, rebased))
     if rebased:
         assert any(sum(row) > 1 for *_, row in doc["mult"])  # the basis is not monomial
     A = load_manifold(doc).algebra
-    B = _assemble_algebra(doc["dim"], doc["basis"], *_sparse_rows(doc))
+    B = _document_algebra(doc)
     # equal values of equal types: bytes tables stay bytes, wide tables tuples
     assert dict(A.products) == dict(B.products) and dict(A.squares) == dict(B.squares)
     assert (A.unit_bits, A.fundamental_bits) == (B.unit_bits, B.fundamental_bits)
+
+
+def test_battery_builds_no_array_view_of_a_loaded_document():
+    # the battery unpacks its own dense blocks; the views are for outside readers
+    A = load_manifold(json.loads(_ring("F2[a,b,c]/(a^4,b^3,c^3)", True))).algebra
+    assert "_views" not in vars(A)
+    assert A.mult_block(1, 1).any() and "_views" in vars(A)
 
 
 @pytest.mark.parametrize(
@@ -694,7 +697,7 @@ def test_flipped_ring_document_matches_reference(name, rebased, table, pick):
     doc = json.loads(_ring(name, rebased))
     row = doc[table][pick % len(doc[table])][-1]
     row[pick % len(row)] ^= 1
-    B = _assemble_algebra(doc["dim"], doc["basis"], *_sparse_rows(doc))
+    B = _document_algebra(doc)
     got = validate_algebra(B).violations
     assert got and got == reference_violations(B)
     with pytest.raises(InvariantViolation) as info:
