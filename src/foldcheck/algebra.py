@@ -14,12 +14,13 @@ Every operation a catalog expression needs runs on shifts, ORs, XORs and
 
 Outside tables enter through one reader, ``build_algebra``: it takes
 them as JSON documents list them, entry lists of strict 0/1 rows, packs
-each row once by ``_pack`` straight into its stored table, and runs the
-axiom battery, ``validate_algebra``.  Only the public ``ClassZ2`` and
-``TotalClass`` constructors read outside coordinates mod 2.  numpy is
-imported only for the dense float32 kernels of the battery, which unpack
-their own blocks, and for the array views (``mult_block``, ``sq_block``,
-``mult``, ``sq_table``, ``unit``, ``fundamental``, ``ClassZ2.coords``,
+each row once by ``_row`` straight into its stored table, and runs the
+axiom battery, ``validate_algebra``.  No other code reads outside
+coordinates: a class is made from its bits by ``_class`` or ``_total``,
+out of the stored tables and the operations below.  numpy is imported
+only for the dense float32 kernels of the battery, which unpack their
+own blocks, and for the array views (``mult_block``, ``sq_block``,
+``mult``, ``sq_table``, ``unit``, ``fundamental``,
 ``TotalClass.components``), a read-only surface for outside readers
 built from the ints on first read and cached; the package reads none.
 Associativity runs on the packed tables where they are sparse
@@ -117,26 +118,8 @@ def _nonzero(table: Sequence[int]) -> list[int]:
     return out
 
 
-# byte value -> the ASCII digit of its parity
-_PARITY_DIGITS = bytes(48 + (v & 1) for v in range(256))
-
-
-def _pack(coords: Iterable[int], length: int, what: str) -> int:
-    """Coordinates from outside, nonnegative integers read mod 2, as bits."""
-    try:
-        values = list(coords)
-        try:
-            data = bytes(values)
-        except ValueError:  # a coordinate outside 0..255
-            if min(map(operator.index, values)) < 0:
-                raise ValueError(f"{what} has a negative coordinate") from None
-            data = bytes(operator.index(v) & 1 for v in values)
-    except TypeError:
-        raise ValueError(f"{what} needs integer coordinates") from None
-    if len(data) != length:
-        raise ValueError(f"{what} needs {length} coordinates, got {len(data)}")
-    # coordinate i is bit i: the parity digits, last coordinate first
-    return int(data[::-1].translate(_PARITY_DIGITS) or b"0", 2)
+# byte 0 or 1 -> its ASCII digit
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _unpack(rows: Sequence[int], width: int):
@@ -165,14 +148,14 @@ def _dense_square(A: "GradedAlgebra", k: int, d: int):
 
 
 def _class(A: "GradedAlgebra", d: int, bits: int) -> "ClassZ2":
-    """A class on bits the package computed; the public constructor reads coordinates."""
+    """The class of degree d with these bits: with ``_total``, the one way a class is made."""
     x = object.__new__(ClassZ2)
     vars(x).update(algebra=A, degree=d, bits=bits)
     return x
 
 
 def _total(A: "GradedAlgebra", parts: Sequence[int]) -> "TotalClass":
-    """A total class on one int per degree that the package computed; see ``_class``."""
+    """The total class with one int per degree; see ``_class``."""
     x = object.__new__(TotalClass)
     vars(x).update(algebra=A, parts=tuple(parts))
     return x
@@ -278,18 +261,6 @@ class ClassZ2:
     degree: int
     bits: int
 
-    def __init__(self, algebra: GradedAlgebra, degree: int, coords: Iterable[int]):
-        """A class from outside coordinates: nonnegative integers, read mod 2."""
-        if degree < 0:
-            raise ValueError(f"negative degree {degree}")
-        bits = _pack(coords, algebra.rank(degree), f"degree-{degree} class")
-        vars(self).update(algebra=algebra, degree=degree, bits=bits)
-
-    @cached_property
-    def coords(self):
-        """The coordinates as a read-only uint8 array."""
-        return _unpack([self.bits], self.algebra.rank(self.degree))[0]
-
     def is_zero(self) -> bool:
         return not self.bits
 
@@ -326,16 +297,6 @@ class TotalClass:
 
     algebra: GradedAlgebra
     parts: tuple[int, ...]
-
-    def __init__(self, algebra: GradedAlgebra, components: Sequence[Iterable[int]]):
-        """A total class from outside coordinates, one vector per degree, read as in ``ClassZ2``."""
-        n = algebra.top_degree
-        if len(components) != n + 1:
-            raise ValueError(f"need {n + 1} components, got {len(components)}")
-        parts = tuple(
-            _pack(c, algebra.rank(d), f"component {d}") for d, c in enumerate(components)
-        )
-        vars(self).update(algebra=algebra, parts=parts)
 
     @cached_property
     def components(self) -> tuple:
@@ -398,12 +359,13 @@ def _ints(*values: Any) -> bool:
 
 
 def _row(entry: Any, length: int, where: str) -> int:
-    """A 0/1 vector of ``length``, checked and packed into one int by ``_pack``."""
+    """A 0/1 vector of ``length``, checked and packed into one int: coordinate i is bit i."""
     if not isinstance(entry, (list, tuple)) or len(entry) != length:
         raise SchemaError(f"{where}: expected a 0/1 vector of length {length}")
     if not _ints(*entry) or not {0, 1}.issuperset(entry):
         raise SchemaError(f"{where}: coordinates must be 0 or 1")
-    return _pack(entry, length, where)
+    # the digits of the coordinates, last first, read in base 2
+    return int(bytes(entry[::-1]).translate(_DIGITS) or b"0", 2)
 
 
 def _listed(entries: Any, field: str) -> Sequence:
@@ -443,7 +405,7 @@ def build_algebra(
     filled in, as ``_packed_algebra`` fills them, where no entry gives them.
 
     Every row is read strictly, JSON integers 0 or 1 of the length of its
-    degree, and packed once by ``_pack`` straight into its block's stored
+    degree, and packed once by ``_row`` straight into its block's stored
     table (a mult row into its slot and the mirror slot).  In both tables an
     entry whose row differs from an earlier nonzero row in the same slot
     (for products, the mirror slot too) is refused; an all-zero earlier row
@@ -679,8 +641,9 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     as the product blocks (d1 + u, d2 + v) hold C bytes and the Sq^0 blocks
     ``sum_d r_d^2 >= C`` (each ``r_a r_b <= (r_a^2 + r_b^2) / 2``, the a
     distinct and the b distinct).  So within ``TABLE_BYTES_BUDGET = 2^25``
-    no sum passes 2^24; an algebra past it, which only a hand-built
-    ``GradedAlgebra`` can be, runs in float64.
+    no sum passes 2^24.  An algebra past the budget, which only a
+    hand-built ``GradedAlgebra`` can be, is refused with ``ValueError``
+    before any block is unpacked, as every constructor refuses it.
 
     A sparse associativity triple, such as the (1, 1, 1) triple of a connected sum
     of many RP4, runs on the stored nonzero entries instead
@@ -708,9 +671,9 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
 
     n = A.top_degree
     bad: list[str] = []
-    exact = np.float32 if _table_bytes(A.ranks) <= TABLE_BYTES_BUDGET else np.float64
-    mult = cache(lambda d1, d2: _dense_product(A, d1, d2).astype(exact))
-    sq = cache(lambda k, d: _dense_square(A, k, d).astype(exact))
+    _check_table_size(_table_bytes(A.ranks))
+    mult = cache(lambda d1, d2: _dense_product(A, d1, d2).astype(np.float32))
+    sq = cache(lambda k, d: _dense_square(A, k, d).astype(np.float32))
     lines = cache(partial(_lines, A))
     weight = cache(lambda d1, d2: _weight(A.products.get((d1, d2), b"")))
 

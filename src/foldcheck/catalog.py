@@ -316,25 +316,31 @@ def _odd_binomial(n: int, k: int) -> bool:
     return k & n == k
 
 
-def real_projective(n: int) -> Manifold:
-    """RP(n), n >= 1: truncated polynomial algebra on a degree-1 class a.
+def _truncated_polynomial(symbol: str, g: int, n: int) -> tuple[GradedAlgebra, TotalClass]:
+    """F2[x]/(x^(n+1)) on a class x of degree g, and w = (1 + x)^(n+1).
 
-    ``a^i a^j = a^(i+j)``, ``Sq^k a^d = C(d, k) a^(d+k)`` and
-    ``w = (1 + a)^(n+1)``.
+    ``x^i x^j = x^(i+j)`` and ``Sq^(gk) x^d = C(d, k) x^(d+k)``; degrees
+    that are not multiples of g are empty.  RP(n) has g = 1, CP(n) g = 2.
     """
-    if n < 1:
-        raise ValueError("real projective space needs n >= 1")
     _check_table_size(_monogenic_table_bytes(n))
-    basis = [[_pow_label("a", d)] for d in range(n + 1)]
-    products = {(d1, d2): _ONE for d1 in range(1, n) for d2 in range(1, n + 1 - d1)}
+    basis = [[_pow_label(symbol, d // g)] if d % g == 0 else [] for d in range(g * n + 1)]
+    products = {(g * i, g * j): _ONE for i in range(1, n) for j in range(1, n + 1 - i)}
     squares = {
-        (k, d): _ONE
+        (g * k, g * d): _ONE
         for d in range(1, n)
         for k in range(1, min(d, n - d) + 1)
         if _odd_binomial(d, k)
     }
-    algebra = _packed_algebra(n, basis, products, squares)
-    w = _total(algebra, [int(_odd_binomial(n + 1, d)) for d in range(n + 1)])
+    algebra = _packed_algebra(g * n, basis, products, squares)
+    w = _total(algebra, [int(d % g == 0 and _odd_binomial(n + 1, d // g)) for d in range(g * n + 1)])
+    return algebra, w
+
+
+def real_projective(n: int) -> Manifold:
+    """RP(n), n >= 1: truncated polynomial algebra on a degree-1 class a."""
+    if n < 1:
+        raise ValueError("real projective space needs n >= 1")
+    algebra, w = _truncated_polynomial("a", 1, n)
     if n <= 3:
         p1 = P1Data.zero_class()
     elif _odd_binomial(n + 1, 2):
@@ -357,26 +363,10 @@ def real_projective(n: int) -> Manifold:
 
 
 def complex_projective(n: int) -> Manifold:
-    """CP(n), n >= 1: truncated polynomial algebra on a degree-2 class h.
-
-    ``h^i h^j = h^(i+j)``, ``Sq^(2j) h^i = C(i, j) h^(i+j)`` and
-    ``w = (1 + h)^(n+1)``.
-    """
+    """CP(n), n >= 1: truncated polynomial algebra on a degree-2 class h."""
     if n < 1:
         raise ValueError("complex projective space needs n >= 1")
-    _check_table_size(_monogenic_table_bytes(n))
-    basis = [[_pow_label("h", d // 2)] if d % 2 == 0 else [] for d in range(2 * n + 1)]
-    products = {(2 * i, 2 * j): _ONE for i in range(1, n) for j in range(1, n + 1 - i)}
-    squares = {
-        (2 * j, 2 * i): _ONE
-        for i in range(1, n)
-        for j in range(1, min(i, n - i) + 1)
-        if _odd_binomial(i, j)
-    }
-    algebra = _packed_algebra(2 * n, basis, products, squares)
-    w = _total(
-        algebra, [int(d % 2 == 0 and _odd_binomial(n + 1, d // 2)) for d in range(2 * n + 1)]
-    )
+    algebra, w = _truncated_polynomial("h", 2, n)
     return _assemble(
         f"CP{n}", 2 * n, True,
         euler=n + 1,

@@ -386,28 +386,23 @@ def _rule(n: int, p: int) -> Optional[_Rule]:
     return None
 
 
-def _route(m: Manifold, p: int, tame: bool) -> Verdict:
-    n = m.dim
-    row = _rule(n, p)
-    if row is not None:
-        return row.decide(m, p, tame)
-    entry = TraceEntry(
-        "no-rule", "none", "none", f"no criterion covers maps of a {n}-manifold into R^{p}"
-    )
-    return Verdict(Outcome.UNKNOWN, (entry,))
-
-
 def _core(m: Manifold, p: int, tame: bool) -> Verdict:
-    """``_route(m, p, tame)``, derived at most once per record.
+    """The verdict of the first row of ``_RULES`` taking (dim M, p), derived at most once per record.
 
-    A verdict whose row does not read ``tame`` is stored for both modes,
-    so only a miss looks the row up.
+    Only a miss looks the row up, once; a verdict whose row does not read
+    ``tame`` is stored for both modes.
     """
     table = m._verdicts
     verdict = table.get((p, tame))
     if verdict is None:
-        verdict = _route(m, p, tame)
         row = _rule(m.dim, p)
+        if row is None:
+            entry = TraceEntry(
+                "no-rule", "none", "none", f"no criterion covers maps of a {m.dim}-manifold into R^{p}"
+            )
+            verdict = Verdict(Outcome.UNKNOWN, (entry,))
+        else:
+            verdict = row.decide(m, p, tame)
         if row is not None and row.reads_tame:
             table[p, tame] = verdict
         else:

@@ -1,44 +1,58 @@
 """Classes and tables the tests build by hand.
 
-The package builds its classes from tables; these constructors exist for
-the tests alone, so they live here and go through the public, checking
-constructors of ``ClassZ2`` and ``TotalClass``.  So does the point record,
-which the expression grammar cannot name: it is loaded as a document.
-``entries`` writes the dense numpy tables the tests write as references as
-the entry lists of a document, which ``build_algebra`` reads; ``packed``
-writes them as the packed tables of the store, for tables no document can
-express (not commutative, not valid), which tests hand to
-``_packed_algebra`` and check with ``validate_algebra``.
+The package makes every class from its bits, out of records and the
+operations on them; it reads no outside coordinates but a document's
+rows.  The constructors here, and ``coords``, the coordinates of a class
+as an array, exist for the tests alone, so they live here and make their
+classes from bits through ``_class`` and ``_total`` as the package does.
+So does the point record, which the expression grammar cannot name: it
+is loaded as a document.  ``entries`` writes the dense numpy tables the
+tests write as references as the entry lists of a document, which
+``build_algebra`` reads; ``packed`` writes them as the packed tables of
+the store, for tables no document can express (not commutative, not
+valid), which tests hand to ``_packed_algebra`` and check with
+``validate_algebra``.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from foldcheck.algebra import ClassZ2, GradedAlgebra, TotalClass, _table
+from foldcheck.algebra import ClassZ2, GradedAlgebra, TotalClass, _class, _table, _total
 from foldcheck.catalog import Manifold, load_manifold
 
 
 def one(A: GradedAlgebra) -> ClassZ2:
-    return ClassZ2(A, 0, A.unit)
+    return _class(A, 0, A.unit_bits)
 
 
 def element(A: GradedAlgebra, d: int, coords: Iterable[int]) -> ClassZ2:
-    return ClassZ2(A, d, np.asarray(list(coords), dtype=np.uint8))
+    """The degree-d class with these 0/1 coordinates."""
+    coords = list(coords)
+    assert len(coords) == A.rank(d) and {0, 1}.issuperset(coords), coords
+    return _class(A, d, bits(coords))
 
 
 def basis_element(A: GradedAlgebra, d: int, i: int) -> ClassZ2:
-    coords = np.zeros(A.rank(d), dtype=np.uint8)
-    coords[i] = 1
-    return ClassZ2(A, d, coords)
+    assert 0 <= i < A.rank(d), (d, i)
+    return _class(A, d, 1 << i)
+
+
+def total(A: GradedAlgebra, components: Sequence[Iterable[int]]) -> TotalClass:
+    """The total class with these 0/1 coordinates, one vector per degree."""
+    assert len(components) == A.top_degree + 1, components
+    return _total(A, [element(A, d, c).bits for d, c in enumerate(components)])
 
 
 def unit_total(A: GradedAlgebra) -> TotalClass:
-    comps = [np.zeros(A.rank(d), dtype=np.uint8) for d in range(A.top_degree + 1)]
-    comps[0] = A.unit
-    return TotalClass(A, tuple(comps))
+    return _total(A, [A.unit_bits] + [0] * A.top_degree)
+
+
+def coords(x: ClassZ2) -> np.ndarray:
+    """The coordinates of a class as a uint8 array."""
+    return np.array([x.bits >> i & 1 for i in range(x.algebra.rank(x.degree))], dtype=np.uint8)
 
 
 def _nonzero_rows(table) -> list[tuple[tuple[int, ...], list[int]]]:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import test_invariants as inv
-from classes import bits, unit_total
+from classes import bits, coords, unit_total
 from foldcheck.algebra import evaluate_top, multiply, steenrod_square, total_sq
 from foldcheck.catalog import atom, real_projective, sphere
 from foldcheck.characteristic import dual_classes, wu_total
@@ -96,8 +96,7 @@ def test_criterion_3_wu_oracle_equivalence(closure):
         m = real_projective(n)
         for d in range(n + 1):
             expected = comb(n + 1, d) % 2
-            coords = m.w.component(d).coords
-            assert int(coords[0]) == expected, (n, d)
+            assert int(coords(m.w.component(d))[0]) == expected, (n, d)
     assert atom("K3").w.component(2).is_zero()
     print("ACCEPTANCE 3: PASS — Wu engine matches the brute-force oracle")
 

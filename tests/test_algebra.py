@@ -1,10 +1,12 @@
 """Graded-algebra construction, arithmetic, Kunneth, and connected sums."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
-from classes import basis_element, entries, one, packed, unit_total
+from classes import basis_element, coords, element, entries, one, packed, total, unit_total
 from foldcheck import algebra, catalog
 from foldcheck.algebra import (
     ClassZ2,
@@ -20,7 +22,7 @@ from foldcheck.algebra import (
     total_sq,
     validate_algebra,
 )
-from foldcheck.algebra import _monogenic_table_bytes, _packed_algebra, _table_bytes
+from foldcheck.algebra import _monogenic_table_bytes, _packed_algebra, _table_bytes, _total
 from foldcheck.errors import DimensionMismatch, InvariantViolation, SchemaError
 from foldcheck.expressions import parse_expression
 
@@ -51,10 +53,7 @@ def cross_class(P, x: ClassZ2, y: ClassZ2) -> ClassZ2:
     """Cross product ``x x y`` in the Kunneth algebra P of x's and y's algebras."""
 
     def alone(c: ClassZ2) -> TotalClass:
-        A = c.algebra
-        comps = [np.zeros(A.rank(d), dtype=np.uint8) for d in range(A.top_degree + 1)]
-        comps[c.degree] = c.coords
-        return TotalClass(A, tuple(comps))
+        return _total(c.algebra, [c.bits if d == c.degree else 0 for d in range(c.algebra.top_degree + 1)])
 
     return cross_total(P, alone(x), alone(y)).component(x.degree + y.degree)
 
@@ -66,15 +65,15 @@ def sum_embed(S, x: ClassZ2, side: int) -> ClassZ2:
     shared top via fundamental evaluation.
     """
     d, n = x.degree, S.top_degree
-    coords = np.zeros(S.rank(d), dtype=np.uint8)
+    out, own = np.zeros(S.rank(d), dtype=np.uint8), coords(x)
     if d == 0:
-        coords[0] = x.coords[0]
+        out[0] = own[0]
     elif d == n:
-        coords[0] = evaluate_top(x)
+        out[0] = evaluate_top(x)
     else:
-        offset = 0 if side == 0 else S.rank(d) - x.coords.size
-        coords[offset : offset + x.coords.size] = x.coords
-    return ClassZ2(S, d, coords)
+        offset = 0 if side == 0 else S.rank(d) - own.size
+        out[offset : offset + own.size] = own
+    return element(S, d, out)
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +155,14 @@ def test_rank_mismatch_is_a_pairing_violation():
         build_algebra(3, [["1"], ["a", "b"], ["c"], ["t"]])
 
 
-def test_build_reads_rows_of_0_and_1_while_classes_read_mod_2():
+def test_build_reads_rows_of_0_and_1():
     # build_algebra reads a row as a document gives it: JSON integers 0 or 1
     basis, square = [["1"], ["a"], ["a^2"]], [[1, 1, 0, [1]]]
     for row in ([3], [259], [2**70 + 1], [-1], [True], [1.0]):
         with pytest.raises(SchemaError, match="^mult entry 0: coordinates must be 0 or 1$"):
             build_algebra(2, basis, [[1, 0, 1, 0, row]], square)
-    # only the public class constructors read outside coordinates mod 2
     A = build_algebra(2, basis, [[1, 0, 1, 0, [1]]], square)
-    assert ClassZ2(A, 1, [3]) == ClassZ2(A, 1, [2**70 + 1]) == basis_element(A, 1, 0)
-    assert ClassZ2(A, 1, [256]).is_zero()
-    assert TotalClass(A, [[513], [257], [2]]) == TotalClass(A, [[1], [1], [0]])
+    assert multiply(basis_element(A, 1, 0), basis_element(A, 1, 0)) == basis_element(A, 2, 0)
 
 
 def test_build_reads_entry_lists_like_the_catalog():
@@ -207,42 +203,19 @@ def test_class_addition_is_xor():
     assert str(A.zero(1)) == "0"
 
 
-def test_public_constructors_reduce_coordinates_mod_2():
+def test_classes_are_made_from_their_bits():
+    # no class reads outside coordinates: the class types take no arguments
     A = rp_algebra(2)
-    raw = np.array([3, 2], dtype=np.uint8)
-    S = build_algebra(2, [["1"], ["x", "y"], ["t"]],
-                      *entries({(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)}))
-    x = ClassZ2(S, 1, raw)
-    assert x.coords.tolist() == [1, 0]
-    assert raw.tolist() == [3, 2] and raw.flags.writeable
-    assert not x.coords.flags.writeable
-    total = TotalClass(A, (np.array([3]), np.array([2]), np.array([5])))
-    assert [c.tolist() for c in total.components] == [[1], [0], [1]]
-    assert TotalClass(A, [[1], [7], [4]]) == TotalClass(
-        A, (np.array([1]), np.array([1]), np.array([0]))
-    )
-
-
-def test_public_constructors_refuse_misshaped_or_negative_coordinates():
-    A = rp_algebra(2)
-    S = build_algebra(2, [["1"], ["x", "y"], ["t"]],
-                      *entries({(1, 1): np.array([[[0], [1]], [[1], [0]]], dtype=np.uint8)}))
-    # an (r, 1) column is not r coordinates, nor is a nested list
-    with pytest.raises(ValueError, match="integer coordinates"):
-        ClassZ2(S, 1, np.array([[1], [0]], dtype=np.uint8))
-    with pytest.raises(ValueError, match="integer coordinates"):
-        ClassZ2(S, 1, [[1], [0]])
-    with pytest.raises(ValueError, match="integer coordinates"):
-        ClassZ2(S, 1, [1.0, 0.0])
-    with pytest.raises(ValueError, match="negative"):
-        ClassZ2(S, 1, [-1, 0])
-    with pytest.raises(ValueError, match="needs 2 coordinates"):
-        ClassZ2(S, 1, np.array([1], dtype=np.uint8))
-    with pytest.raises(ValueError, match="integer coordinates"):
-        TotalClass(A, (np.array([[1]]), np.array([0]), np.array([0])))
-    with pytest.raises(ValueError, match="negative"):
-        TotalClass(A, ([1], [-3], [0]))
-    assert ClassZ2(S, 1, [np.uint8(3), True]).bits == 0b11
+    with pytest.raises(TypeError):
+        ClassZ2(A, 1, [1])
+    with pytest.raises(TypeError):
+        TotalClass(A, [[1], [0], [1]])
+    assert not hasattr(ClassZ2, "coords")
+    # components: the read-only array view of a total class
+    u = _total(A, [1, 0, 1])
+    assert [c.tolist() for c in u.components] == [[1], [0], [1]]
+    assert not any(c.flags.writeable for c in u.components)
+    assert u == total(A, [[1], [0], [1]]) != total(A, [[1], [1], [1]])
 
 
 def test_class_addition_rejects_mixed_degrees():
@@ -276,7 +249,7 @@ def test_steenrod_square_binomial_pattern():
             from math import comb
 
             expected = comb(d, k) % 2 if k <= d else 0
-            assert int(got.coords.sum()) % 2 == expected, (d, k)
+            assert int(coords(got).sum()) % 2 == expected, (d, k)
 
 
 def test_steenrod_square_rejects_negative_index():
@@ -293,7 +266,7 @@ def test_evaluate_top_requires_top_degree():
 
 def test_total_class_componentwise():
     A = rp_algebra(4)
-    u = TotalClass(A, [[1], [1], [0], [0], [1]])
+    u = total(A, [[1], [1], [0], [0], [1]])
     assert str(u) == "1 + a + a^4"
     assert u.component(1) == basis_element(A, 1, 0)
     assert u.component(9).is_zero()  # out-of-range degrees read as zero
@@ -302,7 +275,7 @@ def test_total_class_componentwise():
 
 def test_total_multiplication_is_graded_convolution():
     A = rp_algebra(4)
-    u = TotalClass(A, [[1], [1], [0], [0], [0]])  # 1 + a
+    u = total(A, [[1], [1], [0], [0], [0]])  # 1 + a
     sq = u * u  # (1+a)^2 = 1 + a^2 over GF(2)
     assert str(sq) == "1 + a^2"
     quad = sq * sq
@@ -312,7 +285,7 @@ def test_total_multiplication_is_graded_convolution():
 def test_invert_total_oracle_rp4():
     # (1 + a + a^4)^{-1} = 1 + a + a^2 + a^3 in the RP4 ring: frozen oracle
     A = rp_algebra(4)
-    w = TotalClass(A, [[1], [1], [0], [0], [1]])
+    w = total(A, [[1], [1], [0], [0], [1]])
     wbar = invert_total(w)
     assert str(wbar) == "1 + a + a^2 + a^3"
     assert str(w * wbar) == "1"
@@ -320,7 +293,7 @@ def test_invert_total_oracle_rp4():
 
 def test_invert_total_requires_unital_input():
     A = rp_algebra(2)
-    broken = TotalClass(A, [[0], [1], [0]])
+    broken = total(A, [[0], [1], [0]])
     with pytest.raises(ValueError, match="unital"):
         invert_total(broken)
 
@@ -328,7 +301,7 @@ def test_invert_total_requires_unital_input():
 def test_total_sq_on_wu_style_class():
     # Sq(1 + a) in RP4: 1 + a + Sq^1 a = 1 + a + a^2
     A = rp_algebra(4)
-    v = TotalClass(A, [[1], [1], [0], [0], [0]])
+    v = total(A, [[1], [1], [0], [0], [0]])
     assert str(total_sq(v)) == "1 + a + a^2"
 
 
@@ -375,8 +348,8 @@ def test_cross_class_multiplies_coordinatewise():
 def test_cross_total_respects_multiplication():
     A, B = rp_algebra(2), rp_algebra(2)
     P = kunneth(A, B)
-    u = TotalClass(A, [[1], [1], [1]])
-    v = TotalClass(B, [[1], [0], [1]])
+    u = total(A, [[1], [1], [1]])
+    v = total(B, [[1], [0], [1]])
     lhs = cross_total(P, u, v)
     rhs = cross_total(P, u, unit_total(B)) * cross_total(P, unit_total(A), v)
     assert lhs == rhs
@@ -478,6 +451,18 @@ def test_kunneth_of_two_spheres_walks_only_the_degrees_with_classes(monkeypatch)
     assert m.algebra.degrees == (0, 1000, 2000)
 
 
+@functools.cache
+def _rp_tables(n: int):
+    """RP(n)'s stored tables, assembled once, under the budget, and kept."""
+    A = catalog.real_projective(n).algebra
+    return _packed_algebra(n, A.basis, A.products, A.squares)
+
+
+def _battery(A):
+    assert validate_algebra(A).ok
+    return A
+
+
 @pytest.mark.parametrize(
     "build,refusal",
     [
@@ -489,8 +474,10 @@ def test_kunneth_of_two_spheres_walks_only_the_degrees_with_classes(monkeypatch)
         (lambda: catalog.nonorientable_surface(3).algebra, ValueError),
         # the intake of outside tables refuses them as a document field
         (lambda: rp_algebra(4), SchemaError),
+        # the battery refuses an algebra built past the budget, as no constructor builds one
+        (lambda: _battery(_rp_tables(4)), ValueError),
     ],
-    ids=["connected-sum", "kunneth", "RP5", "CP3", "Sigma2", "N3", "build_algebra"],
+    ids=["connected-sum", "kunneth", "RP5", "CP3", "Sigma2", "N3", "build_algebra", "validate_algebra"],
 )
 def test_table_budget_bounds_the_built_tables(monkeypatch, build, refusal):
     size = _table_bytes(build().ranks)

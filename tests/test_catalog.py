@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
-from classes import point
+from classes import coords, point
 from test_trust_boundary import RINGS, ring_document
 from foldcheck import catalog
 from foldcheck.algebra import build_algebra
@@ -98,7 +98,7 @@ def _rp_whitney_oracle(n: int) -> list[int]:
 @pytest.mark.parametrize("n", range(1, 11))
 def test_rp_whitney_class_oracle(n):
     m = real_projective(n)
-    got = [int(m.w.component(d).coords.sum()) % 2 for d in range(n + 1)]
+    got = [int(coords(m.w.component(d)).sum()) % 2 for d in range(n + 1)]
     assert got == _rp_whitney_oracle(n)
 
 
@@ -110,7 +110,7 @@ def test_cp_whitney_class_oracle(n):
     poly = sympy.Poly((1 + h) ** (n + 1), h)
     for d in range(2 * n + 1):
         expected = int(poly.coeff_monomial(h ** (d // 2))) % 2 if d % 2 == 0 else 0
-        assert int(m.w.component(d).coords.sum()) % 2 == expected, d
+        assert int(coords(m.w.component(d)).sum()) % 2 == expected, d
 
 
 def _monogenic_reference(n: int, step: int):
@@ -384,7 +384,7 @@ def test_load_manifold_round_trip():
     assert m.euler == ref.euler and m.orientable == ref.orientable
     assert m.algebra.ranks == ref.algebra.ranks
     for d in range(3):
-        assert np.array_equal(m.w.component(d).coords, ref.w.component(d).coords)
+        assert np.array_equal(coords(m.w.component(d)), coords(ref.w.component(d)))
     assert m.p1.is_known_zero and m.w3_twisted.is_zero
 
 

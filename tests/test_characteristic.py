@@ -4,8 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from classes import unit_total
-from foldcheck.algebra import TotalClass, invert_total, total_sq
+from classes import total, unit_total
+from foldcheck.algebra import invert_total, total_sq
 from foldcheck.catalog import atom, k3, product, real_projective, sphere
 from foldcheck.characteristic import (
     BundleDescriptor,
@@ -158,7 +158,7 @@ def test_descriptor_rejects_negative_rank_and_bad_unit():
     m = sphere(2)
     with pytest.raises(InvariantViolation, match="rank"):
         BundleDescriptor(rank=-1, w_total=m.w, p1=P1Data.unknown(), orientable=True)
-    broken = TotalClass(m.algebra, [[0], [], [0]])
+    broken = total(m.algebra, [[0], [], [0]])
     with pytest.raises(InvariantViolation, match="unit"):
         BundleDescriptor(rank=2, w_total=broken, p1=P1Data.unknown(), orientable=True)
 

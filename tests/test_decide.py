@@ -110,7 +110,7 @@ def test_thom_levine_parity():
 
 def test_low_codim_rejects_other_targets():
     # R^3 goes to the R^3 row, not to Morse or Thom-Levine
-    verdict = decide._route(atom("RP4"), 3, True)
+    verdict = decide._core(atom("RP4"), 3, True)
     assert verdict.trace[0].rule == "dim4-tame-R3"
     assert verdict.trace[0].citation == "Thm 5.1"
 
@@ -140,7 +140,7 @@ def test_dim4_requires_dimension_4():
     # R^4 from a 3-manifold: decide_fold refuses it, and no row of the table takes it
     with pytest.raises(ValueError, match="target dimension 4 exceeds dim M = 3"):
         decide_dim4_to_R4(atom("S3"))
-    (entry,) = decide._route(atom("S3"), 4, False).trace
+    (entry,) = decide._core(atom("S3"), 4, False).trace
     assert entry.rule == "no-rule"
 
 
@@ -301,7 +301,7 @@ def test_r3_even_dim_8_and_up():
 
 def test_r3_requires_dim_at_least_4():
     # a 3-manifold into R^3 is equidimensional, and that row comes first
-    (entry,) = decide._route(atom("S3"), 3, True).trace
+    (entry,) = decide._core(atom("S3"), 3, True).trace
     assert entry.rule == "equidim-range"
     assert verdict_of("S3", 3).trace[0].rule == "equidim-range"
 
@@ -341,9 +341,9 @@ def test_r4_4k_plus_2_criterion():
 
 def test_r4_rejects_bad_dimensions():
     # an odd dimension has no R^4 row; a 4-manifold goes to the equidimensional one
-    (entry,) = decide._route(atom("RP5"), 4, False).trace
+    (entry,) = decide._core(atom("RP5"), 4, False).trace
     assert entry.rule == "no-rule"
-    (entry,) = decide._route(atom("S4"), 4, False).trace
+    (entry,) = decide._core(atom("S4"), 4, False).trace
     assert entry.rule == "dim4-oriented" and entry.citation == "Cor 3.5(i)"
 
 
@@ -543,24 +543,50 @@ def _full_sweep(m) -> list:
 
 
 def test_full_sweep_routes_each_record_at_most_2n_times(connected_closure, monkeypatch):
-    route = decide._route
     calls = []
 
-    def counting_route(m, p, tame):
-        calls.append((p, tame))
-        return route(m, p, tame)
+    def counting(row):
+        def decide_row(m, p, tame):
+            calls.append((p, tame))
+            return row.decide(m, p, tame)
 
-    monkeypatch.setattr(decide, "_route", counting_route)
+        return replace(row, decide=decide_row)
+
+    monkeypatch.setattr(decide, "_RULES", tuple(map(counting, decide._RULES)))
     for m in connected_closure:
         fresh = replace(m)  # a record whose table is still empty
         calls.clear()
         _full_sweep(fresh)
-        # one call per p, plus a second at p = 3, the only target that reads tame
+        # one derivation per p, plus a second at p = 3, the only target that reads tame
         assert len(calls) <= fresh.dim + 1, (fresh.name, len(calls))
         assert len(set(calls)) == len(calls), fresh.name
         calls.clear()
         _full_sweep(fresh)
         assert calls == [], fresh.name
+
+
+def test_core_looks_the_rule_up_once_per_miss(connected_closure, monkeypatch):
+    rule = decide._rule
+    calls = []
+
+    def counting_rule(n, p):
+        calls.append(p)
+        return rule(n, p)
+
+    monkeypatch.setattr(decide, "_rule", counting_rule)
+    for m in connected_closure:
+        fresh = replace(m)
+        for p in range(1, fresh.dim + 1):
+            row = rule(fresh.dim, p)
+            misses = 2 if row is not None and row.reads_tame else 1
+            calls.clear()
+            decide._core(fresh, p, False)
+            decide._core(fresh, p, True)
+            assert calls == [p] * misses, (fresh.name, p)
+            calls.clear()
+            decide._core(fresh, p, True)
+            decide._core(fresh, p, False)
+            assert calls == [], (fresh.name, p)
 
 
 def test_replaced_record_does_not_inherit_the_verdict_table():

@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from classes import bits, element, unit_total
+from classes import bits, element, total, unit_total
 from foldcheck.algebra import (
     ClassZ2,
     TotalClass,
@@ -102,7 +102,7 @@ def brute_force_wu(m) -> TotalClass:
         solution = _solve_mod2(rows, _top_squares(A, k).tolist(), A.rank(k))
         assert solution is not None, f"{m.name}: Wu system for k={k} is inconsistent"
         comps[k] = np.asarray(solution, dtype=np.uint8)
-    return TotalClass(A, tuple(comps))
+    return total(A, comps)
 
 
 def _random_class(rng: random.Random, A, degree: int) -> ClassZ2:

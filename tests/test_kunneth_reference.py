@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 import pytest
 
-from classes import bits, packed
+from classes import bits, packed, total
 from conftest import ATOM_TOKENS
 from foldcheck import catalog
 from foldcheck.algebra import (
@@ -128,7 +128,7 @@ def reference_cross_total(P: GradedAlgebra, u: TotalClass, v: TotalClass) -> Tot
         for i, j, s in _kunneth_layout(A, B, t):
             piece = np.kron(u.components[i], v.components[j])
             out[t][s : s + piece.size] ^= piece
-    return TotalClass(P, tuple(out))
+    return total(P, out)
 
 
 # ---------------------------------------------------------------------------

@@ -434,14 +434,19 @@ def test_documents_round_trip_over_connected_closure(connected_closure):
 
 
 def test_sphere_document_battery_reads_the_blocks_of_its_degrees(monkeypatch):
+    # S200 x S200 written by hand: classes in degrees 0, 200 and 400, a b = t
     n = 400
+    basis = [[] for _ in range(n + 1)]
+    basis[0], basis[200], basis[n] = ["1"], ["a", "b"], ["t"]
     doc = {
-        "name": f"S{n}",
+        "name": "S200 x S200",
         "dim": n,
         "orientable": True,
-        "euler": 2,
+        "euler": 4,
         "signature": 0,
-        "basis": [["1"]] + [[] for _ in range(n - 1)] + [["s"]],
+        "basis": basis,
+        "mult": [[200, 0, 200, 1, [1]]],
+        "sq": [],
         "p1": "zero",
     }
     calls = []
@@ -453,9 +458,9 @@ def test_sphere_document_battery_reads_the_blocks_of_its_degrees(monkeypatch):
 
     monkeypatch.setattr(algebra, "_unpack", counting)
     m = load_manifold(doc)
-    # a few dense blocks per pair of the two degrees with classes, not one per pair below n
-    assert len(calls) <= 16 * 2**2
-    assert m.algebra.degrees == (0, n)
+    # a few dense blocks per pair of the degrees with classes, not one per pair below n
+    assert 0 < len(calls) <= 16 * 3**2
+    assert m.algebra.degrees == (0, 200, n)
 
 
 def test_k3_x_k3_document_round_trips():
@@ -706,15 +711,12 @@ def test_flipped_ring_document_matches_reference(name, rebased, table, pick):
 
 
 @pytest.mark.parametrize("table,pick", [("mult", p) for p in range(0, 40, 9)] + [("sq", 3), ("sq", 9)])
-def test_flipped_ring_block_matches_reference_in_float64(monkeypatch, table, pick):
+def test_flipped_ring_block_matches_reference(table, pick):
     # one block entry flipped, its mirror kept: not commutative, so every
-    # Cartan block runs; a zero budget sends the battery down its float64 path
+    # Cartan block runs
     A = load_manifold(json.loads(_ring("F2[a,b,c]/(a^4,b^3,c^3)", True))).algebra
     B = _flipped(A, table, pick, 5 * pick + 1)
-    want = reference_violations(B)
-    assert validate_algebra(B).violations == want
-    monkeypatch.setattr(algebra, "TABLE_BYTES_BUDGET", 0)
-    assert validate_algebra(B).violations == want
+    assert validate_algebra(B).violations == reference_violations(B)
 
 
 def _largest_cartan_sum(ranks: list[int]) -> int:
