@@ -44,11 +44,10 @@ Conventions:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
 from itertools import accumulate, compress
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation, SchemaError
 from .gf2 import _echelon
@@ -166,24 +165,58 @@ def _total(A: "GradedAlgebra", parts: Sequence[int]) -> "TotalClass":
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class GradedAlgebra:
-    """Graded commutative GF(2) algebra with Steenrod squares.
+class _ReadOnly:
+    """A record whose attributes are set once, by ``vars(self).update``, and read-only after.
 
-    Instances are immutable after construction and identified by identity:
-    classes belonging to different instances never interoperate.
-    ``products`` and ``squares`` are read-only maps from a key to the packed
-    table described in the module docstring (see ``_table``), holding the
-    tables with a nonzero entry; ``unit_bits`` and ``fundamental_bits`` are
-    the unit in degree 0 and the evaluation functional on the top degree.
+    Assigning or deleting an attribute raises ``AttributeError``.  A
+    ``cached_property`` still fills its entry on first read: it writes
+    ``vars(self)`` directly.
     """
 
-    top_degree: int
-    basis: tuple[tuple[str, ...], ...]
-    products: Mapping[tuple[int, int], Sequence[int]]
-    squares: Mapping[tuple[int, int], Sequence[int]]
-    unit_bits: int
-    fundamental_bits: int
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class GradedAlgebra(_ReadOnly):
+    """Graded commutative GF(2) algebra with Steenrod squares.
+
+    Instances are identified by identity: classes belonging to different
+    instances never interoperate.  The fields are read-only (``_ReadOnly``)
+    and hold ints, strings and read-only maps of bytes or tuples, so an
+    algebra never changes after construction; only the cached views below
+    are added on first read.  ``products`` and ``squares`` are read-only
+    maps from a key to the packed table described in the module docstring
+    (see ``_table``), holding the tables with a nonzero entry;
+    ``unit_bits`` and ``fundamental_bits`` are the unit in degree 0 and
+    the evaluation functional on the top degree.
+    """
+
+    def __init__(
+        self,
+        top_degree: int,
+        basis: tuple[tuple[str, ...], ...],
+        products: Mapping[tuple[int, int], Sequence[int]],
+        squares: Mapping[tuple[int, int], Sequence[int]],
+        unit_bits: int,
+        fundamental_bits: int,
+    ) -> None:
+        vars(self).update(
+            top_degree=top_degree,
+            basis=basis,
+            products=products,
+            squares=squares,
+            unit_bits=unit_bits,
+            fundamental_bits=fundamental_bits,
+        )
 
     # -- structure ---------------------------------------------------------
 
@@ -253,9 +286,11 @@ class GradedAlgebra:
         return f"GradedAlgebra(top_degree={self.top_degree}, ranks={list(self.ranks)})"
 
 
-@dataclass(frozen=True, eq=False, repr=False, init=False)
-class ClassZ2:
-    """Homogeneous cohomology class: a degree plus GF(2) coordinates as bits."""
+class ClassZ2(_ReadOnly):
+    """Homogeneous cohomology class: a degree plus GF(2) coordinates as bits.
+
+    The type takes no arguments: ``_class`` makes every instance.
+    """
 
     algebra: GradedAlgebra
     degree: int
@@ -291,9 +326,11 @@ class ClassZ2:
         return f"ClassZ2(degree={self.degree}, {self!s})"
 
 
-@dataclass(frozen=True, eq=False, repr=False, init=False)
-class TotalClass:
-    """Inhomogeneous class with one component in every degree 0..n, as bits."""
+class TotalClass(_ReadOnly):
+    """Inhomogeneous class with one component in every degree 0..n, as bits.
+
+    The type takes no arguments: ``_total`` makes every instance.
+    """
 
     algebra: GradedAlgebra
     parts: tuple[int, ...]
@@ -588,8 +625,7 @@ def _check_table_size(size: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[str, ...]
 
     @property

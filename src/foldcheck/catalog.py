@@ -24,13 +24,13 @@ stored invariants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Any, Mapping
 
 from .algebra import (
     GradedAlgebra,
     TotalClass,
+    _ReadOnly,
     _check_table_size,
     _ints,
     _monogenic_table_bytes,
@@ -68,22 +68,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Manifold:
-    """A closed smooth manifold presented by its mod-2 cohomological data."""
+class Manifold(_ReadOnly):
+    """A closed smooth manifold presented by its mod-2 cohomological data; read-only."""
 
-    name: str
-    dim: int
-    orientable: bool
-    euler: int
-    signature: int | None
-    algebra: GradedAlgebra
-    w: TotalClass
-    wu: TotalClass
-    p1: P1Data
-    w3_twisted: TriState
-    stably_parallelizable: bool = False
-    torsion_free: bool = False
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        orientable: bool,
+        euler: int,
+        signature: int | None,
+        algebra: GradedAlgebra,
+        w: TotalClass,
+        wu: TotalClass,
+        p1: P1Data,
+        w3_twisted: TriState,
+        stably_parallelizable: bool = False,
+        torsion_free: bool = False,
+    ) -> None:
+        vars(self).update(
+            name=name,
+            dim=dim,
+            orientable=orientable,
+            euler=euler,
+            signature=signature,
+            algebra=algebra,
+            w=w,
+            wu=wu,
+            p1=p1,
+            w3_twisted=w3_twisted,
+            stably_parallelizable=stably_parallelizable,
+            torsion_free=torsion_free,
+        )
 
     @property
     def connected(self) -> bool:
@@ -94,7 +110,8 @@ class Manifold:
         """What ``decide`` derived for this record, filled there on first use.
 
         ``decide`` chooses the keys.  The table lives in the instance dict,
-        so ``dataclasses.replace`` starts the new record with an empty one.
+        beside the fields, so a record rebuilt from its fields through
+        ``Manifold(...)`` starts with an empty one.
         """
         return {}
 

@@ -10,12 +10,13 @@ plus whatever integral facts are on record.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     ClassZ2,
     GradedAlgebra,
     TotalClass,
+    _ReadOnly,
     _pairing_rows,
     _total,
     evaluate_top,
@@ -81,8 +82,7 @@ def dual_classes(m) -> TotalClass:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureFlags:
+class StructureFlags(NamedTuple):
     """Tangential structures readable from w_1 and w_2."""
 
     orientable: bool
@@ -140,33 +140,28 @@ def w3_twisted_status(w: TotalClass, stored: TriState | None = None) -> TriState
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BundleDescriptor:
-    """Stable data of a vector bundle over a manifold's cohomology algebra."""
+class BundleDescriptor(_ReadOnly):
+    """Stable data of a vector bundle over a manifold's cohomology algebra.
 
-    rank: int
-    w_total: TotalClass
-    p1: P1Data
-    orientable: bool
+    The constructor refuses data no bundle has.  An integer p_1 is
+    ``<p_1, [M]>`` and needs an oriented 4-dimensional base, whose
+    w_1 = v_1 vanishes; p_1 reduces to w_2^2 mod 2; and H^4 = 0 below
+    dimension 4.
+    """
 
-    def __post_init__(self):
-        """Refuse data no bundle has.
-
-        An integer p_1 is ``<p_1, [M]>`` and needs an oriented 4-dimensional
-        base, whose w_1 = v_1 vanishes; p_1 reduces to w_2^2 mod 2; and
-        H^4 = 0 below dimension 4.
-        """
-        A = self.w_total.algebra
-        n, p1 = A.top_degree, self.p1
-        if self.rank < 0:
+    def __init__(self, rank: int, w_total: TotalClass, p1: P1Data, orientable: bool) -> None:
+        vars(self).update(rank=rank, w_total=w_total, p1=p1, orientable=orientable)
+        A = w_total.algebra
+        n = A.top_degree
+        if rank < 0:
             raise InvariantViolation("bundle-descriptor", "negative rank")
-        if self.w_total.parts[0] != A.unit_bits:
+        if w_total.parts[0] != A.unit_bits:
             raise InvariantViolation("bundle-descriptor", "w_0 must be the unit")
-        if self.orientable != self.w_total.component(1).is_zero():
+        if orientable != w_total.component(1).is_zero():
             raise InvariantViolation(
                 "bundle-descriptor", "orientability flag contradicts w_1"
             )
-        w2 = self.w_total.component(2)
+        w2 = w_total.component(2)
         w2sq = w2 * w2
         if p1.kind is P1Kind.INTEGER:
             if not (n == 4 and _oriented(A)):

@@ -22,11 +22,10 @@ UNKNOWN for S^p.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .algebra import ClassZ2, TotalClass
+from .algebra import ClassZ2, TotalClass, _ReadOnly
 from .catalog import Manifold
 from .characteristic import BundleDescriptor, virtual_difference, z_status
 from .errors import InvariantViolation
@@ -55,28 +54,37 @@ class Outcome(enum.Enum):
         return {"exists": "EXISTS", "not_exists": "NOT EXISTS", "unknown": "UNKNOWN"}[self.value]
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     rule: str
     citation: str
     obstruction: str
     value: str
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: Outcome
-    trace: Tuple[TraceEntry, ...]
+class _Fields(_ReadOnly):
+    """A read-only record that compares and hashes by the values of its fields."""
 
-    def __post_init__(self):
-        if not self.trace:
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+
+class Verdict(_Fields):
+    def __init__(self, outcome: Outcome, trace: Tuple[TraceEntry, ...]) -> None:
+        if not trace:
             raise InvariantViolation("verdict-trace", "a verdict must carry at least one trace entry")
-        if self.outcome is Outcome.NOT_EXISTS and all(e.obstruction == "none" for e in self.trace):
+        if outcome is Outcome.NOT_EXISTS and all(e.obstruction == "none" for e in trace):
             raise InvariantViolation("verdict-trace", "a NotExists verdict must cite an obstruction")
+        vars(self).update(outcome=outcome, trace=trace)
 
 
-@dataclass(frozen=True)
-class TargetSpec:
+class TargetSpec(NamedTuple):
     """Target of the fold map: R^p, S^p, or pulled-back tangent data g*TN."""
 
     kind: str
@@ -112,15 +120,11 @@ class TargetSpec:
         return f"pullback(rank={self.dim})"
 
 
-@dataclass(frozen=True)
-class SpanBounds:
-    lower: int
-    upper: int
-    trace: Tuple[TraceEntry, ...]
-
-    def __post_init__(self):
-        if self.lower < 0 or self.lower > self.upper:
-            raise InvariantViolation("span-bounds", f"invalid interval [{self.lower}, {self.upper}]")
+class SpanBounds(_Fields):
+    def __init__(self, lower: int, upper: int, trace: Tuple[TraceEntry, ...]) -> None:
+        if lower < 0 or lower > upper:
+            raise InvariantViolation("span-bounds", f"invalid interval [{lower}, {upper}]")
+        vars(self).update(lower=lower, upper=upper, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +363,7 @@ def _decide_highdim_to_R4(m: Manifold) -> Verdict:
 # the rule table, the dispatcher and the sufficiency chain
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(NamedTuple):
     domain: Callable[[int, int], bool]  # (dim M, p)
     decide: Callable[[Manifold, int, bool], Verdict]  # (M, p, tame)
     reads_tame: bool = False
@@ -386,28 +389,34 @@ def _rule(n: int, p: int) -> Optional[_Rule]:
     return None
 
 
-def _core(m: Manifold, p: int, tame: bool) -> Verdict:
+def _routed(m: Manifold, p: int, tame: bool) -> Tuple[Verdict, bool]:
     """The verdict of the first row of ``_RULES`` taking (dim M, p), derived at most once per record.
 
-    Only a miss looks the row up, once; a verdict whose row does not read
-    ``tame`` is stored for both modes.
+    It is stored with the row's ``sphere`` flag, which ``decide_fold``
+    reads for a sphere target.  Only a miss looks the row up, once; a
+    verdict whose row does not read ``tame`` is stored for both modes.
     """
     table = m._verdicts
-    verdict = table.get((p, tame))
-    if verdict is None:
+    found = table.get((p, tame))
+    if found is None:
         row = _rule(m.dim, p)
         if row is None:
             entry = TraceEntry(
                 "no-rule", "none", "none", f"no criterion covers maps of a {m.dim}-manifold into R^{p}"
             )
-            verdict = Verdict(Outcome.UNKNOWN, (entry,))
+            found = (Verdict(Outcome.UNKNOWN, (entry,)), False)
         else:
-            verdict = row.decide(m, p, tame)
+            found = (row.decide(m, p, tame), row.sphere)
         if row is not None and row.reads_tame:
-            table[p, tame] = verdict
+            table[p, tame] = found
         else:
-            table[p, False] = table[p, True] = verdict
-    return verdict
+            table[p, False] = table[p, True] = found
+    return found
+
+
+def _core(m: Manifold, p: int, tame: bool) -> Verdict:
+    """The verdict of ``_routed``, without the row's ``sphere`` flag."""
+    return _routed(m, p, tame)[0]
 
 
 def _sufficiency_chain(m: Manifold, p: int, tame: bool, verdict: Verdict) -> Verdict:
@@ -475,13 +484,11 @@ def _sphere_inclusion(p: int) -> TraceEntry:
     )
 
 
-def _on_sphere(m: Manifold, p: int, core: Verdict, verdict: Verdict) -> Verdict:
-    """The verdict into R^p, read for S^p through the sphere column of ``_RULES``."""
+def _on_sphere(p: int, core: Verdict, sphere: bool, verdict: Verdict) -> Verdict:
+    """The verdict into R^p, read for S^p through the ``sphere`` flag of the core's row."""
     if verdict.outcome is Outcome.EXISTS:
         return Verdict(Outcome.EXISTS, verdict.trace + (_sphere_inclusion(p),))
-    if verdict.outcome is Outcome.UNKNOWN or (
-        core.outcome is Outcome.NOT_EXISTS and _rule(m.dim, p).sphere  # only a row gives a NOT EXISTS core
-    ):
+    if verdict.outcome is Outcome.UNKNOWN or (core.outcome is Outcome.NOT_EXISTS and sphere):
         return verdict
     cited = [e.citation for e in verdict.trace if e.obstruction != "none"][-1]
     entry = TraceEntry(
@@ -512,10 +519,10 @@ def decide_fold(m: Manifold, target: TargetSpec, tame: bool = False) -> Verdict:
         return _decide_equidim(m, target)
     if p > m.dim:
         raise ValueError(f"target dimension {p} exceeds dim M = {m.dim}")
-    core = _core(m, p, tame)
+    core, sphere = _routed(m, p, tame)
     verdict = core if core.outcome is not Outcome.UNKNOWN else _sufficiency_chain(m, p, tame, core)
     if target.kind == "sphere":
-        return _on_sphere(m, p, core, verdict)
+        return _on_sphere(p, core, sphere, verdict)
     return verdict
 
 
@@ -613,16 +620,14 @@ def _span_scan(m: Manifold) -> SpanBounds:
 # Thom polynomials
 
 
-@dataclass(frozen=True)
-class ThomEntry:
+class ThomEntry(NamedTuple):
     name: str
     degree: int
     value: str
     vanishes: Optional[bool]
 
 
-@dataclass(frozen=True)
-class ThomTable:
+class ThomTable(NamedTuple):
     dim: int
     entries: Tuple[ThomEntry, ...]
 

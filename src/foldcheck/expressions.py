@@ -16,8 +16,7 @@ operators are left associative and ``x`` binds tighter than ``#``, so
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from . import catalog
 from .catalog import Manifold, connected_sum, product
@@ -39,8 +38,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int

@@ -6,8 +6,8 @@ status came from.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Tri(Enum):
@@ -16,8 +16,7 @@ class Tri(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class TriState:
+class TriState(NamedTuple):
     """Vanishing status of an integral class, with a provenance note."""
 
     value: Tri
@@ -58,8 +57,7 @@ class P1Kind(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class P1Data:
+class P1Data(NamedTuple):
     """First Pontrjagin class data.
 
     INTEGER carries the pairing <p1, [M]> of an oriented 4-manifold; the

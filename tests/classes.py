@@ -11,7 +11,8 @@ tests write as references as the entry lists of a document, which
 ``build_algebra`` reads; ``packed`` writes them as the packed tables of
 the store, for tables no document can express (not commutative, not
 valid), which tests hand to ``_packed_algebra`` and check with
-``validate_algebra``.
+``validate_algebra``.  ``replace`` rebuilds a record with some fields
+changed, as tests forge records that no constructor would make.
 """
 from __future__ import annotations
 
@@ -87,6 +88,16 @@ def rows(table) -> list[int]:
 def packed(tables: dict) -> dict:
     """Dense tables as the packed tables of the store, which ``_packed_algebra`` takes."""
     return {key: _table(rows(table)) for key, table in tables.items()}
+
+
+# what a record derives on first use: a rebuilt record starts without them
+_CACHED = ("_verdicts", "wbar")
+
+
+def replace(record: Manifold, **changes) -> Manifold:
+    """A new record through ``Manifold(...)``, with its fields but ``changes``, and empty caches."""
+    fields = {name: value for name, value in vars(record).items() if name not in _CACHED}
+    return Manifold(**{**fields, **changes})
 
 
 def point() -> Manifold:

@@ -1,14 +1,13 @@
 """Catalog atoms, combination rules, and document ingestion."""
 from __future__ import annotations
 
-from dataclasses import replace
 from math import comb
 
 import numpy as np
 import pytest
 import sympy
 
-from classes import coords, point
+from classes import coords, point, replace
 from test_trust_boundary import RINGS, ring_document
 from foldcheck import catalog
 from foldcheck.algebra import build_algebra

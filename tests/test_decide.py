@@ -1,8 +1,6 @@
 """Fold-map existence verdicts, span bounds, and Thom tables."""
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from foldcheck.catalog import atom, connected_sum, load_descriptor, product, sphere
@@ -20,6 +18,7 @@ from foldcheck.decide import (
 from foldcheck.errors import InvariantViolation
 from foldcheck.expressions import parse_expression
 from foldcheck.tristate import TriState
+from classes import replace
 from test_characteristic import trivial_descriptor
 
 
@@ -461,7 +460,7 @@ def test_every_rule_fires(connected_closure, monkeypatch):
             fired[index] += 1
             return row.decide(m, p, tame)
 
-        return replace(row, decide=run)
+        return row._replace(decide=run)
 
     monkeypatch.setattr(decide, "_RULES", tuple(counting(i, row) for i, row in enumerate(decide._RULES)))
     records = [replace(m) for m in connected_closure]  # empty verdict tables
@@ -550,7 +549,7 @@ def test_full_sweep_routes_each_record_at_most_2n_times(connected_closure, monke
             calls.append((p, tame))
             return row.decide(m, p, tame)
 
-        return replace(row, decide=decide_row)
+        return row._replace(decide=decide_row)
 
     monkeypatch.setattr(decide, "_RULES", tuple(map(counting, decide._RULES)))
     for m in connected_closure:
@@ -587,6 +586,12 @@ def test_core_looks_the_rule_up_once_per_miss(connected_closure, monkeypatch):
             decide._core(fresh, p, True)
             decide._core(fresh, p, False)
             assert calls == [], (fresh.name, p)
+        # every verdict is stored now, with its row's sphere flag: a sphere
+        # target, and the span bounds of the sufficiency chain, look up nothing
+        for p in range(1, fresh.dim + 1):
+            for tame in (False, True):
+                decide_fold(fresh, TargetSpec.sphere(p), tame)
+        assert calls == [], fresh.name
 
 
 def test_replaced_record_does_not_inherit_the_verdict_table():

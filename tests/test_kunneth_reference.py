@@ -175,13 +175,13 @@ def depth2_product_pairs() -> list[tuple[str, str]]:
     return [
         (a, b)
         for a, b in itertools.combinations_with_replacement(ATOM_TOKENS, 2)
-        if dims[a] + dims[b] <= 8 and not a == b == "K3"
+        if dims[a] + dims[b] <= 8
     ]
 
 
 def test_every_depth2_closure_product_matches_the_reference(atoms):
     pairs = depth2_product_pairs()
-    assert len(pairs) == 237
+    assert len(pairs) == 238
     for a, b in pairs:
         m, n = atoms[a], atoms[b]
         P = kunneth(m.algebra, n.algebra)
