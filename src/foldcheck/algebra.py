@@ -13,7 +13,7 @@ Every operation a catalog expression needs runs on shifts, ORs, XORs and
 ``int.bit_count``; ints are immutable, so nothing needs freezing.
 
 Outside tables enter through one reader, ``build_algebra``: it takes
-them as JSON documents list them, entry lists of strict 0/1 rows, packs
+them in JSON document form, as entry lists of strict 0/1 rows, packs
 each row once by ``_row`` straight into its stored table, and runs the
 axiom battery, ``validate_algebra``.  No other code reads outside
 coordinates: a class is made from its bits by ``_class`` or ``_total``,

@@ -48,7 +48,7 @@ from .algebra import (
 )
 from .characteristic import BundleDescriptor, w3_twisted_status, wu_total
 from .errors import InvariantViolation, SchemaError
-from .tristate import P1Data, P1Kind, TriState, p1_add
+from .tristate import P1Data, Tri, TriState, p1_add
 
 __all__ = [
     "Manifold",
@@ -152,11 +152,11 @@ def _assemble(
     reduction is injective on the degree-4 integral group there.  A stored
     ``w`` must match the derivation.
     """
-    if dim <= 3 and not p1.is_known_nonzero:
+    if dim <= 3 and not p1.is_nonzero:
         p1 = P1Data.zero_class("H^4 = 0")
-    elif dim == 4 and orientable and signature is not None and p1.kind is not P1Kind.INTEGER:
+    elif dim == 4 and orientable and signature is not None and p1.number is None:
         exact = P1Data.integer(3 * signature, "signature theorem")
-        if not p1.is_unknown and p1.is_known_zero != exact.is_known_zero:
+        if not p1.is_unknown and p1.value is not exact.value:
             raise InvariantViolation(
                 "p1-signature", f"document p1 contradicts 3 sigma = {3 * signature}"
             )
@@ -239,19 +239,23 @@ def validate_manifold(m: Manifold) -> None:
     elif m.signature is not None:
         raise InvariantViolation("signature", "signature recorded where none is defined")
 
-    if m.p1.kind is P1Kind.INTEGER and not (m.orientable and n == 4):
+    if m.p1.number is not None and not (m.orientable and n == 4):
         raise InvariantViolation(
             "p1-kind", "integer p_1 is reserved for oriented 4-manifolds"
         )
-    if n <= 3 and not m.p1.is_known_zero:
+    if n <= 3 and not m.p1.is_zero:
         raise InvariantViolation("p1-range", "H^4 = 0 forces p_1 = 0")
     if n == 4:
         w2 = m.w.component(2)
         w2sq_eval = evaluate_top(w2 * w2)
         if m.orientable:
-            if m.p1.kind is not P1Kind.INTEGER:
+            if m.p1.number is None:
                 raise InvariantViolation(
                     "p1-kind", "oriented 4-manifolds carry <p_1, [M]> as an integer"
+                )
+            if m.p1.value is not P1Data.integer(m.p1.number).value:
+                raise InvariantViolation(
+                    "p1-kind", f"p_1 = {m.p1.number} is recorded as {m.p1.value.value}"
                 )
             if m.p1.number % 2 != w2sq_eval:
                 raise InvariantViolation(
@@ -262,14 +266,14 @@ def validate_manifold(m: Manifold) -> None:
                     "p1-signature", f"p_1 = {m.p1.number} but 3 sigma = {3 * m.signature}"
                 )
         else:
-            if m.p1.is_unknown or (m.p1.is_known_nonzero != bool(w2sq_eval)):
+            if m.p1.is_unknown or (m.p1.is_nonzero != bool(w2sq_eval)):
                 raise InvariantViolation(
                     "p1-reduction",
                     "p_1 of a non-orientable 4-manifold is determined by w_2^2",
                 )
     if n >= 5:
         w2 = m.w.component(2)
-        if m.p1.is_known_zero and not (w2 * w2).is_zero():
+        if m.p1.is_zero and not (w2 * w2).is_zero():
             raise InvariantViolation("p1-reduction", "w_2^2 != 0 forces p_1 != 0")
 
     w3_twisted_status(m.w, m.w3_twisted)
@@ -281,7 +285,7 @@ def validate_manifold(m: Manifold) -> None:
             )
         if any(not m.w.component(d).is_zero() for d in range(1, n + 1)):
             raise InvariantViolation("stable-parallelizability", "w != 1")
-        if not m.p1.is_known_zero:
+        if not m.p1.is_zero:
             raise InvariantViolation("stable-parallelizability", "p_1 != 0")
 
     if m.torsion_free and not m.orientable and n <= 4:
@@ -507,14 +511,6 @@ def atom(token: str) -> Manifold:
 # ---------------------------------------------------------------------------
 
 
-def _p1_status(p: P1Data, note: str) -> P1Data:
-    if p.is_known_zero:
-        return P1Data.zero_class(note)
-    if p.is_known_nonzero:
-        return P1Data.nonzero_class(note)
-    return P1Data.unknown(note)
-
-
 def connected_sum(*pieces: Manifold) -> Manifold:
     """Connected sum of closed, connected, equal-dimensional records.
 
@@ -570,21 +566,16 @@ def product(m: Manifold, n: Manifold) -> Manifold:
     if dim <= 4:
         p1 = P1Data.unknown()  # decided by _assemble
     elif n.stably_parallelizable:
-        p1 = _p1_status(m.p1, "stable tangent bundle pulled back from the first factor")
+        p1 = P1Data(m.p1.value, None, "stable tangent bundle pulled back from the first factor")
     elif m.stably_parallelizable:
-        p1 = _p1_status(n.p1, "stable tangent bundle pulled back from the second factor")
+        p1 = P1Data(n.p1.value, None, "stable tangent bundle pulled back from the second factor")
     else:
         w2 = w.component(2)
         if not (w2 * w2).is_zero():
             p1 = P1Data.nonzero_class("w_2^2 != 0")
-        elif m.p1.is_known_nonzero or n.p1.is_known_nonzero:
+        elif m.p1.is_nonzero or n.p1.is_nonzero:
             p1 = P1Data.nonzero_class("nonzero on a factor")
-        elif (
-            m.p1.is_known_zero
-            and n.p1.is_known_zero
-            and m.torsion_free
-            and n.torsion_free
-        ):
+        elif m.p1.is_zero and n.p1.is_zero and m.torsion_free and n.torsion_free:
             p1 = P1Data.zero_class("both factors vanish, no torsion in range")
         else:
             p1 = P1Data.unknown("integral cross terms undetermined")
@@ -619,7 +610,8 @@ _DOCUMENT_FIELDS = {
     "torsion_free",
 }
 
-_TRISTATE_WORDS = {"zero": TriState.zero, "nonzero": TriState.nonzero, "unknown": TriState.unknown}
+# the document words of a vanishing status, for p1 and w3_twisted
+_STATUS_WORDS = {t.value: t for t in Tri}
 
 
 def _require_int(doc: Mapping[str, Any], key: str) -> int:
@@ -645,16 +637,10 @@ def _total_field(raw: Any, algebra: GradedAlgebra, where: str) -> TotalClass:
 
 
 def _parse_p1(raw: Any) -> P1Data:
-    if isinstance(raw, Mapping):
-        if set(raw) != {"int"} or not _ints(raw["int"]):
-            raise SchemaError('p1 must be {"int": k} or one of "zero"/"nonzero"/"unknown"')
+    if isinstance(raw, Mapping) and set(raw) == {"int"} and _ints(raw["int"]):
         return P1Data.integer(raw["int"], "document")
-    if raw == "zero":
-        return P1Data.zero_class("document")
-    if raw == "nonzero":
-        return P1Data.nonzero_class("document")
-    if raw == "unknown":
-        return P1Data.unknown("document")
+    if isinstance(raw, str) and raw in _STATUS_WORDS:
+        return P1Data(_STATUS_WORDS[raw], None, "document")
     raise SchemaError('p1 must be {"int": k} or one of "zero"/"nonzero"/"unknown"')
 
 
@@ -709,8 +695,8 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     w3_raw = doc.get("w3_twisted")
     if w3_raw is None:
         w3_stored = None
-    elif isinstance(w3_raw, str) and w3_raw in _TRISTATE_WORDS:
-        w3_stored = _TRISTATE_WORDS[w3_raw]("document")
+    elif isinstance(w3_raw, str) and w3_raw in _STATUS_WORDS:
+        w3_stored = TriState(_STATUS_WORDS[w3_raw], "document")
     else:
         raise SchemaError('w3_twisted must be one of "zero"/"nonzero"/"unknown"')
 

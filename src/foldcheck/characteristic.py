@@ -25,7 +25,7 @@ from .algebra import (
 )
 from .errors import InvariantViolation
 from .gf2 import _solve_bits
-from .tristate import P1Data, P1Kind, TriState, p1_difference
+from .tristate import P1Data, TriState, p1_difference
 
 __all__ = [
     "wu_total",
@@ -163,19 +163,23 @@ class BundleDescriptor(_ReadOnly):
             )
         w2 = w_total.component(2)
         w2sq = w2 * w2
-        if p1.kind is P1Kind.INTEGER:
+        if p1.number is not None:
             if not (n == 4 and _oriented(A)):
                 raise InvariantViolation(
                     "bundle-descriptor", "integer p_1 needs an oriented 4-dimensional base"
+                )
+            if p1.value is not P1Data.integer(p1.number).value:
+                raise InvariantViolation(
+                    "bundle-descriptor", f"p_1 = {p1.number} is recorded as {p1.value.value}"
                 )
             if p1.number % 2 != evaluate_top(w2sq):
                 raise InvariantViolation(
                     "bundle-descriptor",
                     f"p_1 = {p1.number} but <w_2^2, [M]> = {evaluate_top(w2sq)}",
                 )
-        if n < 4 and p1.is_known_nonzero:
+        if n < 4 and p1.is_nonzero:
             raise InvariantViolation("bundle-descriptor", "H^4 = 0 forces p_1 = 0")
-        if p1.is_known_zero and not w2sq.is_zero():
+        if p1.is_zero and not w2sq.is_zero():
             raise InvariantViolation("bundle-descriptor", "w_2^2 != 0 forces p_1 != 0")
 
 
@@ -229,17 +233,17 @@ def z_status(w_diff: TotalClass, p1: P1Data, torsion_free: bool = False) -> TriS
             if w4.is_zero():
                 return TriState.zero("w_4 = 0")
             return TriState.nonzero(f"w_4 = {w4} != 0")
-        if p1.is_known_zero:
+        if p1.is_zero:
             return TriState.zero("p_1 = 0")
-        if p1.kind is P1Kind.INTEGER:
+        if p1.number is not None:
             return TriState.nonzero(f"p_1 = {p1.number} != 0")
-        if p1.is_known_nonzero:
+        if p1.is_nonzero:
             return TriState.nonzero("p_1 != 0")
         return TriState.unknown("p_1 undetermined")
     if not w4.is_zero():
         return TriState.nonzero("z = w_4 mod 2 and w_4 != 0")
-    if p1.is_known_nonzero:
+    if p1.is_nonzero:
         return TriState.nonzero("2z = p_1 != 0")
-    if p1.is_known_zero and torsion_free:
+    if p1.is_zero and torsion_free:
         return TriState.zero("w_4 = 0, p_1 = 0, degree-4 torsion-free")
     return TriState.unknown("w_4 = 0 but the torsion part of z is undetermined")

@@ -31,7 +31,7 @@ from .characteristic import structure_flags, tangent_descriptor
 from .decide import Outcome, TargetSpec, decide_fold, stable_span_bounds, thom_polynomials
 from .errors import ExpressionError, FoldcheckError, SchemaError
 from .expressions import parse_expression
-from .tristate import P1Data, P1Kind
+from .tristate import P1Data
 
 __all__ = ["main"]
 
@@ -111,13 +111,13 @@ def _parse_target(text: str, m: Manifold, parser: _ArgumentParser) -> TargetSpec
         return TargetSpec.pullback(m.dim, descriptor)
     if text.startswith("sphere:"):
         raw = text[len("sphere:"):]
-        if not raw.isdigit() or int(raw) < 1:
+        if not raw.isdecimal() or int(raw) < 1:
             parser.error(f"invalid sphere target {text!r}")
         p = int(raw)
         if p > m.dim:
             parser.error(f"target dimension {p} exceeds dim M = {m.dim}")
         return TargetSpec.sphere(p)
-    if text.startswith("R") and text[1:].isdigit() and int(text[1:]) >= 1:
+    if text.startswith("R") and text[1:].isdecimal() and int(text[1:]) >= 1:
         p = int(text[1:])
         if p > m.dim:
             parser.error(f"target dimension {p} exceeds dim M = {m.dim}")
@@ -131,13 +131,7 @@ def _parse_target(text: str, m: Manifold, parser: _ArgumentParser) -> TargetSpec
 
 
 def _p1_json(p1: P1Data):
-    if p1.kind is P1Kind.INTEGER:
-        return {"int": p1.number}
-    if p1.kind is P1Kind.ZERO_CLASS:
-        return "zero"
-    if p1.kind is P1Kind.NONZERO_CLASS:
-        return "nonzero"
-    return "unknown"
+    return p1.value.value if p1.number is None else {"int": p1.number}
 
 
 def _coords(x: ClassZ2) -> List[int]:

@@ -647,16 +647,9 @@ def _beta_w3_status(w3: ClassZ2, w1w3: ClassZ2) -> TriState:
 def _integral_entry(p1: P1Data, beta: Optional[TriState]) -> ThomEntry:
     neg = p1_negate(p1)
     if beta is None or beta.is_zero:
-        value = str(neg)
-        vanishes: Optional[bool]
-        if neg.is_known_zero:
-            vanishes = True
-        elif neg.is_known_nonzero:
-            vanishes = False
-        else:
-            vanishes = None
-        return ThomEntry("Sigma^{2,0} integral", 4, value, vanishes)
-    if beta.is_nonzero and neg.is_known_zero:
+        vanishes = None if neg.is_unknown else neg.is_zero
+        return ThomEntry("Sigma^{2,0} integral", 4, str(neg), vanishes)
+    if beta.is_nonzero and neg.is_zero:
         return ThomEntry("Sigma^{2,0} integral", 4, f"nonzero class ({beta.note})", False)
     return ThomEntry("Sigma^{2,0} integral", 4, "unknown", None)
 

@@ -1,8 +1,10 @@
 """Tri-valued invariant statuses with provenance notes.
 
-Integral data (twisted Whitney classes, Pontrjagin classes) is never carried
-as explicit cocycles, only as a vanishing status plus a note saying where the
-status came from.
+Integral data (twisted Whitney classes, Pontrjagin classes, the secondary
+obstruction z) is never carried as explicit cocycles, only as a ``Tri``
+vanishing status plus a note saying where the status came from, read by one
+set of predicates (``is_zero``, ``is_nonzero``, ``is_unknown``).  p_1 adds
+the pairing <p_1, [M]> where it is recorded.
 """
 from __future__ import annotations
 
@@ -50,70 +52,47 @@ class TriState(NamedTuple):
         return self.value.value
 
 
-class P1Kind(Enum):
-    INTEGER = "integer"
-    ZERO_CLASS = "zero_class"
-    NONZERO_CLASS = "nonzero_class"
-    UNKNOWN = "unknown"
-
-
 class P1Data(NamedTuple):
-    """First Pontrjagin class data.
+    """First Pontrjagin class status, with the pairing where it is known.
 
-    INTEGER carries the pairing <p1, [M]> of an oriented 4-manifold; the
-    class kinds track only whether p1 vanishes as a cohomology class.
-    Integer(0) and ZERO_CLASS are interchangeable for decisions on oriented
-    4-manifolds.
+    ``value`` is the vanishing status, read by ``TriState``'s predicates.
+    ``number`` is the pairing <p1, [M]> of an oriented 4-manifold, which
+    sets ``value``; the class statuses carry no number.  Integer 0 and the
+    zero class are interchangeable for decisions on oriented 4-manifolds.
     """
 
-    kind: P1Kind
+    value: Tri
     number: int | None = None
     note: str = ""
 
     @staticmethod
     def integer(k: int, note: str = "") -> "P1Data":
-        return P1Data(P1Kind.INTEGER, int(k), note)
+        return P1Data(Tri.NONZERO if k else Tri.ZERO, int(k), note)
 
     @staticmethod
     def zero_class(note: str = "") -> "P1Data":
-        return P1Data(P1Kind.ZERO_CLASS, None, note)
+        return P1Data(Tri.ZERO, None, note)
 
     @staticmethod
     def nonzero_class(note: str = "") -> "P1Data":
-        return P1Data(P1Kind.NONZERO_CLASS, None, note)
+        return P1Data(Tri.NONZERO, None, note)
 
     @staticmethod
     def unknown(note: str = "") -> "P1Data":
-        return P1Data(P1Kind.UNKNOWN, None, note)
+        return P1Data(Tri.UNKNOWN, None, note)
 
-    @property
-    def is_known_zero(self) -> bool:
-        return self.kind is P1Kind.ZERO_CLASS or (
-            self.kind is P1Kind.INTEGER and self.number == 0
-        )
-
-    @property
-    def is_known_nonzero(self) -> bool:
-        return self.kind is P1Kind.NONZERO_CLASS or (
-            self.kind is P1Kind.INTEGER and self.number != 0
-        )
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.kind is P1Kind.UNKNOWN
+    is_zero = TriState.is_zero
+    is_nonzero = TriState.is_nonzero
+    is_unknown = TriState.is_unknown
 
     def __str__(self) -> str:
-        if self.kind is P1Kind.INTEGER:
+        if self.number is not None:
             return str(self.number)
-        return {
-            P1Kind.ZERO_CLASS: "zero class",
-            P1Kind.NONZERO_CLASS: "nonzero class",
-            P1Kind.UNKNOWN: "unknown",
-        }[self.kind]
+        return "unknown" if self.is_unknown else f"{self.value.value} class"
 
 
 def p1_negate(p: P1Data) -> P1Data:
-    if p.kind is P1Kind.INTEGER:
+    if p.number is not None:
         return P1Data.integer(-p.number, p.note)
     return p
 
@@ -126,9 +105,9 @@ def p1_add(a: P1Data, b: P1Data) -> P1Data:
     additive situations (degree 4, where both classes share one group)
     need their own casework and must not come through here.
     """
-    if a.is_known_nonzero or b.is_known_nonzero:
+    if a.is_nonzero or b.is_nonzero:
         return P1Data.nonzero_class("nonzero in one summand")
-    if a.is_known_zero and b.is_known_zero:
+    if a.is_zero and b.is_zero:
         return P1Data.zero_class("both summands vanish")
     return P1Data.unknown("insufficient integral data")
 
@@ -138,16 +117,16 @@ def p1_difference(a: P1Data, b: P1Data) -> P1Data:
 
     Unlike p1_add, opposite nonzero contributions may cancel here.
     """
-    if a.kind is P1Kind.INTEGER and b.kind is P1Kind.INTEGER:
+    if a.number is not None and b.number is not None:
         return P1Data.integer(a.number - b.number)
-    if a.kind is P1Kind.INTEGER and b.is_known_zero:
+    if a.number is not None and b.is_zero:
         return P1Data.integer(a.number)
-    if b.kind is P1Kind.INTEGER and a.is_known_zero:
+    if b.number is not None and a.is_zero:
         return P1Data.integer(-b.number)
-    if a.is_known_zero and b.is_known_zero:
+    if a.is_zero and b.is_zero:
         return P1Data.zero_class("both terms vanish")
-    if a.is_known_nonzero and b.is_known_zero:
+    if a.is_nonzero and b.is_zero:
         return P1Data.nonzero_class("first term nonzero, second zero")
-    if b.is_known_nonzero and a.is_known_zero:
+    if b.is_nonzero and a.is_zero:
         return P1Data.nonzero_class("second term nonzero, first zero")
     return P1Data.unknown("possible cancellation or missing data")

@@ -29,7 +29,7 @@ from foldcheck.catalog import (
 )
 from foldcheck.errors import DimensionMismatch, InvariantViolation, SchemaError
 from foldcheck.expressions import parse_expression
-from foldcheck.tristate import P1Data
+from foldcheck.tristate import P1Data, Tri
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +169,10 @@ def test_k3_record():
 
 def test_rp_p1_parity():
     # p_1(RPn) reduces to C(n+1,2) a^4
-    assert real_projective(4).p1.is_known_zero  # C(5,2) = 10 even
-    assert real_projective(5).p1.is_known_nonzero  # C(6,2) = 15 odd
-    assert real_projective(7).p1.is_known_zero  # C(8,2) = 28 even
-    assert real_projective(3).p1.is_known_zero  # H^4 = 0
+    assert real_projective(4).p1.is_zero  # C(5,2) = 10 even
+    assert real_projective(5).p1.is_nonzero  # C(6,2) = 15 odd
+    assert real_projective(7).p1.is_zero  # C(8,2) = 28 even
+    assert real_projective(3).p1.is_zero  # H^4 = 0
 
 
 def test_surface_families():
@@ -252,14 +252,14 @@ def test_product_name_parenthesizes_sums():
 
 def test_product_p1_from_parallelizable_factor():
     m = product(real_projective(5), sphere(3))
-    assert m.p1.is_known_nonzero  # pulled back from RP5
+    assert m.p1.is_nonzero  # pulled back from RP5
     n = product(sphere(3), real_projective(7))
-    assert n.p1.is_known_zero  # pulled back from RP7
+    assert n.p1.is_zero  # pulled back from RP7
 
 
 def test_product_p1_w2_square_rule():
     m = product(real_projective(4), real_projective(4))
-    assert m.p1.is_known_nonzero  # w_2^2 != 0 upstairs
+    assert m.p1.is_nonzero  # w_2^2 != 0 upstairs
 
 
 def test_stable_parallelizability_propagates():
@@ -326,6 +326,7 @@ def test_validate_rejects_sp_with_nonzero_w():
         (lambda: replace(real_projective(4), signature=1), "signature", "where none is defined"),
         (lambda: replace(real_projective(4), p1=P1Data.integer(0)), "p1-kind", "reserved"),
         (lambda: replace(k3(), p1=P1Data.nonzero_class()), "p1-kind", "as an integer"),
+        (lambda: replace(k3(), p1=P1Data(Tri.ZERO, -48)), "p1-kind", "p_1 = -48 is recorded as zero"),
         (lambda: replace(sphere(3), p1=P1Data.unknown()), "p1-range", r"H\^4 = 0 forces"),
         (lambda: replace(k3(), p1=P1Data.integer(-47)), "p1-reduction", "p_1 = -47 but"),
         (
@@ -347,7 +348,7 @@ def test_validate_rejects_sp_with_nonzero_w():
     ],
     ids=[
         "dimension", "signature-missing", "signature-range", "signature-undefined",
-        "p1-kind-integer", "p1-kind-class", "p1-range", "p1-reduction-dim4",
+        "p1-kind-integer", "p1-kind-class", "p1-kind-status", "p1-range", "p1-reduction-dim4",
         "p1-reduction-dim8", "sp-nonorientable", "sp-p1", "torsion-flag",
     ],
 )
@@ -384,7 +385,7 @@ def test_load_manifold_round_trip():
     assert m.algebra.ranks == ref.algebra.ranks
     for d in range(3):
         assert np.array_equal(coords(m.w.component(d)), coords(ref.w.component(d)))
-    assert m.p1.is_known_zero and m.w3_twisted.is_zero
+    assert m.p1.is_zero and m.w3_twisted.is_zero
 
 
 def test_load_manifold_infers_w_when_absent():
@@ -419,14 +420,14 @@ def test_load_manifold_completes_p1_from_signature():
         "p1": "unknown",
     }
     m = load_manifold(doc)
-    assert m.p1.kind.name == "INTEGER" and m.p1.number == 0
+    assert m.p1.number == 0
 
 
 def test_load_manifold_completes_p1_from_w2_square():
     doc = rp4_document()
     doc["p1"] = "unknown"
     m = load_manifold(doc)
-    assert m.p1.is_known_zero  # w_2(RP4) = 0, so w_2^2 = 0
+    assert m.p1.is_zero  # w_2(RP4) = 0, so w_2^2 = 0
 
 
 def test_load_manifold_rejects_p1_reduction_conflict():
@@ -475,7 +476,7 @@ def test_load_descriptor_refusals(doc, match):
 def test_load_descriptor_accepts_the_trivial_document():
     xi = load_descriptor(_descriptor_document(), sphere(4).algebra)
     assert (xi.rank, xi.orientable, str(xi.w_total)) == (4, True, "1")
-    assert xi.p1.is_known_zero
+    assert xi.p1.is_zero
 
 
 # (expression, descriptor w: "one" or the tangent w, p1 field, refusal)
@@ -571,6 +572,10 @@ def test_load_manifold_rp4_document():
         (lambda d: d.update(mult=[[1, 0, 2, 0, [1]]]), SchemaError, "exceeds dim"),
         (lambda d: d.update(sq=[[1, 1, 0, [2]]]), SchemaError, "0 or 1"),
         (lambda d: d.update(sq=[[2, 1, 0, [1]]]), SchemaError, "vanishes"),
+        (lambda d: d.update(sq=[[1, 5, 0, [1]]]), SchemaError, "degree data out of range"),
+        (lambda d: d.update(sq=[[-1, 1, 0, [1]]]), SchemaError, "degree data out of range"),
+        (lambda d: d.update(sq=[[1, 1, 3, [1]]]), SchemaError, "index out of range"),
+        (lambda d: d.update(sq=[[2, 1, 0, 0]]), SchemaError, r"expected \[k, deg, idx, coords\]"),
         (lambda d: d.update(mult=None), SchemaError, "^field 'mult' must be a list of entries$"),
         (lambda d: d.update(sq={}), SchemaError, "^field 'sq' must be a list of entries$"),
         (lambda d: d.update(w=[[1], [1]]), SchemaError, "per degree"),
@@ -592,6 +597,15 @@ def test_load_manifold_rejections(mutate, error, match):
         load_manifold(doc)
     if str(info.value).startswith(("mult", "sq", "field 'mult'", "field 'sq'", "basis: ")):
         _built_alike(doc, info.value)
+
+
+def test_load_manifold_drops_a_zero_sq_entry_out_of_range():
+    # Sq^2 on degree 1 vanishes, so an all-zero row for it is accepted and dropped
+    doc = rp2_document()
+    doc["sq"].append([2, 1, 0, [0]])
+    m, plain = load_manifold(doc), load_manifold(rp2_document())
+    assert (m.algebra.products, m.algebra.squares) == (plain.algebra.products, plain.algebra.squares)
+    assert str(m.w) == str(plain.w) == "1 + a + a^2"
 
 
 def _built_alike(doc: dict, refusal: Exception) -> None:

@@ -20,7 +20,7 @@ from foldcheck.characteristic import (
     z_status,
 )
 from foldcheck.errors import InvariantViolation
-from foldcheck.tristate import P1Data, TriState
+from foldcheck.tristate import P1Data, Tri, TriState, p1_add, p1_difference, p1_negate
 
 
 def test_wu_rp4_frozen_oracle():
@@ -145,7 +145,7 @@ def test_trivial_descriptor_shape():
     xi = trivial_descriptor(m.algebra, 4)
     assert xi.rank == 4 and xi.orientable
     assert str(xi.w_total) == "1"
-    assert xi.p1.is_known_zero
+    assert xi.p1.is_zero
 
 
 def test_descriptor_rejects_inconsistent_orientability():
@@ -163,18 +163,24 @@ def test_descriptor_rejects_negative_rank_and_bad_unit():
         BundleDescriptor(rank=2, w_total=broken, p1=P1Data.unknown(), orientable=True)
 
 
+def test_descriptor_rejects_an_integer_p1_with_the_wrong_status():
+    m = atom("CP2")
+    with pytest.raises(InvariantViolation, match="p_1 = 3 is recorded as zero"):
+        BundleDescriptor(rank=4, w_total=m.w, p1=P1Data(Tri.ZERO, 3), orientable=True)
+
+
 def test_virtual_difference_of_tangent_with_itself():
     m = atom("CP2")
     w_diff, p1_diff = virtual_difference(m, tangent_descriptor(m))
     assert str(w_diff) == "1"
-    assert p1_diff.kind.name == "INTEGER" and p1_diff.number == 0
+    assert p1_diff.number == 0
 
 
 def test_virtual_difference_against_trivial():
     m = real_projective(4)
     w_diff, p1_diff = virtual_difference(m, trivial_descriptor(m.algebra, 4))
     assert w_diff == m.w
-    assert p1_diff.is_known_zero == m.p1.is_known_zero
+    assert p1_diff.is_zero == m.p1.is_zero
 
 
 def test_virtual_difference_rejects_foreign_algebra():
@@ -229,6 +235,85 @@ def test_z_status_mid_dimensions():
     # w_4 = 0 and p_1 = 0 but possible torsion: undetermined
     status = z_status(s6.w, s6.p1, torsion_free=False)
     assert status.is_unknown
+
+
+# p_1 arithmetic: every pair of the statuses below, each carrying its own note
+P1_STATUSES = {
+    "0": P1Data.integer(0, "int 0"),
+    "3": P1Data.integer(3, "int 3"),
+    "-3": P1Data.integer(-3, "int -3"),
+    "Z": P1Data.zero_class("zero"),
+    "N": P1Data.nonzero_class("nonzero"),
+    "U": P1Data.unknown("unknown"),
+}
+
+# one row per first argument, one column per second, both in P1_STATUSES
+# order; an integer entry is that integer with an empty note
+P1_ADD_TABLE = {
+    "0": "z n n z n u",
+    "3": "n n n n n n",
+    "-3": "n n n n n n",
+    "Z": "z n n z n u",
+    "N": "n n n n n n",
+    "U": "u n n u n u",
+}
+P1_ADD_CODES = {
+    "z": ("zero class", None, "both summands vanish"),
+    "n": ("nonzero class", None, "nonzero in one summand"),
+    "u": ("unknown", None, "insufficient integral data"),
+}
+P1_DIFFERENCE_TABLE = {
+    "0": "0 -3 3 0 n2 u",
+    "3": "3 0 6 3 u u",
+    "-3": "-3 -6 0 -3 u u",
+    "Z": "0 -3 3 z n2 u",
+    "N": "n1 u u n1 u u",
+    "U": "u u u u u u",
+}
+P1_DIFFERENCE_CODES = {
+    "z": ("zero class", None, "both terms vanish"),
+    "n1": ("nonzero class", None, "first term nonzero, second zero"),
+    "n2": ("nonzero class", None, "second term nonzero, first zero"),
+    "u": ("unknown", None, "possible cancellation or missing data"),
+}
+
+
+def _p1_facts(p: P1Data) -> tuple:
+    return str(p), p.number, p.note
+
+
+def _p1_table(table: dict, codes: dict) -> dict:
+    expected = {}
+    for a, row in table.items():
+        for b, code in zip(P1_STATUSES, row.split()):
+            expected[a, b] = codes[code] if code in codes else (code, int(code), "")
+    return expected
+
+
+@pytest.mark.parametrize(
+    "op,table,codes",
+    [(p1_add, P1_ADD_TABLE, P1_ADD_CODES), (p1_difference, P1_DIFFERENCE_TABLE, P1_DIFFERENCE_CODES)],
+    ids=["add", "difference"],
+)
+def test_p1_binary_arithmetic_table(op, table, codes):
+    got = {
+        (a, b): _p1_facts(op(p, q))
+        for a, p in P1_STATUSES.items()
+        for b, q in P1_STATUSES.items()
+    }
+    assert got == _p1_table(table, codes)
+
+
+def test_p1_negate_table():
+    got = {a: _p1_facts(p1_negate(p)) for a, p in P1_STATUSES.items()}
+    assert got == {
+        "0": ("0", 0, "int 0"),
+        "3": ("-3", -3, "int 3"),
+        "-3": ("3", 3, "int -3"),
+        "Z": ("zero class", None, "zero"),
+        "N": ("nonzero class", None, "nonzero"),
+        "U": ("unknown", None, "unknown"),
+    }
 
 
 @pytest.mark.parametrize(

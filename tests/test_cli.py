@@ -99,6 +99,18 @@ def test_unrecognized_target_is_a_usage_error(capsys):
     assert "unrecognized target" in err
 
 
+@pytest.mark.parametrize(
+    "target,message",
+    # superscript digits pass str.isdigit but not int()
+    [("R\u00b2", "unrecognized target 'R\u00b2'"), ("sphere:\u00b2", "invalid sphere target 'sphere:\u00b2'")],
+    ids=["R", "sphere"],
+)
+def test_superscript_target_digits_are_a_usage_error(capsys, target, message):
+    code, out, err = run(capsys, "decide", "S4", "--target", target)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 def test_expression_error_reports_position(capsys):
     code, out, err = run(capsys, "decide", "RP4 @", "--target", "R3")
     assert code == 2

@@ -408,6 +408,42 @@ def test_outcome_rendering():
 # dimension 10 and 12 records: Thm 4.3 and Thm 4.6 need dim M >= 10
 EXTRA_LAYER = ("CP5", "CP6", "S2 x CP4", "K3 x CP3", "CP3 x CP3")
 
+_THM_4_3 = ("4k-R4", "Thm 4.3")
+_ORIENTABILITY = (*_THM_4_3, "none", "the 4k-dimensional criterion requires orientability")
+_SPAN_UPPER = ("span-upper", "Cor 2.4", "span^0", "stable span <= 0 < p - 1 = 3")
+_EVEN_CODIM = ("tame-fold-identification", "Sec 2", "none", "dim M - p = 8 is even: every fold map is tame")
+
+
+# each branch of Thm 4.3 in dimension 12: (expression, target, outcome, trace)
+@pytest.mark.parametrize(
+    "expr,target,outcome,trace",
+    [
+        (
+            "(CP2 # CP2) x (CP2 # CP2) x CP2", TargetSpec.euclidean(4), Outcome.NOT_EXISTS,
+            [(*_THM_4_3, "sigma", "w_10 = 0; sigma = 4 not divisible by 8")],
+        ),
+        ("CP6 # RP12", TargetSpec.euclidean(4), Outcome.UNKNOWN, [_ORIENTABILITY]),
+        ("RP12", TargetSpec.euclidean(4), Outcome.NOT_EXISTS, [_ORIENTABILITY, _SPAN_UPPER, _EVEN_CODIM]),
+        (
+            "RP12", TargetSpec.sphere(4), Outcome.UNKNOWN,
+            [
+                _ORIENTABILITY, _SPAN_UPPER, _EVEN_CODIM,
+                ("sphere-target", "Cor 2.4", "none", "stated for R^4 only: it does not obstruct fold maps into S^4"),
+            ],
+        ),
+        (
+            "CP1 x CP1 x CP4", TargetSpec.euclidean(4), Outcome.EXISTS,
+            [(*_THM_4_3, "none", "w_10 = 0; sigma = 0 divisible by 8")],
+        ),
+    ],
+    ids=["sigma", "non-orientable-unknown", "non-orientable-span", "sphere", "exists"],
+)
+def test_thm_4_3_branches(expr, target, outcome, trace):
+    verdict = decide_fold(parse_expression(expr), target)
+    assert verdict.outcome is outcome
+    assert [(e.rule, e.citation, e.obstruction, e.value) for e in verdict.trace] == trace
+
+
 # every (rule, citation) pair the sweep below must produce, kept here and
 # not read from the package; "scan-R^p" stands for each scan-R^<p> entry
 RULE_CITATIONS = {

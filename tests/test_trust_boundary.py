@@ -32,7 +32,6 @@ from foldcheck.algebra import GradedAlgebra, _packed_algebra, _stored, validate_
 from foldcheck.catalog import k3, load_manifold, product
 from foldcheck.errors import InvariantViolation
 from foldcheck.expressions import parse_expression
-from foldcheck.tristate import P1Kind
 
 # ---------------------------------------------------------------------------
 # the einsum battery, kept as the reference
@@ -364,14 +363,7 @@ def test_sparse_member_runs_the_packed_kernel(monkeypatch, oracle_algebras):
 
 
 def _p1_field(m):
-    kind = m.p1.kind
-    if kind is P1Kind.INTEGER:
-        return {"int": m.p1.number}
-    return {
-        P1Kind.ZERO_CLASS: "zero",
-        P1Kind.NONZERO_CLASS: "nonzero",
-        P1Kind.UNKNOWN: "unknown",
-    }[kind]
+    return m.p1.value.value if m.p1.number is None else {"int": m.p1.number}
 
 
 def manifold_document(m) -> dict:
