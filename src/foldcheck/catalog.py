@@ -4,7 +4,8 @@ Every construction path funnels through one assembler that completes p_1
 where the dimension decides it, solves the Wu classes once, derives the
 Stiefel-Whitney classes from them via Wu's theorem (cross-checking any
 stored total class), resolves the twisted class W_3, and then validates
-the finished record with :func:`validate_manifold`.
+the finished record with :func:`validate_manifold`, which refuses tangent
+data through the same rules as a bundle descriptor.
 
 The algebra axiom battery (``validate_algebra``) runs where data enters:
 ``load_manifold`` checks a document's fields and basis and reads its
@@ -46,7 +47,7 @@ from .algebra import (
     kunneth,
     total_sq,
 )
-from .characteristic import BundleDescriptor, w3_twisted_status, wu_total
+from .characteristic import BundleDescriptor, _bundle_refusal, w3_twisted_status, wu_total
 from .errors import InvariantViolation, SchemaError
 from .tristate import P1Data, Tri, TriState, p1_add
 
@@ -145,14 +146,15 @@ def _assemble(
 ) -> Manifold:
     """Complete p_1, derive Wu and Stiefel-Whitney classes once, then build and validate.
 
-    p_1 is zero below dimension 4 (a nonzero status is left for
-    ``validate_manifold`` to refuse) and ``3 sigma`` on an oriented
+    Below dimension 4 a zero or unknown class status becomes the zero class
+    (a nonzero status or an integer is left for ``validate_manifold`` to
+    refuse, as for any bundle); p_1 is ``3 sigma`` on an oriented
     4-manifold, where a class status must agree with it.  An unknown p_1 of
     a non-orientable 4-manifold is completed from w_2^2: the mod-2
     reduction is injective on the degree-4 integral group there.  A stored
     ``w`` must match the derivation.
     """
-    if dim <= 3 and not p1.is_nonzero:
+    if dim <= 3 and p1.number is None and not p1.is_nonzero:
         p1 = P1Data.zero_class("H^4 = 0")
     elif dim == 4 and orientable and signature is not None and p1.number is None:
         exact = P1Data.integer(3 * signature, "signature theorem")
@@ -201,10 +203,11 @@ def validate_manifold(m: Manifold) -> None:
     checked here: the battery enforces them where data enters, and
     catalog constructions satisfy them by construction.  This layer checks
     the manifold-flavored facts: Euler characteristic against the top
-    Whitney class and against ranks, orientability against w_1, signature
-    presence and parity, the p_1 constraints (kind, reduction mod 2, the
-    signature theorem in dimension 4), W_3 consistency, and the structure
-    flags.
+    Whitney class and against ranks; w and p_1 against the rules every
+    bundle obeys (``characteristic._bundle_refusal``); signature presence
+    and parity; the tangent bundle's own p_1 (zero below dimension 4,
+    ``3 sigma`` on an oriented 4-manifold, read off w_2^2 on a
+    non-orientable one); W_3 consistency; and the structure flags.
     """
     A, n = m.algebra, m.dim
     if A.top_degree != n:
@@ -222,8 +225,9 @@ def validate_manifold(m: Manifold) -> None:
             "euler-rank", f"chi = {m.euler} but the ranks alternate to {alternating}"
         )
 
-    if m.w.component(1).is_zero() != m.orientable:
-        raise InvariantViolation("orientability", "w_1 contradicts the orientability flag")
+    refusal = _bundle_refusal(m.w, m.p1, m.orientable)
+    if refusal is not None:
+        raise InvariantViolation(*refusal)
 
     if m.orientable and n % 4 == 0:
         if m.signature is None:
@@ -239,42 +243,23 @@ def validate_manifold(m: Manifold) -> None:
     elif m.signature is not None:
         raise InvariantViolation("signature", "signature recorded where none is defined")
 
-    if m.p1.number is not None and not (m.orientable and n == 4):
-        raise InvariantViolation(
-            "p1-kind", "integer p_1 is reserved for oriented 4-manifolds"
-        )
     if n <= 3 and not m.p1.is_zero:
-        raise InvariantViolation("p1-range", "H^4 = 0 forces p_1 = 0")
-    if n == 4:
+        raise InvariantViolation("p1-range", f"p_1 of a {n}-manifold is zero, not {m.p1}")
+    if n == 4 and m.orientable:
+        if m.p1.number is None:
+            raise InvariantViolation(
+                "p1-kind", "oriented 4-manifolds carry <p_1, [M]> as an integer"
+            )
+        if m.p1.number != 3 * m.signature:
+            raise InvariantViolation(
+                "p1-signature", f"p_1 = {m.p1.number} but 3 sigma = {3 * m.signature}"
+            )
+    elif n == 4:
         w2 = m.w.component(2)
-        w2sq_eval = evaluate_top(w2 * w2)
-        if m.orientable:
-            if m.p1.number is None:
-                raise InvariantViolation(
-                    "p1-kind", "oriented 4-manifolds carry <p_1, [M]> as an integer"
-                )
-            if m.p1.value is not P1Data.integer(m.p1.number).value:
-                raise InvariantViolation(
-                    "p1-kind", f"p_1 = {m.p1.number} is recorded as {m.p1.value.value}"
-                )
-            if m.p1.number % 2 != w2sq_eval:
-                raise InvariantViolation(
-                    "p1-reduction", f"p_1 = {m.p1.number} but <w_2^2, [M]> = {w2sq_eval}"
-                )
-            if m.p1.number != 3 * m.signature:
-                raise InvariantViolation(
-                    "p1-signature", f"p_1 = {m.p1.number} but 3 sigma = {3 * m.signature}"
-                )
-        else:
-            if m.p1.is_unknown or (m.p1.is_nonzero != bool(w2sq_eval)):
-                raise InvariantViolation(
-                    "p1-reduction",
-                    "p_1 of a non-orientable 4-manifold is determined by w_2^2",
-                )
-    if n >= 5:
-        w2 = m.w.component(2)
-        if m.p1.is_zero and not (w2 * w2).is_zero():
-            raise InvariantViolation("p1-reduction", "w_2^2 != 0 forces p_1 != 0")
+        if m.p1.is_unknown or (m.p1.is_nonzero != bool(evaluate_top(w2 * w2))):
+            raise InvariantViolation(
+                "p1-reduction", "p_1 of a non-orientable 4-manifold is determined by w_2^2"
+            )
 
     w3_twisted_status(m.w, m.w3_twisted)
 
@@ -527,18 +512,13 @@ def connected_sum(*pieces: Manifold) -> Manifold:
     # in dimension 4 both classes share one group, so p1_add does not apply
     p1 = reduce(p1_add, (m.p1 for m in pieces)) if dim >= 5 else P1Data.unknown()
 
-    if dim >= 4 and any(m.w3_twisted.is_nonzero for m in pieces):
-        w3_stored = TriState.nonzero("nonzero in one summand")
-    elif dim >= 4 and all(m.w3_twisted.is_zero for m in pieces):
-        w3_stored = TriState.zero("zero in both summands")
-    else:
-        w3_stored = None
-
+    # a summand's nonzero W_3 shows in its mod-2 shadow, and so in the sum's
+    w3_zero = dim >= 4 and all(m.w3_twisted.is_zero for m in pieces)
     return _assemble(
         " # ".join(m.name for m in pieces), dim, orientable, euler, signature, algebra,
         w=None,
         p1=p1,
-        w3_stored=w3_stored,
+        w3_stored=TriState.zero("zero in both summands") if w3_zero else None,
         stably_parallelizable=all(m.stably_parallelizable for m in pieces),
         torsion_free=all(m.torsion_free for m in pieces) and (orientable or dim > 4),
     )

@@ -143,44 +143,46 @@ def w3_twisted_status(w: TotalClass, stored: TriState | None = None) -> TriState
 class BundleDescriptor(_ReadOnly):
     """Stable data of a vector bundle over a manifold's cohomology algebra.
 
-    The constructor refuses data no bundle has.  An integer p_1 is
-    ``<p_1, [M]>`` and needs an oriented 4-dimensional base, whose
-    w_1 = v_1 vanishes; p_1 reduces to w_2^2 mod 2; and H^4 = 0 below
-    dimension 4.
+    The constructor refuses a negative rank and, as ``bundle-descriptor``,
+    whatever ``_bundle_refusal`` refuses: the rules every bundle obeys,
+    which ``validate_manifold`` applies to a record's tangent data too.
     """
 
     def __init__(self, rank: int, w_total: TotalClass, p1: P1Data, orientable: bool) -> None:
         vars(self).update(rank=rank, w_total=w_total, p1=p1, orientable=orientable)
-        A = w_total.algebra
-        n = A.top_degree
         if rank < 0:
             raise InvariantViolation("bundle-descriptor", "negative rank")
-        if w_total.parts[0] != A.unit_bits:
-            raise InvariantViolation("bundle-descriptor", "w_0 must be the unit")
-        if orientable != w_total.component(1).is_zero():
-            raise InvariantViolation(
-                "bundle-descriptor", "orientability flag contradicts w_1"
-            )
-        w2 = w_total.component(2)
-        w2sq = w2 * w2
-        if p1.number is not None:
-            if not (n == 4 and _oriented(A)):
-                raise InvariantViolation(
-                    "bundle-descriptor", "integer p_1 needs an oriented 4-dimensional base"
-                )
-            if p1.value is not P1Data.integer(p1.number).value:
-                raise InvariantViolation(
-                    "bundle-descriptor", f"p_1 = {p1.number} is recorded as {p1.value.value}"
-                )
-            if p1.number % 2 != evaluate_top(w2sq):
-                raise InvariantViolation(
-                    "bundle-descriptor",
-                    f"p_1 = {p1.number} but <w_2^2, [M]> = {evaluate_top(w2sq)}",
-                )
-        if n < 4 and p1.is_nonzero:
-            raise InvariantViolation("bundle-descriptor", "H^4 = 0 forces p_1 = 0")
-        if p1.is_zero and not w2sq.is_zero():
-            raise InvariantViolation("bundle-descriptor", "w_2^2 != 0 forces p_1 != 0")
+        refusal = _bundle_refusal(w_total, p1, orientable)
+        if refusal is not None:
+            raise InvariantViolation("bundle-descriptor", refusal[1])
+
+
+def _bundle_refusal(w_total: TotalClass, p1: P1Data, orientable: bool) -> tuple[str, str] | None:
+    """The first rule of every bundle that this data breaks, as (name, detail), or None.
+
+    w_0 is the unit; orientable means w_1 = 0; an integer p_1 is
+    ``<p_1, [M]>`` over an oriented 4-dimensional base (w_1 = v_1 = 0) and
+    sets the status; p_1 reduces to w_2^2 mod 2; H^4 = 0 below dimension 4.
+    """
+    A = w_total.algebra
+    if w_total.parts[0] != A.unit_bits:
+        return "unit", "w_0 must be the unit"
+    if orientable != w_total.component(1).is_zero():
+        return "orientability", "orientability flag contradicts w_1"
+    w2 = w_total.component(2)
+    w2sq = w2 * w2
+    if p1.number is not None:
+        if not (A.top_degree == 4 and _oriented(A)):
+            return "p1-kind", "integer p_1 needs an oriented 4-dimensional base"
+        if p1.value is not P1Data.integer(p1.number).value:
+            return "p1-kind", f"p_1 = {p1.number} is recorded as {p1.value.value}"
+        if p1.number % 2 != evaluate_top(w2sq):
+            return "p1-reduction", f"p_1 = {p1.number} but <w_2^2, [M]> = {evaluate_top(w2sq)}"
+    if A.top_degree < 4 and p1.is_nonzero:
+        return "p1-range", "H^4 = 0 forces p_1 = 0"
+    if p1.is_zero and not w2sq.is_zero():
+        return "p1-reduction", "w_2^2 != 0 forces p_1 != 0"
+    return None
 
 
 def _oriented(A: GradedAlgebra) -> bool:
@@ -199,12 +201,24 @@ def virtual_difference(m, xi: BundleDescriptor) -> tuple[TotalClass, P1Data]:
 
     The Whitney-class part is exact: ``w(TM - xi) = w(TM) * w(xi)^{-1}``;
     where ``w(xi)`` is the record's w, its inverse is the record's ``wbar``.
-    The Pontrjagin part follows the tri-valued difference rules.
+    The Pontrjagin part follows the tri-valued difference rules, which
+    treat p_1 as additive.  Exactly, ``p_1(TM) = p_1(D) + p_1(xi) - W_1(D)
+    W_1(xi)`` for D = TM - xi, W_1 = beta w_1 (``c_1(E (x) C) = W_1(E)``).
+    The cross term is 2-torsion, so it vanishes when either w_1 does, on a
+    torsion-free record and on an oriented 4-manifold (H^4 = Z); otherwise
+    p_1(D) is known only when its reduction w_2(D)^2 is nonzero.
     """
     if xi.w_total.algebra is not m.algebra:
         raise ValueError("bundle descriptor does not live over this manifold's cohomology")
     w_diff = m.w * (m.wbar if xi.w_total == m.w else invert_total(xi.w_total))
-    return w_diff, p1_difference(m.p1, xi.p1)
+    p1 = p1_difference(m.p1, xi.p1)
+    w1_xi, w1_diff = xi.w_total.component(1), w_diff.component(1)
+    if w1_xi.is_zero() or w1_diff.is_zero() or m.torsion_free or (m.dim == 4 and m.orientable):
+        return w_diff, p1
+    w2 = w_diff.component(2)
+    if (w2 * w2).is_zero():
+        return w_diff, P1Data.unknown("torsion cross term W_1(TM - xi) W_1(xi)")
+    return w_diff, P1Data.nonzero_class("w_2^2 != 0")
 
 
 def z_status(w_diff: TotalClass, p1: P1Data, torsion_free: bool = False) -> TriState:

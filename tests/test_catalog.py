@@ -27,6 +27,7 @@ from foldcheck.catalog import (
     sphere,
     validate_manifold,
 )
+from foldcheck.characteristic import BundleDescriptor
 from foldcheck.errors import DimensionMismatch, InvariantViolation, SchemaError
 from foldcheck.expressions import parse_expression
 from foldcheck.tristate import P1Data, Tri
@@ -230,6 +231,14 @@ def test_connected_sum_odd_dimension_euler():
     assert m.euler == 0  # chi additivity has no -2 correction in odd dims
 
 
+def test_connected_sum_reads_a_nonzero_w3_off_its_shadow():
+    # W_3(RP2 x RP2) != 0, and the mod-2 shadow Sq^1 w_2 + w_1 w_2 of the
+    # sum is the sum of the summands' shadows, so it certifies W_3 != 0
+    m = parse_expression("(RP2 x RP2) # (RP2 x RP2)")
+    assert parse_expression("RP2 x RP2").w3_twisted.is_nonzero
+    assert m.w3_twisted == (Tri.NONZERO, "Sq^1 w_2 + w_1 w_2 != 0")
+
+
 def test_product_invariants():
     m = product(real_projective(2), sphere(2))
     assert m.name == "RP2 x S2"
@@ -324,10 +333,14 @@ def test_validate_rejects_sp_with_nonzero_w():
         (lambda: replace(k3(), signature=None), "signature", "needs a signature"),
         (lambda: replace(sphere(4), signature=2), "signature", "exceeds the middle rank"),
         (lambda: replace(real_projective(4), signature=1), "signature", "where none is defined"),
-        (lambda: replace(real_projective(4), p1=P1Data.integer(0)), "p1-kind", "reserved"),
+        (
+            lambda: replace(real_projective(4), p1=P1Data.integer(0)),
+            "p1-kind",
+            "integer p_1 needs an oriented 4-dimensional base",
+        ),
         (lambda: replace(k3(), p1=P1Data.nonzero_class()), "p1-kind", "as an integer"),
         (lambda: replace(k3(), p1=P1Data(Tri.ZERO, -48)), "p1-kind", "p_1 = -48 is recorded as zero"),
-        (lambda: replace(sphere(3), p1=P1Data.unknown()), "p1-range", r"H\^4 = 0 forces"),
+        (lambda: replace(sphere(3), p1=P1Data.unknown()), "p1-range", "3-manifold is zero, not unknown"),
         (lambda: replace(k3(), p1=P1Data.integer(-47)), "p1-reduction", "p_1 = -47 but"),
         (
             lambda: replace(complex_projective(4), p1=P1Data.zero_class()),
@@ -356,6 +369,32 @@ def test_validate_manifold_refusals(forge, name, match):
     with pytest.raises(InvariantViolation, match=match) as info:
         validate_manifold(forge())
     assert info.value.name == name
+
+
+@pytest.mark.parametrize(
+    "m,changes,name",
+    [
+        (real_projective(4), {"orientable": True}, "orientability"),
+        (real_projective(4), {"p1": P1Data.integer(0)}, "p1-kind"),
+        (k3(), {"p1": P1Data(Tri.ZERO, -48)}, "p1-kind"),
+        (k3(), {"p1": P1Data.integer(-47)}, "p1-reduction"),
+        (sphere(3), {"p1": P1Data.nonzero_class()}, "p1-range"),
+        (complex_projective(4), {"p1": P1Data.zero_class()}, "p1-reduction"),
+        (real_projective(6), {"p1": P1Data.zero_class()}, "p1-reduction"),
+        (parse_expression("RP2 x RP2"), {"p1": P1Data.zero_class()}, "p1-reduction"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_records_and_descriptors_refuse_through_one_check(m, changes, name):
+    # a record's tangent data breaking a rule every bundle obeys is refused
+    # under the record's name, with the words a descriptor gets
+    forged = replace(m, **changes)
+    with pytest.raises(InvariantViolation) as record:
+        validate_manifold(forged)
+    with pytest.raises(InvariantViolation) as descriptor:
+        BundleDescriptor(forged.dim, forged.w, forged.p1, forged.orientable)
+    assert (record.value.name, descriptor.value.name) == (name, "bundle-descriptor")
+    assert str(record.value)[len(name):] == str(descriptor.value)[len("bundle-descriptor"):]
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +601,8 @@ def test_load_manifold_rp4_document():
         (lambda d: d.update(euler=2), InvariantViolation, "Euler parity"),
         (lambda d: d.update(orientable=True), InvariantViolation, "orientability"),
         (lambda d: d.update(dim="2"), SchemaError, "integer"),
+        (lambda d: d.update(dim=-1), SchemaError, "^dim must be >= 0$"),
+        (lambda d: d.update(signature=True), SchemaError, "^field 'signature' must be an integer$"),
         (lambda d: d.update(extra=1), SchemaError, "unknown document fields"),
         (lambda d: d.pop("p1"), SchemaError, "missing required field"),
         (lambda d: d.update(basis=[["1"], ["a"]]), SchemaError, "basis"),
@@ -581,6 +622,11 @@ def test_load_manifold_rp4_document():
         (lambda d: d.update(w=[[1], [1]]), SchemaError, "per degree"),
         (lambda d: d.update(p1="maybe"), SchemaError, "p1 must be"),
         (lambda d: d.update(p1={"int": 3, "note": ""}), SchemaError, "p1 must be"),
+        (
+            lambda d: d.update(p1={"int": 0}),
+            InvariantViolation,
+            "^p1-kind: integer p_1 needs an oriented 4-dimensional base$",
+        ),
         (lambda d: d.update(w3_twisted="sometimes"), SchemaError, "w3_twisted"),
         (lambda d: d.update(w=[[1], [0], [1]]), InvariantViolation, "wu-consistency"),
         (

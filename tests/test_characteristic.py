@@ -20,6 +20,7 @@ from foldcheck.characteristic import (
     z_status,
 )
 from foldcheck.errors import InvariantViolation
+from foldcheck.expressions import parse_expression
 from foldcheck.tristate import P1Data, Tri, TriState, p1_add, p1_difference, p1_negate
 
 
@@ -181,6 +182,45 @@ def test_virtual_difference_against_trivial():
     w_diff, p1_diff = virtual_difference(m, trivial_descriptor(m.algebra, 4))
     assert w_diff == m.w
     assert p1_diff.is_zero == m.p1.is_zero
+
+
+def _line_bundle_data(m, w) -> BundleDescriptor:
+    """A rank-n descriptor over m with total class w (one 0/1 row per degree) and p_1 = 0."""
+    p1 = P1Data.integer(0) if m.dim == 4 and m.orientable else P1Data.zero_class()
+    return BundleDescriptor(m.dim, total(m.algebra, w), p1, orientable=not any(w[1]))
+
+
+@pytest.mark.parametrize(
+    "expr,w,text,note",
+    [
+        # xi = 5L, w = (1 + a)^5: the cross term beta(a)^2 may cancel
+        # p_1(RP5) != 0, since TRP5 - 5L = L - 1 stably has p_1 = 0
+        ("RP5", [[1], [1], [0], [0], [1], [1]], "unknown", "torsion cross term W_1(TM - xi) W_1(xi)"),
+        # xi = L: w(TRP7 - L) = (1 + a)^7, whose w_2^2 = a^4 reduces p_1
+        ("RP7", [[1], [1], [0], [0], [0], [0], [0], [0]], "nonzero class", "w_2^2 != 0"),
+    ],
+)
+def test_virtual_difference_reads_the_cross_term(expr, w, text, note):
+    # p_1(TM) = p_1(TM - xi) + p_1(xi) - W_1(TM - xi) W_1(xi), W_1 = beta w_1;
+    # the additive rule read p_1(RP5) - 0 != 0 and 0 - 0 = 0 here
+    m = atom(expr)
+    p1_diff = virtual_difference(m, _line_bundle_data(m, w))[1]
+    assert (str(p1_diff), p1_diff.note) == (text, note)
+
+
+@pytest.mark.parametrize(
+    "expr,w",
+    [
+        ("RP6", [[1], [1], [0], [0], [0], [0], [0]]),  # L: w_1(TM - xi) = 0
+        ("RP5", [[1], [0], [0], [0], [1], [0]]),  # 4L: w_1(xi) = 0
+        # L pulled back from RP3: H^4 = Z of an oriented 4-manifold has no torsion
+        ("RP3 x S1", [[1], [0, 1], [0, 0], [0, 0], [0]]),
+    ],
+)
+def test_virtual_difference_keeps_the_additive_rule_without_a_cross_term(expr, w):
+    m = parse_expression(expr)
+    xi = _line_bundle_data(m, w)
+    assert virtual_difference(m, xi)[1] == p1_difference(m.p1, xi.p1)
 
 
 def test_virtual_difference_rejects_foreign_algebra():

@@ -87,6 +87,12 @@ def test_target_larger_than_dim_is_a_usage_error(capsys):
     assert "target dimension 7 exceeds dim M = 4" in err
 
 
+def test_sphere_target_larger_than_dim_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "decide", "RP4", "--target", "sphere:9")
+    assert (code, out) == (1, "")
+    assert "target dimension 9 exceeds dim M = 4" in err
+
+
 def test_missing_target_is_a_usage_error(capsys):
     code, out, err = run(capsys, "decide", "RP4")
     assert code == 1
@@ -471,6 +477,23 @@ def test_thom_against_own_tangent_vanishes(capsys):
     code, out, err = run(capsys, "thom", "CP2", "--target", "self")
     assert code == 0
     assert "nonzero" not in out
+
+
+def test_thom_reads_the_integral_entry_off_beta_w3(capsys, tmp_path):
+    # an oriented xi with w = 1 + a^3 over RP4 x S1: the difference has
+    # p_1 = 0 and w_1 w_3 = a^4 != 0, so beta(w_3) certifies the entry
+    doc = tmp_path / "desc.json"
+    doc.write_text(json.dumps({
+        "rank": 5,
+        "w": [[1], [0, 0], [0, 0], [0, 1], [0, 0], [0]],
+        "p1": "zero",
+        "orientable": True,
+    }))
+    code, out, err = run(capsys, "thom", "RP4 x S1", "--target", f"pullback:{doc}")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == (
+        "Sigma^{2,0} integral (deg 4) = nonzero class (mod-2 reduction w_1 w_3 != 0)  [nonzero]"
+    )
 
 
 # ---------------------------------------------------------------------------

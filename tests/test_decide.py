@@ -170,6 +170,24 @@ def test_pullback_with_a_nonzero_p1_class(expr):
     ]
 
 
+def test_pullback_of_5L_over_rp5_leaves_z_undetermined():
+    # xi carries the data of 5L: w = (1 + a)^5 and p_1 = 0.  TRP5 - 5L is
+    # L - 1 stably, whose p_1 vanishes, so p_1(RP5) != 0 must not be read as
+    # p_1(TM - xi): the cross term W_1(TM - xi) W_1(xi) = beta(a)^2 differs
+    m = atom("RP5")
+    doc = {"rank": 5, "w": [[1], [1], [0], [0], [1], [1]], "p1": "zero", "orientable": False}
+    verdict = decide_fold(m, TargetSpec.pullback(5, load_descriptor(doc, m.algebra)))
+    assert verdict.outcome is Outcome.UNKNOWN
+    assert [(e.rule, e.citation, e.obstruction, e.value) for e in verdict.trace] == [
+        (
+            "equidim-z",
+            "Thm 3.7",
+            "z",
+            "w_2 = 0; z undetermined (w_4 = 0 but the torsion part of z is undetermined)",
+        )
+    ]
+
+
 def test_pullback_must_be_equidimensional():
     m = atom("CP2")
     with pytest.raises(ValueError, match="rank 3"):
