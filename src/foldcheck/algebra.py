@@ -411,6 +411,15 @@ def _listed(entries: Any, field: str) -> Sequence:
     return entries
 
 
+def _blank(size: int, width: int) -> bytearray | list[int]:
+    """A zero table of ``size`` entries ``width`` bits wide, in the form ``_table`` stores.
+
+    Entries of at most 8 bits go in a ``bytearray``, which ``_table`` turns
+    into ``bytes`` in one copy; wider entries go in a list.
+    """
+    return bytearray(size) if width <= 8 else [0] * size
+
+
 def _put(tables: dict, key: tuple, size: int, width: int, slot: int, row: int, where: str = "") -> None:
     """Write a packed row into a slot of the table of block ``key``, made on first use.
 
@@ -419,7 +428,7 @@ def _put(tables: dict, key: tuple, size: int, width: int, slot: int, row: int, w
     """
     table = tables.get(key)
     if table is None:
-        table = tables[key] = bytearray(size) if width <= 8 else [0] * size
+        table = tables[key] = _blank(size, width)
     if where and table[slot] and table[slot] != row:
         raise SchemaError(f"{where}: conflicts with an earlier entry")
     table[slot] = row
@@ -1092,7 +1101,18 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     of ``a1 a2`` and ``b1 b2``, shifted to the offset of its degree pair in
     the output degree; so is each Cartan piece ``Sq^u a (x) Sq^v b`` of
     ``Sq^(u+v)``.  Only nonzero stored entries make pieces, and an output
-    table is allocated when its first piece lands in it.
+    table is allocated when its first piece lands in it, in the form it is
+    stored (``_blank``).
+
+    A and B must be valid, hence commutative, algebras, as every record's
+    algebra is.  Each product slot then has exactly one piece, which is
+    assigned; table ``(d2, d1)`` is the transpose of table ``(d1, d2)``, so
+    only the tables with ``d1 <= d2`` are computed, each writing its mirror
+    slot in the same pass.  When the product has one class in degree 0 and
+    it is the unit, the unit tables (``d1 = 0``) are left to the assembler,
+    which fills in the identity.  A single-bit row of A crosses as one
+    shift.  Cartan pieces of one square slot land at disjoint offsets and
+    are OR-ed.
     """
     n = A.top_degree + B.top_degree
     pairs = _degree_pairs(A, B)
@@ -1114,7 +1134,10 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     ]
 
     ra, rb = A.ranks, B.ranks
-    products: dict[tuple[int, int], list[int]] = {}
+    unit = _cross(A.unit_bits, B.unit_bits, rb[0])
+    # the unit tables (d1 = 0) are the identity, which the assembler fills in
+    first = 1 if ranks[0] == 1 and unit == 1 else 0
+    products: dict[tuple[int, int], bytearray | list[int]] = {}
     side_b = [
         (j1, j2, rb[j1], rb[j2], rb[j1 + j2], _entries(table, rb[j2]))
         for (j1, j2), table in B.products.items()
@@ -1123,17 +1146,29 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
         entries_a = _entries(table, ra[i2])
         for j1, j2, rb1, rb2, rbo, entries in side_b:
             d1, d2 = i1 + j1, i2 + j2
-            r2 = ranks[d2]
+            if not first <= d1 <= d2:
+                continue  # a unit table, or the mirror of a table written here
+            r1, r2, ro = ranks[d1], ranks[d2], ranks[d1 + d2]
             s1, s2, so = start[d1][i1], start[d2][i2], start[d1 + d2][i1 + i2]
             out = products.get((d1, d2))
             if out is None:
-                out = products[d1, d2] = [0] * (ranks[d1] * r2)
+                out = products[d1, d2] = _blank(r1 * r2, ro)
+                if d1 < d2:
+                    products[d2, d1] = _blank(r1 * r2, ro)
+            mirror = products[d2, d1]  # a (d, d) table is its own mirror
+            cells = [(b1 * r2 + b2, b2 * r1 + b1, y) for b1, b2, y in entries]
             for a1, a2, x in entries_a:
-                corner = (s1 + a1 * rb1) * r2 + s2 + a2 * rb2
-                for b1, b2, y in entries:
-                    out[corner + b1 * r2 + b2] |= _cross(x, y, rbo) << so
+                p, q = s1 + a1 * rb1, s2 + a2 * rb2
+                corner, corner_t = p * r2 + q, q * r1 + p
+                if x & (x - 1):
+                    for cell, cell_t, y in cells:
+                        mirror[corner_t + cell_t] = out[corner + cell] = _cross(x, y, rbo) << so
+                else:
+                    shift = (x.bit_length() - 1) * rbo + so
+                    for cell, cell_t, y in cells:
+                        mirror[corner_t + cell_t] = out[corner + cell] = y << shift
 
-    squares: dict[tuple[int, int], list[int]] = {}
+    squares: dict[tuple[int, int], bytearray | list[int]] = {}
     side_b = [
         (v, j, rb[j], rb[j + v], [(b, table[b]) for b in _nonzero(table)])
         for (v, j), table in B.squares.items()
@@ -1147,17 +1182,22 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
             s, so = start[d][i], start[d + k][i + u]
             out = squares.get((k, d))
             if out is None:
-                out = squares[k, d] = [0] * ranks[d]
+                out = squares[k, d] = _blank(ranks[d], ranks[d + k])
             for a, x in rows_a:
-                for b, y in rows_b:
-                    out[s + a * rbj + b] |= _cross(x, y, rbo) << so
+                if x & (x - 1):
+                    for b, y in rows_b:
+                        out[s + a * rbj + b] |= _cross(x, y, rbo) << so
+                else:
+                    shift = (x.bit_length() - 1) * rbo + so
+                    for b, y in rows_b:
+                        out[s + a * rbj + b] |= y << shift
 
     return _packed_algebra(
         n,
         basis,
         _stored(products),
         _stored(squares),
-        unit=_cross(A.unit_bits, B.unit_bits, B.rank(0)),
+        unit=unit,
         fundamental=_cross(A.fundamental_bits, B.fundamental_bits, B.rank(B.top_degree)),
     )
 
@@ -1192,7 +1232,9 @@ def connected_sum_algebra(*pieces: GradedAlgebra) -> GradedAlgebra:
     is primed against the sum before it, that sum's top label included, and
     the top label is chosen again after each summand.  A summand's entries
     are shifted to its offset in each degree; an entry landing in the top
-    degree is its evaluation on the summand's fundamental class.
+    degree is its evaluation on the summand's fundamental class.  Each
+    entry is assigned once, into a table allocated in the form it is stored
+    (``_blank``); the unit tables and ``Sq^0`` are left to the assembler.
     """
     n = pieces[0].top_degree
     for S in pieces[1:]:
@@ -1221,8 +1263,8 @@ def connected_sum_algebra(*pieces: GradedAlgebra) -> GradedAlgebra:
     basis.append([top])
 
     # each summand's stored tables; the unit tables and Sq^0 are the assembler's
-    products: dict[tuple[int, int], list[int]] = {}
-    squares: dict[tuple[int, int], list[int]] = {}
+    products: dict[tuple[int, int], bytearray | list[int]] = {}
+    squares: dict[tuple[int, int], bytearray | list[int]] = {}
     for S, start in zip(pieces, starts):
 
         def moved(x: int, d: int, start=start, fundamental=S.fundamental_bits) -> int:
@@ -1234,7 +1276,7 @@ def connected_sum_algebra(*pieces: GradedAlgebra) -> GradedAlgebra:
                 continue
             out = products.get((d1, d2))
             if out is None:
-                out = products[d1, d2] = [0] * (ranks[d1] * ranks[d2])
+                out = products[d1, d2] = _blank(ranks[d1] * ranks[d2], ranks[d1 + d2])
             r2 = ranks[d2]
             for i, j, x in _entries(table, S.rank(d2)):
                 out[(start[d1] + i) * r2 + start[d2] + j] = moved(x, d1 + d2)
@@ -1243,7 +1285,7 @@ def connected_sum_algebra(*pieces: GradedAlgebra) -> GradedAlgebra:
                 continue
             out = squares.get((k, d))
             if out is None:
-                out = squares[k, d] = [0] * ranks[d]
+                out = squares[k, d] = _blank(ranks[d], ranks[d + k])
             for i in _nonzero(table):
                 out[start[d] + i] = moved(table[i], d + k)
 

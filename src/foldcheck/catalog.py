@@ -295,10 +295,12 @@ def sphere(n: int) -> Manifold:
     if n < 0:
         raise ValueError("sphere dimension must be >= 0")
     if n == 0:
-        # p * p = p and q * q = q: entries (0, 0) and (1, 1) of the pair table
+        # p * p = p and q * q = q: entries (0, 0) and (1, 1) of the pair table.
+        # Two points: the pairing is the identity form, signature 2, so
+        # S(0) x N is N + N, not N + (-N).
         algebra = _packed_algebra(0, [["p", "q"]], {(0, 0): bytes((1, 0, 0, 2))}, unit=3, fundamental=3)
         return _assemble(
-            "S0", 0, True, 2, 0, algebra, w=None, stably_parallelizable=True, torsion_free=True
+            "S0", 0, True, 2, 2, algebra, w=None, stably_parallelizable=True, torsion_free=True
         )
     basis = [["1"]] + [[] for _ in range(n - 1)] + [["s"]]
     algebra = _packed_algebra(n, basis)

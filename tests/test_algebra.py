@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,17 +439,63 @@ def test_sparse_algebras_store_linearly_many_blocks(build):
 
 def test_kunneth_of_two_spheres_walks_only_the_degrees_with_classes(monkeypatch):
     # four (i, j) degree pairs carry classes; every split of degree up to 2000 once did
-    cross = algebra._cross
-    calls = []
+    S = catalog.sphere(1000).algebra
+    visits = {"rank": 0, "table": 0}
+    rank, nonzero = algebra.GradedAlgebra.rank, algebra._nonzero
 
-    def counting(u, v, width):
-        calls.append(width)
-        return cross(u, v, width)
+    def counting_rank(self, d):
+        visits["rank"] += 1
+        return rank(self, d)
 
-    monkeypatch.setattr(algebra, "_cross", counting)
-    m = parse_expression("S1000 x S1000")
-    assert len(calls) <= 24
-    assert m.algebra.degrees == (0, 1000, 2000)
+    def counting_nonzero(table):
+        visits["table"] += 1
+        return nonzero(table)
+
+    monkeypatch.setattr(algebra.GradedAlgebra, "rank", counting_rank)
+    monkeypatch.setattr(algebra, "_nonzero", counting_nonzero)
+    P = kunneth(S, S)
+    # a rank lookup per degree pair with classes, and each stored table of a
+    # factor read once
+    assert visits["rank"] <= 12
+    assert visits["table"] == 2 * (len(S.products) + len(S.squares))
+    assert P.degrees == (0, 1000, 2000)
+    assert parse_expression("S1000 x S1000").algebra.degrees == (0, 1000, 2000)
+
+
+def test_every_construction_stores_its_tables_as_table_makes_them(closure, atoms):
+    # bytes when every entry fits in a byte, else a tuple: never the
+    # bytearray or list a construction writes into
+    sigma2 = atoms["Sigma2"].algebra
+    wide = kunneth(sigma2, sigma2)  # rank 18 in degree 2: the (1, 1) table is wide
+    built = [m.algebra for m in closure] + [
+        wide,
+        kunneth(catalog.sphere(0).algebra, atoms["RP2"].algebra),
+        connected_sum_algebra(*[atoms["K3"].algebra] * 3),
+        build_algebra(wide.top_degree, wide.basis, *entries(wide.mult, wide.sq_table)),
+        build_algebra(4, atoms["K3"].algebra.basis, *entries(atoms["K3"].algebra.mult)),
+        rp_algebra(6),
+    ]
+    kinds = set()
+    for A in built:
+        for key, table in [*A.products.items(), *A.squares.items()]:
+            kinds.add(type(table))
+            assert not isinstance(table, (bytearray, list)), (A, key)
+            made = algebra._table(table)
+            assert type(made) is type(table) and made == table, (A, key)
+    assert kinds == {bytes, tuple}
+
+
+def test_a_long_repeated_sum_builds_in_little_memory():
+    # every table into a degree of rank <= 8 is a bytearray from the start,
+    # not a list of ints: the sum's tables are nearly all into the top degree
+    catalog.atom("K3")
+    tracemalloc.start()
+    try:
+        parse_expression("100#K3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 """Catalog atoms, combination rules, and document ingestion."""
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 import numpy as np
@@ -65,9 +66,31 @@ def test_atom_classical_invariants(token, dim, orientable, euler, signature):
 
 def test_sphere_zero_is_disconnected():
     s0 = sphere(0)
-    assert s0.euler == 2 and s0.signature == 0
+    # two points, each pairing to 1 with itself: the identity form
+    assert s0.euler == 2 and s0.signature == 2
     assert s0.algebra.rank(0) == 2
     assert not s0.connected
+
+
+def test_every_ordered_product_of_two_atoms_builds(atoms):
+    # S0 carries the identity form, so S0 x N is N + N and its signature
+    # and p_1 are twice N's; read as N + (-N), S0 x CP2 breaks w_2^2 = p_1 mod 2
+    tokens = {"S0": sphere(0), **atoms}
+    built = 0
+    for a, b in itertools.product(tokens, repeat=2):
+        m, n = tokens[a], tokens[b]
+        if m.dim + n.dim > 8:
+            continue
+        mn = parse_expression(f"{a} x {b}")
+        assert mn.dim == m.dim + n.dim and mn.euler == m.euler * n.euler, (a, b)
+        if "S0" in (a, b):
+            other = n if a == "S0" else m
+            if other.signature is not None and other.dim % 4 == 0:
+                assert mn.signature == 2 * other.signature, (a, b)
+                if other.dim == 4:
+                    assert mn.p1.number == 2 * other.p1.number, (a, b)
+        built += 1
+    assert built == 456 + 45  # the closure products in both orders, and the 45 with S0
 
 
 def test_point_is_the_product_unit():
