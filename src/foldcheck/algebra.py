@@ -1056,6 +1056,20 @@ def _disambiguate(other: Sequence[Sequence[str]], *taken: dict[str, set[int]]):
     return [list(other[0])] + [[l + "'" * p for l in deg] for deg in other[1:]]
 
 
+def _set_apart(A: GradedAlgebra, B: GradedAlgebra) -> list[list[str]]:
+    """B's labels set apart, for when two pair labels of ``A (x) B`` meet.
+
+    ``_disambiguate`` primes B against the stems of A's labels, yet ``p*h``
+    is both ``(p, h)`` and ``(p*h, 1)`` when A's degree 0 holds p, and
+    ``a*h'`` both ``(a, h')`` and ``(1, (a*h)')``.  Parenthesizing B's
+    compound labels makes B's part the last factor outside parentheses, and
+    one prime more than any label of A ends in keeps A's labels apart.
+    """
+    primes = 1 + max(len(l) - len(l.rstrip("'")) for deg in A.basis for l in deg)
+    wrapped = [[f"({l})" if "*" in l else l for l in deg] for deg in B.basis]
+    return [wrapped[0]] + [[l + "'" * primes for l in deg] for deg in wrapped[1:]]
+
+
 def _pair_label(la: str, lb: str) -> str:
     if la == "1":
         return lb
@@ -1127,11 +1141,15 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
             size += A.rank(i) * B.rank(j)
         ranks.append(size)
     _check_table_size(_table_bytes(ranks))
-    labels_b = _disambiguate(B.basis, _prime_counts(l for deg in A.basis[1:] for l in deg))
-    basis = [
-        [_pair_label(la, lb) for i, j in row for la in A.basis[i] for lb in labels_b[j]]
-        for row in pairs
-    ]
+    def pair_basis(labels_b: list[list[str]]) -> list[list[str]]:
+        return [
+            [_pair_label(la, lb) for i, j in row for la in A.basis[i] for lb in labels_b[j]]
+            for row in pairs
+        ]
+
+    basis = pair_basis(_disambiguate(B.basis, _prime_counts(l for deg in A.basis[1:] for l in deg)))
+    if any(len(set(row)) < len(row) for row in basis):
+        basis = pair_basis(_set_apart(A, B))
 
     ra, rb = A.ranks, B.ranks
     unit = _cross(A.unit_bits, B.unit_bits, rb[0])

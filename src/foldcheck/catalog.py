@@ -1,11 +1,16 @@
 """Manifold records: catalog atoms, connected sums, products, documents.
 
-Every construction path funnels through one assembler that completes p_1
+Every construction path funnels through one assembler that derives the
+dimension (the top degree), the Euler characteristic (the alternating
+rank sum) and the orientability (w_1 = v_1) from the algebra, keeps a
+signature only on an orientable manifold of dimension 4k, completes p_1
 where the dimension decides it, solves the Wu classes once, derives the
 Stiefel-Whitney classes from them via Wu's theorem (cross-checking any
 stored total class), resolves the twisted class W_3, and then validates
 the finished record with :func:`validate_manifold`, which refuses tangent
-data through the same rules as a bundle descriptor.
+data through the same rules as a bundle descriptor.  Only a document
+declares the dimension, Euler characteristic and orientability, and
+``load_manifold`` checks them against the derived ones.
 
 The algebra axiom battery (``validate_algebra``) runs where data enters:
 ``load_manifold`` checks a document's fields and basis and reads its
@@ -42,12 +47,11 @@ from .algebra import (
     build_algebra,
     connected_sum_algebra,
     cross_total,
-    evaluate_top,
     invert_total,
     kunneth,
     total_sq,
 )
-from .characteristic import BundleDescriptor, _bundle_refusal, w3_twisted_status, wu_total
+from .characteristic import BundleDescriptor, _bundle_refusal, _oriented, w3_twisted_status, wu_total
 from .errors import InvariantViolation, SchemaError
 from .tristate import P1Data, Tri, TriState, p1_add
 
@@ -130,22 +134,27 @@ class Manifold(_ReadOnly):
 # ---------------------------------------------------------------------------
 
 
+def _euler(A: GradedAlgebra) -> int:
+    """The Euler characteristic of a Poincare algebra: its ranks, alternating."""
+    return sum(-r if d % 2 else r for d, r in enumerate(A.ranks))
+
+
 def _assemble(
     name: str,
-    dim: int,
-    orientable: bool,
-    euler: int,
-    signature: int | None,
     algebra: GradedAlgebra,
     *,
     w: TotalClass | None,
+    signature: int | None = None,
     p1: P1Data = P1Data.unknown(),
     w3_stored: TriState | None = None,
     stably_parallelizable: bool = False,
     torsion_free: bool = False,
 ) -> Manifold:
-    """Complete p_1, derive Wu and Stiefel-Whitney classes once, then build and validate.
+    """Derive the classical invariants, complete p_1, derive Wu and Stiefel-Whitney classes once.
 
+    The algebra fixes the dimension (top degree), the Euler characteristic
+    (alternating rank sum) and the orientability (w_1 = v_1 = 0); a
+    signature is kept only where one is defined, on the 4k lattice.
     Below dimension 4 a zero or unknown class status becomes the zero class
     (a nonzero status or an integer is left for ``validate_manifold`` to
     refuse, as for any bundle); p_1 is ``3 sigma`` on an oriented
@@ -154,9 +163,12 @@ def _assemble(
     reduction is injective on the degree-4 integral group there.  A stored
     ``w`` must match the derivation.
     """
+    dim, orientable = algebra.top_degree, _oriented(algebra)
+    if not (orientable and dim % 4 == 0):
+        signature = None
     if dim <= 3 and p1.number is None and not p1.is_nonzero:
         p1 = P1Data.zero_class("H^4 = 0")
-    elif dim == 4 and orientable and signature is not None and p1.number is None:
+    elif dim == 4 and signature is not None and p1.number is None:
         exact = P1Data.integer(3 * signature, "signature theorem")
         if not p1.is_unknown and p1.value is not exact.value:
             raise InvariantViolation(
@@ -182,7 +194,7 @@ def _assemble(
         name=name,
         dim=dim,
         orientable=orientable,
-        euler=euler,
+        euler=_euler(algebra),
         signature=signature,
         algebra=algebra,
         w=derived,
@@ -201,30 +213,16 @@ def validate_manifold(m: Manifold) -> None:
 
     Algebra axioms (ring structure, Cartan, nondegenerate pairing) are not
     checked here: the battery enforces them where data enters, and
-    catalog constructions satisfy them by construction.  This layer checks
-    the manifold-flavored facts: Euler characteristic against the top
-    Whitney class and against ranks; w and p_1 against the rules every
-    bundle obeys (``characteristic._bundle_refusal``); signature presence
-    and parity; the tangent bundle's own p_1 (zero below dimension 4,
-    ``3 sigma`` on an oriented 4-manifold, read off w_2^2 on a
-    non-orientable one); W_3 consistency; and the structure flags.
+    catalog constructions satisfy them by construction; nor are the
+    dimension, Euler characteristic and orientability, which the record
+    derives from its algebra.  This layer checks what a constructor or
+    document supplies: w and p_1 against the rules every bundle obeys
+    (``characteristic._bundle_refusal``); signature presence, range and
+    parity; the tangent bundle's own p_1 (``3 sigma`` on an oriented
+    4-manifold, read off w_2^2 on a non-orientable one); W_3
+    consistency; and the structure flags.
     """
     A, n = m.algebra, m.dim
-    if A.top_degree != n:
-        raise InvariantViolation("dimension", f"algebra has top degree {A.top_degree}, not {n}")
-
-    top_eval = evaluate_top(m.w.component(n))
-    if top_eval != m.euler % 2:
-        raise InvariantViolation(
-            "Euler parity", f"<w_{n}, [M]> = {top_eval} but chi = {m.euler}"
-        )
-
-    alternating = sum((-1 if d % 2 else 1) * r for d, r in enumerate(A.ranks))
-    if alternating != m.euler:
-        raise InvariantViolation(
-            "euler-rank", f"chi = {m.euler} but the ranks alternate to {alternating}"
-        )
-
     refusal = _bundle_refusal(m.w, m.p1, m.orientable)
     if refusal is not None:
         raise InvariantViolation(*refusal)
@@ -240,23 +238,14 @@ def validate_manifold(m: Manifold) -> None:
             raise InvariantViolation(
                 "signature parity", f"sigma = {m.signature} and chi = {m.euler} differ mod 2"
             )
-    elif m.signature is not None:
-        raise InvariantViolation("signature", "signature recorded where none is defined")
 
-    if n <= 3 and not m.p1.is_zero:
-        raise InvariantViolation("p1-range", f"p_1 of a {n}-manifold is zero, not {m.p1}")
-    if n == 4 and m.orientable:
-        if m.p1.number is None:
-            raise InvariantViolation(
-                "p1-kind", "oriented 4-manifolds carry <p_1, [M]> as an integer"
-            )
-        if m.p1.number != 3 * m.signature:
-            raise InvariantViolation(
-                "p1-signature", f"p_1 = {m.p1.number} but 3 sigma = {3 * m.signature}"
-            )
-    elif n == 4:
+    if n == 4 and m.orientable and m.p1.number != 3 * m.signature:
+        raise InvariantViolation(
+            "p1-signature", f"p_1 = {m.p1.number} but 3 sigma = {3 * m.signature}"
+        )
+    if n == 4 and not m.orientable:
         w2 = m.w.component(2)
-        if m.p1.is_unknown or (m.p1.is_nonzero != bool(evaluate_top(w2 * w2))):
+        if m.p1.is_unknown or m.p1.is_nonzero == (w2 * w2).is_zero():
             raise InvariantViolation(
                 "p1-reduction", "p_1 of a non-orientable 4-manifold is determined by w_2^2"
             )
@@ -300,16 +289,14 @@ def sphere(n: int) -> Manifold:
         # S(0) x N is N + N, not N + (-N).
         algebra = _packed_algebra(0, [["p", "q"]], {(0, 0): bytes((1, 0, 0, 2))}, unit=3, fundamental=3)
         return _assemble(
-            "S0", 0, True, 2, 2, algebra, w=None, stably_parallelizable=True, torsion_free=True
+            "S0", algebra, w=None, signature=2, stably_parallelizable=True, torsion_free=True
         )
     basis = [["1"]] + [[] for _ in range(n - 1)] + [["s"]]
-    algebra = _packed_algebra(n, basis)
     return _assemble(
-        f"S{n}", n, True,
-        euler=2 if n % 2 == 0 else 0,
-        signature=0 if n % 4 == 0 else None,
-        algebra=algebra,
+        f"S{n}",
+        _packed_algebra(n, basis),
         w=None,
+        signature=0,
         p1=P1Data.zero_class(),
         stably_parallelizable=True,
         torsion_free=True,
@@ -356,11 +343,8 @@ def real_projective(n: int) -> Manifold:
     else:
         p1 = P1Data.zero_class(f"p_1 = C({n + 1},2) a^4")
     return _assemble(
-        f"RP{n}", n,
-        orientable=n % 2 == 1,
-        euler=1 if n % 2 == 0 else 0,
-        signature=None,
-        algebra=algebra,
+        f"RP{n}",
+        algebra,
         w=w,
         p1=p1,
         w3_stored=TriState.zero("H^3 with the relevant coefficients vanishes")
@@ -376,11 +360,10 @@ def complex_projective(n: int) -> Manifold:
         raise ValueError("complex projective space needs n >= 1")
     algebra, w = _truncated_polynomial("h", 2, n)
     return _assemble(
-        f"CP{n}", 2 * n, True,
-        euler=n + 1,
-        signature=1 if n % 2 == 0 else None,
-        algebra=algebra,
+        f"CP{n}",
+        algebra,
         w=w,
+        signature=1,  # sigma(CP(2k)); CP(2k + 1) has none
         p1=P1Data.nonzero_class(f"p_1 = {n + 1} h^2") if n >= 3 else P1Data.unknown(),
         w3_stored=TriState.zero("H^3 = 0"),
         torsion_free=True,
@@ -389,16 +372,8 @@ def complex_projective(n: int) -> Manifold:
 
 def cp2_reversed() -> Manifold:
     """CP(2) with the reversed orientation: same mod-2 data, sigma = -1."""
-    template = complex_projective(2)
-    return _assemble(
-        "CP2~", 4, True,
-        euler=3,
-        signature=-1,
-        algebra=template.algebra,
-        w=template.w,
-        w3_stored=TriState.zero("H^3 = 0"),
-        torsion_free=True,
-    )
+    cp2 = complex_projective(2)
+    return _assemble("CP2~", cp2.algebra, w=cp2.w, signature=-1, w3_stored=cp2.w3_twisted, torsion_free=True)
 
 
 # E8 intersection form mod 2: the edges of the Dynkin diagram, numbered from 1
@@ -419,14 +394,7 @@ def k3() -> Manifold:
     edges += [(s, s + 1) for s in (16, 18, 20)]  # the hyperbolic planes
     basis = [["1"], [], [f"x{i}" for i in range(1, 23)], [], ["t"]]
     algebra = _packed_algebra(4, basis, {(2, 2): _form_table(22, edges)})
-    return _assemble(
-        "K3", 4, True,
-        euler=24,
-        signature=-16,
-        algebra=algebra,
-        w=None,
-        torsion_free=True,
-    )
+    return _assemble("K3", algebra, w=None, signature=-16, torsion_free=True)
 
 
 def orientable_surface(g: int) -> Manifold:
@@ -437,14 +405,7 @@ def orientable_surface(g: int) -> Manifold:
     deg1 = [l for i in range(1, g + 1) for l in (f"a{i}", f"b{i}")]
     table = _form_table(2 * g, [(2 * i, 2 * i + 1) for i in range(g)])
     algebra = _packed_algebra(2, [["1"], deg1, ["t"]], {(1, 1): table} if g else {})
-    return _assemble(
-        f"Sigma{g}", 2, True,
-        euler=2 - 2 * g,
-        signature=None,
-        algebra=algebra,
-        w=None,
-        torsion_free=True,
-    )
+    return _assemble(f"Sigma{g}", algebra, w=None, torsion_free=True)
 
 
 def nonorientable_surface(k: int) -> Manifold:
@@ -458,13 +419,7 @@ def nonorientable_surface(k: int) -> Manifold:
         {(1, 1): _form_table(k, [(i, i) for i in range(k)])},
         {(1, 1): _ONE * k},  # Sq^1 c_i = c_i^2 = t
     )
-    return _assemble(
-        f"N{k}", 2, False,
-        euler=2 - k,
-        signature=None,
-        algebra=algebra,
-        w=None,
-    )
+    return _assemble(f"N{k}", algebra, w=None)
 
 
 _ATOM_FAMILIES = {
@@ -505,24 +460,20 @@ def connected_sum(*pieces: Manifold) -> Manifold:
     """
     algebra = connected_sum_algebra(*(m.algebra for m in pieces))
     dim = algebra.top_degree
-    orientable = all(m.orientable for m in pieces)
-    euler = sum(m.euler for m in pieces) - (2 * (len(pieces) - 1) if dim % 2 == 0 else 0)
-    if orientable and dim % 4 == 0:
-        signature: int | None = sum(m.signature or 0 for m in pieces)
-    else:
-        signature = None
     # in dimension 4 both classes share one group, so p1_add does not apply
     p1 = reduce(p1_add, (m.p1 for m in pieces)) if dim >= 5 else P1Data.unknown()
 
     # a summand's nonzero W_3 shows in its mod-2 shadow, and so in the sum's
     w3_zero = dim >= 4 and all(m.w3_twisted.is_zero for m in pieces)
     return _assemble(
-        " # ".join(m.name for m in pieces), dim, orientable, euler, signature, algebra,
+        " # ".join(m.name for m in pieces),
+        algebra,
         w=None,
+        signature=sum(m.signature or 0 for m in pieces),
         p1=p1,
         w3_stored=TriState.zero("zero in both summands") if w3_zero else None,
         stably_parallelizable=all(m.stably_parallelizable for m in pieces),
-        torsion_free=all(m.torsion_free for m in pieces) and (orientable or dim > 4),
+        torsion_free=all(m.torsion_free for m in pieces),
     )
 
 
@@ -533,19 +484,9 @@ def _factor_name(m: Manifold) -> str:
 def product(m: Manifold, n: Manifold) -> Manifold:
     """Cartesian product via the Kunneth algebra."""
     algebra = kunneth(m.algebra, n.algebra)
-    dim = m.dim + n.dim
-    orientable = m.orientable and n.orientable
-    euler = m.euler * n.euler
-    if orientable and dim % 4 == 0:
-        if m.dim % 4 == 0 and n.dim % 4 == 0:
-            signature: int | None = (m.signature or 0) * (n.signature or 0)
-        else:
-            signature = 0
-    else:
-        signature = None
     w = cross_total(algebra, m.w, n.w)
 
-    if dim <= 4:
+    if algebra.top_degree <= 4:
         p1 = P1Data.unknown()  # decided by _assemble
     elif n.stably_parallelizable:
         p1 = P1Data(m.p1.value, None, "stable tangent bundle pulled back from the first factor")
@@ -563,12 +504,13 @@ def product(m: Manifold, n: Manifold) -> Manifold:
             p1 = P1Data.unknown("integral cross terms undetermined")
 
     return _assemble(
-        f"{_factor_name(m)} x {_factor_name(n)}", dim, orientable, euler, signature,
+        f"{_factor_name(m)} x {_factor_name(n)}",
         algebra,
         w=w,
+        signature=(m.signature or 0) * (n.signature or 0),
         p1=p1,
         stably_parallelizable=m.stably_parallelizable and n.stably_parallelizable,
-        torsion_free=m.torsion_free and n.torsion_free and (orientable or dim > 4),
+        torsion_free=m.torsion_free and n.torsion_free,
     )
 
 
@@ -635,8 +577,11 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     fields and the basis, then hands the entry lists to ``build_algebra``,
     the one reader of outside tables, which checks and packs each row once,
     fills in product mirrors and runs the axiom battery.  An absent ``mult``
-    or ``sq`` is an empty list.  Every failure names the offending field,
-    entry or invariant.
+    or ``sq`` is an empty list.  Once every field is read, the declared
+    ``euler`` (parity first), ``orientable`` and a nonzero ``signature``
+    off the 4k lattice are checked against the algebra, in that order;
+    ``_assemble`` checks the rest.  Every failure names the offending
+    field, entry or invariant.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("manifold document must be a mapping")
@@ -655,8 +600,6 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     signature = doc.get("signature")
     if signature is not None and not _ints(signature):
         raise SchemaError("field 'signature' must be an integer")
-    if signature == 0 and not (orientable and dim % 4 == 0):
-        signature = None  # a vanishing signature is redundant off the 4k lattice
 
     basis = doc["basis"]
     if (
@@ -681,19 +624,30 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
         w3_stored = TriState(_STATUS_WORDS[w3_raw], "document")
     else:
         raise SchemaError('w3_twisted must be one of "zero"/"nonzero"/"unknown"')
+    stably_parallelizable = _require_bool(doc, "stably_parallelizable", False)
+    torsion_free = _require_bool(doc, "torsion_free", False)
+
+    # the declared invariants against the ones the algebra fixes; on an
+    # algebra the battery accepts, <w_n, [M]> is the Euler characteristic mod 2
+    chi, oriented = _euler(algebra), _oriented(algebra)
+    if (euler - chi) % 2:
+        raise InvariantViolation("Euler parity", f"<w_{dim}, [M]> = {chi % 2} but chi = {euler}")
+    if euler != chi:
+        raise InvariantViolation("euler-rank", f"chi = {euler} but the ranks alternate to {chi}")
+    if orientable != oriented:
+        raise InvariantViolation("orientability", "orientability flag contradicts w_1")
+    if signature and not (oriented and dim % 4 == 0):
+        raise InvariantViolation("signature", "signature recorded where none is defined")
 
     return _assemble(
         str(doc.get("name", "document")),
-        dim,
-        orientable,
-        euler,
-        signature,
         algebra,
         w=w,
+        signature=signature,
         p1=p1,
         w3_stored=w3_stored,
-        stably_parallelizable=_require_bool(doc, "stably_parallelizable", False),
-        torsion_free=_require_bool(doc, "torsion_free", False),
+        stably_parallelizable=stably_parallelizable,
+        torsion_free=torsion_free,
     )
 
 

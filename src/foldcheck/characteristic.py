@@ -83,18 +83,16 @@ def dual_classes(m) -> TotalClass:
 
 
 class StructureFlags(NamedTuple):
-    """Tangential structures readable from w_1 and w_2."""
+    """Tangential structures readable from w_2 and the record's orientability."""
 
-    orientable: bool
     spin: bool
     pin: bool
 
 
 def structure_flags(m) -> StructureFlags:
-    """Orientable iff w_1 = 0; pin iff w_2 = 0; spin iff both vanish."""
-    w1_zero = m.w.component(1).is_zero()
+    """Pin iff w_2 = 0; spin iff also orientable (w_1 = 0)."""
     w2_zero = m.w.component(2).is_zero()
-    return StructureFlags(orientable=w1_zero, spin=w1_zero and w2_zero, pin=w2_zero)
+    return StructureFlags(spin=m.orientable and w2_zero, pin=w2_zero)
 
 
 # ---------------------------------------------------------------------------

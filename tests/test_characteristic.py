@@ -68,16 +68,16 @@ def test_dual_classes_inverts():
 
 
 def test_structure_flags_table():
-    assert structure_flags(sphere(4)) == StructureFlags(orientable=True, spin=True, pin=True)
-    rp4 = real_projective(4)
-    flags = structure_flags(rp4)
-    assert not flags.orientable and flags.pin and not flags.spin
-    rp2 = real_projective(2)
-    flags2 = structure_flags(rp2)
-    assert not flags2.orientable and not flags2.pin and not flags2.spin
-    cp2 = atom("CP2")
-    flags3 = structure_flags(cp2)
-    assert flags3.orientable and not flags3.spin and not flags3.pin
+    # pin reads w_2 alone; spin also needs the record's orientability (w_1 = 0)
+    cases = [
+        (sphere(4), True, StructureFlags(spin=True, pin=True)),
+        (real_projective(3), True, StructureFlags(spin=True, pin=True)),
+        (real_projective(4), False, StructureFlags(spin=False, pin=True)),
+        (real_projective(2), False, StructureFlags(spin=False, pin=False)),
+        (atom("CP2"), True, StructureFlags(spin=False, pin=False)),
+    ]
+    for m, orientable, flags in cases:
+        assert (m.orientable, structure_flags(m)) == (orientable, flags), m.name
 
 
 # ---------------------------------------------------------------------------
