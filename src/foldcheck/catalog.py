@@ -1,16 +1,16 @@
 """Manifold records: catalog atoms, connected sums, products, documents.
 
 Every construction path funnels through one assembler that derives the
-dimension (the top degree), the Euler characteristic (the alternating
-rank sum) and the orientability (w_1 = v_1) from the algebra, keeps a
-signature only on an orientable manifold of dimension 4k, completes p_1
-where the dimension decides it, solves the Wu classes once, derives the
-Stiefel-Whitney classes from them via Wu's theorem (cross-checking any
-stored total class), resolves the twisted class W_3, and then validates
-the finished record with :func:`validate_manifold`, which refuses tangent
-data through the same rules as a bundle descriptor.  Only a document
-declares the dimension, Euler characteristic and orientability, and
-``load_manifold`` checks them against the derived ones.
+dimension, Euler characteristic and orientability (w_1 = v_1) from the
+algebra, then settles each tangent invariant once, in the order its
+inputs become known, refusing a contradiction at that step: the
+signature (on the 4k lattice only), the Stiefel-Whitney classes (via
+Wu's theorem, cross-checking any stored total class), p_1 where the
+dimension decides it, and W_3.  :func:`validate_manifold` checks the
+rest: the rules every bundle obeys, as for a bundle descriptor, and the
+structure flags.  Only a document declares the dimension, Euler
+characteristic and orientability, and ``load_manifold`` checks them
+against the derived ones.
 
 The algebra axiom battery (``validate_algebra``) runs where data enters:
 ``load_manifold`` checks a document's fields and basis and reads its
@@ -30,6 +30,7 @@ stored invariants.
 """
 from __future__ import annotations
 
+import re
 from functools import cached_property, reduce
 from typing import Any, Mapping
 
@@ -150,31 +151,34 @@ def _assemble(
     stably_parallelizable: bool = False,
     torsion_free: bool = False,
 ) -> Manifold:
-    """Derive the classical invariants, complete p_1, derive Wu and Stiefel-Whitney classes once.
+    """Settle each tangent invariant once, in the order its inputs become known.
 
     The algebra fixes the dimension (top degree), the Euler characteristic
-    (alternating rank sum) and the orientability (w_1 = v_1 = 0); a
-    signature is kept only where one is defined, on the 4k lattice.
-    Below dimension 4 a zero or unknown class status becomes the zero class
-    (a nonzero status or an integer is left for ``validate_manifold`` to
-    refuse, as for any bundle); p_1 is ``3 sigma`` on an oriented
-    4-manifold, where a class status must agree with it.  An unknown p_1 of
-    a non-orientable 4-manifold is completed from w_2^2: the mod-2
-    reduction is injective on the degree-4 integral group there.  A stored
-    ``w`` must match the derivation.
+    (alternating rank sum) and the orientability (w_1 = v_1 = 0).  Then, in
+    order: sigma, dropped off the 4k lattice of oriented manifolds and on it
+    required, at most the middle rank and congruent to chi mod 2; w, as
+    Sq(v) of the Wu classes, which a stored ``w`` must match; p_1 where the
+    dimension fixes it: the zero class below dimension 4, ``3 sigma`` on an
+    oriented 4-manifold, and on a non-orientable one the status of w_2^2,
+    as the mod-2 reduction is injective on the degree-4 integral group
+    there (a nonzero status below dimension 4 and an integer off an
+    oriented 4-manifold are left for the bundle rules of
+    ``validate_manifold``); W_3.  A declaration contradicting a settled
+    value is refused at its step, so the refusal names the field at fault,
+    not a value derived from one.
     """
-    dim, orientable = algebra.top_degree, _oriented(algebra)
+    dim, orientable, euler = algebra.top_degree, _oriented(algebra), _euler(algebra)
     if not (orientable and dim % 4 == 0):
         signature = None
-    if dim <= 3 and p1.number is None and not p1.is_nonzero:
-        p1 = P1Data.zero_class("H^4 = 0")
-    elif dim == 4 and signature is not None and p1.number is None:
-        exact = P1Data.integer(3 * signature, "signature theorem")
-        if not p1.is_unknown and p1.value is not exact.value:
-            raise InvariantViolation(
-                "p1-signature", f"document p1 contradicts 3 sigma = {3 * signature}"
-            )
-        p1 = exact
+    elif signature is None:
+        raise InvariantViolation("signature", "oriented 4k-manifold needs a signature")
+    elif abs(signature) > algebra.rank(dim // 2):
+        raise InvariantViolation("signature", f"|sigma| = {abs(signature)} exceeds the middle rank")
+    elif (signature - euler) % 2:
+        raise InvariantViolation(
+            "signature parity", f"sigma = {signature} and chi = {euler} differ mod 2"
+        )
+
     wu = wu_total(algebra)
     derived = total_sq(wu)
     if w is not None:
@@ -184,17 +188,34 @@ def _assemble(
                     "wu-consistency",
                     f"stored w_{d} disagrees with the Wu-derived Stiefel-Whitney class",
                 )
-    if dim == 4 and not orientable and p1.is_unknown:
+
+    if dim <= 3 and p1.number is None and not p1.is_nonzero:
+        p1 = P1Data.zero_class("H^4 = 0")
+    elif dim == 4 and orientable:
+        exact = 3 * signature
+        if p1.number not in (None, exact):
+            raise InvariantViolation("p1-signature", f"p_1 = {p1.number} but 3 sigma = {exact}")
+        if p1.number is None:
+            if not p1.is_unknown and p1.is_zero != (exact == 0):
+                raise InvariantViolation(
+                    "p1-signature", f"document p1 contradicts 3 sigma = {exact}"
+                )
+            p1 = P1Data.integer(exact, "signature theorem")
+    elif dim == 4 and p1.number is None:
         w2 = derived.component(2)
-        if (w2 * w2).is_zero():
-            p1 = P1Data.zero_class("w_2^2 = 0")
-        else:
-            p1 = P1Data.nonzero_class("w_2^2 != 0")
+        zero = (w2 * w2).is_zero()
+        if not p1.is_unknown and p1.is_zero != zero:
+            raise InvariantViolation(
+                "p1-reduction", "p_1 of a non-orientable 4-manifold is determined by w_2^2"
+            )
+        if p1.is_unknown:
+            p1 = P1Data.zero_class("w_2^2 = 0") if zero else P1Data.nonzero_class("w_2^2 != 0")
+
     m = Manifold(
         name=name,
         dim=dim,
         orientable=orientable,
-        euler=_euler(algebra),
+        euler=euler,
         signature=signature,
         algebra=algebra,
         w=derived,
@@ -209,48 +230,17 @@ def _assemble(
 
 
 def validate_manifold(m: Manifold) -> None:
-    """Check every record-level invariant; raise InvariantViolation if any fails.
+    """Check what no settling step of ``_assemble`` covers; raise InvariantViolation if it fails.
 
-    Algebra axioms (ring structure, Cartan, nondegenerate pairing) are not
-    checked here: the battery enforces them where data enters, and
-    catalog constructions satisfy them by construction; nor are the
-    dimension, Euler characteristic and orientability, which the record
-    derives from its algebra.  This layer checks what a constructor or
-    document supplies: w and p_1 against the rules every bundle obeys
-    (``characteristic._bundle_refusal``); signature presence, range and
-    parity; the tangent bundle's own p_1 (``3 sigma`` on an oriented
-    4-manifold, read off w_2^2 on a non-orientable one); W_3
-    consistency; and the structure flags.
+    ``_assemble`` derives and settles sigma, w, p_1 and W_3; the algebra
+    axioms hold where data enters.  This layer checks w and p_1 against the
+    rules every bundle obeys (``characteristic._bundle_refusal``), and the
+    ``stably_parallelizable`` and ``torsion_free`` flags.
     """
-    A, n = m.algebra, m.dim
+    n = m.dim
     refusal = _bundle_refusal(m.w, m.p1, m.orientable)
     if refusal is not None:
         raise InvariantViolation(*refusal)
-
-    if m.orientable and n % 4 == 0:
-        if m.signature is None:
-            raise InvariantViolation("signature", "oriented 4k-manifold needs a signature")
-        if abs(m.signature) > A.rank(n // 2):
-            raise InvariantViolation(
-                "signature", f"|sigma| = {abs(m.signature)} exceeds the middle rank"
-            )
-        if (m.signature - m.euler) % 2:
-            raise InvariantViolation(
-                "signature parity", f"sigma = {m.signature} and chi = {m.euler} differ mod 2"
-            )
-
-    if n == 4 and m.orientable and m.p1.number != 3 * m.signature:
-        raise InvariantViolation(
-            "p1-signature", f"p_1 = {m.p1.number} but 3 sigma = {3 * m.signature}"
-        )
-    if n == 4 and not m.orientable:
-        w2 = m.w.component(2)
-        if m.p1.is_unknown or m.p1.is_nonzero == (w2 * w2).is_zero():
-            raise InvariantViolation(
-                "p1-reduction", "p_1 of a non-orientable 4-manifold is determined by w_2^2"
-            )
-
-    w3_twisted_status(m.w, m.w3_twisted)
 
     if m.stably_parallelizable:
         if not m.orientable:
@@ -429,23 +419,24 @@ _ATOM_FAMILIES = {
     "Sigma": (orientable_surface, 0),
     "N": (nonorientable_surface, 1),
 }
+_ATOM_TOKEN = re.compile(rf"({'|'.join(_ATOM_FAMILIES)})(\d+)", re.ASCII)
 
 
 def atom(token: str) -> Manifold:
-    """Build a catalog atom from its token, e.g. ``"RP4"`` or ``"CP2~"``."""
+    """Build a catalog atom from its token, e.g. ``"RP4"`` or ``"CP2~"``; digits are ASCII."""
     if token == "K3":
         return k3()
     if token == "CP2~":
         return cp2_reversed()
-    for prefix, (factory, lowest) in sorted(
-        _ATOM_FAMILIES.items(), key=lambda kv: -len(kv[0])
-    ):
-        if token.startswith(prefix) and token[len(prefix) :].isdigit():
-            value = int(token[len(prefix) :])
-            if value < lowest:
-                raise ValueError(f"{prefix}({value}) is out of range (needs >= {lowest})")
-            return factory(value)
-    raise ValueError(f"unknown atom {token!r}")
+    match = _ATOM_TOKEN.fullmatch(token)
+    if match is None:
+        raise ValueError(f"unknown atom {token!r}")
+    prefix, digits = match.groups()
+    factory, lowest = _ATOM_FAMILIES[prefix]
+    value = int(digits)
+    if value < lowest:
+        raise ValueError(f"{prefix}({value}) is out of range (needs >= {lowest})")
+    return factory(value)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +571,9 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     or ``sq`` is an empty list.  Once every field is read, the declared
     ``euler`` (parity first), ``orientable`` and a nonzero ``signature``
     off the 4k lattice are checked against the algebra, in that order;
-    ``_assemble`` checks the rest.  Every failure names the offending
-    field, entry or invariant.
+    ``_assemble`` settles ``signature``, ``w``, ``p1`` and ``w3_twisted``
+    in that order, and ``validate_manifold`` checks the rest.  Every
+    failure names the offending field, entry or invariant.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("manifold document must be a mapping")

@@ -103,6 +103,11 @@ def _resolve_manifold(text: str) -> Manifold:
     return load_manifold(_load_json(text))
 
 
+def _target_dim(raw: str) -> Optional[int]:
+    """``raw`` as a positive integer in ASCII digits, or None; ``isdecimal`` passes any script's."""
+    return int(raw) if raw.isascii() and raw.isdecimal() and int(raw) >= 1 else None
+
+
 def _parse_target(text: str, m: Manifold, parser: _ArgumentParser) -> TargetSpec:
     if text == "self":
         return TargetSpec.pullback(m.dim, tangent_descriptor(m))
@@ -110,15 +115,14 @@ def _parse_target(text: str, m: Manifold, parser: _ArgumentParser) -> TargetSpec
         descriptor = load_descriptor(_load_json(text[len("pullback:"):]), m.algebra)
         return TargetSpec.pullback(m.dim, descriptor)
     if text.startswith("sphere:"):
-        raw = text[len("sphere:"):]
-        if not raw.isdecimal() or int(raw) < 1:
+        p = _target_dim(text[len("sphere:"):])
+        if p is None:
             parser.error(f"invalid sphere target {text!r}")
-        p = int(raw)
         if p > m.dim:
             parser.error(f"target dimension {p} exceeds dim M = {m.dim}")
         return TargetSpec.sphere(p)
-    if text.startswith("R") and text[1:].isdecimal() and int(text[1:]) >= 1:
-        p = int(text[1:])
+    p = _target_dim(text[1:]) if text.startswith("R") else None
+    if p is not None:
         if p > m.dim:
             parser.error(f"target dimension {p} exceeds dim M = {m.dim}")
         return TargetSpec.euclidean(p)

@@ -11,7 +11,9 @@ Expressions denote closed manifolds built from atoms with ``#``
 ``k # T`` abbreviates the k-fold connected sum ``T # ... # T`` (1 <= k <=
 1000), built in one pass with the labels of the left fold.  Both
 operators are left associative and ``x`` binds tighter than ``#``, so
-``RP4 # S2 x S2`` means ``RP4 # (S2 x S2)``.  Whitespace is ignored.
+``RP4 # S2 x S2`` means ``RP4 # (S2 x S2)``.  Whitespace is ignored.  The
+grammar is ASCII: digits and spaces of other scripts are unexpected
+characters.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ _TOKEN_RE = re.compile(
   | (?P<lparen>\()
   | (?P<rparen>\))
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 

@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 from classes import coords, point, replace
-from test_trust_boundary import RINGS, ring_document
+from test_trust_boundary import RINGS, manifold_document, ring_document
 from foldcheck import catalog
 from foldcheck.algebra import build_algebra
 from foldcheck.catalog import _odd_binomial
@@ -298,6 +298,9 @@ def test_atom_token_errors():
         atom("N0")
     with pytest.raises(ValueError, match="out of range"):
         atom("CP0")
+    for token in ("RP٣", "S４", "Sigma²"):  # digits of other scripts are not ASCII
+        with pytest.raises(ValueError, match="unknown atom"):
+            atom(token)
     assert atom("Sigma0").name == "Sigma0"
 
 
@@ -403,16 +406,61 @@ def test_validate_rejects_orientability_lie():
         validate_manifold(forged)
 
 
-def test_validate_rejects_bad_signature_parity():
-    forged = replace(k3(), signature=-15)
-    with pytest.raises(InvariantViolation, match="signature"):
-        validate_manifold(forged)
+def test_w3_is_resolved_once_per_record(monkeypatch):
+    # RP2, RP2 again and the product: one W_3 resolution each
+    calls = []
+    resolve = catalog.w3_twisted_status
+    monkeypatch.setattr(catalog, "w3_twisted_status", lambda *args: calls.append(args) or resolve(*args))
+    parse_expression("RP2 x RP2")
+    assert len(calls) == 3
 
 
-def test_validate_rejects_p1_signature_mismatch():
-    forged = replace(k3(), p1=P1Data.integer(0))
-    with pytest.raises(InvariantViolation, match="p1-signature"):
-        validate_manifold(forged)
+# each settling step of _assemble refuses a document whose declaration
+# contradicts it, under the name of the field at fault; p1 "unknown" is how
+# a generated document declares it, so a wrong sigma is not blamed on p_1
+@pytest.mark.parametrize(
+    "expr,changes,name,match",
+    [
+        (
+            "K3",
+            {"signature": -15, "p1": "unknown"},
+            "signature parity",
+            "^signature parity: sigma = -15 and chi = 24 differ mod 2$",
+        ),
+        (
+            "CP2",
+            {"signature": 0, "p1": "unknown"},
+            "signature parity",
+            "^signature parity: sigma = 0 and chi = 3 differ mod 2$",
+        ),
+        (
+            "K3",
+            {"signature": None, "p1": "unknown"},
+            "signature",
+            "^signature: oriented 4k-manifold needs a signature$",
+        ),
+        ("S4", {"signature": 2}, "signature", r"^signature: \|sigma\| = 2 exceeds the middle rank$"),
+        ("K3", {"p1": {"int": 0}}, "p1-signature", "^p1-signature: p_1 = 0 but 3 sigma = -48$"),
+        ("K3", {"p1": {"int": -47}}, "p1-signature", "^p1-signature: p_1 = -47 but 3 sigma = -48$"),
+        ("CP2", {"p1": "zero"}, "p1-signature", "^p1-signature: document p1 contradicts 3 sigma = 3$"),
+        (
+            "RP2 x RP2",
+            {"p1": "zero"},
+            "p1-reduction",
+            r"^p1-reduction: p_1 of a non-orientable 4-manifold is determined by w_2\^2$",
+        ),
+    ],
+    ids=[
+        "k3-parity", "cp2-parity", "signature-missing", "signature-range", "p1-integer",
+        "p1-integer-odd", "p1-status", "p1-nonorientable",
+    ],
+)
+def test_documents_are_refused_at_the_settling_step(expr, changes, name, match):
+    doc = manifold_document(parse_expression(expr))
+    doc.update(changes)
+    with pytest.raises(InvariantViolation, match=match) as info:
+        load_manifold(doc)
+    assert info.value.name == name
 
 
 def test_validate_rejects_sp_with_nonzero_w():
@@ -427,8 +475,6 @@ def test_validate_rejects_sp_with_nonzero_w():
 @pytest.mark.parametrize(
     "forge,name,match",
     [
-        (lambda: replace(k3(), signature=None), "signature", "needs a signature"),
-        (lambda: replace(sphere(4), signature=2), "signature", "exceeds the middle rank"),
         (
             lambda: replace(real_projective(4), p1=P1Data.integer(0)),
             "p1-kind",
@@ -454,7 +500,7 @@ def test_validate_rejects_sp_with_nonzero_w():
         (lambda: replace(real_projective(4), torsion_free=True), "torsion-flag", "torsion"),
     ],
     ids=[
-        "signature-missing", "signature-range", "p1-kind-integer", "p1-kind-status",
+        "p1-kind-integer", "p1-kind-status",
         "p1-reduction-dim4", "p1-reduction-dim8", "sp-nonorientable", "sp-p1", "torsion-flag",
     ],
 )
@@ -565,8 +611,11 @@ def test_load_manifold_completes_p1_from_w2_square():
 def test_load_manifold_rejects_p1_reduction_conflict():
     doc = rp4_document()
     doc["p1"] = "nonzero"
-    with pytest.raises(InvariantViolation, match="p1-reduction"):
+    with pytest.raises(
+        InvariantViolation, match=r"p_1 of a non-orientable 4-manifold is determined by w_2\^2$"
+    ) as info:
         load_manifold(doc)
+    assert info.value.name == "p1-reduction"
 
 
 def test_load_manifold_rejects_a_class_p1_against_the_signature():
@@ -726,6 +775,14 @@ def test_load_manifold_rp4_document():
         (lambda d: d.update(sq=[[-1, 1, 0, [1]]]), SchemaError, "degree data out of range"),
         (lambda d: d.update(sq=[[1, 1, 3, [1]]]), SchemaError, "index out of range"),
         (lambda d: d.update(sq=[[2, 1, 0, 0]]), SchemaError, r"expected \[k, deg, idx, coords\]"),
+        # an entry that is not a list of 4 items, after a good one
+        (lambda d: d["sq"].append(7), SchemaError, r"^sq entry 1: expected \[k, deg, idx, coords\]$"),
+        (lambda d: d["sq"].append([1, 1, 0]), SchemaError, r"^sq entry 1: expected \[k, deg, idx, coords\]$"),
+        (
+            lambda d: d["sq"].append([1, 1, 0, [1], [1]]),
+            SchemaError,
+            r"^sq entry 1: expected \[k, deg, idx, coords\]$",
+        ),
         (lambda d: d.update(mult=None), SchemaError, "^field 'mult' must be a list of entries$"),
         (lambda d: d.update(sq={}), SchemaError, "^field 'sq' must be a list of entries$"),
         (lambda d: d.update(w=[[1], [1]]), SchemaError, "per degree"),

@@ -117,6 +117,32 @@ def test_superscript_target_digits_are_a_usage_error(capsys, target, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "target,message",
+    # Arabic-Indic and fullwidth digits pass str.isdecimal and int()
+    [("R٣", "unrecognized target 'R٣'"), ("sphere:４", "invalid sphere target 'sphere:４'")],
+    ids=["R", "sphere"],
+)
+def test_non_ascii_target_digits_are_a_usage_error(capsys, target, message):
+    code, out, err = run(capsys, "decide", "S4", "--target", target)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("RP٣", "unexpected character 'R' (at position 0)"),
+        ("٢#RP4", "unexpected character '٢' (at position 0)"),
+    ],
+    ids=["atom", "count"],
+)
+def test_non_ascii_expression_digits_are_an_expression_error(capsys, text, message):
+    code, out, err = run(capsys, "invariants", text)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_expression_error_reports_position(capsys):
     code, out, err = run(capsys, "decide", "RP4 @", "--target", "R3")
     assert code == 2
@@ -262,6 +288,14 @@ def test_inconsistent_document_is_rejected(capsys):
     code, out, err = run(capsys, "invariants", str(DATA / "bad_euler.json"))
     assert code == 2
     assert "Euler parity" in err
+
+
+def test_document_with_a_wrong_signature_is_refused_for_it(capsys):
+    # CP2 with sigma = 0 and p1 "unknown": sigma is settled before p_1 is
+    # completed from it, so the refusal names sigma, not a p_1 of 3 sigma
+    code, out, err = run(capsys, "invariants", str(DATA / "cp2_bad_signature.json"))
+    assert (code, out) == (2, "")
+    assert err == "foldcheck: error: signature parity: sigma = 0 and chi = 3 differ mod 2\n"
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,9 @@ def test_repetition_applies_to_the_factor_only():
         ("S2 x Sigma3000", 5, "over the budget"),
         ("K3 x K3 x K3", 8, "over the budget of 33554432 bytes"),
         pytest.param("2#" * 40 + "RP4", 65, "over the budget", id="nested-repeats-budget"),
+        # the grammar is ASCII: other scripts' digits and spaces are not tokens
+        pytest.param("S2 x RP٣", 5, "unexpected character 'R'", id="arabic-indic-digit"),
+        pytest.param("RP4\u00a0x S2", 3, "unexpected character", id="no-break-space"),
     ],
 )
 def test_error_positions(text, position, message):

@@ -7,7 +7,8 @@ packed ints, and ``cross_total`` places cross products degree by degree.
 ``^=`` after a ``% 2``, on the earlier degree walk ``_kunneth_layout``
 (every split ``i + j = d``), so they share no iteration helper with the
 package.  Both must give the same labels, every table, unit,
-fundamental class and cross product, entry for entry.
+fundamental class and cross product, entry for entry; where primed
+labels would meet, both set B's labels apart with ``_set_apart``.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import pytest
 
 from classes import bits, packed, total
 from conftest import ATOM_TOKENS
+from test_trust_boundary import rebased_document
 from foldcheck import catalog
 from foldcheck.algebra import (
     GradedAlgebra,
@@ -27,10 +29,12 @@ from foldcheck.algebra import (
     _packed_algebra,
     _pair_label,
     _prime_counts,
+    _set_apart,
     _table_bytes,
     cross_total,
     kunneth,
 )
+from foldcheck.expressions import parse_expression
 
 # ---------------------------------------------------------------------------
 # the kron/einsum Kunneth product, kept as the reference
@@ -54,18 +58,23 @@ def reference_kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     _check_table_size(_table_bytes(
         [sum(A.rank(i) * B.rank(d - i) for i in range(d + 1)) for d in range(n + 1)]
     ))
-    labels_b = _disambiguate(B.basis, _prime_counts(l for deg in A.basis[1:] for l in deg))
     layouts = [_kunneth_layout(A, B, d) for d in range(n + 1)]
     outs = [{(i, j): s for i, j, s in layout} for layout in layouts]
 
-    basis: list[list[str]] = []
-    for d in range(n + 1):
-        row: list[str] = []
-        for i, j, _ in layouts[d]:
-            for la in A.basis[i]:
-                for lb in labels_b[j]:
-                    row.append(_pair_label(la, lb))
-        basis.append(row)
+    def pair_labels(labels_b: list[list[str]]) -> list[list[str]]:
+        basis: list[list[str]] = []
+        for d in range(n + 1):
+            row: list[str] = []
+            for i, j, _ in layouts[d]:
+                for la in A.basis[i]:
+                    for lb in labels_b[j]:
+                        row.append(_pair_label(la, lb))
+            basis.append(row)
+        return basis
+
+    basis = pair_labels(_disambiguate(B.basis, _prime_counts(l for deg in A.basis[1:] for l in deg)))
+    if any(len(set(row)) < len(row) for row in basis):
+        basis = pair_labels(_set_apart(A, B))  # primes alone let two pair labels meet
     ranks = [len(b) for b in basis]
 
     mult: dict[tuple[int, int], np.ndarray] = {}
@@ -213,3 +222,17 @@ def test_products_match_the_reference(tokens):
         record = catalog.product(record, f)
     # the chain built by the reference alone gives the same algebra
     assert_same_algebra(record.algebra, want, where)
+
+
+def test_products_with_a_document_factor_match_the_reference():
+    # catalog algebras hold single-bit product entries only; a rebased
+    # document's entries are sums of classes, which kunneth crosses bit by bit
+    doc, _ = rebased_document(parse_expression("RP2 x RP3"), np.random.default_rng(0))
+    m = catalog.load_manifold(doc)
+    multi = [x for table in m.algebra.products.values() for x in table if x & (x - 1)]
+    assert len(multi) == 17
+    for other in (catalog.atom("CP2"), catalog.atom("S1"), m):
+        where = f"rebased RP2 x RP3 x {other.name}"
+        P = kunneth(m.algebra, other.algebra)
+        assert_same_algebra(P, reference_kunneth(m.algebra, other.algebra), where)
+        assert_same_cross(P, m, other, where)

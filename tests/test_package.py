@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import foldcheck
+from foldcheck import algebra, catalog, characteristic, decide
+from foldcheck.algebra import _packed_algebra
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(foldcheck.__path__))
 
@@ -74,3 +76,50 @@ def test_numpy_is_imported_only_where_arrays_are_read():
     source = Path(foldcheck.__file__).parent
     found = sorted(name for path in sorted(source.glob("*.py")) for name in _numpy_importers(path))
     assert found == sorted(NUMPY_IMPORTERS)
+
+
+def _records() -> dict:
+    """One instance of every public record type, from RP4 and its decisions."""
+    m = catalog.atom("RP4")
+    bounds = decide.stable_span_bounds(m)
+    thom = decide.thom_polynomials(m)
+    return {
+        "Manifold": m,
+        "GradedAlgebra": m.algebra,
+        "ClassZ2": m.w.component(1),
+        "TotalClass": m.w,
+        "BundleDescriptor": characteristic.tangent_descriptor(m),
+        "Verdict": decide.decide_fold(m, decide.TargetSpec.euclidean(3)),
+        "SpanBounds": bounds,
+        "TraceEntry": bounds.trace[0],
+        "TargetSpec": decide.TargetSpec.sphere(2),
+        "ThomTable": thom,
+        "ThomEntry": thom.entries[0],
+        "StructureFlags": characteristic.structure_flags(m),
+        "ValidationReport": algebra.validate_algebra(m.algebra),
+        "TriState": m.w3_twisted,
+        "P1Data": m.p1,
+    }
+
+
+@pytest.mark.parametrize("kind", list(_records()))
+def test_records_are_read_only(kind):
+    record = _records()[kind]
+    assert type(record).__name__ == kind
+    field = next(iter(vars(record))) if hasattr(record, "__dict__") else record._fields[0]
+    before = getattr(record, field)
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert getattr(record, field) is before
+
+
+def test_cached_views_of_read_only_records_fill_on_first_read():
+    # building RP4 reads its algebra's degrees, so the algebra here is a fresh S4
+    m, A = catalog.atom("RP4"), _packed_algebra(4, [["1"], [], [], [], ["s"]])
+    assert "wbar" not in vars(m) and "degrees" not in vars(A)
+    wbar, degrees = m.wbar, A.degrees
+    assert vars(m)["wbar"] is wbar and m.wbar is wbar
+    assert vars(A)["degrees"] is degrees == (0, 4)
