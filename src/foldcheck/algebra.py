@@ -25,9 +25,14 @@ own blocks, and for the array views (``mult_block``, ``sq_block``,
 built from the ints on first read and cached; the package reads none.
 Associativity runs on the packed tables where they are sparse
 (``_packed_wins``), Cartan on BLAS products with one parity per block, and
-the unit checks decide degree-0 factors; ``validate_algebra`` states these
-rules.  The Poincare pairing is read in one place, ``_pairing_rows``, by
-the battery and by the Wu class alike.
+the unit checks decide degree-0 factors.  On a commutative unital table
+both are computed only where a generator degree sits: associativity on
+triples whose middle degree is one, Cartan (once associativity holds) on
+pairs with a factor of one, since either axiom holds on all classes once
+it holds there; a failure found so sends the battery over every triple or
+pair, so each failure is still named.  ``validate_algebra`` states these
+rules and their proofs.  The Poincare pairing is read in one place,
+``_pairing_rows``, by the battery and by the Wu class alike.
 
 Every routine walks the degrees that carry a basis class (``degrees``) or
 the tables the algebra stores, never all degree pairs or triples up to the
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import operator
 from functools import cache, cached_property, partial, reduce
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
@@ -399,7 +404,8 @@ def _row(entry: Any, length: int, where: str) -> int:
     """A 0/1 vector of ``length``, checked and packed into one int: coordinate i is bit i."""
     if not isinstance(entry, (list, tuple)) or len(entry) != length:
         raise SchemaError(f"{where}: expected a 0/1 vector of length {length}")
-    if not _ints(*entry) or not {0, 1}.issuperset(entry):
+    # JSON integers, as _ints has it, read in place: _ints(*entry) would copy the row
+    if not {int}.issuperset(map(type, entry)) or not {0, 1}.issuperset(entry):
         raise SchemaError(f"{where}: coordinates must be 0 or 1")
     # the digits of the coordinates, last first, read in base 2
     return int(bytes(entry[::-1]).translate(_DIGITS) or b"0", 2)
@@ -650,7 +656,7 @@ _CHUNK_ELEMENTS = 1 << 18
 
 
 def _parity(a):
-    """Entrywise parity of a float32 product of 0/1 tables."""
+    """Entrywise parity of a float32 product of 0/1 tables, or of a difference of such."""
     bits = a.astype("int32")
     bits &= 1
     return bits
@@ -660,26 +666,69 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     """Check every ring/Steenrod/duality axiom; returns the violation list.
 
     Checks: unit action, commutativity, associativity, Sq^0 = id,
-    Sq^(deg x) = squaring, the Cartan formula on all basis pairs, and
-    nondegeneracy of the Poincare pairing in every degree, whose rows
-    ``_pairing_rows`` reads from the stored tables.
+    Sq^(deg x) = squaring, the Cartan formula, and nondegeneracy of the
+    Poincare pairing in every degree, whose rows ``_pairing_rows`` reads
+    from the stored tables.  The list names every failing degree triple of
+    associativity and every failing degree pair and k of Cartan, in the
+    order of the einsum formulation the tests keep as a reference.
 
     The unit checks settle every axiom with a degree-0 factor when degree
     0 has rank 1, no unit check fails and Sq^0 fixes the unit: then
     (1y)z = yz = 1(yz), and Sq^k(1y) = Sq^k y = Sq^0(1) Sq^k(y).  So those
     triples and pairs are not computed; otherwise they are, as all others.
 
+    Once the commutativity loop finds nothing, each mirror pair is computed
+    once.  Over GF(2) with xy = yx, the associator (zy)x + z(yx) of (z, y, x)
+    is x(yz) + (xy)z, that of (x, y, z); and both sides of the Cartan formula
+    for (y, x) are those for (x, y) with the two factors swapped.  So only
+    triples with d1 <= d3 and pairs with d1 <= d2 are computed, and each
+    mirror repeats their verdict at its own place in the violation list.
+
+    When the unit and commutativity checks pass, the generator degrees E
+    (``_generator_degrees``: the positive degrees that products of classes
+    of positive degree do not span) decide the rest.  By induction on the
+    degree, every class is then a sum of products of the unit and classes
+    of degrees in E, so a set of classes holding these and closed under
+    sums and products holds every class.
+
+    * Associativity (Light's test; Clifford and Preston, *The Algebraic
+      Theory of Semigroups* I, 1961, section 1.2).  Let T be the set of g
+      with (xg)y = x(gy) for all x, y.  T is a subspace, holds the unit,
+      and is closed under products: for a, b in T,
+      (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  So only the
+      triples (d1, d2, d3) with d2 in E are computed.
+    * Cartan (the total square of an associative algebra is a ring map once
+      it is one on generators; Steenrod and Epstein, *Cohomology
+      Operations*, 1962).  Once associativity holds as well, and Sq^0 is the
+      identity, so that the checks for k >= 1 give the total square
+      Sq = Sq^0 + Sq^1 + ..., the classes x with Sq(xy) = Sq(x) Sq(y) for
+      all y form a subspace that holds the unit (Sq(1) = 1) and is closed
+      under products: for a, b in it,
+      Sq(aby) = Sq(a) Sq(by) = Sq(a) Sq(b) Sq(y) = Sq(ab) Sq(y).  So only
+      the pairs with a factor in E are computed.
+
+    If such a reduced scan finds a failure, every triple (or pair) is
+    scanned again, through the same memo, so that the list still names
+    each failure and no triple or pair is computed twice; where the
+    unit, commutativity, associativity or Sq^0 checks fail, every triple
+    or pair is scanned at once.  So a valid RP8 costs 12 associativity
+    triples of 34, ``CP3 x RP3`` 28 of 50, and the doc-ingest ring
+    F2[a,b,c]/(a^6,b^4,c^6) 105 of 308 triples and 28 Cartan pairs of 64.
+
     The unit, commutativity, Sq^0 and squaring checks read the stored
-    packed tables.  The Cartan formula, and associativity on dense triples,
-    run as float32 matrix products (BLAS) on blocks unpacked from the
-    stored tables when first read, without building the array views; an
-    associativity chunk takes its parity as it goes.  A Cartan
-    block (d1, d2, k) is one integer sum, ``prod @ Sq^k`` minus
+    packed tables.  The Cartan formula (``_cartan``), and associativity on
+    dense triples, run as float32 matrix products (BLAS) on blocks
+    unpacked from the stored tables when first read, without building the
+    array views; an associativity chunk takes its parity as it goes.  A
+    Cartan block (d1, d2, k) is one integer sum, ``prod @ Sq^k`` minus
     ``sum_u Sq^v(d2) @ (Sq^u(d1) @ mult(d1 + u, d2 + v))``, all linear over
-    Z, so one ``fmod(diff, 2)`` decides it.  On the doc-ingest ring
-    documents (ranks up to 16; 1 CPU, best of 15, three runs) that took
+    Z, so one parity of the difference (``_parity``) decides it.  Over
+    every pair of the doc-ingest ring documents (ranks up to 16; 1 CPU,
+    best of 15, three runs), before the generator reduction, that took
     Cartan from 8.0-8.3 to 5.4-5.8 ms and from 6.1-6.4 to 4.2-4.4 ms; one
-    parity per associativity triple was slower (7.1 against 6.0 ms).
+    parity per associativity triple was slower (7.1 against 6.0 ms).  The
+    parity is taken on int32, as ``diff % 2`` on float32 took ten times
+    as long as the products on the (1, 1) pair of ``40#RP4``.
 
     The sums are exact in float32: ``|diff| <= max(r_(d1+d2), C)`` with
     ``C = sum_u r_(d1+u) r_(d2+v)``, and ``_table_bytes`` is at least 2C,
@@ -704,13 +753,6 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     triple of rank-1 degrees).  The loops walk
     the degrees that carry a class; the other axioms hold trivially on
     zero ranks.
-
-    Once the commutativity loop finds nothing, each mirror pair is computed
-    once.  Over GF(2) with xy = yx, the associator (zy)x + z(yx) of (z, y, x)
-    is x(yz) + (xy)z, that of (x, y, z); and both sides of the Cartan formula
-    for (y, x) are those for (x, y) with the two factors swapped.  So only
-    triples with d1 <= d3 and pairs with d1 <= d2 are computed, and each
-    mirror repeats their verdict at its own place in the violation list.
     """
     import numpy as np
 
@@ -747,26 +789,44 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
                 bad.append(f"commutativity: degrees ({d1}, {d2})")
     commutative = len(bad) == before
 
+    # the generator degrees settle associativity once the unit and commutativity
+    # checks pass, and Cartan once associativity and Sq^0 = id hold too (see above)
+    generators = _generator_degrees(A) if unital and commutative else degrees
+
+    # verdicts by computed triple and pair, a mirror read from its twin, in plain
+    # dicts: a self-calling cached closure would hold the dense blocks in a cycle
     associative: dict[tuple[int, int, int], bool] = {}
-    for d1, d2 in pairs:
-        for d3 in degrees:
-            if d1 + d2 + d3 > n:
-                break
-            if commutative and d3 < d1:
-                ok = associative[d3, d2, d1]
+    cartan: dict[tuple[int, int], list[int]] = {}
+
+    def associates(d1: int, d2: int, d3: int) -> bool:
+        key = (d3, d2, d1) if commutative and d3 < d1 else (d1, d2, d3)
+        if key not in associative:
+            if _packed_wins(A, weight, *key):
+                associative[key] = _associative_packed(A, lines, *key)
             else:
-                ok = associative[d1, d2, d3] = (
-                    _associative_packed(A, lines, d1, d2, d3)
-                    if _packed_wins(A, weight, d1, d2, d3)
-                    else _associative(mult, A.rank, d1, d2, d3)
-                )
-            if not ok:
-                bad.append(f"associativity: degrees ({d1}, {d2}, {d3})")
+                associative[key] = _associative(mult, A.rank, *key)
+        return associative[key]
+
+    # the triples with a generator middle degree; if one fails, every triple
+    for middles in (generators, degrees):
+        failed = [
+            f"associativity: degrees ({d1}, {d2}, {d3})"
+            for d1, d2 in pairs
+            if d2 in middles
+            for d3 in degrees
+            if d1 + d2 + d3 <= n and not associates(d1, d2, d3)
+        ]
+        if not failed:
+            break
+    bad.extend(failed)
+    if failed:
+        generators = degrees
 
     for d in A.degrees:
         r = A.rank(d)
         if list(A.squares.get((0, d), ())) != [1 << i for i in range(r)]:
             bad.append(f"sq0-identity: Sq^0 != id in degree {d}")
+            generators = degrees
         if 2 * d <= n:
             # x_i * x_i is the diagonal of table (d, d)
             squares = A.products.get((d, d), bytes(r * r))[:: r + 1]
@@ -774,34 +834,23 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
                 if x != x_x:
                     bad.append(f"sq-top-squaring: Sq^k x = x*x at k = deg x fails for {label}")
 
-    cartan_failures: dict[tuple[int, int], list[int]] = {}
-    for d1, d2 in pairs:
-        if commutative and d2 < d1:
-            failed = cartan_failures[d2, d1]
-            bad.extend(f"cartan: Sq^{k} on degrees ({d1}, {d2})" for k in failed)
-            continue
-        failed = cartan_failures[d1, d2] = []
-        r1, r2 = A.rank(d1), A.rank(d2)
-        prod = mult(d1, d2).reshape(r1 * r2, A.rank(d1 + d2))
-        # Sq^k of a degree d1 + d2 product, for each degree t = d1 + d2 + k above it
-        for t in degrees:
-            k = t - d1 - d2
-            if k < 1:
-                continue
-            if k > d1 + d2:
-                break
-            ro = A.rank(t)
-            # both sides as integer sums; their difference is even exactly when they agree
-            diff = (prod @ sq(k, d1 + d2)).reshape(r1, r2, ro)
-            for u in range(max(0, k - d2), min(k, d1) + 1):
-                v = k - u
-                ra, rb = A.rank(d1 + u), A.rank(d2 + v)
-                # Sq^u x_i * Sq^v y_j: first over the Sq^u x side, then Sq^v y
-                x = sq(u, d1) @ mult(d1 + u, d2 + v).reshape(ra, rb * ro)
-                diff -= sq(v, d2) @ x.reshape(r1, rb, ro)
-            if np.fmod(diff, 2).any():
-                failed.append(k)
-        bad.extend(f"cartan: Sq^{k} on degrees ({d1}, {d2})" for k in failed)
+    def cartan_failures(d1: int, d2: int) -> list[int]:
+        key = (d2, d1) if commutative and d2 < d1 else (d1, d2)
+        if key not in cartan:
+            cartan[key] = _cartan(mult, sq, A.rank, degrees, *key)
+        return cartan[key]
+
+    # the pairs with a generator factor; if one fails, every pair
+    for factors in (generators, degrees):
+        failed = [
+            f"cartan: Sq^{k} on degrees ({d1}, {d2})"
+            for d1, d2 in pairs
+            if d1 in factors or d2 in factors
+            for k in cartan_failures(d1, d2)
+        ]
+        if not failed:
+            break
+    bad.extend(failed)
 
     for d in sorted({*A.degrees, *(n - d for d in A.degrees)}):
         r1, r2 = A.rank(d), A.rank(n - d)
@@ -816,6 +865,24 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
 def _xor_rows(rows: Iterable[Sequence[int]], width: int) -> list[int]:
     """The entrywise XOR of packed rows of ``width`` entries; an empty row cuts it short."""
     return list(reduce(partial(map, operator.xor), rows, [0] * width))
+
+
+def _generator_degrees(A: GradedAlgebra) -> list[int]:
+    """The positive degrees d that products of classes of positive degree do not span.
+
+    Every class of another positive degree is a sum of products of classes
+    of lower positive degree, so the classes of these degrees and the unit
+    generate the algebra.  The products are the stored nonzero entries of
+    the tables ``(d1, d - d1)`` with ``0 < d1 <= d - d1``, which suffice on
+    a commutative table; elimination stops once they span degree d.
+    """
+    out = []
+    for d in filter(None, A.degrees):
+        tables = [A.products.get((d1, d - d1), b"") for d1 in range(1, d // 2 + 1)]
+        rows = chain.from_iterable(filter(None, table) for table in tables)
+        if len(_echelon(rows, A.rank(d), until_full=True)[0]) < A.rank(d):
+            out.append(d)
+    return out
 
 
 def _pairing_rows(A: GradedAlgebra, d: int) -> list[int]:
@@ -860,6 +927,35 @@ def _associative(mult, rank, d1: int, d2: int, d3: int) -> bool:
         if not np.array_equal(lhs.transpose(1, 0, 2), rhs):
             return False
     return True
+
+
+def _cartan(mult, sq, rank, degrees: Sequence[int], d1: int, d2: int) -> list[int]:
+    """The k with ``Sq^k(xy) != sum_u Sq^u x Sq^(k-u) y`` on some basis pair of degrees d1, d2.
+
+    Each k is one integer sum, ``prod @ Sq^k`` minus the products
+    ``Sq^v(d2) @ (Sq^u(d1) @ mult(d1 + u, d2 + v))``, even exactly when the
+    two sides agree; ``degrees`` lists the degrees t = d1 + d2 + k to try.
+    """
+    failed = []
+    r1, r2 = rank(d1), rank(d2)
+    prod = mult(d1, d2).reshape(r1 * r2, rank(d1 + d2))
+    for t in degrees:
+        k = t - d1 - d2
+        if k < 1:
+            continue
+        if k > d1 + d2:
+            break
+        ro = rank(t)
+        diff = (prod @ sq(k, d1 + d2)).reshape(r1, r2, ro)
+        for u in range(max(0, k - d2), min(k, d1) + 1):
+            v = k - u
+            ra, rb = rank(d1 + u), rank(d2 + v)
+            # Sq^u x_i * Sq^v y_j: first over the Sq^u x side, then Sq^v y
+            x = sq(u, d1) @ mult(d1 + u, d2 + v).reshape(ra, rb * ro)
+            diff -= sq(v, d2) @ x.reshape(r1, rb, ro)
+        if _parity(diff).any():
+            failed.append(k)
+    return failed
 
 
 # The rule of _packed_wins; validate_algebra gives the measurement.

@@ -366,7 +366,11 @@ def cp2_reversed() -> Manifold:
     return _assemble("CP2~", cp2.algebra, w=cp2.w, signature=-1, w3_stored=cp2.w3_twisted, torsion_free=True)
 
 
-# E8 intersection form mod 2: the edges of the Dynkin diagram, numbered from 1
+# E8 intersection form mod 2: the edges of the Dynkin diagram, numbered from 1.
+# The mod-2 form is alternating (E8 is even) and nondegenerate, as the
+# adjacency form of a tree with a perfect matching is.  Other such trees on
+# eight vertices, say with (4, 6) for (4, 5), give the same K3 up to basis:
+# nondegenerate alternating forms of one rank are isomorphic over GF(2).
 _E8_EDGES = [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]
 
 

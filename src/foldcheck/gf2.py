@@ -10,7 +10,7 @@ outside the package, and import numpy when they are called.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 
 def to_gf2(a):
@@ -27,14 +27,16 @@ def _bit_rows(mat) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _echelon(rows: list[int], cols: int) -> tuple[dict[int, int], bool]:
+def _echelon(rows: Iterable[int], cols: int, until_full: bool = False) -> tuple[dict[int, int], bool]:
     """Echelon basis of bitset rows, keyed by pivot bit.
 
     A row's pivot is its lowest bit below ``cols``.  XOR with the basis row
     of that pivot clears it and sets only higher bits, so each row either
     gains a new pivot or runs out of bits below ``cols``.  Bits from ``cols``
     up (an augmented column) are carried along; the flag reports whether a
-    row ended holding only those bits.
+    row ended holding only those bits.  With ``until_full`` the rows are
+    read only until the basis has ``cols`` rows, which decides the rank;
+    the flag then covers the rows read.
     """
     mask = (1 << cols) - 1
     basis: dict[int, int] = {}
@@ -44,6 +46,8 @@ def _echelon(rows: list[int], cols: int) -> tuple[dict[int, int], bool]:
             low = row & -row
             if low not in basis:
                 basis[low] = row
+                if until_full and len(basis) == cols:
+                    return basis, stray
                 break
             row ^= basis[low]
         else:

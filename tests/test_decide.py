@@ -413,6 +413,20 @@ def test_verdict_invariants():
         Verdict(Outcome.NOT_EXISTS, (TraceEntry("r", "c", "none", "v"),))
 
 
+def test_equal_verdicts_hash_alike():
+    # verdicts compare and hash by their fields, so equal ones collapse in a set
+    from foldcheck.decide import TraceEntry
+
+    first, again = verdict_of("RP4", 4), verdict_of("RP4", 4)
+    assert first is not again and first == again
+    assert hash(first) == hash(again) and len({first, again}) == 1
+    entry = TraceEntry(*first.trace[0])
+    assert entry == first.trace[0] and hash(entry) == hash(first.trace[0])
+    assert len({entry, first.trace[0]}) == 1
+    other = verdict_of("K3", 4)
+    assert other != first and len({first, again, other}) == 2
+
+
 def test_outcome_rendering():
     assert Outcome.EXISTS.render() == "EXISTS"
     assert Outcome.NOT_EXISTS.render() == "NOT EXISTS"

@@ -134,10 +134,12 @@ def reference_violations(A: GradedAlgebra) -> tuple[str, ...]:
 
 # S1 x S3 and S3 x S3 have degrees of rank 0 between nonzero ones (products
 # landing there are empty tables); K3 x RP2 is the largest table set here;
-# the (1, 1, 1) triple of RP4 # RP4 # RP4 runs on the packed kernel.
+# the (1, 1, 1) triple of RP4 # RP4 # RP4 runs on the packed kernel;
+# CP3 x RP3 has classes of degree 3 that no generator degree reaches.
 ORACLE_MEMBERS = [
     "S1 x S3", "S3 x S3", "K3", "RP4", "CP3", "RP2 x RP3", "N3 x S2",
     "RP4 # CP2", "Sigma2 x Sigma1", "K3 x RP2", "CP2 x CP2", "RP4 # RP4 # RP4",
+    "CP3 x RP3",
 ]
 
 
@@ -199,6 +201,12 @@ def _assert_store_matches_views(A: GradedAlgebra) -> None:
 @example(name="S1 x S3", table="mult", pick=3, entry=0, chunk=algebra._CHUNK_ELEMENTS)
 # Sq^0 of the unit flipped to zero: the unit checks pass, yet Cartan fails on (0, 1), (1, 0), ...
 @example(name="RP4", table="sq", pick=0, entry=0, chunk=algebra._CHUNK_ELEMENTS)
+# flips in degree 3 of CP3 x RP3, outside its generator degrees 1 and 2: the
+# reduced scans find (1, 2) and (1, 2, 3), and only the rescans of every pair
+# and triple name the Cartan failures on (3, 3), (3, 4), ... (Sq^1 on degree 3)
+# and the associativity failures on (1, 3, 3), (3, 3, 3), ... (a^3 * a^3)
+@example(name="CP3 x RP3", table="sq", pick=12, entry=0, chunk=algebra._CHUNK_ELEMENTS)
+@example(name="CP3 x RP3", table="mult", pick=30, entry=0, chunk=algebra._CHUNK_ELEMENTS)
 def test_flipped_entry_violations_match_reference(
     oracle_algebras, name, table, pick, entry, chunk
 ):
@@ -242,14 +250,46 @@ def _positive(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]
     return [t for t in triples if 0 not in t]
 
 
-@pytest.mark.parametrize("name,count", [("RP8", 34), ("CP3 x RP3", 50)])
-def test_commutative_battery_checks_one_triple_of_each_mirror_pair(monkeypatch, name, count):
+def _cartan_calls(monkeypatch, A: GradedAlgebra) -> list[tuple[int, int]]:
+    """The degree pairs the Cartan kernel checks, in battery order."""
+    calls = []
+    real = algebra._cartan
+
+    def counting(*args):
+        calls.append(args[-2:])
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "_cartan", counting)
+    validate_algebra(A)
+    return calls
+
+
+@pytest.mark.parametrize("name,generators,count", [("RP8", {1}, 12), ("CP3 x RP3", {1, 2}, 28)])
+def test_commutative_battery_checks_one_triple_of_each_mirror_pair(monkeypatch, name, generators, count):
     # of 165 and 220 triples, the unit checks settle those with a degree-0
-    # factor, and of the rest those with d1 <= d3 are computed
+    # factor, and of the rest those with a generator middle degree and
+    # d1 <= d3 are computed
     A = parse_expression(name).algebra
     calls = _associative_calls(monkeypatch, A)["all"]
-    assert calls == [t for t in _positive(_triples(A)) if t[0] <= t[2]]
+    assert calls == [t for t in _positive(_triples(A)) if t[1] in generators and t[0] <= t[2]]
     assert len(calls) == count
+
+
+@pytest.mark.parametrize(
+    "name,generators",
+    [
+        ("RP8", [1]),
+        ("CP3 x RP3", [1, 2]),
+        ("K3", [2]),
+        ("S3 x S3", [3]),
+        ("S1 x S1 x S1 x S1 x S1 x S1 x S1", [1]),
+        ("K3 x K3", [2]),
+        ("RP4 # CP2", [1, 2]),
+        ("S0 x CP2", [2]),
+    ],
+)
+def test_generator_degrees(name, generators):
+    assert algebra._generator_degrees(parse_expression(name).algebra) == generators
 
 
 def test_noncommutative_battery_checks_every_triple(monkeypatch, oracle_algebras):
@@ -634,6 +674,9 @@ def ring_document(gens: list[tuple[str, int, int]]) -> dict:
     }
 
 
+# the doc-ingest ring F2[a,b,c]/(a^6,b^4,c^6), dimension 16
+RING_A6B4C6 = [("a", 1, 5), ("b", 2, 3), ("c", 1, 5)]
+
 # dimensions 7 and 9: neither needs a signature
 RINGS = {
     "F2[a,b]/(a^4,b^3)": [("a", 1, 3), ("b", 2, 2)],
@@ -709,6 +752,44 @@ def test_flipped_ring_block_matches_reference(table, pick):
     A = load_manifold(json.loads(_ring("F2[a,b,c]/(a^4,b^3,c^3)", True))).algebra
     B = _flipped(A, table, pick, 5 * pick + 1)
     assert validate_algebra(B).violations == reference_violations(B)
+
+
+def test_valid_ring_battery_checks_pairs_with_a_generator_factor(monkeypatch):
+    # 28 of the 64 positive pairs with d1 <= d2 of the doc-ingest ring
+    A = _document_algebra(ring_document(RING_A6B4C6))
+    pairs = [(d1, d2) for d1 in A.degrees for d2 in A.degrees if 0 < d1 <= d2 and d1 + d2 <= A.top_degree]
+    assert len(pairs) == 64
+    calls = _cartan_calls(monkeypatch, A)
+    assert calls == [(d1, d2) for d1, d2 in pairs if {d1, d2} & {1, 2}]
+    assert len(calls) == 28
+    assert len(_associative_calls(monkeypatch, A)["all"]) == 105
+
+
+def _with_ghost(doc: dict, d: int) -> dict:
+    """The document with one more class in degree d, whose products and squares are zero."""
+    doc = json.loads(json.dumps(doc))
+    doc["basis"][d].append("ghost")
+    return doc
+
+
+def test_generator_degrees_of_documents():
+    ring = ring_document(RING_A6B4C6)
+    assert algebra._generator_degrees(_document_algebra(ring)) == [1, 2]
+    # a class with no products is a generator wherever it sits
+    assert algebra._generator_degrees(_document_algebra(_with_ghost(ring, 5))) == [1, 2, 5]
+    assert algebra._generator_degrees(_document_algebra(_with_ghost(ring, 2))) == [1, 2]
+    # a basis change keeps the degrees: every class of T^7 is a product of degree-1 classes
+    assert algebra._generator_degrees(_rebased_torus(7)) == [1]
+
+
+def test_ghost_class_only_degenerates_the_pairing():
+    # the ghost adds degree 5 to the scans and fails nothing but the pairing
+    B = _document_algebra(_with_ghost(ring_document(RING_A6B4C6), 5))
+    got = validate_algebra(B).violations
+    assert got == reference_violations(B) == (
+        "pairing: ranks differ in degrees 5 and 11 (13 vs 12)",
+        "pairing: ranks differ in degrees 11 and 5 (12 vs 13)",
+    )
 
 
 def _largest_cartan_sum(ranks: list[int]) -> int:
