@@ -13,16 +13,18 @@ Every operation a catalog expression needs runs on shifts, ORs, XORs and
 ``int.bit_count``; ints are immutable, so nothing needs freezing.
 
 Outside tables enter through one reader, ``build_algebra``: it takes
-them in JSON document form, as entry lists of strict 0/1 rows, packs
-each row once by ``_row`` straight into its stored table, and runs the
-axiom battery, ``validate_algebra``.  No other code reads outside
-coordinates: a class is made from its bits by ``_class`` or ``_total``,
-out of the stored tables and the operations below.  numpy is imported
-only for the dense float32 kernels of the battery, which unpack their
-own blocks, and for the array views (``mult_block``, ``sq_block``,
-``mult``, ``sq_table``, ``unit``, ``fundamental``,
-``TotalClass.components``), a read-only surface for outside readers
-built from the ints on first read and cached; the package reads none.
+them in JSON document form, as entry lists of strict 0/1 rows, checks
+each entry inline, parses each distinct row once and writes it straight
+into its stored table, and runs the axiom battery, ``validate_algebra``.
+Its ``sq`` entries and the document ``w`` field go through the same row
+reader, ``_row``.  No other code reads outside coordinates: a class is
+made from its bits by ``_class`` or ``_total``, out of the stored tables
+and the operations below.  numpy is imported only for the dense float32
+kernels of the battery, which unpack their own blocks, and for the array
+views (``mult_block``, ``sq_block``, ``mult``, ``sq_table``, ``unit``,
+``fundamental``, ``TotalClass.components``), a read-only surface for
+outside readers built from the ints on first read and cached; the
+package reads none.
 Associativity runs on the packed tables where they are sparse
 (``_packed_wins``), Cartan on BLAS products with one parity per block, and
 the unit checks decide degree-0 factors.  On a commutative unital table
@@ -395,20 +397,29 @@ def _check_same_algebra(x, y) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _ints(*values: Any) -> bool:
-    """Whether every value is a JSON integer: ``true`` and ``1.0`` are not."""
-    return {int}.issuperset(map(type, values))
+# a table row lists JSON integers 0 or 1: ``true`` and ``1.0`` equal 1 but are not integers
+_ALL_INTS = frozenset((int,)).issuperset
+_ALL_BITS = frozenset((0, 1)).issuperset
 
 
-def _row(entry: Any, length: int, where: str) -> int:
-    """A 0/1 vector of ``length``, checked and packed into one int: coordinate i is bit i."""
-    if not isinstance(entry, (list, tuple)) or len(entry) != length:
-        raise SchemaError(f"{where}: expected a 0/1 vector of length {length}")
-    # JSON integers, as _ints has it, read in place: _ints(*entry) would copy the row
-    if not {int}.issuperset(map(type, entry)) or not {0, 1}.issuperset(entry):
-        raise SchemaError(f"{where}: coordinates must be 0 or 1")
-    # the digits of the coordinates, last first, read in base 2
-    return int(bytes(entry[::-1]).translate(_DIGITS) or b"0", 2)
+def _row(raw: Any, length: int, packed: dict, where: str, *at: Any) -> int:
+    """A 0/1 vector of ``length``, checked and packed into one int: coordinate i is bit i.
+
+    ``packed`` maps the bytes of each row read so far to its int, so a row
+    that repeats is parsed once; the checks run on every row before the
+    lookup.  A refusal names the position ``where.format(*at)``, formatted
+    only then.
+    """
+    if not isinstance(raw, (list, tuple)) or len(raw) != length:
+        raise SchemaError(f"{where.format(*at)}: expected a 0/1 vector of length {length}")
+    if not _ALL_INTS(map(type, raw)) or not _ALL_BITS(raw):
+        raise SchemaError(f"{where.format(*at)}: coordinates must be 0 or 1")
+    key = bytes(raw)
+    row = packed.get(key)
+    if row is None:
+        # the digits of the coordinates, last first, read in base 2
+        row = packed[key] = int(key[::-1].translate(_DIGITS) or b"0", 2)
+    return row
 
 
 def _listed(entries: Any, field: str) -> Sequence:
@@ -424,20 +435,6 @@ def _blank(size: int, width: int) -> bytearray | list[int]:
     into ``bytes`` in one copy; wider entries go in a list.
     """
     return bytearray(size) if width <= 8 else [0] * size
-
-
-def _put(tables: dict, key: tuple, size: int, width: int, slot: int, row: int, where: str = "") -> None:
-    """Write a packed row into a slot of the table of block ``key``, made on first use.
-
-    Given ``where``, an earlier nonzero row that differs conflicts; an
-    all-zero earlier row gives way.
-    """
-    table = tables.get(key)
-    if table is None:
-        table = tables[key] = _blank(size, width)
-    if where and table[slot] and table[slot] != row:
-        raise SchemaError(f"{where}: conflicts with an earlier entry")
-    table[slot] = row
 
 
 def build_algebra(
@@ -457,14 +454,20 @@ def build_algebra(
     filled in, as ``_packed_algebra`` fills them, where no entry gives them.
 
     Every row is read strictly, JSON integers 0 or 1 of the length of its
-    degree, and packed once by ``_row`` straight into its block's stored
-    table (a mult row into its slot and the mirror slot).  In both tables an
-    entry whose row differs from an earlier nonzero row in the same slot
-    (for products, the mirror slot too) is refused; an all-zero earlier row
-    gives way.  A malformed entry raises ``SchemaError`` naming its
-    position, and tables over the byte budget raise ``SchemaError`` naming
-    the basis before anything is allocated.  The assembled algebra must
-    pass every axiom of :func:`validate_algebra`; a failure raises
+    degree, and written straight into its block's stored table (a mult row
+    into its slot and the mirror slot).  Each entry is checked in one pass,
+    in a fixed order: its shape, the types of its degrees and indices, their
+    ranges, the product degree, the row's length and then its coordinates.
+    The checks run on every row; only then is the row looked up in a cache
+    of the rows read so far, keyed by their bytes, and parsed to an int on
+    a miss, as ring products repeat a few distinct rows (most of them one
+    bit) many times.  In both tables an entry whose row differs from an
+    earlier nonzero row in the same slot (for products, the mirror slot
+    too) is refused; an all-zero earlier row gives way.  A malformed entry
+    raises ``SchemaError`` naming its position, and tables over the byte
+    budget raise ``SchemaError`` naming the basis before anything is
+    allocated.  The assembled algebra must pass every axiom of
+    :func:`validate_algebra`; a failure raises
     ``InvariantViolation("algebra-axioms", ...)``.
     """
     ranks = _ranks(top_degree, basis)
@@ -474,47 +477,73 @@ def build_algebra(
     except ValueError as exc:
         raise SchemaError(f"basis: {exc}") from exc
 
+    # One loop with no call per entry: the entry's position is formatted
+    # only when it is refused.
+    packed: dict = {}  # bytes of each row read -> its packed int
     products: dict = {}
     for pos, entry in enumerate(_listed(mult, "mult")):
-        where = f"mult entry {pos}"
         if not isinstance(entry, (list, tuple)) or len(entry) != 5:
-            raise SchemaError(f"{where}: expected [deg1, idx1, deg2, idx2, coords]")
+            raise SchemaError(f"mult entry {pos}: expected [deg1, idx1, deg2, idx2, coords]")
         d1, i, d2, j, raw = entry
-        if not _ints(d1, i, d2, j):
-            raise SchemaError(f"{where}: degrees and indices must be integers")
-        for label, deg, idx in (("first", d1, i), ("second", d2, j)):
-            if not 0 <= deg <= n:
-                raise SchemaError(f"{where}: {label} degree out of range")
-            if not 0 <= idx < ranks[deg]:
-                raise SchemaError(f"{where}: {label} index out of range")
+        if not type(d1) is type(i) is type(d2) is type(j) is int:
+            raise SchemaError(f"mult entry {pos}: degrees and indices must be integers")
+        if not 0 <= d1 <= n:
+            raise SchemaError(f"mult entry {pos}: first degree out of range")
+        r1 = ranks[d1]
+        if not 0 <= i < r1:
+            raise SchemaError(f"mult entry {pos}: first index out of range")
+        if not 0 <= d2 <= n:
+            raise SchemaError(f"mult entry {pos}: second degree out of range")
+        r2 = ranks[d2]
+        if not 0 <= j < r2:
+            raise SchemaError(f"mult entry {pos}: second index out of range")
         if d1 + d2 > n:
-            raise SchemaError(f"{where}: product degree {d1 + d2} exceeds dim")
-        r1, r2, ro = ranks[d1], ranks[d2], ranks[d1 + d2]
-        row = _row(raw, ro, where)
+            raise SchemaError(f"mult entry {pos}: product degree {d1 + d2} exceeds dim")
+        ro = ranks[d1 + d2]
+        if not isinstance(raw, (list, tuple)) or len(raw) != ro:
+            raise SchemaError(f"mult entry {pos}: expected a 0/1 vector of length {ro}")
+        if not _ALL_INTS(map(type, raw)) or not _ALL_BITS(raw):
+            raise SchemaError(f"mult entry {pos}: coordinates must be 0 or 1")
+        key = bytes(raw)
+        row = packed.get(key)
+        if row is None:
+            row = packed[key] = int(key[::-1].translate(_DIGITS) or b"0", 2)
+        table = products.get((d1, d2))
+        if table is None:
+            table = products[d1, d2] = _blank(r1 * r2, ro)
+            products[d2, d1] = table if d1 == d2 else _blank(r1 * r2, ro)
+        mirror = products[d2, d1]
         # the entry's own slot speaks for its mirror, which gets the same row
-        _put(products, (d1, d2), r1 * r2, ro, i * r2 + j, row, where)
-        _put(products, (d2, d1), r1 * r2, ro, j * r1 + i, row)
+        old = table[i * r2 + j]
+        if old and old != row:
+            raise SchemaError(f"mult entry {pos}: conflicts with an earlier entry")
+        table[i * r2 + j] = mirror[j * r1 + i] = row
 
     squares: dict = {}
     for pos, entry in enumerate(_listed(sq, "sq")):
-        where = f"sq entry {pos}"
         if not isinstance(entry, (list, tuple)) or len(entry) != 4:
-            raise SchemaError(f"{where}: expected [k, deg, idx, coords]")
+            raise SchemaError(f"sq entry {pos}: expected [k, deg, idx, coords]")
         k, d, i, raw = entry
-        if not _ints(k, d, i):
-            raise SchemaError(f"{where}: k, degree and index must be integers")
+        if not type(k) is type(d) is type(i) is int:
+            raise SchemaError(f"sq entry {pos}: k, degree and index must be integers")
         if not 0 <= d <= n or k < 0:
-            raise SchemaError(f"{where}: degree data out of range")
+            raise SchemaError(f"sq entry {pos}: degree data out of range")
         if not 0 <= i < ranks[d]:
-            raise SchemaError(f"{where}: index out of range")
+            raise SchemaError(f"sq entry {pos}: index out of range")
         if not isinstance(raw, (list, tuple)):
-            raise SchemaError(f"{where}: expected [k, deg, idx, coords]")
+            raise SchemaError(f"sq entry {pos}: expected [k, deg, idx, coords]")
         if k > d or d + k > n:
             if any(raw):
-                raise SchemaError(f"{where}: Sq^{k} vanishes on degree {d} here")
-            _row(raw, len(raw), where)  # the zeros must still be integers
+                raise SchemaError(f"sq entry {pos}: Sq^{k} vanishes on degree {d} here")
+            _row(raw, len(raw), packed, "sq entry {}", pos)  # the zeros must still be integers
             continue
-        _put(squares, (k, d), ranks[d], ranks[d + k], i, _row(raw, ranks[d + k], where), where)
+        row = _row(raw, ranks[d + k], packed, "sq entry {}", pos)
+        table = squares.get((k, d))
+        if table is None:
+            table = squares[k, d] = _blank(ranks[d], ranks[d + k])
+        if table[i] and table[i] != row:
+            raise SchemaError(f"sq entry {pos}: conflicts with an earlier entry")
+        table[i] = row
 
     A = _packed_algebra(n, basis, _stored(products), _stored(squares))
     report = validate_algebra(A)

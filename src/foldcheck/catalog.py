@@ -15,10 +15,10 @@ against the derived ones.
 The algebra axiom battery (``validate_algebra``) runs where data enters:
 ``load_manifold`` checks a document's fields and basis and reads its
 ``mult`` and ``sq`` entry lists through one ``build_algebra`` call, the
-one reader of outside tables, which packs each row once and runs the
-battery.  The catalog atoms are closed forms, and connected sums and
-products of valid records are valid by construction, so their algebras
-are assembled without it.  The ``RP`` and ``CP`` atoms check the
+one reader of outside tables, which checks every entry, parses each
+distinct row once and runs the battery.  The catalog atoms are closed
+forms, and connected sums and products of valid records are valid by
+construction, so their algebras are assembled without it.  The ``RP`` and ``CP`` atoms check the
 closed-form size of their tables against the table byte budget before
 they build any list; the surface atoms, ``kunneth``,
 ``connected_sum_algebra`` and ``build_algebra`` check their ranks before
@@ -39,7 +39,6 @@ from .algebra import (
     TotalClass,
     _ReadOnly,
     _check_table_size,
-    _ints,
     _monogenic_table_bytes,
     _packed_algebra,
     _row,
@@ -156,16 +155,26 @@ def _assemble(
     The algebra fixes the dimension (top degree), the Euler characteristic
     (alternating rank sum) and the orientability (w_1 = v_1 = 0).  Then, in
     order: sigma, dropped off the 4k lattice of oriented manifolds and on it
-    required, at most the middle rank and congruent to chi mod 2; w, as
-    Sq(v) of the Wu classes, which a stored ``w`` must match; p_1 where the
-    dimension fixes it: the zero class below dimension 4, ``3 sigma`` on an
-    oriented 4-manifold, and on a non-orientable one the status of w_2^2,
-    as the mod-2 reduction is injective on the degree-4 integral group
-    there (a nonzero status below dimension 4 and an integer off an
-    oriented 4-manifold are left for the bundle rules of
-    ``validate_manifold``); W_3.  A declaration contradicting a settled
-    value is refused at its step, so the refusal names the field at fault,
-    not a value derived from one.
+    required, at most the middle rank and congruent to chi mod 2, and, once
+    the Wu classes are known, divisible by 8 where v_2k = 0 and by 16 in
+    dimension 4 where v_2 = 0; w, as Sq(v) of the Wu classes, which a
+    stored ``w`` must match; p_1 where the dimension fixes it: the zero
+    class below dimension 4, ``3 sigma`` on an oriented 4-manifold, and on
+    a non-orientable one the status of w_2^2, as the mod-2 reduction is
+    injective on the degree-4 integral group there (a nonzero status below
+    dimension 4 and an integer off an oriented 4-manifold are left for the
+    bundle rules of ``validate_manifold``); W_3.  A declaration
+    contradicting a settled value is refused at its step, so the refusal
+    names the field at fault, not a value derived from one.
+
+    The congruences: for x in H^2k(M; Z) reducing to x' mod 2,
+    x.x = <x'^2, [M]> = <Sq^2k x', [M]> = <v_2k x', [M]> mod 2, so v_2k = 0
+    makes the intersection form on H^2k(M; Z)/torsion even.  That form is
+    unimodular by Poincare duality and sigma is its signature, and an even
+    unimodular form has signature divisible by 8 (Serre, *A Course in
+    Arithmetic*, Ch. V).  In dimension 4, v_2 = w_2 + w_1^2 = w_2 on an
+    oriented manifold, so v_2 = 0 makes M spin, and a closed smooth spin
+    4-manifold has sigma divisible by 16 (Rokhlin, 1952).
     """
     dim, orientable, euler = algebra.top_degree, _oriented(algebra), _euler(algebra)
     if not (orientable and dim % 4 == 0):
@@ -180,6 +189,15 @@ def _assemble(
         )
 
     wu = wu_total(algebra)
+    if signature is not None and not wu.parts[dim // 2]:
+        if signature % 8:
+            raise InvariantViolation(
+                "signature", f"sigma = {signature} but v_{dim // 2} = 0 makes the form even, so 8 | sigma"
+            )
+        if dim == 4 and signature % 16:
+            raise InvariantViolation(
+                "signature", f"sigma = {signature} but w_2 = 0 makes M spin, so 16 | sigma (Rokhlin)"
+            )
     derived = total_sq(wu)
     if w is not None:
         for d, (ours, theirs) in enumerate(zip(derived.parts, w.parts)):
@@ -535,7 +553,7 @@ _STATUS_WORDS = {t.value: t for t in Tri}
 
 def _require_int(doc: Mapping[str, Any], key: str) -> int:
     value = doc.get(key)
-    if not _ints(value):
+    if type(value) is not int:
         raise SchemaError(f"field {key!r} must be an integer")
     return value
 
@@ -552,11 +570,13 @@ def _total_field(raw: Any, algebra: GradedAlgebra, where: str) -> TotalClass:
     dim = algebra.top_degree
     if not isinstance(raw, (list, tuple)) or len(raw) != dim + 1:
         raise SchemaError(f"{where} must list one coordinate vector per degree 0..{dim}")
-    return _total(algebra, [_row(row, algebra.rank(d), f"{where}[{d}]") for d, row in enumerate(raw)])
+    packed: dict = {}
+    rows = [_row(row, algebra.rank(d), packed, "{}[{}]", where, d) for d, row in enumerate(raw)]
+    return _total(algebra, rows)
 
 
 def _parse_p1(raw: Any) -> P1Data:
-    if isinstance(raw, Mapping) and set(raw) == {"int"} and _ints(raw["int"]):
+    if isinstance(raw, Mapping) and set(raw) == {"int"} and type(raw["int"]) is int:
         return P1Data.integer(raw["int"], "document")
     if isinstance(raw, str) and raw in _STATUS_WORDS:
         return P1Data(_STATUS_WORDS[raw], None, "document")
@@ -594,7 +614,7 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     orientable = _require_bool(doc, "orientable")
     euler = _require_int(doc, "euler")
     signature = doc.get("signature")
-    if signature is not None and not _ints(signature):
+    if signature is not None and type(signature) is not int:
         raise SchemaError("field 'signature' must be an integer")
 
     basis = doc["basis"]
@@ -669,7 +689,7 @@ def load_descriptor(doc: Any, algebra: GradedAlgebra) -> BundleDescriptor:
     if parts:
         raise SchemaError("descriptor document: " + "; ".join(parts))
     rank = doc["rank"]
-    if not _ints(rank) or rank < 0:
+    if type(rank) is not int or rank < 0:
         raise SchemaError("descriptor rank must be a nonnegative integer")
     orientable = _require_bool(doc, "orientable")
     w = _total_field(doc["w"], algebra, "descriptor w")

@@ -463,6 +463,26 @@ def test_documents_are_refused_at_the_settling_step(expr, changes, name, match):
     assert info.value.name == name
 
 
+# v_2k = 0 makes the middle intersection form even, so 8 | sigma; a smooth
+# spin 4-manifold has 16 | sigma (Rokhlin).  Each sigma below passes the
+# parity and middle-rank checks, so only the congruence refuses it.
+@pytest.mark.parametrize(
+    "expr,sigma,match",
+    [
+        ("K3", -14, r"^signature: sigma = -14 but v_2 = 0 makes the form even, so 8 \| sigma$"),
+        ("K3", 8, r"^signature: sigma = 8 but w_2 = 0 makes M spin, so 16 \| sigma \(Rokhlin\)$"),
+        ("K3 x K3", 4, r"^signature: sigma = 4 but v_4 = 0 makes the form even, so 8 \| sigma$"),
+    ],
+    ids=["k3-mod-8", "k3-rokhlin", "k3xk3-mod-8"],
+)
+def test_documents_are_refused_off_the_signature_congruences(expr, sigma, match):
+    doc = manifold_document(parse_expression(expr))
+    doc.update(signature=sigma, p1="unknown")
+    with pytest.raises(InvariantViolation, match=match) as info:
+        load_manifold(doc)
+    assert info.value.name == "signature"
+
+
 def test_validate_rejects_sp_with_nonzero_w():
     # RP5 is orientable, but w_2 != 0 rules out stable parallelizability
     forged = replace(real_projective(5), name="RP5-forged", stably_parallelizable=True)

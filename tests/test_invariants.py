@@ -178,6 +178,17 @@ def test_sq_axioms_on_samples(closure):
             assert steenrod_square(d + 1, x).is_zero(), (m.name, d)
 
 
+def test_torsion_free_records_store_no_sq1(closure):
+    # Sq^1 is the integral Bockstein followed by reduction mod 2, and the
+    # Bockstein kills reductions of integral classes.  With no torsion in
+    # H*(M; Z) every mod-2 class is such a reduction, so Sq^1 = 0 (RP3,
+    # orientable with Sq^1 a = a^2, must not be flagged torsion-free)
+    flagged = [m for m in closure if m.torsion_free]
+    assert len(flagged) > 100
+    for m in flagged:
+        assert not [key for key, table in m.algebra.squares.items() if key[0] == 1 and any(table)], m.name
+
+
 def test_pairing_nondegenerate_over_closure(closure):
     for m in closure:
         A = m.algebra

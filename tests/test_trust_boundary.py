@@ -30,7 +30,7 @@ from test_invariants import _rank_mod2
 from foldcheck import algebra
 from foldcheck.algebra import GradedAlgebra, _packed_algebra, _stored, validate_algebra
 from foldcheck.catalog import k3, load_manifold, product
-from foldcheck.errors import InvariantViolation
+from foldcheck.errors import InvariantViolation, SchemaError
 from foldcheck.expressions import parse_expression
 
 # ---------------------------------------------------------------------------
@@ -724,6 +724,80 @@ def test_battery_builds_no_array_view_of_a_loaded_document():
     A = load_manifold(json.loads(_ring("F2[a,b,c]/(a^4,b^3,c^3)", True))).algebra
     assert "_views" not in vars(A)
     assert A.mult_block(1, 1).any() and "_views" in vars(A)
+
+
+def _set(doc: dict, field: str, pos: int, row) -> None:
+    doc[field][pos][-1] = row
+
+
+# The intake caches each row it has packed, keyed by its bytes, after the
+# row's checks; each case below is one fault placed so that the cache would
+# hide it if a check ran only on a miss.  In F2[a,b]/(a^4,b^3), with degree
+# 2 listed [b, a^2]: mult entries 1 (a * b) and 4 (a * b^2) both hold
+# [1, 0], entries 0 and 2 (a * a, a * a^2) both hold [0, 1], and sq entries
+# 1 and 3 (Sq^2 b, Sq^2 ab) both hold [1, 0].  mult has 20 entries, sq 8.
+INTAKE_REFUSALS = {
+    "true-after-an-equal-row": (
+        lambda doc: _set(doc, "mult", 4, [True, 0]),
+        "mult entry 4: coordinates must be 0 or 1",
+    ),
+    "float-after-an-equal-row": (
+        lambda doc: _set(doc, "mult", 4, [1.0, 0]),
+        "mult entry 4: coordinates must be 0 or 1",
+    ),
+    "coordinate-2": (lambda doc: _set(doc, "mult", 4, [2, 0]), "mult entry 4: coordinates must be 0 or 1"),
+    "coordinate-minus-1": (
+        lambda doc: _set(doc, "mult", 4, [-1, 0]),
+        "mult entry 4: coordinates must be 0 or 1",
+    ),
+    "coordinate-256": (
+        lambda doc: _set(doc, "mult", 4, [256, 0]),
+        "mult entry 4: coordinates must be 0 or 1",
+    ),
+    "long-row-after-a-cached-row": (
+        lambda doc: _set(doc, "mult", 3, [0, 1, 0]),
+        "mult entry 3: expected a 0/1 vector of length 2",
+    ),
+    "short-row-after-a-cached-row": (
+        lambda doc: _set(doc, "mult", 3, [0]),
+        "mult entry 3: expected a 0/1 vector of length 2",
+    ),
+    "mirror-given-first": (
+        # b * a as a^3, ahead of a * b = ab
+        lambda doc: doc["mult"].insert(0, [2, 0, 1, 0, [0, 1]]),
+        "mult entry 2: conflicts with an earlier entry",
+    ),
+    "mirror-conflict": (
+        lambda doc: doc["mult"].append([2, 0, 1, 0, [0, 1]]),
+        "mult entry 20: conflicts with an earlier entry",
+    ),
+    "sq-true-after-an-equal-row": (
+        lambda doc: _set(doc, "sq", 3, [True, 0]),
+        "sq entry 3: coordinates must be 0 or 1",
+    ),
+    "sq-beyond-the-top-holding-false": (
+        # Sq^3 on degree 5 lands in degree 8 > 7: the row must be zero integers
+        lambda doc: doc["sq"].append([3, 5, 0, [0, False]]),
+        "sq entry 8: coordinates must be 0 or 1",
+    ),
+    "w-true-after-an-equal-row": (
+        lambda doc: doc["w"].__setitem__(4, [True, 0]),  # w_2 = b is [1, 0]
+        "w[4]: coordinates must be 0 or 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INTAKE_REFUSALS)
+def test_intake_refuses_each_fault_under_its_position(case):
+    doc = ring_document(RINGS["F2[a,b]/(a^4,b^3)"])
+    assert (len(doc["mult"]), len(doc["sq"])) == (20, 8)
+    assert doc["mult"][1][4] == doc["mult"][4][4] == [1, 0] == doc["sq"][1][3] == doc["sq"][3][3]
+    assert doc["mult"][0][4] == doc["mult"][2][4] == [0, 1] and doc["w"][2] == [1, 0]
+    edit, message = INTAKE_REFUSALS[case]
+    edit(doc)
+    with pytest.raises(SchemaError) as info:
+        load_manifold(json.loads(json.dumps(doc)))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
