@@ -14,12 +14,12 @@ Every operation a catalog expression needs runs on shifts, ORs, XORs and
 
 Outside tables enter through one reader, ``build_algebra``: it takes
 them in JSON document form, as entry lists of strict 0/1 rows, checks
-each entry inline, parses each distinct row once and writes it straight
-into its stored table, and runs the axiom battery, ``validate_algebra``.
-Its ``sq`` entries and the document ``w`` field go through the same row
-reader, ``_row``.  No other code reads outside coordinates: a class is
-made from its bits by ``_class`` or ``_total``, out of the stored tables
-and the operations below.  numpy is imported only for the dense float32
+each entry, packs each row straight into its stored table, and runs the
+axiom battery, ``validate_algebra``.  Rows are read by ``_row``, whose
+checks the ``mult`` loop writes out inline, parsing each distinct product
+row once.  No other code reads outside coordinates: a class is made from
+its bits by ``_class`` or ``_total``, out of the stored tables and the
+operations below.  numpy is imported only for the dense float32
 kernels of the battery, which unpack their own blocks, and for the array
 views (``mult_block``, ``sq_block``, ``mult``, ``sq_table``, ``unit``,
 ``fundamental``, ``TotalClass.components``), a read-only surface for
@@ -402,24 +402,14 @@ _ALL_INTS = frozenset((int,)).issuperset
 _ALL_BITS = frozenset((0, 1)).issuperset
 
 
-def _row(raw: Any, length: int, packed: dict, where: str, *at: Any) -> int:
-    """A 0/1 vector of ``length``, checked and packed into one int: coordinate i is bit i.
-
-    ``packed`` maps the bytes of each row read so far to its int, so a row
-    that repeats is parsed once; the checks run on every row before the
-    lookup.  A refusal names the position ``where.format(*at)``, formatted
-    only then.
-    """
+def _row(raw: Any, length: int, where: str) -> int:
+    """A 0/1 vector of ``length``, checked and packed into one int: coordinate i is bit i."""
     if not isinstance(raw, (list, tuple)) or len(raw) != length:
-        raise SchemaError(f"{where.format(*at)}: expected a 0/1 vector of length {length}")
+        raise SchemaError(f"{where}: expected a 0/1 vector of length {length}")
     if not _ALL_INTS(map(type, raw)) or not _ALL_BITS(raw):
-        raise SchemaError(f"{where.format(*at)}: coordinates must be 0 or 1")
-    key = bytes(raw)
-    row = packed.get(key)
-    if row is None:
-        # the digits of the coordinates, last first, read in base 2
-        row = packed[key] = int(key[::-1].translate(_DIGITS) or b"0", 2)
-    return row
+        raise SchemaError(f"{where}: coordinates must be 0 or 1")
+    # the digits of the coordinates, last first, read in base 2
+    return int(bytes(raw[::-1]).translate(_DIGITS) or b"0", 2)
 
 
 def _listed(entries: Any, field: str) -> Sequence:
@@ -458,15 +448,15 @@ def build_algebra(
     into its slot and the mirror slot).  Each entry is checked in one pass,
     in a fixed order: its shape, the types of its degrees and indices, their
     ranges, the product degree, the row's length and then its coordinates.
-    The checks run on every row; only then is the row looked up in a cache
-    of the rows read so far, keyed by their bytes, and parsed to an int on
-    a miss, as ring products repeat a few distinct rows (most of them one
-    bit) many times.  In both tables an entry whose row differs from an
-    earlier nonzero row in the same slot (for products, the mirror slot
-    too) is refused; an all-zero earlier row gives way.  A malformed entry
-    raises ``SchemaError`` naming its position, and tables over the byte
-    budget raise ``SchemaError`` naming the basis before anything is
-    allocated.  The assembled algebra must pass every axiom of
+    The checks run on every row; only then is a product row looked up in a
+    cache of the product rows read so far, keyed by their bytes, and parsed
+    to an int on a miss, as ring products repeat a few distinct rows (most
+    of them one bit) many times.  In both tables an entry whose row
+    differs from an earlier nonzero row in the same slot (for products, the
+    mirror slot too) is refused; an all-zero earlier row gives way.  A
+    malformed entry raises ``SchemaError`` naming its position, and tables
+    over the byte budget raise ``SchemaError`` naming the basis before
+    anything is allocated.  The assembled algebra must pass every axiom of
     :func:`validate_algebra`; a failure raises
     ``InvariantViolation("algebra-axioms", ...)``.
     """
@@ -477,9 +467,11 @@ def build_algebra(
     except ValueError as exc:
         raise SchemaError(f"basis: {exc}") from exc
 
-    # One loop with no call per entry: the entry's position is formatted
-    # only when it is refused.
-    packed: dict = {}  # bytes of each row read -> its packed int
+    # One loop with no call per entry: the row checks are _row's, written
+    # out, and the entry's position is formatted only when it is refused.
+    # Most product rows repeat an earlier one (in a monomial basis each is
+    # one bit), so a row is parsed only the first time its bytes are met.
+    packed: dict = {}  # bytes of each product row read -> its packed int
     products: dict = {}
     for pos, entry in enumerate(_listed(mult, "mult")):
         if not isinstance(entry, (list, tuple)) or len(entry) != 5:
@@ -535,9 +527,9 @@ def build_algebra(
         if k > d or d + k > n:
             if any(raw):
                 raise SchemaError(f"sq entry {pos}: Sq^{k} vanishes on degree {d} here")
-            _row(raw, len(raw), packed, "sq entry {}", pos)  # the zeros must still be integers
+            _row(raw, len(raw), f"sq entry {pos}")  # the zeros must still be integers
             continue
-        row = _row(raw, ranks[d + k], packed, "sq entry {}", pos)
+        row = _row(raw, ranks[d + k], f"sq entry {pos}")
         table = squares.get((k, d))
         if table is None:
             table = squares[k, d] = _blank(ranks[d], ranks[d + k])

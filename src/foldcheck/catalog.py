@@ -16,13 +16,13 @@ The algebra axiom battery (``validate_algebra``) runs where data enters:
 ``load_manifold`` checks a document's fields and basis and reads its
 ``mult`` and ``sq`` entry lists through one ``build_algebra`` call, the
 one reader of outside tables, which checks every entry, parses each
-distinct row once and runs the battery.  The catalog atoms are closed
-forms, and connected sums and products of valid records are valid by
-construction, so their algebras are assembled without it.  The ``RP`` and ``CP`` atoms check the
-closed-form size of their tables against the table byte budget before
-they build any list; the surface atoms, ``kunneth``,
-``connected_sum_algebra`` and ``build_algebra`` check their ranks before
-they allocate a table.  Atoms write their structure
+distinct product row once and runs the battery.  The catalog atoms are
+closed forms, and connected sums and products of valid records are
+valid by construction, so their algebras are assembled without it.  The
+``RP`` and ``CP`` atoms check the closed-form size of their tables
+against the table byte budget before they build any list; the surface
+atoms, ``kunneth``, ``connected_sum_algebra`` and ``build_algebra``
+check their ranks before they allocate a table.  Atoms write their structure
 constants as packed ints (see ``algebra``), reading binomial parities by
 Lucas's theorem: ``C(n, k)`` is odd iff ``k & n == k``.  Records are immutable
 and compare by identity; value-level comparisons in tests go through the
@@ -570,9 +570,7 @@ def _total_field(raw: Any, algebra: GradedAlgebra, where: str) -> TotalClass:
     dim = algebra.top_degree
     if not isinstance(raw, (list, tuple)) or len(raw) != dim + 1:
         raise SchemaError(f"{where} must list one coordinate vector per degree 0..{dim}")
-    packed: dict = {}
-    rows = [_row(row, algebra.rank(d), packed, "{}[{}]", where, d) for d, row in enumerate(raw)]
-    return _total(algebra, rows)
+    return _total(algebra, [_row(row, algebra.rank(d), f"{where}[{d}]") for d, row in enumerate(raw)])
 
 
 def _parse_p1(raw: Any) -> P1Data:
