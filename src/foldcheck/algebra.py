@@ -20,14 +20,15 @@ checks the ``mult`` loop writes out inline, parsing each distinct product
 row once.  No other code reads outside coordinates: a class is made from
 its bits by ``_class`` or ``_total``, out of the stored tables and the
 operations below.  numpy is imported only for the dense float32
-kernels of the battery, which unpack their own blocks, and for the array
+kernels of the battery, which unpack their own blocks, so a sparse
+document loads none, and for the array
 views (``mult_block``, ``sq_block``, ``mult``, ``sq_table``, ``unit``,
 ``fundamental``, ``TotalClass.components``), a read-only surface for
 outside readers built from the ints on first read and cached; the
 package reads none.
-Associativity runs on the packed tables where they are sparse
-(``_packed_wins``), Cartan on BLAS products with one parity per block, and
-the unit checks decide degree-0 factors.  On a commutative unital table
+Associativity and Cartan run on the packed tables where they are sparse
+and on BLAS products with one parity per block elsewhere (``_packed_wins``),
+and the unit checks decide degree-0 factors.  On a commutative unital table
 both are computed only where a generator degree sits: associativity on
 triples whose middle degree is one, Cartan (once associativity holds) on
 pairs with a factor of one, since either axiom holds on all classes once
@@ -737,10 +738,12 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     F2[a,b,c]/(a^6,b^4,c^6) 105 of 308 triples and 28 Cartan pairs of 64.
 
     The unit, commutativity, Sq^0 and squaring checks read the stored
-    packed tables.  The Cartan formula (``_cartan``), and associativity on
-    dense triples, run as float32 matrix products (BLAS) on blocks
-    unpacked from the stored tables when first read, without building the
-    array views; an associativity chunk takes its parity as it goes.  A
+    packed tables.  Associativity on dense triples and the Cartan formula
+    on dense pairs (``_cartan``) run as float32 matrix products (BLAS) on
+    blocks unpacked from the stored tables when first read, without
+    building the array views; an associativity chunk takes its parity as it
+    goes.  numpy is imported by those kernels alone, so a battery that the
+    rule below sends wholly to the packed kernels never loads it.  A
     Cartan block (d1, d2, k) is one integer sum, ``prod @ Sq^k`` minus
     ``sum_u Sq^v(d2) @ (Sq^u(d1) @ mult(d1 + u, d2 + v))``, all linear over
     Z, so one parity of the difference (``_parity``) decides it.  Over
@@ -771,19 +774,53 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     picks took 1.02 times the faster kernel's total; the worst algebra,
     K3 x RP2, took 1.2-1.3 times (0.6 against 0.5 ms).  The 1000 is the
     dense kernel's fixed cost (about 16 us against 8 us for a packed
-    triple of rank-1 degrees).  The loops walk
-    the degrees that carry a class; the other axioms hold trivially on
-    zero ranks.
-    """
-    import numpy as np
+    triple of rank-1 degrees).
 
+    A Cartan pair runs on the stored nonzero entries (``_cartan_packed``)
+    when ``32 e_12 <= r1 r2 r12 + 100``, the same count rule
+    (``_packed_wins``); a pair with no k in range (``Sq^k`` of degree
+    d1 + d2 landing in a degree with classes, ``1 <= k <= d1 + d2``) runs
+    through either kernel without reading a table.  The rule is fitted on
+    per-pair times taken inside battery runs with shared block caches (one
+    CPU, best of 9), over the doc-ingest families with their corrupted
+    copies, rebased T^5 to T^8 documents, T^9, K3 x K3 and CP3 x RP3.
+    Cartan time in ms, summed over the pairs each battery computes:
+
+    ====================================  =====  =====  ==========  ========
+    algebra                               pairs  rule   all packed  all BLAS
+    ====================================  =====  =====  ==========  ========
+    24#RP4                                3      0.16   0.16        0.32
+    40#RP4                                3      0.32   0.32        0.98
+    N300 (no k fits)                      1      0.00   0.00        0.00
+    F2[a,b,c]/(a^6,b^4,c^6)               28     2.07   4.34        2.07
+    the same with one square flipped      64     4.77   13.42       4.77
+    rebased T^8                           7      0.13   0.04        1.02
+    T^9                                   8      0.04   0.04        5.92
+    K3 x K3                               3      0.01   0.01        16.80
+    CP3 x RP3                             14     0.17   0.17        0.59
+    all 35 algebras of the set                   25.4   57.3        54.3
+    ====================================  =====  =====  ==========  ========
+
+    BLAS stays for the ring documents, whose blocks are nearly full: there
+    the packed kernel reads every entry of every block through the
+    interpreter, and over all 64 pairs of the a^6 b^4 c^6 ring it took 2.8
+    times as long.  The tori and K3 x K3 store no square above Sq^0, so
+    their packed kernel reads next to nothing.  Against the parent of this
+    kernel, in process, best of 15, interleaved, the battery of each
+    algebra of the set took 0.40-0.75 times as long on k#RP4, N(k),
+    K3 x K3 and CP3 x RP3, 0.92-0.96 times on rebased T^7, T^8 and T^9,
+    and 1.00-1.04 times on the rings and rebased T^5 and T^6, the per-pair
+    rule reads included.  The loops walk the degrees that carry a class;
+    the other axioms hold trivially on zero ranks.
+    """
     n = A.top_degree
     bad: list[str] = []
     _check_table_size(_table_bytes(A.ranks))
-    mult = cache(lambda d1, d2: _dense_product(A, d1, d2).astype(np.float32))
-    sq = cache(lambda k, d: _dense_square(A, k, d).astype(np.float32))
+    mult = cache(lambda d1, d2: _dense_product(A, d1, d2).astype("float32"))
+    sq = cache(lambda k, d: _dense_square(A, k, d).astype("float32"))
     lines = cache(partial(_lines, A))
-    weight = cache(lambda d1, d2: _weight(A.products.get((d1, d2), b"")))
+    nonzero = cache(lambda d1, d2: len(table := A.products.get((d1, d2), b"")) - table.count(0))
+    set_bits = cache(lambda d1, d2: sum(map(int.bit_count, A.products.get((d1, d2), b""))))
 
     r0, units = A.rank(0), _indices(A.unit_bits)
     for d in A.degrees:
@@ -822,7 +859,7 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     def associates(d1: int, d2: int, d3: int) -> bool:
         key = (d3, d2, d1) if commutative and d3 < d1 else (d1, d2, d3)
         if key not in associative:
-            if _packed_wins(A, weight, *key):
+            if _packed_wins(A, nonzero, set_bits, *key):
                 associative[key] = _associative_packed(A, lines, *key)
             else:
                 associative[key] = _associative(mult, A.rank, *key)
@@ -858,7 +895,13 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     def cartan_failures(d1: int, d2: int) -> list[int]:
         key = (d2, d1) if commutative and d2 < d1 else (d1, d2)
         if key not in cartan:
-            cartan[key] = _cartan(mult, sq, A.rank, degrees, *key)
+            s = d1 + d2
+            # the k <= deg xy with Sq^k(xy) landing in a degree with classes
+            ks = [t - s for t in A.degrees if s < t <= 2 * s]
+            if _packed_wins(A, nonzero, set_bits, *key):
+                cartan[key] = _cartan_packed(A, ks, *key)
+            else:
+                cartan[key] = _cartan(mult, sq, A.rank, ks, *key)
         return cartan[key]
 
     # the pairs with a generator factor; if one fails, every pair
@@ -950,24 +993,18 @@ def _associative(mult, rank, d1: int, d2: int, d3: int) -> bool:
     return True
 
 
-def _cartan(mult, sq, rank, degrees: Sequence[int], d1: int, d2: int) -> list[int]:
-    """The k with ``Sq^k(xy) != sum_u Sq^u x Sq^(k-u) y`` on some basis pair of degrees d1, d2.
+def _cartan(mult, sq, rank, ks: Sequence[int], d1: int, d2: int) -> list[int]:
+    """The k of ``ks`` with ``Sq^k(xy) != sum_u Sq^u x Sq^(k-u) y`` on some basis pair of degrees d1, d2.
 
     Each k is one integer sum, ``prod @ Sq^k`` minus the products
     ``Sq^v(d2) @ (Sq^u(d1) @ mult(d1 + u, d2 + v))``, even exactly when the
-    two sides agree; ``degrees`` lists the degrees t = d1 + d2 + k to try.
+    two sides agree.
     """
     failed = []
     r1, r2 = rank(d1), rank(d2)
-    prod = mult(d1, d2).reshape(r1 * r2, rank(d1 + d2))
-    for t in degrees:
-        k = t - d1 - d2
-        if k < 1:
-            continue
-        if k > d1 + d2:
-            break
-        ro = rank(t)
-        diff = (prod @ sq(k, d1 + d2)).reshape(r1, r2, ro)
+    for k in ks:
+        ro = rank(d1 + d2 + k)
+        diff = (mult(d1, d2).reshape(r1 * r2, -1) @ sq(k, d1 + d2)).reshape(r1, r2, ro)
         for u in range(max(0, k - d2), min(k, d1) + 1):
             v = k - u
             ra, rb = rank(d1 + u), rank(d2 + v)
@@ -979,27 +1016,82 @@ def _cartan(mult, sq, rank, degrees: Sequence[int], d1: int, d2: int) -> list[in
     return failed
 
 
-# The rule of _packed_wins; validate_algebra gives the measurement.
+def _cartan_packed(A: GradedAlgebra, ks: Sequence[int], d1: int, d2: int) -> list[int]:
+    """The failing k of ``_cartan``, summed over the stored nonzero entries.
+
+    For each class x_i of degree d1, each side of the formula is packed
+    into one int: coordinate o of its value on x_i and the class y_j of
+    degree d2 sits at bit ``j ro + o``.  The left side adds ``Sq^k(x_i y_j)``
+    over the nonzero products ``x_i y_j``.  For the term u of the right
+    side, each nonzero product ``e_a e_b`` of degrees ``(d1 + u, d2 + v)`` is
+    read once and multiplied by ``spread[b]``, which holds bit ``j ro`` for
+    each y_j whose ``Sq^v`` has coordinate b.  Each product is below
+    ``2^ro``, so its copies land at those places without overlapping, and
+    row a holds ``e_a Sq^v y_j`` for every j.  ``Sq^u x_i`` then XORs the
+    rows at its coordinates a.
+    """
+    rank, products, squares = A.rank, A.products, A.squares
+    r1, r2 = rank(d1), rank(d2)
+    prod = products.get((d1, d2), ())
+    failed = []
+    for k in ks:
+        ro = rank(d1 + d2 + k)
+        lhs, rhs = [0] * r1, [0] * r1
+        square = squares.get((k, d1 + d2))
+        if square is not None:
+            for index in _nonzero(prod):
+                i, j = divmod(index, r2)
+                lhs[i] ^= _image(square, prod[index]) << j * ro
+        for u in range(max(0, k - d2), min(k, d1) + 1):
+            v = k - u
+            left, right = squares.get((u, d1)), squares.get((v, d2))
+            table = products.get((d1 + u, d2 + v))
+            if left is None or right is None or table is None:
+                continue
+            rb = rank(d2 + v)
+            spread = [0] * rb
+            for j, y in enumerate(right):
+                for b in _indices(y):
+                    spread[b] |= 1 << j * ro
+            rows = [0] * rank(d1 + u)
+            for index in _nonzero(table):
+                a, b = divmod(index, rb)
+                rows[a] ^= table[index] * spread[b]
+            for i, x in enumerate(left):
+                if x:
+                    rhs[i] ^= _image(rows, x)
+        if lhs != rhs:
+            failed.append(k)
+    return failed
+
+
+# The rule of _packed_wins, for triples and for Cartan pairs; validate_algebra
+# gives the measurements.
 _PACKED_COST = 6
 _DENSE_FLOOR = 1000
+_CARTAN_COST = 32
+_CARTAN_FLOOR = 100
 
 
-def _packed_wins(A: GradedAlgebra, weight, d1: int, d2: int, d3: int) -> bool:
-    """Whether ``_associative_packed`` is the cheaper kernel for a degree triple.
+def _packed_wins(A: GradedAlgebra, nonzero, set_bits, d1: int, d2: int, d3: int | None = None) -> bool:
+    """Whether the packed kernel is the cheaper for a degree triple, or for a Cartan pair.
 
-    It shifts one int of ``r1 r3 ro`` bits per nonzero ``x_i y_j`` and per
-    set bit of a ``y_j z_k`` (``weight`` of a table gives both counts); the
-    dense kernel multiplies ``r1 r2 r12 r3 ro`` entries at a fixed cost per call.
+    ``_associative_packed`` shifts one int of ``r1 r3 ro`` bits per nonzero
+    ``x_i y_j`` and per set bit of a ``y_j z_k`` (``nonzero`` and
+    ``set_bits`` of a table give the counts); the dense kernel multiplies
+    ``r1 r2 r12 r3 ro`` entries at a fixed cost per call.  For a pair,
+    ``_cartan_packed`` takes one step per nonzero ``x_i y_j`` and k, and
+    ``_cartan`` multiplies ``r1 r2 r12`` entries by each ``Sq^k`` table.
+    The pair test reads three ranks and one count, cached per table over
+    the battery, so it costs O(1) per pair.
     """
     rank = A.rank
-    r1, r2, r3, r12, ro = rank(d1), rank(d2), rank(d3), rank(d1 + d2), rank(d1 + d2 + d3)
-    work = weight(d1, d2)[0] + weight(d2, d3)[1]
+    r1, r2, r12 = rank(d1), rank(d2), rank(d1 + d2)
+    if d3 is None:
+        return _CARTAN_COST * nonzero(d1, d2) <= r1 * r2 * r12 + _CARTAN_FLOOR
+    r3, ro = rank(d3), rank(d1 + d2 + d3)
+    work = nonzero(d1, d2) + set_bits(d2, d3)
     return _PACKED_COST * work * r1 * r3 * ro <= r1 * r2 * r12 * r3 * ro + _DENSE_FLOOR
-
-
-def _weight(table: Sequence[int]) -> tuple[int, int]:
-    """Nonzero entries of a stored table and their set bits."""
-    return len(table) - table.count(0), sum(map(int.bit_count, table))
 
 
 def _lines(A: GradedAlgebra, d1: int, d2: int, by_column: bool, step: int) -> list[int]:

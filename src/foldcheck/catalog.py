@@ -254,6 +254,14 @@ def validate_manifold(m: Manifold) -> None:
     axioms hold where data enters.  This layer checks w and p_1 against the
     rules every bundle obeys (``characteristic._bundle_refusal``), and the
     ``stably_parallelizable`` and ``torsion_free`` flags.
+
+    ``torsion_free`` is refused wherever a stored ``Sq^1`` table is nonzero.
+    The Bockstein beta of ``0 -> Z -> Z -> Z/2 -> 0`` reduces mod 2 to
+    ``Sq^1`` (rho beta = Sq^1), so ``Sq^1 x != 0`` for x in degree d makes
+    ``beta x`` a nonzero class of ``H^(d+1)(M; Z)``, and ``2 beta = 0``: it
+    is 2-torsion.  A non-orientable record is covered in every dimension:
+    ``Sq^1: H^(n-1) -> H^n`` is the product with ``v_1 = w_1 != 0``, which
+    Poincare duality makes nonzero.
     """
     n = m.dim
     refusal = _bundle_refusal(m.w, m.p1, m.orientable)
@@ -270,10 +278,12 @@ def validate_manifold(m: Manifold) -> None:
         if not m.p1.is_zero:
             raise InvariantViolation("stable-parallelizability", "p_1 != 0")
 
-    if m.torsion_free and not m.orientable and n <= 4:
-        raise InvariantViolation(
-            "torsion-flag", f"H^{n}(M; Z) = Z/2 is torsion in the degree-4 range"
-        )
+    if m.torsion_free:
+        d = min((d for k, d in m.algebra.squares if k == 1), default=None)
+        if d is not None:
+            raise InvariantViolation(
+                "torsion-flag", f"Sq^1 is nonzero on degree {d}, so H^{d + 1}(M; Z) has 2-torsion"
+            )
 
 
 # ---------------------------------------------------------------------------

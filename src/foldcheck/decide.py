@@ -550,6 +550,16 @@ def stable_span_bounds(m: Manifold) -> SpanBounds:
 
 
 def _span_scan(m: Manifold) -> SpanBounds:
+    """The bounds of ``stable_span_bounds``: the tame-fold scan, then the 3-frame test.
+
+    The 3-frame test runs in dimensions 6 (Thm 4.5, oriented) and 8
+    (Thm 4.2, oriented) alone.  Rem 4.7 and Rem 4.4 exclude exactly these
+    dimensions from the criteria for folds into R^4.  In every other even
+    dimension where Thm 4.2 or Thm 4.5 applies (n = 4k >= 12 oriented,
+    n = 4k + 2 >= 10), the scan's tame verdict at p = 4 is Thm 4.3 or
+    Thm 4.6.  It reads the same w_(n-2), and sigma mod 8 for n = 4k, so by
+    Cor 2.4 it already fixes the bound that the 3-frame test would give.
+    """
     n = m.dim
     lower, upper = 0, n
     entries: List[TraceEntry] = []
@@ -585,34 +595,27 @@ def _span_scan(m: Manifold) -> SpanBounds:
                     f"no tame fold into R^{p} [{core.trace[0].citation}] => span^0 <= {p - 2}",
                 )
             )
-    if n % 2 == 0 and m.euler == 0:
-        frame = None
-        if n % 4 == 0 and n >= 8 and m.orientable:
-            ok = m.w.component(n - 2).is_zero() and m.signature % 8 == 0
-            frame = ("Thm 4.2", ok)
-        elif n % 4 == 2 and ((m.orientable and n >= 6) or (not m.orientable and n >= 10)):
-            ok = m.w.component(n - 2).is_zero()
-            frame = ("Thm 4.5", ok)
-        if frame is not None:
-            citation, ok = frame
-            if ok and lower < 3:
-                lower = 3
-                entries.append(
-                    TraceEntry("3-frame", citation, "none", "chi = 0 and the 3-frame criterion holds => span >= 3")
+    if n in (6, 8) and m.euler == 0 and m.orientable:
+        ok = m.w.component(n - 2).is_zero() and (n == 6 or m.signature % 8 == 0)
+        citation = "Thm 4.5" if n == 6 else "Thm 4.2"
+        if ok and lower < 3:
+            lower = 3
+            entries.append(
+                TraceEntry("3-frame", citation, "none", "chi = 0 and the 3-frame criterion holds => span >= 3")
+            )
+        elif not ok and upper > 2:
+            upper = 2
+            entries.append(
+                TraceEntry("3-frame", citation, "none", "chi = 0 and the 3-frame criterion fails => span <= 2")
+            )
+            entries.append(
+                TraceEntry(
+                    "span-stabilization",
+                    "Thm 4.1",
+                    "none",
+                    "chi = 0 and dim even: span = span^0, so span^0 <= 2",
                 )
-            elif not ok and upper > 2:
-                upper = 2
-                entries.append(
-                    TraceEntry("3-frame", citation, "none", "chi = 0 and the 3-frame criterion fails => span <= 2")
-                )
-                entries.append(
-                    TraceEntry(
-                        "span-stabilization",
-                        "Thm 4.1",
-                        "none",
-                        "chi = 0 and dim even: span = span^0, so span^0 <= 2",
-                    )
-                )
+            )
     return SpanBounds(lower, upper, tuple(entries))
 
 

@@ -13,6 +13,7 @@ one row flipped, through the loader and both batteries.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -129,6 +130,29 @@ def reference_violations(A: GradedAlgebra) -> tuple[str, ...]:
     return tuple(bad)
 
 
+@contextlib.contextmanager
+def _cartan_kernel(kernel: str):
+    """Send every Cartan pair to one kernel, "packed" or "dense"; "rule" leaves the rule."""
+    real = algebra._packed_wins
+
+    def forced(A, nonzero, set_bits, *degrees):
+        if len(degrees) == 2 and kernel != "rule":
+            return kernel == "packed"
+        return real(A, nonzero, set_bits, *degrees)
+
+    with mock.patch.object(algebra, "_packed_wins", forced):
+        yield
+
+
+def _assert_kernels_match_reference(A: GradedAlgebra) -> tuple[str, ...]:
+    """The violations of ``A`` under the rule and under each forced Cartan kernel, all the reference's."""
+    want = reference_violations(A)
+    for kernel in ("rule", "dense", "packed"):
+        with _cartan_kernel(kernel):
+            assert validate_algebra(A).violations == want, kernel
+    return want
+
+
 # ---------------------------------------------------------------------------
 # one flipped entry, both batteries
 
@@ -214,8 +238,7 @@ def test_flipped_entry_violations_match_reference(
     A = _flipped(oracle_algebras[name], table, pick, entry)
     _assert_store_matches_views(A)
     with mock.patch.object(algebra, "_CHUNK_ELEMENTS", chunk):
-        got = validate_algebra(A).violations
-    assert got == reference_violations(A)
+        _assert_kernels_match_reference(A)
 
 
 def _triples(A: GradedAlgebra) -> list[tuple[int, int, int]]:
@@ -251,15 +274,16 @@ def _positive(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]
 
 
 def _cartan_calls(monkeypatch, A: GradedAlgebra) -> list[tuple[int, int]]:
-    """The degree pairs the Cartan kernel checks, in battery order."""
+    """The degree pairs the Cartan kernels check, whichever runs, in battery order."""
     calls = []
-    real = algebra._cartan
+    for name in ("_cartan", "_cartan_packed"):
+        real = getattr(algebra, name)
 
-    def counting(*args):
-        calls.append(args[-2:])
-        return real(*args)
+        def counting(*args, real=real):
+            calls.append(args[-2:])
+            return real(*args)
 
-    monkeypatch.setattr(algebra, "_cartan", counting)
+        monkeypatch.setattr(algebra, name, counting)
     validate_algebra(A)
     return calls
 
@@ -342,8 +366,7 @@ def _two_spheres() -> GradedAlgebra:
 )
 def test_rank_two_degree_0_flips_match_reference(table, pick, entry):
     A = _flipped(_two_spheres(), table, pick, entry)
-    got = validate_algebra(A).violations
-    assert got and got == reference_violations(A)
+    assert _assert_kernels_match_reference(A)
 
 
 def test_unit_in_a_rebased_degree_0_basis_matches_reference():
@@ -360,8 +383,7 @@ def test_unit_in_a_rebased_degree_0_basis_matches_reference():
     assert validate_algebra(A).ok
     flips = [("mult", pick, entry) for pick in range(3) for entry in range(8)]
     for table, pick, entry in flips + [("sq", 0, entry) for entry in range(4)]:
-        B = _flipped(A, table, pick, entry)
-        assert validate_algebra(B).violations == reference_violations(B), (table, pick, entry)
+        _assert_kernels_match_reference(_flipped(A, table, pick, entry))
 
 
 @functools.cache
@@ -377,7 +399,7 @@ def test_flipped_product_on_a_rebased_document_matches_reference(monkeypatch, pi
     # a non-monomial basis makes the tables dense, so the BLAS kernel runs
     A = _flipped(_rebased_torus(5), "mult", pick, 7 * pick)
     assert _associative_calls(monkeypatch, A)["_associative"]
-    assert validate_algebra(A).violations == reference_violations(A)
+    _assert_kernels_match_reference(A)
 
 
 @pytest.mark.parametrize(
@@ -389,8 +411,7 @@ def test_flipped_entry_on_a_rebased_seven_torus_matches_reference(monkeypatch, t
     # T^7 has ranks up to 35, the largest dense blocks the reference affords
     A = _flipped(_rebased_torus(7), table, pick, 7 * pick)
     assert _associative_calls(monkeypatch, A)["_associative"]
-    got = validate_algebra(A).violations
-    assert got and got == reference_violations(A)
+    assert _assert_kernels_match_reference(A)
 
 
 def test_sparse_member_runs_the_packed_kernel(monkeypatch, oracle_algebras):
@@ -490,8 +511,10 @@ def test_sphere_document_battery_reads_the_blocks_of_its_degrees(monkeypatch):
 
     monkeypatch.setattr(algebra, "_unpack", counting)
     m = load_manifold(doc)
-    # a few dense blocks per pair of the degrees with classes, not one per pair below n
-    assert 0 < len(calls) <= 16 * 3**2
+    # the unit checks settle every triple and pair with a degree-0 factor, no
+    # positive triple fits below n, and no k fits the pair (200, 200): no
+    # block is unpacked, where one per pair below n would be 80,000
+    assert calls == []
     assert m.algebra.degrees == (0, 200, n)
 
 
@@ -499,6 +522,15 @@ def test_k3_x_k3_document_round_trips():
     # 2011 basis classes, middle rank 486: the largest algebra in the suite
     m = product(k3(), k3())
     _assert_round_trip(m)
+
+
+def test_torsion_flag_is_refused_where_sq1_is_nonzero():
+    # S2 x RP3 is orientable; Sq^1 a = a^2 certifies 2-torsion in H^2(M; Z), and
+    # Sq^1(s a) = s a^2 in H^4(M; Z), where the flag was read before
+    doc = {**manifold_document(parse_expression("S2 x RP3")), "torsion_free": True}
+    with pytest.raises(InvariantViolation, match="2-torsion") as info:
+        load_manifold(doc)
+    assert info.value.name == "torsion-flag"
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +706,9 @@ def ring_document(gens: list[tuple[str, int, int]]) -> dict:
     }
 
 
-# the doc-ingest ring F2[a,b,c]/(a^6,b^4,c^6), dimension 16
+# the doc-ingest rings F2[a,b,c]/(a^6,b^4,c^6) and F2[a,b,c]/(a^7,b^3,c^6), dimension 16
 RING_A6B4C6 = [("a", 1, 5), ("b", 2, 3), ("c", 1, 5)]
+RING_A7B3C6 = [("a", 1, 6), ("b", 2, 2), ("c", 1, 5)]
 
 # dimensions 7 and 9: neither needs a signature
 RINGS = {
@@ -811,9 +844,8 @@ def test_flipped_ring_document_matches_reference(name, rebased, table, pick):
     doc = json.loads(_ring(name, rebased))
     row = doc[table][pick % len(doc[table])][-1]
     row[pick % len(row)] ^= 1
-    B = _document_algebra(doc)
-    got = validate_algebra(B).violations
-    assert got and got == reference_violations(B)
+    got = _assert_kernels_match_reference(_document_algebra(doc))
+    assert got
     with pytest.raises(InvariantViolation) as info:
         load_manifold(doc)
     assert str(info.value) == "algebra-axioms: " + "; ".join(got)
@@ -824,12 +856,12 @@ def test_flipped_ring_block_matches_reference(table, pick):
     # one block entry flipped, its mirror kept: not commutative, so every
     # Cartan block runs
     A = load_manifold(json.loads(_ring("F2[a,b,c]/(a^4,b^3,c^3)", True))).algebra
-    B = _flipped(A, table, pick, 5 * pick + 1)
-    assert validate_algebra(B).violations == reference_violations(B)
+    _assert_kernels_match_reference(_flipped(A, table, pick, 5 * pick + 1))
 
 
 def test_valid_ring_battery_checks_pairs_with_a_generator_factor(monkeypatch):
-    # 28 of the 64 positive pairs with d1 <= d2 of the doc-ingest ring
+    # 28 of the 64 positive pairs with d1 <= d2 of the doc-ingest ring, each
+    # through the kernel the rule picks
     A = _document_algebra(ring_document(RING_A6B4C6))
     pairs = [(d1, d2) for d1 in A.degrees for d2 in A.degrees if 0 < d1 <= d2 and d1 + d2 <= A.top_degree]
     assert len(pairs) == 64
@@ -837,6 +869,64 @@ def test_valid_ring_battery_checks_pairs_with_a_generator_factor(monkeypatch):
     assert calls == [(d1, d2) for d1, d2 in pairs if {d1, d2} & {1, 2}]
     assert len(calls) == 28
     assert len(_associative_calls(monkeypatch, A)["all"]) == 105
+
+
+def test_ring_with_a_flipped_sq1_in_degree_3_matches_reference():
+    # the CI ring document with one Sq^1 coordinate flipped on a class of
+    # degree 3, which no generator degree reaches: only the rescan of every
+    # pair names the Cartan failures
+    doc = ring_document(RING_A6B4C6)
+    entry = next(e for e in doc["sq"] if e[:3] == [1, 3, 0])
+    entry[3][0] ^= 1
+    got = _assert_kernels_match_reference(_document_algebra(doc))
+    assert "cartan: Sq^1 on degrees (3, 3)" in got
+
+
+def test_flipped_square_on_a_rebased_eight_torus_matches_reference():
+    # Sq^1 on degree 4 of a rebased T^8 (ranks up to 70), one entry flipped
+    got = _assert_kernels_match_reference(_flipped(_rebased_torus(8), "sq", 12, 84))
+    assert "cartan: Sq^1 on degrees (1, 3)" in got
+
+
+def _refit_set() -> dict[str, GradedAlgebra]:
+    """The algebras the Cartan kernel rule is fitted on, with corrupted copies.
+
+    The doc-ingest families (24, 32 and 40 RP4 summed, N200, N300 and the
+    two rings) whole, with a ghost class in degree 3 (1 in N200 and N300)
+    and with one square and one product entry flipped; rebased T^5 to T^8 documents; T^9, K3 x K3
+    and CP3 x RP3.
+    """
+    docs = {name: manifold_document(parse_expression(name)) for name in ("24#RP4", "32#RP4", "40#RP4", "N200", "N300")}
+    docs.update(a6b4c6=ring_document(RING_A6B4C6), a7b3c6=ring_document(RING_A7B3C6))
+    out = {}
+    for name, doc in docs.items():
+        A = out[name] = _document_algebra(doc)
+        out[f"{name} ghost"] = _document_algebra(_with_ghost(doc, min(3, A.top_degree - 1)))
+        out[f"{name} sq flip"] = _flipped(A, "sq", A.top_degree + 2, 1)
+        out[f"{name} mult flip"] = _flipped(A, "mult", A.top_degree + 2, 1)
+    for factors in (5, 6, 7, 8):
+        out[f"rebased T^{factors}"] = _rebased_torus(factors)
+    for name in (" x ".join(["S1"] * 9), "K3 x K3", "CP3 x RP3"):
+        out[name] = parse_expression(name).algebra
+    return out
+
+
+def test_cartan_kernels_agree_on_every_pair_of_the_refit_set():
+    failures = 0
+    for name, A in _refit_set().items():
+        mult = functools.cache(lambda d1, d2, A=A: algebra._dense_product(A, d1, d2).astype("float32"))
+        sq = functools.cache(lambda k, d, A=A: algebra._dense_square(A, k, d).astype("float32"))
+        for d1 in A.degrees:
+            for d2 in A.degrees:
+                s = d1 + d2
+                ks = [t - s for t in A.degrees if s < t <= 2 * s]
+                if s > A.top_degree or not ks:
+                    continue
+                packed = algebra._cartan_packed(A, ks, d1, d2)
+                assert packed == algebra._cartan(mult, sq, A.rank, ks, d1, d2), (name, d1, d2)
+                failures += len(packed)
+    # the flips reach the kernels
+    assert failures > 0
 
 
 def _with_ghost(doc: dict, d: int) -> dict:
