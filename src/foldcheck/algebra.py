@@ -805,11 +805,11 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     the packed kernel reads every entry of every block through the
     interpreter, and over all 64 pairs of the a^6 b^4 c^6 ring it took 2.8
     times as long.  The tori and K3 x K3 store no square above Sq^0, so
-    their packed kernel reads next to nothing.  Against the parent of this
-    kernel, in process, best of 15, interleaved, the battery of each
-    algebra of the set took 0.40-0.75 times as long on k#RP4, N(k),
-    K3 x K3 and CP3 x RP3, 0.92-0.96 times on rebased T^7, T^8 and T^9,
-    and 1.00-1.04 times on the rings and rebased T^5 and T^6, the per-pair
+    their packed kernel reads next to nothing.  Against the battery
+    before this kernel, in process, best of 15, interleaved, the battery of each
+    algebra of the set took 0.41-0.79 times as long on k#RP4, N(k),
+    K3 x K3 and CP3 x RP3, 0.92-0.94 times on rebased T^7, T^8 and T^9,
+    and 0.99-1.05 times on the rings and rebased T^5 and T^6, the per-pair
     rule reads included.  The loops walk the degrees that carry a class;
     the other axioms hold trivially on zero ranks.
     """

@@ -210,16 +210,16 @@ def test_catalog_expressions_never_import_numpy(tmp_path):
         path = tmp_path / f"{expression}.json"
         path.write_text(json.dumps(manifold_document(parse_expression(expression))))
         documents.append(path)
-    document_commands = [["invariants", str(path), "--format", "json"] for path in documents]
+    commands = expression_commands + [["invariants", str(path), "--format", "json"] for path in documents]
     env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(expression_commands + document_commands)],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     # the records are NamedTuples and plain classes, so no command loads
     # dataclasses; numpy would load inspect
-    assert proc.stdout.splitlines() == ["0 False False False"] * (len(expression_commands) + 3)
+    assert proc.stdout.splitlines() == ["0 False False False"] * len(commands)
 
 
 @pytest.mark.parametrize(

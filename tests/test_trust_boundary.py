@@ -525,8 +525,8 @@ def test_k3_x_k3_document_round_trips():
 
 
 def test_torsion_flag_is_refused_where_sq1_is_nonzero():
-    # S2 x RP3 is orientable; Sq^1 a = a^2 certifies 2-torsion in H^2(M; Z), and
-    # Sq^1(s a) = s a^2 in H^4(M; Z), where the flag was read before
+    # S2 x RP3 is orientable, which the old non-orientable clause let through;
+    # Sq^1 a = a^2 certifies 2-torsion in H^2(M; Z), Sq^1(s a) = s a^2 in H^4
     doc = {**manifold_document(parse_expression("S2 x RP3")), "torsion_free": True}
     with pytest.raises(InvariantViolation, match="2-torsion") as info:
         load_manifold(doc)
@@ -893,10 +893,11 @@ def _refit_set() -> dict[str, GradedAlgebra]:
 
     The doc-ingest families (24, 32 and 40 RP4 summed, N200, N300 and the
     two rings) whole, with a ghost class in degree 3 (1 in N200 and N300)
-    and with one square and one product entry flipped; rebased T^5 to T^8 documents; T^9, K3 x K3
-    and CP3 x RP3.
+    and with one square and one product entry flipped; rebased T^5 to T^8
+    documents; T^9, K3 x K3 and CP3 x RP3.
     """
-    docs = {name: manifold_document(parse_expression(name)) for name in ("24#RP4", "32#RP4", "40#RP4", "N200", "N300")}
+    sums = ("24#RP4", "32#RP4", "40#RP4", "N200", "N300")
+    docs = {name: manifold_document(parse_expression(name)) for name in sums}
     docs.update(a6b4c6=ring_document(RING_A6B4C6), a7b3c6=ring_document(RING_A7B3C6))
     out = {}
     for name, doc in docs.items():
@@ -912,6 +913,7 @@ def _refit_set() -> dict[str, GradedAlgebra]:
 
 
 def test_cartan_kernels_agree_on_every_pair_of_the_refit_set():
+    # both kernels on every pair with a k, whichever the rule would pick
     failures = 0
     for name, A in _refit_set().items():
         mult = functools.cache(lambda d1, d2, A=A: algebra._dense_product(A, d1, d2).astype("float32"))
