@@ -26,16 +26,18 @@ views (``mult_block``, ``sq_block``, ``mult``, ``sq_table``, ``unit``,
 ``fundamental``, ``TotalClass.components``), a read-only surface for
 outside readers built from the ints on first read and cached; the
 package reads none.
-Associativity and Cartan run on the packed tables where they are sparse
-and on BLAS products with one parity per block elsewhere (``_packed_wins``),
-and the unit checks decide degree-0 factors.  On a commutative unital table
-both are computed only where a generator degree sits: associativity on
-triples whose middle degree is one, Cartan (once associativity holds) on
-pairs with a factor of one, since either axiom holds on all classes once
-it holds there; a failure found so sends the battery over every triple or
-pair, so each failure is still named.  ``validate_algebra`` states these
-rules and their proofs.  The Poincare pairing is read in one place,
-``_pairing_rows``, by the battery and by the Wu class alike.
+Associativity and Cartan run on one kernel family per algebra, picked
+once from its stored product tables (``_packed_wins``): sums over the
+packed tables where they are sparse, BLAS products with one parity per
+block elsewhere; the unit checks decide degree-0 factors.  On a
+commutative unital table both are computed only where a generator degree
+sits: associativity on triples whose middle degree is one, Cartan (once
+associativity holds) on pairs with a factor of one, since either axiom
+holds on all classes once it holds there; a failure found so sends the
+battery over every triple or pair, so each failure is still named.
+``validate_algebra`` states these rules and their proofs.  The Poincare
+pairing is read in one place, ``_pairing_rows``, by the battery and by
+the Wu class alike.
 
 Every routine walks the degrees that carry a basis class (``degrees``) or
 the tables the algebra stores, never all degree pairs or triples up to the
@@ -738,19 +740,27 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     F2[a,b,c]/(a^6,b^4,c^6) 105 of 308 triples and 28 Cartan pairs of 64.
 
     The unit, commutativity, Sq^0 and squaring checks read the stored
-    packed tables.  Associativity on dense triples and the Cartan formula
-    on dense pairs (``_cartan``) run as float32 matrix products (BLAS) on
-    blocks unpacked from the stored tables when first read, without
-    building the array views; an associativity chunk takes its parity as it
-    goes.  numpy is imported by those kernels alone, so a battery that the
-    rule below sends wholly to the packed kernels never loads it.  A
-    Cartan block (d1, d2, k) is one integer sum, ``prod @ Sq^k`` minus
+    packed tables.  Associativity and Cartan run on one kernel family for
+    the whole algebra, picked once before any triple or pair
+    (``_packed_wins``): the packed kernels when
+    ``32 sum e <= sum (r1 r2 r12 + 100)`` over the stored product tables
+    (d1, d2) with 0 < d1 <= d2, e being a table's nonzero entries, and the
+    dense kernels otherwise.  A packed kernel takes one interpreter step
+    per nonzero product ``x_i y_j``, a dense one multiplies ``r1 r2 r12``
+    entries at a fixed cost per call, and the rule weighs the two over the
+    whole algebra.  A pair with no k in range (``Sq^k`` of degree d1 + d2
+    landing in a degree with classes, ``1 <= k <= d1 + d2``) runs through
+    either kernel without reading a table.
+
+    The packed kernels (``_associative_packed``, ``_cartan_packed``) sum
+    over the stored nonzero entries.  The dense kernels (``_associative``,
+    ``_cartan``) run as float32 matrix products (BLAS) on blocks unpacked
+    from the stored tables when first read, without building the array
+    views; an associativity chunk takes its parity as it goes.  numpy is
+    imported by the dense kernels alone, so only a dense battery loads it.
+    A Cartan block (d1, d2, k) is one integer sum, ``prod @ Sq^k`` minus
     ``sum_u Sq^v(d2) @ (Sq^u(d1) @ mult(d1 + u, d2 + v))``, all linear over
-    Z, so one parity of the difference (``_parity``) decides it.  Over
-    every pair of the doc-ingest ring documents (ranks up to 16; 1 CPU,
-    best of 15, three runs), before the generator reduction, that took
-    Cartan from 8.0-8.3 to 5.4-5.8 ms and from 6.1-6.4 to 4.2-4.4 ms; one
-    parity per associativity triple was slower (7.1 against 6.0 ms).  The
+    Z, so one parity of the difference (``_parity``) decides it.  The
     parity is taken on int32, as ``diff % 2`` on float32 took ten times
     as long as the products on the (1, 1) pair of ``40#RP4``.
 
@@ -763,64 +773,51 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     hand-built ``GradedAlgebra`` can be, is refused with ``ValueError``
     before any block is unpacked, as every constructor refuses it.
 
-    A sparse associativity triple, such as the (1, 1, 1) triple of a connected sum
-    of many RP4, runs on the stored nonzero entries instead
-    (``_associative_packed``) when
-    ``6 (e_12 + b_23) r1 r3 ro <= r1 r2 r12 r3 ro + 1000``, with e_12 the
-    nonzero entries of table (d1, d2) and b_23 the set bits of table
-    (d2, d3) (``_packed_wins``).  Timing both kernels on every triple of
-    the doc-ingest documents, rebased T^5 and T^8 documents and catalog
-    products (2-CPU host, best of 3, two runs), the kernels this rule
-    picks took 1.02 times the faster kernel's total; the worst algebra,
-    K3 x RP2, took 1.2-1.3 times (0.6 against 0.5 ms).  The 1000 is the
-    dense kernel's fixed cost (about 16 us against 8 us for a packed
-    triple of rank-1 degrees).
+    Battery time in ms with each family forced, in process, best of 15 on
+    one CPU.  The set is 55 algebras: the doc-ingest families (24, 32 and
+    40 RP4 summed, N200, N300 and two truncated rings) whole, with a ghost
+    class and with one square or product entry flipped; rebased T^5 to
+    T^8 documents; T^9, K3 x K3, CP3 x RP3; and 20 catalog algebras up to
+    Sigma3 x Sigma3 x Sigma3:
 
-    A Cartan pair runs on the stored nonzero entries (``_cartan_packed``)
-    when ``32 e_12 <= r1 r2 r12 + 100``, the same count rule
-    (``_packed_wins``); a pair with no k in range (``Sq^k`` of degree
-    d1 + d2 landing in a degree with classes, ``1 <= k <= d1 + d2``) runs
-    through either kernel without reading a table.  The rule is fitted on
-    per-pair times taken inside battery runs with shared block caches (one
-    CPU, best of 9), over the doc-ingest families with their corrupted
-    copies, rebased T^5 to T^8 documents, T^9, K3 x K3 and CP3 x RP3.
-    Cartan time in ms, summed over the pairs each battery computes:
+    ================================  ===========  ======  =====
+    algebra                           rule picks   packed  BLAS
+    ================================  ===========  ======  =====
+    40#RP4                            packed       1.27    10.6
+    N300                              packed       0.70    0.70
+    F2[a,b,c]/(a^6,b^4,c^6)           BLAS         10.4    6.10
+    the same with one square flipped  BLAS         27.2    14.9
+    rebased T^7                       BLAS         12.8    3.49
+    rebased T^8                       BLAS         83.8    19.5
+    T^9                               packed       48.5    84.6
+    K3 x K3                           packed       13.4    95.2
+    Sigma3 x Sigma3 x Sigma3          packed       34.4    130
+    S2 x S2 x S2                      BLAS         0.19    0.35
+    ================================  ===========  ======  =====
 
-    ====================================  =====  =====  ==========  ========
-    algebra                               pairs  rule   all packed  all BLAS
-    ====================================  =====  =====  ==========  ========
-    24#RP4                                3      0.16   0.16        0.32
-    40#RP4                                3      0.32   0.32        0.98
-    N300 (no k fits)                      1      0.00   0.00        0.00
-    F2[a,b,c]/(a^6,b^4,c^6)               28     2.07   4.34        2.07
-    the same with one square flipped      64     4.77   13.42       4.77
-    rebased T^8                           7      0.13   0.04        1.02
-    T^9                                   8      0.04   0.04        5.92
-    K3 x K3                               3      0.01   0.01        16.80
-    CP3 x RP3                             14     0.17   0.17        0.59
-    all 35 algebras of the set                   25.4   57.3        54.3
-    ====================================  =====  =====  ==========  ========
-
-    BLAS stays for the ring documents, whose blocks are nearly full: there
-    the packed kernel reads every entry of every block through the
-    interpreter, and over all 64 pairs of the a^6 b^4 c^6 ring it took 2.8
-    times as long.  The tori and K3 x K3 store no square above Sq^0, so
-    their packed kernel reads next to nothing.  Against the battery
-    before this kernel, in process, best of 15, interleaved, the battery of each
-    algebra of the set took 0.41-0.79 times as long on k#RP4, N(k),
-    K3 x K3 and CP3 x RP3, 0.92-0.94 times on rebased T^7, T^8 and T^9,
-    and 0.99-1.05 times on the rings and rebased T^5 and T^6, the per-pair
-    rule reads included.  The loops walk the degrees that carry a class;
-    the other axioms hold trivially on zero ranks.
+    Over all 55 the families the rule picks take 248 ms, the faster family
+    of each 247 ms, all packed 399 ms and all BLAS 546 ms.  The rule picks
+    the faster family on 46 of the 55; on the other 9 the picked family
+    takes at most 1.9 times as long, and under 2 ms.  BLAS
+    stays for the ring documents, whose blocks are nearly full: there the
+    packed kernels read every entry of every block through the
+    interpreter.  The tori and K3 x K3 store no square above Sq^0, so
+    their packed Cartan kernel reads next to nothing.  The loops walk the
+    degrees that carry a class; the other axioms hold trivially on zero
+    ranks.
     """
     n = A.top_degree
     bad: list[str] = []
     _check_table_size(_table_bytes(A.ranks))
-    mult = cache(lambda d1, d2: _dense_product(A, d1, d2).astype("float32"))
-    sq = cache(lambda k, d: _dense_square(A, k, d).astype("float32"))
-    lines = cache(partial(_lines, A))
-    nonzero = cache(lambda d1, d2: len(table := A.products.get((d1, d2), b"")) - table.count(0))
-    set_bits = cache(lambda d1, d2: sum(map(int.bit_count, A.products.get((d1, d2), b""))))
+    # one kernel family for every triple and pair (see above)
+    if _packed_wins(A):
+        associative_kernel = partial(_associative_packed, A, cache(partial(_lines, A)))
+        cartan_kernel = partial(_cartan_packed, A)
+    else:
+        mult = cache(lambda d1, d2: _dense_product(A, d1, d2).astype("float32"))
+        sq = cache(lambda k, d: _dense_square(A, k, d).astype("float32"))
+        associative_kernel = partial(_associative, mult, A.rank)
+        cartan_kernel = partial(_cartan, mult, sq, A.rank)
 
     r0, units = A.rank(0), _indices(A.unit_bits)
     for d in A.degrees:
@@ -859,10 +856,7 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     def associates(d1: int, d2: int, d3: int) -> bool:
         key = (d3, d2, d1) if commutative and d3 < d1 else (d1, d2, d3)
         if key not in associative:
-            if _packed_wins(A, nonzero, set_bits, *key):
-                associative[key] = _associative_packed(A, lines, *key)
-            else:
-                associative[key] = _associative(mult, A.rank, *key)
+            associative[key] = associative_kernel(*key)
         return associative[key]
 
     # the triples with a generator middle degree; if one fails, every triple
@@ -897,11 +891,7 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
         if key not in cartan:
             s = d1 + d2
             # the k <= deg xy with Sq^k(xy) landing in a degree with classes
-            ks = [t - s for t in A.degrees if s < t <= 2 * s]
-            if _packed_wins(A, nonzero, set_bits, *key):
-                cartan[key] = _cartan_packed(A, ks, *key)
-            else:
-                cartan[key] = _cartan(mult, sq, A.rank, ks, *key)
+            cartan[key] = cartan_kernel([t - s for t in A.degrees if s < t <= 2 * s], *key)
         return cartan[key]
 
     # the pairs with a generator factor; if one fails, every pair
@@ -1065,33 +1055,25 @@ def _cartan_packed(A: GradedAlgebra, ks: Sequence[int], d1: int, d2: int) -> lis
     return failed
 
 
-# The rule of _packed_wins, for triples and for Cartan pairs; validate_algebra
-# gives the measurements.
-_PACKED_COST = 6
-_DENSE_FLOOR = 1000
-_CARTAN_COST = 32
-_CARTAN_FLOOR = 100
+# The rule of _packed_wins; validate_algebra gives the measurements.
+_ENTRY_COST = 32
+_CALL_COST = 100
 
 
-def _packed_wins(A: GradedAlgebra, nonzero, set_bits, d1: int, d2: int, d3: int | None = None) -> bool:
-    """Whether the packed kernel is the cheaper for a degree triple, or for a Cartan pair.
+def _packed_wins(A: GradedAlgebra) -> bool:
+    """Whether the battery of ``A`` runs on the packed kernels rather than on BLAS.
 
-    ``_associative_packed`` shifts one int of ``r1 r3 ro`` bits per nonzero
-    ``x_i y_j`` and per set bit of a ``y_j z_k`` (``nonzero`` and
-    ``set_bits`` of a table give the counts); the dense kernel multiplies
-    ``r1 r2 r12 r3 ro`` entries at a fixed cost per call.  For a pair,
-    ``_cartan_packed`` takes one step per nonzero ``x_i y_j`` and k, and
-    ``_cartan`` multiplies ``r1 r2 r12`` entries by each ``Sq^k`` table.
-    The pair test reads three ranks and one count, cached per table over
-    the battery, so it costs O(1) per pair.
+    The packed kernels take a step per nonzero product ``x_i y_j``, the
+    dense ones multiply ``r1 r2 r12`` entries at a fixed cost per call,
+    summed over the stored tables ``(d1, d2)`` with ``0 < d1 <= d2``.
     """
     rank = A.rank
-    r1, r2, r12 = rank(d1), rank(d2), rank(d1 + d2)
-    if d3 is None:
-        return _CARTAN_COST * nonzero(d1, d2) <= r1 * r2 * r12 + _CARTAN_FLOOR
-    r3, ro = rank(d3), rank(d1 + d2 + d3)
-    work = nonzero(d1, d2) + set_bits(d2, d3)
-    return _PACKED_COST * work * r1 * r3 * ro <= r1 * r2 * r12 * r3 * ro + _DENSE_FLOOR
+    work = dense = 0
+    for (d1, d2), table in A.products.items():
+        if 0 < d1 <= d2:
+            work += len(table) - table.count(0)
+            dense += rank(d1) * rank(d2) * rank(d1 + d2) + _CALL_COST
+    return _ENTRY_COST * work <= dense
 
 
 def _lines(A: GradedAlgebra, d1: int, d2: int, by_column: bool, step: int) -> list[int]:

@@ -203,8 +203,18 @@ def virtual_difference(m, xi: BundleDescriptor) -> tuple[TotalClass, P1Data]:
     treat p_1 as additive.  Exactly, ``p_1(TM) = p_1(D) + p_1(xi) - W_1(D)
     W_1(xi)`` for D = TM - xi, W_1 = beta w_1 (``c_1(E (x) C) = W_1(E)``).
     The cross term is 2-torsion, so it vanishes when either w_1 does, on a
-    torsion-free record and on an oriented 4-manifold (H^4 = Z); otherwise
-    p_1(D) is known only when its reduction w_2(D)^2 is nonzero.
+    torsion-free record and on an oriented 4-manifold (H^4 = Z).
+
+    Otherwise a nonzero reduction w_2(D)^2 certifies p_1(D) != 0.  Failing
+    that, the cross term still vanishes when ``w_1(D) w_1(xi)^2 = 0``.  For
+    an integral class y, ``beta(x rho(y)) = beta(x) y``: the connecting map
+    of ``0 -> Z -> Z -> Z/2 -> 0`` commutes with the product by an
+    integral class.  And ``rho W_1(xi) = rho beta w_1(xi) = Sq^1 w_1(xi) =
+    w_1(xi)^2``.  So ``W_1(D) W_1(xi) = beta(w_1(D)) W_1(xi) = beta(w_1(D)
+    w_1(xi)^2)``, which is zero when its argument is.  The converse fails:
+    on a factor RP3, ``a^3 != 0`` lifts to ``H^3(RP3; Z) = Z``, so
+    ``beta(a^3) = 0``, which the mod-2 record cannot see; there p_1(D)
+    stays unknown.
     """
     if xi.w_total.algebra is not m.algebra:
         raise ValueError("bundle descriptor does not live over this manifold's cohomology")
@@ -214,9 +224,11 @@ def virtual_difference(m, xi: BundleDescriptor) -> tuple[TotalClass, P1Data]:
     if w1_xi.is_zero() or w1_diff.is_zero() or m.torsion_free or (m.dim == 4 and m.orientable):
         return w_diff, p1
     w2 = w_diff.component(2)
-    if (w2 * w2).is_zero():
-        return w_diff, P1Data.unknown("torsion cross term W_1(TM - xi) W_1(xi)")
-    return w_diff, P1Data.nonzero_class("w_2^2 != 0")
+    if not (w2 * w2).is_zero():
+        return w_diff, P1Data.nonzero_class("w_2^2 != 0")
+    if (w1_diff * w1_xi * w1_xi).is_zero():
+        return w_diff, p1
+    return w_diff, P1Data.unknown("torsion cross term W_1(TM - xi) W_1(xi)")
 
 
 def z_status(w_diff: TotalClass, p1: P1Data, torsion_free: bool = False) -> TriState:

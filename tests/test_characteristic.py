@@ -185,7 +185,13 @@ def test_virtual_difference_against_trivial():
 
 
 def _line_bundle_data(m, w) -> BundleDescriptor:
-    """A rank-n descriptor over m with total class w (one 0/1 row per degree) and p_1 = 0."""
+    """A rank-n descriptor over m with p_1 = 0 and total class w.
+
+    w is one 0/1 row per degree, or the label of a degree-1 basis class x
+    for ``w = 1 + x``, the class of a line bundle plus a trivial one.
+    """
+    if isinstance(w, str):
+        w = [[1]] + [[int(d == 1 and x == w) for x in m.algebra.labels(d)] for d in range(1, m.dim + 1)]
     p1 = P1Data.integer(0) if m.dim == 4 and m.orientable else P1Data.zero_class()
     return BundleDescriptor(m.dim, total(m.algebra, w), p1, orientable=not any(w[1]))
 
@@ -198,12 +204,15 @@ def _line_bundle_data(m, w) -> BundleDescriptor:
         ("RP5", [[1], [1], [0], [0], [1], [1]], "unknown", "torsion cross term W_1(TM - xi) W_1(xi)"),
         # xi = L: w(TRP7 - L) = (1 + a)^7, whose w_2^2 = a^4 reduces p_1
         ("RP7", [[1], [1], [0], [0], [0], [0], [0], [0]], "nonzero class", "w_2^2 != 0"),
+        # L from RP3: the cross term is beta(w_1(TM - xi) w_1(xi)^2) = beta(a^3),
+        # which is 0 as a^3 lifts to H^3(RP3; Z) = Z, but the record cannot see that
+        ("RP3 x Sigma1", "a", "unknown", "torsion cross term W_1(TM - xi) W_1(xi)"),
     ],
 )
 def test_virtual_difference_reads_the_cross_term(expr, w, text, note):
     # p_1(TM) = p_1(TM - xi) + p_1(xi) - W_1(TM - xi) W_1(xi), W_1 = beta w_1;
     # the additive rule read p_1(RP5) - 0 != 0 and 0 - 0 = 0 here
-    m = atom(expr)
+    m = parse_expression(expr)
     p1_diff = virtual_difference(m, _line_bundle_data(m, w))[1]
     assert (str(p1_diff), p1_diff.note) == (text, note)
 
@@ -215,6 +224,8 @@ def test_virtual_difference_reads_the_cross_term(expr, w, text, note):
         ("RP5", [[1], [0], [0], [0], [1], [0]]),  # 4L: w_1(xi) = 0
         # L pulled back from RP3: H^4 = Z of an oriented 4-manifold has no torsion
         ("RP3 x S1", [[1], [0, 1], [0, 0], [0, 0], [0]]),
+        # L from N2: w_1(TM - xi) = c2' and the cross term beta(c2' c1'^2) = 0
+        ("K3 x N2", "c1'"),
     ],
 )
 def test_virtual_difference_keeps_the_additive_rule_without_a_cross_term(expr, w):

@@ -188,6 +188,20 @@ def test_pullback_of_5L_over_rp5_leaves_z_undetermined():
     ]
 
 
+def test_pullback_of_a_line_bundle_from_n2_over_k3_x_n2():
+    # xi = L + trivial, L pulled back from N2 along its class c1'.  The cross
+    # term of p_1 is beta(w_1(TM - xi) w_1(xi)^2) = beta(c2' c1'^2) = 0, so
+    # p_1(TM - xi) = p_1(K3 x N2) - 0 != 0, and z != 0
+    m = parse_expression("K3 x N2")
+    w = [[1]] + [[int(d == 1 and x == "c1'") for x in m.algebra.labels(d)] for d in range(1, 7)]
+    doc = {"rank": 6, "w": w, "p1": "zero", "orientable": False}
+    verdict = decide_fold(m, TargetSpec.pullback(6, load_descriptor(doc, m.algebra)))
+    assert verdict.outcome is Outcome.NOT_EXISTS
+    assert [(e.rule, e.citation, e.obstruction, e.value) for e in verdict.trace] == [
+        ("equidim-z", "Thm 3.7", "z", "w_2 = 0; z != 0 (2z = p_1 != 0)")
+    ]
+
+
 def test_pullback_must_be_equidimensional():
     m = atom("CP2")
     with pytest.raises(ValueError, match="rank 3"):

@@ -40,8 +40,8 @@ def test_every_bench_span_is_exported():
 
 # the functions that may import numpy: the dense associativity kernel, the
 # unpacking behind the battery's float32 blocks and the array views, and the
-# array-facing gf2 wrappers; a battery that the kernel rule sends wholly to
-# the packed kernels calls none of them
+# array-facing gf2 wrappers; the kernel rule picks one family per algebra,
+# and a battery on the packed family calls none of them
 NUMPY_IMPORTERS = [
     "algebra._unpack",
     "algebra._associative",

@@ -131,25 +131,21 @@ def reference_violations(A: GradedAlgebra) -> tuple[str, ...]:
 
 
 @contextlib.contextmanager
-def _cartan_kernel(kernel: str):
-    """Send every Cartan pair to one kernel, "packed" or "dense"; "rule" leaves the rule."""
-    real = algebra._packed_wins
-
-    def forced(A, nonzero, set_bits, *degrees):
-        if len(degrees) == 2 and kernel != "rule":
-            return kernel == "packed"
-        return real(A, nonzero, set_bits, *degrees)
-
-    with mock.patch.object(algebra, "_packed_wins", forced):
+def _kernel_family(family: str):
+    """Run every triple and pair on one kernel family, "packed" or "dense"; "rule" leaves the choice."""
+    if family == "rule":
+        yield
+        return
+    with mock.patch.object(algebra, "_packed_wins", lambda A: family == "packed"):
         yield
 
 
 def _assert_kernels_match_reference(A: GradedAlgebra) -> tuple[str, ...]:
-    """The violations of ``A`` under the rule and under each forced Cartan kernel, all the reference's."""
+    """The violations of ``A`` under the rule and under each forced kernel family, all the reference's."""
     want = reference_violations(A)
-    for kernel in ("rule", "dense", "packed"):
-        with _cartan_kernel(kernel):
-            assert validate_algebra(A).violations == want, kernel
+    for family in ("rule", "dense", "packed"):
+        with _kernel_family(family):
+            assert validate_algebra(A).violations == want, family
     return want
 
 
@@ -273,14 +269,16 @@ def _positive(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]
     return [t for t in triples if 0 not in t]
 
 
-def _cartan_calls(monkeypatch, A: GradedAlgebra) -> list[tuple[int, int]]:
-    """The degree pairs the Cartan kernels check, whichever runs, in battery order."""
-    calls = []
+def _cartan_calls(monkeypatch, A: GradedAlgebra) -> dict[str, list[tuple[int, int]]]:
+    """The degree pairs each Cartan kernel checks, in battery order."""
+    calls: dict[str, list[tuple[int, int]]] = {"all": []}
     for name in ("_cartan", "_cartan_packed"):
         real = getattr(algebra, name)
+        calls[name] = []
 
-        def counting(*args, real=real):
-            calls.append(args[-2:])
+        def counting(*args, real=real, name=name):
+            calls[name].append(args[-2:])
+            calls["all"].append(args[-2:])
             return real(*args)
 
         monkeypatch.setattr(algebra, name, counting)
@@ -531,6 +529,22 @@ def test_torsion_flag_is_refused_where_sq1_is_nonzero():
     with pytest.raises(InvariantViolation, match="2-torsion") as info:
         load_manifold(doc)
     assert info.value.name == "torsion-flag"
+
+
+def test_torsion_flag_is_refused_exactly_where_sq1_is_stored(connected_closure):
+    # each connected depth-2 record's document with the flag set: a stored
+    # Sq^1 table holds a nonzero entry, which certifies 2-torsion
+    refused = 0
+    for m in connected_closure:
+        doc = {**manifold_document(m), "torsion_free": True}
+        if any(k == 1 for k, _ in m.algebra.squares):
+            with pytest.raises(InvariantViolation) as info:
+                load_manifold(doc)
+            assert info.value.name == "torsion-flag", m.name
+            refused += 1
+        else:
+            assert load_manifold(doc).torsion_free, m.name
+    assert 0 < refused < len(connected_closure)
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +879,7 @@ def test_valid_ring_battery_checks_pairs_with_a_generator_factor(monkeypatch):
     A = _document_algebra(ring_document(RING_A6B4C6))
     pairs = [(d1, d2) for d1 in A.degrees for d2 in A.degrees if 0 < d1 <= d2 and d1 + d2 <= A.top_degree]
     assert len(pairs) == 64
-    calls = _cartan_calls(monkeypatch, A)
+    calls = _cartan_calls(monkeypatch, A)["all"]
     assert calls == [(d1, d2) for d1, d2 in pairs if {d1, d2} & {1, 2}]
     assert len(calls) == 28
     assert len(_associative_calls(monkeypatch, A)["all"]) == 105
@@ -888,8 +902,9 @@ def test_flipped_square_on_a_rebased_eight_torus_matches_reference():
     assert "cartan: Sq^1 on degrees (1, 3)" in got
 
 
+@functools.cache
 def _refit_set() -> dict[str, GradedAlgebra]:
-    """The algebras the Cartan kernel rule is fitted on, with corrupted copies.
+    """The algebras the kernel rule is fitted on, with corrupted copies.
 
     The doc-ingest families (24, 32 and 40 RP4 summed, N200, N300 and the
     two rings) whole, with a ghost class in degree 3 (1 in N200 and N300)
@@ -929,6 +944,23 @@ def test_cartan_kernels_agree_on_every_pair_of_the_refit_set():
                 failures += len(packed)
     # the flips reach the kernels
     assert failures > 0
+
+
+def test_each_battery_runs_one_kernel_family(monkeypatch):
+    # both axioms of a battery run on the family _packed_wins names, and the
+    # set holds batteries of each family
+    families = {True: {"_associative_packed", "_cartan_packed"}, False: {"_associative", "_cartan"}}
+    chosen = set()
+    for name, A in _refit_set().items():
+        with monkeypatch.context() as patch:
+            calls = _associative_calls(patch, A)
+        with monkeypatch.context() as patch:
+            calls.update(_cartan_calls(patch, A))
+        used = {kernel for kernel, pairs in calls.items() if pairs and kernel != "all"}
+        packed = algebra._packed_wins(A)
+        assert used and used <= families[packed], (name, used)
+        chosen.add(packed)
+    assert chosen == {True, False}
 
 
 def _with_ghost(doc: dict, d: int) -> dict:
