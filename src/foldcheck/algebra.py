@@ -34,7 +34,8 @@ commutative unital table both are computed only where a generator degree
 sits: associativity on triples whose middle degree is one, Cartan (once
 associativity holds) on pairs with a factor of one, since either axiom
 holds on all classes once it holds there; a failure found so sends the
-battery over every triple or pair, so each failure is still named.
+battery over every triple or pair, so each failure is still named.  One
+routine, ``_scan``, runs this policy for both axioms.
 ``validate_algebra`` states these rules and their proofs.  The Poincare
 pairing is read in one place, ``_pairing_rows``, by the battery and by
 the Wu class alike.
@@ -57,7 +58,7 @@ import operator
 from functools import cache, cached_property, partial, reduce
 from itertools import accumulate, chain, compress
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation, SchemaError
 from .gf2 import _echelon
@@ -442,9 +443,10 @@ def build_algebra(
     of degree d1 and class j of degree d2 as a 0/1 row over the basis of
     degree d1 + d2, given in either order, as the mirror slot is filled in.
     ``sq`` lists entries ``[k, d, i, row]``: ``Sq^k`` of class i of degree
-    d; an entry with k > d or d + k above the top degree must be zero and
-    is dropped.  Absent rows are zero; the unit tables and ``Sq^0`` are
-    filled in, as ``_packed_algebra`` fills them, where no entry gives them.
+    d; an entry with k > d or d + k above the top degree must be a row of
+    0/1 integers, all zero, and is dropped.  Absent rows are zero; the unit
+    tables and ``Sq^0`` are filled in, as ``_packed_algebra`` fills them,
+    where no entry gives them.
 
     Every row is read strictly, JSON integers 0 or 1 of the length of its
     degree, and written straight into its block's stored table (a mult row
@@ -457,15 +459,17 @@ def build_algebra(
     of them one bit) many times.  In both tables an entry whose row
     differs from an earlier nonzero row in the same slot (for products, the
     mirror slot too) is refused; an all-zero earlier row gives way.  A
-    malformed entry raises ``SchemaError`` naming its position, and tables
-    over the byte budget raise ``SchemaError`` naming the basis before
-    anything is allocated.  The assembled algebra must pass every axiom of
+    malformed entry raises ``SchemaError`` naming its position.  A basis
+    that repeats a label within a degree, or whose tables would pass the
+    byte budget, raises ``SchemaError`` naming the basis before any entry
+    is read.  The assembled algebra must pass every axiom of
     :func:`validate_algebra`; a failure raises
     ``InvariantViolation("algebra-axioms", ...)``.
     """
     ranks = _ranks(top_degree, basis)
     n = top_degree
     try:
+        _check_labels(basis)
         _check_table_size(_table_bytes(ranks))
     except ValueError as exc:
         raise SchemaError(f"basis: {exc}") from exc
@@ -528,9 +532,8 @@ def build_algebra(
         if not isinstance(raw, (list, tuple)):
             raise SchemaError(f"sq entry {pos}: expected [k, deg, idx, coords]")
         if k > d or d + k > n:
-            if any(raw):
+            if _row(raw, len(raw), f"sq entry {pos}"):
                 raise SchemaError(f"sq entry {pos}: Sq^{k} vanishes on degree {d} here")
-            _row(raw, len(raw), f"sq entry {pos}")  # the zeros must still be integers
             continue
         row = _row(raw, ranks[d + k], f"sq entry {pos}")
         table = squares.get((k, d))
@@ -553,6 +556,13 @@ def _ranks(top_degree: int, basis: Sequence[Sequence[str]]) -> list[int]:
     if len(basis) != top_degree + 1:
         raise ValueError(f"need {top_degree + 1} basis lists, got {len(basis)}")
     return [len(labels) for labels in basis]
+
+
+def _check_labels(basis: Sequence[Sequence[str]]) -> None:
+    """Refuse a degree whose labels, as the strings an algebra stores, repeat one."""
+    for d, labels in enumerate(basis):
+        if len(set(map(str, labels))) != len(labels):
+            raise ValueError(f"duplicate labels in degree {d}")
 
 
 def _packed_algebra(
@@ -579,9 +589,7 @@ def _packed_algebra(
     ranks = _ranks(top_degree, basis)
     n = top_degree
     basis_t = tuple(tuple(str(l) for l in labels) for labels in basis)
-    for d, labels in enumerate(basis_t):
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate basis labels in degree {d}")
+    _check_labels(basis_t)
     unit = (1 if ranks[0] else 0) if unit is None else unit
     fundamental = (1 if ranks[n] else 0) if fundamental is None else fundamental
 
@@ -701,6 +709,13 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     (1y)z = yz = 1(yz), and Sq^k(1y) = Sq^k y = Sq^0(1) Sq^k(y).  So those
     triples and pairs are not computed; otherwise they are, as all others.
 
+    Associativity and Cartan run through one scan, ``_scan``, over their
+    items: the degree triples (d1, d2, d3) and the degree pairs (d1, d2).
+    It computes the items of a focus first and, only if one of them fails,
+    every item again, so that the list still names each failure.  Each
+    item is computed once over both passes: a repeat or a mirror reads the
+    verdict already computed.  The mirrors and the focus are these.
+
     Once the commutativity loop finds nothing, each mirror pair is computed
     once.  Over GF(2) with xy = yx, the associator (zy)x + z(yx) of (z, y, x)
     is x(yz) + (xy)z, that of (x, y, z); and both sides of the Cartan formula
@@ -719,8 +734,8 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
       Theory of Semigroups* I, 1961, section 1.2).  Let T be the set of g
       with (xg)y = x(gy) for all x, y.  T is a subspace, holds the unit,
       and is closed under products: for a, b in T,
-      (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  So only the
-      triples (d1, d2, d3) with d2 in E are computed.
+      (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  So the focus
+      is the triples (d1, d2, d3) with d2 in E.
     * Cartan (the total square of an associative algebra is a ring map once
       it is one on generators; Steenrod and Epstein, *Cohomology
       Operations*, 1962).  Once associativity holds as well, and Sq^0 is the
@@ -728,14 +743,11 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
       Sq = Sq^0 + Sq^1 + ..., the classes x with Sq(xy) = Sq(x) Sq(y) for
       all y form a subspace that holds the unit (Sq(1) = 1) and is closed
       under products: for a, b in it,
-      Sq(aby) = Sq(a) Sq(by) = Sq(a) Sq(b) Sq(y) = Sq(ab) Sq(y).  So only
-      the pairs with a factor in E are computed.
+      Sq(aby) = Sq(a) Sq(by) = Sq(a) Sq(b) Sq(y) = Sq(ab) Sq(y).  So the
+      focus is the pairs with a factor in E.
 
-    If such a reduced scan finds a failure, every triple (or pair) is
-    scanned again, through the same memo, so that the list still names
-    each failure and no triple or pair is computed twice; where the
-    unit, commutativity, associativity or Sq^0 checks fail, every triple
-    or pair is scanned at once.  So a valid RP8 costs 12 associativity
+    Where the unit, commutativity, associativity or Sq^0 checks fail, the
+    focus is every triple or pair.  So a valid RP8 costs 12 associativity
     triples of 34, ``CP3 x RP3`` 28 of 50, and the doc-ingest ring
     F2[a,b,c]/(a^6,b^4,c^6) 105 of 308 triples and 28 Cartan pairs of 64.
 
@@ -845,40 +857,24 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     commutative = len(bad) == before
 
     # the generator degrees settle associativity once the unit and commutativity
-    # checks pass, and Cartan once associativity and Sq^0 = id hold too (see above)
+    # checks pass (see above); a mirror triple or pair runs as its twin
     generators = _generator_degrees(A) if unital and commutative else degrees
 
-    # verdicts by computed triple and pair, a mirror read from its twin, in plain
-    # dicts: a self-calling cached closure would hold the dense blocks in a cycle
-    associative: dict[tuple[int, int, int], bool] = {}
-    cartan: dict[tuple[int, int], list[int]] = {}
+    def triples(middles: Sequence[int]) -> Iterable[tuple]:
+        return (
+            ((d1, d2, d3), (d3, d2, d1) if commutative and d3 < d1 else (d1, d2, d3))
+            for d1, d2 in pairs if d2 in middles for d3 in degrees if d1 + d2 + d3 <= n
+        )
 
-    def associates(d1: int, d2: int, d3: int) -> bool:
-        key = (d3, d2, d1) if commutative and d3 < d1 else (d1, d2, d3)
-        if key not in associative:
-            associative[key] = associative_kernel(*key)
-        return associative[key]
+    failed = _scan(triples(generators), triples(degrees), associative_kernel, True)
+    bad.extend(f"associativity: degrees {t}" for t, _ in failed)
 
-    # the triples with a generator middle degree; if one fails, every triple
-    for middles in (generators, degrees):
-        failed = [
-            f"associativity: degrees ({d1}, {d2}, {d3})"
-            for d1, d2 in pairs
-            if d2 in middles
-            for d3 in degrees
-            if d1 + d2 + d3 <= n and not associates(d1, d2, d3)
-        ]
-        if not failed:
-            break
-    bad.extend(failed)
-    if failed:
-        generators = degrees
-
+    sq0_is_id = True
     for d in A.degrees:
         r = A.rank(d)
         if list(A.squares.get((0, d), ())) != [1 << i for i in range(r)]:
             bad.append(f"sq0-identity: Sq^0 != id in degree {d}")
-            generators = degrees
+            sq0_is_id = False
         if 2 * d <= n:
             # x_i * x_i is the diagonal of table (d, d)
             squares = A.products.get((d, d), bytes(r * r))[:: r + 1]
@@ -886,25 +882,19 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
                 if x != x_x:
                     bad.append(f"sq-top-squaring: Sq^k x = x*x at k = deg x fails for {label}")
 
-    def cartan_failures(d1: int, d2: int) -> list[int]:
-        key = (d2, d1) if commutative and d2 < d1 else (d1, d2)
-        if key not in cartan:
-            s = d1 + d2
-            # the k <= deg xy with Sq^k(xy) landing in a degree with classes
-            cartan[key] = cartan_kernel([t - s for t in A.degrees if s < t <= 2 * s], *key)
-        return cartan[key]
+    # by deg xy, the k <= deg xy with Sq^k(xy) landing in a degree with classes
+    ks = [tuple(t - s for t in A.degrees if s < t <= 2 * s) for s in range(n + 1)]
 
-    # the pairs with a generator factor; if one fails, every pair
-    for factors in (generators, degrees):
-        failed = [
-            f"cartan: Sq^{k} on degrees ({d1}, {d2})"
-            for d1, d2 in pairs
-            if d1 in factors or d2 in factors
-            for k in cartan_failures(d1, d2)
-        ]
-        if not failed:
-            break
-    bad.extend(failed)
+    def factor_pairs(factors: Sequence[int]) -> Iterable[tuple]:
+        return (
+            ((d1, d2), (ks[d1 + d2], d2, d1) if commutative and d2 < d1 else (ks[d1 + d2], d1, d2))
+            for d1, d2 in pairs if d1 in factors or d2 in factors
+        )
+
+    # the generator factors settle Cartan once associativity and Sq^0 = id hold too
+    factors = generators if sq0_is_id and not failed else degrees
+    cartan = _scan(factor_pairs(factors), factor_pairs(degrees), cartan_kernel, [])
+    bad.extend(f"cartan: Sq^{k} on degrees {p}" for p, failing in cartan for k in failing)
 
     for d in sorted({*A.degrees, *(n - d for d in A.degrees)}):
         r1, r2 = A.rank(d), A.rank(n - d)
@@ -914,6 +904,31 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
             bad.append(f"pairing: degenerate in degree {d}")
 
     return ValidationReport(tuple(bad))
+
+
+def _scan(focused: Iterable[tuple], items: Iterable[tuple], kernel: Callable, holds: Any) -> list[tuple]:
+    """Each failing item's ``(degrees, verdict)``, if a focused item fails; else nothing.
+
+    ``focused`` and ``items`` yield ``(degrees, args)``: the degrees name
+    the item, and ``kernel(*args)`` gives its verdict, a mirror item giving
+    its twin's args.  An item fails where its verdict is not ``holds``.
+    The focused items are scanned first; only if one of them fails is
+    every item scanned, through the verdicts already computed, so each
+    args is computed once (``validate_algebra`` states the policy and its
+    proofs).
+    """
+    verdicts: dict[tuple, Any] = {}
+    for scanned in (focused, items):
+        failed = []
+        for degrees, args in scanned:
+            verdict = verdicts.get(args)
+            if verdict is None:  # no kernel returns None
+                verdict = verdicts[args] = kernel(*args)
+            if verdict != holds:
+                failed.append((degrees, verdict))
+        if not failed:
+            break
+    return failed
 
 
 def _xor_rows(rows: Iterable[Sequence[int]], width: int) -> list[int]:

@@ -96,8 +96,18 @@ def test_build_rejects_wrong_basis_count():
 
 
 def test_build_rejects_duplicate_labels():
-    with pytest.raises(ValueError, match="duplicate"):
-        build_algebra(1, [["1"], ["a", "a"]])
+    # outside labels are refused with the basis, before any entry is read
+    with pytest.raises(SchemaError, match="^basis: duplicate labels in degree 1$"):
+        build_algebra(1, [["1"], ["a", "a"]], [7])
+    # labels are stored as strings, so 1 and "1" are one label
+    with pytest.raises(SchemaError, match="^basis: duplicate labels in degree 1$"):
+        build_algebra(1, [["1"], [1, "1"]])
+
+
+def test_packed_algebra_rejects_duplicate_labels():
+    # a construction that made two labels alike is a fault of the package
+    with pytest.raises(ValueError, match="^duplicate labels in degree 1$"):
+        _packed_algebra(1, [["1"], ["a", "a"]])
 
 
 def test_build_rejects_out_of_grading_tables():

@@ -785,12 +785,22 @@ def test_load_manifold_rp4_document():
         (lambda d: d.pop("p1"), SchemaError, "missing required field"),
         (lambda d: d.update(basis=[["1"], ["a"]]), SchemaError, "basis"),
         (lambda d: d.update(basis=[["1", "u"], ["a"], ["a^2"]]), SchemaError, "exactly one"),
+        (
+            # refused before its entries, which name a class 1 of degree 1
+            lambda d: d.update(basis=[["1"], ["a", "a"], ["t"]], mult=[[1, 1, 1, 1, [7]]]),
+            SchemaError,
+            "^basis: duplicate labels in degree 1$",
+        ),
         (lambda d: d.update(mult=[[1, 0, 1, 0, [1, 1]]]), SchemaError, "length 1"),
         (lambda d: d.update(mult=[[1, 0, 9, 0, [1]]]), SchemaError, "degree out of range"),
         (lambda d: d.update(mult=[[1, 5, 1, 0, [1]]]), SchemaError, "index out of range"),
         (lambda d: d.update(mult=[[1, 0, 2, 0, [1]]]), SchemaError, "exceeds dim"),
         (lambda d: d.update(sq=[[1, 1, 0, [2]]]), SchemaError, "0 or 1"),
         (lambda d: d.update(sq=[[2, 1, 0, [1]]]), SchemaError, "vanishes"),
+        # a vanishing entry's row is read before it is judged
+        (lambda d: d.update(sq=[[2, 1, 0, [True]]]), SchemaError, "^sq entry 0: coordinates must be 0 or 1$"),
+        (lambda d: d.update(sq=[[2, 1, 0, ["x"]]]), SchemaError, "^sq entry 0: coordinates must be 0 or 1$"),
+        (lambda d: d.update(sq=[[2, 1, 0, [2]]]), SchemaError, "^sq entry 0: coordinates must be 0 or 1$"),
         (lambda d: d.update(sq=[[1, 5, 0, [1]]]), SchemaError, "degree data out of range"),
         (lambda d: d.update(sq=[[-1, 1, 0, [1]]]), SchemaError, "degree data out of range"),
         (lambda d: d.update(sq=[[1, 1, 3, [1]]]), SchemaError, "index out of range"),

@@ -248,6 +248,13 @@ def test_contradictory_sq_rows_exit_2(capsys, tmp_path):
     assert err == "foldcheck: error: sq entry 1: conflicts with an earlier entry\n"
 
 
+def test_repeated_basis_label_exits_2_naming_the_basis(capsys):
+    # RP2 with its degree-1 label listed twice
+    code, out, err = run(capsys, "invariants", str(DATA / "duplicate_labels.json"))
+    assert (code, out) == (2, "")
+    assert err == "foldcheck: error: basis: duplicate labels in degree 1\n"
+
+
 def test_working_directory_does_not_shadow_catalog_atoms(tmp_path):
     # a directory named RP4 and a broken file named K3 sit in the working
     # directory; the catalog expressions win, and ./K3 still reaches the file

@@ -9,7 +9,8 @@ violation, on closure members and rebased tori with one table entry
 flipped.  A tests-side document writer then sends closure members and
 K3 x K3 through ``load_manifold`` and checks that the record comes back
 unchanged; a truncated-ring writer sends dense documents, whole or with
-one row flipped, through the loader and both batteries.
+one row flipped, through the loader and both batteries.  A seeded sweep of
+mutated documents holds the loader to refusing with ``FoldcheckError`` only.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ import itertools
 import json
 import math
 import operator
+import pathlib
+import random
 from unittest import mock
 
 import numpy as np
@@ -31,7 +34,7 @@ from test_invariants import _rank_mod2
 from foldcheck import algebra
 from foldcheck.algebra import GradedAlgebra, _packed_algebra, _stored, validate_algebra
 from foldcheck.catalog import k3, load_manifold, product
-from foldcheck.errors import InvariantViolation, SchemaError
+from foldcheck.errors import FoldcheckError, InvariantViolation, SchemaError
 from foldcheck.expressions import parse_expression
 
 # ---------------------------------------------------------------------------
@@ -847,6 +850,63 @@ def test_intake_refuses_each_fault_under_its_position(case):
     assert str(info.value) == message
 
 
+# wrong types and out-of-range values for any field, entry or coordinate
+_WRONG_VALUES = (None, True, False, 1.0, -1, 2, 10**9, "x", [], [[]], [0, 1, 1, 0, 1], {}, {"int": 1})
+
+
+def _paths(node, path=()):
+    """The path of every field, entry and coordinate below a JSON node."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutants(doc: dict, rng, count: int):
+    """The document with each degree's first label repeated, then ``count`` seeded edits.
+
+    An edit replaces one node with a wrong value, or drops an item of a list
+    or repeats one of its items, leaving the list one too short or too long.
+    """
+    for d, labels in enumerate(doc["basis"]):
+        if labels:
+            mutant = json.loads(json.dumps(doc))
+            mutant["basis"][d].append(labels[0])
+            yield mutant
+    paths = list(_paths(doc))
+    for _ in range(count):
+        mutant = json.loads(json.dumps(doc))
+        *path, key = rng.choice(paths)
+        parent = functools.reduce(operator.getitem, path, mutant)
+        node, action = parent[key], rng.choice(("replace", "shorten", "lengthen"))
+        if action == "replace" or not isinstance(node, list) or not node:
+            parent[key] = rng.choice(_WRONG_VALUES)
+        elif action == "shorten":
+            del node[rng.randrange(len(node))]
+        else:
+            node.insert(rng.randrange(len(node) + 1), rng.choice(node))
+        yield mutant
+
+
+@pytest.mark.parametrize("name", ["rp2", "F2[a,b]/(a^4,b^3)"])
+def test_document_api_raises_only_foldcheck_errors(name):
+    # every mutant loads or is refused with a FoldcheckError, never with
+    # another exception escaping the loader
+    if name == "rp2":
+        doc = json.loads((pathlib.Path(__file__).parent / "data" / "rp2.json").read_text())
+    else:
+        doc = ring_document(RINGS[name])
+    refused = 0
+    for mutant in _mutants(doc, random.Random(name), 400):
+        try:
+            load_manifold(mutant)
+        except FoldcheckError:
+            refused += 1
+        except Exception as exc:
+            pytest.fail(f"{exc!r} escaped the loader on {json.dumps(mutant)}")
+    assert refused > 300
+
+
 @pytest.mark.parametrize(
     "table,pick", [("mult", p) for p in range(0, 90, 11)] + [("sq", p) for p in range(0, 40, 5)]
 )
@@ -885,15 +945,32 @@ def test_valid_ring_battery_checks_pairs_with_a_generator_factor(monkeypatch):
     assert len(_associative_calls(monkeypatch, A)["all"]) == 105
 
 
-def test_ring_with_a_flipped_sq1_in_degree_3_matches_reference():
-    # the CI ring document with one Sq^1 coordinate flipped on a class of
-    # degree 3, which no generator degree reaches: only the rescan of every
-    # pair names the Cartan failures
+def _ring_with_a_flipped_sq1_in_degree_3() -> GradedAlgebra:
+    """The CI ring document with one Sq^1 coordinate flipped on a class of degree 3."""
     doc = ring_document(RING_A6B4C6)
     entry = next(e for e in doc["sq"] if e[:3] == [1, 3, 0])
     entry[3][0] ^= 1
-    got = _assert_kernels_match_reference(_document_algebra(doc))
+    return _document_algebra(doc)
+
+
+def test_ring_with_a_flipped_sq1_in_degree_3_matches_reference():
+    # no generator degree reaches the flipped class: only the rescan of every
+    # pair names the Cartan failures
+    got = _assert_kernels_match_reference(_ring_with_a_flipped_sq1_in_degree_3())
     assert "cartan: Sq^1 on degrees (3, 3)" in got
+
+
+def test_rescanning_battery_computes_each_pair_and_triple_once(monkeypatch):
+    # a generator pair fails, so every pair is scanned again through the same
+    # verdicts: each of the 64 pairs with 0 < d1 <= d2 runs once, in any order,
+    # and associativity, which holds, runs its 105 generator triples once
+    A = _ring_with_a_flipped_sq1_in_degree_3()
+    pairs = [(d1, d2) for d1 in A.degrees for d2 in A.degrees if 0 < d1 <= d2 and d1 + d2 <= A.top_degree]
+    assert len(pairs) == 64
+    assert sorted(_cartan_calls(monkeypatch, A)["all"]) == pairs
+    triples = [t for t in _positive(_triples(A)) if t[1] in {1, 2} and t[0] <= t[2]]
+    assert len(triples) == 105
+    assert sorted(_associative_calls(monkeypatch, A)["all"]) == sorted(triples)
 
 
 def test_flipped_square_on_a_rebased_eight_torus_matches_reference():
