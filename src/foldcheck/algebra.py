@@ -19,23 +19,20 @@ axiom battery, ``validate_algebra``.  Rows are read by ``_row``, whose
 checks the ``mult`` loop writes out inline, parsing each distinct product
 row once.  No other code reads outside coordinates: a class is made from
 its bits by ``_class`` or ``_total``, out of the stored tables and the
-operations below.  numpy is imported only for the dense float32
-kernels of the battery, which unpack their own blocks, so a sparse
-document loads none, and for the array
-views (``mult_block``, ``sq_block``, ``mult``, ``sq_table``, ``unit``,
+operations below.  numpy is imported only for the array views
+(``mult_block``, ``sq_block``, ``mult``, ``sq_table``, ``unit``,
 ``fundamental``, ``TotalClass.components``), a read-only surface for
 outside readers built from the ints on first read and cached; the
-package reads none.
-Associativity and Cartan run on one kernel family per algebra, picked
-once from its stored product tables (``_packed_wins``): sums over the
-packed tables where they are sparse, BLAS products with one parity per
-block elsewhere; the unit checks decide degree-0 factors.  On a
-commutative unital table both are computed only where a generator degree
-sits: associativity on triples whose middle degree is one, Cartan (once
-associativity holds) on pairs with a factor of one, since either axiom
-holds on all classes once it holds there; a failure found so sends the
-battery over every triple or pair, so each failure is still named.  One
-routine, ``_scan``, runs this policy for both axioms.
+package reads none, and the axiom battery runs on the packed tables
+alone, so no document loads numpy.
+Associativity and Cartan are sums over the stored nonzero products; the
+unit checks decide degree-0 factors.  On a commutative unital table both
+are computed only on the generator classes: associativity with one in
+the middle, Cartan (once associativity holds) with one as the first
+factor, since either axiom holds on all classes once it holds there; a
+failure found so sends the battery over every triple or pair of degrees
+with every class, so each failure is still named.  One routine,
+``_scan``, runs this policy for both axioms.
 ``validate_algebra`` states these rules and their proofs.  The Poincare
 pairing is read in one place, ``_pairing_rows``, by the battery and by
 the Wu class alike.
@@ -55,7 +52,7 @@ Conventions:
 from __future__ import annotations
 
 import operator
-from functools import cache, cached_property, partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, compress
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -460,15 +457,16 @@ def build_algebra(
     differs from an earlier nonzero row in the same slot (for products, the
     mirror slot too) is refused; an all-zero earlier row gives way.  A
     malformed entry raises ``SchemaError`` naming its position.  A basis
-    that repeats a label within a degree, or whose tables would pass the
-    byte budget, raises ``SchemaError`` naming the basis before any entry
-    is read.  The assembled algebra must pass every axiom of
+    of the wrong length for the top degree (a negative top degree among
+    them), one that repeats a label within a degree, or one whose tables
+    would pass the byte budget, raises ``SchemaError`` naming the basis
+    before any entry is read.  The assembled algebra must pass every axiom of
     :func:`validate_algebra`; a failure raises
     ``InvariantViolation("algebra-axioms", ...)``.
     """
-    ranks = _ranks(top_degree, basis)
     n = top_degree
     try:
+        ranks = _ranks(top_degree, basis)
         _check_labels(basis)
         _check_table_size(_table_bytes(ranks))
     except ValueError as exc:
@@ -683,17 +681,6 @@ class ValidationReport(NamedTuple):
         return "valid" if self.ok else "; ".join(self.violations)
 
 
-# Entries of one chunk of an associativity product (float32, so 1 MB).
-_CHUNK_ELEMENTS = 1 << 18
-
-
-def _parity(a):
-    """Entrywise parity of a float32 product of 0/1 tables, or of a difference of such."""
-    bits = a.astype("int32")
-    bits &= 1
-    return bits
-
-
 def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     """Check every ring/Steenrod/duality axiom; returns the violation list.
 
@@ -702,7 +689,8 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     Poincare pairing in every degree, whose rows ``_pairing_rows`` reads
     from the stored tables.  The list names every failing degree triple of
     associativity and every failing degree pair and k of Cartan, in the
-    order of the einsum formulation the tests keep as a reference.
+    order of the einsum formulation the tests keep as a reference.  Every
+    check reads the stored packed tables, and the battery imports no numpy.
 
     The unit checks settle every axiom with a degree-0 factor when degree
     0 has rank 1, no unit check fails and Sq^0 fixes the unit: then
@@ -710,32 +698,40 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     triples and pairs are not computed; otherwise they are, as all others.
 
     Associativity and Cartan run through one scan, ``_scan``, over their
-    items: the degree triples (d1, d2, d3) and the degree pairs (d1, d2).
-    It computes the items of a focus first and, only if one of them fails,
-    every item again, so that the list still names each failure.  Each
-    item is computed once over both passes: a repeat or a mirror reads the
-    verdict already computed.  The mirrors and the focus are these.
+    items: a degree triple (d1, d2, d3) with the classes of degree d2 it
+    puts in the middle, and a degree pair (d1, d2) with the classes of
+    degree d1 it puts first, against every class of the other degrees.  The
+    scan computes the items of a focus first and, only if one of them
+    fails, every item over every class, so that the list still names each
+    failure.  Each item is computed once over both passes: a repeat or a
+    mirror reads the verdict already computed.  A pair with no k in range
+    (``Sq^k`` of degree d1 + d2 landing in a degree with classes,
+    ``1 <= k <= d1 + d2``) holds and is not scanned.  The mirrors and the
+    focus are these.
 
     Once the commutativity loop finds nothing, each mirror pair is computed
     once.  Over GF(2) with xy = yx, the associator (zy)x + z(yx) of (z, y, x)
     is x(yz) + (xy)z, that of (x, y, z); and both sides of the Cartan formula
     for (y, x) are those for (x, y) with the two factors swapped.  So only
-    triples with d1 <= d3 and pairs with d1 <= d2 are computed, and each
-    mirror repeats their verdict at its own place in the violation list.
+    triples with d1 <= d3, and pairs over every class with d1 <= d2, are
+    computed, and each mirror repeats their verdict at its own place in the
+    violation list.
 
-    When the unit and commutativity checks pass, the generator degrees E
-    (``_generator_degrees``: the positive degrees that products of classes
-    of positive degree do not span) decide the rest.  By induction on the
-    degree, every class is then a sum of products of the unit and classes
-    of degrees in E, so a set of classes holding these and closed under
-    sums and products holds every class.
+    When the unit and commutativity checks pass, the generator classes S
+    (``_generator_classes``: in each positive degree, the basis classes off
+    the pivots of an echelon basis of the products of classes of positive
+    degree) decide the rest.  S spans a complement of those products in
+    each degree, so by induction on the degree every class is a sum of
+    products of the unit and classes of S, and a set of classes holding
+    these and closed under sums and products holds every class.
 
     * Associativity (Light's test; Clifford and Preston, *The Algebraic
       Theory of Semigroups* I, 1961, section 1.2).  Let T be the set of g
       with (xg)y = x(gy) for all x, y.  T is a subspace, holds the unit,
       and is closed under products: for a, b in T,
       (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  So the focus
-      is the triples (d1, d2, d3) with d2 in E.
+      is the triples whose middle class is in S, against every class x and
+      y of the outer degrees.
     * Cartan (the total square of an associative algebra is a ring map once
       it is one on generators; Steenrod and Epstein, *Cohomology
       Operations*, 1962).  Once associativity holds as well, and Sq^0 is the
@@ -744,92 +740,51 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
       all y form a subspace that holds the unit (Sq(1) = 1) and is closed
       under products: for a, b in it,
       Sq(aby) = Sq(a) Sq(by) = Sq(a) Sq(b) Sq(y) = Sq(ab) Sq(y).  So the
-      focus is the pairs with a factor in E.
+      focus is the pairs whose first class is in S, against every class y.
 
-    Where the unit, commutativity, associativity or Sq^0 checks fail, the
-    focus is every triple or pair.  So a valid RP8 costs 12 associativity
-    triples of 34, ``CP3 x RP3`` 28 of 50, and the doc-ingest ring
-    F2[a,b,c]/(a^6,b^4,c^6) 105 of 308 triples and 28 Cartan pairs of 64.
+    Neither argument asks for a whole degree, so a class of S adds itself
+    alone to the focus: a ghost class, with no products, adds its own
+    column and no other class of its degree.  Where the unit, commutativity, associativity or Sq^0 checks
+    fail, the focus is every class.  So a valid RP8 costs 12 associativity
+    triples of 34; the doc-ingest ring F2[a,b,c]/(a^6,b^4,c^6), whose S is
+    a, c in degree 1 and b in degree 2, costs 105 triples of 308, each on
+    the middle classes of S alone, and 27 Cartan pairs: (1, d2) over a and
+    c, (2, d2) over b.
 
-    The unit, commutativity, Sq^0 and squaring checks read the stored
-    packed tables.  Associativity and Cartan run on one kernel family for
-    the whole algebra, picked once before any triple or pair
-    (``_packed_wins``): the packed kernels when
-    ``32 sum e <= sum (r1 r2 r12 + 100)`` over the stored product tables
-    (d1, d2) with 0 < d1 <= d2, e being a table's nonzero entries, and the
-    dense kernels otherwise.  A packed kernel takes one interpreter step
-    per nonzero product ``x_i y_j``, a dense one multiplies ``r1 r2 r12``
-    entries at a fixed cost per call, and the rule weighs the two over the
-    whole algebra.  A pair with no k in range (``Sq^k`` of degree d1 + d2
-    landing in a degree with classes, ``1 <= k <= d1 + d2``) runs through
-    either kernel without reading a table.
+    The kernels, ``_associative_packed`` and ``_cartan_packed``, take one
+    interpreter step per nonzero stored product that a class in focus
+    reads, on lines of the tables packed into ints; ``_Memo`` keeps what
+    they pack for the whole battery, so a table is split and packed once
+    however many items read it.  ``_cartan_packed`` checks every k of a
+    pair at once.  Battery time in ms, in process, best of 15 on one CPU
+    of a 2-CPU host (Python 3.11.7):
 
-    The packed kernels (``_associative_packed``, ``_cartan_packed``) sum
-    over the stored nonzero entries.  The dense kernels (``_associative``,
-    ``_cartan``) run as float32 matrix products (BLAS) on blocks unpacked
-    from the stored tables when first read, without building the array
-    views; an associativity chunk takes its parity as it goes.  numpy is
-    imported by the dense kernels alone, so only a dense battery loads it.
-    A Cartan block (d1, d2, k) is one integer sum, ``prod @ Sq^k`` minus
-    ``sum_u Sq^v(d2) @ (Sq^u(d1) @ mult(d1 + u, d2 + v))``, all linear over
-    Z, so one parity of the difference (``_parity``) decides it.  The
-    parity is taken on int32, as ``diff % 2`` on float32 took ten times
-    as long as the products on the (1, 1) pair of ``40#RP4``.
+    ================================  =====
+    algebra                           ms
+    ================================  =====
+    40#RP4                            1.04
+    N300                              0.58
+    F2[a,b,c]/(a^6,b^4,c^6)           5.95
+    the same with a ghost class       5.20
+    the same with one square flipped  8.67
+    rebased T^7                       17.3
+    rebased T^8                       93.2
+    T^9                               38.9
+    K3 x K3                           12.6
+    Sigma3 x Sigma3 x Sigma3          24.9
+    S2 x S2 x S2                      0.11
+    ================================  =====
 
-    The sums are exact in float32: ``|diff| <= max(r_(d1+d2), C)`` with
-    ``C = sum_u r_(d1+u) r_(d2+v)``, and ``_table_bytes`` is at least 2C,
-    as the product blocks (d1 + u, d2 + v) hold C bytes and the Sq^0 blocks
-    ``sum_d r_d^2 >= C`` (each ``r_a r_b <= (r_a^2 + r_b^2) / 2``, the a
-    distinct and the b distinct).  So within ``TABLE_BYTES_BUDGET = 2^25``
-    no sum passes 2^24.  An algebra past the budget, which only a
-    hand-built ``GradedAlgebra`` can be, is refused with ``ValueError``
-    before any block is unpacked, as every constructor refuses it.
-
-    Battery time in ms with each family forced, in process, best of 15 on
-    one CPU.  The set is 55 algebras: the doc-ingest families (24, 32 and
-    40 RP4 summed, N200, N300 and two truncated rings) whole, with a ghost
-    class and with one square or product entry flipped; rebased T^5 to
-    T^8 documents; T^9, K3 x K3, CP3 x RP3; and 20 catalog algebras up to
-    Sigma3 x Sigma3 x Sigma3:
-
-    ================================  ===========  ======  =====
-    algebra                           rule picks   packed  BLAS
-    ================================  ===========  ======  =====
-    40#RP4                            packed       1.27    10.6
-    N300                              packed       0.70    0.70
-    F2[a,b,c]/(a^6,b^4,c^6)           BLAS         10.4    6.10
-    the same with one square flipped  BLAS         27.2    14.9
-    rebased T^7                       BLAS         12.8    3.49
-    rebased T^8                       BLAS         83.8    19.5
-    T^9                               packed       48.5    84.6
-    K3 x K3                           packed       13.4    95.2
-    Sigma3 x Sigma3 x Sigma3          packed       34.4    130
-    S2 x S2 x S2                      BLAS         0.19    0.35
-    ================================  ===========  ======  =====
-
-    Over all 55 the families the rule picks take 248 ms, the faster family
-    of each 247 ms, all packed 399 ms and all BLAS 546 ms.  The rule picks
-    the faster family on 46 of the 55; on the other 9 the picked family
-    takes at most 1.9 times as long, and under 2 ms.  BLAS
-    stays for the ring documents, whose blocks are nearly full: there the
-    packed kernels read every entry of every block through the
-    interpreter.  The tori and K3 x K3 store no square above Sq^0, so
-    their packed Cartan kernel reads next to nothing.  The loops walk the
+    A failure costs the rescan of every pair: the flipped square sends the
+    ring's Cartan check over its 56 pairs with a k.  The rebased tori, whose
+    non-monomial basis fills every block, are the slowest per class: each
+    product there is a sum of many basis classes.  The loops walk the
     degrees that carry a class; the other axioms hold trivially on zero
     ranks.
     """
     n = A.top_degree
     bad: list[str] = []
     _check_table_size(_table_bytes(A.ranks))
-    # one kernel family for every triple and pair (see above)
-    if _packed_wins(A):
-        associative_kernel = partial(_associative_packed, A, cache(partial(_lines, A)))
-        cartan_kernel = partial(_cartan_packed, A)
-    else:
-        mult = cache(lambda d1, d2: _dense_product(A, d1, d2).astype("float32"))
-        sq = cache(lambda k, d: _dense_square(A, k, d).astype("float32"))
-        associative_kernel = partial(_associative, mult, A.rank)
-        cartan_kernel = partial(_cartan, mult, sq, A.rank)
 
     r0, units = A.rank(0), _indices(A.unit_bits)
     for d in A.degrees:
@@ -856,17 +811,18 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
                 bad.append(f"commutativity: degrees ({d1}, {d2})")
     commutative = len(bad) == before
 
-    # the generator degrees settle associativity once the unit and commutativity
-    # checks pass (see above); a mirror triple or pair runs as its twin
-    generators = _generator_degrees(A) if unital and commutative else degrees
+    every = {d: (1 << A.rank(d)) - 1 for d in degrees}
+    generators = _generator_classes(A) if unital and commutative else every
 
-    def triples(middles: Sequence[int]) -> Iterable[tuple]:
+    def triples(middles: Mapping[int, int]) -> Iterable[tuple]:
+        # a mirror triple runs as its twin
         return (
-            ((d1, d2, d3), (d3, d2, d1) if commutative and d3 < d1 else (d1, d2, d3))
+            ((d1, d2, d3), (*((d3, d2, d1) if commutative and d3 < d1 else (d1, d2, d3)), middles[d2]))
             for d1, d2 in pairs if d2 in middles for d3 in degrees if d1 + d2 + d3 <= n
         )
 
-    failed = _scan(triples(generators), triples(degrees), associative_kernel, True)
+    memo = _Memo(A)
+    failed = _scan(triples(generators), triples(every), partial(_associative_packed, memo), True)
     bad.extend(f"associativity: degrees {t}" for t, _ in failed)
 
     sq0_is_id = True
@@ -885,15 +841,18 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     # by deg xy, the k <= deg xy with Sq^k(xy) landing in a degree with classes
     ks = [tuple(t - s for t in A.degrees if s < t <= 2 * s) for s in range(n + 1)]
 
-    def factor_pairs(factors: Sequence[int]) -> Iterable[tuple]:
+    def factor_pairs(firsts: Mapping[int, int]) -> Iterable[tuple]:
+        # a pair with no k holds; one over every class of d1 may run as its mirror
         return (
-            ((d1, d2), (ks[d1 + d2], d2, d1) if commutative and d2 < d1 else (ks[d1 + d2], d1, d2))
-            for d1, d2 in pairs if d1 in factors or d2 in factors
+            ((d1, d2), (ks[d1 + d2], *((d2, d1, every[d2]) if mirror else (d1, d2, firsts[d1]))))
+            for d1, d2 in pairs if d1 in firsts and ks[d1 + d2]
+            for mirror in [commutative and d2 < d1 and firsts[d1] == every[d1]]
         )
 
-    # the generator factors settle Cartan once associativity and Sq^0 = id hold too
-    factors = generators if sq0_is_id and not failed else degrees
-    cartan = _scan(factor_pairs(factors), factor_pairs(degrees), cartan_kernel, [])
+    # the generator classes settle Cartan once associativity and Sq^0 = id hold too
+    firsts = generators if sq0_is_id and not failed else every
+    cartan_kernel = partial(_cartan_packed, memo, min(degrees, default=0))
+    cartan = _scan(factor_pairs(firsts), factor_pairs(every), cartan_kernel, [])
     bad.extend(f"cartan: Sq^{k} on degrees {p}" for p, failing in cartan for k in failing)
 
     for d in sorted({*A.degrees, *(n - d for d in A.degrees)}):
@@ -936,21 +895,24 @@ def _xor_rows(rows: Iterable[Sequence[int]], width: int) -> list[int]:
     return list(reduce(partial(map, operator.xor), rows, [0] * width))
 
 
-def _generator_degrees(A: GradedAlgebra) -> list[int]:
-    """The positive degrees d that products of classes of positive degree do not span.
+def _generator_classes(A: GradedAlgebra) -> dict[int, int]:
+    """Basis classes that, with the unit, generate the algebra: bits by positive degree.
 
-    Every class of another positive degree is a sum of products of classes
-    of lower positive degree, so the classes of these degrees and the unit
-    generate the algebra.  The products are the stored nonzero entries of
-    the tables ``(d1, d - d1)`` with ``0 < d1 <= d - d1``, which suffice on
-    a commutative table; elimination stops once they span degree d.
+    In each positive degree d the classes kept are those off the pivots of
+    an echelon basis of the products of classes of lower positive degree,
+    so they span a complement of those products, and by induction on the
+    degree they and the unit generate every class.  The products are the
+    stored nonzero entries of the tables ``(d1, d - d1)`` with
+    ``0 < d1 <= d - d1``, which suffice on a commutative table; elimination
+    stops once they span degree d.  Degrees keeping no class are left out.
     """
-    out = []
+    out = {}
     for d in filter(None, A.degrees):
         tables = [A.products.get((d1, d - d1), b"") for d1 in range(1, d // 2 + 1)]
         rows = chain.from_iterable(filter(None, table) for table in tables)
-        if len(_echelon(rows, A.rank(d), until_full=True)[0]) < A.rank(d):
-            out.append(d)
+        kept = (1 << A.rank(d)) - 1 - sum(_echelon(rows, A.rank(d), until_full=True)[0])
+        if kept:
+            out[d] = kept
     return out
 
 
@@ -973,165 +935,200 @@ def _pairing_rows(A: GradedAlgebra, d: int) -> list[int]:
     return rows
 
 
-def _associative(mult, rank, d1: int, d2: int, d3: int) -> bool:
-    """``(xy)z = x(yz)`` on all basis triples of degrees d1, d2, d3.
+class _Memo(dict):
+    """What the kernels pack from the tables of ``A``, kept for one battery.
 
-    Both sides are products ``(r1 r2 x r12) @ (r12 x r3 ro)`` and
-    ``(r2 r3 x r23) @ (r23 x r1 ro)``, taken a chunk of x classes at a time.
+    ``memo[f, *args]`` is ``f(memo, *args)``, worked out on first read.
+    ``offsets`` holds the bit of each degree in a total vector: the ranks
+    below it, summed.
     """
-    import numpy as np
 
-    r1, r2, r3 = rank(d1), rank(d2), rank(d3)
-    r12, r23, ro = rank(d1 + d2), rank(d2 + d3), rank(d1 + d2 + d3)
-    xy = mult(d1, d2).reshape(r1 * r2, r12)
-    xy_z = mult(d1 + d2, d3).reshape(r12, r3 * ro)
-    yz = mult(d2, d3).reshape(r2 * r3, r23)
-    x_yz = mult(d1, d2 + d3)
-    step = max(1, _CHUNK_ELEMENTS // max(1, r2 * r3 * ro))
-    for lo in range(0, r1, step):
-        hi = min(lo + step, r1)
-        lhs = _parity(xy[lo * r2 : hi * r2] @ xy_z).reshape(hi - lo, r2 * r3, ro)
-        x_chunk = x_yz[lo:hi].transpose(1, 0, 2).reshape(r23, (hi - lo) * ro)
-        rhs = _parity(yz @ x_chunk).reshape(r2 * r3, hi - lo, ro)
-        if not np.array_equal(lhs.transpose(1, 0, 2), rhs):
-            return False
-    return True
+    def __init__(self, A: GradedAlgebra) -> None:
+        self.A = A
+        self.offsets = list(accumulate(A.ranks, initial=0))
+
+    def __missing__(self, key: tuple) -> Any:
+        value = self[key] = key[0](self, *key[1:])
+        return value
 
 
-def _cartan(mult, sq, rank, ks: Sequence[int], d1: int, d2: int) -> list[int]:
-    """The k of ``ks`` with ``Sq^k(xy) != sum_u Sq^u x Sq^(k-u) y`` on some basis pair of degrees d1, d2.
+class _Lines(dict):
+    """Packed lines by the class they are read at, given or built by ``line(a)``.
 
-    Each k is one integer sum, ``prod @ Sq^k`` minus the products
-    ``Sq^v(d2) @ (Sq^u(d1) @ mult(d1 + u, d2 + v))``, even exactly when the
-    two sides agree.
+    Basis class ``1 << a`` reads line a; a sum of classes reads the XOR of
+    their lines, and 0 reads 0, each worked out on first read.
     """
-    failed = []
-    r1, r2 = rank(d1), rank(d2)
-    for k in ks:
-        ro = rank(d1 + d2 + k)
-        diff = (mult(d1, d2).reshape(r1 * r2, -1) @ sq(k, d1 + d2)).reshape(r1, r2, ro)
-        for u in range(max(0, k - d2), min(k, d1) + 1):
-            v = k - u
-            ra, rb = rank(d1 + u), rank(d2 + v)
-            # Sq^u x_i * Sq^v y_j: first over the Sq^u x side, then Sq^v y
-            x = sq(u, d1) @ mult(d1 + u, d2 + v).reshape(ra, rb * ro)
-            diff -= sq(v, d2) @ x.reshape(r1, rb, ro)
-        if _parity(diff).any():
-            failed.append(k)
-    return failed
+
+    def __init__(self, lines: Sequence[int] = (), line: Callable[[int], int] | None = None) -> None:
+        super().__init__(zip(map((1).__lshift__, range(len(lines))), lines))
+        self.line = line
+
+    def __missing__(self, x: int) -> int:
+        if x & (x - 1) or not x:
+            out = reduce(operator.xor, map(self.__getitem__, map((1).__lshift__, _indices(x))), 0)
+        else:
+            out = self.line(x.bit_length() - 1)
+        self[x] = out
+        return out
 
 
-def _cartan_packed(A: GradedAlgebra, ks: Sequence[int], d1: int, d2: int) -> list[int]:
-    """The failing k of ``_cartan``, summed over the stored nonzero entries.
+def _split(memo: _Memo, d1: int, d2: int, by_column: bool) -> list[list[tuple[int, int]]]:
+    """The nonzero entries of the ``(d1, d2)`` product table, line by line.
 
-    For each class x_i of degree d1, each side of the formula is packed
-    into one int: coordinate o of its value on x_i and the class y_j of
-    degree d2 sits at bit ``j ro + o``.  The left side adds ``Sq^k(x_i y_j)``
-    over the nonzero products ``x_i y_j``.  For the term u of the right
-    side, each nonzero product ``e_a e_b`` of degrees ``(d1 + u, d2 + v)`` is
-    read once and multiplied by ``spread[b]``, which holds bit ``j ro`` for
-    each y_j whose ``Sq^v`` has coordinate b.  Each product is below
-    ``2^ro``, so its copies land at those places without overlapping, and
-    row a holds ``e_a Sq^v y_j`` for every j.  ``Sq^u x_i`` then XORs the
-    rows at its coordinates a.
+    Row i lists ``(j, x_i y_j)``; with ``by_column``, column j lists
+    ``(i, x_i y_j)``.
     """
-    rank, products, squares = A.rank, A.products, A.squares
-    r1, r2 = rank(d1), rank(d2)
-    prod = products.get((d1, d2), ())
-    failed = []
-    for k in ks:
-        ro = rank(d1 + d2 + k)
-        lhs, rhs = [0] * r1, [0] * r1
-        square = squares.get((k, d1 + d2))
-        if square is not None:
-            for index in _nonzero(prod):
-                i, j = divmod(index, r2)
-                lhs[i] ^= _image(square, prod[index]) << j * ro
-        for u in range(max(0, k - d2), min(k, d1) + 1):
-            v = k - u
-            left, right = squares.get((u, d1)), squares.get((v, d2))
-            table = products.get((d1 + u, d2 + v))
-            if left is None or right is None or table is None:
-                continue
-            rb = rank(d2 + v)
-            spread = [0] * rb
-            for j, y in enumerate(right):
-                for b in _indices(y):
-                    spread[b] |= 1 << j * ro
-            rows = [0] * rank(d1 + u)
-            for index in _nonzero(table):
-                a, b = divmod(index, rb)
-                rows[a] ^= table[index] * spread[b]
-            for i, x in enumerate(left):
-                if x:
-                    rhs[i] ^= _image(rows, x)
-        if lhs != rhs:
-            failed.append(k)
-    return failed
+    if by_column:
+        out = [[] for _ in range(memo.A.rank(d2))]
+        for i, row in enumerate(memo[_split, d1, d2, False]):
+            for j, e in row:
+                out[j].append((i, e))
+        return out
+    table, r2 = memo.A.products.get((d1, d2), ()), memo.A.rank(d2)
+    out = [[] for _ in range(memo.A.rank(d1))]
+    for index in _nonzero(table):
+        i, j = divmod(index, r2)
+        out[i].append((j, table[index]))
+    return out
 
 
-# The rule of _packed_wins; validate_algebra gives the measurements.
-_ENTRY_COST = 32
-_CALL_COST = 100
-
-
-def _packed_wins(A: GradedAlgebra) -> bool:
-    """Whether the battery of ``A`` runs on the packed kernels rather than on BLAS.
-
-    The packed kernels take a step per nonzero product ``x_i y_j``, the
-    dense ones multiply ``r1 r2 r12`` entries at a fixed cost per call,
-    summed over the stored tables ``(d1, d2)`` with ``0 < d1 <= d2``.
-    """
-    rank = A.rank
-    work = dense = 0
-    for (d1, d2), table in A.products.items():
-        if 0 < d1 <= d2:
-            work += len(table) - table.count(0)
-            dense += rank(d1) * rank(d2) * rank(d1 + d2) + _CALL_COST
-    return _ENTRY_COST * work <= dense
-
-
-def _lines(A: GradedAlgebra, d1: int, d2: int, by_column: bool, step: int) -> list[int]:
+def _packed_lines(memo: _Memo, d1: int, d2: int, by_column: bool, step: int) -> _Lines:
     """The rows (or columns) of the ``(d1, d2)`` product table, each packed into one int.
 
     Row i ORs ``x_i y_j << j * step`` over the classes y_j of degree d2;
     column j ORs ``x_i y_j << i * step`` over the classes x_i of degree d1.
     """
-    table = A.products.get((d1, d2), ())
-    columns = A.rank(d2)
-    out = [0] * (columns if by_column else A.rank(d1))
-    for index in _nonzero(table):
-        i, j = divmod(index, columns)
-        if by_column:
-            out[j] |= table[index] << i * step
-        else:
-            out[i] |= table[index] << j * step
-    return out
+    lines = [0] * memo.A.rank(d2 if by_column else d1)
+    for i, row in enumerate(memo[_split, d1, d2, False]):
+        for j, e in row:
+            if by_column:
+                lines[j] |= e << i * step
+            else:
+                lines[i] |= e << j * step
+    return _Lines(lines)
 
 
-def _associative_packed(A: GradedAlgebra, lines, d1: int, d2: int, d3: int) -> bool:
-    """``(xy)z = x(yz)`` on all basis triples, summed over the stored nonzero products.
+def _associative_packed(memo: _Memo, d1: int, d2: int, d3: int, middles: int) -> bool:
+    """``(xy)z = x(yz)`` on the basis triples whose middle class is in ``middles``.
 
-    For each class y_j of degree d2 both sides are packed into one int with
-    the o-th coordinate of the product of x_i, y_j and z_k at bit
-    ``(i r3 + k) ro + o``.  On the left, ``x_i y_j = sum_a e_a`` adds the rows
-    a of table ``(d1 + d2, d3)``, packed over (k, o), at ``i r3 ro``; on the
-    right, ``y_j z_k = sum_b e_b`` adds the columns b of table
-    ``(d1, d2 + d3)``, packed over (i, o), at ``k ro``.
+    For each such class y_j of degree d2 both sides are packed into one int
+    with the o-th coordinate of the product of x_i, y_j and z_k at bit
+    ``(i r3 + k) ro + o``.  On the left, ``x_i y_j`` reads the line of table
+    ``(d1 + d2, d3)`` that packs its products with every z_k over (k, o),
+    placed at ``i r3 ro``; on the right, ``y_j z_k`` reads the line of table
+    ``(d1, d2 + d3)`` that packs the products of every x_i with it over
+    (i, o), placed at ``k ro``.  Only column j of table ``(d1, d2)`` and row
+    j of table ``(d2, d3)`` are read, and a table of lines is packed the
+    first time a product reads it.
     """
-    r2, r3, ro = A.rank(d2), A.rank(d3), A.rank(d1 + d2 + d3)
-    by_class = lines(d1 + d2, d3, False, ro)
-    by_pair = lines(d1, d2 + d3, True, r3 * ro)
-    lhs, rhs = [0] * r2, [0] * r2
-    table = A.products.get((d1, d2), ())
-    for index in _nonzero(table):
-        i, j = divmod(index, r2)
-        lhs[j] ^= _image(by_class, table[index]) << i * r3 * ro
-    table = A.products.get((d2, d3), ())
-    for index in _nonzero(table):
-        j, k = divmod(index, r3)
-        rhs[j] ^= _image(by_pair, table[index]) << k * ro
-    return lhs == rhs
+    r3, ro = memo.A.rank(d3), memo.A.rank(d1 + d2 + d3)
+    step = r3 * ro
+    columns, rows = memo[_split, d1, d2, True], memo[_split, d2, d3, False]
+    by_class = by_pair = None
+    for j in _indices(middles):
+        lhs = rhs = 0
+        if columns[j]:
+            by_class = by_class or memo[_packed_lines, d1 + d2, d3, False, ro]
+            for i, e in columns[j]:
+                lhs ^= by_class[e] << i * step
+        if rows[j]:
+            by_pair = by_pair or memo[_packed_lines, d1, d2 + d3, True, step]
+            for k, e in rows[j]:
+                rhs ^= by_pair[e] << k * ro
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _cartan_packed(memo: _Memo, lowest: int, ks: Sequence[int], d1: int, d2: int, firsts: int) -> list:
+    """The k of ``ks`` with ``Sq^k(xy) != sum_u Sq^u x Sq^(k-u) y`` for x in ``firsts``.
+
+    The pairs are those of a class x_i of degree d1 in ``firsts`` and any
+    class y_j of degree d2, and every k is checked at once.  For each x_i,
+    each side of the formula, summed over k >= 1, is packed into one int:
+    the value on x_i and y_j takes block j, and within it its part in
+    degree t sits at the bit of t in a total vector (``_Memo.offsets``).
+    The first factors of the battery have degree ``lowest`` or more, so a
+    block holds the degrees above ``lowest + d2``.  The left side adds the
+    total square of ``x_i y_j`` over row i of the product table; the right
+    side adds, for each u, the rows of ``_cartan_rows`` at the coordinates
+    of ``Sq^u x_i``.  The k failing are those whose degree d1 + d2 + k holds
+    a nonzero bit of a difference.
+    """
+    A, offsets, s = memo.A, memo.offsets, d1 + d2
+    width = offsets[-1] - offsets[lowest + d2 + 1]
+    chosen = _indices(firsts)
+    diff = [0] * len(chosen)
+    total = memo[_total_squares, s, ks]
+    if total is not None:
+        rows = memo[_split, d1, d2, False]
+        for t, i in enumerate(chosen):
+            for j, e in rows[i]:
+                diff[t] ^= total[e] << j * width
+    for u in range(min(d1, ks[-1]) + 1):
+        left = A.squares.get((u, d1))
+        rows = None if left is None else memo[_cartan_rows, d1 + u, d2, not u, width]
+        if rows is not None:
+            for t, i in enumerate(chosen):
+                diff[t] ^= rows[left[i]]
+    found = reduce(operator.or_, diff)
+    repeat = found and ((1 << A.rank(d2) * width) - 1) // ((1 << width) - 1)
+    return [k for k in ks if found & repeat * ((1 << A.rank(s + k)) - 1 << offsets[s + k])]
+
+
+def _total_squares(memo: _Memo, s: int, ks: Sequence[int]) -> _Lines | None:
+    """For each class of degree s, ``sum_k Sq^k`` of it over ``ks``, each part at its degree's bit.
+
+    None when no square of ``ks`` is stored on degree s.
+    """
+    tables = [(memo.A.squares[k, s], memo.offsets[s + k]) for k in ks if (k, s) in memo.A.squares]
+    lines = [0] * memo.A.rank(s)
+    for table, offset in tables:
+        for c in _nonzero(table):
+            lines[c] |= table[c] << offset
+    return _Lines(lines) if tables else None
+
+
+def _cartan_rows(memo: _Memo, c: int, d2: int, first: bool, width: int) -> _Lines | None:
+    """For each class e_a of degree c, ``sum_v e_a Sq^v y_j`` for every y_j of degree d2, packed.
+
+    The sum runs over v from 0 to d2, or from 1 if ``first`` (the term
+    u = 0 of the Cartan formula, whose v = 0 part is the product, no
+    square); None when no v has tables.  The value on y_j takes block j of
+    ``width`` bits, as in ``_cartan_packed``.  For each v, row a of table
+    ``(c, d2 + v)`` is multiplied entrywise by the spread (``_spread``) of
+    its coordinates, shifted to the bit of degree c + d2 + v; each product
+    fits in its block, so the copies do not overlap.  A row is built the
+    first time it is read.
+    """
+    terms = [
+        (memo[_split, c, d2 + v, False], memo[_spread, v, d2, width], memo.offsets[c + d2 + v])
+        for v in range(first, d2 + 1)
+        if (v, d2) in memo.A.squares and (c, d2 + v) in memo.A.products
+    ]
+
+    def row(a: int) -> int:
+        line = 0
+        for split, spread, offset in terms:
+            for b, e in split[a]:
+                line ^= (e << offset) * spread[b]
+        return line
+
+    return _Lines(line=row) if terms else None
+
+
+def _spread(memo: _Memo, v: int, d2: int, width: int) -> list[int]:
+    """For each class e_b of degree d2 + v, bit ``j width`` for each y_j of degree d2.
+
+    The y_j are those whose ``Sq^v`` holds e_b.
+    """
+    spread = [0] * memo.A.rank(d2 + v)
+    for j, y in enumerate(memo.A.squares[v, d2]):
+        while y:
+            low = y & -y
+            spread[low.bit_length() - 1] |= 1 << j * width
+            y ^= low
+    return spread
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,11 @@ def test_build_fills_unit_blocks_and_sq0():
 
 
 def test_build_rejects_wrong_basis_count():
-    with pytest.raises(ValueError, match="basis lists"):
+    # the one reader of outside tables refuses a bad basis as a schema error
+    with pytest.raises(SchemaError, match="^basis: need 3 basis lists, got 2$"):
         build_algebra(2, [["1"], ["a"]])
+    with pytest.raises(SchemaError, match="^basis: top_degree must be >= 0$"):
+        build_algebra(-1, [])
 
 
 def test_build_rejects_duplicate_labels():

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,9 @@ from foldcheck.cli import main
 from foldcheck.expressions import parse_expression
 
 from classes import replace
-from test_trust_boundary import manifold_document
+from test_trust_boundary import (
+    RING_A6B4C6, RING_A7B3C6, manifold_document, rebased_document, ring_document,
+)
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -194,8 +197,8 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_catalog_expressions_never_import_numpy(tmp_path):
-    # the expression path runs on packed ints, and so does the battery of a
-    # sparse document: numpy is for the dense kernels and the array views
+    # the expression path runs on packed ints, and so does the battery of
+    # every document, sparse or dense: numpy is for the array views alone
     expression_commands = [
         ["decide", "RP4", "--target", "R4"],
         ["decide", "K3", "--target", "sphere:4", "--format", "json"],
@@ -205,10 +208,17 @@ def test_catalog_expressions_never_import_numpy(tmp_path):
         ["decide", "CP2", "--target", f"pullback:{DATA / 'cp2_tangent.json'}"],
         ["decide", "CP2", "--target", "self", "--explain"],
     ]
+    written = {name: manifold_document(parse_expression(name)) for name in ("N5", "24#RP4")}
+    # dense documents: the doc-ingest rings and a torus in a non-monomial basis
+    # the first ring is oriented of dimension 16; its signature is 0, as docgen writes it
+    written["a6b4c6"] = {**ring_document(RING_A6B4C6), "signature": 0}
+    written["a7b3c6"] = ring_document(RING_A7B3C6)
+    torus = parse_expression(" x ".join(["S1"] * 5))
+    written["T5"] = rebased_document(torus, np.random.default_rng(0))[0]
     documents = [DATA / "rp2.json"]
-    for expression in ("N5", "24#RP4"):
-        path = tmp_path / f"{expression}.json"
-        path.write_text(json.dumps(manifold_document(parse_expression(expression))))
+    for name, doc in written.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
         documents.append(path)
     commands = expression_commands + [["invariants", str(path), "--format", "json"] for path in documents]
     env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_invariants import _rank_mod2, _solve_mod2
-from foldcheck.algebra import _parity
 from foldcheck.gf2 import gf2_invertible, gf2_rank, gf2_solve, to_gf2
 
 
@@ -106,22 +105,6 @@ def test_invertible_iff_full_rank():
     assert not gf2_invertible(singular)
     assert not gf2_invertible(np.zeros((2, 3), dtype=np.uint8))  # not square
     assert gf2_invertible(np.zeros((0, 0), dtype=np.uint8))
-
-
-def test_matmul_reduces_mod_2():
-    # the axiom battery multiplies 0/1 tables in float32 and reads the parity
-    # off afterwards; sums stay exact integers far below 2^24
-    a = np.array([[1, 1], [0, 1]], dtype=np.float32)
-    b = np.array([[1, 1], [1, 1]], dtype=np.float32)
-    assert np.array_equal(_parity(a @ b), np.array([[0, 0], [1, 1]]))
-    for inner in (257, 486):
-        ones = np.ones((3, inner), dtype=np.float32)
-        assert np.array_equal(_parity(ones @ ones.T), np.full((3, 3), inner % 2))
-    rng = np.random.default_rng(7)
-    x = rng.integers(0, 2, size=(20, 486))
-    y = rng.integers(0, 2, size=(486, 30))
-    exact = (x @ y) % 2
-    assert np.array_equal(_parity(x.astype(np.float32) @ y.astype(np.float32)), exact)
 
 
 def test_to_gf2_wraps_integers():

@@ -38,13 +38,11 @@ def test_every_bench_span_is_exported():
         assert function in module.__all__, name
 
 
-# the functions that may import numpy: the dense associativity kernel, the
-# unpacking behind the battery's float32 blocks and the array views, and the
-# array-facing gf2 wrappers; the kernel rule picks one family per algebra,
-# and a battery on the packed family calls none of them
+# the functions that may import numpy: the unpacking behind the array views
+# and the array-facing gf2 wrappers; the axiom battery runs on the packed
+# tables alone and imports no numpy
 NUMPY_IMPORTERS = [
     "algebra._unpack",
-    "algebra._associative",
     "gf2._bit_rows",
     "gf2.gf2_solve",
     "gf2.to_gf2",

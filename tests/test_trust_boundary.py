@@ -1,20 +1,19 @@
 """The axiom battery at the trust boundary, against references.
 
-``validate_algebra`` checks the unit, commutativity, Sq^0 and squaring on
-the packed tables it stores, and contracts the rest as float32 matrix
-products or packed sums.  Here it is held to the einsum formulation it
-replaced (``reference_violations``, written out below on the uint8 array
-views with the bitmask pairing rank of test_invariants), violation for
-violation, on closure members and rebased tori with one table entry
-flipped.  A tests-side document writer then sends closure members and
-K3 x K3 through ``load_manifold`` and checks that the record comes back
-unchanged; a truncated-ring writer sends dense documents, whole or with
-one row flipped, through the loader and both batteries.  A seeded sweep of
-mutated documents holds the loader to refusing with ``FoldcheckError`` only.
+``validate_algebra`` checks every axiom on the packed tables it stores,
+associativity and Cartan as packed sums.  Here it is held to the einsum
+formulation it replaced (``reference_violations``, written out below on
+the uint8 array views with the bitmask pairing rank of test_invariants),
+violation for violation, on closure members and rebased tori with one
+table entry flipped.  A tests-side document writer then sends closure
+members and K3 x K3 through ``load_manifold`` and checks that the record
+comes back unchanged; a truncated-ring writer sends dense documents, whole
+or with one row flipped, through the loader and the battery.  A seeded
+sweep of mutated documents holds the loader to refusing with
+``FoldcheckError`` only.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
@@ -22,7 +21,6 @@ import math
 import operator
 import pathlib
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -133,32 +131,20 @@ def reference_violations(A: GradedAlgebra) -> tuple[str, ...]:
     return tuple(bad)
 
 
-@contextlib.contextmanager
-def _kernel_family(family: str):
-    """Run every triple and pair on one kernel family, "packed" or "dense"; "rule" leaves the choice."""
-    if family == "rule":
-        yield
-        return
-    with mock.patch.object(algebra, "_packed_wins", lambda A: family == "packed"):
-        yield
-
-
-def _assert_kernels_match_reference(A: GradedAlgebra) -> tuple[str, ...]:
-    """The violations of ``A`` under the rule and under each forced kernel family, all the reference's."""
+def _assert_matches_reference(A: GradedAlgebra) -> tuple[str, ...]:
+    """The violations of ``A``, which must be the reference's."""
     want = reference_violations(A)
-    for family in ("rule", "dense", "packed"):
-        with _kernel_family(family):
-            assert validate_algebra(A).violations == want, family
+    assert validate_algebra(A).violations == want
     return want
 
 
 # ---------------------------------------------------------------------------
-# one flipped entry, both batteries
+# one flipped entry
 
 # S1 x S3 and S3 x S3 have degrees of rank 0 between nonzero ones (products
 # landing there are empty tables); K3 x RP2 is the largest table set here;
-# the (1, 1, 1) triple of RP4 # RP4 # RP4 runs on the packed kernel;
-# CP3 x RP3 has classes of degree 3 that no generator degree reaches.
+# RP4 # RP4 # RP4 has three generator classes in degree 1; CP3 x RP3 has
+# classes of degree 3 that no generator class reaches.
 ORACLE_MEMBERS = [
     "S1 x S3", "S3 x S3", "K3", "RP4", "CP3", "RP2 x RP3", "N3 x S2",
     "RP4 # CP2", "Sigma2 x Sigma1", "K3 x RP2", "CP2 x CP2", "RP4 # RP4 # RP4",
@@ -214,30 +200,25 @@ def _assert_store_matches_views(A: GradedAlgebra) -> None:
     st.sampled_from(["mult", "sq"]),
     st.integers(0, 10**6),
     st.integers(0, 10**9),
-    st.sampled_from([1, 40, algebra._CHUNK_ELEMENTS]),
 )
 # commutative: a Sq^1 flip whose Cartan failures on (1, 2), (2, 3) repeat on (2, 1), (3, 2)
-@example(name="K3 x RP2", table="sq", pick=8, entry=0, chunk=algebra._CHUNK_ELEMENTS)
+@example(name="K3 x RP2", table="sq", pick=8, entry=0)
 # not commutative: a (1, 2) product flip, failing associativity on (1, 1, 2) but not (2, 1, 1)
-@example(name="RP2 x RP3", table="mult", pick=8, entry=0, chunk=1)
+@example(name="RP2 x RP3", table="mult", pick=8, entry=0)
 # a zeroed unit table (0, 4): it stays zero in the store, so the degree-0 pairing degenerates
-@example(name="S1 x S3", table="mult", pick=3, entry=0, chunk=algebra._CHUNK_ELEMENTS)
+@example(name="S1 x S3", table="mult", pick=3, entry=0)
 # Sq^0 of the unit flipped to zero: the unit checks pass, yet Cartan fails on (0, 1), (1, 0), ...
-@example(name="RP4", table="sq", pick=0, entry=0, chunk=algebra._CHUNK_ELEMENTS)
-# flips in degree 3 of CP3 x RP3, outside its generator degrees 1 and 2: the
+@example(name="RP4", table="sq", pick=0, entry=0)
+# flips in degree 3 of CP3 x RP3, which no generator class reaches: the
 # reduced scans find (1, 2) and (1, 2, 3), and only the rescans of every pair
 # and triple name the Cartan failures on (3, 3), (3, 4), ... (Sq^1 on degree 3)
 # and the associativity failures on (1, 3, 3), (3, 3, 3), ... (a^3 * a^3)
-@example(name="CP3 x RP3", table="sq", pick=12, entry=0, chunk=algebra._CHUNK_ELEMENTS)
-@example(name="CP3 x RP3", table="mult", pick=30, entry=0, chunk=algebra._CHUNK_ELEMENTS)
-def test_flipped_entry_violations_match_reference(
-    oracle_algebras, name, table, pick, entry, chunk
-):
-    # small chunk budgets split the associativity products of every member
+@example(name="CP3 x RP3", table="sq", pick=12, entry=0)
+@example(name="CP3 x RP3", table="mult", pick=30, entry=0)
+def test_flipped_entry_violations_match_reference(oracle_algebras, name, table, pick, entry):
     A = _flipped(oracle_algebras[name], table, pick, entry)
     _assert_store_matches_views(A)
-    with mock.patch.object(algebra, "_CHUNK_ELEMENTS", chunk):
-        _assert_kernels_match_reference(A)
+    _assert_matches_reference(A)
 
 
 def _triples(A: GradedAlgebra) -> list[tuple[int, int, int]]:
@@ -251,52 +232,60 @@ def _triples(A: GradedAlgebra) -> list[tuple[int, int, int]]:
     ]
 
 
-def _associative_calls(monkeypatch, A: GradedAlgebra) -> dict[str, list[tuple[int, int, int]]]:
-    """The degree triples each associativity kernel checks, in battery order."""
-    calls: dict[str, list[tuple[int, int, int]]] = {"all": []}
-    for name in ("_associative", "_associative_packed"):
-        real = getattr(algebra, name)
-        calls[name] = []
+def _kernel_calls(monkeypatch, name: str, A: GradedAlgebra) -> list[tuple[int, ...]]:
+    """The degrees and the class bits after them of each call of a battery kernel, in battery order.
 
-        def counting(*args, real=real, name=name):
-            calls[name].append(args[-3:])
-            calls["all"].append(args[-3:])
-            return real(*args)
+    ``_associative_packed`` gives ``(d1, d2, d3, middles)`` and
+    ``_cartan_packed`` gives ``(d1, d2, firsts)``.
+    """
+    calls: list[tuple[int, ...]] = []
+    real = getattr(algebra, name)
+    width = 4 if name == "_associative_packed" else 3
 
-        monkeypatch.setattr(algebra, name, counting)
+    def counting(*args):
+        calls.append(args[-width:])
+        return real(*args)
+
+    monkeypatch.setattr(algebra, name, counting)
     validate_algebra(A)
     return calls
+
+
+def _associative_calls(monkeypatch, A: GradedAlgebra) -> list[tuple[int, int, int, int]]:
+    return _kernel_calls(monkeypatch, "_associative_packed", A)
+
+
+def _cartan_calls(monkeypatch, A: GradedAlgebra) -> list[tuple[int, int, int]]:
+    return _kernel_calls(monkeypatch, "_cartan_packed", A)
 
 
 def _positive(triples: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     return [t for t in triples if 0 not in t]
 
 
-def _cartan_calls(monkeypatch, A: GradedAlgebra) -> dict[str, list[tuple[int, int]]]:
-    """The degree pairs each Cartan kernel checks, in battery order."""
-    calls: dict[str, list[tuple[int, int]]] = {"all": []}
-    for name in ("_cartan", "_cartan_packed"):
-        real = getattr(algebra, name)
-        calls[name] = []
-
-        def counting(*args, real=real, name=name):
-            calls[name].append(args[-2:])
-            calls["all"].append(args[-2:])
-            return real(*args)
-
-        monkeypatch.setattr(algebra, name, counting)
-    validate_algebra(A)
-    return calls
+def _every(A: GradedAlgebra, d: int) -> int:
+    return (1 << A.rank(d)) - 1
 
 
-@pytest.mark.parametrize("name,generators,count", [("RP8", {1}, 12), ("CP3 x RP3", {1, 2}, 28)])
+def _classes(A: GradedAlgebra, d: int, bits: int) -> set[str]:
+    return {label for i, label in enumerate(A.labels(d)) if bits >> i & 1}
+
+
+@pytest.mark.parametrize(
+    "name,generators,count",
+    [("RP8", {1: {"a"}}, 12), ("CP3 x RP3", {1: {"a"}, 2: {"h"}}, 28)],
+)
 def test_commutative_battery_checks_one_triple_of_each_mirror_pair(monkeypatch, name, generators, count):
     # of 165 and 220 triples, the unit checks settle those with a degree-0
-    # factor, and of the rest those with a generator middle degree and
-    # d1 <= d3 are computed
+    # factor, and of the rest those with d1 <= d3 whose middle degree holds a
+    # generator class are computed, on the generator classes alone (a^2 in
+    # degree 2 of CP3 x RP3 is a product)
     A = parse_expression(name).algebra
-    calls = _associative_calls(monkeypatch, A)["all"]
-    assert calls == [t for t in _positive(_triples(A)) if t[1] in generators and t[0] <= t[2]]
+    classes = algebra._generator_classes(A)
+    assert {d: _classes(A, d, bits) for d, bits in classes.items()} == generators
+    calls = _associative_calls(monkeypatch, A)
+    focus = [t for t in _positive(_triples(A)) if t[1] in classes and t[0] <= t[2]]
+    assert calls == [(*t, classes[t[1]]) for t in focus]
     assert len(calls) == count
 
 
@@ -313,14 +302,17 @@ def test_commutative_battery_checks_one_triple_of_each_mirror_pair(monkeypatch, 
         ("S0 x CP2", [2]),
     ],
 )
-def test_generator_degrees(name, generators):
-    assert algebra._generator_degrees(parse_expression(name).algebra) == generators
+def test_generator_classes_sit_in_the_generator_degrees(name, generators):
+    # the positive degrees that products of classes of positive degree do not span
+    A = parse_expression(name).algebra
+    assert list(algebra._generator_classes(A)) == generators
 
 
 def test_noncommutative_battery_checks_every_triple(monkeypatch, oracle_algebras):
     A = _flipped(oracle_algebras["RP2 x RP3"], "mult", 8, 0)
     assert "commutativity: degrees (1, 2)" in validate_algebra(A).violations
-    assert _associative_calls(monkeypatch, A)["all"] == _positive(_triples(A))
+    calls = _associative_calls(monkeypatch, A)
+    assert calls == [(*t, _every(A, t[1])) for t in _positive(_triples(A))]
 
 
 @pytest.mark.parametrize(
@@ -339,7 +331,7 @@ def test_battery_checks_degree_0_triples_unless_the_unit_checks_pass(
     violations = validate_algebra(A).violations
     assert violation in violations
     commutative = not any(v.startswith("commutativity") for v in violations)
-    calls = _associative_calls(monkeypatch, A)["all"]
+    calls = [call[:3] for call in _associative_calls(monkeypatch, A)]
     assert calls == [t for t in _triples(A) if t[0] <= t[2] or not commutative]
     assert any(0 in t for t in calls)
 
@@ -367,7 +359,7 @@ def _two_spheres() -> GradedAlgebra:
 )
 def test_rank_two_degree_0_flips_match_reference(table, pick, entry):
     A = _flipped(_two_spheres(), table, pick, entry)
-    assert _assert_kernels_match_reference(A)
+    assert _assert_matches_reference(A)
 
 
 def test_unit_in_a_rebased_degree_0_basis_matches_reference():
@@ -384,7 +376,7 @@ def test_unit_in_a_rebased_degree_0_basis_matches_reference():
     assert validate_algebra(A).ok
     flips = [("mult", pick, entry) for pick in range(3) for entry in range(8)]
     for table, pick, entry in flips + [("sq", 0, entry) for entry in range(4)]:
-        _assert_kernels_match_reference(_flipped(A, table, pick, entry))
+        _assert_matches_reference(_flipped(A, table, pick, entry))
 
 
 @functools.cache
@@ -396,11 +388,9 @@ def _rebased_torus(factors: int) -> GradedAlgebra:
 
 
 @pytest.mark.parametrize("pick", range(0, 40, 3))
-def test_flipped_product_on_a_rebased_document_matches_reference(monkeypatch, pick):
-    # a non-monomial basis makes the tables dense, so the BLAS kernel runs
-    A = _flipped(_rebased_torus(5), "mult", pick, 7 * pick)
-    assert _associative_calls(monkeypatch, A)["_associative"]
-    _assert_kernels_match_reference(A)
+def test_flipped_product_on_a_rebased_document_matches_reference(pick):
+    # a non-monomial basis makes the tables dense
+    _assert_matches_reference(_flipped(_rebased_torus(5), "mult", pick, 7 * pick))
 
 
 @pytest.mark.parametrize(
@@ -408,16 +398,9 @@ def test_flipped_product_on_a_rebased_document_matches_reference(monkeypatch, pi
     # failing unit and commutativity, commutativity, Sq^0, squaring and Cartan, Cartan
     [("mult", 5), ("mult", 17), ("sq", 4), ("sq", 8), ("sq", 11)],
 )
-def test_flipped_entry_on_a_rebased_seven_torus_matches_reference(monkeypatch, table, pick):
+def test_flipped_entry_on_a_rebased_seven_torus_matches_reference(table, pick):
     # T^7 has ranks up to 35, the largest dense blocks the reference affords
-    A = _flipped(_rebased_torus(7), table, pick, 7 * pick)
-    assert _associative_calls(monkeypatch, A)["_associative"]
-    assert _assert_kernels_match_reference(A)
-
-
-def test_sparse_member_runs_the_packed_kernel(monkeypatch, oracle_algebras):
-    calls = _associative_calls(monkeypatch, oracle_algebras["RP4 # RP4 # RP4"])
-    assert (1, 1, 1) in calls["_associative_packed"]
+    assert _assert_matches_reference(_flipped(_rebased_torus(7), table, pick, 7 * pick))
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +487,17 @@ def test_sphere_document_battery_reads_the_blocks_of_its_degrees(monkeypatch):
         "p1": "zero",
     }
     calls = []
-    unpack = algebra._unpack
+    split = algebra._split
 
-    def counting(rows, width):
-        calls.append(width)
-        return unpack(rows, width)
+    def counting(memo, d1, d2, *args):
+        calls.append((d1, d2))
+        return split(memo, d1, d2, *args)
 
-    monkeypatch.setattr(algebra, "_unpack", counting)
+    monkeypatch.setattr(algebra, "_split", counting)
     m = load_manifold(doc)
     # the unit checks settle every triple and pair with a degree-0 factor, no
-    # positive triple fits below n, and no k fits the pair (200, 200): no
-    # block is unpacked, where one per pair below n would be 80,000
+    # positive triple fits below n, and no k fits the pair (200, 200): the
+    # kernels read no table, where one per pair below n would be 80,000
     assert calls == []
     assert m.algebra.degrees == (0, 200, n)
 
@@ -770,7 +753,7 @@ def test_ring_document_stores_the_tables_of_its_entries(name, rebased):
 
 
 def test_battery_builds_no_array_view_of_a_loaded_document():
-    # the battery unpacks its own dense blocks; the views are for outside readers
+    # the battery reads the packed tables; the views are for outside readers
     A = load_manifold(json.loads(_ring("F2[a,b,c]/(a^4,b^3,c^3)", True))).algebra
     assert "_views" not in vars(A)
     assert A.mult_block(1, 1).any() and "_views" in vars(A)
@@ -918,7 +901,7 @@ def test_flipped_ring_document_matches_reference(name, rebased, table, pick):
     doc = json.loads(_ring(name, rebased))
     row = doc[table][pick % len(doc[table])][-1]
     row[pick % len(row)] ^= 1
-    got = _assert_kernels_match_reference(_document_algebra(doc))
+    got = _assert_matches_reference(_document_algebra(doc))
     assert got
     with pytest.raises(InvariantViolation) as info:
         load_manifold(doc)
@@ -930,19 +913,33 @@ def test_flipped_ring_block_matches_reference(table, pick):
     # one block entry flipped, its mirror kept: not commutative, so every
     # Cartan block runs
     A = load_manifold(json.loads(_ring("F2[a,b,c]/(a^4,b^3,c^3)", True))).algebra
-    _assert_kernels_match_reference(_flipped(A, table, pick, 5 * pick + 1))
+    _assert_matches_reference(_flipped(A, table, pick, 5 * pick + 1))
+
+
+def _ring_pairs(A: GradedAlgebra) -> list[tuple[int, int]]:
+    """The degree pairs with 0 < d1 <= d2 whose product lands in the algebra."""
+    return [(d1, d2) for d1 in A.degrees for d2 in A.degrees if 0 < d1 <= d2 and d1 + d2 <= A.top_degree]
 
 
 def test_valid_ring_battery_checks_pairs_with_a_generator_factor(monkeypatch):
-    # 28 of the 64 positive pairs with d1 <= d2 of the doc-ingest ring, each
-    # through the kernel the rule picks
+    # the doc-ingest ring is generated by a, c in degree 1 and b in degree 2:
+    # Cartan runs on the pairs (1, d2), every class of degree 1 by every
+    # class of degree d2, and on the pairs (2, d2), b by every class of
+    # degree d2; associativity on the 105 triples with d1 <= d3 and a middle
+    # degree 1 or 2, with the middle class among a, c or b
     A = _document_algebra(ring_document(RING_A6B4C6))
-    pairs = [(d1, d2) for d1 in A.degrees for d2 in A.degrees if 0 < d1 <= d2 and d1 + d2 <= A.top_degree]
-    assert len(pairs) == 64
-    calls = _cartan_calls(monkeypatch, A)["all"]
-    assert calls == [(d1, d2) for d1, d2 in pairs if {d1, d2} & {1, 2}]
-    assert len(calls) == 28
-    assert len(_associative_calls(monkeypatch, A)["all"]) == 105
+    classes = algebra._generator_classes(A)
+    assert {d: _classes(A, d, bits) for d, bits in classes.items()} == {1: {"a", "c"}, 2: {"b"}}
+    assert len(_ring_pairs(A)) == 64
+    n = A.top_degree
+    # a pair of degree d1 + d2 = n has no k in range and holds without a call
+    want = [(1, d2, _every(A, 1)) for d2 in range(1, n - 1)]
+    want += [(2, d2, classes[2]) for d2 in range(1, n - 2)]
+    assert _cartan_calls(monkeypatch, A) == want
+    assert len(want) == 27
+    focus = [t for t in _positive(_triples(A)) if t[1] in classes and t[0] <= t[2]]
+    assert _associative_calls(monkeypatch, A) == [(*t, classes[t[1]]) for t in focus]
+    assert len(focus) == 105
 
 
 def _ring_with_a_flipped_sq1_in_degree_3() -> GradedAlgebra:
@@ -954,90 +951,78 @@ def _ring_with_a_flipped_sq1_in_degree_3() -> GradedAlgebra:
 
 
 def test_ring_with_a_flipped_sq1_in_degree_3_matches_reference():
-    # no generator degree reaches the flipped class: only the rescan of every
+    # no generator class reaches the flipped class: only the rescan of every
     # pair names the Cartan failures
-    got = _assert_kernels_match_reference(_ring_with_a_flipped_sq1_in_degree_3())
+    got = _assert_matches_reference(_ring_with_a_flipped_sq1_in_degree_3())
     assert "cartan: Sq^1 on degrees (3, 3)" in got
 
 
 def test_rescanning_battery_computes_each_pair_and_triple_once(monkeypatch):
-    # a generator pair fails, so every pair is scanned again through the same
-    # verdicts: each of the 64 pairs with 0 < d1 <= d2 runs once, in any order,
-    # and associativity, which holds, runs its 105 generator triples once
+    # a pair of the focus fails, so every pair is scanned again with every
+    # class: each of the pairs with 0 < d1 <= d2 and a k in range (d1 + d2
+    # below n) runs once over every class of d1, each focused pair of the
+    # generator class b runs once more, and no call repeats; associativity,
+    # which holds, runs its 105 focused triples once
     A = _ring_with_a_flipped_sq1_in_degree_3()
-    pairs = [(d1, d2) for d1 in A.degrees for d2 in A.degrees if 0 < d1 <= d2 and d1 + d2 <= A.top_degree]
-    assert len(pairs) == 64
-    assert sorted(_cartan_calls(monkeypatch, A)["all"]) == pairs
-    triples = [t for t in _positive(_triples(A)) if t[1] in {1, 2} and t[0] <= t[2]]
-    assert len(triples) == 105
-    assert sorted(_associative_calls(monkeypatch, A)["all"]) == sorted(triples)
+    n, classes = A.top_degree, algebra._generator_classes(A)
+    calls = _cartan_calls(monkeypatch, A)
+    assert len(set(calls)) == len(calls)
+    assert sorted(call for call in calls if call[2] == _every(A, call[0])) == [
+        (d1, d2, _every(A, d1)) for d1, d2 in _ring_pairs(A) if d1 + d2 < n
+    ]
+    focused = sorted(call[:2] for call in calls if call[2] != _every(A, call[0]))
+    assert focused == [(2, d2) for d2 in range(1, n - 2)]
+    assert all(call[2] == classes[2] for call in calls if call[2] != _every(A, call[0]))
+    triples = _associative_calls(monkeypatch, A)
+    assert len(triples) == len(set(triples)) == 105
 
 
 def test_flipped_square_on_a_rebased_eight_torus_matches_reference():
     # Sq^1 on degree 4 of a rebased T^8 (ranks up to 70), one entry flipped
-    got = _assert_kernels_match_reference(_flipped(_rebased_torus(8), "sq", 12, 84))
+    got = _assert_matches_reference(_flipped(_rebased_torus(8), "sq", 12, 84))
     assert "cartan: Sq^1 on degrees (1, 3)" in got
 
 
-@functools.cache
-def _refit_set() -> dict[str, GradedAlgebra]:
-    """The algebras the kernel rule is fitted on, with corrupted copies.
-
-    The doc-ingest families (24, 32 and 40 RP4 summed, N200, N300 and the
-    two rings) whole, with a ghost class in degree 3 (1 in N200 and N300)
-    and with one square and one product entry flipped; rebased T^5 to T^8
-    documents; T^9, K3 x K3 and CP3 x RP3.
-    """
-    sums = ("24#RP4", "32#RP4", "40#RP4", "N200", "N300")
-    docs = {name: manifold_document(parse_expression(name)) for name in sums}
-    docs.update(a6b4c6=ring_document(RING_A6B4C6), a7b3c6=ring_document(RING_A7B3C6))
-    out = {}
-    for name, doc in docs.items():
-        A = out[name] = _document_algebra(doc)
-        out[f"{name} ghost"] = _document_algebra(_with_ghost(doc, min(3, A.top_degree - 1)))
-        out[f"{name} sq flip"] = _flipped(A, "sq", A.top_degree + 2, 1)
-        out[f"{name} mult flip"] = _flipped(A, "mult", A.top_degree + 2, 1)
-    for factors in (5, 6, 7, 8):
-        out[f"rebased T^{factors}"] = _rebased_torus(factors)
-    for name in (" x ".join(["S1"] * 9), "K3 x K3", "CP3 x RP3"):
-        out[name] = parse_expression(name).algebra
-    return out
+def _ring_with(edit) -> dict:
+    """The CI ring document after ``edit(doc, index)``; index maps (degree, label) to a basis index."""
+    doc = ring_document(RING_A6B4C6)
+    index = {(d, label): i for d, labels in enumerate(doc["basis"]) for i, label in enumerate(labels)}
+    edit(doc, index)
+    return doc
 
 
-def test_cartan_kernels_agree_on_every_pair_of_the_refit_set():
-    # both kernels on every pair with a k, whichever the rule would pick
-    failures = 0
-    for name, A in _refit_set().items():
-        mult = functools.cache(lambda d1, d2, A=A: algebra._dense_product(A, d1, d2).astype("float32"))
-        sq = functools.cache(lambda k, d, A=A: algebra._dense_square(A, k, d).astype("float32"))
-        for d1 in A.degrees:
-            for d2 in A.degrees:
-                s = d1 + d2
-                ks = [t - s for t in A.degrees if s < t <= 2 * s]
-                if s > A.top_degree or not ks:
-                    continue
-                packed = algebra._cartan_packed(A, ks, d1, d2)
-                assert packed == algebra._cartan(mult, sq, A.rank, ks, d1, d2), (name, d1, d2)
-                failures += len(packed)
-    # the flips reach the kernels
-    assert failures > 0
+def _flip_product(doc: dict, index: dict, x: tuple, y: tuple, coordinate: int) -> None:
+    (d1, i), (d2, j) = (x[0], index[x]), (y[0], index[y])
+    entry = next(e for e in doc["mult"] if e[:4] in ([d1, i, d2, j], [d2, j, d1, i]))
+    entry[4][coordinate] ^= 1
 
 
-def test_each_battery_runs_one_kernel_family(monkeypatch):
-    # both axioms of a battery run on the family _packed_wins names, and the
-    # set holds batteries of each family
-    families = {True: {"_associative_packed", "_cartan_packed"}, False: {"_associative", "_cartan"}}
-    chosen = set()
-    for name, A in _refit_set().items():
-        with monkeypatch.context() as patch:
-            calls = _associative_calls(patch, A)
-        with monkeypatch.context() as patch:
-            calls.update(_cartan_calls(patch, A))
-        used = {kernel for kernel, pairs in calls.items() if pairs and kernel != "all"}
-        packed = algebra._packed_wins(A)
-        assert used and used <= families[packed], (name, used)
-        chosen.add(packed)
-    assert chosen == {True, False}
+def _flip_square(doc: dict, index: dict, k: int, x: tuple[int, str], coordinate: int) -> None:
+    d, i = x[0], index[x]
+    entry = next((e for e in doc["sq"] if e[:3] == [k, d, i]), None)
+    if entry is None:
+        entry = [k, d, i, [0] * len(doc["basis"][d + k])]
+        doc["sq"].append(entry)
+    entry[3][coordinate] ^= 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # the product a^2 * c, a class of degree 2 that is no generator times one of degree 1
+        lambda doc, index: _flip_product(doc, index, (2, "a^2"), (1, "c"), 1),
+        # Sq^1(a^2), zero in the ring, given a coordinate
+        lambda doc, index: _flip_square(doc, index, 1, (2, "a^2"), 2),
+        # Sq^1(ac) = a^2 c + a c^2, one coordinate flipped
+        lambda doc, index: _flip_square(doc, index, 1, (2, "ac"), 0),
+    ],
+    ids=["a2*c", "Sq1(a2)", "Sq1(ac)"],
+)
+def test_flip_on_a_non_generator_class_of_a_generator_degree_matches_reference(edit):
+    # degree 2 holds the generator b and the products a^2, ac, c^2: a flip on
+    # a product class is found through the generator classes or the rescan
+    got = _assert_matches_reference(_document_algebra(_ring_with(edit)))
+    assert got
 
 
 def _with_ghost(doc: dict, d: int) -> dict:
@@ -1047,52 +1032,53 @@ def _with_ghost(doc: dict, d: int) -> dict:
     return doc
 
 
-def test_generator_degrees_of_documents():
+def test_generator_classes_of_documents():
     ring = ring_document(RING_A6B4C6)
-    assert algebra._generator_degrees(_document_algebra(ring)) == [1, 2]
-    # a class with no products is a generator wherever it sits
-    assert algebra._generator_degrees(_document_algebra(_with_ghost(ring, 5))) == [1, 2, 5]
-    assert algebra._generator_degrees(_document_algebra(_with_ghost(ring, 2))) == [1, 2]
-    # a basis change keeps the degrees: every class of T^7 is a product of degree-1 classes
-    assert algebra._generator_degrees(_rebased_torus(7)) == [1]
+    A = _document_algebra(ring)
+    classes = algebra._generator_classes(A)
+    assert {d: _classes(A, d, bits) for d, bits in classes.items()} == {1: {"a", "c"}, 2: {"b"}}
+    # a class with no products is a generator wherever it sits, and adds
+    # itself alone, not its whole degree
+    for d, want in ((5, {5: {"ghost"}}), (2, {2: {"b", "ghost"}})):
+        B = _document_algebra(_with_ghost(ring, d))
+        got = {d: _classes(B, d, bits) for d, bits in algebra._generator_classes(B).items()}
+        assert got == {1: {"a", "c"}, 2: {"b"}} | want
+    # every class of degree 1 of T^7 generates, in any basis
+    assert algebra._generator_classes(_rebased_torus(7)) == {1: _every(_rebased_torus(7), 1)}
+
+
+@functools.cache
+def _family_document(name: str) -> dict:
+    """A doc-ingest family as a document: a sum of RP4 or RP2, or a ring."""
+    rings = {"a6b4c6": RING_A6B4C6, "a7b3c6": RING_A7B3C6}
+    return ring_document(rings[name]) if name in rings else manifold_document(parse_expression(name))
+
+
+@pytest.mark.parametrize(
+    "name,variant",
+    # the smallest sums of RP4 and of RP2 in every variant; the rings, whose
+    # reference battery takes half a second, with a flipped entry
+    [(name, kind) for name in ("24#RP4", "N200") for kind in ("whole", "ghost", "sq flip", "mult flip")]
+    + [("a7b3c6", "sq flip"), ("a7b3c6", "mult flip"), ("a6b4c6", "mult flip")],
+)
+def test_doc_ingest_families_match_reference(name, variant):
+    # a family whole, with a ghost class in degree 3 (1 in N200), or with one
+    # square or one product entry flipped
+    doc = _family_document(name)
+    A = _document_algebra(doc)
+    if variant == "ghost":
+        A = _document_algebra(_with_ghost(doc, min(3, A.top_degree - 1)))
+    elif variant != "whole":
+        A = _flipped(A, variant.split()[0], A.top_degree + 2, 1)
+    got = _assert_matches_reference(A)
+    assert bool(got) == (variant != "whole")
 
 
 def test_ghost_class_only_degenerates_the_pairing():
-    # the ghost adds degree 5 to the scans and fails nothing but the pairing
+    # the ghost adds its own class in degree 5 to the scans and fails nothing but the pairing
     B = _document_algebra(_with_ghost(ring_document(RING_A6B4C6), 5))
     got = validate_algebra(B).violations
     assert got == reference_violations(B) == (
         "pairing: ranks differ in degrees 5 and 11 (13 vs 12)",
         "pairing: ranks differ in degrees 11 and 5 (12 vs 13)",
     )
-
-
-def _largest_cartan_sum(ranks: list[int]) -> int:
-    """The largest ``sum_u r_(d1+u) r_(d2+v)`` of a Cartan block (d1, d2, k) on these ranks."""
-    n = len(ranks) - 1
-    sums = [
-        sum(ranks[d1 + u] * ranks[d2 + k - u] for u in range(max(0, k - d2), min(k, d1) + 1))
-        for d1 in range(n + 1)
-        for d2 in range(n + 1 - d1)
-        for k in range(1, min(d1 + d2, n - d1 - d2) + 1)
-        if ranks[d1] and ranks[d2] and ranks[d1 + d2 + k]
-    ]
-    return max(sums, default=0)
-
-
-def test_cartan_sums_within_the_budget_are_exact_in_float32():
-    # validate_algebra: the dense table bytes are at least twice every Cartan sum
-    rng = np.random.default_rng(0)
-    for _ in range(400):
-        n = int(rng.integers(1, 13))
-        ranks = [int(r) for r in rng.choice([0, 1, 2, 7, 40, 300], size=n + 1)]
-        assert 2 * _largest_cartan_sum(ranks) <= algebra._table_bytes(ranks), ranks
-    # a wide degree under a rank-1 top, where r_a r_b alone would reach 2^25:
-    # the widest such algebra the budget admits still sums below 2^24
-    def ranks(r: int) -> list[int]:
-        return [1, 1, r, 0, 1]
-
-    r = 1
-    while algebra._table_bytes(ranks(r + 1)) <= algebra.TABLE_BYTES_BUDGET:
-        r += 1
-    assert _largest_cartan_sum(ranks(r)) == r * r <= algebra.TABLE_BYTES_BUDGET // 2 == 1 << 24
