@@ -3,11 +3,13 @@
 A degree-n Poincare algebra is stored as an ordered label basis per degree
 and structure constants packed into Python ints, like the rows of
 ``gf2``: a class of degree d is an int whose bit i is its coordinate on
-basis class i.  The product table of a degree pair ``(d1, d2)`` holds one
-int per basis pair, entry ``i * r_d2 + j`` being the product of classes i
-and j; the table of ``Sq^k`` on degree d holds one int per basis class.
-The unit and the fundamental-evaluation functional on the top degree are
-ints too.  Only the tables holding a nonzero entry are stored, and every
+basis class i.  The product table of a degree pair ``(d1, d2)``, one per
+unordered pair (``d1 <= d2``; the other order reads it transposed, in
+``_entries``, ``_product`` and ``mult_block``), holds one int per basis
+pair, entry ``i * r_d2 + j`` being the product of classes i and j; the
+table of ``Sq^k`` on degree d holds one int per basis class.  The unit
+and the fundamental-evaluation functional on the top degree are ints
+too.  Only the tables holding a nonzero entry are stored, and every
 algebra holds its tables in this one form from the moment it is built.
 Every operation a catalog expression needs runs on shifts, ORs, XORs and
 ``int.bit_count``; ints are immutable, so nothing needs freezing.
@@ -24,18 +26,9 @@ operations below.  numpy is imported only for the array views
 ``fundamental``, ``TotalClass.components``), a read-only surface for
 outside readers built from the ints on first read and cached; the
 package reads none, and the axiom battery runs on the packed tables
-alone, so no document loads numpy.
-Associativity and Cartan are sums over the stored nonzero products; the
-unit checks decide degree-0 factors.  On a commutative unital table both
-are computed only on the generator classes: associativity with one in
-the middle, Cartan (once associativity holds) with one as the first
-factor, since either axiom holds on all classes once it holds there; a
-failure found so sends the battery over every triple or pair of degrees
-with every class, so each failure is still named.  One routine,
-``_scan``, runs this policy for both axioms.
-``validate_algebra`` states these rules and their proofs.  The Poincare
-pairing is read in one place, ``_pairing_rows``, by the battery and by
-the Wu class alike.
+alone, so no document loads numpy.  ``validate_algebra`` states the
+battery's rules and their proofs.  The Poincare pairing is read in one
+place, ``_pairing_rows``, by the battery and by the Wu class alike.
 
 Every routine walks the degrees that carry a basis class (``degrees``) or
 the tables the algebra stores, never all degree pairs or triples up to the
@@ -143,15 +136,15 @@ def _unpack(rows: Sequence[int], width: int):
     return bits
 
 
-def _dense_product(A: "GradedAlgebra", d1: int, d2: int):
-    """The stored ``(d1, d2)`` product table unpacked (see ``_unpack``), zeros when absent."""
-    r1, r2, ro = A.rank(d1), A.rank(d2), A.rank(d1 + d2)
-    return _unpack(A.products.get((d1, d2), bytes(r1 * r2)), ro).reshape(r1, r2, ro)
+def _entries(A: "GradedAlgebra", d1: int, d2: int) -> list[tuple[int, int, int]]:
+    """``(i, j, x_i y_j)`` for each nonzero product of a class x_i of degree d1 and y_j of degree d2.
 
-
-def _dense_square(A: "GradedAlgebra", k: int, d: int):
-    """The stored table of ``Sq^k`` on degree d unpacked (see ``_unpack``), zeros when absent."""
-    return _unpack(A.squares.get((k, d), bytes(A.rank(d))), A.rank(d + k))
+    For ``d1 > d2`` the stored table ``(d2, d1)`` is read transposed, column by column.
+    """
+    if d1 > d2:
+        return [(j, i, e) for i, j, e in _entries(A, d2, d1)]
+    table, r2 = A.products.get((d1, d2), b""), A.rank(d2)
+    return [(index // r2, index % r2, table[index]) for index in _nonzero(table)]
 
 
 def _class(A: "GradedAlgebra", d: int, bits: int) -> "ClassZ2":
@@ -202,10 +195,10 @@ class GradedAlgebra(_ReadOnly):
     and hold ints, strings and read-only maps of bytes or tuples, so an
     algebra never changes after construction; only the cached views below
     are added on first read.  ``products`` and ``squares`` are read-only
-    maps from a key to the packed table described in the module docstring
-    (see ``_table``), holding the tables with a nonzero entry;
-    ``unit_bits`` and ``fundamental_bits`` are the unit in degree 0 and
-    the evaluation functional on the top degree.
+    maps to the packed tables of the module docstring (``_table``) with a
+    nonzero entry, one product table per unordered degree pair; the ints
+    ``unit_bits`` and ``fundamental_bits`` are the unit in degree 0 and the
+    evaluation functional on the top degree.
     """
 
     def __init__(
@@ -252,24 +245,31 @@ class GradedAlgebra(_ReadOnly):
         return {}
 
     def mult_block(self, d1: int, d2: int):
-        """The ``(r_d1, r_d2, r_(d1+d2))`` product table as a read-only uint8 array."""
+        """The ``(r_d1, r_d2, r_(d1+d2))`` product table as a read-only uint8 array, zeros when absent.
+
+        For ``d1 > d2`` it is the ``(d2, d1)`` table transposed.
+        """
         key = ("mult", d1, d2)
         view = self._views.get(key)
-        if view is None:
-            view = self._views[key] = _dense_product(self, d1, d2)
+        if view is None and d1 > d2:
+            view = self._views[key] = self.mult_block(d2, d1).transpose(1, 0, 2)
+        elif view is None:
+            r1, r2, ro = self.rank(d1), self.rank(d2), self.rank(d1 + d2)
+            table = self.products.get((d1, d2), bytes(r1 * r2))
+            view = self._views[key] = _unpack(table, ro).reshape(r1, r2, ro)
         return view
 
     def sq_block(self, k: int, d: int):
-        """The ``(r_d, r_(d+k))`` table of ``Sq^k`` as a read-only uint8 array."""
+        """The ``(r_d, r_(d+k))`` table of ``Sq^k`` as a read-only uint8 array, zeros when absent."""
         key = ("sq", k, d)
         view = self._views.get(key)
         if view is None:
-            view = self._views[key] = _dense_square(self, k, d)
+            view = self._views[key] = _unpack(self.squares.get((k, d), bytes(self.rank(d))), self.rank(d + k))
         return view
 
     @cached_property
     def mult(self) -> dict:
-        """The stored product tables as arrays, keyed ``(d1, d2)``."""
+        """The stored product tables as arrays, keyed ``(d1, d2)`` with ``d1 <= d2``."""
         return {key: self.mult_block(*key) for key in self.products}
 
     @cached_property
@@ -438,7 +438,7 @@ def build_algebra(
 
     ``mult`` lists entries ``[d1, i, d2, j, row]``: the product of class i
     of degree d1 and class j of degree d2 as a 0/1 row over the basis of
-    degree d1 + d2, given in either order, as the mirror slot is filled in.
+    degree d1 + d2, in either order, ``[d2, j, d1, i, row]`` saying the same.
     ``sq`` lists entries ``[k, d, i, row]``: ``Sq^k`` of class i of degree
     d; an entry with k > d or d + k above the top degree must be a row of
     0/1 integers, all zero, and is dropped.  Absent rows are zero; the unit
@@ -446,21 +446,22 @@ def build_algebra(
     where no entry gives them.
 
     Every row is read strictly, JSON integers 0 or 1 of the length of its
-    degree, and written straight into its block's stored table (a mult row
-    into its slot and the mirror slot).  Each entry is checked in one pass,
-    in a fixed order: its shape, the types of its degrees and indices, their
-    ranges, the product degree, the row's length and then its coordinates.
-    The checks run on every row; only then is a product row looked up in a
-    cache of the product rows read so far, keyed by their bytes, and parsed
-    to an int on a miss, as ring products repeat a few distinct rows (most
-    of them one bit) many times.  In both tables an entry whose row
-    differs from an earlier nonzero row in the same slot (for products, the
-    mirror slot too) is refused; an all-zero earlier row gives way.  A
-    malformed entry raises ``SchemaError`` naming its position.  A basis
-    of the wrong length for the top degree (a negative top degree among
-    them), one that repeats a label within a degree, or one whose tables
-    would pass the byte budget, raises ``SchemaError`` naming the basis
-    before any entry is read.  The assembled algebra must pass every axiom of
+    degree.  Each entry is checked in one pass, in a fixed order: its
+    shape, the types of its degrees and indices, their ranges, the product
+    degree, the row's length and then its coordinates.  The checks run on
+    every row; only then is a product row looked up in a cache of the
+    product rows read so far, keyed by their bytes, and parsed to an int on
+    a miss, as ring products repeat a few distinct rows (most of them one
+    bit) many times, and a product entry with d1 > d2 turned into its twin.
+    The row goes straight into its stored table: to its slot, and to slot
+    ``(j, i)`` too in a square table.  An entry whose row differs from an
+    earlier nonzero row in its slot, a product entry's twin's included, is
+    refused; an all-zero earlier row gives way.  A malformed entry raises
+    ``SchemaError`` naming its position.  A basis of the wrong length for
+    the top degree (a negative top degree among them), one that repeats a
+    label within a degree, or one whose tables would pass the byte budget,
+    raises ``SchemaError`` naming the basis before any entry is read.  The
+    assembled algebra must pass every axiom of
     :func:`validate_algebra`; a failure raises
     ``InvariantViolation("algebra-axioms", ...)``.
     """
@@ -505,16 +506,17 @@ def build_algebra(
         row = packed.get(key)
         if row is None:
             row = packed[key] = int(key[::-1].translate(_DIGITS) or b"0", 2)
+        if d1 > d2:  # y x is x y: the entry goes to its twin's slot
+            d1, i, r1, d2, j, r2 = d2, j, r2, d1, i, r1
         table = products.get((d1, d2))
         if table is None:
             table = products[d1, d2] = _blank(r1 * r2, ro)
-            products[d2, d1] = table if d1 == d2 else _blank(r1 * r2, ro)
-        mirror = products[d2, d1]
-        # the entry's own slot speaks for its mirror, which gets the same row
         old = table[i * r2 + j]
         if old and old != row:
             raise SchemaError(f"mult entry {pos}: conflicts with an earlier entry")
-        table[i * r2 + j] = mirror[j * r1 + i] = row
+        table[i * r2 + j] = row
+        if d1 == d2:
+            table[j * r2 + i] = row
 
     squares: dict = {}
     for pos, entry in enumerate(_listed(sq, "sq")):
@@ -578,11 +580,13 @@ def _packed_algebra(
     catalog atoms, Kunneth products and connected sums of valid algebras)
     and for the tables ``build_algebra`` has read and packed.
     Each table is given as ``_table`` makes it; a table with no nonzero
-    entry is a zero map and is not stored.  The unit tables and ``Sq^0``
-    are added where the caller gave no table; a given table is kept, zero
-    or not, so the store says what the caller said.  The unit and the
-    fundamental functional default to the first class of degree 0 and of
-    the top degree.
+    entry is a zero map and is not stored.  Product tables are keyed
+    ``(d1, d2)`` with ``d1 <= d2``, one per unordered degree pair; another
+    key raises ``ValueError`` naming it.  The unit tables ``(0, d)`` and
+    ``Sq^0`` are added where the caller gave no table; a given table is
+    kept, zero or not, so the store says what the caller said.  The unit
+    and the fundamental functional default to the first class of degree 0
+    and of the top degree.
     """
     ranks = _ranks(top_degree, basis)
     n = top_degree
@@ -592,11 +596,13 @@ def _packed_algebra(
     fundamental = (1 if ranks[n] else 0) if fundamental is None else fundamental
 
     products_t, squares_t = dict(products or {}), dict(squares or {})
+    for d1, d2 in products_t:
+        if d1 > d2:
+            raise ValueError(f"product table ({d1}, {d2}) is not keyed with d1 <= d2")
     for d in (d for d in range(n + 1) if ranks[d]):
         identity = _table(1 << i for i in range(ranks[d]))
         if ranks[0] == 1 and unit == 1:
             products_t.setdefault((0, d), identity)
-            products_t.setdefault((d, 0), identity)
         squares_t.setdefault((0, d), identity)
     return GradedAlgebra(
         top_degree=n,
@@ -631,7 +637,8 @@ def _table_bytes(ranks: Sequence[int]) -> int:
 
     ``sum r_d1 r_d2 r_(d1+d2)`` over product blocks plus ``sum r_d r_(d+k)``
     over the Steenrod blocks ``0 <= k <= min(d, n - d)``, summed over the
-    degrees that carry classes.
+    degrees that carry classes.  Both orders of every product block count,
+    as the array views unpack them, though the store holds one of them.
     """
     n = len(ranks) - 1
     degrees = [d for d, r in enumerate(ranks) if r]
@@ -696,6 +703,11 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     0 has rank 1, no unit check fails and Sq^0 fixes the unit: then
     (1y)z = yz = 1(yz), and Sq^k(1y) = Sq^k y = Sq^0(1) Sq^k(y).  So those
     triples and pairs are not computed; otherwise they are, as all others.
+    The store holds one product table per unordered degree pair, so xy = yx
+    holds off the diagonal by construction and x1 reads the table of 1x:
+    the unit check is one-sided, 1x = x, and commutativity is checked on
+    the square tables (d, d) alone.  The kernels read a square table that
+    fails it as stored, by row or by column (``_columns``).
 
     Associativity and Cartan run through one scan, ``_scan``, over their
     items: a degree triple (d1, d2, d3) with the classes of degree d2 it
@@ -706,16 +718,15 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     failure.  Each item is computed once over both passes: a repeat or a
     mirror reads the verdict already computed.  A pair with no k in range
     (``Sq^k`` of degree d1 + d2 landing in a degree with classes,
-    ``1 <= k <= d1 + d2``) holds and is not scanned.  The mirrors and the
-    focus are these.
+    ``1 <= k <= d1 + d2``) holds and is not scanned.
 
-    Once the commutativity loop finds nothing, each mirror pair is computed
-    once.  Over GF(2) with xy = yx, the associator (zy)x + z(yx) of (z, y, x)
-    is x(yz) + (xy)z, that of (x, y, z); and both sides of the Cartan formula
-    for (y, x) are those for (x, y) with the two factors swapped.  So only
-    triples with d1 <= d3, and pairs over every class with d1 <= d2, are
-    computed, and each mirror repeats their verdict at its own place in the
-    violation list.
+    Once the commutativity check finds nothing, each mirror pair is
+    computed once.  Over GF(2) with xy = yx, the associator (zy)x + z(yx)
+    of (z, y, x) is x(yz) + (xy)z, that of (x, y, z); and both sides of the
+    Cartan formula for (y, x) are those for (x, y) with the two factors
+    swapped.  So only triples with d1 <= d3, and pairs over every class
+    with d1 <= d2, are computed, and each mirror repeats their verdict at
+    its own place in the violation list.
 
     When the unit and commutativity checks pass, the generator classes S
     (``_generator_classes``: in each positive degree, the basis classes off
@@ -744,35 +755,34 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
 
     Neither argument asks for a whole degree, so a class of S adds itself
     alone to the focus: a ghost class, with no products, adds its own
-    column and no other class of its degree.  Where the unit, commutativity, associativity or Sq^0 checks
-    fail, the focus is every class.  So a valid RP8 costs 12 associativity
-    triples of 34; the doc-ingest ring F2[a,b,c]/(a^6,b^4,c^6), whose S is
-    a, c in degree 1 and b in degree 2, costs 105 triples of 308, each on
-    the middle classes of S alone, and 27 Cartan pairs: (1, d2) over a and
-    c, (2, d2) over b.
+    column and no other class of its degree.  Where the unit,
+    commutativity, associativity or Sq^0 checks fail, the focus is every
+    class.  So a valid RP8 costs 12 associativity triples of 34; the
+    doc-ingest ring F2[a,b,c]/(a^6,b^4,c^6), whose S is a, c in degree 1
+    and b in degree 2, costs 105 triples of 308, each on the middle classes
+    of S alone, and 27 Cartan pairs: (1, d2) over a and c, (2, d2) over b.
 
-    The kernels, ``_associative_packed`` and ``_cartan_packed``, take one
-    interpreter step per nonzero stored product that a class in focus
-    reads, on lines of the tables packed into ints; ``_Memo`` keeps what
-    they pack for the whole battery, so a table is split and packed once
-    however many items read it.  ``_cartan_packed`` checks every k of a
-    pair at once.  Battery time in ms, in process, best of 15 on one CPU
-    of a 2-CPU host (Python 3.11.7):
+    The kernels, ``_associative_packed`` and ``_cartan_packed`` (every k of
+    a pair at once), take one interpreter step per nonzero stored product
+    that a class in focus reads, on lines of the tables packed into ints;
+    ``_Memo`` keeps what they pack for the whole battery, so a table is
+    split and packed once however many items read it.  Battery time in ms,
+    in process, best of 15 on one CPU of a shared 2-CPU host (Python 3.11.7):
 
     ================================  =====
     algebra                           ms
     ================================  =====
-    40#RP4                            1.04
-    N300                              0.58
-    F2[a,b,c]/(a^6,b^4,c^6)           5.95
-    the same with a ghost class       5.20
-    the same with one square flipped  8.67
-    rebased T^7                       17.3
-    rebased T^8                       93.2
-    T^9                               38.9
-    K3 x K3                           12.6
-    Sigma3 x Sigma3 x Sigma3          24.9
-    S2 x S2 x S2                      0.11
+    40#RP4                            0.95
+    N300                              0.55
+    F2[a,b,c]/(a^6,b^4,c^6)           6.39
+    the same with a ghost class       6.53
+    the same with one square flipped  11.0
+    rebased T^7                       21.4
+    rebased T^8                       118
+    T^9                               46.1
+    K3 x K3                           12.2
+    Sigma3 x Sigma3 x Sigma3          29.3
+    S2 x S2 x S2                      0.12
     ================================  =====
 
     A failure costs the rescan of every pair: the flipped square sends the
@@ -789,26 +799,22 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     r0, units = A.rank(0), _indices(A.unit_bits)
     for d in A.degrees:
         r = A.rank(d)
-        eye = [1 << i for i in range(r)]
-        # 1*x XORs the rows u of table (0, d), x*1 the columns u of table (d, 0)
-        left, right = A.products.get((0, d), b""), A.products.get((d, 0), b"")
-        if _xor_rows([left[u * r : u * r + r] for u in units], r) != eye:
+        # 1*x XORs the rows u of table (0, d); x*1 reads the same table
+        left = A.products.get((0, d), b"")
+        if _xor_rows([left[u * r : u * r + r] for u in units], r) != [1 << i for i in range(r)]:
             bad.append(f"unit: 1*x != x in degree {d}")
-        if _xor_rows([right[u::r0] for u in units], r) != eye:
-            bad.append(f"unit: x*1 != x in degree {d}")
     # the unit checks decide every degree-0 factor (see above)
     unital = not bad and r0 == 1 and list(A.squares.get((0, 0), ())) == [1]
     degrees = [d for d in A.degrees if d or not unital]
     pairs = [(d1, d2) for d1 in degrees for d2 in degrees if d1 + d2 <= n]
 
     before = len(bad)
-    for d1, d2 in pairs:
-        if d1 <= d2:
-            r1, r2 = A.rank(d1), A.rank(d2)
-            table, mirror = A.products.get((d1, d2), b""), A.products.get((d2, d1), b"")
-            # row i of the transpose of the mirror is its column i
-            if any(table[i * r2 : i * r2 + r2] != mirror[i::r1] for i in range(r1)):
-                bad.append(f"commutativity: degrees ({d1}, {d2})")
+    for d in degrees:
+        if 2 * d <= n:
+            r, table = A.rank(d), A.products.get((d, d), b"")
+            # row i of a square table against its column i
+            if any(table[i * r : i * r + r] != table[i::r] for i in range(r)):
+                bad.append(f"commutativity: degrees ({d}, {d})")
     commutative = len(bad) == before
 
     every = {d: (1 << A.rank(d)) - 1 for d in degrees}
@@ -925,12 +931,9 @@ def _pairing_rows(A: GradedAlgebra, d: int) -> list[int]:
     exactly when these rows have rank ``r_d = r_(n-d)``.
     """
     n = A.top_degree
-    dual = A.rank(n - d)
-    rows = [0] * dual
-    table = A.products.get((d, n - d), ())
-    for index in _nonzero(table):
-        if (table[index] & A.fundamental_bits).bit_count() & 1:
-            i, j = divmod(index, dual)
+    rows = [0] * A.rank(n - d)
+    for i, j, e in _entries(A, d, n - d):
+        if (e & A.fundamental_bits).bit_count() & 1:
             rows[j] |= 1 << i
     return rows
 
@@ -972,40 +975,38 @@ class _Lines(dict):
         return out
 
 
-def _split(memo: _Memo, d1: int, d2: int, by_column: bool) -> list[list[tuple[int, int]]]:
-    """The nonzero entries of the ``(d1, d2)`` product table, line by line.
-
-    Row i lists ``(j, x_i y_j)``; with ``by_column``, column j lists
-    ``(i, x_i y_j)``.
-    """
-    if by_column:
-        out = [[] for _ in range(memo.A.rank(d2))]
-        for i, row in enumerate(memo[_split, d1, d2, False]):
-            for j, e in row:
-                out[j].append((i, e))
-        return out
-    table, r2 = memo.A.products.get((d1, d2), ()), memo.A.rank(d2)
+def _split(memo: _Memo, d1: int, d2: int) -> list[list[tuple[int, int]]]:
+    """The nonzero products of degrees ``(d1, d2)`` by row: row i lists ``(j, x_i y_j)``."""
+    if d1 > d2:
+        return memo[_columns, d2, d1]
     out = [[] for _ in range(memo.A.rank(d1))]
-    for index in _nonzero(table):
-        i, j = divmod(index, r2)
-        out[i].append((j, table[index]))
+    for i, j, e in _entries(memo.A, d1, d2):
+        out[i].append((j, e))
     return out
 
 
-def _packed_lines(memo: _Memo, d1: int, d2: int, by_column: bool, step: int) -> _Lines:
-    """The rows (or columns) of the ``(d1, d2)`` product table, each packed into one int.
+def _columns(memo: _Memo, d1: int, d2: int) -> list[list[tuple[int, int]]]:
+    """The nonzero products of degrees ``(d1, d2)`` by column: column j lists ``(i, x_i y_j)``.
 
-    Row i ORs ``x_i y_j << j * step`` over the classes y_j of degree d2;
-    column j ORs ``x_i y_j << i * step`` over the classes x_i of degree d1.
+    A stored table is split once, by row (``_split``); its columns and the other order transpose that.
     """
-    lines = [0] * memo.A.rank(d2 if by_column else d1)
-    for i, row in enumerate(memo[_split, d1, d2, False]):
+    if d1 > d2:
+        return memo[_split, d2, d1]
+    out = [[] for _ in range(memo.A.rank(d2))]
+    for i, row in enumerate(memo[_split, d1, d2]):
         for j, e in row:
-            if by_column:
-                lines[j] |= e << i * step
-            else:
-                lines[i] |= e << j * step
-    return _Lines(lines)
+            out[j].append((i, e))
+    return out
+
+
+def _packed_lines(memo: _Memo, split: Callable, d1: int, d2: int, step: int) -> _Lines:
+    """The lines of ``split(memo, d1, d2)`` (``_split`` or ``_columns``), line a ORing ``e << b * step``."""
+    lines = memo[split, d1, d2]
+    packed = [0] * len(lines)
+    for a, line in enumerate(lines):
+        for b, e in line:
+            packed[a] |= e << b * step
+    return _Lines(packed)
 
 
 def _associative_packed(memo: _Memo, d1: int, d2: int, d3: int, middles: int) -> bool:
@@ -1023,16 +1024,16 @@ def _associative_packed(memo: _Memo, d1: int, d2: int, d3: int, middles: int) ->
     """
     r3, ro = memo.A.rank(d3), memo.A.rank(d1 + d2 + d3)
     step = r3 * ro
-    columns, rows = memo[_split, d1, d2, True], memo[_split, d2, d3, False]
+    columns, rows = memo[_columns, d1, d2], memo[_split, d2, d3]
     by_class = by_pair = None
     for j in _indices(middles):
         lhs = rhs = 0
         if columns[j]:
-            by_class = by_class or memo[_packed_lines, d1 + d2, d3, False, ro]
+            by_class = by_class or memo[_packed_lines, _split, d1 + d2, d3, ro]
             for i, e in columns[j]:
                 lhs ^= by_class[e] << i * step
         if rows[j]:
-            by_pair = by_pair or memo[_packed_lines, d1, d2 + d3, True, step]
+            by_pair = by_pair or memo[_packed_lines, _columns, d1, d2 + d3, step]
             for k, e in rows[j]:
                 rhs ^= by_pair[e] << k * ro
         if lhs != rhs:
@@ -1061,7 +1062,7 @@ def _cartan_packed(memo: _Memo, lowest: int, ks: Sequence[int], d1: int, d2: int
     diff = [0] * len(chosen)
     total = memo[_total_squares, s, ks]
     if total is not None:
-        rows = memo[_split, d1, d2, False]
+        rows = memo[_split, d1, d2]
         for t, i in enumerate(chosen):
             for j, e in rows[i]:
                 diff[t] ^= total[e] << j * width
@@ -1102,9 +1103,9 @@ def _cartan_rows(memo: _Memo, c: int, d2: int, first: bool, width: int) -> _Line
     first time it is read.
     """
     terms = [
-        (memo[_split, c, d2 + v, False], memo[_spread, v, d2, width], memo.offsets[c + d2 + v])
+        (memo[_split, c, d2 + v], memo[_spread, v, d2, width], memo.offsets[c + d2 + v])
         for v in range(first, d2 + 1)
-        if (v, d2) in memo.A.squares and (c, d2 + v) in memo.A.products
+        if (v, d2) in memo.A.squares and (min(c, d2 + v), max(c, d2 + v)) in memo.A.products
     ]
 
     def row(a: int) -> int:
@@ -1138,6 +1139,8 @@ def _spread(memo: _Memo, v: int, d2: int, width: int) -> list[int]:
 
 def _product(A: GradedAlgebra, d1: int, x: int, d2: int, y: int) -> int:
     """Bits of the product of the degree-d1 class ``x`` and the degree-d2 class ``y``."""
+    if d1 > d2:
+        d1, x, d2, y = d2, y, d1, x
     table = A.products.get((d1, d2))
     if table is None:
         return 0
@@ -1304,9 +1307,9 @@ def _cross(u: int, v: int, width: int) -> int:
     return out
 
 
-def _entries(table: Sequence[int], columns: int) -> list[tuple[int, int, int]]:
-    """``(row, column, value)`` of each nonzero entry of a packed product table."""
-    return [(*divmod(index, columns), table[index]) for index in _nonzero(table)]
+def _both_orders(A: GradedAlgebra) -> list[tuple[int, int]]:
+    """The keys of the stored product tables, and each off-diagonal key reversed."""
+    return [*A.products, *((d2, d1) for d1, d2 in A.products if d1 < d2)]
 
 
 def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
@@ -1323,13 +1326,14 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
 
     A and B must be valid, hence commutative, algebras, as every record's
     algebra is.  Each product slot then has exactly one piece, which is
-    assigned; table ``(d2, d1)`` is the transpose of table ``(d1, d2)``, so
-    only the tables with ``d1 <= d2`` are computed, each writing its mirror
-    slot in the same pass.  When the product has one class in degree 0 and
-    it is the unit, the unit tables (``d1 = 0``) are left to the assembler,
-    which fills in the identity.  A single-bit row of A crosses as one
-    shift.  Cartan pieces of one square slot land at disjoint offsets and
-    are OR-ed.
+    assigned.  The output stores the tables with ``d1 <= d2``; a table of
+    degrees ``(i1 + j1, i2 + j2)`` takes pieces of both orders of the
+    factors' tables (``_both_orders``, read through ``_entries``), so each
+    of its slots, both slots of a square one among them, is written once.
+    When the product has one class in degree 0 and it is the unit, the
+    unit tables (``d1 = 0``) are left to the assembler, which fills in the
+    identity.  A single-bit row of A crosses as one shift.  Cartan pieces
+    of one square slot land at disjoint offsets and are OR-ed.
     """
     n = A.top_degree + B.top_degree
     pairs = _degree_pairs(A, B)
@@ -1354,40 +1358,35 @@ def kunneth(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     if any(len(set(row)) < len(row) for row in basis):
         basis = pair_basis(_set_apart(A, B))
 
-    ra, rb = A.ranks, B.ranks
+    rb = B.ranks
     unit = _cross(A.unit_bits, B.unit_bits, rb[0])
     # the unit tables (d1 = 0) are the identity, which the assembler fills in
     first = 1 if ranks[0] == 1 and unit == 1 else 0
     products: dict[tuple[int, int], bytearray | list[int]] = {}
     side_b = [
-        (j1, j2, rb[j1], rb[j2], rb[j1 + j2], _entries(table, rb[j2]))
-        for (j1, j2), table in B.products.items()
+        (j1, j2, rb[j1], rb[j2], rb[j1 + j2], _entries(B, j1, j2)) for j1, j2 in _both_orders(B)
     ]
-    for (i1, i2), table in A.products.items():
-        entries_a = _entries(table, ra[i2])
+    for i1, i2 in _both_orders(A):
+        entries_a = _entries(A, i1, i2)
         for j1, j2, rb1, rb2, rbo, entries in side_b:
             d1, d2 = i1 + j1, i2 + j2
             if not first <= d1 <= d2:
-                continue  # a unit table, or the mirror of a table written here
-            r1, r2, ro = ranks[d1], ranks[d2], ranks[d1 + d2]
+                continue  # a unit table, or the order the output does not store
+            r2, ro = ranks[d2], ranks[d1 + d2]
             s1, s2, so = start[d1][i1], start[d2][i2], start[d1 + d2][i1 + i2]
             out = products.get((d1, d2))
             if out is None:
-                out = products[d1, d2] = _blank(r1 * r2, ro)
-                if d1 < d2:
-                    products[d2, d1] = _blank(r1 * r2, ro)
-            mirror = products[d2, d1]  # a (d, d) table is its own mirror
-            cells = [(b1 * r2 + b2, b2 * r1 + b1, y) for b1, b2, y in entries]
+                out = products[d1, d2] = _blank(ranks[d1] * r2, ro)
+            cells = [(b1 * r2 + b2, y) for b1, b2, y in entries]
             for a1, a2, x in entries_a:
-                p, q = s1 + a1 * rb1, s2 + a2 * rb2
-                corner, corner_t = p * r2 + q, q * r1 + p
+                corner = (s1 + a1 * rb1) * r2 + s2 + a2 * rb2
                 if x & (x - 1):
-                    for cell, cell_t, y in cells:
-                        mirror[corner_t + cell_t] = out[corner + cell] = _cross(x, y, rbo) << so
+                    for cell, y in cells:
+                        out[corner + cell] = _cross(x, y, rbo) << so
                 else:
                     shift = (x.bit_length() - 1) * rbo + so
-                    for cell, cell_t, y in cells:
-                        mirror[corner_t + cell_t] = out[corner + cell] = y << shift
+                    for cell, y in cells:
+                        out[corner + cell] = y << shift
 
     squares: dict[tuple[int, int], bytearray | list[int]] = {}
     side_b = [
@@ -1492,14 +1491,14 @@ def connected_sum_algebra(*pieces: GradedAlgebra) -> GradedAlgebra:
             """Summand class x of degree d in the sum: evaluated at the top, else shifted."""
             return (x & fundamental).bit_count() & 1 if d == n else x << start[d]
 
-        for (d1, d2), table in S.products.items():
+        for d1, d2 in S.products:
             if not (d1 and d2):
                 continue
             out = products.get((d1, d2))
             if out is None:
                 out = products[d1, d2] = _blank(ranks[d1] * ranks[d2], ranks[d1 + d2])
             r2 = ranks[d2]
-            for i, j, x in _entries(table, S.rank(d2)):
+            for i, j, x in _entries(S, d1, d2):
                 out[(start[d1] + i) * r2 + start[d2] + j] = moved(x, d1 + d2)
         for (k, d), table in S.squares.items():
             if not k:

@@ -337,7 +337,7 @@ def _truncated_polynomial(symbol: str, g: int, n: int) -> tuple[GradedAlgebra, T
     """
     _check_table_size(_monogenic_table_bytes(n))
     basis = [[_pow_label(symbol, d // g)] if d % g == 0 else [] for d in range(g * n + 1)]
-    products = {(g * i, g * j): _ONE for i in range(1, n) for j in range(1, n + 1 - i)}
+    products = {(g * i, g * j): _ONE for i in range(1, n) for j in range(i, n + 1 - i)}
     squares = {
         (g * k, g * d): _ONE
         for d in range(1, n)
@@ -598,8 +598,8 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     Steenrod tables as entry lists), the classical invariants, a required
     p_1 status, and optional w / W_3 / flag data.  The loader checks the
     fields and the basis, then hands the entry lists to ``build_algebra``,
-    the one reader of outside tables, which checks and packs each row once,
-    fills in product mirrors and runs the axiom battery.  An absent ``mult``
+    the one reader of outside tables, which packs each checked row into the
+    table of its unordered degree pair and runs the axiom battery.  An absent ``mult``
     or ``sq`` is an empty list.  Once every field is read, the declared
     ``euler`` (parity first), ``orientable`` and a nonzero ``signature``
     off the 4k lattice are checked against the algebra, in that order;

@@ -9,8 +9,9 @@ So does the point record, which the expression grammar cannot name: it
 is loaded as a document.  ``entries`` writes the dense numpy tables the
 tests write as references as the entry lists of a document, which
 ``build_algebra`` reads; ``packed`` writes them as the packed tables of
-the store, for tables no document can express (not commutative, not
-valid), which tests hand to ``_packed_algebra`` and check with
+the store, one per unordered degree pair, for tables no document can
+express (a square block that is not commutative, an invalid algebra),
+which tests hand to ``_packed_algebra`` and check with
 ``validate_algebra``.  ``replace`` rebuilds a record with some fields
 changed, as tests forge records that no constructor would make.
 """
@@ -86,8 +87,21 @@ def rows(table) -> list[int]:
 
 
 def packed(tables: dict) -> dict:
-    """Dense tables as the packed tables of the store, which ``_packed_algebra`` takes."""
-    return {key: _table(rows(table)) for key, table in tables.items()}
+    """Dense tables as the packed tables of the store, which ``_packed_algebra`` takes.
+
+    The store holds one product table per unordered degree pair, keyed
+    ``(d1, d2)`` with ``d1 <= d2``: a table keyed ``d1 > d2`` is dropped,
+    and must be the transpose of its twin.  A Steenrod key ``(k, d)`` has
+    ``k <= d`` and is always kept.
+    """
+    out = {}
+    for (d1, d2), table in tables.items():
+        if d1 > d2:
+            twin = np.asarray(tables[d2, d1]).transpose(1, 0, 2)
+            assert np.array_equal(np.asarray(table), twin), ("not the transpose of its twin", d1, d2)
+        else:
+            out[d1, d2] = _table(rows(table))
+    return out
 
 
 # what a record derives on first use: a rebuilt record starts without them

@@ -450,6 +450,17 @@ def test_sparse_algebras_store_linearly_many_blocks(build):
     assert len(A.mult) + len(A.sq_table) <= 4 * (A.top_degree + 1)
 
 
+def test_packed_algebra_refuses_a_product_table_keyed_in_the_other_order():
+    # one product table per unordered degree pair: (1, 2) holds a * b, and
+    # (2, 1) is its transpose, which the store does not hold
+    basis = [["1"], ["a"], ["b"], ["t"]]
+    with pytest.raises(ValueError, match=r"^product table \(2, 1\) is not keyed with d1 <= d2$"):
+        _packed_algebra(3, basis, {(1, 2): b"\x01", (2, 1): b"\x01"})
+    A = _packed_algebra(3, basis, {(1, 2): b"\x01"})
+    assert set(A.products) == {(0, 0), (0, 1), (0, 2), (0, 3), (1, 2)}
+    assert multiply(basis_element(A, 2, 0), basis_element(A, 1, 0)) == basis_element(A, 3, 0)
+
+
 def test_kunneth_of_two_spheres_walks_only_the_degrees_with_classes(monkeypatch):
     # four (i, j) degree pairs carry classes; every split of degree up to 2000 once did
     S = catalog.sphere(1000).algebra
@@ -467,10 +478,12 @@ def test_kunneth_of_two_spheres_walks_only_the_degrees_with_classes(monkeypatch)
     monkeypatch.setattr(algebra.GradedAlgebra, "rank", counting_rank)
     monkeypatch.setattr(algebra, "_nonzero", counting_nonzero)
     P = kunneth(S, S)
-    # a rank lookup per degree pair with classes, and each stored table of a
-    # factor read once
-    assert visits["rank"] <= 12
-    assert visits["table"] == 2 * (len(S.products) + len(S.squares))
+    # a rank lookup per degree pair with classes and per product table read,
+    # and each stored table of a factor read once in each order it is read in:
+    # (0, 1000) as itself and as (1000, 0)
+    offdiagonal = sum(d1 < d2 for d1, d2 in S.products)
+    assert visits["rank"] <= 16
+    assert visits["table"] == 2 * (len(S.products) + offdiagonal + len(S.squares))
     assert P.degrees == (0, 1000, 2000)
     assert parse_expression("S1000 x S1000").algebra.degrees == (0, 1000, 2000)
 

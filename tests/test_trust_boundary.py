@@ -48,12 +48,8 @@ def reference_violations(A: GradedAlgebra) -> tuple[str, ...]:
         if A.rank(d) == 0:
             continue
         left = np.einsum("u,ujo->jo", A.unit, A.mult_block(0, d)) % 2
-        right = np.einsum("iuo,u->io", A.mult_block(d, 0), A.unit) % 2
-        eye = np.eye(A.rank(d), dtype=np.uint8)
-        if not np.array_equal(left, eye):
+        if not np.array_equal(left, np.eye(A.rank(d), dtype=np.uint8)):
             bad.append(f"unit: 1*x != x in degree {d}")
-        if not np.array_equal(right, eye):
-            bad.append(f"unit: x*1 != x in degree {d}")
 
     for d1 in range(n + 1):
         for d2 in range(d1, n + 1 - d1):
@@ -163,12 +159,14 @@ def test_unflipped_members_are_valid(oracle_algebras):
 
 
 def _flipped(A: GradedAlgebra, table: str, pick: int, entry: int) -> GradedAlgebra:
-    # every in-range block of nonzero size can be hit, stored or all-zero
+    # every in-range block of nonzero size that the store can hold can be hit,
+    # stored or all-zero: one product block per unordered degree pair, so only
+    # a square block can be flipped out of commutativity
     n = A.top_degree
     mult, sq = dict(A.mult), dict(A.sq_table)
     if table == "mult":
         tables, read = mult, A.mult_block
-        keys = [(d1, d2) for d1 in range(n + 1) for d2 in range(n + 1 - d1)]
+        keys = [(d1, d2) for d1 in range(n + 1) for d2 in range(d1, n + 1 - d1)]
     else:
         tables, read = sq, A.sq_block
         keys = [(k, d) for d in range(n + 1) for k in range(min(d, n - d) + 1)]
@@ -182,12 +180,15 @@ def _flipped(A: GradedAlgebra, table: str, pick: int, entry: int) -> GradedAlgeb
 
 
 def _assert_store_matches_views(A: GradedAlgebra) -> None:
-    # every in-range table of the packed store, zero when absent, is its array view
+    # every in-range table of the packed store, zero when absent, is its array
+    # view; off the diagonal, the view of the other order is its transpose
     n = A.top_degree
     for d1 in range(n + 1):
-        for d2 in range(n + 1 - d1):
+        for d2 in range(d1, n + 1 - d1):
             want = rows(A.mult_block(d1, d2))
             assert list(A.products.get((d1, d2), [0] * len(want))) == want, ("mult", d1, d2)
+            if d1 < d2:
+                assert np.array_equal(A.mult_block(d2, d1), A.mult_block(d1, d2).transpose(1, 0, 2))
     for d in range(n + 1):
         for k in range(min(d, n - d) + 1):
             want = rows(A.sq_block(k, d))
@@ -203,8 +204,11 @@ def _assert_store_matches_views(A: GradedAlgebra) -> None:
 )
 # commutative: a Sq^1 flip whose Cartan failures on (1, 2), (2, 3) repeat on (2, 1), (3, 2)
 @example(name="K3 x RP2", table="sq", pick=8, entry=0)
-# not commutative: a (1, 2) product flip, failing associativity on (1, 1, 2) but not (2, 1, 1)
-@example(name="RP2 x RP3", table="mult", pick=8, entry=0)
+# not commutative: a flip off the diagonal of the square block (2, 2), failing
+# associativity on (1, 1, 2) but not (2, 1, 1), and on (2, 1, 1) but not
+# (1, 1, 2); the kernel reads the block's columns as columns
+@example(name="RP4 # CP2", table="mult", pick=8, entry=1)
+@example(name="N3 x S2", table="mult", pick=8, entry=1)
 # a zeroed unit table (0, 4): it stays zero in the store, so the degree-0 pairing degenerates
 @example(name="S1 x S3", table="mult", pick=3, entry=0)
 # Sq^0 of the unit flipped to zero: the unit checks pass, yet Cartan fails on (0, 1), (1, 0), ...
@@ -214,7 +218,7 @@ def _assert_store_matches_views(A: GradedAlgebra) -> None:
 # and triple name the Cartan failures on (3, 3), (3, 4), ... (Sq^1 on degree 3)
 # and the associativity failures on (1, 3, 3), (3, 3, 3), ... (a^3 * a^3)
 @example(name="CP3 x RP3", table="sq", pick=12, entry=0)
-@example(name="CP3 x RP3", table="mult", pick=30, entry=0)
+@example(name="CP3 x RP3", table="mult", pick=24, entry=0)
 def test_flipped_entry_violations_match_reference(oracle_algebras, name, table, pick, entry):
     A = _flipped(oracle_algebras[name], table, pick, entry)
     _assert_store_matches_views(A)
@@ -309,8 +313,9 @@ def test_generator_classes_sit_in_the_generator_degrees(name, generators):
 
 
 def test_noncommutative_battery_checks_every_triple(monkeypatch, oracle_algebras):
-    A = _flipped(oracle_algebras["RP2 x RP3"], "mult", 8, 0)
-    assert "commutativity: degrees (1, 2)" in validate_algebra(A).violations
+    # the only blocks the store can hold out of commutativity are square
+    A = _flipped(oracle_algebras["RP4 # CP2"], "mult", 8, 1)
+    assert "commutativity: degrees (2, 2)" in validate_algebra(A).violations
     calls = _associative_calls(monkeypatch, A)
     assert calls == [(*t, _every(A, t[1])) for t in _positive(_triples(A))]
 
@@ -344,17 +349,15 @@ def _two_spheres() -> GradedAlgebra:
     and so on the spheres.
     """
     eye = bytes((1, 0, 0, 2))
-    A = _packed_algebra(
-        2, [["1a", "1b"], [], ["sa", "sb"]], {(0, 0): eye, (0, 2): eye, (2, 0): eye}, unit=3, fundamental=3
-    )
+    A = _packed_algebra(2, [["1a", "1b"], [], ["sa", "sb"]], {(0, 0): eye, (0, 2): eye}, unit=3, fundamental=3)
     assert validate_algebra(A).ok
     return A
 
 
 @pytest.mark.parametrize(
     "table,pick,entry",
-    # every entry of the (0, 0), (0, 2) and (2, 0) products and of Sq^0 on degree 0
-    [("mult", pick, entry) for pick in range(3) for entry in range(8)]
+    # every entry of the (0, 0) and (0, 2) products and of Sq^0 on degree 0
+    [("mult", pick, entry) for pick in range(2) for entry in range(8)]
     + [("sq", 0, entry) for entry in range(4)],
 )
 def test_rank_two_degree_0_flips_match_reference(table, pick, entry):
@@ -363,18 +366,18 @@ def test_rank_two_degree_0_flips_match_reference(table, pick, entry):
 
 
 def test_unit_in_a_rebased_degree_0_basis_matches_reference():
-    # S2 + S2 in the degree-0 basis 1 = 1a + 1b, 1b: the unit is (1, 0), so x*1
-    # reads column 0 of table (2, 0) and 1*x row 0 of table (0, 2), which differ
+    # S2 + S2 in the degree-0 basis 1 = 1a + 1b, 1b: the unit is (1, 0), so
+    # 1*x reads row 0 of table (0, 2), and x*1 its column 0
     one, b = 1, 2  # the packed rows (1, 0) and (0, 1)
     A = _packed_algebra(
         2,
         [["1", "1b"], [], ["sa", "sb"]],
-        {(0, 0): bytes((one, b, b, b)), (0, 2): bytes((one, b, 0, b)), (2, 0): bytes((one, 0, b, b))},
+        {(0, 0): bytes((one, b, b, b)), (0, 2): bytes((one, b, 0, b))},
         unit=one,
         fundamental=3,
     )
     assert validate_algebra(A).ok
-    flips = [("mult", pick, entry) for pick in range(3) for entry in range(8)]
+    flips = [("mult", pick, entry) for pick in range(2) for entry in range(8)]
     for table, pick, entry in flips + [("sq", 0, entry) for entry in range(4)]:
         _assert_matches_reference(_flipped(A, table, pick, entry))
 
@@ -395,8 +398,8 @@ def test_flipped_product_on_a_rebased_document_matches_reference(pick):
 
 @pytest.mark.parametrize(
     "table,pick",
-    # failing unit and commutativity, commutativity, Sq^0, squaring and Cartan, Cartan
-    [("mult", 5), ("mult", 17), ("sq", 4), ("sq", 8), ("sq", 11)],
+    # failing unit, commutativity, Sq^0, squaring and Cartan, Cartan
+    [("mult", 5), ("mult", 14), ("sq", 4), ("sq", 8), ("sq", 11)],
 )
 def test_flipped_entry_on_a_rebased_seven_torus_matches_reference(table, pick):
     # T^7 has ranks up to 35, the largest dense blocks the reference affords
@@ -416,7 +419,7 @@ def manifold_document(m) -> dict:
 
     Products are listed once per unordered pair of positive-degree basis
     classes and squares once per class, nonzero entries only; the loader
-    fills in mirrors, unit blocks and Sq^0.  ``w`` is left out, so the
+    fills in the other order of a square block, the unit blocks and Sq^0.  ``w`` is left out, so the
     loader derives it from the Wu classes.
     """
     A = m.algebra
@@ -727,13 +730,18 @@ def _ring(name: str, rebased: bool) -> str:
 
 
 def _document_algebra(doc: dict) -> GradedAlgebra:
-    """A document's tables packed apart from the loader, every mult entry mirrored, unvalidated."""
+    """A document's tables packed apart from the loader, unvalidated.
+
+    Each mult entry is written in the order with the lower degree first, and
+    on a square block in both orders.
+    """
     ranks = [len(labels) for labels in doc["basis"]]
     mult: dict = {}
     sq: dict = {}
     for d1, i, d2, j, row in doc["mult"]:
         for (a, x), (b, y) in (((d1, i), (d2, j)), ((d2, j), (d1, i))):
-            mult.setdefault((a, b), [0] * (ranks[a] * ranks[b]))[x * ranks[b] + y] = bits(row)
+            if a <= b:
+                mult.setdefault((a, b), [0] * (ranks[a] * ranks[b]))[x * ranks[b] + y] = bits(row)
     for k, d, i, row in doc["sq"]:
         sq.setdefault((k, d), [0] * ranks[d])[i] = bits(row)
     return _packed_algebra(doc["dim"], doc["basis"], _stored(mult), _stored(sq))
@@ -896,8 +904,8 @@ def test_document_api_raises_only_foldcheck_errors(name):
 @pytest.mark.parametrize("rebased", [False, True], ids=["monomial", "rebased"])
 @pytest.mark.parametrize("name", RINGS)
 def test_flipped_ring_document_matches_reference(name, rebased, table, pick):
-    # a flipped document row: the loader mirrors a product row, so the flip
-    # keeps commutativity and reaches the Cartan blocks of both orders
+    # a flipped document row: a product row stands for both orders, so the
+    # flip keeps commutativity and reaches the Cartan blocks of both orders
     doc = json.loads(_ring(name, rebased))
     row = doc[table][pick % len(doc[table])][-1]
     row[pick % len(row)] ^= 1
@@ -910,8 +918,8 @@ def test_flipped_ring_document_matches_reference(name, rebased, table, pick):
 
 @pytest.mark.parametrize("table,pick", [("mult", p) for p in range(0, 40, 9)] + [("sq", 3), ("sq", 9)])
 def test_flipped_ring_block_matches_reference(table, pick):
-    # one block entry flipped, its mirror kept: not commutative, so every
-    # Cartan block runs
+    # one block entry flipped: on a square block off its diagonal, not
+    # commutative, so every Cartan block runs
     A = load_manifold(json.loads(_ring("F2[a,b,c]/(a^4,b^3,c^3)", True))).algebra
     _assert_matches_reference(_flipped(A, table, pick, 5 * pick + 1))
 
@@ -1082,3 +1090,105 @@ def test_ghost_class_only_degenerates_the_pairing():
         "pairing: ranks differ in degrees 5 and 11 (13 vs 12)",
         "pairing: ranks differ in degrees 11 and 5 (12 vs 13)",
     )
+
+
+# ---------------------------------------------------------------------------
+# one product table per unordered degree pair
+#
+# The store keys each product table (d1, d2) with d1 <= d2, and every
+# reader of the other order transposes it: the array view, ``_entries``
+# and, through it, the battery's lines, Kunneth and the connected sum.
+
+DOC_INGEST_FAMILIES = ("24#RP4", "32#RP4", "40#RP4", "N200", "N300", "a6b4c6", "a7b3c6")
+TRIPLE_PRODUCTS = ("RP4 x RP4 x RP4", "Sigma2 x Sigma2 x Sigma2", "S2 x S2 x S2", "CP3 x RP3 x S1")
+
+
+def _document_tables(doc: dict) -> GradedAlgebra:
+    """The algebra ``build_algebra`` reads from a document's tables, battery included."""
+    return algebra.build_algebra(doc["dim"], doc["basis"], doc["mult"], doc["sq"])
+
+
+def _dense_entries(block: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(i, j, packed row)`` of each nonzero row of a dense product block, row-major."""
+    packed_rows = np.packbits(block, axis=2, bitorder="little")
+    return [
+        (int(i), int(j), int.from_bytes(packed_rows[i, j].tobytes(), "little"))
+        for i, j in zip(*np.nonzero(block.any(axis=2)))
+    ]
+
+
+def _assert_one_table_per_pair(A: GradedAlgebra, where: str) -> None:
+    assert all(d1 <= d2 for d1, d2 in A.products), where
+    for d1 in A.degrees:
+        for d2 in A.degrees:
+            if d1 + d2 > A.top_degree:
+                break
+            dense = A.mult_block(d1, d2)
+            assert not dense.flags.writeable, (where, d1, d2)
+            if d1 > d2:
+                assert np.array_equal(dense, A.mult_block(d2, d1).transpose(1, 0, 2)), (where, d1, d2)
+            assert sorted(algebra._entries(A, d1, d2)) == _dense_entries(dense), (where, d1, d2)
+
+
+def test_constructions_store_one_table_per_unordered_pair(connected_closure):
+    for m in connected_closure:
+        _assert_one_table_per_pair(m.algebra, m.name)
+    for name in TRIPLE_PRODUCTS:
+        _assert_one_table_per_pair(parse_expression(name).algebra, name)
+
+
+def test_documents_store_one_table_per_unordered_pair():
+    for name in DOC_INGEST_FAMILIES:
+        _assert_one_table_per_pair(_document_tables(_family_document(name)), name)
+    for factors in (5, 7):
+        _assert_one_table_per_pair(_rebased_torus(factors), f"rebased T^{factors}")
+    doc, _ = rebased_document(parse_expression("RP2 x RP3"), np.random.default_rng(0))
+    _assert_one_table_per_pair(_document_tables(doc), "rebased RP2 x RP3")
+
+
+def _reversed(doc: dict) -> dict:
+    """The document with every mult entry ``[d1, i, d2, j, row]`` written ``[d2, j, d1, i, row]``."""
+    return {**doc, "mult": [[d2, j, d1, i, row] for d1, i, d2, j, row in doc["mult"]]}
+
+
+# the families with a product of two different classes: a sum of RP2s
+# multiplies each class only with itself
+@pytest.mark.parametrize("name", ["24#RP4", "40#RP4", "a6b4c6", "a7b3c6", "RP2 x RP3", "S1 x S1 x S1 x S1 x S1"])
+def test_a_document_with_every_product_reversed_stores_the_same_tables(name):
+    if "x" in name:
+        doc, _ = rebased_document(parse_expression(name), np.random.default_rng(0))
+    else:
+        doc = _family_document(name)
+    assert any(e[:2] != e[2:4] for e in doc["mult"])
+    A, B = _document_tables(doc), _document_tables(_reversed(doc))
+    # equal values of equal types: bytes tables stay bytes, wide tables tuples
+    assert dict(A.products) == dict(B.products) and dict(A.squares) == dict(B.squares)
+
+
+# in F2[a,b]/(a^4,b^3) with deg b = 2, degree 2 listed [b, a^2] and degree 3
+# [ab, a^3]: a * b = ab, a * a^2 = a^3 and a * ab = a^2 b off the diagonal,
+# b * a^2 = a^2 b on the square block (2, 2), whose twin is its other slot
+@pytest.mark.parametrize("key", [[1, 0, 2, 0], [1, 0, 2, 1], [1, 0, 3, 0], [2, 0, 2, 1]])
+@pytest.mark.parametrize("first", [False, True], ids=["canonical-first", "reversed-first"])
+def test_a_reversed_entry_meets_its_twin(key, first):
+    doc = ring_document(RINGS["F2[a,b]/(a^4,b^3)"])
+    d1, i, d2, j = key
+    pos = next(p for p, e in enumerate(doc["mult"]) if e[:4] == key)
+    row = doc["mult"][pos][4]
+    other = [1 - bit for bit in row]
+    assert any(row) and any(other)
+    # the twin with the same row is accepted wherever it stands
+    same = json.loads(json.dumps(doc))
+    same["mult"].insert(0 if first else len(same["mult"]), [d2, j, d1, i, row])
+    assert dict(_document_tables(same).products) == dict(_document_tables(doc).products)
+    # with another nonzero row it is refused at the later of the two entries
+    twin = [d2, j, d1, i, other]
+    if first:
+        doc["mult"].insert(0, twin)
+        later = pos + 1
+    else:
+        doc["mult"].append(twin)
+        later = len(doc["mult"]) - 1
+    with pytest.raises(SchemaError) as info:
+        load_manifold(json.loads(json.dumps(doc)))
+    assert str(info.value) == f"mult entry {later}: conflicts with an earlier entry"
