@@ -706,8 +706,11 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     The store holds one product table per unordered degree pair, so xy = yx
     holds off the diagonal by construction and x1 reads the table of 1x:
     the unit check is one-sided, 1x = x, and commutativity is checked on
-    the square tables (d, d) alone.  The kernels read a square table that
-    fails it as stored, by row or by column (``_columns``).
+    the square tables (d, d) alone.  A square table that fails it ends the
+    battery there, with the unit and commutativity lines: ``build_algebra``
+    writes both slots of a square table and refuses a twin entry that
+    disagrees, so no document gets past that return, and the checks after
+    it read the store as commutative.
 
     Associativity and Cartan run through one scan, ``_scan``, over their
     items: a degree triple (d1, d2, d3) with the classes of degree d2 it
@@ -720,15 +723,14 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     (``Sq^k`` of degree d1 + d2 landing in a degree with classes,
     ``1 <= k <= d1 + d2``) holds and is not scanned.
 
-    Once the commutativity check finds nothing, each mirror pair is
-    computed once.  Over GF(2) with xy = yx, the associator (zy)x + z(yx)
-    of (z, y, x) is x(yz) + (xy)z, that of (x, y, z); and both sides of the
-    Cartan formula for (y, x) are those for (x, y) with the two factors
-    swapped.  So only triples with d1 <= d3, and pairs over every class
+    Each mirror pair is computed once.  Over GF(2) with xy = yx, the
+    associator (zy)x + z(yx) of (z, y, x) is x(yz) + (xy)z, that of
+    (x, y, z); and both sides of the Cartan formula for (y, x) are those for
+    (x, y) with the two factors swapped.  So only triples with d1 <= d3, and pairs over every class
     with d1 <= d2, are computed, and each mirror repeats their verdict at
     its own place in the violation list.
 
-    When the unit and commutativity checks pass, the generator classes S
+    When the unit checks pass, the generator classes S
     (``_generator_classes``: in each positive degree, the basis classes off
     the pivots of an echelon basis of the products of classes of positive
     degree) decide the rest.  S spans a complement of those products in
@@ -755,12 +757,12 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
 
     Neither argument asks for a whole degree, so a class of S adds itself
     alone to the focus: a ghost class, with no products, adds its own
-    column and no other class of its degree.  Where the unit,
-    commutativity, associativity or Sq^0 checks fail, the focus is every
-    class.  So a valid RP8 costs 12 associativity triples of 34; the
-    doc-ingest ring F2[a,b,c]/(a^6,b^4,c^6), whose S is a, c in degree 1
-    and b in degree 2, costs 105 triples of 308, each on the middle classes
-    of S alone, and 27 Cartan pairs: (1, d2) over a and c, (2, d2) over b.
+    column and no other class of its degree.  Where the unit, associativity
+    or Sq^0 checks fail, the focus is every class.  So a valid RP8 costs 12
+    associativity triples of 34; the doc-ingest ring
+    F2[a,b,c]/(a^6,b^4,c^6), whose S is a, c in degree 1 and b in degree 2,
+    costs 105 triples of 308, each on the middle classes of S alone, and 27
+    Cartan pairs: (1, d2) over a and c, (2, d2) over b.
 
     The kernels, ``_associative_packed`` and ``_cartan_packed`` (every k of
     a pair at once), take one interpreter step per nonzero stored product
@@ -772,29 +774,28 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     ================================  =====
     algebra                           ms
     ================================  =====
-    40#RP4                            0.95
-    N300                              0.55
-    F2[a,b,c]/(a^6,b^4,c^6)           6.39
-    the same with a ghost class       6.53
-    the same with one square flipped  11.0
-    rebased T^7                       21.4
-    rebased T^8                       118
-    T^9                               46.1
-    K3 x K3                           12.2
-    Sigma3 x Sigma3 x Sigma3          29.3
-    S2 x S2 x S2                      0.12
+    40#RP4                            0.85
+    N300                              0.49
+    F2[a,b,c]/(a^6,b^4,c^6)           5.40
+    the same with a ghost class       6.22
+    the same, one Sq entry flipped    10.0
+    rebased T^7                       18.5
+    rebased T^8                       104
+    T^9                               44.7
+    K3 x K3                           12.4
+    Sigma3 x Sigma3 x Sigma3          31.2
+    S2 x S2 x S2                      0.11
     ================================  =====
 
-    A failure costs the rescan of every pair: the flipped square sends the
-    ring's Cartan check over its 56 pairs with a k.  The rebased tori, whose
-    non-monomial basis fills every block, are the slowest per class: each
-    product there is a sum of many basis classes.  The loops walk the
+    A failure costs the rescan of every pair: the flipped Sq entry sends
+    the ring's Cartan check over its 56 pairs with a k.  The rebased tori,
+    whose non-monomial basis fills every block, are the slowest per class:
+    each product there is a sum of many basis classes.  The loops walk the
     degrees that carry a class; the other axioms hold trivially on zero
     ranks.
     """
     n = A.top_degree
     bad: list[str] = []
-    _check_table_size(_table_bytes(A.ranks))
 
     r0, units = A.rank(0), _indices(A.unit_bits)
     for d in A.degrees:
@@ -815,15 +816,17 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
             # row i of a square table against its column i
             if any(table[i * r : i * r + r] != table[i::r] for i in range(r)):
                 bad.append(f"commutativity: degrees ({d}, {d})")
-    commutative = len(bad) == before
+    # no document gets here (see above); the scans below read a commutative store
+    if len(bad) > before:
+        return ValidationReport(tuple(bad))
 
     every = {d: (1 << A.rank(d)) - 1 for d in degrees}
-    generators = _generator_classes(A) if unital and commutative else every
+    generators = _generator_classes(A) if unital else every
 
     def triples(middles: Mapping[int, int]) -> Iterable[tuple]:
         # a mirror triple runs as its twin
         return (
-            ((d1, d2, d3), (*((d3, d2, d1) if commutative and d3 < d1 else (d1, d2, d3)), middles[d2]))
+            ((d1, d2, d3), (*((d3, d2, d1) if d3 < d1 else (d1, d2, d3)), middles[d2]))
             for d1, d2 in pairs if d2 in middles for d3 in degrees if d1 + d2 + d3 <= n
         )
 
@@ -852,7 +855,7 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
         return (
             ((d1, d2), (ks[d1 + d2], *((d2, d1, every[d2]) if mirror else (d1, d2, firsts[d1]))))
             for d1, d2 in pairs if d1 in firsts and ks[d1 + d2]
-            for mirror in [commutative and d2 < d1 and firsts[d1] == every[d1]]
+            for mirror in [d2 < d1 and firsts[d1] == every[d1]]
         )
 
     # the generator classes settle Cartan once associativity and Sq^0 = id hold too
@@ -976,32 +979,25 @@ class _Lines(dict):
 
 
 def _split(memo: _Memo, d1: int, d2: int) -> list[list[tuple[int, int]]]:
-    """The nonzero products of degrees ``(d1, d2)`` by row: row i lists ``(j, x_i y_j)``."""
-    if d1 > d2:
-        return memo[_columns, d2, d1]
-    out = [[] for _ in range(memo.A.rank(d1))]
-    for i, j, e in _entries(memo.A, d1, d2):
-        out[i].append((j, e))
-    return out
+    """The nonzero products of degrees ``(d1, d2)`` by row: row i lists ``(j, x_i y_j)``.
 
-
-def _columns(memo: _Memo, d1: int, d2: int) -> list[list[tuple[int, int]]]:
-    """The nonzero products of degrees ``(d1, d2)`` by column: column j lists ``(i, x_i y_j)``.
-
-    A stored table is split once, by row (``_split``); its columns and the other order transpose that.
+    A stored table is split once; for ``d1 > d2`` row i is column i of the
+    split of the stored table ``(d2, d1)``.
     """
+    out = [[] for _ in range(memo.A.rank(d1))]
     if d1 > d2:
-        return memo[_split, d2, d1]
-    out = [[] for _ in range(memo.A.rank(d2))]
-    for i, row in enumerate(memo[_split, d1, d2]):
-        for j, e in row:
-            out[j].append((i, e))
+        for j, row in enumerate(memo[_split, d2, d1]):
+            for i, e in row:
+                out[i].append((j, e))
+    else:
+        for i, j, e in _entries(memo.A, d1, d2):
+            out[i].append((j, e))
     return out
 
 
-def _packed_lines(memo: _Memo, split: Callable, d1: int, d2: int, step: int) -> _Lines:
-    """The lines of ``split(memo, d1, d2)`` (``_split`` or ``_columns``), line a ORing ``e << b * step``."""
-    lines = memo[split, d1, d2]
+def _packed_lines(memo: _Memo, d1: int, d2: int, step: int) -> _Lines:
+    """The rows of ``_split(memo, d1, d2)`` packed, row a ORing ``e << b * step``."""
+    lines = memo[_split, d1, d2]
     packed = [0] * len(lines)
     for a, line in enumerate(lines):
         for b, e in line:
@@ -1017,23 +1013,23 @@ def _associative_packed(memo: _Memo, d1: int, d2: int, d3: int, middles: int) ->
     ``(i r3 + k) ro + o``.  On the left, ``x_i y_j`` reads the line of table
     ``(d1 + d2, d3)`` that packs its products with every z_k over (k, o),
     placed at ``i r3 ro``; on the right, ``y_j z_k`` reads the line of table
-    ``(d1, d2 + d3)`` that packs the products of every x_i with it over
-    (i, o), placed at ``k ro``.  Only column j of table ``(d1, d2)`` and row
-    j of table ``(d2, d3)`` are read, and a table of lines is packed the
-    first time a product reads it.
+    ``(d2 + d3, d1)`` that packs its products with every x_i over (i, o),
+    placed at ``k ro``.  The store is commutative (``validate_algebra``), so
+    row j of the tables ``(d2, d1)`` and ``(d2, d3)`` is all that is read,
+    and a table of lines is packed the first time a product reads it.
     """
     r3, ro = memo.A.rank(d3), memo.A.rank(d1 + d2 + d3)
     step = r3 * ro
-    columns, rows = memo[_columns, d1, d2], memo[_split, d2, d3]
+    lefts, rows = memo[_split, d2, d1], memo[_split, d2, d3]
     by_class = by_pair = None
     for j in _indices(middles):
         lhs = rhs = 0
-        if columns[j]:
-            by_class = by_class or memo[_packed_lines, _split, d1 + d2, d3, ro]
-            for i, e in columns[j]:
+        if lefts[j]:
+            by_class = by_class or memo[_packed_lines, d1 + d2, d3, ro]
+            for i, e in lefts[j]:
                 lhs ^= by_class[e] << i * step
         if rows[j]:
-            by_pair = by_pair or memo[_packed_lines, _columns, d1, d2 + d3, step]
+            by_pair = by_pair or memo[_packed_lines, d2 + d3, d1, step]
             for k, e in rows[j]:
                 rhs ^= by_pair[e] << k * ro
         if lhs != rhs:

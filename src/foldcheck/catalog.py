@@ -49,6 +49,7 @@ from .algebra import (
     cross_total,
     invert_total,
     kunneth,
+    steenrod_square,
     total_sq,
 )
 from .characteristic import BundleDescriptor, _bundle_refusal, _oriented, w3_twisted_status, wu_total
@@ -683,7 +684,8 @@ def load_descriptor(doc: Any, algebra: GradedAlgebra) -> BundleDescriptor:
 
     The document has exactly the fields ``rank``, ``w`` (one 0/1 vector per
     degree), ``p1`` (as in a manifold document) and ``orientable``; whether
-    they fit together is checked by ``BundleDescriptor``.
+    they fit together is checked by ``BundleDescriptor``, and then whether
+    w obeys Wu's formula (``_check_wu_formula``).
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("descriptor document must be a JSON object")
@@ -701,4 +703,28 @@ def load_descriptor(doc: Any, algebra: GradedAlgebra) -> BundleDescriptor:
         raise SchemaError("descriptor rank must be a nonnegative integer")
     orientable = _require_bool(doc, "orientable")
     w = _total_field(doc["w"], algebra, "descriptor w")
-    return BundleDescriptor(rank, w, _parse_p1(doc["p1"]), orientable)
+    descriptor = BundleDescriptor(rank, w, _parse_p1(doc["p1"]), orientable)
+    _check_wu_formula(w)
+    return descriptor
+
+
+def _check_wu_formula(w: TotalClass) -> None:
+    """Refuse, as ``wu-formula``, a w whose squares break Wu's formula.
+
+    ``Sq^k w_m = sum_t C(m - k + t - 1, t) w_(k-t) w_(m+t)`` over
+    ``0 <= t <= k`` holds in every bundle (Wu 1955; Milnor and Stasheff,
+    *Characteristic Classes*, Problem 8-A); it is checked for ``1 <= k < m``
+    with ``m + k <= n``, as above the top degree both sides vanish and
+    ``Sq^m w_m = w_m^2`` is the formula at k = m.  Only a descriptor is
+    checked: a record's w is Sq(v), read off its own squares, and every
+    record built would pay about n^2 / 4 pairs (380 for RP40).
+    """
+    A = w.algebra
+    n = A.top_degree
+    for m in range(2, n):
+        for k in range(1, min(m, n - m + 1)):
+            odd = [t for t in range(k + 1) if _odd_binomial(m - k + t - 1, t)]
+            want = sum((w.component(k - t) * w.component(m + t) for t in odd), A.zero(m + k))
+            got = steenrod_square(k, w.component(m))
+            if got != want:
+                raise InvariantViolation("wu-formula", f"Sq^{k} w_{m} = {got}, but Wu's formula gives {want}")

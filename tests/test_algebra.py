@@ -1,7 +1,6 @@
 """Graded-algebra construction, arithmetic, Kunneth, and connected sums."""
 from __future__ import annotations
 
-import functools
 import tracemalloc
 
 import numpy as np
@@ -132,10 +131,11 @@ def test_build_rejects_out_of_range_sq():
 
 def test_validation_catches_broken_commutativity():
     # x*y = t but y*x = 0: not commutative, which no document can say (the
-    # intake fills in the mirror), so the tables are given packed
+    # intake fills in the mirror), so the tables are given packed; the
+    # battery stops there
     mult = {(1, 1): np.array([[[0], [1]], [[0], [0]]], dtype=np.uint8)}
     A = _packed_algebra(2, [["1"], ["x", "y"], ["t"]], packed(mult))
-    assert "commutativity: degrees (1, 1)" in validate_algebra(A).violations
+    assert validate_algebra(A).violations == ("commutativity: degrees (1, 1)",)
 
 
 def test_validation_catches_degenerate_pairing():
@@ -524,18 +524,6 @@ def test_a_long_repeated_sum_builds_in_little_memory():
     assert peak < 16 << 20
 
 
-@functools.cache
-def _rp_tables(n: int):
-    """RP(n)'s stored tables, assembled once, under the budget, and kept."""
-    A = catalog.real_projective(n).algebra
-    return _packed_algebra(n, A.basis, A.products, A.squares)
-
-
-def _battery(A):
-    assert validate_algebra(A).ok
-    return A
-
-
 @pytest.mark.parametrize(
     "build,refusal",
     [
@@ -547,10 +535,8 @@ def _battery(A):
         (lambda: catalog.nonorientable_surface(3).algebra, ValueError),
         # the intake of outside tables refuses them as a document field
         (lambda: rp_algebra(4), SchemaError),
-        # the battery refuses an algebra built past the budget, as no constructor builds one
-        (lambda: _battery(_rp_tables(4)), ValueError),
     ],
-    ids=["connected-sum", "kunneth", "RP5", "CP3", "Sigma2", "N3", "build_algebra", "validate_algebra"],
+    ids=["connected-sum", "kunneth", "RP5", "CP3", "Sigma2", "N3", "build_algebra"],
 )
 def test_table_budget_bounds_the_built_tables(monkeypatch, build, refusal):
     size = _table_bytes(build().ranks)

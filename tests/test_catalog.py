@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 from classes import coords, point, replace
-from test_trust_boundary import RINGS, manifold_document, ring_document
+from test_trust_boundary import RINGS, _p1_field, manifold_document, ring_document
 from foldcheck import catalog
 from foldcheck.algebra import build_algebra
 from foldcheck.catalog import _odd_binomial
@@ -729,6 +729,65 @@ def test_load_descriptor_accepts_a_consistent_p1(expr, w, p1):
     m = parse_expression(expr)
     xi = load_descriptor(_bundle_document(m, w, p1), m.algebra)
     assert xi.rank == m.dim
+
+
+def test_load_descriptor_refuses_a_w_off_wu_formula():
+    # no bundle over RP4 has w = 1 + a + a^3: Sq^1 w_2 = 0, but Wu's formula
+    # gives w_1 w_2 + w_3 = a^3
+    doc = {"rank": 4, "w": [[1], [1], [0], [1], [0]], "p1": "zero", "orientable": False}
+    with pytest.raises(InvariantViolation) as info:
+        load_descriptor(doc, real_projective(4).algebra)
+    assert info.value.name == "wu-formula"
+    assert str(info.value) == "wu-formula: Sq^1 w_2 = 0, but Wu's formula gives a^3"
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_wu_formula_on_projective_descriptors(n):
+    # on RP(n), Sq^k a^m = C(m, k) a^(m+k), so the formula reads on the
+    # coefficients c_d of w = sum c_d a^d: every w with c_0 = 1 is refused
+    # exactly where it breaks the formula, and j copies of the line bundle,
+    # w = (1 + a)^j, are accepted
+    A = real_projective(n).algebra
+
+    def obeys(c) -> bool:
+        return all(
+            c[m] * comb(m, k) % 2
+            == sum(comb(m - k + t - 1, t) * c[k - t] * c[m + t] for t in range(k + 1)) % 2
+            for m in range(2, n)
+            for k in range(1, min(m, n - m + 1))
+        )
+
+    accepted = set()
+    for c in itertools.product((1,), *[(0, 1)] * n):
+        doc = {"rank": n, "w": [[x] for x in c], "p1": "unknown", "orientable": not c[1]}
+        try:
+            load_descriptor(doc, A)
+        except InvariantViolation as exc:
+            assert exc.name == "wu-formula" and not obeys(c), c
+        else:
+            assert obeys(c), c
+            accepted.add(c)
+    assert {tuple(comb(j, d) % 2 for d in range(n + 1)) for j in range(2 * n + 2)} <= accepted
+    assert (len(accepted) < 2**n) == (n > 2)
+
+
+def test_tangent_descriptors_of_the_connected_closure_load(connected_closure):
+    # every record's tangent data is a bundle, so it obeys Wu's formula
+    for m in connected_closure:
+        doc = {"rank": m.dim, "w": [c.tolist() for c in m.w.components], "p1": _p1_field(m), "orientable": m.orientable}
+        assert load_descriptor(doc, m.algebra).w_total == m.w, m.name
+    assert len(connected_closure) == 349
+
+
+def test_records_skip_the_wu_check(monkeypatch):
+    # construction and manifold documents never run it: a record's w is Sq(v)
+    def refuse(w):
+        raise AssertionError("the Wu check ran")
+
+    monkeypatch.setattr(catalog, "_check_wu_formula", refuse)
+    for expr in ("RP40", "CP3 x RP3", "3#RP4 x S1", "K3 # CP2~"):
+        parse_expression(expr)
+    load_manifold(manifold_document(parse_expression("RP4 x RP2")))
 
 
 def rp4_document() -> dict:

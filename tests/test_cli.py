@@ -360,6 +360,17 @@ def test_descriptor_with_an_odd_p1_over_a_spin_base_is_rejected(capsys, tmp_path
     assert "bundle-descriptor: p_1 = 5 but <w_2^2, [M]> = 0" in err
 
 
+@pytest.mark.parametrize("tame", [[], ["--tame"]], ids=["fold", "tame"])
+def test_descriptor_off_wu_formula_is_rejected(capsys, tmp_path, tame):
+    # no bundle over RP4 has w = 1 + a + a^3: Sq^1 w_2 = 0, but Wu's formula
+    # gives w_1 w_2 + w_3 = a^3; it was decided EXISTS by Thm 3.4
+    doc = tmp_path / "desc.json"
+    doc.write_text(json.dumps({"rank": 4, "w": [[1], [1], [0], [1], [0]], "p1": "zero", "orientable": False}))
+    code, out, err = run(capsys, "decide", "RP4", *tame, "--target", f"pullback:{doc}")
+    assert (code, out) == (2, "")
+    assert err == "foldcheck: error: wu-formula: Sq^1 w_2 = 0, but Wu's formula gives a^3\n"
+
+
 @pytest.mark.parametrize("value", ["x", 2, 1.5])
 def test_descriptor_coordinates_must_be_0_or_1(tmp_path, value):
     descriptor = json.loads((DATA / "cp2_tangent.json").read_text())
@@ -537,16 +548,21 @@ def test_thom_against_own_tangent_vanishes(capsys):
 
 
 def test_thom_reads_the_integral_entry_off_beta_w3(capsys, tmp_path):
-    # an oriented xi with w = 1 + a^3 over RP4 x S1: the difference has
-    # p_1 = 0 and w_1 w_3 = a^4 != 0, so beta(w_3) certifies the entry
+    # xi = L + L' + L'' + 2 over RP2 x S1 x S1 x S1, L the line bundle of
+    # w_1 = s (one per circle): w(xi) = (1 + s)(1 + s')(1 + s''), and
+    # p_1(xi) = 0 as each c_1(L (x) C) = beta s vanishes (s is integral).  The
+    # difference has p_1 = 0 (w_1(D) w_1(xi)^2 = 0 keeps the cross term
+    # zero) and w_1 w_3 = a^2 (s s' + s s'' + s' s'') != 0, so beta(w_3)
+    # certifies the entry
     doc = tmp_path / "desc.json"
     doc.write_text(json.dumps({
         "rank": 5,
-        "w": [[1], [0, 0], [0, 0], [0, 1], [0, 0], [0]],
+        # degree 1 (s'', s', s, a); degree 2 (s's'', ss'', as'', ss', as', as, a^2)
+        "w": [[1], [1, 1, 1, 0], [1, 1, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0], [0]],
         "p1": "zero",
-        "orientable": True,
+        "orientable": False,
     }))
-    code, out, err = run(capsys, "thom", "RP4 x S1", "--target", f"pullback:{doc}")
+    code, out, err = run(capsys, "thom", "RP2 x S1 x S1 x S1", "--target", f"pullback:{doc}")
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == (
         "Sigma^{2,0} integral (deg 4) = nonzero class (mod-2 reduction w_1 w_3 != 0)  [nonzero]"

@@ -57,6 +57,9 @@ def reference_violations(A: GradedAlgebra) -> tuple[str, ...]:
             flipped = A.mult_block(d2, d1).transpose(1, 0, 2) % 2
             if not np.array_equal(blk, flipped):
                 bad.append(f"commutativity: degrees ({d1}, {d2})")
+    # a table out of commutativity ends the list, as in the package
+    if any(v.startswith("commutativity") for v in bad):
+        return tuple(bad)
 
     for d1 in range(n + 1):
         for d2 in range(n + 1 - d1):
@@ -158,22 +161,31 @@ def test_unflipped_members_are_valid(oracle_algebras):
         assert validate_algebra(A).violations == reference_violations(A) == (), name
 
 
-def _flipped(A: GradedAlgebra, table: str, pick: int, entry: int) -> GradedAlgebra:
-    # every in-range block of nonzero size that the store can hold can be hit,
-    # stored or all-zero: one product block per unordered degree pair, so only
-    # a square block can be flipped out of commutativity
+def _blocks(A: GradedAlgebra, table: str) -> list[tuple[int, int]]:
+    # every in-range block of nonzero size that the store can hold, stored or
+    # all-zero: one product block per unordered degree pair
     n = A.top_degree
-    mult, sq = dict(A.mult), dict(A.sq_table)
     if table == "mult":
-        tables, read = mult, A.mult_block
-        keys = [(d1, d2) for d1 in range(n + 1) for d2 in range(d1, n + 1 - d1)]
+        keys, read = [(d1, d2) for d1 in range(n + 1) for d2 in range(d1, n + 1 - d1)], A.mult_block
     else:
-        tables, read = sq, A.sq_block
-        keys = [(k, d) for d in range(n + 1) for k in range(min(d, n - d) + 1)]
-    keys = sorted(key for key in keys if read(*key).size)
+        keys, read = [(k, d) for d in range(n + 1) for k in range(min(d, n - d) + 1)], A.sq_block
+    return sorted(key for key in keys if read(*key).size)
+
+
+def _flipped(A: GradedAlgebra, table: str, pick: int, entry: int, symmetric: bool = False) -> GradedAlgebra:
+    # any block of ``_blocks`` can be hit, so only a square block can be
+    # flipped out of commutativity; ``symmetric`` flips entry (j, i, o) of a
+    # square block with (i, j, o), as a document row stands for both, and
+    # keeps the block commutative
+    mult, sq = dict(A.mult), dict(A.sq_table)
+    tables, read = (mult, A.mult_block) if table == "mult" else (sq, A.sq_block)
+    keys = _blocks(A, table)
     key = keys[pick % len(keys)]
     blk = tables[key] = read(*key).copy()
-    blk.flat[entry % blk.size] ^= 1
+    at = np.unravel_index(entry % blk.size, blk.shape)
+    blk[at] ^= 1
+    if symmetric and table == "mult" and key[0] == key[1] and at[0] != at[1]:
+        blk[at[1], at[0], at[2]] ^= 1
     return _packed_algebra(
         A.top_degree, A.basis, packed(mult), packed(sq), unit=A.unit_bits, fundamental=A.fundamental_bits
     )
@@ -201,26 +213,29 @@ def _assert_store_matches_views(A: GradedAlgebra) -> None:
     st.sampled_from(["mult", "sq"]),
     st.integers(0, 10**6),
     st.integers(0, 10**9),
+    st.booleans(),
 )
 # commutative: a Sq^1 flip whose Cartan failures on (1, 2), (2, 3) repeat on (2, 1), (3, 2)
-@example(name="K3 x RP2", table="sq", pick=8, entry=0)
-# not commutative: a flip off the diagonal of the square block (2, 2), failing
-# associativity on (1, 1, 2) but not (2, 1, 1), and on (2, 1, 1) but not
-# (1, 1, 2); the kernel reads the block's columns as columns
-@example(name="RP4 # CP2", table="mult", pick=8, entry=1)
-@example(name="N3 x S2", table="mult", pick=8, entry=1)
+@example(name="K3 x RP2", table="sq", pick=8, entry=0, symmetric=False)
+# a flip off the diagonal of the square block (2, 2): in one slot it ends the
+# battery at the commutativity check; in both it fails associativity on
+# (1, 1, 2) and (2, 1, 1), and Cartan on (1, 2) and (2, 1)
+@example(name="RP4 # CP2", table="mult", pick=8, entry=1, symmetric=False)
+@example(name="RP4 # CP2", table="mult", pick=8, entry=1, symmetric=True)
+@example(name="N3 x S2", table="mult", pick=8, entry=1, symmetric=False)
+@example(name="N3 x S2", table="mult", pick=8, entry=1, symmetric=True)
 # a zeroed unit table (0, 4): it stays zero in the store, so the degree-0 pairing degenerates
-@example(name="S1 x S3", table="mult", pick=3, entry=0)
+@example(name="S1 x S3", table="mult", pick=3, entry=0, symmetric=False)
 # Sq^0 of the unit flipped to zero: the unit checks pass, yet Cartan fails on (0, 1), (1, 0), ...
-@example(name="RP4", table="sq", pick=0, entry=0)
+@example(name="RP4", table="sq", pick=0, entry=0, symmetric=False)
 # flips in degree 3 of CP3 x RP3, which no generator class reaches: the
 # reduced scans find (1, 2) and (1, 2, 3), and only the rescans of every pair
 # and triple name the Cartan failures on (3, 3), (3, 4), ... (Sq^1 on degree 3)
 # and the associativity failures on (1, 3, 3), (3, 3, 3), ... (a^3 * a^3)
-@example(name="CP3 x RP3", table="sq", pick=12, entry=0)
-@example(name="CP3 x RP3", table="mult", pick=24, entry=0)
-def test_flipped_entry_violations_match_reference(oracle_algebras, name, table, pick, entry):
-    A = _flipped(oracle_algebras[name], table, pick, entry)
+@example(name="CP3 x RP3", table="sq", pick=12, entry=0, symmetric=False)
+@example(name="CP3 x RP3", table="mult", pick=24, entry=0, symmetric=False)
+def test_flipped_entry_violations_match_reference(oracle_algebras, name, table, pick, entry, symmetric):
+    A = _flipped(oracle_algebras[name], table, pick, entry, symmetric)
     _assert_store_matches_views(A)
     _assert_matches_reference(A)
 
@@ -312,12 +327,30 @@ def test_generator_classes_sit_in_the_generator_degrees(name, generators):
     assert list(algebra._generator_classes(A)) == generators
 
 
-def test_noncommutative_battery_checks_every_triple(monkeypatch, oracle_algebras):
-    # the only blocks the store can hold out of commutativity are square
+def test_square_table_out_of_commutativity_ends_the_battery(monkeypatch, oracle_algebras):
+    # the only blocks the store can hold out of commutativity are square, and
+    # no document writes one: the battery returns before any kernel runs
     A = _flipped(oracle_algebras["RP4 # CP2"], "mult", 8, 1)
-    assert "commutativity: degrees (2, 2)" in validate_algebra(A).violations
-    calls = _associative_calls(monkeypatch, A)
-    assert calls == [(*t, _every(A, t[1])) for t in _positive(_triples(A))]
+    assert _assert_matches_reference(A) == ("commutativity: degrees (2, 2)",)
+    assert _associative_calls(monkeypatch, A) == []
+    assert _cartan_calls(monkeypatch, A) == []
+
+
+@pytest.mark.parametrize("name", [m for m in ORACLE_MEMBERS if m != "K3 x RP2"])
+def test_symmetric_square_flips_match_reference(oracle_algebras, name):
+    # every entry of every square block flipped in both slots, a block that
+    # stays commutative and so reaches the kernels (K3 x RP2, whose block
+    # (2, 2) alone holds 6348 such flips, is left to the sampled test above)
+    A = oracle_algebras[name]
+    flips = 0
+    for pick, (d1, d2) in enumerate(_blocks(A, "mult")):
+        shape = A.mult_block(d1, d2).shape
+        for entry, (i, j, _) in enumerate(itertools.product(*map(range, shape))):
+            if d1 == d2 and i <= j:
+                got = _assert_matches_reference(_flipped(A, "mult", pick, entry, symmetric=True))
+                assert not any(v.startswith("commutativity") for v in got)
+                flips += 1
+    assert flips
 
 
 @pytest.mark.parametrize(
@@ -333,11 +366,9 @@ def test_battery_checks_degree_0_triples_unless_the_unit_checks_pass(
     monkeypatch, oracle_algebras, table, pick, violation
 ):
     A = _flipped(oracle_algebras["S1 x S3"], table, pick, 0)
-    violations = validate_algebra(A).violations
-    assert violation in violations
-    commutative = not any(v.startswith("commutativity") for v in violations)
+    assert violation in validate_algebra(A).violations
     calls = [call[:3] for call in _associative_calls(monkeypatch, A)]
-    assert calls == [t for t in _triples(A) if t[0] <= t[2] or not commutative]
+    assert calls == [t for t in _triples(A) if t[0] <= t[2]]
     assert any(0 in t for t in calls)
 
 
@@ -355,13 +386,15 @@ def _two_spheres() -> GradedAlgebra:
 
 
 @pytest.mark.parametrize(
-    "table,pick,entry",
-    # every entry of the (0, 0) and (0, 2) products and of Sq^0 on degree 0
-    [("mult", pick, entry) for pick in range(2) for entry in range(8)]
-    + [("sq", 0, entry) for entry in range(4)],
+    "table,pick,entry,symmetric",
+    # every entry of the (0, 0) and (0, 2) products and of Sq^0 on degree 0,
+    # and every entry of the square block (0, 0) in both slots
+    [pytest.param("mult", pick, entry, False, id=f"mult-{pick}-{entry}") for pick in range(2) for entry in range(8)]
+    + [pytest.param("sq", 0, entry, False, id=f"sq-0-{entry}") for entry in range(4)]
+    + [pytest.param("mult", 0, entry, True, id=f"mult-0-{entry}-symmetric") for entry in range(8)],
 )
-def test_rank_two_degree_0_flips_match_reference(table, pick, entry):
-    A = _flipped(_two_spheres(), table, pick, entry)
+def test_rank_two_degree_0_flips_match_reference(table, pick, entry, symmetric):
+    A = _flipped(_two_spheres(), table, pick, entry, symmetric)
     assert _assert_matches_reference(A)
 
 
@@ -377,9 +410,11 @@ def test_unit_in_a_rebased_degree_0_basis_matches_reference():
         fundamental=3,
     )
     assert validate_algebra(A).ok
-    flips = [("mult", pick, entry) for pick in range(2) for entry in range(8)]
-    for table, pick, entry in flips + [("sq", 0, entry) for entry in range(4)]:
-        _assert_matches_reference(_flipped(A, table, pick, entry))
+    flips = [("mult", pick, entry, False) for pick in range(2) for entry in range(8)]
+    flips += [("sq", 0, entry, False) for entry in range(4)]
+    # the square block (0, 0) flipped in both slots too
+    for table, pick, entry, symmetric in flips + [("mult", 0, entry, True) for entry in range(8)]:
+        _assert_matches_reference(_flipped(A, table, pick, entry, symmetric))
 
 
 @functools.cache
@@ -396,6 +431,15 @@ def test_flipped_product_on_a_rebased_document_matches_reference(pick):
     _assert_matches_reference(_flipped(_rebased_torus(5), "mult", pick, 7 * pick))
 
 
+@pytest.mark.parametrize("pick", [6, 30])
+def test_symmetric_flip_on_a_rebased_document_matches_reference(pick):
+    # the flips above that hit the square block (1, 1) off its diagonal, in both slots
+    A = _rebased_torus(5)
+    assert _blocks(A, "mult")[pick % len(_blocks(A, "mult"))] == (1, 1)
+    got = _assert_matches_reference(_flipped(A, "mult", pick, 7 * pick, symmetric=True))
+    assert "associativity: degrees (1, 1, 1)" in got
+
+
 @pytest.mark.parametrize(
     "table,pick",
     # failing unit, commutativity, Sq^0, squaring and Cartan, Cartan
@@ -404,6 +448,12 @@ def test_flipped_product_on_a_rebased_document_matches_reference(pick):
 def test_flipped_entry_on_a_rebased_seven_torus_matches_reference(table, pick):
     # T^7 has ranks up to 35, the largest dense blocks the reference affords
     assert _assert_matches_reference(_flipped(_rebased_torus(7), table, pick, 7 * pick))
+
+
+def test_symmetric_flip_on_a_rebased_seven_torus_matches_reference():
+    # mult-14 above, off the diagonal of the square block (2, 2), in both slots
+    got = _assert_matches_reference(_flipped(_rebased_torus(7), "mult", 14, 98, symmetric=True))
+    assert "associativity: degrees (2, 2, 2)" in got
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +968,8 @@ def test_flipped_ring_document_matches_reference(name, rebased, table, pick):
 
 @pytest.mark.parametrize("table,pick", [("mult", p) for p in range(0, 40, 9)] + [("sq", 3), ("sq", 9)])
 def test_flipped_ring_block_matches_reference(table, pick):
-    # one block entry flipped: on a square block off its diagonal, not
-    # commutative, so every Cartan block runs
+    # one block entry flipped; the flips of square blocks (mult-0, mult-18)
+    # hit their diagonal, so every block stays commutative
     A = load_manifold(json.loads(_ring("F2[a,b,c]/(a^4,b^3,c^3)", True))).algebra
     _assert_matches_reference(_flipped(A, table, pick, 5 * pick + 1))
 
@@ -1192,3 +1242,23 @@ def test_a_reversed_entry_meets_its_twin(key, first):
     with pytest.raises(SchemaError) as info:
         load_manifold(json.loads(json.dumps(doc)))
     assert str(info.value) == f"mult entry {later}: conflicts with an earlier entry"
+
+
+def test_the_intake_stores_every_square_table_symmetric(connected_closure):
+    # the battery's precondition: build_algebra writes both slots of a square
+    # table and refuses a twin that disagrees, so every document, written in
+    # either order, gives a commutative store
+    docs = [manifold_document(m) for m in connected_closure]
+    docs += [_family_document(name) for name in DOC_INGEST_FAMILIES]
+    docs += [json.loads(_ring(name, rebased)) for name in RINGS for rebased in (False, True)]
+    for expr in ("RP2 x RP3", "S1 x S1 x S1 x S1 x S1"):
+        docs.append(rebased_document(parse_expression(expr), np.random.default_rng(0))[0])
+    squares = 0
+    for doc in docs + [_reversed(doc) for doc in docs]:
+        A = _document_tables(doc)
+        for d1, d2 in A.products:
+            if d1 == d2:
+                blk = A.mult_block(d1, d1)
+                assert np.array_equal(blk, blk.transpose(1, 0, 2)), (doc["name"], d1)
+                squares += blk.shape[0] > 1
+    assert squares
