@@ -726,14 +726,13 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
     Each mirror pair is computed once.  Over GF(2) with xy = yx, the
     associator (zy)x + z(yx) of (z, y, x) is x(yz) + (xy)z, that of
     (x, y, z); and both sides of the Cartan formula for (y, x) are those for
-    (x, y) with the two factors swapped.  So only triples with d1 <= d3, and pairs over every class
-    with d1 <= d2, are computed, and each mirror repeats their verdict at
-    its own place in the violation list.
+    (x, y) with the two factors swapped.  So only triples with d1 <= d3,
+    and pairs over every class with d1 <= d2, are computed, and each mirror
+    repeats their verdict at its own place in the violation list.
 
-    When the unit checks pass, the generator classes S
-    (``_generator_classes``: in each positive degree, the basis classes off
-    the pivots of an echelon basis of the products of classes of positive
-    degree) decide the rest.  S spans a complement of those products in
+    When the unit checks pass, the generator classes S (``_generator_classes``:
+    in each positive degree, the basis classes off the pivots of an echelon
+    basis of the products of classes of positive degree) decide the rest.  S spans a complement of those products in
     each degree, so by induction on the degree every class is a sum of
     products of the unit and classes of S, and a set of classes holding
     these and closed under sums and products holds every class.
@@ -816,7 +815,7 @@ def validate_algebra(A: GradedAlgebra) -> ValidationReport:
             # row i of a square table against its column i
             if any(table[i * r : i * r + r] != table[i::r] for i in range(r)):
                 bad.append(f"commutativity: degrees ({d}, {d})")
-    # no document gets here (see above); the scans below read a commutative store
+    # no document reaches this return (see above); the scans below read a commutative store
     if len(bad) > before:
         return ValidationReport(tuple(bad))
 
