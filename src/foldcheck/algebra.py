@@ -457,12 +457,13 @@ def build_algebra(
     ``(j, i)`` too in a square table.  An entry whose row differs from an
     earlier nonzero row in its slot, a product entry's twin's included, is
     refused; an all-zero earlier row gives way.  A malformed entry raises
-    ``SchemaError`` naming its position.  A basis of the wrong length for
-    the top degree (a negative top degree among them), one that repeats a
-    label within a degree, or one whose tables would pass the byte budget,
-    raises ``SchemaError`` naming the basis before any entry is read.  The
-    assembled algebra must pass every axiom of
-    :func:`validate_algebra`; a failure raises
+    ``SchemaError`` naming its position.  A top degree that is not an
+    ``int``, a basis or a degree of it that is not a list or tuple, a basis
+    of the wrong length for the top degree (a negative top degree among
+    them), one that repeats a label within a degree, or one whose tables
+    would pass the byte budget, raises ``SchemaError`` naming the basis
+    before any entry is read.  The assembled algebra must pass every axiom
+    of :func:`validate_algebra`; a failure raises
     ``InvariantViolation("algebra-axioms", ...)``.
     """
     n = top_degree
@@ -551,6 +552,13 @@ def build_algebra(
 
 
 def _ranks(top_degree: int, basis: Sequence[Sequence[str]]) -> list[int]:
+    if type(top_degree) is not int:
+        raise ValueError("top_degree must be an integer")
+    if not isinstance(basis, (list, tuple)):
+        raise ValueError("expected a list of label lists, one per degree")
+    for d, labels in enumerate(basis):
+        if not isinstance(labels, (list, tuple)):
+            raise ValueError(f"degree {d}: expected a list of labels")
     if top_degree < 0:
         raise ValueError("top_degree must be >= 0")
     if len(basis) != top_degree + 1:

@@ -30,7 +30,6 @@ stored invariants.
 """
 from __future__ import annotations
 
-import re
 from functools import cached_property, reduce
 from typing import Any, Mapping
 
@@ -390,9 +389,9 @@ def complex_projective(n: int) -> Manifold:
 
 
 def cp2_reversed() -> Manifold:
-    """CP(2) with the reversed orientation: same mod-2 data, sigma = -1."""
-    cp2 = complex_projective(2)
-    return _assemble("CP2~", cp2.algebra, w=cp2.w, signature=-1, w3_stored=cp2.w3_twisted, torsion_free=True)
+    """CP(2) with the reversed orientation: the mod-2 data of CP(2), sigma = -1."""
+    algebra, w = _truncated_polynomial("h", 2, 2)
+    return _assemble("CP2~", algebra, w=w, signature=-1, w3_stored=TriState.zero("H^3 = 0"), torsion_free=True)
 
 
 # E8 intersection form mod 2: the edges of the Dynkin diagram, numbered from 1.
@@ -445,28 +444,31 @@ def nonorientable_surface(k: int) -> Manifold:
     return _assemble(f"N{k}", algebra, w=None)
 
 
-_ATOM_FAMILIES = {
-    "S": (sphere, 0),
-    "RP": (real_projective, 1),
-    "CP": (complex_projective, 1),
-    "Sigma": (orientable_surface, 0),
-    "N": (nonorientable_surface, 1),
-}
-_ATOM_TOKEN = re.compile(rf"({'|'.join(_ATOM_FAMILIES)})(\d+)", re.ASCII)
+# The atom inventory, in the order ``foldcheck catalog`` lists it: the form,
+# the description, the factory and the least index, None for a single atom,
+# whose factory takes no index.  ``atom`` and the tokenizer read it too.
+_ATOMS = (
+    ("S<n>", "sphere", sphere, 0),
+    ("RP<n>", "real projective space", real_projective, 1),
+    ("CP<n>", "complex projective space", complex_projective, 1),
+    ("CP2~", "CP2 with the reversed orientation", cp2_reversed, None),
+    ("K3", "the K3 surface", k3, None),
+    ("Sigma<g>", "orientable surface of genus g", orientable_surface, 0),
+    ("N<k>", "non-orientable surface with k cross-caps", nonorientable_surface, 1),
+)
+_SINGLES = {form: factory for form, _, factory, lowest in _ATOMS if lowest is None}
+_FAMILIES = {form.partition("<")[0]: (factory, lowest) for form, _, factory, lowest in _ATOMS if lowest is not None}
 
 
 def atom(token: str) -> Manifold:
     """Build a catalog atom from its token, e.g. ``"RP4"`` or ``"CP2~"``; digits are ASCII."""
-    if token == "K3":
-        return k3()
-    if token == "CP2~":
-        return cp2_reversed()
-    match = _ATOM_TOKEN.fullmatch(token)
-    if match is None:
+    if token in _SINGLES:
+        return _SINGLES[token]()
+    prefix = token.rstrip("0123456789")
+    if prefix == token or prefix not in _FAMILIES:
         raise ValueError(f"unknown atom {token!r}")
-    prefix, digits = match.groups()
-    factory, lowest = _ATOM_FAMILIES[prefix]
-    value = int(digits)
+    factory, lowest = _FAMILIES[prefix]
+    value = int(token[len(prefix):])
     if value < lowest:
         raise ValueError(f"{prefix}({value}) is out of range (needs >= {lowest})")
     return factory(value)

@@ -26,7 +26,7 @@ import sys
 from typing import List, Optional
 
 from .algebra import ClassZ2, TotalClass
-from .catalog import Manifold, load_descriptor, load_manifold
+from .catalog import _ATOMS, Manifold, load_descriptor, load_manifold
 from .characteristic import structure_flags, tangent_descriptor
 from .decide import Outcome, TargetSpec, decide_fold, stable_span_bounds, thom_polynomials
 from .errors import ExpressionError, FoldcheckError, SchemaError
@@ -271,16 +271,6 @@ def _run_span(m: Manifold, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CATALOG_ATOMS = [
-    ("S<n>", "sphere", "n >= 0"),
-    ("RP<n>", "real projective space", "n >= 1"),
-    ("CP<n>", "complex projective space", "n >= 1"),
-    ("CP2~", "CP2 with the reversed orientation", ""),
-    ("K3", "the K3 surface", ""),
-    ("Sigma<g>", "orientable surface of genus g", "g >= 0"),
-    ("N<k>", "non-orientable surface with k cross-caps", "k >= 1"),
-]
-
 _CATALOG_OPERATORS = [
     ("A # B", "connected sum (equal dimensions, dim >= 1)"),
     ("A x B", "cartesian product"),
@@ -289,16 +279,19 @@ _CATALOG_OPERATORS = [
 
 
 def _run_catalog(fmt: str) -> str:
+    # a family's constraint reads its index letter: "n >= 0" for S<n>
+    atoms = [
+        (form, description, "" if lowest is None else f"{form[-2]} >= {lowest}")
+        for form, description, _, lowest in _ATOMS
+    ]
     if fmt == "json":
         payload = {
-            "atoms": [
-                {"token": t, "description": d, "constraint": c} for t, d, c in _CATALOG_ATOMS
-            ],
+            "atoms": [{"token": t, "description": d, "constraint": c} for t, d, c in atoms],
             "operators": [{"form": f, "description": d} for f, d in _CATALOG_OPERATORS],
         }
         return json.dumps(payload, indent=2) + "\n"
     lines = ["catalog atoms:"]
-    for token, description, constraint in _CATALOG_ATOMS:
+    for token, description, constraint in atoms:
         suffix = f"  ({constraint})" if constraint else ""
         lines.append(f"  {token:<9} {description}{suffix}")
     lines.append("operators:")

@@ -370,8 +370,14 @@ class _Rule(NamedTuple):
     sphere: bool = False  # its NOT EXISTS also holds for the target S^p
 
 
+def _no_rule(n: int, p: int) -> Verdict:
+    entry = TraceEntry("no-rule", "none", "none", f"no criterion covers maps of a {n}-manifold into R^{p}")
+    return Verdict(Outcome.UNKNOWN, (entry,))
+
+
 # Tried in order; the first row whose domain holds decides, so a row
-# leaves out what the rows above it already take.
+# leaves out what the rows above it already take.  The last row takes every
+# (dim M, p) that no criterion covers.
 _RULES = (
     _Rule(lambda n, p: p <= 2, lambda m, p, tame: _decide_low_codim(m, p)),
     _Rule(
@@ -379,14 +385,12 @@ _RULES = (
     ),
     _Rule(lambda n, p: p == 3, lambda m, p, tame: _decide_to_R3(m, tame), reads_tame=True),
     _Rule(lambda n, p: p == 4 and n % 2 == 0, lambda m, p, tame: _decide_highdim_to_R4(m)),
+    _Rule(lambda n, p: True, lambda m, p, tame: _no_rule(m.dim, p)),
 )
 
 
-def _rule(n: int, p: int) -> Optional[_Rule]:
-    for row in _RULES:
-        if row.domain(n, p):
-            return row
-    return None
+def _rule(n: int, p: int) -> _Rule:
+    return next(row for row in _RULES if row.domain(n, p))
 
 
 def _routed(m: Manifold, p: int, tame: bool) -> Tuple[Verdict, bool]:
@@ -400,14 +404,8 @@ def _routed(m: Manifold, p: int, tame: bool) -> Tuple[Verdict, bool]:
     found = table.get((p, tame))
     if found is None:
         row = _rule(m.dim, p)
-        if row is None:
-            entry = TraceEntry(
-                "no-rule", "none", "none", f"no criterion covers maps of a {m.dim}-manifold into R^{p}"
-            )
-            found = (Verdict(Outcome.UNKNOWN, (entry,)), False)
-        else:
-            found = (row.decide(m, p, tame), row.sphere)
-        if row is not None and row.reads_tame:
+        found = (row.decide(m, p, tame), row.sphere)
+        if row.reads_tame:
             table[p, tame] = found
         else:
             table[p, False] = table[p, True] = found

@@ -26,10 +26,13 @@ from .errors import DimensionMismatch, ExpressionError
 
 __all__ = ["parse_expression"]
 
+# The atom tokens of the catalog's table, the single atoms first, so that
+# CP2~ is not read as CP2 and then ~.
+_ATOM_TOKENS = "|".join([*map(re.escape, catalog._SINGLES), *(rf"{stem}\d+" for stem in catalog._FAMILIES)])
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
-  | (?P<atom>CP2~|Sigma\d+|RP\d+|CP\d+|S\d+|N\d+|K3)
+  | (?P<atom>{_ATOM_TOKENS})
   | (?P<int>\d+)
   | (?P<hash>\#)
   | (?P<cross>x)

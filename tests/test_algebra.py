@@ -97,6 +97,24 @@ def test_build_rejects_wrong_basis_count():
         build_algebra(-1, [])
 
 
+@pytest.mark.parametrize(
+    "top_degree,basis,message",
+    [
+        ("2", [["1"], ["a"], ["t"]], "top_degree must be an integer"),
+        (2.0, [["1"], ["a"], ["t"]], "top_degree must be an integer"),
+        (True, [["1"], ["t"]], "top_degree must be an integer"),
+        (2, None, "expected a list of label lists, one per degree"),
+        (2, [["1"], None, ["t"]], "degree 1: expected a list of labels"),
+        # a string is not read as its characters
+        (2, [["1"], "ab", ["t"]], "degree 1: expected a list of labels"),
+    ],
+)
+def test_build_rejects_a_malformed_basis(top_degree, basis, message):
+    # the shape of the basis is refused before any of it is read
+    with pytest.raises(SchemaError, match=f"^basis: {message}$"):
+        build_algebra(top_degree, basis)
+
+
 def test_build_rejects_duplicate_labels():
     # outside labels are refused with the basis, before any entry is read
     with pytest.raises(SchemaError, match="^basis: duplicate labels in degree 1$"):

@@ -305,6 +305,35 @@ def test_atom_token_errors():
     assert atom("Sigma0").name == "Sigma0"
 
 
+def test_every_row_of_the_atom_table_parses_and_families_refuse_below_their_least_index():
+    # atom() and the expression tokenizer read one table: a single atom, and
+    # a family at its least index, parse to the record of the row's factory
+    for form, _, factory, lowest in catalog._ATOMS:
+        stem = form.partition("<")[0]
+        if lowest is None:
+            token, expected = form, factory()
+        else:
+            token, expected = f"{stem}{lowest}", factory(lowest)
+            if lowest:
+                below = rf"^{stem}\({lowest - 1}\) is out of range \(needs >= {lowest}\)$"
+                with pytest.raises(ValueError, match=below):
+                    atom(f"{stem}{lowest - 1}")
+        m = parse_expression(token)
+        assert m.name == expected.name == token
+        assert (m.dim, m.euler, m.signature, m.w.parts) == (
+            expected.dim, expected.euler, expected.signature, expected.w.parts
+        )
+
+
+def test_cp2_reversed_has_the_mod2_data_of_cp2():
+    cp2, reversed_ = complex_projective(2), cp2_reversed()
+    a, b = cp2.algebra, reversed_.algebra
+    assert (a.basis, a.products, a.squares) == (b.basis, b.products, b.squares)
+    assert (cp2.w.parts, cp2.wu.parts) == (reversed_.w.parts, reversed_.wu.parts)
+    assert (reversed_.signature, reversed_.p1.number, reversed_.torsion_free) == (-1, -3, True)
+    assert (reversed_.w3_twisted.is_zero, reversed_.w3_twisted.note) == (True, "H^3 = 0")
+
+
 # ---------------------------------------------------------------------------
 # combinations
 

@@ -51,6 +51,7 @@ GOLDEN_CASES = [
     ("invariants_rp4.txt", ["invariants", "RP4"]),
     ("span_k3.txt", ["span", "K3"]),
     ("catalog.txt", ["catalog"]),
+    ("catalog.json", ["catalog", "--format", "json"]),
 ]
 
 

@@ -534,6 +534,16 @@ RULE_CITATIONS = {
 }
 
 
+def test_no_manifold_is_obstructed_against_its_own_tangent_data(connected_closure):
+    # the identity map has no singular points, so the self target, the
+    # pullback of TM itself, is never NOT EXISTS, tame or not
+    records = list(connected_closure) + [parse_expression(text) for text in EXTRA_LAYER]
+    for m in records:
+        target = TargetSpec.pullback(m.dim, tangent_descriptor(m))
+        for tame in (False, True):
+            assert decide_fold(m, target, tame).outcome is not Outcome.NOT_EXISTS, (m.name, tame)
+
+
 def test_every_rule_fires(connected_closure, monkeypatch):
     fired = [0] * len(decide._RULES)
 
@@ -659,7 +669,7 @@ def test_core_looks_the_rule_up_once_per_miss(connected_closure, monkeypatch):
         fresh = replace(m)
         for p in range(1, fresh.dim + 1):
             row = rule(fresh.dim, p)
-            misses = 2 if row is not None and row.reads_tame else 1
+            misses = 2 if row.reads_tame else 1
             calls.clear()
             decide._core(fresh, p, False)
             decide._core(fresh, p, True)

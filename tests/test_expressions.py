@@ -144,6 +144,15 @@ def test_repetition_applies_to_the_factor_only():
         # the grammar is ASCII: other scripts' digits and spaces are not tokens
         pytest.param("S2 x RP٣", 5, "unexpected character 'R'", id="arabic-indic-digit"),
         pytest.param("RP4\u00a0x S2", 3, "unexpected character", id="no-break-space"),
+        # near misses of atom tokens: a single atom is matched before a family,
+        # and no family matches its letters without digits
+        ("CP22~", 4, "unexpected character '~'"),
+        ("CP2~~", 4, "unexpected character '~'"),
+        ("K33", 2, "unexpected trailing input"),
+        ("Sigm1", 0, "unexpected character 'S'"),
+        ("SS1", 0, "unexpected character 'S'"),
+        ("RP", 0, "unexpected character 'R'"),
+        ("S2 x N", 5, "unexpected character 'N'"),
     ],
 )
 def test_error_positions(text, position, message):
