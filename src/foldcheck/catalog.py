@@ -16,7 +16,9 @@ The algebra axiom battery (``validate_algebra``) runs where data enters:
 ``load_manifold`` checks a document's fields and basis and reads its
 ``mult`` and ``sq`` entry lists through one ``build_algebra`` call, the
 one reader of outside tables, which checks every entry, parses each
-distinct product row once and runs the battery.  The catalog atoms are
+distinct product row once and runs the battery.  The intake and the
+battery live in ``boundary``, which ``build_algebra`` imports on its
+first call, so only a document loads them.  The catalog atoms are
 closed forms, and connected sums and products of valid records are
 valid by construction, so their algebras are assembled without it.  The
 ``RP`` and ``CP`` atoms check the closed-form size of their tables
@@ -602,7 +604,8 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     p_1 status, and optional w / W_3 / flag data.  The loader checks the
     fields and the basis, then hands the entry lists to ``build_algebra``,
     the one reader of outside tables, which packs each checked row into the
-    table of its unordered degree pair and runs the axiom battery.  An absent ``mult``
+    table of its unordered degree pair and runs the axiom battery.  A
+    ``name`` must be a string; an absent one is ``document``.  An absent ``mult``
     or ``sq`` is an empty list.  Once every field is read, the declared
     ``euler`` (parity first), ``orientable`` and a nonzero ``signature``
     off the 4k lattice are checked against the algebra, in that order;
@@ -627,6 +630,9 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
     signature = doc.get("signature")
     if signature is not None and type(signature) is not int:
         raise SchemaError("field 'signature' must be an integer")
+    name = doc.get("name", "document")
+    if not isinstance(name, str):
+        raise SchemaError("field 'name' must be a string")
 
     basis = doc["basis"]
     if (
@@ -667,7 +673,7 @@ def load_manifold(doc: Mapping[str, Any]) -> Manifold:
         raise InvariantViolation("signature", "signature recorded where none is defined")
 
     return _assemble(
-        str(doc.get("name", "document")),
+        name,
         algebra,
         w=w,
         signature=signature,

@@ -20,18 +20,22 @@ where available).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .algebra import ClassZ2, TotalClass
 from .catalog import _ATOMS, Manifold, load_descriptor, load_manifold
 from .characteristic import structure_flags, tangent_descriptor
-from .decide import Outcome, TargetSpec, decide_fold, stable_span_bounds, thom_polynomials
 from .errors import ExpressionError, FoldcheckError, SchemaError
 from .expressions import parse_expression
 from .tristate import P1Data
+
+# ``decide`` and ``json`` are imported where a command needs them, so a cold
+# ``invariants`` or ``catalog`` call compiles no rule engine and a text
+# command no JSON module
+if TYPE_CHECKING:
+    from .decide import Outcome, TargetSpec
 
 __all__ = ["main"]
 
@@ -81,9 +85,13 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _load_json(path: str) -> dict:
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON document: {exc}") from None
         except RecursionError:
             raise SchemaError("document nests too deeply") from None
 
@@ -109,6 +117,8 @@ def _target_dim(raw: str) -> Optional[int]:
 
 
 def _parse_target(text: str, m: Manifold, parser: _ArgumentParser) -> TargetSpec:
+    from .decide import TargetSpec
+
     if text == "self":
         return TargetSpec.pullback(m.dim, tangent_descriptor(m))
     if text.startswith("pullback:"):
@@ -132,6 +142,12 @@ def _parse_target(text: str, m: Manifold, parser: _ArgumentParser) -> TargetSpec
 
 # ---------------------------------------------------------------------------
 # rendering
+
+
+def _json(payload) -> str:
+    import json
+
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _p1_json(p1: P1Data):
@@ -199,7 +215,7 @@ def _run_invariants(m: Manifold, fmt: str) -> str:
             "p1": _p1_json(m.p1),
             "w3_twisted": {"status": str(m.w3_twisted), "note": m.w3_twisted.note},
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     lines = [f"M = {m.name}  (dim {m.dim})"]
     lines.extend(_invariant_summary(m))
     lines.append("w components:")
@@ -209,6 +225,8 @@ def _run_invariants(m: Manifold, fmt: str) -> str:
 
 
 def _run_decide(m: Manifold, target: TargetSpec, tame: bool, fmt: str, explain: bool) -> str:
+    from .decide import decide_fold
+
     verdict = decide_fold(m, target, tame)
     if fmt == "json":
         payload = {
@@ -219,7 +237,7 @@ def _run_decide(m: Manifold, target: TargetSpec, tame: bool, fmt: str, explain: 
             "verdict": verdict.outcome.value,
             "trace": _trace_json(verdict),
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     lines = [
         f"M = {m.name}  (dim {m.dim})",
         f"target = {target.label}",
@@ -233,6 +251,8 @@ def _run_decide(m: Manifold, target: TargetSpec, tame: bool, fmt: str, explain: 
 
 
 def _run_thom(m: Manifold, target: Optional[TargetSpec], fmt: str) -> str:
+    from .decide import thom_polynomials
+
     difference = target.descriptor if target is not None and target.kind == "pullback" else None
     table = thom_polynomials(m, difference)
     if fmt == "json":
@@ -244,7 +264,7 @@ def _run_thom(m: Manifold, target: Optional[TargetSpec], fmt: str) -> str:
                 for e in table.entries
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     lines = [f"M = {m.name}  (dim {m.dim})"]
     for e in table.entries:
         status = "unknown" if e.vanishes is None else ("zero" if e.vanishes else "nonzero")
@@ -253,6 +273,8 @@ def _run_thom(m: Manifold, target: Optional[TargetSpec], fmt: str) -> str:
 
 
 def _run_span(m: Manifold, fmt: str) -> str:
+    from .decide import stable_span_bounds
+
     bounds = stable_span_bounds(m)
     if fmt == "json":
         payload = {
@@ -262,7 +284,7 @@ def _run_span(m: Manifold, fmt: str) -> str:
             "upper": bounds.upper,
             "trace": _trace_json(bounds),
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     lines = [
         f"M = {m.name}  (dim {m.dim})",
         f"stable span bounds: lower = {bounds.lower}, upper = {bounds.upper}",
@@ -289,7 +311,7 @@ def _run_catalog(fmt: str) -> str:
             "atoms": [{"token": t, "description": d, "constraint": c} for t, d, c in atoms],
             "operators": [{"form": f, "description": d} for f, d in _CATALOG_OPERATORS],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     lines = ["catalog atoms:"]
     for token, description, constraint in atoms:
         suffix = f"  ({constraint})" if constraint else ""
@@ -326,9 +348,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         output = _dispatch(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"foldcheck: error: invalid JSON document: {exc}\n")
-        return 2
     except FoldcheckError as exc:
         sys.stderr.write(f"foldcheck: error: {exc}\n")
         return 2

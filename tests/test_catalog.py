@@ -870,6 +870,10 @@ def test_load_manifold_rp4_document():
         (lambda d: d.update(dim="2"), SchemaError, "integer"),
         (lambda d: d.update(dim=-1), SchemaError, "^dim must be >= 0$"),
         (lambda d: d.update(signature=True), SchemaError, "^field 'signature' must be an integer$"),
+        # a name is printed as given, so only a string is one
+        (lambda d: d.update(name=5), SchemaError, "^field 'name' must be a string$"),
+        (lambda d: d.update(name=None), SchemaError, "^field 'name' must be a string$"),
+        (lambda d: d.update(name=["RP2"]), SchemaError, "^field 'name' must be a string$"),
         (lambda d: d.update(extra=1), SchemaError, "unknown document fields"),
         (lambda d: d.pop("p1"), SchemaError, "missing required field"),
         (lambda d: d.update(basis=[["1"], ["a"]]), SchemaError, "basis"),
@@ -928,6 +932,12 @@ def test_load_manifold_rejections(mutate, error, match):
         load_manifold(doc)
     if str(info.value).startswith(("mult", "sq", "field 'mult'", "field 'sq'", "basis: ")):
         _built_alike(doc, info.value)
+
+
+def test_load_manifold_names_an_unnamed_document():
+    doc = rp2_document()
+    del doc["name"]
+    assert load_manifold(doc).name == "document"
 
 
 def test_load_manifold_drops_a_zero_sq_entry_out_of_range():

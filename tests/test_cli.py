@@ -184,22 +184,38 @@ def test_deeply_nested_json_exits_2_without_traceback(tmp_path, argv):
     assert proc.stderr == "foldcheck: error: document nests too deeply\n"
 
 
-# Runs each command through cli.main in one fresh interpreter and prints,
-# after each, its exit code and whether numpy, dataclasses and inspect have
-# been imported by then.
+# Runs one command, given as its arguments, through cli.main in a fresh
+# interpreter and prints its exit code and the watched modules loaded by
+# then.  The command comes as plain arguments: the probe imports nothing
+# that it watches.
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from foldcheck import cli
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    print(code, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect")))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+watched = ("numpy", "dataclasses", "inspect", "json", "foldcheck.boundary", "foldcheck.decide")
+print(code, *(name for name in watched if name in sys.modules))
 """
+
+
+def _cold_imports(*argv) -> tuple[int, set[str]]:
+    """The exit code of one cold ``foldcheck`` call and the watched modules it loaded."""
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    return int(code), set(loaded)
 
 
 def test_catalog_expressions_never_import_numpy(tmp_path):
     # the expression path runs on packed ints, and so does the battery of
-    # every document, sparse or dense: numpy is for the array views alone
+    # every document, sparse or dense: numpy is for the array views alone.
+    # The records are NamedTuples and plain classes, so no command loads
+    # dataclasses; numpy would load inspect.  Only a document loads the
+    # intake and battery module
     expression_commands = [
         ["decide", "RP4", "--target", "R4"],
         ["decide", "K3", "--target", "sphere:4", "--format", "json"],
@@ -221,16 +237,44 @@ def test_catalog_expressions_never_import_numpy(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         documents.append(path)
-    commands = expression_commands + [["invariants", str(path), "--format", "json"] for path in documents]
-    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    # the records are NamedTuples and plain classes, so no command loads
-    # dataclasses; numpy would load inspect
-    assert proc.stdout.splitlines() == ["0 False False False"] * len(commands)
+    commands = [(argv, set()) for argv in expression_commands] + [
+        (["invariants", path, "--format", "json"], {"foldcheck.boundary"}) for path in documents
+    ]
+    for argv, modules in commands:
+        code, loaded = _cold_imports(*argv)
+        assert (code, loaded - {"json", "foldcheck.decide"}) == (0, modules), argv
+
+
+RP2_DOC, BAD_EULER_DOC = DATA / "rp2.json", DATA / "bad_euler.json"
+COLD_IMPORT_CASES = [
+    # no rule engine for invariants, catalog or an expression error
+    (["invariants", "RP4"], 0, set()),
+    (["catalog"], 0, set()),
+    (["invariants", "RP4 @"], 2, set()),
+    (["decide", "RP4 @", "--target", "R4"], 2, set()),
+    # the rule engine, but no JSON module, for a text command
+    (["decide", "RP4", "--target", "R4"], 0, {"foldcheck.decide"}),
+    (["span", "K3"], 0, {"foldcheck.decide"}),
+    (["thom", "RP4 x S1"], 0, {"foldcheck.decide"}),
+    # the JSON module where JSON is written or read
+    (["catalog", "--format", "json"], 0, {"json"}),
+    (["invariants", "RP4", "--format", "json"], 0, {"json"}),
+    (["decide", "CP2", "--target", f"pullback:{DATA / 'cp2_tangent.json'}"], 0, {"json", "foldcheck.decide"}),
+    # and the intake and battery module for every document, refused or not
+    (["invariants", RP2_DOC], 0, {"json", "foldcheck.boundary"}),
+    (["span", RP2_DOC], 0, {"json", "foldcheck.boundary", "foldcheck.decide"}),
+    (["decide", RP2_DOC, "--target", "R2"], 0, {"json", "foldcheck.boundary", "foldcheck.decide"}),
+    (["invariants", BAD_EULER_DOC], 2, {"json", "foldcheck.boundary"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,loaded",
+    COLD_IMPORT_CASES,
+    ids=[" ".join(map(str, argv)).replace(f"{DATA}/", "") for argv, _, _ in COLD_IMPORT_CASES],
+)
+def test_cold_commands_load_only_what_they_run(argv, code, loaded):
+    assert _cold_imports(*argv) == (code, loaded)
 
 
 @pytest.mark.parametrize(
@@ -305,7 +349,35 @@ def test_invalid_document_is_a_document_error(capsys, tmp_path):
     bad.write_text("{not json")
     code, out, err = run(capsys, "invariants", str(bad))
     assert code == 2
-    assert "invalid JSON document" in err
+    assert err == (
+        "foldcheck: error: invalid JSON document: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+    )
+
+
+def test_non_utf8_document_exits_2_without_traceback(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"name": "RP2 \u00e9"}'.encode("latin-1"))
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "foldcheck.cli", "invariants", str(bad)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "foldcheck: error: 'utf-8' codec can't decode byte 0xe9 in position 14: invalid continuation byte\n"
+    )
+
+
+@pytest.mark.parametrize("name", [5, None, ["RP2"]], ids=["int", "null", "list"])
+def test_document_name_that_is_not_a_string_exits_2(capsys, tmp_path, name):
+    doc = json.loads((DATA / "rp2.json").read_text())
+    doc["name"] = name
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "invariants", str(path))
+    assert (code, out) == (2, "")
+    assert err == "foldcheck: error: field 'name' must be a string\n"
 
 
 def test_inconsistent_document_is_rejected(capsys):

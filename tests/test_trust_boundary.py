@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from classes import bits, packed, rows
 from test_invariants import _rank_mod2
-from foldcheck import algebra
+from foldcheck import algebra, boundary
 from foldcheck.algebra import GradedAlgebra, _packed_algebra, _stored, validate_algebra
 from foldcheck.catalog import k3, load_manifold, product
 from foldcheck.errors import FoldcheckError, InvariantViolation, SchemaError
@@ -258,14 +258,14 @@ def _kernel_calls(monkeypatch, name: str, A: GradedAlgebra) -> list[tuple[int, .
     ``_cartan_packed`` gives ``(d1, d2, firsts)``.
     """
     calls: list[tuple[int, ...]] = []
-    real = getattr(algebra, name)
+    real = getattr(boundary, name)
     width = 4 if name == "_associative_packed" else 3
 
     def counting(*args):
         calls.append(args[-width:])
         return real(*args)
 
-    monkeypatch.setattr(algebra, name, counting)
+    monkeypatch.setattr(boundary, name, counting)
     validate_algebra(A)
     return calls
 
@@ -300,7 +300,7 @@ def test_commutative_battery_checks_one_triple_of_each_mirror_pair(monkeypatch, 
     # generator class are computed, on the generator classes alone (a^2 in
     # degree 2 of CP3 x RP3 is a product)
     A = parse_expression(name).algebra
-    classes = algebra._generator_classes(A)
+    classes = boundary._generator_classes(A)
     assert {d: _classes(A, d, bits) for d, bits in classes.items()} == generators
     calls = _associative_calls(monkeypatch, A)
     focus = [t for t in _positive(_triples(A)) if t[1] in classes and t[0] <= t[2]]
@@ -324,7 +324,7 @@ def test_commutative_battery_checks_one_triple_of_each_mirror_pair(monkeypatch, 
 def test_generator_classes_sit_in_the_generator_degrees(name, generators):
     # the positive degrees that products of classes of positive degree do not span
     A = parse_expression(name).algebra
-    assert list(algebra._generator_classes(A)) == generators
+    assert list(boundary._generator_classes(A)) == generators
 
 
 def test_square_table_out_of_commutativity_ends_the_battery(monkeypatch, oracle_algebras):
@@ -540,13 +540,13 @@ def test_sphere_document_battery_reads_the_blocks_of_its_degrees(monkeypatch):
         "p1": "zero",
     }
     calls = []
-    split = algebra._split
+    split = boundary._split
 
     def counting(memo, d1, d2, *args):
         calls.append((d1, d2))
         return split(memo, d1, d2, *args)
 
-    monkeypatch.setattr(algebra, "_split", counting)
+    monkeypatch.setattr(boundary, "_split", counting)
     m = load_manifold(doc)
     # the unit checks settle every triple and pair with a degree-0 factor, no
     # positive triple fits below n, and no k fits the pair (200, 200): the
@@ -986,7 +986,7 @@ def test_valid_ring_battery_checks_pairs_with_a_generator_factor(monkeypatch):
     # degree d2; associativity on the 105 triples with d1 <= d3 and a middle
     # degree 1 or 2, with the middle class among a, c or b
     A = _document_algebra(ring_document(RING_A6B4C6))
-    classes = algebra._generator_classes(A)
+    classes = boundary._generator_classes(A)
     assert {d: _classes(A, d, bits) for d, bits in classes.items()} == {1: {"a", "c"}, 2: {"b"}}
     assert len(_ring_pairs(A)) == 64
     n = A.top_degree
@@ -1022,7 +1022,7 @@ def test_rescanning_battery_computes_each_pair_and_triple_once(monkeypatch):
     # generator class b runs once more, and no call repeats; associativity,
     # which holds, runs its 105 focused triples once
     A = _ring_with_a_flipped_sq1_in_degree_3()
-    n, classes = A.top_degree, algebra._generator_classes(A)
+    n, classes = A.top_degree, boundary._generator_classes(A)
     calls = _cartan_calls(monkeypatch, A)
     assert len(set(calls)) == len(calls)
     assert sorted(call for call in calls if call[2] == _every(A, call[0])) == [
@@ -1093,16 +1093,16 @@ def _with_ghost(doc: dict, d: int) -> dict:
 def test_generator_classes_of_documents():
     ring = ring_document(RING_A6B4C6)
     A = _document_algebra(ring)
-    classes = algebra._generator_classes(A)
+    classes = boundary._generator_classes(A)
     assert {d: _classes(A, d, bits) for d, bits in classes.items()} == {1: {"a", "c"}, 2: {"b"}}
     # a class with no products is a generator wherever it sits, and adds
     # itself alone, not its whole degree
     for d, want in ((5, {5: {"ghost"}}), (2, {2: {"b", "ghost"}})):
         B = _document_algebra(_with_ghost(ring, d))
-        got = {d: _classes(B, d, bits) for d, bits in algebra._generator_classes(B).items()}
+        got = {d: _classes(B, d, bits) for d, bits in boundary._generator_classes(B).items()}
         assert got == {1: {"a", "c"}, 2: {"b"}} | want
     # every class of degree 1 of T^7 generates, in any basis
-    assert algebra._generator_classes(_rebased_torus(7)) == {1: _every(_rebased_torus(7), 1)}
+    assert boundary._generator_classes(_rebased_torus(7)) == {1: _every(_rebased_torus(7), 1)}
 
 
 @functools.cache
